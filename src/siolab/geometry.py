@@ -285,18 +285,6 @@ def cone_contains(cone: Cone, point) -> bool:
     return cone.contains(point)
 
 
-def cone_separation_slack(cone: Cone, y, x) -> np.ndarray:
-    """|y - x| - |y - x0| / (8L), row-wise; nonnegative whenever
-    y lies in the cone and x lies strictly below the graph.
-    """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    apex = cone.apex
-    lhs = np.linalg.norm(y - x, axis=1)
-    rhs = np.linalg.norm(y - apex, axis=1) / (8.0 * cone.aperture)
-    return lhs - rhs
-
-
 # ---------------------------------------------------------------------------
 # Shapes
 # ---------------------------------------------------------------------------

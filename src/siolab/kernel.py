@@ -112,11 +112,6 @@ class OddHomogeneous:
 Kernel = RieszComponent | OddHomogeneous
 
 
-def evaluate(kernel, x) -> float:
-    """K(x); raises ValueError at x = 0."""
-    return kernel.evaluate(x)
-
-
 # ---------------------------------------------------------------------------
 # Numerical validation of the three defining conditions
 # ---------------------------------------------------------------------------

@@ -5,17 +5,28 @@ Summation conventions, fixed package-wide:
 * Truncation is strict: the closed ball B(x, eps) is removed, so atoms
   at distance exactly eps are excluded; the maximal-function ball is
   closed, so atoms at distance exactly r are included.
-* Single-point sums use error-free accumulation (math.fsum) in atom
-  index order.  Batched paths accumulate in 80-bit extended precision
-  with a fixed reduction order, which keeps the worst-case rounding
-  error orders of magnitude below every tolerance asserted in the test
-  suite (error <= N * 2^-64 * sum|terms| per reduction).
+* Single-point sums (``truncated``, ``lp_norm``) use error-free
+  accumulation (math.fsum) in atom index order.
+* Batched sums over atoms (``TruncationTable``, ``truncated_batch``,
+  ``hl_maximal_batch``) share one certified float64 scan: a cumsum
+  inside blocks of b = ceil(sqrt(N)) terms, then a cumsum of the block
+  totals added back to the following blocks.  Each prefix passes
+  through at most k = b + ceil(N/b) + 1 roundings, so its error is at
+  most gamma_k * sum|t| with gamma_k = k u / (1 - k u) (Higham,
+  Accuracy and Stability of Numerical Algorithms, 2002, sec. 4.2).  A
+  row is certified when that bound is at most 1e-13 of the value it
+  reports: the sup for T*, |T^eps| for a truncated value, the total
+  mass for the nonnegative sums of the (n-1)-dimensional maximal
+  function.  Rows the bound cannot certify are recomputed in 80-bit
+  extended precision.  The bound on every prefix bounds the error of
+  a sup over prefixes, since |max|a| - max|b|| <= max|a - b|.
+* Pair sums (``pair_sum_stats``) accumulate in 80-bit extended
+  precision in a fixed row-major order.
 * The supremum over all truncation radii is exact, not sampled: the
   truncated transform is piecewise constant in eps with jumps only at
   distinct atom distances, so the supremum is a maximum over suffix
   sums by distance group, plus the empty truncation value 0.
 """
-
 from __future__ import annotations
 
 import math
@@ -28,7 +39,14 @@ from .geometry import Cone
 from .measure import DiscreteMeasure, restrict
 
 PAIR_COUNT_GUARD = 10**10
+# a TruncationTable stores P x N int64 order, float64 distances and
+# kernel terms and a bool candidate mask: 25 bytes per cell.  The guard
+# admits 2048-point chunks against the 4^6 atoms of a generation-6
+# Cantor set (210 MB) with room to spare.
+TABLE_BYTES_GUARD = 1 << 30
+_TABLE_BYTES_PER_CELL = 25
 _BLOCK_ELEMENTS = 1 << 21  # target elements per temporary block
+_CERTIFY_REL = 1e-13  # largest certified error relative to a reported value
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +58,7 @@ def density_values(g, mu: DiscreteMeasure) -> np.ndarray:
     """Per-atom values of a density: None or a scalar (constant), an
     array of per-atom values, a simple function (anything exposing
     ``evaluate_many``), or a callable on an (N, n) position array.
+    The values must be finite and one per atom.
     """
     if g is None:
         return np.ones(mu.count)
@@ -47,16 +66,17 @@ def density_values(g, mu: DiscreteMeasure) -> np.ndarray:
         return np.full(mu.count, float(g))
     if isinstance(g, np.ndarray) or isinstance(g, (list, tuple)):
         vals = np.asarray(g, dtype=float).reshape(-1)
-        if len(vals) != mu.count:
-            raise ValueError("per-atom table length mismatch")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("density values must be finite")
-        return vals
-    if hasattr(g, "evaluate_many"):
-        return np.asarray(g.evaluate_many(mu.positions), dtype=float)
-    if callable(g):
-        return np.asarray(g(mu.positions), dtype=float).reshape(-1)
-    raise TypeError("unsupported density")
+    elif hasattr(g, "evaluate_many"):
+        vals = np.asarray(g.evaluate_many(mu.positions), dtype=float).reshape(-1)
+    elif callable(g):
+        vals = np.asarray(g(mu.positions), dtype=float).reshape(-1)
+    else:
+        raise TypeError("unsupported density")
+    if len(vals) != mu.count:
+        raise ValueError("per-atom table length mismatch")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("density values must be finite")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +97,67 @@ def _kernel_at_diffs(kernel, diffs: np.ndarray, dist: np.ndarray) -> np.ndarray:
         vals[zero] = 0.0
         return vals
     return kernel.evaluate_many(diffs.reshape(-1, diffs.shape[-1])).reshape(dist.shape)
+
+
+def _distance_blocks(pts: np.ndarray, positions: np.ndarray):
+    """(slice, differences, distances) over consecutive blocks of the
+    points, about _BLOCK_ELEMENTS point-atom pairs per block.
+
+    The squares are added one coordinate at a time, in the order
+    np.linalg.norm adds them, so a distance here equals the one the
+    single-point ``truncated`` compares with eps, bit for bit.
+    """
+    block = max(1, _BLOCK_ELEMENTS // max(1, len(positions)))
+    for start in range(0, len(pts), block):
+        sl = slice(start, min(start + block, len(pts)))
+        diffs = pts[sl][:, None, :] - positions[None, :, :]
+        sq = diffs[..., 0] * diffs[..., 0]
+        for k in range(1, diffs.shape[2]):
+            sq += diffs[..., k] * diffs[..., k]
+        yield sl, diffs, np.sqrt(sq)
+
+
+# ---------------------------------------------------------------------------
+# Certified prefix scan
+# ---------------------------------------------------------------------------
+
+
+def _certified_prefix(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 prefix sums along each row of a (P, N) array, N >= 1, and
+    a per-row bound on the absolute error of every prefix in the row.
+
+    Two levels: a cumsum inside blocks of b = ceil(sqrt(N)) terms (the
+    last block may be shorter), then a cumsum of the full block totals
+    added to the blocks after them.  A prefix passes through at most
+    (b - 1) + (ceil(N/b) - 1) + 1 roundings, so its error is at most
+    gamma_k * sum|t| for k = b + ceil(N/b) + 1; sum|t| is itself a
+    float64 sum, inflated by (1 + 2 N u) to cover its own rounding.
+    """
+    p, n = terms.shape
+    b = math.isqrt(n - 1) + 1
+    m = n - n % b
+    prefix = np.empty((p, n))
+    blocks = prefix[:, :m].reshape(p, m // b, b)
+    np.cumsum(terms[:, :m].reshape(p, m // b, b), axis=2, out=blocks)
+    np.cumsum(terms[:, m:], axis=1, out=prefix[:, m:])
+    offsets = np.cumsum(blocks[:, :, -1], axis=1)
+    blocks[:, 1:] += offsets[:, :-1, None]
+    prefix[:, m:] += offsets[:, -1:]
+    u = np.finfo(float).eps / 2
+    k = b + -(-n // b) + 1
+    gamma = k * u / (1.0 - k * u)
+    bound = gamma * (1.0 + 2.0 * n * u) * np.abs(terms).sum(axis=1)
+    return prefix, bound
+
+
+def _uncertified(bound: np.ndarray, reported: np.ndarray) -> np.ndarray:
+    """Rows whose error bound exceeds 1e-13 of the value they report."""
+    return np.flatnonzero(bound > _CERTIFY_REL * reported)
+
+
+def _extended_prefix(terms: np.ndarray) -> np.ndarray:
+    """Row prefix sums accumulated in 80-bit extended precision."""
+    return np.cumsum(terms.astype(np.longdouble), axis=1).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +182,29 @@ def truncated(nu: DiscreteMeasure, kernel, g, x, eps: float) -> float:
     return math.fsum(terms.tolist())
 
 
+def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
+    """T^eps g at every point, eps a scalar or one radius per point, by a
+    masked sum over atoms (strict truncation, certified accumulation);
+    no distance sort, so it suits one radius per point.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(pts),))
+    if np.any(eps <= 0):
+        raise ValueError("eps must be > 0")
+    out = np.zeros(len(pts))
+    if nu.count == 0:
+        return out
+    gw = nu.weights * density_values(g, nu)
+    for sl, diffs, dist in _distance_blocks(pts, nu.positions):
+        terms = np.where(dist > eps[sl, None], _kernel_at_diffs(kernel, diffs, dist) * gw, 0.0)
+        prefix, bound = _certified_prefix(terms)
+        vals = prefix[:, -1]
+        rows = _uncertified(bound, np.abs(vals))
+        vals[rows] = _extended_prefix(terms[rows])[:, -1]
+        out[sl] = vals
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Maximal transform via distance breakpoints
 # ---------------------------------------------------------------------------
@@ -111,25 +215,31 @@ class TruncationTable:
 
     Sorting is done once per (measure, points) pair; evaluating the
     maximal or truncated transform for another density then only needs a
-    gather and one extended-precision prefix scan.  Distances are sorted
-    descending so prefix sums ARE the truncated sums: the prefix through
-    distance group d equals T^eps for eps in [next smaller distance, d).
+    gather and one certified float64 prefix scan (see the module
+    docstring), with the rows the scan cannot certify to 1e-13 redone
+    in extended precision and counted in ``fallback_rows``.  Distances
+    are sorted descending so prefix sums ARE the truncated sums: the
+    prefix through distance group d equals T^eps for eps in [next
+    smaller distance, d).  Read backwards, the same sort serves the
+    (n-1)-dimensional maximal function.
+
+    A table takes 25 bytes per (point, atom) cell; building one larger
+    than ``TABLE_BYTES_GUARD`` raises ValueError.
     """
 
     def __init__(self, nu: DiscreteMeasure, kernel, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n_pts, n_atoms = len(pts), nu.count
+        if n_pts * n_atoms * _TABLE_BYTES_PER_CELL > TABLE_BYTES_GUARD:
+            raise ValueError("truncation table byte guard exceeded")
         self.measure = nu
+        self.fallback_rows = 0
         self.order = np.empty((n_pts, n_atoms), dtype=np.int64)
         self.dist_desc = np.empty((n_pts, n_atoms))
         self.kw_desc = np.empty((n_pts, n_atoms))
         # candidate positions: last index of each distance group
         self.valid = np.empty((n_pts, n_atoms), dtype=bool)
-        block = max(1, _BLOCK_ELEMENTS // max(1, n_atoms))
-        for start in range(0, n_pts, block):
-            sl = slice(start, min(start + block, n_pts))
-            diffs = pts[sl][:, None, :] - nu.positions[None, :, :]
-            dist = np.sqrt(np.sum(diffs * diffs, axis=2))
+        for sl, diffs, dist in _distance_blocks(pts, nu.positions):
             kvals = _kernel_at_diffs(kernel, diffs, dist) * nu.weights[None, :]
             order = np.argsort(-dist, axis=1, kind="stable")
             self.order[sl] = order
@@ -141,19 +251,25 @@ class TruncationTable:
         # terms are zeroed) and their trailing candidate duplicates the
         # previous one, so no special casing is needed.
 
-    def _sorted_terms(self, g) -> np.ndarray:
-        gv = density_values(g, self.measure)
-        return self.kw_desc * gv[self.order]
+    def _sorted_terms(self, g, rows=slice(None)) -> np.ndarray:
+        terms = density_values(g, self.measure)[self.order[rows]]
+        terms *= self.kw_desc[rows]
+        return terms
 
     def maximal_values(self, g) -> np.ndarray:
         """sup over eps > 0 of |T^eps g| at every point (exact sup)."""
-        terms = self._sorted_terms(g)
-        prefix = np.cumsum(terms.astype(np.longdouble), axis=1)
-        candidates = np.where(self.valid, np.abs(prefix), 0.0)
-        if candidates.shape[1] == 0:
-            return np.zeros(candidates.shape[0])
+        if self.kw_desc.shape[1] == 0:
+            return np.zeros(len(self.kw_desc))
+        prefix, bound = _certified_prefix(self._sorted_terms(g))
+        np.abs(prefix, out=prefix)
         # empty truncation (eps >= max distance) contributes 0
-        return np.maximum(np.max(candidates, axis=1).astype(float), 0.0)
+        sup = np.max(prefix, axis=1, where=self.valid, initial=0.0)
+        rows = _uncertified(bound, sup)
+        if len(rows):
+            self.fallback_rows += len(rows)
+            exact = np.abs(_extended_prefix(self._sorted_terms(g, rows)))
+            sup[rows] = np.max(exact, axis=1, where=self.valid[rows], initial=0.0)
+        return sup
 
     def truncated_values(self, g, eps: float) -> np.ndarray:
         """T^eps g at every point."""
@@ -166,14 +282,29 @@ class TruncationTable:
         eps = np.asarray(eps, dtype=float)
         if np.any(eps <= 0):
             raise ValueError("eps must be > 0")
-        terms = self._sorted_terms(g)
-        prefix = np.cumsum(terms.astype(np.longdouble), axis=1)
         counts = np.sum(self.dist_desc > eps[:, None], axis=1)
         out = np.zeros(len(counts))
-        nz = counts > 0
-        rows = np.flatnonzero(nz)
-        out[nz] = prefix[rows, counts[nz] - 1].astype(float)
+        rows = np.flatnonzero(counts > 0)
+        terms = self._sorted_terms(g)
+        prefix, bound = _certified_prefix(terms)
+        out[rows] = prefix[rows, counts[rows] - 1]
+        redo = rows[_uncertified(bound[rows], np.abs(out[rows]))]
+        self.fallback_rows += len(redo)
+        out[redo] = _extended_prefix(terms[redo])[np.arange(len(redo)), counts[redo] - 1]
         return out
+
+    def hl_maximal_values(self, g):
+        """``hl_maximal_batch`` at the table's points, read from the
+        descending sort backwards instead of sorting again."""
+        nu = self.measure
+        values, diverges, fallback = _hl_from_ascending(
+            np.abs(density_values(g, nu)) * nu.weights,
+            nu.ambient_dim,
+            self.dist_desc[:, ::-1],
+            self.order[:, ::-1],
+        )
+        self.fallback_rows += fallback
+        return values, diverges
 
 
 def maximal_batch(nu: DiscreteMeasure, kernel, g, points) -> np.ndarray:
@@ -197,44 +328,47 @@ class MaximalFunctionValue(NamedTuple):
     diverges: bool
 
 
+def _hl_from_ascending(atom_mass: np.ndarray, n: int, dist_asc: np.ndarray, order_asc: np.ndarray):
+    """(values, diverges, uncertified row count) of the maximal function
+    with per-atom masses |g| w in ambient dimension n, from per-point
+    atom distances sorted ascending and their atom indices.
+
+    Candidate radii are the distinct atom distances: mass is constant
+    between them while r^(1-n) decreases, so breakpoints realize the sup.
+    The masses are nonnegative, so the scan's bound over the total mass
+    bounds the relative error of every prefix.
+    """
+    mass = atom_mass[order_asc]
+    diverges = np.any((dist_asc == 0.0) & (mass > 0.0), axis=1)
+    cum, bound = _certified_prefix(mass)
+    rows = _uncertified(bound, cum[:, -1])
+    cum[rows] = _extended_prefix(mass[rows])
+    usable = np.empty(dist_asc.shape, dtype=bool)
+    usable[:, :-1] = dist_asc[:, :-1] != dist_asc[:, 1:]
+    usable[:, -1] = True
+    usable &= dist_asc > 0.0
+    cum *= np.where(usable, dist_asc, 1.0) ** (1 - n)
+    values = np.max(cum, axis=1, where=usable, initial=0.0)
+    values[diverges] = math.inf
+    return values, diverges, len(rows)
+
+
 def hl_maximal_batch(nu: DiscreteMeasure, g, points):
     """sup over r > 0 of r^(1-n) * integral of |g| over the closed ball
     B(x, r), per point.  Returns (values, diverges); a point sitting on
     an atom with |g| w > 0 diverges (r^(1-n) blows up as r -> 0) and its
     value entry is +inf.
-
-    Candidate radii are the distinct atom distances: mass is constant
-    between them while r^(1-n) decreases, so breakpoints realize the sup.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = nu.ambient_dim
     values = np.zeros(len(pts))
     diverges = np.zeros(len(pts), dtype=bool)
     if nu.count == 0:
         return values, diverges
     a = np.abs(density_values(g, nu)) * nu.weights
-    block = max(1, _BLOCK_ELEMENTS // nu.count)
-    for start in range(0, len(pts), block):
-        sl = slice(start, min(start + block, len(pts)))
-        diffs = pts[sl][:, None, :] - nu.positions[None, :, :]
-        dist = np.sqrt(np.sum(diffs * diffs, axis=2))
-        div = np.any((dist == 0.0) & (a[None, :] > 0.0), axis=1)
+    for sl, _, dist in _distance_blocks(pts, nu.positions):
         order = np.argsort(dist, axis=1, kind="stable")
         d_sorted = np.take_along_axis(dist, order, axis=1)
-        cum = np.cumsum(a[order].astype(np.longdouble), axis=1)
-        ends = np.empty(d_sorted.shape, dtype=bool)
-        ends[:, :-1] = d_sorted[:, :-1] != d_sorted[:, 1:]
-        ends[:, -1] = True
-        usable = ends & (d_sorted > 0.0)
-        ratios = np.where(
-            usable,
-            cum * np.where(usable, d_sorted, 1.0) ** (1 - n),
-            0.0,
-        )
-        block_vals = np.max(ratios, axis=1).astype(float)
-        block_vals[div] = math.inf
-        values[sl] = block_vals
-        diverges[sl] = div
+        values[sl], diverges[sl], _ = _hl_from_ascending(a, nu.ambient_dim, d_sorted, order)
     return values, diverges
 
 

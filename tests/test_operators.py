@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import siolab as sl
-from siolab.operators import pair_sum_stats
+from siolab import operators
+from siolab.operators import density_values, pair_sum_stats, truncated_batch
 from siolab.harness.rng import Rng
 
 from oracles import brute_force_sup
@@ -444,3 +446,189 @@ def test_truncated_values_per_point_eps():
         assert vals[i] == pytest.approx(
             sl.truncated(nu, k, g, x, eps[i]), rel=1e-13, abs=1e-300
         )
+
+
+def test_truncation_table_byte_guard(monkeypatch):
+    nu, _ = random_config(Rng(75), 40)
+    pts = Rng(76).points_in_box(10, [(-1, 1)] * 2)
+    monkeypatch.setattr(operators, "TABLE_BYTES_GUARD", 10 * 40 * 25 - 1)
+    with pytest.raises(ValueError):
+        sl.TruncationTable(nu, sl.RieszComponent(2, 0), pts)
+    monkeypatch.setattr(operators, "TABLE_BYTES_GUARD", 10 * 40 * 25)
+    sl.TruncationTable(nu, sl.RieszComponent(2, 0), pts)
+
+
+# ---------------------------------------------------------------------------
+# density validation
+# ---------------------------------------------------------------------------
+
+
+class _EvaluateMany:
+    def __init__(self, fn):
+        self.fn = fn
+
+    def evaluate_many(self, positions):
+        return self.fn(positions)
+
+
+def _density_forms(fn):
+    return [fn, _EvaluateMany(fn)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_atoms=st.integers(1, 20), delta=st.integers(-3, 3).filter(lambda d: d != 0))
+def test_density_wrong_length_rejected(n_atoms, delta):
+    nu, _ = random_config(Rng(81), n_atoms)
+    length = max(0, n_atoms + delta)
+    for g in _density_forms(lambda p: np.ones(length)):
+        with pytest.raises(ValueError):
+            density_values(g, nu)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_atoms=st.integers(1, 20),
+    index=st.integers(0, 19),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_density_non_finite_rejected(n_atoms, index, bad):
+    nu, _ = random_config(Rng(83), n_atoms)
+    vals = np.ones(n_atoms)
+    vals[index % n_atoms] = bad
+    for g in _density_forms(lambda p: vals):
+        with pytest.raises(ValueError):
+            density_values(g, nu)
+
+
+def test_density_forms_agree():
+    nu, g = random_config(Rng(85), 12)
+    for form in _density_forms(lambda p: g):
+        assert np.array_equal(density_values(form, nu), g)
+
+
+# ---------------------------------------------------------------------------
+# certified prefix scan
+# ---------------------------------------------------------------------------
+
+
+_scan_values = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+    st.floats(min_value=-1e-6, max_value=1e-6, allow_nan=False),
+    st.sampled_from([0.0, 1e16, -1e16, 1.0, -1.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(_scan_values, min_size=1, max_size=150), min_size=1, max_size=3),
+       n=st.integers(1, 150))
+def test_certified_prefix_error_within_bound(rows, n):
+    terms = np.array([(r * (n // len(r) + 1))[:n] for r in rows])
+    prefix, bound = operators._certified_prefix(terms)
+    for i, row in enumerate(terms):
+        exact = Fraction(0)  # exact rational prefix; math.fsum would round it
+        for j, t in enumerate(row):
+            exact += Fraction(t)
+            assert abs(Fraction(prefix[i, j]) - exact) <= Fraction(bound[i])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 16, 17, 24, 25, 26, 100])
+def test_certified_prefix_block_edges(n):
+    terms = Rng(87).uniforms(2 * n, -1.0, 1.0).reshape(2, n)
+    prefix, bound = operators._certified_prefix(terms)
+    for i in range(2):
+        exact = np.cumsum(terms[i].astype(np.longdouble))
+        assert np.all(np.abs(prefix[i] - exact) <= bound[i])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=40),
+    weights=st.lists(st.floats(0.0, 2.0), min_size=40, max_size=40),
+    dens=st.lists(st.floats(-1.0, 1.0), min_size=40, max_size=40),
+    pole=st.integers(0, 39),
+    on_atom=st.booleans(),
+    axis=st.integers(0, 1),
+)
+def test_maximal_values_oracle_ties_and_zero_distances(grid, weights, dens, pole, on_atom, axis):
+    # integer grid atoms: many exactly tied distances; the pole sits on
+    # an atom (zero distance) or at a half-integer point
+    positions = np.array(grid, dtype=float)
+    n = len(positions)
+    nu = sl.DiscreteMeasure(positions, np.array(weights[:n]), resolution=1e-6)
+    g = np.array(dens[:n])
+    x = positions[pole % n] if on_atom else positions[pole % n] + np.array([0.5, 0.25])
+    k = sl.RieszComponent(2, axis)
+    fast = sl.TruncationTable(nu, k, x[None, :]).maximal_values(g)[0]
+    assert fast == pytest.approx(brute_force_sup(nu, k, g, x), rel=1e-12, abs=1e-300)
+
+
+def test_maximal_values_fallback_on_cancellation():
+    # two atoms at equal distance carry huge opposite terms that cancel
+    # exactly inside their tie group; the float64 bound then cannot
+    # certify the O(1) sup of the rest, so those rows are redone
+    rng = Rng(89)
+    small = rng.points_in_box(30, [(-0.4, 0.4)] * 2) + np.array([0.0, 3.0])
+    positions = np.vstack([[[1.0, 0.0], [-1.0, 0.0]], small])
+    nu = sl.DiscreteMeasure(positions, np.ones(len(positions)), resolution=1e-6)
+    g = np.concatenate([[1e9, 1e9], rng.uniforms(30, -1.0, 1.0)])
+    k = sl.RieszComponent(2, 0)
+    pts = np.array([[0.0, 0.0], [0.0, 0.0]])
+    table = sl.TruncationTable(nu, k, pts)
+    values = table.maximal_values(g)
+    assert table.fallback_rows == 2
+    terms = table.kw_desc * g[table.order]
+    extended = np.abs(np.cumsum(terms.astype(np.longdouble), axis=1))
+    expected = np.max(np.where(table.valid, extended, 0.0), axis=1).astype(float)
+    assert np.array_equal(values, expected)
+    table.maximal_values(g)
+    assert table.fallback_rows == 4  # cumulative
+
+
+def test_hl_maximal_values_matches_batch():
+    rng = Rng(91)
+    nu, g = random_config(rng, 150)
+    k = sl.RieszComponent(2, 0)
+    pts = np.vstack([rng.points_in_box(20, [(-1, 1)] * 2), nu.positions[7]])
+    table = sl.TruncationTable(nu, k, pts)
+    values, diverges = table.hl_maximal_values(g)
+    ref_values, ref_diverges = sl.operators.hl_maximal_batch(nu, g, pts)
+    assert np.array_equal(diverges, ref_diverges) and diverges[-1] and not diverges[:-1].any()
+    assert math.isinf(values[-1])
+    assert np.array_equal(values, ref_values)
+
+
+def test_hl_maximal_values_matches_batch_with_ties():
+    nu = sl.graph_measure(sl.LipschitzGraph(2, sl.Affine((0.0,))), [(-1.0, 1.0)], 64)
+    g = Rng(93).uniforms(nu.count, -1, 1)
+    pts = np.vstack([nu.positions[[3, 20]] + np.array([0.0, 0.5]), nu.positions[40]])
+    table = sl.TruncationTable(nu, sl.RieszComponent(2, 1), pts)
+    values, diverges = table.hl_maximal_values(g)
+    ref_values, ref_diverges = sl.operators.hl_maximal_batch(nu, g, pts)
+    assert np.array_equal(diverges, ref_diverges) and diverges[-1]
+    assert values[:-1] == pytest.approx(ref_values[:-1], rel=1e-14)
+
+
+def test_truncated_batch_matches_scalar():
+    rng = Rng(95)
+    nu, g = random_config(rng, 120)
+    k = sl.OddHomogeneous(2, (1, 2))
+    pts = rng.points_in_box(30, [(-1, 1)] * 2)
+    eps = rng.uniforms(30, 0.02, 1.5)
+    # every third radius is exactly an atom distance: that atom is excluded
+    for i in range(0, 30, 3):
+        eps[i] = np.linalg.norm(pts[i] - nu.positions[i])
+    vals = truncated_batch(nu, k, g, pts, eps)
+    for i, x in enumerate(pts):
+        assert vals[i] == pytest.approx(sl.truncated(nu, k, g, x, eps[i]), rel=1e-13, abs=1e-300)
+    scalar_eps = truncated_batch(nu, k, g, pts, 0.4)
+    for i, x in enumerate(pts):
+        assert scalar_eps[i] == pytest.approx(sl.truncated(nu, k, g, x, 0.4), rel=1e-13, abs=1e-300)
+
+
+def test_truncated_batch_strict_at_breakpoint():
+    nu = two_atom_line()
+    k = sl.RieszComponent(2, 0)
+    vals = truncated_batch(nu, k, None, np.zeros((3, 2)), np.array([0.5, 1.0, 2.0]))
+    assert vals.tolist() == [-1.5, -0.5, 0.0]
+    with pytest.raises(ValueError):
+        truncated_batch(nu, k, None, np.zeros((1, 2)), 0.0)
