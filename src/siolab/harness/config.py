@@ -10,6 +10,7 @@ the same pattern (see README for the full schema).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .. import geometry, kernel as kernel_mod, measure
@@ -46,23 +47,21 @@ class Config:
         val = self._raw(section, key, default)
         return val if isinstance(val, str) else val
 
-    def get_float(self, section: str, key: str, default=None) -> float:
+    def _parsed(self, section: str, key: str, default, convert, what: str):
+        """The value through ``convert``; defaults pass unconverted."""
         val = self._raw(section, key, default)
-        if isinstance(val, str):
-            try:
-                return float(val)
-            except ValueError as exc:
-                raise ConfigError(f"{section}.{key} is not a number: {val!r}") from exc
-        return val
+        if not isinstance(val, str):
+            return val
+        try:
+            return convert(val)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key} is not {what}: {val!r}") from exc
+
+    def get_float(self, section: str, key: str, default=None) -> float:
+        return self._parsed(section, key, default, _finite, "a finite number")
 
     def get_int(self, section: str, key: str, default=None) -> int:
-        val = self._raw(section, key, default)
-        if isinstance(val, str):
-            try:
-                return int(val)
-            except ValueError as exc:
-                raise ConfigError(f"{section}.{key} is not an integer: {val!r}") from exc
-        return val
+        return self._parsed(section, key, default, int, "an integer")
 
     def get_bool(self, section: str, key: str, default=None) -> bool:
         val = self._raw(section, key, default)
@@ -76,22 +75,10 @@ class Config:
         return val
 
     def get_floats(self, section: str, key: str, default=None) -> list[float]:
-        val = self._raw(section, key, default)
-        if isinstance(val, str):
-            try:
-                return [float(v) for v in val.split(",") if v.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"{section}.{key} is not a number list: {val!r}") from exc
-        return list(val)
+        return list(self._parsed(section, key, default, _list_of(_finite), "a finite number list"))
 
     def get_ints(self, section: str, key: str, default=None) -> list[int]:
-        val = self._raw(section, key, default)
-        if isinstance(val, str):
-            try:
-                return [int(v) for v in val.split(",") if v.strip()]
-            except ValueError as exc:
-                raise ConfigError(f"{section}.{key} is not an integer list: {val!r}") from exc
-        return list(val)
+        return list(self._parsed(section, key, default, _list_of(int), "an integer list"))
 
 
 class _Required:
@@ -100,6 +87,17 @@ class _Required:
 
 _REQUIRED = _Required()
 REQUIRED = _REQUIRED
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
+def _list_of(convert):
+    return lambda text: [convert(v) for v in text.split(",") if v.strip()]
 
 
 def _fmt(value) -> str:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -33,7 +34,8 @@ from ..operators import (
     hl_maximal_batch,  # noqa: F401  kept bound here for perfbench/tracing.py
     lp_norm,
     nontangential_max,
-    pair_sum_stats,
+    pair_sum_schedule,
+    pair_sum_stats,  # noqa: F401  kept bound here for perfbench/tracing.py
     pv_estimate,
     truncated_batch,
 )
@@ -46,8 +48,9 @@ _POINT_CHUNK = 2048  # fixed chunk size; must not depend on worker count
 
 
 def _pmap(fn, items, threads: int):
-    """Ordered map over independent items; results are identical at any
-    worker count because chunking is fixed and ``fn`` is pure."""
+    """Ordered map over independent items on at most one worker per CPU;
+    chunking is fixed and ``fn`` pure, so results match at any count."""
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     ctx = multiprocessing.get_context("fork")
@@ -678,28 +681,23 @@ def scenario_double_integral(cfg: Config, rng: Rng, threads: int) -> ScenarioRep
         raise ConfigError("schedule shorter than 4 entries")
     tol = cfg.get_float("scenario", "tolerance", 1e-2)
 
-    rows = []
-    values = []
-    consistency_ok = True
-    noise = 0.0
     inner_lower = concat([below, on]) if on.count else below
-    for eps in schedule:
-        fwd = pair_sum_stats(
-            outer.positions, outer.weights, below.positions, below.weights, kern, eps
-        )
-        mirror = pair_sum_stats(
-            above.positions, above.weights,
-            inner_lower.positions, inner_lower.weights, kern, eps,
-        )
-        values.append(fwd.value)
-        rows.append([eps, fwd.value, mirror.value])
-        bound = max(fwd.pair_count, 1) * CANCELLATION_FACTOR * max(
-            fwd.max_abs_term, mirror.max_abs_term
-        )
-        noise = max(noise, bound)
-        if on.count == 0 and abs(fwd.value - mirror.value) > bound:
-            # with no on-graph mass both orders sum the same terms
-            consistency_ok = False
+    forward = pair_sum_schedule(
+        outer.positions, outer.weights, below.positions, below.weights, kern, schedule
+    )
+    mirrored = pair_sum_schedule(
+        above.positions, above.weights,
+        inner_lower.positions, inner_lower.weights, kern, schedule,
+    )
+    values = [fwd.value for fwd in forward]
+    rows = [[eps, fwd.value, mir.value] for eps, fwd, mir in zip(schedule, forward, mirrored)]
+    bounds = [
+        max(fwd.pair_count, 1) * CANCELLATION_FACTOR * max(fwd.max_abs_term, mir.max_abs_term)
+        for fwd, mir in zip(forward, mirrored)
+    ]
+    noise = max(bounds)
+    # with no on-graph mass both orders sum the same terms
+    consistency_ok = on.count > 0 or all(abs(v - m) <= b for (_, v, m), b in zip(rows, bounds))
 
     quarter = max(2, -(-len(values) // 4))
     last = values[-quarter:]

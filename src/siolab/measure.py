@@ -386,18 +386,20 @@ def save_measure(mu: DiscreteMeasure, path) -> None:
 
 
 def load_measure(path) -> DiscreteMeasure:
+    """Read a ``save_measure`` file.  ValueError on a header without n,
+    count and h, a negative count, or atom lines other than count.
+    """
     with open(path) as fh:
-        header = fh.readline().split()
-        fields = dict(item.split("=", 1) for item in header)
-        n = int(fields["n"])
-        count = int(fields["count"])
-        h = float.fromhex(fields["h"])
-        positions = np.empty((count, n))
-        weights = np.empty(count)
-        for i in range(count):
-            parts = fh.readline().split()
-            if len(parts) != n + 1:
-                raise ValueError(f"atom line {i} malformed")
-            positions[i] = [float.fromhex(v) for v in parts[:n]]
-            weights[i] = float.fromhex(parts[n])
-    return DiscreteMeasure(positions, weights, resolution=h)
+        header, *lines = fh.read().splitlines() or [""]
+    fields = dict(item.partition("=")[::2] for item in header.split())
+    if not {"n", "count", "h"} <= fields.keys():
+        raise ValueError("measure header needs n=, count= and h= fields")
+    n, count = int(fields["n"]), int(fields["count"])
+    if count < 0 or len(lines) != count:
+        raise ValueError(f"header counts {count} atoms, the file has {len(lines)} atom lines")
+    rows = [line.split() for line in lines]
+    for i, parts in enumerate(rows):
+        if len(parts) != n + 1:
+            raise ValueError(f"atom line {i} malformed")
+    data = np.array([[float.fromhex(v) for v in parts] for parts in rows]).reshape(count, n + 1)
+    return DiscreteMeasure(data[:, :n], data[:, n], resolution=float.fromhex(fields["h"]))

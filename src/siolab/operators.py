@@ -20,8 +20,9 @@ Summation conventions, fixed package-wide:
   function.  Rows the bound cannot certify are recomputed in 80-bit
   extended precision.  The bound on every prefix bounds the error of
   a sup over prefixes, since |max|a| - max|b|| <= max|a - b|.
-* Pair sums (``pair_sum_stats``) accumulate in 80-bit extended
-  precision in a fixed row-major order.
+* Pair sums (``pair_sum_schedule``) bin the pairs by eps interval,
+  sum each bin in 80-bit extended precision in row-major order, and
+  add the bins up from the largest eps down, also in 80-bit precision.
 * The supremum over all truncation radii is exact, not sampled: the
   truncated transform is piecewise constant in eps with jumps only at
   distinct atom distances, so the supremum is a maximum over suffix
@@ -467,8 +468,8 @@ class PVResult:
 
 def geometric_schedule(eps0: float, eps_min: float, ratio: float = 0.5) -> list[float]:
     """eps0 * ratio^k down to (not below) eps_min."""
-    if not (0 < ratio < 1) or eps0 <= 0 or eps_min <= 0 or eps0 < eps_min:
-        raise ValueError("need eps0 >= eps_min > 0 and 0 < ratio < 1")
+    if not (0 < ratio < 1 and 0 < eps_min <= eps0 < math.inf):
+        raise ValueError("need finite eps0 >= eps_min > 0 and 0 < ratio < 1")
     out = []
     e = eps0
     while e >= eps_min * (1.0 - 1e-12):
@@ -529,6 +530,41 @@ class PairSumStats(NamedTuple):
     pair_count: int
 
 
+def pair_sum_schedule(
+    pos_a: np.ndarray, w_a: np.ndarray, pos_b: np.ndarray, w_b: np.ndarray, kernel, schedule
+) -> list[PairSumStats]:
+    """``pair_sum_stats`` at every eps of a strictly decreasing schedule,
+    from one pass over the pairs.  Bin j holds the pairs with
+    eps[j] < |x_a - y_b| <= eps[j-1], each kernel term evaluated once;
+    the value at eps[k] is the extended-precision sum of bins 0..k.
+    """
+    eps = np.asarray(schedule, dtype=float).reshape(-1)
+    if len(eps) == 0 or not np.all(eps > 0) or np.any(eps[1:] >= eps[:-1]):
+        raise ValueError("eps schedule must be nonempty, positive and strictly decreasing")
+    if len(pos_a) * len(pos_b) > PAIR_COUNT_GUARD:
+        raise ValueError("pair count guard exceeded")
+    sums = np.zeros(len(eps), dtype=np.longdouble)
+    max_terms = np.zeros(len(eps))
+    counts = np.zeros(len(eps), dtype=np.int64)
+    for sl, diffs, dist in _distance_blocks(pos_a, pos_b):
+        wprod = w_a[sl][:, None] * w_b[None, :]
+        outside = False  # pairs binned already: dist > eps[j-1]
+        for j, e in enumerate(eps):
+            # outside is a subset of dist > e, so xor leaves bin j
+            mask = (dist > e) ^ outside
+            outside ^= mask
+            if not np.any(mask):
+                continue
+            terms = kernel.evaluate_many(diffs[mask]) * wprod[mask]
+            sums[j] += np.sum(terms.astype(np.longdouble))
+            max_terms[j] = max(max_terms[j], float(np.max(np.abs(terms))))
+            counts[j] += len(terms)
+    return [
+        PairSumStats(float(v), float(m), int(c))
+        for v, m, c in zip(np.cumsum(sums), np.maximum.accumulate(max_terms), np.cumsum(counts))
+    ]
+
+
 def pair_sum_stats(
     pos_a: np.ndarray,
     w_a: np.ndarray,
@@ -537,56 +573,29 @@ def pair_sum_stats(
     kernel,
     eps: float,
 ) -> PairSumStats:
-    """sum over pairs (a, b) with |x_a - y_b| > eps of
-    K(x_a - y_b) w_a w_b, in fixed row-major order with extended-
-    precision accumulation.  Also reports the largest |term| and the
-    number of included pairs (for cancellation bounds).
+    """sum over pairs (a, b) with |x_a - y_b| > eps of K(x_a - y_b) w_a w_b,
+    one extended-precision bin of ``pair_sum_schedule`` in row-major
+    order.  Also reports the largest |term| and the number of included
+    pairs (for cancellation bounds).
     """
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    n_a, n_b = len(pos_a), len(pos_b)
-    if n_a * n_b > PAIR_COUNT_GUARD:
-        raise ValueError("pair count guard exceeded")
-    if n_a == 0 or n_b == 0:
-        return PairSumStats(0.0, 0.0, 0)
-    total = np.longdouble(0.0)
-    max_term = 0.0
-    count = 0
-    block = max(1, _BLOCK_ELEMENTS // n_b)
-    for start in range(0, n_a, block):
-        sl = slice(start, min(start + block, n_a))
-        diffs = pos_a[sl][:, None, :] - pos_b[None, :, :]
-        dist = np.sqrt(np.sum(diffs * diffs, axis=2))
-        mask = dist > eps
-        if not np.any(mask):
-            continue
-        kvals = kernel.evaluate_many(diffs[mask])
-        wprod = (w_a[sl][:, None] * w_b[None, :])[mask]
-        terms = kvals * wprod
-        total = total + np.sum(terms.astype(np.longdouble))
-        max_term = max(max_term, float(np.max(np.abs(terms))))
-        count += int(mask.sum())
-    return PairSumStats(float(total), max_term, count)
-
-
-def double_truncated(mu: DiscreteMeasure, kernel, region_a, region_b, eps: float) -> float:
-    """Double truncated integral of K(x - y) with x restricted to
-    region_a and y to region_b (regions as accepted by measure.restrict;
-    the caller guarantees they are disjoint or identical).
-    """
-    part_a = restrict(mu, region_a)
-    part_b = restrict(mu, region_b)
-    return pair_sum_stats(
-        part_a.positions, part_a.weights, part_b.positions, part_b.weights, kernel, eps
-    ).value
+    return pair_sum_schedule(pos_a, w_a, pos_b, w_b, kernel, [eps])[0]
 
 
 def double_truncated_stats(mu: DiscreteMeasure, kernel, region_a, region_b, eps: float) -> PairSumStats:
+    """Double truncated integral of K(x - y) with x restricted to
+    region_a and y to region_b (regions as accepted by measure.restrict;
+    the caller guarantees they are disjoint or identical), with stats.
+    """
     part_a = restrict(mu, region_a)
     part_b = restrict(mu, region_b)
     return pair_sum_stats(
         part_a.positions, part_a.weights, part_b.positions, part_b.weights, kernel, eps
     )
+
+
+def double_truncated(mu: DiscreteMeasure, kernel, region_a, region_b, eps: float) -> float:
+    """The value of ``double_truncated_stats``."""
+    return double_truncated_stats(mu, kernel, region_a, region_b, eps).value
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,8 @@ import numpy as np
 
 from .geometry import Ball, Shape, decompose_complement
 from .measure import DiscreteMeasure
-from .operators import PairSumStats, pair_sum_stats
+from .operators import PairSumStats, pair_sum_schedule
+from .operators import pair_sum_stats  # noqa: F401  kept bound here for perfbench/tracing.py
 
 CANCELLATION_FACTOR = 2.0**-50  # cancellation bounds read N^2 * this * max|term|
 
@@ -70,20 +71,13 @@ class SimpleFunction:
 
 def pairing(mu: DiscreteMeasure, kernel, f: SimpleFunction, g: SimpleFunction, eps: float) -> float:
     """int T^eps(f)(x) g(x) dmu(x), expanded bilinearly over shape pairs."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
-    pieces = []
-    for b_j, p_shape in g.terms:
-        mask_p = p_shape.contains_many(mu.positions)
-        for a_i, q_shape in f.terms:
-            mask_q = q_shape.contains_many(mu.positions)
-            stats = pair_sum_stats(
-                mu.positions[mask_p], mu.weights[mask_p],
-                mu.positions[mask_q], mu.weights[mask_q],
-                kernel, eps,
-            )
-            pieces.append(b_j * a_i * stats.value)
-    return math.fsum(pieces)
+    g_masks = [(b_j, p.contains_many(mu.positions)) for b_j, p in g.terms]
+    f_masks = [(a_i, q.contains_many(mu.positions)) for a_i, q in f.terms]
+    return math.fsum(
+        b_j * a_i * _masked_pair(mu, kernel, mask_p, mask_q, [eps])[0].value
+        for b_j, mask_p in g_masks
+        for a_i, mask_q in f_masks
+    )
 
 
 class IDecomposition(NamedTuple):
@@ -105,23 +99,21 @@ def _overlap_masks(mu: DiscreteMeasure, p_shape: Shape, q_shape: Shape):
     return in_p & in_q, in_p & ~in_q, in_q & ~in_p
 
 
-def _masked_pair(mu, kernel, mask_x, mask_y, eps) -> PairSumStats:
-    return pair_sum_stats(
+def _masked_pair(mu, kernel, mask_x, mask_y, schedule) -> list[PairSumStats]:
+    return pair_sum_schedule(
         mu.positions[mask_x], mu.weights[mask_x],
         mu.positions[mask_y], mu.weights[mask_y],
-        kernel, eps,
+        kernel, schedule,
     )
 
 
 def i_decomposition(mu: DiscreteMeasure, kernel, p_shape: Shape, q_shape: Shape, eps: float) -> IDecomposition:
     """The four overlap blocks of the double integral over P x Q."""
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
     both, p_only, q_only = _overlap_masks(mu, p_shape, q_shape)
-    s1 = _masked_pair(mu, kernel, both, both, eps)
-    s2 = _masked_pair(mu, kernel, p_only, both, eps)
-    s3 = _masked_pair(mu, kernel, both, q_only, eps)
-    s4 = _masked_pair(mu, kernel, p_only, q_only, eps)
+    s1, s2, s3, s4 = (
+        _masked_pair(mu, kernel, x, y, [eps])[0]
+        for x, y in ((both, both), (p_only, both), (both, q_only), (p_only, q_only))
+    )
     return IDecomposition(
         s1.value, s2.value, s3.value, s4.value,
         max(s.max_abs_term for s in (s1, s2, s3, s4)),
@@ -137,8 +129,8 @@ def fubini_check(mu: DiscreteMeasure, kernel, p_shape: Shape, q_shape: Shape, ep
     residual is pure floating-point cancellation noise.
     """
     both, _, q_only = _overlap_masks(mu, p_shape, q_shape)
-    i3 = _masked_pair(mu, kernel, both, q_only, eps).value
-    j = _masked_pair(mu, kernel, q_only, both, eps).value
+    i3 = _masked_pair(mu, kernel, both, q_only, [eps])[0].value
+    j = _masked_pair(mu, kernel, q_only, both, [eps])[0].value
     return abs(i3 + j)
 
 
@@ -188,19 +180,17 @@ def convergence_study(
     through the complement regions A_r(Q), grouped by region index, as
     in the convergence argument.
 
-    The schedule must be geometric with at least 8 points and stay at or
-    above 4x the measure resolution.
+    The schedule must be decreasing and geometric with at least 8 points
+    and stay at or above 4x the measure resolution.
     """
     schedule = [float(e) for e in eps_schedule]
     if len(schedule) < 8:
         raise ValueError("schedule must have at least 8 points")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly decreasing")
+    if min(schedule) < 4.0 * mu.resolution * (1.0 - 1e-12):
+        raise ValueError("schedule goes below 4x the measure resolution")
     ratios = [b / a for a, b in zip(schedule, schedule[1:])]
     if max(ratios) - min(ratios) > 1e-9:
         raise ValueError("schedule must be geometric")
-    if schedule[-1] < 4.0 * mu.resolution * (1.0 - 1e-12):
-        raise ValueError("schedule goes below 4x the measure resolution")
 
     rows: list[TraceRow] = []
     totals: list[list[float]] = [[] for _ in schedule]
@@ -215,20 +205,20 @@ def convergence_study(
             region_masks = [
                 p_only & (region == r) for r in range(len(decomp.pieces))
             ]
+            i1 = _masked_pair(mu, kernel, both, both, schedule)
+            i2 = [_masked_pair(mu, kernel, m, both, schedule) for m in region_masks]
+            i3 = _masked_pair(mu, kernel, both, q_only, schedule)
+            i4 = [_masked_pair(mu, kernel, m, q_only, schedule) for m in region_masks]
             for k, eps in enumerate(schedule):
-                parts = [_masked_pair(mu, kernel, both, both, eps)]
-                parts += [_masked_pair(mu, kernel, m, both, eps) for m in region_masks]
-                i3_part = _masked_pair(mu, kernel, both, q_only, eps)
-                parts.append(i3_part)
-                parts += [_masked_pair(mu, kernel, m, q_only, eps) for m in region_masks]
-                i1 = parts[0].value
-                i2 = math.fsum(s.value for s in parts[1 : 1 + len(region_masks)])
-                i3 = i3_part.value
-                i4 = math.fsum(s.value for s in parts[2 + len(region_masks):])
+                parts = [s[k] for s in (i1, *i2, i3, *i4)]
                 max_term = max(max_term, max(s.max_abs_term for s in parts))
                 pair_count = max(pair_count, sum(s.pair_count for s in parts))
-                contribution = b_j * a_i * math.fsum([i1, i2, i3, i4])
-                rows.append(TraceRow(j, i, eps, contribution, i1, i2, i3, i4))
+                blocks = [
+                    i1[k].value, math.fsum(s[k].value for s in i2),
+                    i3[k].value, math.fsum(s[k].value for s in i4),
+                ]
+                contribution = b_j * a_i * math.fsum(blocks)
+                rows.append(TraceRow(j, i, eps, contribution, *blocks))
                 totals[k].append(contribution)
     values = [math.fsum(parts) for parts in totals]
     quarter = max(2, -(-len(values) // 4))

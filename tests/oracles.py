@@ -32,3 +32,28 @@ def brute_force_sup(nu, kernel, g, x, grid_size=2000):
     mask = d[None, :] > eps_values[:, None]
     sums = np.where(mask, terms[None, :], np.longdouble(0.0)).sum(axis=1)
     return float(np.max(np.abs(sums)))
+
+
+def brute_pair_sum(pos_a, w_a, pos_b, w_b, kernel, eps):
+    """(value, max |term|, pair count) of the pair sum over
+    |x_a - y_b| > eps: one eps at a time, each block masked and summed
+    in extended precision in row-major order."""
+    n_a, n_b = len(pos_a), len(pos_b)
+    total = np.longdouble(0.0)
+    max_term = 0.0
+    count = 0
+    if n_a == 0 or n_b == 0:
+        return 0.0, 0.0, 0
+    block = max(1, (1 << 21) // n_b)
+    for start in range(0, n_a, block):
+        sl = slice(start, min(start + block, n_a))
+        diffs = pos_a[sl][:, None, :] - pos_b[None, :, :]
+        dist = np.sqrt(np.sum(diffs * diffs, axis=2))
+        mask = dist > eps
+        if not np.any(mask):
+            continue
+        terms = kernel.evaluate_many(diffs[mask]) * (w_a[sl][:, None] * w_b[None, :])[mask]
+        total = total + np.sum(terms.astype(np.longdouble))
+        max_term = max(max_term, float(np.max(np.abs(terms))))
+        count += int(mask.sum())
+    return float(total), max_term, count

@@ -1,5 +1,6 @@
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from siolab.harness import (
     run_scenario,
     write_csv,
 )
-from siolab.harness.cli import main as cli_main
+from siolab.harness.cli import EXIT_CONFIG, main as cli_main
 from siolab.harness.report import fmt_value
 
 
@@ -123,6 +124,12 @@ def test_config_bad_number():
     cfg = config_from_dict({"scenario": {"seed": "not-a-number"}})
     with pytest.raises(ConfigError):
         cfg.get_int("scenario", "seed")
+    for bad in ("nan", "inf", "-inf", "1e400"):
+        cfg = config_from_dict({"scenario": {"eps0": bad, "p": f"1.5, {bad}"}})
+        with pytest.raises(ConfigError):
+            cfg.get_float("scenario", "eps0")
+        with pytest.raises(ConfigError):
+            cfg.get_floats("scenario", "p")
 
 
 def test_kernel_axis_is_one_based():
@@ -317,6 +324,58 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[scenario]\ntag = Nonsense\n")
     assert cli_main(["run", str(bad), "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "scenario, eps0",
+    [
+        ("DoubleIntegralConvergence", "inf"),
+        ("PVConvergence", "inf"),
+        ("WeakPairing", "nan"),
+        ("WeakPairing", "inf"),
+    ],
+)
+def test_cli_non_finite_eps0_is_a_config_error(tmp_path, capsys, scenario, eps0):
+    # an infinite eps0 made the geometric schedule grow without end
+    cfg_path = tmp_path / "eps0.cfg"
+    cfg_path.write_text(
+        f"[scenario]\ntag = {scenario}\neps0 = {eps0}\nresolutions = 64\n"
+        "[graph]\nprofile = affine\ndim = 2\n"
+        "[kernel]\nfamily = riesz\ndim = 2\n"
+        "[mu]\nkind = cantor\ngeneration = 2\n"
+        "[f]\nmode = ball\ncenter = 0.3, 0.3\nradius = 0.35\n"
+        "[g]\nmode = ball\ncenter = 0.6, 0.6\nradius = 0.4\n"
+    )
+    assert cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "eps0" in capsys.readouterr().err
+
+
+def test_pmap_caps_workers_at_cpu_count(monkeypatch):
+    from siolab.harness import scenarios
+
+    seen = []
+
+    class FakePool:
+        def __init__(self, processes):
+            seen.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(
+        scenarios.multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=FakePool)
+    )
+    items = list(range(10))
+    assert scenarios._pmap(abs, items, 64) == items
+    assert scenarios._pmap(abs, items, 2) == items
+    assert seen == [3, 2]
 
 
 def test_cli_validate_kernel(tmp_path):

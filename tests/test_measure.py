@@ -286,3 +286,34 @@ def test_serialization_header_format(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header.startswith("n=2 count=4 h=")
     assert float.fromhex(header.split("h=")[1]) == mu.resolution
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        pytest.param(
+            "n=2 count=1 h=0x1p-4\n0x1p-1 0x0p+0 0x1p+0\n0x1p+0 0x0p+0 0x1p+0\n", "atom lines",
+            id="extra-atom-line",
+        ),
+        pytest.param("n=2 count=2 h=0x1p-4\n0x1p-1 0x0p+0 0x1p+0\n", "atom lines", id="missing-atom-line"),
+        pytest.param("n=2 count=-1 h=0x1p-4\n", "atom lines", id="negative-count"),
+        pytest.param("count=0 h=0x1p-4\n", "header", id="no-n"),
+        pytest.param("n=2 h=0x1p-4\n", "header", id="no-count"),
+        pytest.param("n=2 count=0\n", "header", id="no-h"),
+        pytest.param("", "header", id="empty-file"),
+    ],
+)
+def test_load_measure_rejects_inconsistent_files(tmp_path, text, problem):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=problem):
+        sl.load_measure(path)
+
+
+def test_load_measure_reads_atoms_and_trailing_newline(tmp_path):
+    path = tmp_path / "m.txt"
+    for text in ("n=2 count=1 h=0x1p-4\n0x1p-1 0x0p+0 0x1p+0\n", "n=2 count=1 h=0x1p-4\n0x1p-1 0x0p+0 0x1p+0"):
+        path.write_text(text)
+        mu = sl.load_measure(path)
+        assert mu.count == 1 and mu.resolution == 0.0625
+        assert mu.positions.tolist() == [[0.5, 0.0]] and mu.weights.tolist() == [1.0]

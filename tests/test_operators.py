@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import siolab as sl
 from siolab import operators
-from siolab.operators import density_values, pair_sum_stats, truncated_batch
+from siolab.operators import density_values, pair_sum_schedule, pair_sum_stats, truncated_batch
 from siolab.harness.rng import Rng
 
-from oracles import brute_force_sup
+from oracles import brute_force_sup, brute_pair_sum
 
 
 def two_atom_line():
@@ -271,6 +271,12 @@ def test_pv_schedule_validation():
         )
 
 
+def test_geometric_schedule_rejects_non_finite():
+    for eps0, eps_min in ((math.inf, 0.1), (math.nan, 0.1), (1.0, math.nan), (math.inf, math.inf)):
+        with pytest.raises(ValueError):
+            operators.geometric_schedule(eps0, eps_min)
+
+
 def test_pv_result_validates_schedule():
     with pytest.raises(ValueError):
         sl.PVResult([0.5, 0.5], [0.0, 0.0], True, 0.0, 0.0)
@@ -326,6 +332,70 @@ def test_double_truncated_pair_guard():
             np.zeros((200_000, 2)), np.ones(200_000),
             sl.RieszComponent(2, 0), 1.0,
         )
+
+
+# ---------------------------------------------------------------------------
+# multi-eps pair-sum engine against the per-eps oracle
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    n_a=st.integers(0, 30),
+    n_b=st.integers(0, 30),
+    squares=st.sets(st.integers(1, 40), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_sum_schedule_matches_oracle_on_grid(dim, n_a, n_b, squares, seed):
+    # integer atoms: every squared distance is an integer, so many
+    # distances equal a schedule eps = sqrt(k) exactly
+    rng = np.random.default_rng(seed)
+    pos_a = rng.integers(-3, 4, size=(n_a, dim)).astype(float)
+    pos_b = rng.integers(-3, 4, size=(n_b, dim)).astype(float)
+    w_a, w_b = rng.uniform(-1.0, 1.0, n_a), rng.uniform(0.0, 1.0, n_b)
+    k = sl.RieszComponent(dim, dim - 1)
+    schedule = np.sqrt(np.array(sorted(squares, reverse=True), dtype=float))
+    got = pair_sum_schedule(pos_a, w_a, pos_b, w_b, k, schedule)
+    assert len(got) == len(schedule)
+    for eps, stats in zip(schedule, got):
+        value, max_term, count = brute_pair_sum(pos_a, w_a, pos_b, w_b, k, eps)
+        assert stats.max_abs_term == max_term
+        assert stats.pair_count == count
+        assert abs(stats.value - value) <= n_a * n_b * 2.0**-50 * max_term
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pair_sum_stats_bit_equal_to_oracle(dim):
+    # 900 x 2400 pairs span two distance blocks
+    rng = Rng(71 + dim)
+    pos_a = rng.points_in_box(900, [(-1, 1)] * dim)
+    pos_b = rng.points_in_box(2400, [(-1, 1)] * dim)
+    w_a, w_b = rng.uniforms(900, -1.0, 1.0), rng.uniforms(2400, 0.0, 1.0)
+    k = sl.RieszComponent(dim, 0)
+    for eps in (2.0, 0.05, 1e-3):
+        stats = pair_sum_stats(pos_a, w_a, pos_b, w_b, k, eps)
+        assert tuple(stats) == brute_pair_sum(pos_a, w_a, pos_b, w_b, k, eps)
+
+
+def test_pair_sum_schedule_rejects_bad_schedules():
+    pos = np.array([[0.0, 0.0], [1.0, 0.0]])
+    w = np.ones(2)
+    k = sl.RieszComponent(2, 0)
+    for schedule in ([], [1.0, 1.0], [0.5, 1.0], [1.0, 0.0], [1.0, -0.5], [math.nan], [1.0, math.nan]):
+        with pytest.raises(ValueError):
+            pair_sum_schedule(pos, w, pos, w, k, schedule)
+    with pytest.raises(ValueError):
+        pair_sum_stats(pos, w, pos, w, k, math.nan)
+
+
+def test_pair_sum_schedule_empty_side_is_zero():
+    pos = np.array([[0.0, 0.0], [1.0, 0.0]])
+    empty = np.zeros((0, 2))
+    k = sl.RieszComponent(2, 0)
+    schedule = [2.0, 1.0, 0.5]
+    for args in ((pos, np.ones(2), empty, np.zeros(0)), (empty, np.zeros(0), pos, np.ones(2))):
+        assert pair_sum_schedule(*args, k, schedule) == [(0.0, 0.0, 0)] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -308,3 +308,7 @@ def test_convergence_study_schedule_validation():
     tiny = geometric(1e-5, 8)
     with pytest.raises(ValueError):
         sl.convergence_study(mu, k, f, f, tiny)  # below the resolution floor
+    with pytest.raises(ValueError):
+        sl.convergence_study(mu, k, f, f, [1.0, 0.5, 0.0, -0.5, -1.0, -2.0, -4.0, -8.0])
+    with pytest.raises(ValueError):
+        sl.convergence_study(mu, k, f, f, geometric(1.0, 8)[::-1])  # increasing
