@@ -417,18 +417,6 @@ class RegionDecomposition:
         return None if idx < 0 else idx
 
 
-def _frame_with_vertical(direction: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix whose last column is ``direction`` (a signed
-    standard basis vector til rotation); the first n-1 columns are the
-    remaining axes in index order.
-    """
-    n = len(direction)
-    k = int(np.argmax(np.abs(direction)))
-    cols = [np.eye(n)[:, j] for j in range(n) if j != k]
-    cols.append(direction)
-    return np.column_stack(cols)
-
-
 def decompose_complement(shape: Shape) -> RegionDecomposition:
     """Split R^n minus a shape into 2n regions, one per outward direction.
 
@@ -436,41 +424,40 @@ def decompose_complement(shape: Shape) -> RegionDecomposition:
     zero slope in the frame whose vertical axis is the outward face
     normal.  Ball: each of the 2n signed coordinate directions carries a
     cap-cone graph (see BallCap) supporting the ball.  Piece order is
-    +a_1, -a_1, +a_2, -a_2, ...; membership is first match.
+    +a_1, -a_1, +a_2, -a_2, ... (a_k the rectangle axes, or the standard
+    basis for a ball); membership is first match.
     """
     n = shape.dim
-    pieces: list[RegionPiece] = []
     if isinstance(shape, Rectangle):
         axes = shape.rotation
-        for k in range(n):
-            for sign in (+1.0, -1.0):
-                direction = sign * axes[:, k]
-                frame = _rect_face_frame(axes, k, sign)
-                level = float(np.asarray(shape.center) @ direction) + shape.half_widths[k]
-                prof = Affine(slope=(0.0,) * (n - 1), offset=level)
-                graph = LipschitzGraph(n, prof, rotation=frame)
-                pieces.append(RegionPiece(len(pieces), direction, graph))
     elif isinstance(shape, Ball):
-        for k in range(n):
-            for sign in (+1.0, -1.0):
-                direction = sign * np.eye(n)[:, k]
-                frame = _frame_with_vertical(direction)
-                local_center = np.asarray(shape.center) @ frame
+        axes = np.eye(n)
+    else:
+        raise TypeError(f"unsupported shape {type(shape).__name__}")
+    center = np.asarray(shape.center)
+    pieces: list[RegionPiece] = []
+    for k in range(n):
+        for sign in (+1.0, -1.0):
+            direction = sign * axes[:, k]
+            frame = _face_frame(axes, k, sign)
+            if isinstance(shape, Rectangle):
+                level = float(center @ direction) + shape.half_widths[k]
+                prof = Affine(slope=(0.0,) * (n - 1), offset=level)
+            else:
+                local_center = center @ frame
                 prof = BallCap(
                     radius=shape.radius,
                     center_u=tuple(local_center[:-1]),
                     level=float(local_center[-1]),
                 )
-                graph = LipschitzGraph(n, prof, rotation=frame)
-                pieces.append(RegionPiece(len(pieces), direction, graph))
-    else:
-        raise TypeError(f"unsupported shape {type(shape).__name__}")
+            graph = LipschitzGraph(n, prof, rotation=frame)
+            pieces.append(RegionPiece(len(pieces), direction, graph))
     return RegionDecomposition(shape, pieces)
 
 
-def _rect_face_frame(axes: np.ndarray, k: int, sign: float) -> np.ndarray:
-    """Frame for a rectangle face: vertical = sign * axes[:, k], the other
-    rectangle axes fill the horizontal slots in index order.
+def _face_frame(axes: np.ndarray, k: int, sign: float) -> np.ndarray:
+    """Frame whose vertical axis is sign * axes[:, k]; the other axes
+    fill the horizontal slots in index order.
     """
     n = axes.shape[0]
     cols = [axes[:, j] for j in range(n) if j != k]

@@ -44,8 +44,7 @@ class Config:
         return raw
 
     def get_str(self, section: str, key: str, default=None) -> str:
-        val = self._raw(section, key, default)
-        return val if isinstance(val, str) else val
+        return self._raw(section, key, default)
 
     def _parsed(self, section: str, key: str, default, convert, what: str):
         """The value through ``convert``; defaults pass unconverted."""
@@ -183,8 +182,8 @@ def build_graph(cfg: Config, section: str = "graph"):
         raise ConfigError(f"invalid graph: {exc}") from exc
 
 
-def _parse_box(cfg: Config, section: str, dim: int):
-    vals = cfg.get_floats(section, "box", REQUIRED)
+def _parse_box(cfg: Config, section: str, dim: int, default=REQUIRED):
+    vals = cfg.get_floats(section, "box", default)
     if len(vals) == 2:
         return [(vals[0], vals[1])] * dim
     if len(vals) != 2 * dim:

@@ -30,6 +30,7 @@ from ..measure import (
 from ..operators import (
     TruncationTable,
     bound_constants,
+    cauchy_tail,
     geometric_schedule,
     hl_maximal_batch,  # noqa: F401  kept bound here for perfbench/tracing.py
     lp_norm,
@@ -40,7 +41,7 @@ from ..operators import (
     truncated_batch,
 )
 from ..pairing import CANCELLATION_FACTOR, SimpleFunction, convergence_study
-from .config import Config, ConfigError, REQUIRED, build_graph, build_kernel, build_measure
+from .config import Config, ConfigError, REQUIRED, _parse_box, build_graph, build_kernel, build_measure
 from .report import ScenarioReport
 from .rng import Rng
 
@@ -56,6 +57,49 @@ def _pmap(fn, items, threads: int):
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=threads) as pool:
         return pool.map(fn, items)
+
+
+def _chunks(rng: Rng, total: int, size: int) -> list[tuple[int, int]]:
+    """(count, seed) per chunk of ``size`` items; chunk i seeds from rng.spawn(i)."""
+    starts = range(0, total, size)
+    return [(min(size, total - s), rng.spawn(i).next_u64()) for i, s in enumerate(starts)]
+
+
+def _aperture(cfg: Config, graph: LipschitzGraph) -> float:
+    """scenario.aperture, default 2 max(1, Lip f); a cone needs L > max(1, Lip f)."""
+    lip = graph.lip_declared
+    aperture = cfg.get_float("scenario", "aperture", 2.0 * max(1.0, lip))
+    if not (aperture > 1.0 and aperture > lip):
+        raise ConfigError("aperture L must exceed max(1, Lip(f))")
+    return aperture
+
+
+def _resolutions(cfg: Config) -> list[int]:
+    resolutions = cfg.get_ints("scenario", "resolutions", REQUIRED)
+    if sorted(resolutions) != resolutions:
+        raise ConfigError("resolutions must be increasing")
+    return resolutions
+
+
+def _floor_factor(cfg: Config) -> float:
+    floor_factor = cfg.get_float("scenario", "floor_factor", 4.0)
+    if floor_factor < 4.0:
+        raise ConfigError("floor_factor must be >= 4 (resolution floor)")
+    return floor_factor
+
+
+def _schedule_ends(cfg: Config, mu: DiscreteMeasure) -> tuple[float, float]:
+    """(eps0, floor_factor * h), eps0 above that floor; eps0 defaults to diam / 4."""
+    eps0 = cfg.get_float("scenario", "eps0", mu.bounding_diameter() / 4.0)
+    eps_min = _floor_factor(cfg) * mu.resolution
+    if eps0 <= eps_min:
+        raise ConfigError("eps0 must exceed the schedule floor")
+    return eps0, eps_min
+
+
+def _growth_bounded(series_list, growth_cap: float) -> bool:
+    """No step b > growth_cap * a in any series (so a NaN ratio passes)."""
+    return not any(b > growth_cap * a for s in series_list for a, b in zip(s, s[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -154,19 +198,10 @@ def _cone_chunk(args):
 
 def scenario_cone_separation(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
-    lip = graph.lip_declared
-    aperture = cfg.get_float("scenario", "aperture", 2.0 * max(1.0, lip))
-    if not (aperture > 1.0 and aperture > lip):
-        raise ConfigError("aperture L must exceed max(1, Lip(f))")
+    aperture = _aperture(cfg, graph)
     samples = cfg.get_int("scenario", "samples", 100_000)
     box = [(-1.0, 1.0)] * graph.param_dim
-    chunk = _POINT_CHUNK * 8
-    tasks = []
-    done = 0
-    while done < samples:
-        n = min(chunk, samples - done)
-        tasks.append((graph, aperture, box, n, rng.spawn(len(tasks)).next_u64()))
-        done += n
+    tasks = [(graph, aperture, box, n, seed) for n, seed in _chunks(rng, samples, _POINT_CHUNK * 8)]
     results = _pmap(_cone_chunk, tasks, threads)
     violations = sum(r[0] for r in results)
     min_slack = min(r[1] for r in results)
@@ -224,10 +259,7 @@ def scenario_lemma_l2(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
     kern = build_kernel(cfg)
     if kern.ambient_dim != graph.ambient_dim:
         raise ConfigError("kernel and graph dimensions differ")
-    lip = graph.lip_declared
-    aperture = cfg.get_float("scenario", "aperture", 2.0 * max(1.0, lip))
-    if not (aperture > 1.0 and aperture > lip):
-        raise ConfigError("aperture L must exceed max(1, Lip(f))")
+    aperture = _aperture(cfg, graph)
     tuples = cfg.get_int("scenario", "tuples", 10_000)
     per_batch = cfg.get_int("scenario", "tuples_per_batch", 500)
     nu = build_measure(cfg, "nu", graph=graph)
@@ -237,14 +269,10 @@ def scenario_lemma_l2(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
         raise ConfigError("nu must be supported strictly below the graph")
     consts = bound_constants(kern, aperture)
 
-    tasks = []
-    done = 0
-    while done < tuples:
-        n = min(per_batch, tuples - done)
-        tasks.append(
-            (nu, kern, graph, aperture, consts.d1, consts.d2, n, rng.spawn(len(tasks)).next_u64())
-        )
-        done += n
+    tasks = [
+        (nu, kern, graph, aperture, consts.d1, consts.d2, n, seed)
+        for n, seed in _chunks(rng, tuples, per_batch)
+    ]
     results = _pmap(_lemma_l2_batch, tasks, threads)
     violations = sum(r[0] for r in results)
     worst = min(r[1] for r in results)
@@ -266,14 +294,10 @@ def scenario_lemma_l2(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
 def scenario_pv_convergence(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
-    resolutions = cfg.get_ints("scenario", "resolutions", REQUIRED)
-    if sorted(resolutions) != resolutions:
-        raise ConfigError("resolutions must be increasing")
-    box = _box_from(cfg, "scenario", graph.param_dim)
+    resolutions = _resolutions(cfg)
+    box = _parse_box(cfg, "scenario", graph.param_dim, [-1.0, 1.0])
     params = cfg.get_floats("scenario", "points", [-0.35, 0.15, 0.55])
-    floor_factor = cfg.get_float("scenario", "floor_factor", 4.0)
-    if floor_factor < 4.0:
-        raise ConfigError("floor_factor must be >= 4 (resolution floor)")
+    floor_factor = _floor_factor(cfg)
     eps0 = cfg.get_float("scenario", "eps0", 0.0) or None
     tol = cfg.get_float("scenario", "tolerance", 1e-2)
     noise = cfg.get_float("scenario", "noise_factor", 1.1)
@@ -327,15 +351,6 @@ def scenario_pv_convergence(cfg: Config, rng: Rng, threads: int) -> ScenarioRepo
     return report
 
 
-def _box_from(cfg: Config, section: str, dim: int):
-    vals = cfg.get_floats(section, "box", [-1.0, 1.0])
-    if len(vals) == 2:
-        return [(vals[0], vals[1])] * dim
-    if len(vals) != 2 * dim:
-        raise ConfigError(f"{section}.box needs 2 or {2 * dim} numbers")
-    return [(vals[2 * i], vals[2 * i + 1]) for i in range(dim)]
-
-
 # ---------------------------------------------------------------------------
 # WeakPairing
 # ---------------------------------------------------------------------------
@@ -361,13 +376,7 @@ def scenario_weak_pairing(cfg: Config, rng: Rng, threads: int) -> ScenarioReport
     box = mu.bounding_box()
     f = _simple_function_from(cfg, "f", rng, box)
     g = _simple_function_from(cfg, "g", rng, box)
-    eps0 = cfg.get_float("scenario", "eps0", mu.bounding_diameter() / 4.0)
-    floor_factor = cfg.get_float("scenario", "floor_factor", 4.0)
-    if floor_factor < 4.0:
-        raise ConfigError("floor_factor must be >= 4 (resolution floor)")
-    eps_min = floor_factor * mu.resolution
-    if eps0 <= eps_min:
-        raise ConfigError("eps0 must exceed the schedule floor")
+    eps0, eps_min = _schedule_ends(cfg, mu)
     points = max(8, int(math.floor(math.log2(eps0 / eps_min))) + 1)
     ratio = (eps_min / eps0) ** (1.0 / (points - 1))
     schedule = [eps0 * ratio**k for k in range(points)]
@@ -482,17 +491,12 @@ class _ConstantDensity:
 
 def scenario_carleson(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
-    resolutions = cfg.get_ints("scenario", "resolutions", REQUIRED)
-    if sorted(resolutions) != resolutions:
-        raise ConfigError("resolutions must be increasing")
-    box = _box_from(cfg, "scenario", graph.param_dim)
+    resolutions = _resolutions(cfg)
+    box = _parse_box(cfg, "scenario", graph.param_dim, [-1.0, 1.0])
     thickness = cfg.get_float("scenario", "thickness", 0.5)
     levels = cfg.get_int("scenario", "levels", 8)
     p = cfg.get_float("scenario", "p", 2.0)
-    lip = graph.lip_declared
-    aperture = cfg.get_float("scenario", "aperture", 2.0 * max(1.0, lip))
-    if not (aperture > 1.0 and aperture > lip):
-        raise ConfigError("aperture L must exceed max(1, Lip(f))")
+    aperture = _aperture(cfg, graph)
     height = cfg.get_float("scenario", "height_cap", 2.0 * thickness)
     depth = cfg.get_int("scenario", "mesh_depth", 4)
     growth_cap = cfg.get_float("scenario", "growth_factor", 1.5)
@@ -527,11 +531,7 @@ def scenario_carleson(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
 
     report = ScenarioReport("carleson", {})
     report.add_table("metrics", ["resolution", "density", "lhs", "rhs", "ratio"], rows)
-    bounded = True
-    for name, series in ratios.items():
-        for a, b in zip(series, series[1:]):
-            if b > growth_cap * a:
-                bounded = False
+    bounded = _growth_bounded(ratios.values(), growth_cap)
     report.add_verdict("embedding_ratio_bounded", bounded, f"growth cap {growth_cap:g}")
     return report
 
@@ -599,9 +599,7 @@ def scenario_separated_boundedness(cfg: Config, rng: Rng, threads: int) -> Scena
         return report
 
     graph = build_graph(cfg)
-    resolutions = cfg.get_ints("scenario", "resolutions", REQUIRED)
-    if sorted(resolutions) != resolutions:
-        raise ConfigError("resolutions must be increasing")
+    resolutions = _resolutions(cfg)
     per_p = {p: [] for p in p_list}
     for m in resolutions:
         nu = build_measure(_with_m(cfg, "nu", m), "nu", graph=graph)
@@ -618,12 +616,7 @@ def scenario_separated_boundedness(cfg: Config, rng: Rng, threads: int) -> Scena
             rows.append([m, p, ratios[p]])
             per_p[p].append(ratios[p])
     report.add_table("ratios", ["resolution", "p", "max_ratio"], rows)
-    stable = True
-    for p in p_list:
-        series = per_p[p]
-        for a, b in zip(series, series[1:]):
-            if b > growth_cap * a:
-                stable = False
+    stable = _growth_bounded(per_p.values(), growth_cap)
     report.add_verdict("ratio_stable", stable, f"growth cap {growth_cap:g} per refinement")
     return report
 
@@ -669,14 +662,7 @@ def scenario_double_integral(cfg: Config, rng: Rng, threads: int) -> ScenarioRep
     on, above, below = split_by_graph(mu, graph)
     outer = concat([above, on]) if on.count else above
 
-    eps0 = cfg.get_float("scenario", "eps0", mu.bounding_diameter() / 4.0)
-    floor_factor = cfg.get_float("scenario", "floor_factor", 4.0)
-    if floor_factor < 4.0:
-        raise ConfigError("floor_factor must be >= 4 (resolution floor)")
-    eps_min = floor_factor * mu.resolution
-    if eps0 <= eps_min:
-        raise ConfigError("eps0 must exceed the schedule floor")
-    schedule = geometric_schedule(eps0, eps_min)
+    schedule = geometric_schedule(*_schedule_ends(cfg, mu))
     if len(schedule) < 4:
         raise ConfigError("schedule shorter than 4 entries")
     tol = cfg.get_float("scenario", "tolerance", 1e-2)
@@ -699,9 +685,7 @@ def scenario_double_integral(cfg: Config, rng: Rng, threads: int) -> ScenarioRep
     # with no on-graph mass both orders sum the same terms
     consistency_ok = on.count > 0 or all(abs(v - m) <= b for (_, v, m), b in zip(rows, bounds))
 
-    quarter = max(2, -(-len(values) // 4))
-    last = values[-quarter:]
-    tail = max(last) - min(last)
+    tail = cauchy_tail(values)
     scale = max(abs(v) for v in values)
     report = ScenarioReport("double_integral", {})
     report.add_table("trace", ["eps", "value", "mirror_value"], rows)

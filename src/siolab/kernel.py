@@ -109,9 +109,6 @@ class OddHomogeneous:
     __call__ = evaluate
 
 
-Kernel = RieszComponent | OddHomogeneous
-
-
 # ---------------------------------------------------------------------------
 # Numerical validation of the three defining conditions
 # ---------------------------------------------------------------------------

@@ -342,7 +342,7 @@ def growth_constant(mu: DiscreteMeasure, centers, radii) -> float:
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
         raise ValueError("empty radii grid")
-    if np.any(radii < mu.resolution):
+    if not np.all(radii >= mu.resolution):
         raise ValueError("radii below the measure resolution floor")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     n = mu.ambient_dim

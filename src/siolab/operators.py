@@ -31,6 +31,7 @@ Summation conventions, fixed package-wide:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,10 +64,10 @@ def density_values(g, mu: DiscreteMeasure) -> np.ndarray:
     """
     if g is None:
         return np.ones(mu.count)
-    if isinstance(g, (int, float)):
-        return np.full(mu.count, float(g))
-    if isinstance(g, np.ndarray) or isinstance(g, (list, tuple)):
+    if isinstance(g, (np.ndarray, list, tuple)):
         vals = np.asarray(g, dtype=float).reshape(-1)
+    elif isinstance(g, numbers.Real):
+        vals = np.full(mu.count, float(g))
     elif hasattr(g, "evaluate_many"):
         vals = np.asarray(g.evaluate_many(mu.positions), dtype=float).reshape(-1)
     elif callable(g):
@@ -170,7 +171,7 @@ def truncated(nu: DiscreteMeasure, kernel, g, x, eps: float) -> float:
     """T^eps g(x) = sum over atoms y with |x - y| > eps (strict) of
     K(x - y) g(y) w(y), accumulated error-free in atom index order.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be > 0")
     x = np.asarray(x, dtype=float)
     diffs = x[None, :] - nu.positions
@@ -190,7 +191,7 @@ def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(pts),))
-    if np.any(eps <= 0):
+    if not np.all(eps > 0):
         raise ValueError("eps must be > 0")
     out = np.zeros(len(pts))
     if nu.count == 0:
@@ -274,14 +275,14 @@ class TruncationTable:
 
     def truncated_values(self, g, eps: float) -> np.ndarray:
         """T^eps g at every point."""
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("eps must be > 0")
         return self.truncated_values_per_point(g, np.full(len(self.dist_desc), float(eps)))
 
     def truncated_values_per_point(self, g, eps: np.ndarray) -> np.ndarray:
         """T^eps g with an individual truncation radius per point."""
         eps = np.asarray(eps, dtype=float)
-        if np.any(eps <= 0):
+        if not np.all(eps > 0):
             raise ValueError("eps must be > 0")
         counts = np.sum(self.dist_desc > eps[:, None], axis=1)
         out = np.zeros(len(counts))
@@ -389,7 +390,7 @@ def cone_mesh(cone: Cone, height_cap: float, mesh_depth: int) -> np.ndarray:
     height levels, cross-sections gridded proportionally to the level
     and filtered strictly inside the cone.
     """
-    if height_cap <= 0:
+    if not height_cap > 0:
         raise ValueError("height_cap must be > 0")
     if mesh_depth < 1:
         raise ValueError("mesh_depth must be >= 1")
@@ -429,12 +430,9 @@ def nontangential_max(h, cone: Cone, height_cap: float, mesh_depth: int) -> floa
 
 def lp_norm(mu: DiscreteMeasure, g, p: float) -> float:
     """(sum |g|^p w)^(1/p) with error-free accumulation."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must be >= 1")
     vals = density_values(g, mu)
-    finite = np.isfinite(vals)
-    if not np.all(finite):
-        raise ValueError("lp_norm of a non-finite density")
     powered = np.abs(vals) ** p * mu.weights
     return math.fsum(powered.tolist()) ** (1.0 / p)
 
@@ -448,9 +446,9 @@ def lp_norm(mu: DiscreteMeasure, g, p: float) -> float:
 class PVResult:
     """Truncated values along a decreasing eps schedule.
 
-    ``tail`` is the max pairwise spread over the last quarter of the
-    schedule; ``limit_estimate`` is the final value.  Convergence means
-    tail <= tol; the criterion is a Cauchy check, not a rate claim.
+    ``tail`` is the ``cauchy_tail`` of the values; ``limit_estimate`` is
+    the final value.  Convergence means tail <= tol; the criterion is a
+    Cauchy check, not a rate claim.
     """
 
     eps_schedule: list[float]
@@ -464,6 +462,13 @@ class PVResult:
             raise ValueError("eps schedule must be strictly decreasing")
         if self.tail < 0:
             raise ValueError("tail must be >= 0")
+
+
+def cauchy_tail(values) -> float:
+    """max - min over the last quarter (at least the last two) of a trace
+    along a decreasing eps schedule: the Cauchy criterion, read finitely."""
+    last = values[-max(2, -(-len(values) // 4)):]
+    return max(last) - min(last)
 
 
 def geometric_schedule(eps0: float, eps_min: float, ratio: float = 0.5) -> list[float]:
@@ -504,9 +509,7 @@ def pv_estimate(
     if len(schedule) < 4:
         raise ValueError("schedule shorter than 4 entries")
     values = [truncated(nu, kernel, None, x, e) for e in schedule]
-    quarter = max(2, -(-len(values) // 4))
-    last = values[-quarter:]
-    tail = max(last) - min(last)
+    tail = cauchy_tail(values)
     scale = max(abs(v) for v in values)
     if tol is None:
         tol = 1e-3 * scale

@@ -31,7 +31,7 @@ import numpy as np
 
 from .geometry import Ball, Shape, decompose_complement
 from .measure import DiscreteMeasure
-from .operators import PairSumStats, pair_sum_schedule
+from .operators import PairSumStats, cauchy_tail, pair_sum_schedule
 from .operators import pair_sum_stats  # noqa: F401  kept bound here for perfbench/tracing.py
 
 CANCELLATION_FACTOR = 2.0**-50  # cancellation bounds read N^2 * this * max|term|
@@ -149,8 +149,8 @@ class TraceRow:
 @dataclass
 class PairingTrace:
     """Pairing values along a decreasing eps schedule with the per-term
-    overlap decomposition; ``cauchy_tail`` is the max pairwise spread
-    over the last quarter of the schedule.
+    overlap decomposition; ``cauchy_tail`` is ``operators.cauchy_tail``
+    of the values.
 
     ``cancellation_noise`` bounds the arithmetic noise of the trace
     (pair count x 2^-50 x largest |term|); a tail at or below it is
@@ -221,8 +221,5 @@ def convergence_study(
                 rows.append(TraceRow(j, i, eps, contribution, *blocks))
                 totals[k].append(contribution)
     values = [math.fsum(parts) for parts in totals]
-    quarter = max(2, -(-len(values) // 4))
-    last = values[-quarter:]
-    tail = max(last) - min(last)
     noise = max(pair_count, 1) * CANCELLATION_FACTOR * max_term
-    return PairingTrace(schedule, values, tail, rows, noise)
+    return PairingTrace(schedule, values, cauchy_tail(values), rows, noise)

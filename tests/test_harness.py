@@ -242,6 +242,59 @@ def test_pv_scenario_rejects_small_floor():
         run_scenario(cfg)
 
 
+_FLAT = {"profile": "affine", "dim": "2"}
+_STEEP = {"profile": "affine", "dim": "2", "slope": "2"}  # Lip f = 2
+_RIESZ = {"family": "riesz", "dim": "2"}
+_CANTOR = {"kind": "cantor", "generation": "2"}
+_SLAB = {"kind": "slab_above_graph", "box": "-1, 1", "m": "16", "thickness": "0.4", "levels": "4"}
+_BALL = {"mode": "ball", "center": "0.5, 0.5", "radius": "0.3"}
+_APERTURE = "aperture L must exceed"
+_INCREASING = "resolutions must be increasing"
+_FLOOR = "floor_factor must be >= 4"
+_EPS0 = "eps0 must exceed the schedule floor"
+
+
+def _scenario(tag, scenario=None, **sections):
+    return {"scenario": {"tag": tag, **(scenario or {})}, **sections}
+
+
+def _weak_pairing(scenario):
+    return _scenario("WeakPairing", scenario, kernel=_RIESZ, mu=_CANTOR, f=_BALL, g=_BALL)
+
+
+def _double_integral(scenario):
+    return _scenario("DoubleIntegralConvergence", scenario, graph=_FLAT, kernel=_RIESZ, mu=_SLAB)
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        pytest.param(_scenario("ConeSeparation", {"aperture": "1"}, graph=_FLAT), _APERTURE,
+                     id="cone_separation-aperture"),
+        pytest.param(_scenario("LemmaL2Check", {"aperture": "2"}, graph=_STEEP, kernel=_RIESZ),
+                     _APERTURE, id="lemma_l2-aperture"),
+        pytest.param(_scenario("CarlesonEmbedding", {"resolutions": "24, 48", "aperture": "1.5"},
+                               graph=_STEEP), _APERTURE, id="carleson-aperture"),
+        pytest.param(_scenario("PVConvergence", {"resolutions": "128, 64"}, graph=_FLAT,
+                               kernel=_RIESZ), _INCREASING, id="pv-resolutions"),
+        pytest.param(_scenario("CarlesonEmbedding", {"resolutions": "48, 24"}, graph=_FLAT),
+                     _INCREASING, id="carleson-resolutions"),
+        pytest.param(_scenario("SeparatedBoundedness", {"resolutions": "64, 32"}, graph=_FLAT,
+                               kernel=_RIESZ), _INCREASING, id="separated-resolutions"),
+        pytest.param(_weak_pairing({"floor_factor": "3.9"}), _FLOOR, id="weak_pairing-floor_factor"),
+        pytest.param(_double_integral({"floor_factor": "3.9"}), _FLOOR,
+                     id="double_integral-floor_factor"),
+        # eps0 exactly at the floor 4 h, then below it
+        pytest.param(_weak_pairing({"eps0": repr(4.0 * sl.cantor_four_corners(2).resolution)}),
+                     _EPS0, id="weak_pairing-eps0_at_floor"),
+        pytest.param(_double_integral({"eps0": "0.1"}), _EPS0, id="double_integral-eps0_below_floor"),
+    ],
+)
+def test_scenario_rule_violations_are_config_errors(cfg, message):
+    with pytest.raises(ConfigError, match=message):
+        run_scenario(config_from_dict(cfg))
+
+
 def test_carleson_constant_density_ratio():
     cfg = config_from_dict(
         {"scenario": {"tag": "CarlesonEmbedding", "seed": "3",

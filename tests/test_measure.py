@@ -187,6 +187,12 @@ def test_growth_constant_guards():
         sl.growth_constant(mu, mu.positions[:1], np.array([1e-6]))
 
 
+def test_growth_constant_rejects_nan_radius():
+    mu = _segment_measure(100)
+    with pytest.raises(ValueError):
+        sl.growth_constant(mu, mu.positions[:1], np.array([0.5, math.nan]))
+
+
 def test_cantor_growth_stable_across_generations():
     estimates = []
     rng = Rng(23)

@@ -78,6 +78,29 @@ def test_truncated_requires_positive_eps():
         sl.truncated(two_atom_line(), sl.RieszComponent(2, 0), None, [0.0, 0.0], 0.0)
 
 
+def _nan_calls():
+    nu, g = random_config(Rng(87), 30)
+    k = sl.RieszComponent(2, 0)
+    pts = Rng(88).points_in_box(5, [(-1, 1)] * 2)
+    table = sl.TruncationTable(nu, k, pts)
+    per_point = np.array([0.1, 0.2, math.nan, 0.3, 0.4])
+    cone = sl.Cone(sl.LipschitzGraph(2, sl.Affine((0.0,))), (0.0,), 1.5)
+    return {
+        "truncated": lambda: sl.truncated(nu, k, g, pts[0], math.nan),
+        "truncated_batch": lambda: truncated_batch(nu, k, g, pts, math.nan),
+        "truncated_values": lambda: table.truncated_values(g, math.nan),
+        "truncated_values_per_point": lambda: table.truncated_values_per_point(g, per_point),
+        "lp_norm": lambda: sl.lp_norm(nu, g, math.nan),
+        "cone_mesh": lambda: operators.cone_mesh(cone, math.nan, 3),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_nan_calls()))
+def test_nan_parameter_rejected(entry):
+    with pytest.raises(ValueError):
+        _nan_calls()[entry]()
+
+
 # ---------------------------------------------------------------------------
 # maximal: breakpoint algorithm
 # ---------------------------------------------------------------------------
@@ -269,6 +292,13 @@ def test_pv_schedule_validation():
         sl.pv_estimate(
             nu, sl.RieszComponent(2, 0), [0.0, 0.0], eps_min=nu.resolution
         )
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_cauchy_tail_is_spread_of_last_quarter(n):
+    values = Rng(90 + n).uniforms(n, -1.0, 1.0).tolist()
+    last = values[n - max(2, math.ceil(n / 4)):]
+    assert operators.cauchy_tail(values) == max(last) - min(last)
 
 
 def test_geometric_schedule_rejects_non_finite():
@@ -568,6 +598,25 @@ def test_density_non_finite_rejected(n_atoms, index, bad):
     for g in _density_forms(lambda p: vals):
         with pytest.raises(ValueError):
             density_values(g, nu)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [math.nan, math.inf, np.float64(math.nan), np.float32(-math.inf)],
+    ids=["nan", "inf", "float64-nan", "float32-neginf"],
+)
+def test_density_non_finite_scalar_rejected(g):
+    nu, _ = random_config(Rng(84), 5)
+    with pytest.raises(ValueError):
+        density_values(g, nu)
+
+
+@pytest.mark.parametrize(
+    "g", [np.int64(2), np.int32(-3), np.float32(0.5)], ids=["int64", "int32", "float32"]
+)
+def test_density_numpy_scalar_is_constant(g):
+    nu, _ = random_config(Rng(84), 5)
+    assert np.array_equal(density_values(g, nu), np.full(5, float(g)))
 
 
 def test_density_forms_agree():
