@@ -15,14 +15,11 @@ from .geometry import (
     Sawtooth,
     Side,
     SmoothBump,
-    classify,
-    cone_contains,
     decompose_complement,
     lipschitz_estimate,
 )
 from .kernel import OddHomogeneous, RieszComponent
 from .measure import (
-    Atom,
     CantorFourCornersSpec,
     DiscreteMeasure,
     GraphMeasureSpec,
@@ -47,12 +44,10 @@ from .operators import (
     PVResult,
     TruncationTable,
     bound_constants,
-    double_truncated,
     double_truncated_stats,
     hl_maximal,
     lp_norm,
     maximal,
-    maximal_batch,
     nontangential_max,
     pv_estimate,
     truncated,

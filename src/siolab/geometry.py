@@ -68,7 +68,7 @@ class Sawtooth:
     period: float
 
     def __post_init__(self):
-        if self.amplitude < 0 or self.period <= 0:
+        if not (self.amplitude >= 0 and self.period > 0):
             raise ValueError("amplitude must be >= 0 and period > 0")
 
     def value(self, u: np.ndarray) -> np.ndarray:
@@ -87,7 +87,7 @@ class ConeProfile:
     slope: float
 
     def __post_init__(self):
-        if self.slope < 0:
+        if not self.slope >= 0:
             raise ValueError("slope must be >= 0")
 
     def value(self, u: np.ndarray) -> np.ndarray:
@@ -108,7 +108,7 @@ class SmoothBump:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
+        if not self.width > 0:
             raise ValueError("width must be > 0")
 
     def value(self, u: np.ndarray) -> np.ndarray:
@@ -143,7 +143,7 @@ class BallCap:
     level: float = 0.0
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be > 0")
 
     def value(self, u: np.ndarray) -> np.ndarray:
@@ -239,12 +239,8 @@ class LipschitzGraph:
         return out
 
     def classify(self, point) -> Side:
+        """Side of ``point`` relative to the graph: Above, On, or Below."""
         return Side(int(self.classify_many(point)[0]))
-
-
-def classify(graph: LipschitzGraph, point) -> Side:
-    """Side of ``point`` relative to the graph: Above, On, or Below."""
-    return graph.classify(point)
 
 
 @dataclass(eq=False)
@@ -281,10 +277,6 @@ class Cone:
         return bool(self.contains_many(point)[0])
 
 
-def cone_contains(cone: Cone, point) -> bool:
-    return cone.contains(point)
-
-
 # ---------------------------------------------------------------------------
 # Shapes
 # ---------------------------------------------------------------------------
@@ -298,7 +290,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be > 0")
 
     @property
@@ -328,7 +320,7 @@ class Rectangle:
     def __post_init__(self):
         if len(self.half_widths) != len(self.center):
             raise ValueError("half_widths and center must have equal length")
-        if any(h <= 0 for h in self.half_widths):
+        if not all(h > 0 for h in self.half_widths):
             raise ValueError("half_widths must be > 0")
         if self.rotation is None:
             self.rotation = np.eye(len(self.center))

@@ -2,7 +2,7 @@
 orchestration, and report emission."""
 
 from .config import Config, ConfigError, config_from_dict, load_config
-from .report import ScenarioReport, write_batch_csv, write_csv
+from .report import ScenarioReport, write_csv
 from .rng import Rng
 from .scenarios import available_scenarios, run_scenario
 
@@ -15,6 +15,5 @@ __all__ = [
     "config_from_dict",
     "load_config",
     "run_scenario",
-    "write_batch_csv",
     "write_csv",
 ]

@@ -35,7 +35,7 @@ class Config:
     def _raw(self, section: str, key: str, default):
         sec = self.sections.get(section, {})
         if key not in sec:
-            if default is _REQUIRED:
+            if default is REQUIRED:
                 raise ConfigError(f"missing required key {section}.{key}")
             self.echo[f"{section}.{key}"] = _fmt(default)
             return default
@@ -84,8 +84,7 @@ class _Required:
     pass
 
 
-_REQUIRED = _Required()
-REQUIRED = _REQUIRED
+REQUIRED = _Required()
 
 
 def _finite(text: str) -> float:

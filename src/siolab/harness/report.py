@@ -97,16 +97,3 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
         for row in rows:
             writer.writerow([fmt_value(v) for v in row])
 
-
-def write_batch_csv(path, operator_name: str, params: dict, points, values) -> None:
-    """Batch operator results: a comment line naming the operator and its
-    parameters, then ``x1, ..., xn, value`` rows.
-    """
-    with open(path, "w", newline="") as fh:
-        meta = " ".join(f"{k}={fmt_value(v)}" for k, v in sorted(params.items()))
-        fh.write(f"# operator={operator_name} {meta}\r\n")
-        writer = csv.writer(fh)
-        dim = len(points[0])
-        writer.writerow([f"x{i + 1}" for i in range(dim)] + ["value"])
-        for p, v in zip(points, values):
-            writer.writerow([fmt_value(float(c)) for c in p] + [fmt_value(float(v))])

@@ -74,6 +74,14 @@ def _aperture(cfg: Config, graph: LipschitzGraph) -> float:
     return aperture
 
 
+def _count(cfg: Config, key: str, default: int) -> int:
+    """scenario.<key>, a count of at least 1."""
+    count = cfg.get_int("scenario", key, default)
+    if count < 1:
+        raise ConfigError(f"scenario.{key} must be >= 1")
+    return count
+
+
 def _resolutions(cfg: Config) -> list[int]:
     resolutions = cfg.get_ints("scenario", "resolutions", REQUIRED)
     if sorted(resolutions) != resolutions:
@@ -107,12 +115,12 @@ def _growth_bounded(series_list, growth_cap: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def random_simple_function(rng: Rng, box, max_terms: int = 5) -> SimpleFunction:
-    """1 to max_terms ball indicators with centers in the box and
-    coefficients uniform in [-1, 1]."""
+def random_simple_function(rng: Rng, box) -> SimpleFunction:
+    """1 to 5 ball indicators with centers in the box and coefficients
+    uniform in [-1, 1]."""
     spans = [hi - lo for lo, hi in box]
     scale = max(spans)
-    n_terms = rng.integer(1, max_terms)
+    n_terms = rng.integer(1, 5)
     terms = []
     for _ in range(n_terms):
         center = tuple(rng.uniform(lo, hi) for lo, hi in box)
@@ -122,10 +130,10 @@ def random_simple_function(rng: Rng, box, max_terms: int = 5) -> SimpleFunction:
     return SimpleFunction(terms)
 
 
-def random_nonzero_density(rng: Rng, nu: DiscreteMeasure, box, max_tries: int = 100):
+def random_nonzero_density(rng: Rng, nu: DiscreteMeasure, box):
     """Random simple function with a nonzero restriction to the support
-    of nu (zero draws are rejected and resampled)."""
-    for _ in range(max_tries):
+    of nu (zero draws are rejected and resampled, up to 100 draws)."""
+    for _ in range(100):
         g = random_simple_function(rng, box)
         values = g.evaluate_many(nu.positions)
         if np.any(values != 0.0):
@@ -166,20 +174,28 @@ def scenario_kernel_validation(cfg: Config, rng: Rng, threads: int) -> ScenarioR
 # ---------------------------------------------------------------------------
 
 
+def _cone_interior(
+    graph: LipschitzGraph, aperture: float, box, count: int, rng: Rng, rho_range, excess_range
+):
+    """(u0, f(u0), y): apexes uniform in the box and one point y strictly
+    inside each apex's cone, at horizontal offset rho and height 4 L rho
+    (1 + e) above the apex, rho and e log-uniform over their ranges."""
+    u0 = rng.points_in_box(count, box)
+    f0 = graph.height(u0)
+    direction = rng.unit_vectors(count, graph.param_dim)
+    rho = np.exp(rng.uniforms(count, *map(math.log, rho_range)))
+    excess = 1.0 + np.exp(rng.uniforms(count, *map(math.log, excess_range)))
+    t = f0 + 4.0 * aperture * rho * excess
+    return u0, f0, graph.from_graph_frame(np.column_stack([u0 + direction * rho[:, None], t]))
+
+
 def sample_cone_separation(graph: LipschitzGraph, aperture: float, box, count: int, rng: Rng):
     """Random (apex, y in cone, x strictly below) triples; returns the
     relative slack of |y - x| >= |y - x0| / (8 L) per triple.
     """
-    d = graph.param_dim
     scale = max(hi - lo for lo, hi in box)
-    u0 = rng.points_in_box(count, box)
-    f0 = graph.height(u0)
-    # y strictly inside the cone: horizontal offset rho, vertical excess theta
-    direction = rng.unit_vectors(count, d)
-    rho = np.exp(rng.uniforms(count, math.log(1e-4 * scale), math.log(2.0 * scale)))
-    excess = 1.0 + np.exp(rng.uniforms(count, math.log(1e-3), math.log(10.0)))
-    t = f0 + 4.0 * aperture * rho * excess
-    y = graph.from_graph_frame(np.column_stack([u0 + direction * rho[:, None], t]))
+    rho_range = (1e-4 * scale, 2.0 * scale)
+    u0, f0, y = _cone_interior(graph, aperture, box, count, rng, rho_range, (1e-3, 10.0))
     # x strictly below the graph
     ux = rng.points_in_box(count, box)
     depth = np.exp(rng.uniforms(count, math.log(1e-6 * scale), math.log(4.0 * scale)))
@@ -199,7 +215,7 @@ def _cone_chunk(args):
 def scenario_cone_separation(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
     aperture = _aperture(cfg, graph)
-    samples = cfg.get_int("scenario", "samples", 100_000)
+    samples = _count(cfg, "samples", 100_000)
     box = [(-1.0, 1.0)] * graph.param_dim
     tasks = [(graph, aperture, box, n, seed) for n, seed in _chunks(rng, samples, _POINT_CHUNK * 8)]
     results = _pmap(_cone_chunk, tasks, threads)
@@ -227,18 +243,11 @@ def _lemma_l2_batch(args):
     """
     nu, kern, graph, aperture, d1, d2, count, seed = args
     rng = Rng(seed)
-    d = graph.param_dim
-    box = [(-1.0, 1.0)] * d
+    box = [(-1.0, 1.0)] * graph.param_dim
     gv = rng.uniforms(nu.count, -1.0, 1.0)
 
-    u0 = rng.points_in_box(count, box)
-    f0 = graph.height(u0)
+    u0, f0, y = _cone_interior(graph, aperture, box, count, rng, (1e-3, 1.0), (1e-3, 4.0))
     x = graph.from_graph_frame(np.column_stack([u0, f0]))
-    direction = rng.unit_vectors(count, d)
-    rho = np.exp(rng.uniforms(count, math.log(1e-3), math.log(1.0)))
-    excess = 1.0 + np.exp(rng.uniforms(count, math.log(1e-3), math.log(4.0)))
-    t = f0 + 4.0 * aperture * rho * excess
-    y = graph.from_graph_frame(np.column_stack([u0 + direction * rho[:, None], t]))
 
     r = np.linalg.norm(y - x, axis=1)
     below = rng.uniforms(count) < 0.5  # half eps < r, half eps >= r
@@ -260,8 +269,8 @@ def scenario_lemma_l2(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
     if kern.ambient_dim != graph.ambient_dim:
         raise ConfigError("kernel and graph dimensions differ")
     aperture = _aperture(cfg, graph)
-    tuples = cfg.get_int("scenario", "tuples", 10_000)
-    per_batch = cfg.get_int("scenario", "tuples_per_batch", 500)
+    tuples = _count(cfg, "tuples", 10_000)
+    per_batch = _count(cfg, "tuples_per_batch", 500)
     nu = build_measure(cfg, "nu", graph=graph)
     if nu.ambient_dim != graph.ambient_dim:
         raise ConfigError("nu dimension does not match the graph")
@@ -425,8 +434,8 @@ def scenario_weak_pairing(cfg: Config, rng: Rng, threads: int) -> ScenarioReport
 
 def scenario_cantor_growth(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
     generations = cfg.get_ints("scenario", "generations", [3, 4, 5])
-    centers_count = cfg.get_int("scenario", "centers", 200)
-    radii_count = cfg.get_int("scenario", "radii", 50)
+    centers_count = _count(cfg, "centers", 200)
+    radii_count = _count(cfg, "radii", 50)
     stability = cfg.get_float("scenario", "stability_factor", 1.2)
     rows = []
     estimates = []
@@ -494,11 +503,11 @@ def scenario_carleson(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
     resolutions = _resolutions(cfg)
     box = _parse_box(cfg, "scenario", graph.param_dim, [-1.0, 1.0])
     thickness = cfg.get_float("scenario", "thickness", 0.5)
-    levels = cfg.get_int("scenario", "levels", 8)
+    levels = _count(cfg, "levels", 8)
     p = cfg.get_float("scenario", "p", 2.0)
     aperture = _aperture(cfg, graph)
     height = cfg.get_float("scenario", "height_cap", 2.0 * thickness)
-    depth = cfg.get_int("scenario", "mesh_depth", 4)
+    depth = _count(cfg, "mesh_depth", 4)
     growth_cap = cfg.get_float("scenario", "growth_factor", 1.5)
 
     mid = graph.points_on_graph(np.zeros(graph.param_dim))[0]
@@ -577,7 +586,6 @@ def _ratio_table(nu, mu, kern, p_list, densities, threads):
 def scenario_separated_boundedness(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
     kern = build_kernel(cfg)
     p_list = cfg.get_floats("scenario", "p", [1.5, 2.0, 3.0])
-    n_g = cfg.get_int("scenario", "random_functions", 50)
     control = cfg.get_bool("scenario", "control", False)
     growth_cap = cfg.get_float("scenario", "growth_factor", 1.5)
 
@@ -586,7 +594,9 @@ def scenario_separated_boundedness(cfg: Config, rng: Rng, threads: int) -> Scena
     if control:
         # negative control: mu = nu = four-corners Cantor, same side;
         # the ratio is expected to grow with the generation (reported,
-        # no pass criterion).
+        # no pass criterion).  Its full-support density is always there,
+        # so random_functions may be 0.
+        n_g = cfg.get_int("scenario", "random_functions", 50)
         generations = cfg.get_ints("scenario", "generations", [3, 4, 5, 6])
         for gen in generations:
             nu = cantor_four_corners(gen)
@@ -598,6 +608,7 @@ def scenario_separated_boundedness(cfg: Config, rng: Rng, threads: int) -> Scena
         report.add_verdict("control_reported", True, "negative control, no pass criterion")
         return report
 
+    n_g = _count(cfg, "random_functions", 50)
     graph = build_graph(cfg)
     resolutions = _resolutions(cfg)
     per_p = {p: [] for p in p_list}

@@ -43,7 +43,7 @@ class RieszComponent:
             # |grad K|^2 = (|x|^2 + (n^2 - 2n) x_i^2) / |x|^(2n+2),
             # maximized on the axis: |grad K| |x|^n = n - 1.
             self.c1_declared = float(n - 1)
-        if self.c0_declared <= 0 or self.c1_declared <= 0:
+        if not (self.c0_declared > 0 and self.c1_declared > 0):
             raise ValueError("declared constants must be > 0")
 
     def evaluate_many(self, diffs: np.ndarray) -> np.ndarray:
@@ -55,8 +55,6 @@ class RieszComponent:
 
     def evaluate(self, x) -> float:
         return float(self.evaluate_many(x)[0])
-
-    __call__ = evaluate
 
 
 @dataclass(eq=False)
@@ -89,7 +87,7 @@ class OddHomogeneous:
         if self.c1_declared is None:
             # crude sphere bound: |grad x^P| <= d, |x^P| <= 1, homogeneity -(n-1).
             self.c1_declared = float(self.degree + (n - 1 + self.degree))
-        if self.c0_declared <= 0 or self.c1_declared <= 0:
+        if not (self.c0_declared > 0 and self.c1_declared > 0):
             raise ValueError("declared constants must be > 0")
 
     def evaluate_many(self, diffs: np.ndarray) -> np.ndarray:
@@ -106,20 +104,17 @@ class OddHomogeneous:
     def evaluate(self, x) -> float:
         return float(self.evaluate_many(x)[0])
 
-    __call__ = evaluate
-
 
 # ---------------------------------------------------------------------------
 # Numerical validation of the three defining conditions
 # ---------------------------------------------------------------------------
 
 
-def _shell_samples(kernel, rng, count: int, radius_range=(1e-3, 1e3)) -> np.ndarray:
-    """Random sample points with log-uniform radii over the shell range."""
+def _shell_samples(kernel, rng, count: int) -> np.ndarray:
+    """Random sample points with log-uniform radii over [1e-3, 1e3]."""
     n = kernel.ambient_dim
     dirs = rng.unit_vectors(count, n)
-    lo, hi = radius_range
-    radii = np.exp(rng.uniforms(count, math.log(lo), math.log(hi)))
+    radii = np.exp(rng.uniforms(count, math.log(1e-3), math.log(1e3)))
     return dirs * radii[:, None]
 
 
@@ -131,7 +126,7 @@ def antisymmetry_residual(kernel, sample_count: int, rng) -> float:
     return float(np.max(np.abs(kernel.evaluate_many(x) + kernel.evaluate_many(-x))))
 
 
-def size_bound_sup(kernel, sample_count: int, rng, radius_range=(1e-3, 1e3)) -> float:
+def size_bound_sup(kernel, sample_count: int, rng) -> float:
     """Sampled sup of |K(x)| |x|^(n-1).
 
     Homogeneity makes one shell enough; sampling several radii
@@ -141,20 +136,20 @@ def size_bound_sup(kernel, sample_count: int, rng, radius_range=(1e-3, 1e3)) -> 
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     n = kernel.ambient_dim
-    x = _shell_samples(kernel, rng, sample_count, radius_range)
+    x = _shell_samples(kernel, rng, sample_count)
     x = np.vstack([x, np.eye(n), -np.eye(n)])
     r = np.linalg.norm(x, axis=1)
     return float(np.max(np.abs(kernel.evaluate_many(x)) * r ** (n - 1)))
 
 
-def gradient_fd(kernel, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient rows; step scales with |x| because the
+def gradient_fd(kernel, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient rows; the step is 1e-6 |x| because the
     kernel varies on the scale of its argument.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n = x.shape[1]
     r = np.linalg.norm(x, axis=1)
-    h = rel_step * r
+    h = 1e-6 * r
     grad = np.empty_like(x)
     for j in range(n):
         step = np.zeros_like(x)
@@ -162,14 +157,14 @@ def gradient_fd(kernel, x: np.ndarray, rel_step: float = 1e-6) -> np.ndarray:
         grad[:, j] = (kernel.evaluate_many(x + step) - kernel.evaluate_many(x - step)) / (2.0 * h)
     return grad
 
-def gradient_bound_sup(kernel, sample_count: int, rng, rel_step: float = 1e-6) -> float:
+def gradient_bound_sup(kernel, sample_count: int, rng) -> float:
     """Sampled sup of |grad K(x)| |x|^n, gradient by central differences."""
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     n = kernel.ambient_dim
     x = _shell_samples(kernel, rng, sample_count)
     x = np.vstack([x, np.eye(n), -np.eye(n)])
-    grad = gradient_fd(kernel, x, rel_step)
+    grad = gradient_fd(kernel, x)
     r = np.linalg.norm(x, axis=1)
     return float(np.max(np.linalg.norm(grad, axis=1) * r**n))
 

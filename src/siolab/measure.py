@@ -16,7 +16,7 @@ truncation convention of the operators (strict >).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,36 +26,27 @@ ATOM_COUNT_GUARD = 10**8
 CANTOR_MAX_GENERATION = 10
 
 
-@dataclass(frozen=True)
-class Atom:
-    position: tuple[float, ...]
-    weight: float
-
-
 @dataclass(eq=False)
 class DiscreteMeasure:
     """Finite list of weighted atoms.
 
     positions: (N, n) float array; weights: (N,) nonnegative.
-    ``growth_declared`` optionally records an intended growth constant
-    for the (n-1)-dimensional bound mu(B(x, r)) <= C r^(n-1), r >= h.
     """
 
     positions: np.ndarray
     weights: np.ndarray
     resolution: float
-    growth_declared: float | None = None
 
     def __post_init__(self):
         self.positions = np.atleast_2d(np.asarray(self.positions, dtype=float))
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if len(self.positions) != len(self.weights):
             raise ValueError("positions and weights must have equal length")
-        if np.any(self.weights < 0):
+        if not np.all(self.weights >= 0):
             raise ValueError("weights must be >= 0")
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("positions must be finite")
-        if self.resolution <= 0:
+        if not self.resolution > 0:
             raise ValueError("resolution must be > 0")
 
     @property
@@ -81,17 +72,12 @@ class DiscreteMeasure:
         hi = self.positions.max(axis=0)
         return float(np.linalg.norm(hi - lo))
 
-    def atoms(self):
-        for p, w in zip(self.positions, self.weights):
-            yield Atom(tuple(p.tolist()), float(w))
-
     def restrict_mask(self, mask: np.ndarray) -> "DiscreteMeasure":
         mask = np.asarray(mask, dtype=bool)
         return DiscreteMeasure(
             self.positions[mask].copy(),
             self.weights[mask].copy(),
             self.resolution,
-            self.growth_declared,
         )
 
 
@@ -333,40 +319,32 @@ def _ball_masses(mu: DiscreteMeasure, center: np.ndarray, radii: np.ndarray) -> 
     return masses
 
 
+def _density_ratios(mu: DiscreteMeasure, centers, radii) -> np.ndarray:
+    """mu(B(x, r)) / r^(n-1), one row per center x and one column per r."""
+    radii = np.asarray(radii, dtype=float)
+    if radii.size == 0:
+        raise ValueError("empty radii grid")
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    scale = radii ** (mu.ambient_dim - 1)
+    return np.array([_ball_masses(mu, c, radii) / scale for c in centers])
+
+
 def growth_constant(mu: DiscreteMeasure, centers, radii) -> float:
     """Max over (center, r) of mu(B(x, r)) / r^(n-1).
 
     All radii must sit at or above the resolution floor; below it the
     atomic approximation degenerates to point masses.
     """
-    radii = np.asarray(radii, dtype=float)
-    if radii.size == 0:
-        raise ValueError("empty radii grid")
-    if not np.all(radii >= mu.resolution):
+    if not np.all(np.asarray(radii, dtype=float) >= mu.resolution):
         raise ValueError("radii below the measure resolution floor")
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    n = mu.ambient_dim
-    best = 0.0
-    for c in centers:
-        masses = _ball_masses(mu, c, radii)
-        best = max(best, float(np.max(masses / radii ** (n - 1))))
-    return best
+    return float(np.max(_density_ratios(mu, centers, radii), initial=0.0))
 
 
 def lower_density(mu: DiscreteMeasure, centers, radii) -> float:
     """Min over (center, r) of mu(B(x, r)) / r^(n-1); centers should be
     atom positions (support points).
     """
-    radii = np.asarray(radii, dtype=float)
-    if radii.size == 0:
-        raise ValueError("empty radii grid")
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    n = mu.ambient_dim
-    worst = math.inf
-    for c in centers:
-        masses = _ball_masses(mu, c, radii)
-        worst = min(worst, float(np.min(masses / radii ** (n - 1))))
-    return worst
+    return float(np.min(_density_ratios(mu, centers, radii), initial=math.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -309,15 +309,11 @@ class TruncationTable:
         return values, diverges
 
 
-def maximal_batch(nu: DiscreteMeasure, kernel, g, points) -> np.ndarray:
-    return TruncationTable(nu, kernel, points).maximal_values(g)
-
-
 def maximal(nu: DiscreteMeasure, kernel, g, x) -> float:
     """T* g(x) = sup over eps > 0 of |T^eps g(x)|, computed exactly by
     the breakpoint algorithm (suffix sums by distance group).
     """
-    return float(maximal_batch(nu, kernel, g, np.atleast_2d(np.asarray(x, dtype=float)))[0])
+    return float(TruncationTable(nu, kernel, x).maximal_values(g)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +443,8 @@ class PVResult:
     """Truncated values along a decreasing eps schedule.
 
     ``tail`` is the ``cauchy_tail`` of the values; ``limit_estimate`` is
-    the final value.  Convergence means tail <= tol; the criterion is a
-    Cauchy check, not a rate claim.
+    the final value.  Convergence means tail <= 1e-3 max |value|; the
+    criterion is a Cauchy check, not a rate claim.
     """
 
     eps_schedule: list[float]
@@ -471,15 +467,15 @@ def cauchy_tail(values) -> float:
     return max(last) - min(last)
 
 
-def geometric_schedule(eps0: float, eps_min: float, ratio: float = 0.5) -> list[float]:
-    """eps0 * ratio^k down to (not below) eps_min."""
-    if not (0 < ratio < 1 and 0 < eps_min <= eps0 < math.inf):
-        raise ValueError("need finite eps0 >= eps_min > 0 and 0 < ratio < 1")
+def geometric_schedule(eps0: float, eps_min: float) -> list[float]:
+    """eps0 * 2^-k down to (not below) eps_min."""
+    if not 0 < eps_min <= eps0 < math.inf:
+        raise ValueError("need finite eps0 >= eps_min > 0")
     out = []
     e = eps0
     while e >= eps_min * (1.0 - 1e-12):
         out.append(e)
-        e *= ratio
+        e *= 0.5
     return out
 
 
@@ -490,10 +486,11 @@ def pv_estimate(
     eps0: float | None = None,
     eps_min: float | None = None,
     floor_factor: float = 4.0,
-    tol: float | None = None,
 ) -> PVResult:
     """Principal-value study of int K(x - y) dnu(y): truncated values
-    along a ratio-1/2 geometric schedule from eps0 down to eps_min.
+    along a ratio-1/2 geometric schedule from eps0 down to eps_min,
+    converged when the Cauchy tail is at most 1e-3 of the largest
+    |value|.
 
     eps_min defaults to floor_factor * resolution and may not go below
     it: the discretization carries no information at finer scales.
@@ -511,12 +508,10 @@ def pv_estimate(
     values = [truncated(nu, kernel, None, x, e) for e in schedule]
     tail = cauchy_tail(values)
     scale = max(abs(v) for v in values)
-    if tol is None:
-        tol = 1e-3 * scale
     return PVResult(
         eps_schedule=schedule,
         values=values,
-        converged=tail <= tol,
+        converged=tail <= 1e-3 * scale,
         tail=tail,
         limit_estimate=values[-1],
     )
@@ -596,11 +591,6 @@ def double_truncated_stats(mu: DiscreteMeasure, kernel, region_a, region_b, eps:
     )
 
 
-def double_truncated(mu: DiscreteMeasure, kernel, region_a, region_b, eps: float) -> float:
-    """The value of ``double_truncated_stats``."""
-    return double_truncated_stats(mu, kernel, region_a, region_b, eps).value
-
-
 # ---------------------------------------------------------------------------
 # Explicit constants for the cone estimates
 # ---------------------------------------------------------------------------
@@ -621,7 +611,7 @@ def bound_constants(kernel, aperture: float) -> BoundConstants:
     maximal transform needs C_N at least max(3, D1, D2), not D1 alone;
     the larger value is exposed deliberately.
     """
-    if aperture <= 1:
+    if not aperture > 1:
         raise ValueError("aperture L must be > 1")
     n = kernel.ambient_dim
     c0, c1 = kernel.c0_declared, kernel.c1_declared

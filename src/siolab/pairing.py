@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Ball, Shape, decompose_complement
+from .geometry import Shape, decompose_complement
 from .measure import DiscreteMeasure
 from .operators import PairSumStats, cauchy_tail, pair_sum_schedule
 from .operators import pair_sum_stats  # noqa: F401  kept bound here for perfbench/tracing.py
@@ -44,7 +44,6 @@ class SimpleFunction:
     """
 
     terms: list[tuple[float, Shape]]
-    space: str = ""
 
     def __post_init__(self):
         if not self.terms:
@@ -52,11 +51,6 @@ class SimpleFunction:
         kinds = {type(s) for _, s in self.terms}
         if len(kinds) != 1:
             raise ValueError("shapes must be homogeneous (all balls or all rectangles)")
-        inferred = "balls" if kinds == {Ball} else "rectangles"
-        if not self.space:
-            self.space = inferred
-        elif self.space != inferred:
-            raise ValueError(f"space tag {self.space!r} does not match shapes")
 
     def evaluate_many(self, points) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

@@ -18,24 +18,24 @@ def flat_graph(n=2):
 
 
 def test_classify_flat_above():
-    assert sl.classify(flat_graph(), [0.0, 1.0]) is sl.Side.ABOVE
+    assert flat_graph().classify([0.0, 1.0]) is sl.Side.ABOVE
 
 
 def test_classify_cone_profile_below():
     g = sl.LipschitzGraph(2, sl.ConeProfile(1.0))
     # f(1) = 1 > 0.5
-    assert sl.classify(g, [1.0, 0.5]) is sl.Side.BELOW
+    assert g.classify([1.0, 0.5]) is sl.Side.BELOW
 
 
 def test_classify_on_graph():
-    assert sl.classify(flat_graph(), [3.0, 0.0]) is sl.Side.ON
+    assert flat_graph().classify([3.0, 0.0]) is sl.Side.ON
 
 
 def test_classify_on_tolerance_scales_with_point():
     g = flat_graph()
     # within the relative band at large |p|
-    assert sl.classify(g, [1e6, 1e-7]) is sl.Side.ON
-    assert sl.classify(g, [0.0, 1e-7]) is sl.Side.ABOVE
+    assert g.classify([1e6, 1e-7]) is sl.Side.ON
+    assert g.classify([0.0, 1e-7]) is sl.Side.ABOVE
 
 
 def test_classify_rotation_invariance():
@@ -111,15 +111,15 @@ def test_lipschitz_estimate_rejects_tiny_sample():
 # ---------------------------------------------------------------------------
 
 
-def test_cone_contains_examples():
+def test_cone_membership_examples():
     g = flat_graph()
     cone = sl.Cone(g, (0.0,), 1.0 + 1e-9)
     # 1 > 4L * 0.1 = 0.4
-    assert sl.cone_contains(cone, [0.1, 1.0])
+    assert cone.contains([0.1, 1.0])
     # 2 > 4L * 1 = 4 is false
-    assert not sl.cone_contains(cone, [1.0, 2.0])
+    assert not cone.contains([1.0, 2.0])
     # apex itself: strict inequality fails
-    assert not sl.cone_contains(cone, cone.apex)
+    assert not cone.contains(cone.apex)
 
 
 def test_cone_requires_large_aperture():

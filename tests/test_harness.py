@@ -173,20 +173,6 @@ def test_fmt_value_float_precision():
     assert float(fmt_value(x)) == x
 
 
-def test_write_batch_csv(tmp_path):
-    from siolab.harness import write_batch_csv
-
-    path = tmp_path / "batch.csv"
-    pts = np.array([[0.1, 0.2], [0.3, 0.4]])
-    vals = [math.pi, -1.5e-8]
-    write_batch_csv(path, "truncated", {"eps": 0.25, "kernel": "riesz"}, pts, vals)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# operator=truncated")
-    assert "eps=0.25" in lines[0]
-    assert lines[1] == "x1,x2,value"
-    assert float(lines[2].split(",")[2]) == math.pi
-
-
 def test_report_echo_and_text():
     cfg = config_from_dict(
         {"scenario": {"tag": "KernelValidation", "seed": "5"},
@@ -293,6 +279,40 @@ def _double_integral(scenario):
 def test_scenario_rule_violations_are_config_errors(cfg, message):
     with pytest.raises(ConfigError, match=message):
         run_scenario(config_from_dict(cfg))
+
+
+_GRAPH_BELOW = {"kind": "graph_measure", "box": "-1, 1", "m": "16", "shift": "-0.5"}
+_L2_SECTIONS = {"graph": _FLAT, "kernel": _RIESZ, "nu": _GRAPH_BELOW}
+_COUNT_SECTIONS = {
+    "LemmaL2Check": _L2_SECTIONS,
+    "ConeSeparation": {"graph": _FLAT},
+    "CantorGrowth": {},
+    "CarlesonEmbedding": {"graph": _FLAT},
+    "SeparatedBoundedness": {**_L2_SECTIONS, "mu": _SLAB},
+}
+
+
+@pytest.mark.parametrize(
+    "tag, key",
+    [
+        ("LemmaL2Check", "tuples"),
+        ("LemmaL2Check", "tuples_per_batch"),
+        ("ConeSeparation", "samples"),
+        ("CantorGrowth", "centers"),
+        ("CantorGrowth", "radii"),
+        ("CarlesonEmbedding", "levels"),
+        ("CarlesonEmbedding", "mesh_depth"),
+        ("SeparatedBoundedness", "random_functions"),
+    ],
+)
+def test_cli_zero_count_is_a_config_error(tmp_path, capsys, tag, key):
+    cfg = {"scenario": {"tag": tag, "resolutions": "8, 16", key: "0"}, **_COUNT_SECTIONS[tag]}
+    cfg_path = tmp_path / "zero.cfg"
+    cfg_path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for name, kv in cfg.items()
+    ))
+    assert cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"scenario.{key} must be >= 1" in capsys.readouterr().err
 
 
 def test_carleson_constant_density_ratio():

@@ -92,11 +92,24 @@ def _nan_calls():
         "truncated_values_per_point": lambda: table.truncated_values_per_point(g, per_point),
         "lp_norm": lambda: sl.lp_norm(nu, g, math.nan),
         "cone_mesh": lambda: operators.cone_mesh(cone, math.nan, 3),
+        "bound_constants": lambda: sl.bound_constants(k, math.nan),
+        "measure_weight": lambda: sl.DiscreteMeasure(pts, [1.0, math.nan, 1.0, 1.0, 1.0], 0.1),
+        "measure_resolution": lambda: sl.DiscreteMeasure(pts, np.ones(5), math.nan),
+        "Ball": lambda: sl.Ball((0.0, 0.0), math.nan),
+        "Rectangle": lambda: sl.Rectangle((0.0, 0.0), (1.0, math.nan)),
+        "BallCap": lambda: sl.BallCap(math.nan, (0.0,)),
+        "SmoothBump": lambda: sl.SmoothBump(1.0, math.nan),
+        "Sawtooth_amplitude": lambda: sl.Sawtooth(math.nan, 0.5),
+        "Sawtooth_period": lambda: sl.Sawtooth(0.3, math.nan),
+        "ConeProfile": lambda: sl.ConeProfile(math.nan),
+        "RieszComponent_c0": lambda: sl.RieszComponent(2, 0, math.nan),
+        "OddHomogeneous_c1": lambda: sl.OddHomogeneous(2, (1, 0), None, math.nan),
     }
 
 
 @pytest.mark.parametrize("entry", sorted(_nan_calls()))
 def test_nan_parameter_rejected(entry):
+    # each guard is written `not x > 0` (or `>= 0`), which a NaN fails
     with pytest.raises(ValueError):
         _nan_calls()[entry]()
 
@@ -163,7 +176,7 @@ def test_maximal_batch_matches_scalar():
     nu, g = random_config(rng, 80)
     k = sl.RieszComponent(2, 1)
     pts = rng.points_in_box(25, [(-1, 1)] * 2)
-    batch = sl.maximal_batch(nu, k, g, pts)
+    batch = sl.TruncationTable(nu, k, pts).maximal_values(g)
     for i, x in enumerate(pts):
         assert batch[i] == sl.maximal(nu, k, g, x)
 
@@ -337,7 +350,7 @@ def test_double_truncated_separated_regions_eps_independent():
     left = sl.Ball((0.05, 0.0), 0.5)
     right = sl.Ball((5.05, 0.0), 0.5)
     vals = {
-        sl.double_truncated(mu, k, left, right, eps) for eps in (0.2, 0.5, 1.0, 2.0)
+        sl.double_truncated_stats(mu, k, left, right, eps).value for eps in (0.2, 0.5, 1.0, 2.0)
     }
     assert len(vals) == 1  # gap is ~4.9, all eps below it agree
 
@@ -347,8 +360,8 @@ def test_double_truncated_swap_antisymmetry():
     k = sl.RieszComponent(2, 1)
     a = sl.Ball((0.2, 0.2), 0.4)
     b = sl.Ball((0.7, 0.6), 0.5)
-    fwd = sl.double_truncated(mu, k, a, b, 0.05)
-    back = sl.double_truncated(mu, k, b, a, 0.05)
+    fwd = sl.double_truncated_stats(mu, k, a, b, 0.05).value
+    back = sl.double_truncated_stats(mu, k, b, a, 0.05).value
     scale = max(abs(fwd), abs(back), 1e-300)
     assert abs(fwd + back) / scale < 1e-12
 
@@ -501,7 +514,7 @@ def test_nontangential_max_bounded_by_cone_estimate():
     c = sl.bound_constants(kern, aperture)
     cone = sl.Cone(graph, (0.2,), aperture)
     x = cone.apex
-    h = lambda pts: sl.maximal_batch(nu, kern, gv, pts)
+    h = lambda pts: sl.TruncationTable(nu, kern, pts).maximal_values(gv)
     n_val = sl.nontangential_max(h, cone, 1.0, 4)
     tstar = sl.maximal(nu, kern, gv, x)
     mval = sl.hl_maximal(nu, gv, x).value

@@ -46,13 +46,6 @@ def pairing_oracle(mu, kernel, f, g, eps):
 # ---------------------------------------------------------------------------
 
 
-def test_simple_function_space_tag():
-    f = sl.SimpleFunction([(1.0, sl.Ball((0.0, 0.0), 1.0))])
-    assert f.space == "balls"
-    g = sl.SimpleFunction([(2.0, sl.Rectangle((0.0, 0.0), (1.0, 1.0)))])
-    assert g.space == "rectangles"
-
-
 def test_simple_function_rejects_mixed_shapes():
     with pytest.raises(ValueError):
         sl.SimpleFunction(
@@ -180,7 +173,7 @@ def test_i_decomposition_completeness():
     q = sl.Ball((-0.2, 0.0), 0.6)
     for eps in (0.3, 0.08):
         d = sl.i_decomposition(mu, k, p, q, eps)
-        direct = sl.double_truncated(mu, k, p, q, eps)
+        direct = sl.double_truncated_stats(mu, k, p, q, eps).value
         bound = max(d.pair_count, 1) * 2.0**-46 * max(d.max_abs_term, 1e-300)
         assert abs(d.total - direct) <= bound
 

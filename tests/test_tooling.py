@@ -3,16 +3,19 @@
 The traced benchmark wraps package functions by looking each one up
 in its owner's ``__dict__``; a refactor that moves or renames one of
 them would make the traced run raise, so every target is checked here.
-A module-level name that nothing else in the package uses is dead code.
+A module-level name that nothing else in the package uses is dead code,
+and a README example that names a removed entry point no longer runs.
 """
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
 PACKAGE = ROOT / "src" / "siolab"
+README = ROOT / "README.md"
 
 
 def _load_tracing():
@@ -67,3 +70,10 @@ def test_every_module_level_name_is_used_in_the_package():
         if name not in used and not (name.startswith("__") and name.endswith("__"))
     ]
     assert dead == []
+
+
+def test_readme_python_examples_run(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {})
