@@ -18,7 +18,7 @@ import os
 import sys
 
 from ..measure import save_measure
-from .config import ConfigError, load_config, build_measure
+from .config import ConfigError, build_measure, load_config, optional_graph
 from .scenarios import run_scenario
 
 EXIT_PASS = 0
@@ -82,12 +82,7 @@ def main(argv=None) -> int:
     if args.command == "build-measure":
         try:
             cfg = load_config(args.config)
-            graph = None
-            from .config import build_graph
-
-            if cfg.has("graph", "profile"):
-                graph = build_graph(cfg)
-            mu = build_measure(cfg, args.section, graph=graph)
+            mu = build_measure(cfg, args.section, graph=optional_graph(cfg))
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -4,14 +4,18 @@ The format is deliberately primitive: ``[section]`` headers, one
 ``key = value`` pair per line, lists comma-separated, ``#`` comments.
 Kernel selection reads the keys kernel.family / kernel.axis /
 kernel.exponents / kernel.c0 / kernel.c1; graphs and measures follow
-the same pattern (see README for the full schema).
+the same pattern.  The ``[scenario]`` keys of each scenario tag, with
+their kinds, defaults and ranges, are the ``Key`` tables of
+``harness.scenarios.SCENARIOS``, read by ``Config.read``.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .. import geometry, kernel as kernel_mod, measure
 
@@ -32,7 +36,8 @@ class Config:
     def has(self, section: str, key: str) -> bool:
         return key in self.sections.get(section, {})
 
-    def _raw(self, section: str, key: str, default):
+    def get_str(self, section: str, key: str, default=None) -> str:
+        """The raw text of [section].key, else ``default``; either is echoed."""
         sec = self.sections.get(section, {})
         if key not in sec:
             if default is REQUIRED:
@@ -43,41 +48,60 @@ class Config:
         self.echo[f"{section}.{key}"] = raw
         return raw
 
-    def get_str(self, section: str, key: str, default=None) -> str:
-        return self._raw(section, key, default)
-
-    def _parsed(self, section: str, key: str, default, convert, what: str):
-        """The value through ``convert``; defaults pass unconverted."""
-        val = self._raw(section, key, default)
+    def _parsed(self, section: str, key: str, default, kind: str):
+        """The value converted as ``kind`` (see ``_KINDS``); defaults pass unconverted."""
+        val = self.get_str(section, key, default)
         if not isinstance(val, str):
             return val
+        convert, what = _KINDS[kind]
         try:
             return convert(val)
         except ValueError as exc:
             raise ConfigError(f"{section}.{key} is not {what}: {val!r}") from exc
 
     def get_float(self, section: str, key: str, default=None) -> float:
-        return self._parsed(section, key, default, _finite, "a finite number")
+        return self._parsed(section, key, default, "float")
 
     def get_int(self, section: str, key: str, default=None) -> int:
-        return self._parsed(section, key, default, int, "an integer")
-
-    def get_bool(self, section: str, key: str, default=None) -> bool:
-        val = self._raw(section, key, default)
-        if isinstance(val, str):
-            low = val.strip().lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ConfigError(f"{section}.{key} is not a boolean: {val!r}")
-        return val
+        return self._parsed(section, key, default, "int")
 
     def get_floats(self, section: str, key: str, default=None) -> list[float]:
-        return list(self._parsed(section, key, default, _list_of(_finite), "a finite number list"))
+        return list(self._parsed(section, key, default, "floats"))
 
     def get_ints(self, section: str, key: str, default=None) -> list[int]:
-        return list(self._parsed(section, key, default, _list_of(int), "an integer list"))
+        return list(self._parsed(section, key, default, "ints"))
+
+    def read(self, section: str, keys: dict[str, Key], also=()) -> dict:
+        """The value of every key in the table ``keys`` and in the tables
+        its bool keys pick (``then``), converted, checked and echoed.  A
+        key of [section] that no table and not ``also`` lists is an error.
+        """
+        values = {}
+        pending = list(keys.items())
+        while pending:
+            key, spec = pending.pop(0)
+            if spec.default is None and not self.has(section, key):
+                values[key] = None  # the caller computes and echoes it
+                continue
+            value = self._parsed(section, key, spec.default, spec.kind)
+            items = list(value) if isinstance(value, (list, tuple)) else [value]
+            if not items:
+                raise ConfigError(f"{section}.{key} must not be empty")
+            for rule in filter(None, spec.rules.split(", ")):
+                op, _, bound = rule.partition(" ")
+                ok = sorted(items) == items if rule == "increasing" else all(
+                    _COMPARE[op](v, float(bound)) for v in items
+                )
+                if not ok:
+                    raise ConfigError(f"{section}.{key} must be {rule}")
+            values[key] = items if isinstance(value, (list, tuple)) else value
+            if spec.then:
+                pending += spec.then[value].items()
+        unknown = set(self.sections.get(section, {})) - set(values) - set(also)
+        if unknown:
+            known = ", ".join(sorted([*values, *also]))
+            raise ConfigError(f"unknown key {section}.{min(unknown)} (known: {known})")
+        return values
 
 
 class _Required:
@@ -96,6 +120,44 @@ def _finite(text: str) -> float:
 
 def _list_of(convert):
     return lambda text: [convert(v) for v in text.split(",") if v.strip()]
+
+
+def _bool(text: str) -> bool:
+    low = text.strip().lower()
+    if low in ("true", "yes", "1"):
+        return True
+    if low in ("false", "no", "0"):
+        return False
+    raise ValueError(f"{text!r} is not a boolean")
+
+
+_KINDS = {  # kind -> (converter of the raw text, what the text must be)
+    "int": (int, "an integer"),
+    "float": (_finite, "a finite number"),
+    "bool": (_bool, "a boolean"),
+    "ints": (_list_of(int), "an integer list"),
+    "floats": (_list_of(_finite), "a finite number list"),
+    "box": (_list_of(_finite), "a finite number list"),
+}
+
+
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+
+class Key(NamedTuple):
+    """One config key: its kind (a ``_KINDS`` name), default and rules.
+
+    ``default`` REQUIRED makes the key mandatory; None leaves an absent
+    key None, for the caller to compute and echo.  ``rules`` lists, comma
+    separated, ``increasing`` or inequalities such as ``>= 1`` that a
+    number, and each entry of a list, must meet; no list may be empty.
+    A bool key may bring in more keys by its value: ``then[value]``.
+    """
+
+    kind: str
+    default: object = None
+    rules: str = ""
+    then: dict | None = None
 
 
 def _fmt(value) -> str:
@@ -154,6 +216,11 @@ def build_kernel(cfg: Config, section: str = "kernel"):
     return kern
 
 
+def optional_graph(cfg: Config):
+    """The [graph] section's graph, or None where the config has none."""
+    return build_graph(cfg) if cfg.has("graph", "profile") else None
+
+
 def build_graph(cfg: Config, section: str = "graph"):
     dim = cfg.get_int(section, "dim", REQUIRED)
     profile_name = cfg.get_str(section, "profile", REQUIRED).lower()
@@ -181,13 +248,14 @@ def build_graph(cfg: Config, section: str = "graph"):
         raise ConfigError(f"invalid graph: {exc}") from exc
 
 
-def _parse_box(cfg: Config, section: str, dim: int, default=REQUIRED):
-    vals = cfg.get_floats(section, "box", default)
+def box_pairs(vals: list[float], dim: int, name: str) -> list[tuple[float, float]]:
+    """Per-axis (lo, hi), lo < hi: ``lo, hi`` for every axis, or one pair per axis."""
     if len(vals) == 2:
-        return [(vals[0], vals[1])] * dim
-    if len(vals) != 2 * dim:
-        raise ConfigError(f"{section}.box needs 2 or {2 * dim} numbers")
-    return [(vals[2 * i], vals[2 * i + 1]) for i in range(dim)]
+        vals = vals * dim
+    pairs = list(zip(vals[::2], vals[1::2]))
+    if len(vals) != 2 * dim or any(hi <= lo for lo, hi in pairs):
+        raise ConfigError(f"{name} needs 2 or {2 * dim} numbers, each lo below its hi")
+    return pairs
 
 
 def _parse_shape(cfg: Config, section: str):
@@ -207,10 +275,10 @@ def _parse_shape(cfg: Config, section: str):
 def build_measure_spec(cfg: Config, section: str, graph=None):
     kind = cfg.get_str(section, "kind", REQUIRED).lower()
     try:
+        if kind in ("graph_measure", "slab_above_graph"):
+            graph = graph if graph is not None else build_graph(cfg)
+            box = box_pairs(cfg.get_floats(section, "box", REQUIRED), graph.param_dim, f"{section}.box")
         if kind == "graph_measure":
-            if graph is None:
-                graph = build_graph(cfg)
-            box = _parse_box(cfg, section, graph.param_dim)
             return measure.GraphMeasureSpec(
                 graph, box,
                 cfg.get_int(section, "m", REQUIRED),
@@ -223,9 +291,6 @@ def build_measure_spec(cfg: Config, section: str, graph=None):
                 _parse_shape(cfg, section), cfg.get_int(section, "m", REQUIRED)
             )
         if kind == "slab_above_graph":
-            if graph is None:
-                graph = build_graph(cfg)
-            box = _parse_box(cfg, section, graph.param_dim)
             return measure.SlabAboveGraphSpec(
                 graph, box,
                 cfg.get_int(section, "m", REQUIRED),

@@ -21,6 +21,7 @@ import numpy as np
 from .. import kernel as kernel_mod
 from ..geometry import Ball, Cone, LipschitzGraph
 from ..measure import (
+    CANTOR_MAX_GENERATION,
     DiscreteMeasure,
     cantor_four_corners,
     concat,
@@ -41,7 +42,9 @@ from ..operators import (
     truncated_batch,
 )
 from ..pairing import CANCELLATION_FACTOR, SimpleFunction, convergence_study
-from .config import Config, ConfigError, REQUIRED, _parse_box, build_graph, build_kernel, build_measure
+from .config import (
+    REQUIRED, Config, ConfigError, Key, box_pairs, build_graph, build_kernel, build_measure, optional_graph,
+)
 from .report import ScenarioReport
 from .rng import Rng
 
@@ -65,43 +68,29 @@ def _chunks(rng: Rng, total: int, size: int) -> list[tuple[int, int]]:
     return [(min(size, total - s), rng.spawn(i).next_u64()) for i, s in enumerate(starts)]
 
 
-def _aperture(cfg: Config, graph: LipschitzGraph) -> float:
+def _or_default(cfg: Config, prm: dict, key: str, default):
+    """prm[key], or ``default`` (echoed) where the config leaves the key out."""
+    if prm[key] is None:
+        cfg.echo[f"scenario.{key}"] = str(default)
+        return default
+    return prm[key]
+
+
+def _aperture(cfg: Config, prm: dict, graph: LipschitzGraph) -> float:
     """scenario.aperture, default 2 max(1, Lip f); a cone needs L > max(1, Lip f)."""
     lip = graph.lip_declared
-    aperture = cfg.get_float("scenario", "aperture", 2.0 * max(1.0, lip))
+    aperture = _or_default(cfg, prm, "aperture", 2.0 * max(1.0, lip))
     if not (aperture > 1.0 and aperture > lip):
-        raise ConfigError("aperture L must exceed max(1, Lip(f))")
+        raise ConfigError("scenario.aperture: aperture L must exceed max(1, Lip(f))")
     return aperture
 
 
-def _count(cfg: Config, key: str, default: int) -> int:
-    """scenario.<key>, a count of at least 1."""
-    count = cfg.get_int("scenario", key, default)
-    if count < 1:
-        raise ConfigError(f"scenario.{key} must be >= 1")
-    return count
-
-
-def _resolutions(cfg: Config) -> list[int]:
-    resolutions = cfg.get_ints("scenario", "resolutions", REQUIRED)
-    if sorted(resolutions) != resolutions:
-        raise ConfigError("resolutions must be increasing")
-    return resolutions
-
-
-def _floor_factor(cfg: Config) -> float:
-    floor_factor = cfg.get_float("scenario", "floor_factor", 4.0)
-    if floor_factor < 4.0:
-        raise ConfigError("floor_factor must be >= 4 (resolution floor)")
-    return floor_factor
-
-
-def _schedule_ends(cfg: Config, mu: DiscreteMeasure) -> tuple[float, float]:
+def _schedule_ends(cfg: Config, prm: dict, mu: DiscreteMeasure) -> tuple[float, float]:
     """(eps0, floor_factor * h), eps0 above that floor; eps0 defaults to diam / 4."""
-    eps0 = cfg.get_float("scenario", "eps0", mu.bounding_diameter() / 4.0)
-    eps_min = _floor_factor(cfg) * mu.resolution
+    eps0 = _or_default(cfg, prm, "eps0", mu.bounding_diameter() / 4.0)
+    eps_min = prm["floor_factor"] * mu.resolution
     if eps0 <= eps_min:
-        raise ConfigError("eps0 must exceed the schedule floor")
+        raise ConfigError("scenario.eps0 must exceed the schedule floor")
     return eps0, eps_min
 
 
@@ -146,14 +135,10 @@ def random_nonzero_density(rng: Rng, nu: DiscreteMeasure, box):
 # ---------------------------------------------------------------------------
 
 
-def scenario_kernel_validation(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_kernel_validation(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     kern = build_kernel(cfg)
-    samples = cfg.get_int("scenario", "samples", 2000)
     report = ScenarioReport("kernel_validation", {})
-    try:
-        result = kernel_mod.validate(kern, rng, samples)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = kernel_mod.validate(kern, rng, prm["samples"])
     report.add_table(
         "metrics",
         ["metric", "value", "declared", "ok"],
@@ -212,10 +197,10 @@ def _cone_chunk(args):
     return int(np.sum(slack < -1e-12)), float(np.min(slack))
 
 
-def scenario_cone_separation(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_cone_separation(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
-    aperture = _aperture(cfg, graph)
-    samples = _count(cfg, "samples", 100_000)
+    aperture = _aperture(cfg, prm, graph)
+    samples = prm["samples"]
     box = [(-1.0, 1.0)] * graph.param_dim
     tasks = [(graph, aperture, box, n, seed) for n, seed in _chunks(rng, samples, _POINT_CHUNK * 8)]
     results = _pmap(_cone_chunk, tasks, threads)
@@ -263,14 +248,12 @@ def _lemma_l2_batch(args):
     return int(np.sum(slack < -1e-9)), float(np.min(slack)), count
 
 
-def scenario_lemma_l2(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
     if kern.ambient_dim != graph.ambient_dim:
         raise ConfigError("kernel and graph dimensions differ")
-    aperture = _aperture(cfg, graph)
-    tuples = _count(cfg, "tuples", 10_000)
-    per_batch = _count(cfg, "tuples_per_batch", 500)
+    aperture = _aperture(cfg, prm, graph)
     nu = build_measure(cfg, "nu", graph=graph)
     if nu.ambient_dim != graph.ambient_dim:
         raise ConfigError("nu dimension does not match the graph")
@@ -280,7 +263,7 @@ def scenario_lemma_l2(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
 
     tasks = [
         (nu, kern, graph, aperture, consts.d1, consts.d2, n, seed)
-        for n, seed in _chunks(rng, tuples, per_batch)
+        for n, seed in _chunks(rng, prm["tuples"], prm["tuples_per_batch"])
     ]
     results = _pmap(_lemma_l2_batch, tasks, threads)
     violations = sum(r[0] for r in results)
@@ -289,7 +272,7 @@ def scenario_lemma_l2(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
     report.add_table(
         "metrics",
         ["tuples", "violations", "worst_relative_slack", "d1", "d2", "c_n"],
-        [[tuples, violations, worst, consts.d1, consts.d2, consts.c_n]],
+        [[prm["tuples"], violations, worst, consts.d1, consts.d2, consts.c_n]],
     )
     report.add_verdict("cone_estimates", violations == 0, f"worst slack {worst:.3e}")
     return report
@@ -300,29 +283,23 @@ def scenario_lemma_l2(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
 # ---------------------------------------------------------------------------
 
 
-def scenario_pv_convergence(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
-    resolutions = _resolutions(cfg)
-    box = _parse_box(cfg, "scenario", graph.param_dim, [-1.0, 1.0])
-    params = cfg.get_floats("scenario", "points", [-0.35, 0.15, 0.55])
-    floor_factor = _floor_factor(cfg)
-    eps0 = cfg.get_float("scenario", "eps0", 0.0) or None
-    tol = cfg.get_float("scenario", "tolerance", 1e-2)
-    noise = cfg.get_float("scenario", "noise_factor", 1.1)
-    shift = cfg.get_float("scenario", "shift", 0.0)
+    box = box_pairs(prm["box"], graph.param_dim, "scenario.box")
+    eps0 = prm["eps0"] or None
 
     from ..measure import graph_measure
 
     rows = []
     max_tails: list[float] = []
     max_scales: list[float] = []
-    for m in resolutions:
-        sigma = graph_measure(graph, box, m, shift)
+    for m in prm["resolutions"]:
+        sigma = graph_measure(graph, box, m, prm["shift"])
         graph_u = graph.to_graph_frame(sigma.positions)[:, :-1]
         m_tail = 0.0
         m_scale = 0.0
-        for p_idx, u in enumerate(params):
+        for p_idx, u in enumerate(prm["points"]):
             # evaluate at the support point (atom) nearest the requested
             # parameter; almost-every-point existence is sampled on the
             # support itself
@@ -330,7 +307,7 @@ def scenario_pv_convergence(cfg: Config, rng: Rng, threads: int) -> ScenarioRepo
             i = int(np.argmin(np.linalg.norm(graph_u - target, axis=1)))
             x = sigma.positions[i]
             try:
-                res = pv_estimate(sigma, kern, x, eps0=eps0, floor_factor=floor_factor)
+                res = pv_estimate(sigma, kern, x, eps0=eps0, floor_factor=prm["floor_factor"])
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             scale = max(abs(v) for v in res.values)
@@ -347,6 +324,8 @@ def scenario_pv_convergence(cfg: Config, rng: Rng, threads: int) -> ScenarioRepo
         rows,
     )
     # the scenario tail is the worst over its evaluation points
+    tol = prm["tolerance"]
+    noise = prm["noise_factor"]
     finest_ok = max_tails[-1] <= tol * max_scales[-1]
     shrink_ok = all(
         b <= noise * a + 1e-14 * s
@@ -372,24 +351,28 @@ def _simple_function_from(cfg: Config, section: str, rng: Rng, box) -> SimpleFun
         return random_simple_function(rng.spawn(stream), box)
     if mode == "ball":
         center = tuple(cfg.get_floats(section, "center", REQUIRED))
+        if len(center) != len(box):
+            raise ConfigError(f"{section}.center needs {len(box)} numbers")
         radius = cfg.get_float(section, "radius", REQUIRED)
         coef = cfg.get_float(section, "coef", 1.0)
-        return SimpleFunction([(coef, Ball(center, radius))])
+        try:
+            ball = Ball(center, radius)
+        except ValueError as exc:
+            raise ConfigError(f"invalid ball in [{section}]: {exc}") from exc
+        return SimpleFunction([(coef, ball)])
     raise ConfigError(f"unknown simple-function mode {mode!r} in [{section}]")
 
 
-def scenario_weak_pairing(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_weak_pairing(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     kern = build_kernel(cfg)
-    graph = build_graph(cfg) if cfg.has("graph", "profile") else None
-    mu = build_measure(cfg, "mu", graph=graph)
+    mu = build_measure(cfg, "mu", graph=optional_graph(cfg))
     box = mu.bounding_box()
     f = _simple_function_from(cfg, "f", rng, box)
     g = _simple_function_from(cfg, "g", rng, box)
-    eps0, eps_min = _schedule_ends(cfg, mu)
+    eps0, eps_min = _schedule_ends(cfg, prm, mu)
     points = max(8, int(math.floor(math.log2(eps0 / eps_min))) + 1)
     ratio = (eps_min / eps0) ** (1.0 / (points - 1))
     schedule = [eps0 * ratio**k for k in range(points)]
-    tol = cfg.get_float("scenario", "tolerance", 1e-3)
 
     trace = convergence_study(mu, kern, f, g, schedule)
     scale = max(abs(v) for v in trace.values)
@@ -418,7 +401,7 @@ def scenario_weak_pairing(cfg: Config, rng: Rng, threads: int) -> ScenarioReport
         rows,
     )
     # a tail below the arithmetic noise floor counts as exact cancellation
-    allowance = max(tol * scale, trace.cancellation_noise)
+    allowance = max(prm["tolerance"] * scale, trace.cancellation_noise)
     report.add_verdict(
         "cauchy_tail",
         trace.cauchy_tail <= allowance,
@@ -432,21 +415,17 @@ def scenario_weak_pairing(cfg: Config, rng: Rng, threads: int) -> ScenarioReport
 # ---------------------------------------------------------------------------
 
 
-def scenario_cantor_growth(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
-    generations = cfg.get_ints("scenario", "generations", [3, 4, 5])
-    centers_count = _count(cfg, "centers", 200)
-    radii_count = _count(cfg, "radii", 50)
-    stability = cfg.get_float("scenario", "stability_factor", 1.2)
+def scenario_cantor_growth(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     rows = []
     estimates = []
-    for gen in generations:
+    for gen in prm["generations"]:
         mu = cantor_four_corners(gen)
         idx = np.minimum(
-            (rng.uniforms(centers_count) * mu.count).astype(int), mu.count - 1
+            (rng.uniforms(prm["centers"]) * mu.count).astype(int), mu.count - 1
         )
         centers = mu.positions[idx]
         radii = np.exp(
-            np.linspace(math.log(mu.resolution), math.log(2.0), radii_count)
+            np.linspace(math.log(mu.resolution), math.log(2.0), prm["radii"])
         )
         radii = np.maximum(radii, mu.resolution)  # exp/log round-trip guard
         c = growth_constant(mu, centers, radii)
@@ -454,6 +433,7 @@ def scenario_cantor_growth(cfg: Config, rng: Rng, threads: int) -> ScenarioRepor
         estimates.append(c)
     report = ScenarioReport("cantor_growth", {})
     report.add_table("metrics", ["generation", "atoms", "growth_constant"], rows)
+    stability = prm["stability_factor"]
     stable = all(
         max(b / a, a / b) <= stability for a, b in zip(estimates, estimates[1:])
     )
@@ -498,17 +478,13 @@ class _ConstantDensity:
         return np.full(len(np.atleast_2d(pts)), self.value)
 
 
-def scenario_carleson(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_carleson(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
-    resolutions = _resolutions(cfg)
-    box = _parse_box(cfg, "scenario", graph.param_dim, [-1.0, 1.0])
-    thickness = cfg.get_float("scenario", "thickness", 0.5)
-    levels = _count(cfg, "levels", 8)
-    p = cfg.get_float("scenario", "p", 2.0)
-    aperture = _aperture(cfg, graph)
-    height = cfg.get_float("scenario", "height_cap", 2.0 * thickness)
-    depth = _count(cfg, "mesh_depth", 4)
-    growth_cap = cfg.get_float("scenario", "growth_factor", 1.5)
+    box = box_pairs(prm["box"], graph.param_dim, "scenario.box")
+    thickness = prm["thickness"]
+    p = prm["p"]
+    aperture = _aperture(cfg, prm, graph)
+    height = _or_default(cfg, prm, "height_cap", 2.0 * thickness)
 
     mid = graph.points_on_graph(np.zeros(graph.param_dim))[0]
     densities = [
@@ -522,8 +498,8 @@ def scenario_carleson(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
 
     rows = []
     ratios: dict[str, list[float]] = {name: [] for name, _ in densities}
-    for m in resolutions:
-        mu = slab_above_graph(graph, box, m, thickness, levels)
+    for m in prm["resolutions"]:
+        mu = slab_above_graph(graph, box, m, thickness, prm["levels"])
         sigma = graph_measure(graph, box, m)
         sigma_u = graph.to_graph_frame(sigma.positions)[:, :-1]
         for name, g in densities:
@@ -531,7 +507,7 @@ def scenario_carleson(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
             n_vals = np.empty(sigma.count)
             for i, u in enumerate(sigma_u):
                 cone = Cone(graph, tuple(u.tolist()), aperture)
-                n_vals[i] = nontangential_max(g, cone, height, depth)
+                n_vals[i] = nontangential_max(g, cone, height, prm["mesh_depth"])
             rhs = lp_norm(sigma, n_vals, p) ** p
             ratio = lhs / rhs if rhs > 0 else math.nan
             rows.append([m, name, lhs, rhs, ratio])
@@ -540,6 +516,7 @@ def scenario_carleson(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
 
     report = ScenarioReport("carleson", {})
     report.add_table("metrics", ["resolution", "density", "lhs", "rhs", "ratio"], rows)
+    growth_cap = prm["growth_factor"]
     bounded = _growth_bounded(ratios.values(), growth_cap)
     report.add_verdict("embedding_ratio_bounded", bounded, f"growth cap {growth_cap:g}")
     return report
@@ -583,22 +560,19 @@ def _ratio_table(nu, mu, kern, p_list, densities, threads):
     return out
 
 
-def scenario_separated_boundedness(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     kern = build_kernel(cfg)
-    p_list = cfg.get_floats("scenario", "p", [1.5, 2.0, 3.0])
-    control = cfg.get_bool("scenario", "control", False)
-    growth_cap = cfg.get_float("scenario", "growth_factor", 1.5)
+    p_list = prm["p"]
+    n_g = prm["random_functions"]
 
     report = ScenarioReport("separated_boundedness", {})
     rows = []
-    if control:
+    if prm["control"]:
         # negative control: mu = nu = four-corners Cantor, same side;
         # the ratio is expected to grow with the generation (reported,
         # no pass criterion).  Its full-support density is always there,
         # so random_functions may be 0.
-        n_g = cfg.get_int("scenario", "random_functions", 50)
-        generations = cfg.get_ints("scenario", "generations", [3, 4, 5, 6])
-        for gen in generations:
+        for gen in prm["generations"]:
             nu = cantor_four_corners(gen)
             densities = _control_densities(rng, nu, n_g)
             ratios = _ratio_table(nu, nu, kern, p_list, densities, threads)
@@ -608,11 +582,9 @@ def scenario_separated_boundedness(cfg: Config, rng: Rng, threads: int) -> Scena
         report.add_verdict("control_reported", True, "negative control, no pass criterion")
         return report
 
-    n_g = _count(cfg, "random_functions", 50)
     graph = build_graph(cfg)
-    resolutions = _resolutions(cfg)
     per_p = {p: [] for p in p_list}
-    for m in resolutions:
+    for m in prm["resolutions"]:
         nu = build_measure(_with_m(cfg, "nu", m), "nu", graph=graph)
         mu = build_measure(_with_m(cfg, "mu", m), "mu", graph=graph)
         if nu.count == 0 or mu.count == 0:
@@ -627,6 +599,7 @@ def scenario_separated_boundedness(cfg: Config, rng: Rng, threads: int) -> Scena
             rows.append([m, p, ratios[p]])
             per_p[p].append(ratios[p])
     report.add_table("ratios", ["resolution", "p", "max_ratio"], rows)
+    growth_cap = prm["growth_factor"]
     stable = _growth_bounded(per_p.values(), growth_cap)
     report.add_verdict("ratio_stable", stable, f"growth cap {growth_cap:g} per refinement")
     return report
@@ -664,7 +637,7 @@ def _control_densities(rng: Rng, nu: DiscreteMeasure, count: int):
 # ---------------------------------------------------------------------------
 
 
-def scenario_double_integral(cfg: Config, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_double_integral(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
     mu = build_measure(cfg, "mu", graph=graph)
@@ -673,10 +646,9 @@ def scenario_double_integral(cfg: Config, rng: Rng, threads: int) -> ScenarioRep
     on, above, below = split_by_graph(mu, graph)
     outer = concat([above, on]) if on.count else above
 
-    schedule = geometric_schedule(*_schedule_ends(cfg, mu))
+    schedule = geometric_schedule(*_schedule_ends(cfg, prm, mu))
     if len(schedule) < 4:
         raise ConfigError("schedule shorter than 4 entries")
-    tol = cfg.get_float("scenario", "tolerance", 1e-2)
 
     inner_lower = concat([below, on]) if on.count else below
     forward = pair_sum_schedule(
@@ -700,7 +672,7 @@ def scenario_double_integral(cfg: Config, rng: Rng, threads: int) -> ScenarioRep
     scale = max(abs(v) for v in values)
     report = ScenarioReport("double_integral", {})
     report.add_table("trace", ["eps", "value", "mirror_value"], rows)
-    allowance = max(tol * scale, noise)
+    allowance = max(prm["tolerance"] * scale, noise)
     report.add_verdict(
         "cauchy_tail",
         tail <= allowance,
@@ -715,21 +687,94 @@ def scenario_double_integral(cfg: Config, rng: Rng, threads: int) -> ScenarioRep
 # ---------------------------------------------------------------------------
 
 
+_APERTURE = Key("float")  # default 2 max(1, Lip f); must exceed max(1, Lip f)
+_EPS0 = Key("float")  # default diam(mu) / 4; must exceed floor_factor * h
+_FLOOR_FACTOR = Key("float", 4.0, ">= 4")
+_GROWTH_FACTOR = Key("float", 1.5, ">= 1")
+_RESOLUTIONS = Key("ints", REQUIRED, ">= 1, increasing")
+_BOX = Key("box", (-1.0, 1.0))
+
+# tag -> (scenario, its [scenario] keys); every tag also takes tag and seed
 SCENARIOS = {
-    "kernelvalidation": scenario_kernel_validation,
-    "coneseparation": scenario_cone_separation,
-    "lemmal2check": scenario_lemma_l2,
-    "pvconvergence": scenario_pv_convergence,
-    "weakpairing": scenario_weak_pairing,
-    "cantorgrowth": scenario_cantor_growth,
-    "carlesonembedding": scenario_carleson,
-    "separatedboundedness": scenario_separated_boundedness,
-    "doubleintegralconvergence": scenario_double_integral,
+    "kernelvalidation": (scenario_kernel_validation, {
+        "samples": Key("int", 2000, ">= 1"),
+    }),
+    "coneseparation": (scenario_cone_separation, {
+        "aperture": _APERTURE,
+        "samples": Key("int", 100_000, ">= 1"),
+    }),
+    "lemmal2check": (scenario_lemma_l2, {
+        "aperture": _APERTURE,
+        "tuples": Key("int", 10_000, ">= 1"),
+        "tuples_per_batch": Key("int", 500, ">= 1"),
+    }),
+    "pvconvergence": (scenario_pv_convergence, {
+        "resolutions": _RESOLUTIONS,
+        "box": _BOX,
+        "points": Key("floats", (-0.35, 0.15, 0.55)),
+        "floor_factor": _FLOOR_FACTOR,
+        "eps0": Key("float", 0.0, ">= 0"),  # 0: diam(sigma) / 4
+        "tolerance": Key("float", 1e-2, "> 0"),
+        "noise_factor": Key("float", 1.1, ">= 1"),
+        "shift": Key("float", 0.0),
+    }),
+    "weakpairing": (scenario_weak_pairing, {
+        "eps0": _EPS0,
+        "floor_factor": _FLOOR_FACTOR,
+        "tolerance": Key("float", 1e-3, "> 0"),
+    }),
+    "cantorgrowth": (scenario_cantor_growth, {
+        "generations": Key("ints", (3, 4, 5), f">= 0, <= {CANTOR_MAX_GENERATION}"),
+        "centers": Key("int", 200, ">= 1"),
+        "radii": Key("int", 50, ">= 1"),
+        "stability_factor": Key("float", 1.2, ">= 1"),
+    }),
+    "carlesonembedding": (scenario_carleson, {
+        "resolutions": _RESOLUTIONS,
+        "box": _BOX,
+        "thickness": Key("float", 0.5, "> 0"),
+        "levels": Key("int", 8, ">= 1"),
+        "p": Key("float", 2.0, ">= 1"),
+        "aperture": _APERTURE,
+        "height_cap": Key("float", None, "> 0"),  # default 2 thickness
+        "mesh_depth": Key("int", 4, ">= 1"),
+        "growth_factor": _GROWTH_FACTOR,
+    }),
+    "separatedboundedness": (scenario_separated_boundedness, {
+        "p": Key("floats", (1.5, 2.0, 3.0), "> 1"),
+        "control": Key("bool", False, then={
+            False: {
+                "random_functions": Key("int", 50, ">= 1"),
+                "resolutions": _RESOLUTIONS,
+            },
+            True: {  # the control always has its full-support density
+                "random_functions": Key("int", 50, ">= 0"),
+                "generations": Key("ints", (3, 4, 5, 6), f">= 0, <= {CANTOR_MAX_GENERATION}"),
+            },
+        }),
+        "growth_factor": _GROWTH_FACTOR,
+    }),
+    "doubleintegralconvergence": (scenario_double_integral, {
+        "eps0": _EPS0,
+        "floor_factor": _FLOOR_FACTOR,
+        "tolerance": Key("float", 1e-2, "> 0"),
+    }),
 }
 
 
 def available_scenarios() -> list[str]:
     return sorted(SCENARIOS)
+
+
+def read_scenario(cfg: Config):
+    """(scenario function, its [scenario] values): the tag's key table
+    read once, every value converted, range-checked and echoed."""
+    tag = cfg.get_str("scenario", "tag", REQUIRED)
+    key = tag.lower().replace("_", "").replace("-", "")
+    if key not in SCENARIOS:
+        raise ConfigError(f"unknown scenario tag {tag!r}")
+    scenario, keys = SCENARIOS[key]
+    return scenario, cfg.read("scenario", keys, also=("tag", "seed"))
 
 
 def run_scenario(
@@ -739,14 +784,11 @@ def run_scenario(
     out_dir: str | None = None,
 ) -> ScenarioReport:
     """Run the configured scenario; deterministic given (config, seed)."""
-    tag = cfg.get_str("scenario", "tag", REQUIRED)
-    key = tag.lower().replace("_", "").replace("-", "")
-    if key not in SCENARIOS:
-        raise ConfigError(f"unknown scenario tag {tag!r}")
+    scenario, prm = read_scenario(cfg)
     seed = seed_override if seed_override is not None else cfg.get_int("scenario", "seed", 0)
     cfg.echo["scenario.seed"] = str(seed)
     start = time.perf_counter()
-    report = SCENARIOS[key](cfg, Rng(seed), threads)
+    report = scenario(cfg, prm, Rng(seed), threads)
     report.runtime_seconds = time.perf_counter() - start
     report.config_echo = dict(cfg.echo)
     if out_dir is not None:

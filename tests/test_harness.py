@@ -16,6 +16,7 @@ from siolab.harness import (
 )
 from siolab.harness.cli import EXIT_CONFIG, main as cli_main
 from siolab.harness.report import fmt_value
+from siolab.harness.scenarios import read_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -491,3 +492,121 @@ def test_cli_failing_verdict_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "k.cfg"
     cfg_path.write_text("[kernel]\nfamily = riesz\ndim = 2\nc0 = 0.5\n")
     assert cli_main(["validate-kernel", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+
+
+# ---------------------------------------------------------------------------
+# [scenario] key tables
+# ---------------------------------------------------------------------------
+
+
+def _cli_run(tmp_path, cfg) -> int:
+    """Exit code of ``siolab run`` on the config dict ``cfg``."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for name, kv in cfg.items()
+    ))
+    return cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+
+
+_CARLESON = {"graph": _FLAT, "scenario": {"tag": "CarlesonEmbedding", "resolutions": "8, 16"}}
+_SEPARATED = {**_COUNT_SECTIONS["SeparatedBoundedness"],
+              "scenario": {"tag": "SeparatedBoundedness", "resolutions": "8, 16"}}
+_CONTROL = {"kernel": _RIESZ, "scenario": {"tag": "SeparatedBoundedness", "control": "true"}}
+_PV = {"graph": _FLAT, "kernel": _RIESZ, "scenario": {"tag": "PVConvergence", "resolutions": "64"}}
+_KERNEL = {"kernel": _RIESZ, "scenario": {"tag": "KernelValidation"}}
+_CANTOR_GROWTH = {"scenario": {"tag": "CantorGrowth"}}
+
+
+def _with(base, **keys):
+    return {**base, "scenario": {**base["scenario"], **keys}}
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        pytest.param(_with(_CARLESON, p="0.5"), "p", id="carleson-p"),
+        pytest.param(_with(_CARLESON, thickness="0"), "thickness", id="carleson-thickness"),
+        pytest.param(_with(_CARLESON, height_cap="0"), "height_cap", id="carleson-height_cap"),
+        pytest.param(_with(_CARLESON, resolutions="0, 8"), "resolutions", id="carleson-resolution_0"),
+        pytest.param(_with(_CARLESON, box="1, -1"), "box", id="carleson-box_reversed"),
+        pytest.param(_with(_SEPARATED, p="0.5"), "p", id="separated-p_below_1"),
+        pytest.param(_with(_SEPARATED, p="2, 1"), "p", id="separated-p_1"),
+        pytest.param(_with(_CANTOR_GROWTH, generations="11"), "generations", id="cantor-generation_11"),
+        pytest.param(_with(_PV, resolutions=""), "resolutions", id="pv-empty_resolutions"),
+        pytest.param(_with(_PV, points=""), "points", id="pv-empty_points"),
+        pytest.param(_with(_PV, box="-1, 1, 0"), "box", id="pv-box_odd"),
+        pytest.param(_with(_CANTOR_GROWTH, generations=""), "generations", id="cantor-empty_generations"),
+        pytest.param(_with(_SEPARATED, p=""), "p", id="separated-empty_p"),
+        pytest.param(_with(_SEPARATED, resolutions=""), "resolutions", id="separated-empty_resolutions"),
+        pytest.param(_with(_CONTROL, generations=""), "generations", id="control-empty_generations"),
+        pytest.param(_with(_CONTROL, random_functions="-1"), "random_functions",
+                     id="control-negative_random_functions"),
+        pytest.param(_with(_CONTROL, resolutions="8"), "resolutions", id="control-resolutions"),
+        pytest.param(_with(_KERNEL, samples="0"), "samples", id="kernel-samples_0"),
+        pytest.param(_with(_KERNEL, samples="-5"), "samples", id="kernel-samples_negative"),
+        pytest.param(_with(_weak_pairing({}), tolerence="1e-9"), "tolerence", id="weak_pairing-misspelt"),
+    ],
+)
+def test_cli_scenario_key_out_of_schema_is_a_config_error(tmp_path, capsys, cfg, key):
+    assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
+    assert f"scenario.{key}" in capsys.readouterr().err
+
+
+# the benchmark's WeakPairing config: a ball of mu in 2-D, fixed f and g
+_BALL_MU = {"kind": "uniform_on_shape", "shape": "ball", "center": "0, 0", "radius": "1", "m": "60"}
+
+
+@pytest.mark.parametrize(
+    "section, ball, message",
+    [
+        ("f", {"radius": "0"}, "[f]"),
+        ("g", {"radius": "-1"}, "[g]"),
+        ("f", {"center": "0, 0, 0"}, "f.center"),
+        ("g", {"center": "0.5"}, "g.center"),
+    ],
+)
+def test_cli_bad_simple_function_ball_is_a_config_error(tmp_path, capsys, section, ball, message):
+    cfg = {
+        "scenario": {"tag": "WeakPairing", "tolerance": "0.1"},
+        "kernel": _RIESZ,
+        "mu": _BALL_MU,
+        "f": {"mode": "ball", "center": "0.2, 0.1", "radius": "0.5"},
+        "g": {"mode": "ball", "center": "-0.1, 0.2", "radius": "0.6"},
+    }
+    cfg[section] = {**cfg[section], **ball}
+    assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and next(iter(ball)) in err
+
+
+def test_schema_echo_and_computed_defaults():
+    cfg = config_from_dict(_with(_CARLESON, p="3"))
+    _, values = read_scenario(cfg)
+    assert values["p"] == 3.0 and values["resolutions"] == [8, 16]
+    assert values["aperture"] is None and values["height_cap"] is None  # computed later
+    assert cfg.echo["scenario.p"] == "3" and cfg.echo["scenario.levels"] == "8"
+    assert "scenario.aperture" not in cfg.echo
+    rep = run_scenario(config_from_dict(_with(_CARLESON, thickness="0.25")))
+    assert rep.config_echo["scenario.aperture"] == "2.0"
+    assert rep.config_echo["scenario.height_cap"] == "0.5"  # 2 thickness
+
+
+def test_schema_control_switch_picks_its_keys():
+    _, values = read_scenario(config_from_dict(_with(_CONTROL, random_functions="0")))
+    assert values["random_functions"] == 0 and values["generations"] == [3, 4, 5, 6]
+    assert "resolutions" not in values
+    _, values = read_scenario(config_from_dict(_SEPARATED))
+    assert "generations" not in values and values["control"] is False
+    with pytest.raises(ConfigError, match="scenario.control is not a boolean"):
+        read_scenario(config_from_dict(_with(_SEPARATED, control="maybe")))
+
+
+def test_cli_build_measure_uses_the_optional_graph(tmp_path):
+    cfg_path = tmp_path / "m.cfg"
+    cfg_path.write_text(
+        "[graph]\nprofile = sawtooth\ndim = 2\namplitude = 0.3\nperiod = 0.5\n"
+        "[nu]\nkind = graph_measure\nbox = -1, 1\nm = 32\nshift = -1\n"
+    )
+    out = tmp_path / "nu.txt"
+    assert cli_main(["build-measure", str(cfg_path), "--out", str(out), "--section", "nu"]) == 0
+    assert sl.load_measure(out).count == 32

@@ -5,6 +5,8 @@ in its owner's ``__dict__``; a refactor that moves or renames one of
 them would make the traced run raise, so every target is checked here.
 A module-level name that nothing else in the package uses is dead code,
 and a README example that names a removed entry point no longer runs.
+The benchmark's configs and the README's key table must both agree with
+the ``[scenario]`` key tables.
 """
 
 import ast
@@ -14,19 +16,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 PACKAGE = ROOT / "src" / "siolab"
 README = ROOT / "README.md"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_targets_are_bound_on_their_owners():
-    targets = _load_tracing()._targets()
+    targets = _load("perfbench_tracing", TRACING)._targets()
     assert targets
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
@@ -77,3 +80,44 @@ def test_readme_python_examples_run(capsys):
     assert blocks
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), {})
+
+
+def test_benchmark_configs_pass_the_scenario_schema():
+    # a key the schema rejects would otherwise fail only the benchmark run
+    from siolab.harness import config_from_dict
+    from siolab.harness.scenarios import read_scenario
+
+    workloads = _load("perfbench_workloads", WORKLOADS)
+    checked = 0
+    for workload in workloads.WORKLOADS:
+        for name, cfg in workloads.configs(workload, 0):
+            _, values = read_scenario(config_from_dict(cfg))
+            assert set(cfg["scenario"]) - {"tag", "seed"} <= set(values), name
+            checked += 1
+    assert checked > 0
+
+
+def _schema_rows(keys):
+    """(key, Key) of a key table and of the tables its bool keys bring in."""
+    for key, spec in keys.items():
+        yield key, spec
+        for more in (spec.then or {}).values():
+            yield from _schema_rows(more)
+
+
+def test_readme_lists_every_scenario_key():
+    from siolab.harness.config import REQUIRED, _fmt
+    from siolab.harness.scenarios import SCENARIOS
+
+    rows = re.findall(r"^\| (\w+) \| `(\w+)` \| (\w+) \| ([^|]*?) \| ([^|]*?) \|$", README.read_text(), re.M)
+    readme = [(tag.lower(), key, kind, default, limits.split("; ")[0]) for tag, key, kind, default, limits in rows]
+    schema = [(tag, key, spec) for tag, (_, keys) in SCENARIOS.items() for key, spec in _schema_rows(keys)]
+    assert {row[:3] for row in readme} == {(tag, key, spec.kind) for tag, key, spec in schema}
+    for tag, key, spec in schema:
+        default = "required" if spec.default is REQUIRED else None if spec.default is None else _fmt(spec.default)
+        assert any(
+            row[:3] == (tag, key, spec.kind)
+            and default in (None, row[3])
+            and spec.rules in ("", row[4])
+            for row in readme
+        ), (tag, key)
