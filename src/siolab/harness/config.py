@@ -6,16 +6,14 @@ Kernel selection reads the keys kernel.family / kernel.axis /
 kernel.exponents / kernel.c0 / kernel.c1; graphs and measures follow
 the same pattern.  The ``[scenario]`` keys of each scenario tag, with
 their kinds, defaults and ranges, are the ``Key`` tables of
-``harness.scenarios.SCENARIOS``, read by ``Config.read``.
+``harness.scenarios.SCENARIOS``, read by ``scenarios.read_scenario``.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .. import geometry, kernel as kernel_mod, measure
 
@@ -48,7 +46,7 @@ class Config:
         self.echo[f"{section}.{key}"] = raw
         return raw
 
-    def _parsed(self, section: str, key: str, default, kind: str):
+    def get_as(self, section: str, key: str, default, kind: str):
         """The value converted as ``kind`` (see ``_KINDS``); defaults pass unconverted."""
         val = self.get_str(section, key, default)
         if not isinstance(val, str):
@@ -60,48 +58,16 @@ class Config:
             raise ConfigError(f"{section}.{key} is not {what}: {val!r}") from exc
 
     def get_float(self, section: str, key: str, default=None) -> float:
-        return self._parsed(section, key, default, "float")
+        return self.get_as(section, key, default, "float")
 
     def get_int(self, section: str, key: str, default=None) -> int:
-        return self._parsed(section, key, default, "int")
+        return self.get_as(section, key, default, "int")
 
     def get_floats(self, section: str, key: str, default=None) -> list[float]:
-        return list(self._parsed(section, key, default, "floats"))
+        return list(self.get_as(section, key, default, "floats"))
 
     def get_ints(self, section: str, key: str, default=None) -> list[int]:
-        return list(self._parsed(section, key, default, "ints"))
-
-    def read(self, section: str, keys: dict[str, Key], also=()) -> dict:
-        """The value of every key in the table ``keys`` and in the tables
-        its bool keys pick (``then``), converted, checked and echoed.  A
-        key of [section] that no table and not ``also`` lists is an error.
-        """
-        values = {}
-        pending = list(keys.items())
-        while pending:
-            key, spec = pending.pop(0)
-            if spec.default is None and not self.has(section, key):
-                values[key] = None  # the caller computes and echoes it
-                continue
-            value = self._parsed(section, key, spec.default, spec.kind)
-            items = list(value) if isinstance(value, (list, tuple)) else [value]
-            if not items:
-                raise ConfigError(f"{section}.{key} must not be empty")
-            for rule in filter(None, spec.rules.split(", ")):
-                op, _, bound = rule.partition(" ")
-                ok = sorted(items) == items if rule == "increasing" else all(
-                    _COMPARE[op](v, float(bound)) for v in items
-                )
-                if not ok:
-                    raise ConfigError(f"{section}.{key} must be {rule}")
-            values[key] = items if isinstance(value, (list, tuple)) else value
-            if spec.then:
-                pending += spec.then[value].items()
-        unknown = set(self.sections.get(section, {})) - set(values) - set(also)
-        if unknown:
-            known = ", ".join(sorted([*values, *also]))
-            raise ConfigError(f"unknown key {section}.{min(unknown)} (known: {known})")
-        return values
+        return list(self.get_as(section, key, default, "ints"))
 
 
 class _Required:
@@ -137,27 +103,7 @@ _KINDS = {  # kind -> (converter of the raw text, what the text must be)
     "bool": (_bool, "a boolean"),
     "ints": (_list_of(int), "an integer list"),
     "floats": (_list_of(_finite), "a finite number list"),
-    "box": (_list_of(_finite), "a finite number list"),
 }
-
-
-_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
-
-
-class Key(NamedTuple):
-    """One config key: its kind (a ``_KINDS`` name), default and rules.
-
-    ``default`` REQUIRED makes the key mandatory; None leaves an absent
-    key None, for the caller to compute and echo.  ``rules`` lists, comma
-    separated, ``increasing`` or inequalities such as ``>= 1`` that a
-    number, and each entry of a list, must meet; no list may be empty.
-    A bool key may bring in more keys by its value: ``then[value]``.
-    """
-
-    kind: str
-    default: object = None
-    rules: str = ""
-    then: dict | None = None
 
 
 def _fmt(value) -> str:

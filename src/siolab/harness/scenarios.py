@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import operator
 import os
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from ..operators import (
 )
 from ..pairing import CANCELLATION_FACTOR, SimpleFunction, convergence_study
 from .config import (
-    REQUIRED, Config, ConfigError, Key, box_pairs, build_graph, build_kernel, build_measure, optional_graph,
+    REQUIRED, Config, ConfigError, _fmt, box_pairs, build_graph, build_kernel, build_measure, optional_graph,
 )
 from .report import ScenarioReport
 from .rng import Rng
@@ -71,7 +73,7 @@ def _chunks(rng: Rng, total: int, size: int) -> list[tuple[int, int]]:
 def _or_default(cfg: Config, prm: dict, key: str, default):
     """prm[key], or ``default`` (echoed) where the config leaves the key out."""
     if prm[key] is None:
-        cfg.echo[f"scenario.{key}"] = str(default)
+        cfg.echo[f"scenario.{key}"] = _fmt(default)
         return default
     return prm[key]
 
@@ -568,11 +570,13 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: in
     report = ScenarioReport("separated_boundedness", {})
     rows = []
     if prm["control"]:
+        if prm["resolutions"] is not None:
+            raise ConfigError("scenario.resolutions is not read by the control")
         # negative control: mu = nu = four-corners Cantor, same side;
         # the ratio is expected to grow with the generation (reported,
         # no pass criterion).  Its full-support density is always there,
         # so random_functions may be 0.
-        for gen in prm["generations"]:
+        for gen in _or_default(cfg, prm, "generations", [3, 4, 5, 6]):
             nu = cantor_four_corners(gen)
             densities = _control_densities(rng, nu, n_g)
             ratios = _ratio_table(nu, nu, kern, p_list, densities, threads)
@@ -582,6 +586,12 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: in
         report.add_verdict("control_reported", True, "negative control, no pass criterion")
         return report
 
+    if prm["generations"] is not None:
+        raise ConfigError("scenario.generations is read only by the control")
+    if n_g < 1:
+        raise ConfigError("scenario.random_functions must be >= 1 without the control")
+    if prm["resolutions"] is None:
+        raise ConfigError("missing required key scenario.resolutions")
     graph = build_graph(cfg)
     per_p = {p: [] for p in p_list}
     for m in prm["resolutions"]:
@@ -687,12 +697,29 @@ def scenario_double_integral(cfg: Config, prm: dict, rng: Rng, threads: int) -> 
 # ---------------------------------------------------------------------------
 
 
+_COMPARE = {">=": operator.ge, ">": operator.gt, "<=": operator.le}
+
+
+class Key(NamedTuple):
+    """One [scenario] key: its kind (a ``config._KINDS`` name), default and rules.
+
+    ``default`` REQUIRED makes the key mandatory; None leaves an absent
+    key None, for the scenario to compute and echo.  ``rules`` lists,
+    comma separated, ``increasing`` or inequalities such as ``>= 1`` that
+    a number, and each entry of a list, must meet; no list may be empty.
+    """
+
+    kind: str
+    default: object = None
+    rules: str = ""
+
+
 _APERTURE = Key("float")  # default 2 max(1, Lip f); must exceed max(1, Lip f)
 _EPS0 = Key("float")  # default diam(mu) / 4; must exceed floor_factor * h
 _FLOOR_FACTOR = Key("float", 4.0, ">= 4")
 _GROWTH_FACTOR = Key("float", 1.5, ">= 1")
 _RESOLUTIONS = Key("ints", REQUIRED, ">= 1, increasing")
-_BOX = Key("box", (-1.0, 1.0))
+_BOX = Key("floats", (-1.0, 1.0))
 
 # tag -> (scenario, its [scenario] keys); every tag also takes tag and seed
 SCENARIOS = {
@@ -742,16 +769,10 @@ SCENARIOS = {
     }),
     "separatedboundedness": (scenario_separated_boundedness, {
         "p": Key("floats", (1.5, 2.0, 3.0), "> 1"),
-        "control": Key("bool", False, then={
-            False: {
-                "random_functions": Key("int", 50, ">= 1"),
-                "resolutions": _RESOLUTIONS,
-            },
-            True: {  # the control always has its full-support density
-                "random_functions": Key("int", 50, ">= 0"),
-                "generations": Key("ints", (3, 4, 5, 6), f">= 0, <= {CANTOR_MAX_GENERATION}"),
-            },
-        }),
+        "control": Key("bool", False),
+        "random_functions": Key("int", 50, ">= 0"),  # >= 1 without the control
+        "resolutions": Key("ints", None, ">= 1, increasing"),  # required without the control
+        "generations": Key("ints", None, f">= 0, <= {CANTOR_MAX_GENERATION}"),  # control: 3, 4, 5, 6
         "growth_factor": _GROWTH_FACTOR,
     }),
     "doubleintegralconvergence": (scenario_double_integral, {
@@ -768,13 +789,37 @@ def available_scenarios() -> list[str]:
 
 def read_scenario(cfg: Config):
     """(scenario function, its [scenario] values): the tag's key table
-    read once, every value converted, range-checked and echoed."""
+    read once, every value converted, range-checked and echoed.  The
+    rules of the listed keys are checked before any unlisted key is
+    rejected, so a bad value is named even beside an unknown key.
+    """
     tag = cfg.get_str("scenario", "tag", REQUIRED)
-    key = tag.lower().replace("_", "").replace("-", "")
-    if key not in SCENARIOS:
+    name = tag.lower().replace("_", "").replace("-", "")
+    if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario tag {tag!r}")
-    scenario, keys = SCENARIOS[key]
-    return scenario, cfg.read("scenario", keys, also=("tag", "seed"))
+    scenario, keys = SCENARIOS[name]
+    values = {}
+    for key, spec in keys.items():
+        if spec.default is None and not cfg.has("scenario", key):
+            values[key] = None  # the scenario computes and echoes it
+            continue
+        value = cfg.get_as("scenario", key, spec.default, spec.kind)
+        items = list(value) if isinstance(value, (list, tuple)) else [value]
+        if not items:
+            raise ConfigError(f"scenario.{key} must not be empty")
+        for rule in filter(None, spec.rules.split(", ")):
+            op, _, bound = rule.partition(" ")
+            ok = sorted(items) == items if rule == "increasing" else all(
+                _COMPARE[op](v, float(bound)) for v in items
+            )
+            if not ok:
+                raise ConfigError(f"scenario.{key} must be {rule}")
+        values[key] = items if isinstance(value, (list, tuple)) else value
+    known = {*values, "tag", "seed"}
+    unknown = set(cfg.sections.get("scenario", {})) - known
+    if unknown:
+        raise ConfigError(f"unknown key scenario.{min(unknown)} (known: {', '.join(sorted(known))})")
+    return scenario, values
 
 
 def run_scenario(

@@ -542,6 +542,7 @@ def _with(base, **keys):
         pytest.param(_with(_CONTROL, random_functions="-1"), "random_functions",
                      id="control-negative_random_functions"),
         pytest.param(_with(_CONTROL, resolutions="8"), "resolutions", id="control-resolutions"),
+        pytest.param(_with(_SEPARATED, generations="3"), "generations", id="separated-generations"),
         pytest.param(_with(_KERNEL, samples="0"), "samples", id="kernel-samples_0"),
         pytest.param(_with(_KERNEL, samples="-5"), "samples", id="kernel-samples_negative"),
         pytest.param(_with(_weak_pairing({}), tolerence="1e-9"), "tolerence", id="weak_pairing-misspelt"),
@@ -592,11 +593,11 @@ def test_schema_echo_and_computed_defaults():
 
 
 def test_schema_control_switch_picks_its_keys():
-    _, values = read_scenario(config_from_dict(_with(_CONTROL, random_functions="0")))
-    assert values["random_functions"] == 0 and values["generations"] == [3, 4, 5, 6]
-    assert "resolutions" not in values
+    rep = run_scenario(config_from_dict(_with(_CONTROL, random_functions="0", generations="2")))
+    assert rep.config_echo["scenario.generations"] == "2"
+    assert "scenario.resolutions" not in rep.config_echo
     _, values = read_scenario(config_from_dict(_SEPARATED))
-    assert "generations" not in values and values["control"] is False
+    assert values["generations"] is None and values["control"] is False
     with pytest.raises(ConfigError, match="scenario.control is not a boolean"):
         read_scenario(config_from_dict(_with(_SEPARATED, control="maybe")))
 

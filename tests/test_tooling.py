@@ -97,21 +97,13 @@ def test_benchmark_configs_pass_the_scenario_schema():
     assert checked > 0
 
 
-def _schema_rows(keys):
-    """(key, Key) of a key table and of the tables its bool keys bring in."""
-    for key, spec in keys.items():
-        yield key, spec
-        for more in (spec.then or {}).values():
-            yield from _schema_rows(more)
-
-
 def test_readme_lists_every_scenario_key():
     from siolab.harness.config import REQUIRED, _fmt
     from siolab.harness.scenarios import SCENARIOS
 
     rows = re.findall(r"^\| (\w+) \| `(\w+)` \| (\w+) \| ([^|]*?) \| ([^|]*?) \|$", README.read_text(), re.M)
     readme = [(tag.lower(), key, kind, default, limits.split("; ")[0]) for tag, key, kind, default, limits in rows]
-    schema = [(tag, key, spec) for tag, (_, keys) in SCENARIOS.items() for key, spec in _schema_rows(keys)]
+    schema = [(tag, key, spec) for tag, (_, keys) in SCENARIOS.items() for key, spec in keys.items()]
     assert {row[:3] for row in readme} == {(tag, key, spec.kind) for tag, key, spec in schema}
     for tag, key, spec in schema:
         default = "required" if spec.default is REQUIRED else None if spec.default is None else _fmt(spec.default)
