@@ -249,8 +249,14 @@ def build_measure_spec(cfg: Config, section: str, graph=None):
     raise ConfigError(f"unknown measure kind {kind!r}")
 
 
-def build_measure(cfg: Config, section: str, graph=None) -> measure.DiscreteMeasure:
+def build_spec(spec, section: str) -> measure.DiscreteMeasure:
+    """``measure.build(spec)``, a ValueError (such as the atom-count
+    guard) raised as a ConfigError naming ``section``."""
     try:
-        return measure.build(build_measure_spec(cfg, section, graph))
+        return measure.build(spec)
     except ValueError as exc:
         raise ConfigError(f"cannot build measure [{section}]: {exc}") from exc
+
+
+def build_measure(cfg: Config, section: str, graph=None) -> measure.DiscreteMeasure:
+    return build_spec(build_measure_spec(cfg, section, graph), section)

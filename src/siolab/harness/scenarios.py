@@ -25,6 +25,8 @@ from ..geometry import Ball, Cone, LipschitzGraph
 from ..measure import (
     CANTOR_MAX_GENERATION,
     DiscreteMeasure,
+    GraphMeasureSpec,
+    SlabAboveGraphSpec,
     cantor_four_corners,
     concat,
     growth_constant,
@@ -45,7 +47,8 @@ from ..operators import (
 )
 from ..pairing import CANCELLATION_FACTOR, SimpleFunction, convergence_study
 from .config import (
-    REQUIRED, Config, ConfigError, _fmt, box_pairs, build_graph, build_kernel, build_measure, optional_graph,
+    REQUIRED, Config, ConfigError, _fmt, box_pairs, build_graph, build_kernel, build_measure, build_spec,
+    optional_graph,
 )
 from .report import ScenarioReport
 from .rng import Rng
@@ -94,6 +97,12 @@ def _schedule_ends(cfg: Config, prm: dict, mu: DiscreteMeasure) -> tuple[float, 
     if eps0 <= eps_min:
         raise ConfigError("scenario.eps0 must exceed the schedule floor")
     return eps0, eps_min
+
+
+def _same_dim(kern, dim: int, what: str) -> None:
+    """A kernel on R^n needs data in R^n."""
+    if kern.ambient_dim != dim:
+        raise ConfigError(f"kernel dimension {kern.ambient_dim} differs from the {what} dimension {dim}")
 
 
 def _growth_bounded(series_list, growth_cap: float) -> bool:
@@ -253,8 +262,7 @@ def _lemma_l2_batch(args):
 def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
-    if kern.ambient_dim != graph.ambient_dim:
-        raise ConfigError("kernel and graph dimensions differ")
+    _same_dim(kern, graph.ambient_dim, "graph")
     aperture = _aperture(cfg, prm, graph)
     nu = build_measure(cfg, "nu", graph=graph)
     if nu.ambient_dim != graph.ambient_dim:
@@ -288,16 +296,15 @@ def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, threads: int) -> Scenari
 def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
+    _same_dim(kern, graph.ambient_dim, "graph")
     box = box_pairs(prm["box"], graph.param_dim, "scenario.box")
     eps0 = prm["eps0"] or None
-
-    from ..measure import graph_measure
 
     rows = []
     max_tails: list[float] = []
     max_scales: list[float] = []
     for m in prm["resolutions"]:
-        sigma = graph_measure(graph, box, m, prm["shift"])
+        sigma = build_spec(GraphMeasureSpec(graph, box, m, prm["shift"]), "scenario")
         graph_u = graph.to_graph_frame(sigma.positions)[:, :-1]
         m_tail = 0.0
         m_scale = 0.0
@@ -368,6 +375,7 @@ def _simple_function_from(cfg: Config, section: str, rng: Rng, box) -> SimpleFun
 def scenario_weak_pairing(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     kern = build_kernel(cfg)
     mu = build_measure(cfg, "mu", graph=optional_graph(cfg))
+    _same_dim(kern, mu.ambient_dim, "mu")
     box = mu.bounding_box()
     f = _simple_function_from(cfg, "f", rng, box)
     g = _simple_function_from(cfg, "g", rng, box)
@@ -496,13 +504,11 @@ def scenario_carleson(cfg: Config, prm: dict, rng: Rng, threads: int) -> Scenari
         ("zero", _ConstantDensity(0.0)),  # both sides vanish; ratio skipped
     ]
 
-    from ..measure import graph_measure, slab_above_graph
-
     rows = []
     ratios: dict[str, list[float]] = {name: [] for name, _ in densities}
     for m in prm["resolutions"]:
-        mu = slab_above_graph(graph, box, m, thickness, prm["levels"])
-        sigma = graph_measure(graph, box, m)
+        mu = build_spec(SlabAboveGraphSpec(graph, box, m, thickness, prm["levels"]), "scenario")
+        sigma = build_spec(GraphMeasureSpec(graph, box, m), "scenario")
         sigma_u = graph.to_graph_frame(sigma.positions)[:, :-1]
         for name, g in densities:
             lhs = lp_norm(mu, g, p) ** p
@@ -578,6 +584,7 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: in
         # so random_functions may be 0.
         for gen in _or_default(cfg, prm, "generations", [3, 4, 5, 6]):
             nu = cantor_four_corners(gen)
+            _same_dim(kern, nu.ambient_dim, "Cantor set")
             densities = _control_densities(rng, nu, n_g)
             ratios = _ratio_table(nu, nu, kern, p_list, densities, threads)
             for p in p_list:
@@ -593,6 +600,7 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: in
     if prm["resolutions"] is None:
         raise ConfigError("missing required key scenario.resolutions")
     graph = build_graph(cfg)
+    _same_dim(kern, graph.ambient_dim, "graph")
     per_p = {p: [] for p in p_list}
     for m in prm["resolutions"]:
         nu = build_measure(_with_m(cfg, "nu", m), "nu", graph=graph)
@@ -650,6 +658,7 @@ def _control_densities(rng: Rng, nu: DiscreteMeasure, count: int):
 def scenario_double_integral(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
+    _same_dim(kern, graph.ambient_dim, "graph")
     mu = build_measure(cfg, "mu", graph=graph)
     if cfg.has("mu2", "kind"):
         mu = concat([mu, build_measure(cfg, "mu2", graph=graph)])

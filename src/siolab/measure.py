@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import LipschitzGraph, Shape
+from .summation import sum2_prefix
 
-ATOM_COUNT_GUARD = 10**8
+ATOM_COUNT_GUARD = 10**7
 CANTOR_MAX_GENERATION = 10
 
 
@@ -307,15 +308,16 @@ def build(spec: MeasureSpec) -> DiscreteMeasure:
 
 
 def _ball_masses(mu: DiscreteMeasure, center: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """mu(B(center, r)) for each r; closed balls."""
+    """mu(B(center, r)) for each r; closed balls, the masses summed by
+    Sum2 in distance order (``summation.sum2_prefix``)."""
     d = np.linalg.norm(mu.positions - center, axis=1)
     order = np.argsort(d, kind="stable")
     d_sorted = d[order]
-    cum = np.cumsum(mu.weights[order].astype(np.longdouble))
+    cum = sum2_prefix(mu.weights[order][None, :])[0]
     idx = np.searchsorted(d_sorted, radii, side="right")
     masses = np.zeros(len(radii))
     pos = idx > 0
-    masses[pos] = cum[idx[pos] - 1].astype(float)
+    masses[pos] = cum[idx[pos] - 1]
     return masses
 
 

@@ -7,22 +7,9 @@ Summation conventions, fixed package-wide:
   closed, so atoms at distance exactly r are included.
 * Single-point sums (``truncated``, ``lp_norm``) use error-free
   accumulation (math.fsum) in atom index order.
-* Batched sums over atoms (``TruncationTable``, ``truncated_batch``,
-  ``hl_maximal_batch``) share one certified float64 scan: a cumsum
-  inside blocks of b = ceil(sqrt(N)) terms, then a cumsum of the block
-  totals added back to the following blocks.  Each prefix passes
-  through at most k = b + ceil(N/b) + 1 roundings, so its error is at
-  most gamma_k * sum|t| with gamma_k = k u / (1 - k u) (Higham,
-  Accuracy and Stability of Numerical Algorithms, 2002, sec. 4.2).  A
-  row is certified when that bound is at most 1e-13 of the value it
-  reports: the sup for T*, |T^eps| for a truncated value, the total
-  mass for the nonnegative sums of the (n-1)-dimensional maximal
-  function.  Rows the bound cannot certify are recomputed in 80-bit
-  extended precision.  The bound on every prefix bounds the error of
-  a sup over prefixes, since |max|a| - max|b|| <= max|a - b|.
-* Pair sums (``pair_sum_schedule``) bin the pairs by eps interval,
-  sum each bin in 80-bit extended precision in row-major order, and
-  add the bins up from the largest eps down, also in 80-bit precision.
+* Batched sums over atoms and pair sums follow ``summation``.  A
+  scanned row is certified against the value it reports: the sup for
+  T*, |T^eps|, or the total mass for the maximal function.
 * The supremum over all truncation radii is exact, not sampled: the
   truncated transform is piecewise constant in eps with jumps only at
   distinct atom distances, so the supremum is a maximum over suffix
@@ -39,6 +26,7 @@ import numpy as np
 
 from .geometry import Cone
 from .measure import DiscreteMeasure, restrict
+from .summation import certified_sums, sum2_prefix, sum2_total
 
 PAIR_COUNT_GUARD = 10**10
 # a TruncationTable stores P x N int64 order, float64 distances and
@@ -48,7 +36,6 @@ PAIR_COUNT_GUARD = 10**10
 TABLE_BYTES_GUARD = 1 << 30
 _TABLE_BYTES_PER_CELL = 25
 _BLOCK_ELEMENTS = 1 << 21  # target elements per temporary block
-_CERTIFY_REL = 1e-13  # largest certified error relative to a reported value
 
 
 # ---------------------------------------------------------------------------
@@ -120,49 +107,6 @@ def _distance_blocks(pts: np.ndarray, positions: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Certified prefix scan
-# ---------------------------------------------------------------------------
-
-
-def _certified_prefix(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 prefix sums along each row of a (P, N) array, N >= 1, and
-    a per-row bound on the absolute error of every prefix in the row.
-
-    Two levels: a cumsum inside blocks of b = ceil(sqrt(N)) terms (the
-    last block may be shorter), then a cumsum of the full block totals
-    added to the blocks after them.  A prefix passes through at most
-    (b - 1) + (ceil(N/b) - 1) + 1 roundings, so its error is at most
-    gamma_k * sum|t| for k = b + ceil(N/b) + 1; sum|t| is itself a
-    float64 sum, inflated by (1 + 2 N u) to cover its own rounding.
-    """
-    p, n = terms.shape
-    b = math.isqrt(n - 1) + 1
-    m = n - n % b
-    prefix = np.empty((p, n))
-    blocks = prefix[:, :m].reshape(p, m // b, b)
-    np.cumsum(terms[:, :m].reshape(p, m // b, b), axis=2, out=blocks)
-    np.cumsum(terms[:, m:], axis=1, out=prefix[:, m:])
-    offsets = np.cumsum(blocks[:, :, -1], axis=1)
-    blocks[:, 1:] += offsets[:, :-1, None]
-    prefix[:, m:] += offsets[:, -1:]
-    u = np.finfo(float).eps / 2
-    k = b + -(-n // b) + 1
-    gamma = k * u / (1.0 - k * u)
-    bound = gamma * (1.0 + 2.0 * n * u) * np.abs(terms).sum(axis=1)
-    return prefix, bound
-
-
-def _uncertified(bound: np.ndarray, reported: np.ndarray) -> np.ndarray:
-    """Rows whose error bound exceeds 1e-13 of the value they report."""
-    return np.flatnonzero(bound > _CERTIFY_REL * reported)
-
-
-def _extended_prefix(terms: np.ndarray) -> np.ndarray:
-    """Row prefix sums accumulated in 80-bit extended precision."""
-    return np.cumsum(terms.astype(np.longdouble), axis=1).astype(float)
-
-
-# ---------------------------------------------------------------------------
 # Truncated transform
 # ---------------------------------------------------------------------------
 
@@ -199,12 +143,12 @@ def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
     gw = nu.weights * density_values(g, nu)
     for sl, diffs, dist in _distance_blocks(pts, nu.positions):
         terms = np.where(dist > eps[sl, None], _kernel_at_diffs(kernel, diffs, dist) * gw, 0.0)
-        prefix, bound = _certified_prefix(terms)
-        vals = prefix[:, -1]
-        rows = _uncertified(bound, np.abs(vals))
-        vals[rows] = _extended_prefix(terms[rows])[:, -1]
-        out[sl] = vals
+        out[sl] = certified_sums(terms, _row_totals)[0]
     return out
+
+
+def _row_totals(prefix, rows):
+    return prefix[:, -1], np.abs(prefix[:, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +161,10 @@ class TruncationTable:
 
     Sorting is done once per (measure, points) pair; evaluating the
     maximal or truncated transform for another density then only needs a
-    gather and one certified float64 prefix scan (see the module
-    docstring), with the rows the scan cannot certify to 1e-13 redone
-    in extended precision and counted in ``fallback_rows``.  Distances
+    gather and one blocked float64 prefix scan, with the rows whose a
+    priori bound gamma_k sum|t| exceeds 1e-13 of the value they report
+    redone by Sum2 (within u|S| + gamma_{N-1}^2 sum|t| of each exact
+    prefix S; see ``summation``) and counted in ``fallback_rows``.  Distances
     are sorted descending so prefix sums ARE the truncated sums: the
     prefix through distance group d equals T^eps for eps in [next
     smaller distance, d).  Read backwards, the same sort serves the
@@ -253,25 +198,23 @@ class TruncationTable:
         # terms are zeroed) and their trailing candidate duplicates the
         # previous one, so no special casing is needed.
 
-    def _sorted_terms(self, g, rows=slice(None)) -> np.ndarray:
-        terms = density_values(g, self.measure)[self.order[rows]]
-        terms *= self.kw_desc[rows]
+    def _sorted_terms(self, g) -> np.ndarray:
+        terms = density_values(g, self.measure)[self.order]
+        terms *= self.kw_desc
         return terms
 
     def maximal_values(self, g) -> np.ndarray:
         """sup over eps > 0 of |T^eps g| at every point (exact sup)."""
         if self.kw_desc.shape[1] == 0:
             return np.zeros(len(self.kw_desc))
-        prefix, bound = _certified_prefix(self._sorted_terms(g))
-        np.abs(prefix, out=prefix)
-        # empty truncation (eps >= max distance) contributes 0
-        sup = np.max(prefix, axis=1, where=self.valid, initial=0.0)
-        rows = _uncertified(bound, sup)
-        if len(rows):
-            self.fallback_rows += len(rows)
-            exact = np.abs(_extended_prefix(self._sorted_terms(g, rows)))
-            sup[rows] = np.max(exact, axis=1, where=self.valid[rows], initial=0.0)
-        return sup
+
+        def sup(prefix, rows):  # empty truncation (eps >= max distance) contributes 0
+            values = np.max(np.abs(prefix, out=prefix), axis=1, where=self.valid[rows], initial=0.0)
+            return values, values
+
+        values, redone = certified_sums(self._sorted_terms(g), sup)
+        self.fallback_rows += redone
+        return values
 
     def truncated_values(self, g, eps: float) -> np.ndarray:
         """T^eps g at every point."""
@@ -284,16 +227,10 @@ class TruncationTable:
         eps = np.asarray(eps, dtype=float)
         if not np.all(eps > 0):
             raise ValueError("eps must be > 0")
-        counts = np.sum(self.dist_desc > eps[:, None], axis=1)
-        out = np.zeros(len(counts))
-        rows = np.flatnonzero(counts > 0)
-        terms = self._sorted_terms(g)
-        prefix, bound = _certified_prefix(terms)
-        out[rows] = prefix[rows, counts[rows] - 1]
-        redo = rows[_uncertified(bound[rows], np.abs(out[rows]))]
-        self.fallback_rows += len(redo)
-        out[redo] = _extended_prefix(terms[redo])[np.arange(len(redo)), counts[redo] - 1]
-        return out
+        terms = np.where(self.dist_desc > eps[:, None], self._sorted_terms(g), 0.0)
+        values, redone = certified_sums(terms, _row_totals)
+        self.fallback_rows += redone
+        return values
 
     def hl_maximal_values(self, g):
         """``hl_maximal_batch`` at the table's points, read from the
@@ -338,17 +275,19 @@ def _hl_from_ascending(atom_mass: np.ndarray, n: int, dist_asc: np.ndarray, orde
     """
     mass = atom_mass[order_asc]
     diverges = np.any((dist_asc == 0.0) & (mass > 0.0), axis=1)
-    cum, bound = _certified_prefix(mass)
-    rows = _uncertified(bound, cum[:, -1])
-    cum[rows] = _extended_prefix(mass[rows])
     usable = np.empty(dist_asc.shape, dtype=bool)
     usable[:, :-1] = dist_asc[:, :-1] != dist_asc[:, 1:]
     usable[:, -1] = True
     usable &= dist_asc > 0.0
-    cum *= np.where(usable, dist_asc, 1.0) ** (1 - n)
-    values = np.max(cum, axis=1, where=usable, initial=0.0)
+
+    def sup(cum, rows):
+        total = cum[:, -1].copy()
+        cum *= np.where(usable[rows], dist_asc[rows], 1.0) ** (1 - n)
+        return np.max(cum, axis=1, where=usable[rows], initial=0.0), total
+
+    values, redone = certified_sums(mass, sup)
     values[diverges] = math.inf
-    return values, diverges, len(rows)
+    return values, diverges, redone
 
 
 def hl_maximal_batch(nu: DiscreteMeasure, g, points):
@@ -533,15 +472,19 @@ def pair_sum_schedule(
 ) -> list[PairSumStats]:
     """``pair_sum_stats`` at every eps of a strictly decreasing schedule,
     from one pass over the pairs.  Bin j holds the pairs with
-    eps[j] < |x_a - y_b| <= eps[j-1], each kernel term evaluated once;
-    the value at eps[k] is the extended-precision sum of bins 0..k.
+    eps[j] < |x_a - y_b| <= eps[j-1], each kernel term evaluated once.
+    Each (distance block, bin) is summed by Sum2 in row-major order and
+    kept unrounded (its float64 total and the sum of its TwoSum errors);
+    the value at eps[k] is one Sum2 over the m partials of bins 0..k.
+    For the exact value T of its N terms it is within u|T| +
+    ((1 + u) gamma_{N-1}^2 + (1 + gamma_N)^2 gamma_{2m-1}^2) sum|t|.
     """
     eps = np.asarray(schedule, dtype=float).reshape(-1)
     if len(eps) == 0 or not np.all(eps > 0) or np.any(eps[1:] >= eps[:-1]):
         raise ValueError("eps schedule must be nonempty, positive and strictly decreasing")
     if len(pos_a) * len(pos_b) > PAIR_COUNT_GUARD:
         raise ValueError("pair count guard exceeded")
-    sums = np.zeros(len(eps), dtype=np.longdouble)
+    partials = [[] for _ in eps]  # per bin: sum2_total of each block's terms
     max_terms = np.zeros(len(eps))
     counts = np.zeros(len(eps), dtype=np.int64)
     for sl, diffs, dist in _distance_blocks(pos_a, pos_b):
@@ -554,12 +497,14 @@ def pair_sum_schedule(
             if not np.any(mask):
                 continue
             terms = kernel.evaluate_many(diffs[mask]) * wprod[mask]
-            sums[j] += np.sum(terms.astype(np.longdouble))
             max_terms[j] = max(max_terms[j], float(np.max(np.abs(terms))))
             counts[j] += len(terms)
+            partials[j] += sum2_total(terms)
+    flat = np.array([0.0] + [x for part in partials for x in part])  # 0: no pair yet
+    values = sum2_prefix(flat[None, :])[0, np.cumsum([len(part) for part in partials])]
     return [
         PairSumStats(float(v), float(m), int(c))
-        for v, m, c in zip(np.cumsum(sums), np.maximum.accumulate(max_terms), np.cumsum(counts))
+        for v, m, c in zip(values, np.maximum.accumulate(max_terms), np.cumsum(counts))
     ]
 
 
@@ -572,9 +517,9 @@ def pair_sum_stats(
     eps: float,
 ) -> PairSumStats:
     """sum over pairs (a, b) with |x_a - y_b| > eps of K(x_a - y_b) w_a w_b,
-    one extended-precision bin of ``pair_sum_schedule`` in row-major
-    order.  Also reports the largest |term| and the number of included
-    pairs (for cancellation bounds).
+    one bin of ``pair_sum_schedule``, a Sum2 over the unrounded Sum2 of
+    each distance block, with its bound.  Also reports the largest |term|
+    and the number of included pairs (for cancellation bounds).
     """
     return pair_sum_schedule(pos_a, w_a, pos_b, w_b, kernel, [eps])[0]
 

@@ -1,16 +1,20 @@
 """Independent brute-force oracles shared by the test modules.
 
 These deliberately avoid the breakpoint/suffix machinery of the package:
-sums are evaluated by direct masking per truncation radius, so they can
+sums are evaluated by direct masking per truncation radius and
+accumulated error-free (``math.fsum``, correctly rounded), so they can
 certify the fast paths.
 """
+
+import math
+from itertools import chain
 
 import numpy as np
 
 
 def brute_force_sup(nu, kernel, g, x, grid_size=2000):
     """Scan |T^eps g(x)| over a dense eps grid refined at every distance
-    breakpoint +- one ulp; extended-precision mask sums."""
+    breakpoint +- one ulp; one error-free sum per distinct mask."""
     x = np.asarray(x, dtype=float)
     diffs = x - nu.positions
     d = np.linalg.norm(diffs, axis=1)
@@ -24,22 +28,21 @@ def brute_force_sup(nu, kernel, g, x, grid_size=2000):
     )
     eps_values = np.unique(np.concatenate([grid, refine]))
     keep = d > 0
-    terms = np.zeros(nu.count, dtype=np.longdouble)
+    terms = np.zeros(nu.count)
     gv = np.ones(nu.count) if g is None else np.asarray(g, dtype=float)
-    terms[keep] = (
-        kernel.evaluate_many(diffs[keep]) * gv[keep] * nu.weights[keep]
-    ).astype(np.longdouble)
+    terms[keep] = kernel.evaluate_many(diffs[keep]) * gv[keep] * nu.weights[keep]
     mask = d[None, :] > eps_values[:, None]
-    sums = np.where(mask, terms[None, :], np.longdouble(0.0)).sum(axis=1)
-    return float(np.max(np.abs(sums)))
+    # eps ascends, so equal masks are neighbours: sum each distinct one once
+    first = np.concatenate([[True], np.any(mask[1:] != mask[:-1], axis=1)])
+    return max(abs(math.fsum(terms[row].tolist())) for row in mask[first])
 
 
 def brute_pair_sum(pos_a, w_a, pos_b, w_b, kernel, eps):
     """(value, max |term|, pair count) of the pair sum over
-    |x_a - y_b| > eps: one eps at a time, each block masked and summed
-    in extended precision in row-major order."""
+    |x_a - y_b| > eps: one eps at a time, each block masked, and every
+    included term summed error-free."""
     n_a, n_b = len(pos_a), len(pos_b)
-    total = np.longdouble(0.0)
+    parts = []
     max_term = 0.0
     count = 0
     if n_a == 0 or n_b == 0:
@@ -53,7 +56,7 @@ def brute_pair_sum(pos_a, w_a, pos_b, w_b, kernel, eps):
         if not np.any(mask):
             continue
         terms = kernel.evaluate_many(diffs[mask]) * (w_a[sl][:, None] * w_b[None, :])[mask]
-        total = total + np.sum(terms.astype(np.longdouble))
+        parts.append(terms)
         max_term = max(max_term, float(np.max(np.abs(terms))))
         count += int(mask.sum())
-    return float(total), max_term, count
+    return math.fsum(chain.from_iterable(map(np.ndarray.tolist, parts))), max_term, count

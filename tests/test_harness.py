@@ -1,5 +1,6 @@
 import math
 import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -551,6 +552,41 @@ def _with(base, **keys):
 def test_cli_scenario_key_out_of_schema_is_a_config_error(tmp_path, capsys, cfg, key):
     assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
     assert f"scenario.{key}" in capsys.readouterr().err
+
+
+_RIESZ_3D = {"family": "riesz", "dim": "3", "axis": "1"}
+_CRIT10_SLAB = {"kind": "slab_above_graph", "box": "-1, 1", "m": "128", "thickness": "0.4", "levels": "16"}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param({"scenario": {"tag": "PVConvergence", "resolutions": "256", "eps0": "0.64"},
+                      "graph": _FLAT}, id="pv"),
+        pytest.param({"scenario": {"tag": "DoubleIntegralConvergence", "eps0": "1.0"}, "graph": _FLAT,
+                      "mu": _CRIT10_SLAB, "mu2": {**_CRIT10_SLAB, "shift": "-0.4"}}, id="double_integral"),
+        pytest.param(_with(_SEPARATED, resolutions="64"), id="separated"),
+        pytest.param(_CONTROL, id="control"),
+        pytest.param({"scenario": {"tag": "WeakPairing", "tolerance": "0.1"},
+                      "mu": {"kind": "cantor", "generation": "3"},
+                      "f": {"mode": "ball", "center": "0.3, 0.3", "radius": "0.35"},
+                      "g": {"mode": "ball", "center": "0.6, 0.6", "radius": "0.4"}}, id="weak_pairing"),
+    ],
+)
+def test_cli_kernel_dimension_mismatch_is_a_config_error(tmp_path, capsys, cfg):
+    # a 3-D kernel on 2-D data used to run and report PASS
+    assert _cli_run(tmp_path, {**cfg, "kernel": _RIESZ_3D}) == EXIT_CONFIG
+    assert "kernel dimension 3 differs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg", [_with(_CARLESON, resolutions="50000000"), _with(_PV, resolutions="50000000")],
+                         ids=["carleson", "pv"])
+def test_cli_atom_count_guard_is_a_config_error(tmp_path, capsys, cfg):
+    # a scenario-built measure past the guard exits 2 before allocating it
+    start = time.perf_counter()
+    assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
+    assert time.perf_counter() - start < 10.0
+    assert "atom count guard exceeded" in capsys.readouterr().err
 
 
 # the benchmark's WeakPairing config: a ball of mu in 2-D, fixed f and g

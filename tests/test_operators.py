@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import siolab as sl
-from siolab import operators
+from siolab import measure, operators, summation
 from siolab.operators import density_values, pair_sum_schedule, pair_sum_stats, truncated_batch
 from siolab.harness.rng import Rng
 
@@ -639,7 +639,7 @@ def test_density_forms_agree():
 
 
 # ---------------------------------------------------------------------------
-# certified prefix scan
+# summation policy: blocked scan, Sum2 and the fallback between them
 # ---------------------------------------------------------------------------
 
 
@@ -648,28 +648,153 @@ _scan_values = st.one_of(
     st.floats(min_value=-1e-6, max_value=1e-6, allow_nan=False),
     st.sampled_from([0.0, 1e16, -1e16, 1.0, -1.0]),
 )
+_scan_rows = st.lists(st.lists(_scan_values, min_size=1, max_size=150), min_size=1, max_size=3)
+_U = Fraction(1, 2**53)
+
+
+def _gamma(k):
+    return k * _U / (1 - k * _U)
+
+
+def _sum2_bound(exact, n, abs_sum):
+    """The documented Sum2 bound u|S| + gamma_{n-1}^2 sum|t|, exactly."""
+    return _U * abs(exact) + _gamma(max(n - 1, 0)) ** 2 * abs_sum
+
+
+def _tiled(rows, n):
+    return np.array([(r * (n // len(r) + 1))[:n] for r in rows])
+
+
+def _exact_prefixes(row):
+    """(exact prefix, exact sum|t|) per prefix; math.fsum would round them."""
+    out, total, abs_total = [], Fraction(0), Fraction(0)
+    for t in row:
+        total += Fraction(t)
+        abs_total += abs(Fraction(t))
+        out.append((total, abs_total))
+    return out
+
+
+def _sequential_sum2(row):
+    """Sum2 (Ogita, Rump and Oishi 2005) as the paper writes it, one term at a time."""
+    s, sigma, out = 0.0, 0.0, []
+    for t in row:
+        x = s + t
+        z = x - s
+        sigma += (s - (x - z)) + (t - z)
+        s = x
+        out.append(s + sigma)
+    return out
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.lists(_scan_values, min_size=1, max_size=150), min_size=1, max_size=3),
-       n=st.integers(1, 150))
+@given(rows=_scan_rows, n=st.integers(1, 150))
 def test_certified_prefix_error_within_bound(rows, n):
-    terms = np.array([(r * (n // len(r) + 1))[:n] for r in rows])
-    prefix, bound = operators._certified_prefix(terms)
+    terms = _tiled(rows, n)
+    prefix, bound = summation.blocked_prefix(terms)
     for i, row in enumerate(terms):
-        exact = Fraction(0)  # exact rational prefix; math.fsum would round it
-        for j, t in enumerate(row):
-            exact += Fraction(t)
+        for j, (exact, _) in enumerate(_exact_prefixes(row)):
             assert abs(Fraction(prefix[i, j]) - exact) <= Fraction(bound[i])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 16, 17, 24, 25, 26, 100])
 def test_certified_prefix_block_edges(n):
     terms = Rng(87).uniforms(2 * n, -1.0, 1.0).reshape(2, n)
-    prefix, bound = operators._certified_prefix(terms)
+    prefix, bound = summation.blocked_prefix(terms)
     for i in range(2):
-        exact = np.cumsum(terms[i].astype(np.longdouble))
-        assert np.all(np.abs(prefix[i] - exact) <= bound[i])
+        for j, (exact, _) in enumerate(_exact_prefixes(terms[i])):
+            assert abs(Fraction(prefix[i, j]) - exact) <= Fraction(bound[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_scan_rows, n=st.integers(1, 150))
+def test_sum2_prefix_is_sequential_sum2_within_bound(rows, n):
+    terms = _tiled(rows, n)
+    prefix = summation.sum2_prefix(terms.copy())
+    for i, row in enumerate(terms):
+        assert prefix[i].tolist() == _sequential_sum2(row.tolist())
+        for j, (exact, abs_sum) in enumerate(_exact_prefixes(row)):
+            assert abs(Fraction(prefix[i, j]) - exact) <= _sum2_bound(exact, j + 1, abs_sum)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_scan_rows, n=st.integers(1, 150))
+def test_certified_sums_fallback_rows_within_bound(rows, n):
+    terms = _tiled(rows, n)
+    scan, bound = summation.blocked_prefix(terms)
+    values, redone = summation.certified_sums(
+        terms, lambda prefix, rows: (prefix[:, -1].copy(), np.abs(prefix[:, -1]))
+    )
+    fallback = bound > 1e-13 * np.abs(scan[:, -1])
+    assert redone == int(np.sum(fallback))
+    for i, row in enumerate(terms):
+        exact, abs_sum = _exact_prefixes(row)[-1]
+        if fallback[i]:
+            assert abs(Fraction(values[i]) - exact) <= _sum2_bound(exact, n, abs_sum)
+        else:
+            assert values[i] == scan[i, -1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    w_a=st.lists(_scan_values, min_size=0, max_size=12),
+    n_b=st.integers(0, 12),
+    squares=st.sets(st.integers(1, 40), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_sum_schedule_within_sum2_bound(dim, w_a, n_b, squares, seed):
+    rng = np.random.default_rng(seed)
+    pos_a = rng.integers(-3, 4, size=(len(w_a), dim)).astype(float)
+    pos_b = rng.integers(-3, 4, size=(n_b, dim)).astype(float)
+    w_a, w_b = np.array(w_a, dtype=float), rng.uniform(0.0, 1.0, n_b)
+    k = sl.RieszComponent(dim, 0)
+    schedule = np.sqrt(np.array(sorted(squares, reverse=True), dtype=float))
+    got = pair_sum_schedule(pos_a, w_a, pos_b, w_b, k, schedule)
+    diffs = (pos_a[:, None, :] - pos_b[None, :, :]).reshape(-1, dim)
+    dist = np.sqrt(np.sum(diffs * diffs, axis=1))
+    safe = np.where(dist[:, None] > 0, diffs, 1.0)
+    terms = k.evaluate_many(safe) * (w_a[:, None] * w_b[None, :]).reshape(-1)
+    for eps, stats in zip(schedule, got):
+        included = terms[dist > eps].tolist()
+        n = len(included)
+        exact = sum(map(Fraction, included), Fraction(0))
+        abs_sum = sum((abs(Fraction(t)) for t in included), Fraction(0))
+        # at most n partials: the documented bound with m = n
+        partials = (1 + _gamma(n)) ** 2 * _gamma(max(2 * n - 1, 0)) ** 2
+        bound = _U * abs(exact) + ((1 + _U) * _gamma(max(n - 1, 0)) ** 2 + partials) * abs_sum
+        assert stats.pair_count == n
+        assert abs(Fraction(stats.value) - exact) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights=st.lists(_scan_values, min_size=1, max_size=60), seed=st.integers(0, 2**32 - 1))
+def test_ball_masses_within_sum2_bound(weights, seed):
+    weights = np.abs(np.array(weights))
+    rng = np.random.default_rng(seed)
+    mu = sl.DiscreteMeasure(rng.integers(-3, 4, size=(len(weights), 2)).astype(float), weights, 1e-3)
+    center = np.array([0.5, 0.0])
+    radii = np.array([0.5, 1.0, 1.5, 2.5, 4.0, 10.0])
+    masses = measure._ball_masses(mu, center, radii)
+    dist = np.linalg.norm(mu.positions - center, axis=1)
+    for r, mass in zip(radii, masses):
+        exact = sum(map(Fraction, weights[dist <= r].tolist()), Fraction(0))
+        assert abs(Fraction(mass) - exact) <= _sum2_bound(exact, len(weights), exact)
+
+
+def test_tie_group_cancellation_matches_truncated():
+    # one distance tie group around x = 0 whose float64 and 80-bit sums
+    # both lose the 0.6 between the two 1e22 terms
+    nu = sl.DiscreteMeasure(np.array([[1.0, 0.0], [0.6, 0.8], [-1.0, 0.0]]), np.ones(3), 1e-3)
+    g = np.array([-1e22, -1.0, -1e22])
+    k = sl.RieszComponent(2, 0)
+    x = np.zeros((1, 2))
+    table = sl.TruncationTable(nu, k, x)
+    assert sl.truncated(nu, k, g, x[0], 0.5) == 0.6
+    assert table.maximal_values(g).tolist() == [0.6]
+    assert table.truncated_values_per_point(g, np.array([0.5])).tolist() == [0.6]
+    assert truncated_batch(nu, k, g, x, 0.5).tolist() == [0.6]
+    assert sl.maximal(nu, k, g, x[0]) == 0.6
 
 
 @settings(max_examples=40, deadline=None)
@@ -709,9 +834,9 @@ def test_maximal_values_fallback_on_cancellation():
     values = table.maximal_values(g)
     assert table.fallback_rows == 2
     terms = table.kw_desc * g[table.order]
-    extended = np.abs(np.cumsum(terms.astype(np.longdouble), axis=1))
-    expected = np.max(np.where(table.valid, extended, 0.0), axis=1).astype(float)
-    assert np.array_equal(values, expected)
+    for i, row in enumerate(terms):
+        exact = max(abs(p) for (p, _), v in zip(_exact_prefixes(row), table.valid[i]) if v)
+        assert values[i] == float(exact)
     table.maximal_values(g)
     assert table.fallback_rows == 4  # cumulative
 

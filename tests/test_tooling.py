@@ -6,7 +6,9 @@ them would make the traced run raise, so every target is checked here.
 A module-level name that nothing else in the package uses is dead code,
 and a README example that names a removed entry point no longer runs.
 The benchmark's configs and the README's key table must both agree with
-the ``[scenario]`` key tables.
+the ``[scenario]`` key tables.  Array sums follow ``siolab.summation``
+alone, so no source or test names a float type whose width depends on
+the platform.
 """
 
 import ast
@@ -113,3 +115,14 @@ def test_readme_lists_every_scenario_key():
             and spec.rules in ("", row[4])
             for row in readme
         ), (tag, key)
+
+
+def test_no_platform_dependent_float_type_is_named():
+    pattern = re.compile(rb"long[d]ouble|float(128|96)")
+    hits = [
+        str(path.relative_to(ROOT))
+        for top in (PACKAGE, ROOT / "tests")
+        for path in sorted(top.rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts and pattern.search(path.read_bytes())
+    ]
+    assert hits == []
