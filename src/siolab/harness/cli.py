@@ -83,6 +83,7 @@ def main(argv=None) -> int:
         try:
             cfg = load_config(args.config)
             mu = build_measure(cfg, args.section, graph=optional_graph(cfg))
+            cfg.check_all_read()
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -25,7 +25,8 @@ class ConfigError(Exception):
 @dataclass
 class Config:
     """Parsed sections plus an echo of every value actually consumed
-    (defaults expanded), so reports can reproduce the effective config.
+    (defaults expanded), so reports can reproduce the effective config
+    and ``check_all_read`` can name a key that no getter consumed.
     """
 
     sections: dict[str, dict[str, str]]
@@ -68,6 +69,15 @@ class Config:
 
     def get_ints(self, section: str, key: str, default=None) -> list[int]:
         return list(self.get_as(section, key, default, "ints"))
+
+    def check_all_read(self) -> None:
+        """Raise a ConfigError naming every key that the run never read
+        in a section it read (echoed); run before any output is written."""
+        read = {name.partition(".")[0] for name in self.echo}
+        unread = [f"{s}.{k}" for s in sorted(read & set(self.sections)) for k in self.sections[s]]
+        unread = [name for name in unread if name not in self.echo]
+        if unread:
+            raise ConfigError(f"key not read by this run: {', '.join(unread)}")
 
 
 class _Required:
@@ -218,8 +228,14 @@ def _parse_shape(cfg: Config, section: str):
     raise ConfigError(f"unknown shape kind {kind!r}")
 
 
-def build_measure_spec(cfg: Config, section: str, graph=None):
+def build_measure_spec(cfg: Config, section: str, graph=None, m: int | None = None):
+    """The measure spec of [section]; a resolution sweep passes its atom
+    count ``m``, which [section] then may not set."""
     kind = cfg.get_str(section, "kind", REQUIRED).lower()
+
+    def count() -> int:
+        return cfg.get_int(section, "m", REQUIRED) if m is None else m
+
     try:
         if kind in ("graph_measure", "slab_above_graph"):
             graph = graph if graph is not None else build_graph(cfg)
@@ -227,19 +243,19 @@ def build_measure_spec(cfg: Config, section: str, graph=None):
         if kind == "graph_measure":
             return measure.GraphMeasureSpec(
                 graph, box,
-                cfg.get_int(section, "m", REQUIRED),
+                count(),
                 cfg.get_float(section, "shift", 0.0),
             )
         if kind == "cantor":
             return measure.CantorFourCornersSpec(cfg.get_int(section, "generation", REQUIRED))
         if kind == "uniform_on_shape":
             return measure.UniformOnShapeSpec(
-                _parse_shape(cfg, section), cfg.get_int(section, "m", REQUIRED)
+                _parse_shape(cfg, section), count()
             )
         if kind == "slab_above_graph":
             return measure.SlabAboveGraphSpec(
                 graph, box,
-                cfg.get_int(section, "m", REQUIRED),
+                count(),
                 cfg.get_float(section, "thickness", REQUIRED),
                 cfg.get_int(section, "levels", 8),
                 cfg.get_float(section, "shift", 0.0),

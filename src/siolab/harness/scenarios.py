@@ -47,8 +47,8 @@ from ..operators import (
 )
 from ..pairing import CANCELLATION_FACTOR, SimpleFunction, convergence_study
 from .config import (
-    REQUIRED, Config, ConfigError, _fmt, box_pairs, build_graph, build_kernel, build_measure, build_spec,
-    optional_graph,
+    REQUIRED, Config, ConfigError, _fmt, box_pairs, build_graph, build_kernel, build_measure,
+    build_measure_spec, build_spec, optional_graph,
 )
 from .report import ScenarioReport
 from .rng import Rng
@@ -392,19 +392,8 @@ def scenario_weak_pairing(cfg: Config, prm: dict, rng: Rng, threads: int) -> Sce
         [str(r.g_term), str(r.f_term), r.eps, r.value, r.i1, r.i2, r.i3, r.i4]
         for r in trace.rows
     ]
-    coef = {
-        (jj, ii): b * a
-        for jj, (b, _) in enumerate(g.terms)
-        for ii, (a, _) in enumerate(f.terms)
-    }
-    for k, eps in enumerate(trace.eps_schedule):
-        at_eps = [r for r in trace.rows if r.eps == eps]
-        weighted = [
-            [coef[(r.g_term, r.f_term)] * part for part in (r.i1, r.i2, r.i3, r.i4)]
-            for r in at_eps
-        ]
-        sums = [math.fsum(col) for col in zip(*weighted)]
-        rows.append(["total", "total", eps, trace.values[k], *sums])
+    for eps, value, blocks in zip(trace.eps_schedule, trace.values, trace.block_totals):
+        rows.append(["total", "total", eps, value, *blocks])
     report.add_table(
         "trace",
         ["g_term", "f_term", "eps", "value", "i1", "i2", "i3", "i4"],
@@ -603,8 +592,7 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: in
     _same_dim(kern, graph.ambient_dim, "graph")
     per_p = {p: [] for p in p_list}
     for m in prm["resolutions"]:
-        nu = build_measure(_with_m(cfg, "nu", m), "nu", graph=graph)
-        mu = build_measure(_with_m(cfg, "mu", m), "mu", graph=graph)
+        nu, mu = (build_spec(build_measure_spec(cfg, s, graph, m), s) for s in ("nu", "mu"))
         if nu.count == 0 or mu.count == 0:
             raise ConfigError("empty measure in the separated configuration")
         if np.any(graph.classify_many(nu.positions) != -1):
@@ -621,15 +609,6 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: in
     stable = _growth_bounded(per_p.values(), growth_cap)
     report.add_verdict("ratio_stable", stable, f"growth cap {growth_cap:g} per refinement")
     return report
-
-
-def _with_m(cfg: Config, section: str, m: int) -> Config:
-    """Clone the config with [section].m forced to the sweep value."""
-    sections = {k: dict(v) for k, v in cfg.sections.items()}
-    sections.setdefault(section, {})["m"] = str(m)
-    clone = Config(sections)
-    clone.echo = cfg.echo  # accumulate into the same echo
-    return clone
 
 
 def _seeded_densities(rng: Rng, nu: DiscreteMeasure, count: int):
@@ -844,6 +823,7 @@ def run_scenario(
     start = time.perf_counter()
     report = scenario(cfg, prm, Rng(seed), threads)
     report.runtime_seconds = time.perf_counter() - start
+    cfg.check_all_read()
     report.config_echo = dict(cfg.echo)
     if out_dir is not None:
         report.write(out_dir)

@@ -5,11 +5,11 @@ Summation conventions, fixed package-wide:
 * Truncation is strict: the closed ball B(x, eps) is removed, so atoms
   at distance exactly eps are excluded; the maximal-function ball is
   closed, so atoms at distance exactly r are included.
-* Single-point sums (``truncated``, ``lp_norm``) use error-free
-  accumulation (math.fsum) in atom index order.
-* Batched sums over atoms and pair sums follow ``summation``.  A
-  scanned row is certified against the value it reports: the sup for
-  T*, |T^eps|, or the total mass for the maximal function.
+* The single-point ``truncated`` uses error-free accumulation
+  (math.fsum) in atom index order.
+* Every other sum follows ``summation``: a total (T^eps rows, L^p
+  norms, pair sums) is one Sum2, and a sup over prefixes (T* and the
+  maximal function) is a scan certified against the sup it reports.
 * The supremum over all truncation radii is exact, not sampled: the
   truncated transform is piecewise constant in eps with jumps only at
   distinct atom distances, so the supremum is a maximum over suffix
@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import Cone
 from .measure import DiscreteMeasure, restrict
-from .summation import certified_sums, sum2_prefix, sum2_total
+from .summation import certified_sums, sum2_prefix, sum2_rows, sum2_total
 
 PAIR_COUNT_GUARD = 10**10
 # a TruncationTable stores P x N int64 order, float64 distances and
@@ -130,25 +130,18 @@ def truncated(nu: DiscreteMeasure, kernel, g, x, eps: float) -> float:
 
 def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
     """T^eps g at every point, eps a scalar or one radius per point, by a
-    masked sum over atoms (strict truncation, certified accumulation);
-    no distance sort, so it suits one radius per point.
+    masked Sum2 over atoms (strict truncation); no distance sort, so it
+    suits one radius per point.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(pts),))
     if not np.all(eps > 0):
         raise ValueError("eps must be > 0")
     out = np.zeros(len(pts))
-    if nu.count == 0:
-        return out
     gw = nu.weights * density_values(g, nu)
     for sl, diffs, dist in _distance_blocks(pts, nu.positions):
-        terms = np.where(dist > eps[sl, None], _kernel_at_diffs(kernel, diffs, dist) * gw, 0.0)
-        out[sl] = certified_sums(terms, _row_totals)[0]
+        out[sl] = sum2_rows(np.where(dist > eps[sl, None], _kernel_at_diffs(kernel, diffs, dist) * gw, 0.0))
     return out
-
-
-def _row_totals(prefix, rows):
-    return prefix[:, -1], np.abs(prefix[:, -1])
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +152,12 @@ def _row_totals(prefix, rows):
 class TruncationTable:
     """Distance-sorted kernel table for a batch of evaluation points.
 
-    Sorting is done once per (measure, points) pair; evaluating the
-    maximal or truncated transform for another density then only needs a
-    gather and one blocked float64 prefix scan, with the rows whose a
-    priori bound gamma_k sum|t| exceeds 1e-13 of the value they report
-    redone by Sum2 (within u|S| + gamma_{N-1}^2 sum|t| of each exact
-    prefix S; see ``summation``) and counted in ``fallback_rows``.  Distances
+    Sorting is done once per (measure, points) pair; evaluating a
+    transform for another density then only needs a gather and one sum
+    per row (see ``summation``).  A truncated value is one Sum2.  A sup
+    (T* or the maximal function) is one blocked float64 prefix scan, with
+    the rows whose a priori bound gamma_k sum|t| exceeds 1e-13 of their
+    sup redone by Sum2 and counted in ``fallback_rows``.  Distances
     are sorted descending so prefix sums ARE the truncated sums: the
     prefix through distance group d equals T^eps for eps in [next
     smaller distance, d).  Read backwards, the same sort serves the
@@ -193,7 +186,7 @@ class TruncationTable:
             self.dist_desc[sl] = np.take_along_axis(dist, order, axis=1)
             self.kw_desc[sl] = np.take_along_axis(kvals, order, axis=1)
         self.valid[:, :-1] = self.dist_desc[:, :-1] != self.dist_desc[:, 1:]
-        self.valid[:, -1] = True
+        self.valid[:, -1:] = True
         # zero-distance groups never enter a truncated sum (their kernel
         # terms are zeroed) and their trailing candidate duplicates the
         # previous one, so no special casing is needed.
@@ -223,14 +216,11 @@ class TruncationTable:
         return self.truncated_values_per_point(g, np.full(len(self.dist_desc), float(eps)))
 
     def truncated_values_per_point(self, g, eps: np.ndarray) -> np.ndarray:
-        """T^eps g with an individual truncation radius per point."""
+        """T^eps g with an individual truncation radius per point, one Sum2 per row."""
         eps = np.asarray(eps, dtype=float)
         if not np.all(eps > 0):
             raise ValueError("eps must be > 0")
-        terms = np.where(self.dist_desc > eps[:, None], self._sorted_terms(g), 0.0)
-        values, redone = certified_sums(terms, _row_totals)
-        self.fallback_rows += redone
-        return values
+        return sum2_rows(np.where(self.dist_desc > eps[:, None], self._sorted_terms(g), 0.0))
 
     def hl_maximal_values(self, g):
         """``hl_maximal_batch`` at the table's points, read from the
@@ -273,6 +263,8 @@ def _hl_from_ascending(atom_mass: np.ndarray, n: int, dist_asc: np.ndarray, orde
     The masses are nonnegative, so the scan's bound over the total mass
     bounds the relative error of every prefix.
     """
+    if dist_asc.shape[1] == 0:
+        return np.zeros(len(dist_asc)), np.zeros(len(dist_asc), dtype=bool), 0
     mass = atom_mass[order_asc]
     diverges = np.any((dist_asc == 0.0) & (mass > 0.0), axis=1)
     usable = np.empty(dist_asc.shape, dtype=bool)
@@ -299,8 +291,6 @@ def hl_maximal_batch(nu: DiscreteMeasure, g, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     values = np.zeros(len(pts))
     diverges = np.zeros(len(pts), dtype=bool)
-    if nu.count == 0:
-        return values, diverges
     a = np.abs(density_values(g, nu)) * nu.weights
     for sl, _, dist in _distance_blocks(pts, nu.positions):
         order = np.argsort(dist, axis=1, kind="stable")
@@ -364,12 +354,11 @@ def nontangential_max(h, cone: Cone, height_cap: float, mesh_depth: int) -> floa
 
 
 def lp_norm(mu: DiscreteMeasure, g, p: float) -> float:
-    """(sum |g|^p w)^(1/p) with error-free accumulation."""
+    """(sum |g|^p w)^(1/p), the sum one Sum2; 0 on an empty measure."""
     if not p >= 1:
         raise ValueError("p must be >= 1")
-    vals = density_values(g, mu)
-    powered = np.abs(vals) ** p * mu.weights
-    return math.fsum(powered.tolist()) ** (1.0 / p)
+    powered = np.abs(density_values(g, mu)) ** p * mu.weights
+    return float(sum2_rows(powered[None, :])[0]) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,8 @@ class TraceRow:
 class PairingTrace:
     """Pairing values along a decreasing eps schedule with the per-term
     overlap decomposition; ``cauchy_tail`` is ``operators.cauchy_tail``
-    of the values.
+    of the values, and ``block_totals[k]`` holds, per block I1..I4, the
+    sum over shape pairs of b_j a_i times that block at eps k.
 
     ``cancellation_noise`` bounds the arithmetic noise of the trace
     (pair count x 2^-50 x largest |term|); a tail at or below it is
@@ -155,6 +156,7 @@ class PairingTrace:
     values: list[float]
     cauchy_tail: float
     rows: list[TraceRow]
+    block_totals: list[list[float]]
     cancellation_noise: float = 0.0
 
     @property
@@ -188,6 +190,7 @@ def convergence_study(
 
     rows: list[TraceRow] = []
     totals: list[list[float]] = [[] for _ in schedule]
+    weighted: list[list[list[float]]] = [[] for _ in schedule]  # b_j a_i x each block
     max_term = 0.0
     pair_count = 0
     for j, (b_j, p_shape) in enumerate(g.terms):
@@ -211,9 +214,12 @@ def convergence_study(
                     i1[k].value, math.fsum(s[k].value for s in i2),
                     i3[k].value, math.fsum(s[k].value for s in i4),
                 ]
-                contribution = b_j * a_i * math.fsum(blocks)
+                coef = b_j * a_i
+                contribution = coef * math.fsum(blocks)
                 rows.append(TraceRow(j, i, eps, contribution, *blocks))
                 totals[k].append(contribution)
+                weighted[k].append([coef * v for v in blocks])
     values = [math.fsum(parts) for parts in totals]
+    block_totals = [[math.fsum(col) for col in zip(*w)] for w in weighted]
     noise = max(pair_count, 1) * CANCELLATION_FACTOR * max_term
-    return PairingTrace(schedule, values, cauchy_tail(values), rows, noise)
+    return PairingTrace(schedule, values, cauchy_tail(values), rows, block_totals, noise)

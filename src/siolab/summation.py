@@ -1,13 +1,13 @@
 """The one summation policy for sums over numpy arrays (single points
 and Python lists use ``math.fsum``).  It uses float64 arithmetic alone,
 so its bits are the same on every platform.  With u = 2^-53 and
-gamma_k = k u / (1 - k u): ``certified_sums`` scans each row by
-``blocked_prefix``, within gamma_k sum|t| for k about 2 sqrt(N), and
-redoes by Sum2 (``sum2_prefix``) each row whose scan bound exceeds 1e-13
-of the value it reports.  A Sum2 prefix S of n terms is within
-u|S| + gamma_{n-1}^2 sum|t|: as accurate as a sum in twice the working
-precision, rounded once.  ``sum2_total`` keeps a Sum2 unrounded, for
-sums of partial sums.
+gamma_k = k u / (1 - k u): a total is one Sum2 (``sum2_rows``), whose
+prefix S of n terms is within u|S| + gamma_{n-1}^2 sum|t|, as accurate
+as a sum in twice the working precision, rounded once; ``sum2_total``
+keeps it unrounded, for sums of partial sums.  A sup over prefixes is
+certified by ``certified_sums``: a ``blocked_prefix`` scan, within
+gamma_k sum|t| for k about 2 sqrt(N), and a Sum2 redo of each row whose
+scan bound exceeds 1e-13 of the sup it reports.
 """
 from __future__ import annotations
 
@@ -77,6 +77,15 @@ def sum2_prefix(terms: np.ndarray) -> np.ndarray:
     return s
 
 
+def sum2_rows(terms: np.ndarray) -> np.ndarray:
+    """The Sum2 total of each row of a (P, N) array, which is overwritten:
+    the last column of ``sum2_prefix``, and 0 where N = 0."""
+    if terms.shape[1] == 0:
+        return np.zeros(len(terms))
+    s = _two_sum_errors(terms)
+    return s[:, -1] + np.cumsum(terms, axis=1, out=terms)[:, -1]
+
+
 def sum2_total(terms: np.ndarray) -> tuple[float, float]:
     """(float64 sum, sum of its TwoSum errors) of a 1-D array, N >= 1,
     which is overwritten.  Unrounded, the pair is within
@@ -85,9 +94,9 @@ def sum2_total(terms: np.ndarray) -> tuple[float, float]:
 
 
 def certified_sums(terms: np.ndarray, report) -> tuple[np.ndarray, int]:
-    """(values, rows redone by Sum2) of a (P, N) array, N >= 1, where
+    """(sups, rows redone by Sum2) of a (P, N) array, N >= 1, where
     ``report(prefix, rows)`` maps the prefix sums of rows ``rows`` (all,
-    or an index array) to their (values, magnitudes).  A bound on every
+    or an index array) to their (sups, magnitudes).  A bound on every
     prefix bounds a sup over prefixes, since |max|a| - max|b|| <= max|a - b|.
     """
     prefix, bound = blocked_prefix(terms)

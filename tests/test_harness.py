@@ -647,3 +647,45 @@ def test_cli_build_measure_uses_the_optional_graph(tmp_path):
     out = tmp_path / "nu.txt"
     assert cli_main(["build-measure", str(cfg_path), "--out", str(out), "--section", "nu"]) == 0
     assert sl.load_measure(out).count == 32
+
+
+_PV_256 = {"scenario": {"tag": "PVConvergence", "resolutions": "256", "eps0": "0.64"}, "graph": _FLAT,
+           "kernel": _RIESZ}
+_WEAK_PAIRING = {"scenario": {"tag": "WeakPairing", "tolerance": "0.1"}, "kernel": _RIESZ,
+                 "mu": {"kind": "cantor", "generation": "3"},
+                 "f": {"mode": "ball", "center": "0.3, 0.3", "radius": "0.35"},
+                 "g": {"mode": "ball", "center": "0.6, 0.6", "radius": "0.4"}}
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        pytest.param({**_PV_256, "kernel": {**_RIESZ, "axs": "2"}}, "kernel.axs", id="kernel"),
+        pytest.param({**_PV_256, "graph": {**_FLAT, "slop": "0.5"}}, "graph.slop", id="graph"),
+        pytest.param(_scenario("LemmaL2Check", {"tuples": "200"}, graph=_FLAT, kernel=_RIESZ,
+                               nu={"kind": "slab_above_graph", "box": "-1, 1", "m": "16", "thickness": "0.2",
+                                   "shift": "-0.5", "levles": "2"}),
+                     "nu.levles", id="nu"),
+        pytest.param({**_double_integral({"eps0": "1.0"}), "mu": _CRIT10_SLAB,
+                      "mu2": {**_CRIT10_SLAB, "shfit": "-0.4"}}, "mu2.shfit", id="mu2"),
+        pytest.param({**_WEAK_PAIRING, "f": {**_WEAK_PAIRING["f"], "coeff": "2"}}, "f.coeff", id="f"),
+        # the resolution sweep sets the atom counts of nu and mu
+        pytest.param(_SEPARATED, "nu.m", id="separated-nu_m"),
+    ],
+)
+def test_cli_unread_key_is_a_config_error(tmp_path, capsys, cfg, key):
+    # otherwise a misspelt optional key silently takes its default
+    assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_build_measure_unread_key_is_a_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "m.cfg"
+    cfg_path.write_text(
+        "[graph]\nprofile = affine\ndim = 2\n"
+        "[nu]\nkind = graph_measure\nbox = -1, 1\nm = 32\nshfit = -1\n"
+    )
+    out = tmp_path / "nu.txt"
+    assert cli_main(["build-measure", str(cfg_path), "--out", str(out), "--section", "nu"]) == EXIT_CONFIG
+    assert "nu.shfit" in capsys.readouterr().err and not out.exists()

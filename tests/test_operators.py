@@ -797,6 +797,58 @@ def test_tie_group_cancellation_matches_truncated():
     assert sl.maximal(nu, k, g, x[0]) == 0.6
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    dens=st.lists(_scan_values, min_size=1, max_size=60),
+    n_pts=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_truncated_values_within_sum2_bound(dens, n_pts, seed):
+    # integer grid atoms (ties, zero distances) with the cancellation mix
+    # as density: every T^eps value is one Sum2 of its row
+    rng = np.random.default_rng(seed)
+    n = len(dens)
+    positions = rng.integers(-3, 4, size=(n, 2)).astype(float)
+    weights = rng.uniform(0.0, 1.0, n)
+    nu = sl.DiscreteMeasure(positions, weights, 1e-3)
+    g = np.array(dens)
+    pts = rng.integers(-3, 4, size=(n_pts, 2)) + rng.choice([0.0, 0.5], size=(n_pts, 2))
+    eps = rng.uniform(0.1, 4.0, n_pts)
+    k = sl.RieszComponent(2, 0)
+    table = sl.TruncationTable(nu, k, pts)
+    from_table = table.truncated_values_per_point(g, eps)
+    batch = truncated_batch(nu, k, g, pts, eps)
+    for i, x in enumerate(pts):
+        diffs = x - positions
+        keep = np.sqrt(np.sum(diffs * diffs, axis=1)) > eps[i]
+        batch_terms = k.evaluate_many(diffs[keep]) * (weights * g)[keep]
+        table_terms = (table.kw_desc[i] * g[table.order[i]])[table.dist_desc[i] > eps[i]]
+        for value, terms in ((batch[i], batch_terms), (from_table[i], table_terms)):
+            exact = sum(map(Fraction, terms.tolist()), Fraction(0))
+            abs_sum = sum((abs(Fraction(t)) for t in terms.tolist()), Fraction(0))
+            assert abs(Fraction(value) - exact) <= _sum2_bound(exact, n, abs_sum)
+
+
+def test_empty_measure_gives_zeros():
+    nu = sl.DiscreteMeasure(np.zeros((0, 2)), np.zeros(0), 0.1)
+    k = sl.RieszComponent(2, 0)
+    pts = np.zeros((2, 2))
+    table = sl.TruncationTable(nu, k, pts)
+    zeros = [0.0, 0.0]
+    assert table.maximal_values(None).tolist() == zeros
+    assert table.truncated_values(None, 0.5).tolist() == zeros
+    assert table.truncated_values_per_point(None, np.array([0.5, 1.0])).tolist() == zeros
+    values, diverges = table.hl_maximal_values(None)
+    assert values.tolist() == zeros and not diverges.any()
+    assert table.fallback_rows == 0
+    assert truncated_batch(nu, k, None, pts, 0.5).tolist() == zeros
+    values, diverges = sl.operators.hl_maximal_batch(nu, None, pts)
+    assert values.tolist() == zeros and not diverges.any()
+    assert sl.maximal(nu, k, None, pts[0]) == 0.0
+    assert sl.hl_maximal(nu, None, pts[0]) == (0.0, False)
+    assert sl.lp_norm(nu, None, 2.0) == 0.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     grid=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=40),
@@ -839,6 +891,10 @@ def test_maximal_values_fallback_on_cancellation():
         assert values[i] == float(exact)
     table.maximal_values(g)
     assert table.fallback_rows == 4  # cumulative
+    # a truncated value is one Sum2, never a redone scan
+    table.truncated_values_per_point(g, np.array([0.5, 2.0]))
+    table.truncated_values(g, 0.5)
+    assert table.fallback_rows == 4
 
 
 def test_hl_maximal_values_matches_batch():

@@ -7,8 +7,9 @@ A module-level name that nothing else in the package uses is dead code,
 and a README example that names a removed entry point no longer runs.
 The benchmark's configs and the README's key table must both agree with
 the ``[scenario]`` key tables.  Array sums follow ``siolab.summation``
-alone, so no source or test names a float type whose width depends on
-the platform.
+alone: no source or test names a float type whose width depends on the
+platform, and ``math.fsum`` takes an array only in the two places that
+README names.
 """
 
 import ast
@@ -126,3 +127,29 @@ def test_no_platform_dependent_float_type_is_named():
         if path.is_file() and "__pycache__" not in path.parts and pattern.search(path.read_bytes())
     ]
     assert hits == []
+
+
+def _fsum_of_array_sites(tree, scope=""):
+    """Qualified names of the functions in which ``fsum`` is called on an
+    argument that contains a ``.tolist()`` call."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _fsum_of_array_sites(node, f"{scope}{node.name}.")
+            continue
+        for call in ast.walk(node):
+            func = getattr(call, "func", None)
+            if getattr(func, "attr", getattr(func, "id", None)) != "fsum":
+                continue
+            if any(getattr(sub, "func", None) is not None and getattr(sub.func, "attr", None) == "tolist"
+                   for arg in call.args for sub in ast.walk(arg)):
+                yield scope.rstrip(".")
+
+
+def test_fsum_takes_an_array_only_in_the_single_point_sums():
+    # every other array total is a Sum2 of siolab.summation
+    sites = {
+        f"{path.stem}.{site}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for site in _fsum_of_array_sites(ast.parse(path.read_text()))
+    }
+    assert sites == {"operators.truncated", "measure.DiscreteMeasure.total_mass"}
