@@ -243,6 +243,12 @@ class LipschitzGraph:
         return Side(int(self.classify_many(point)[0]))
 
 
+def check_aperture(graph: LipschitzGraph, aperture: float) -> None:
+    """A cone of aperture parameter L over ``graph`` needs L > max(1, Lip(f))."""
+    if not (aperture > 1.0 and aperture > graph.lip_declared):
+        raise ValueError("aperture L must exceed max(1, Lip(f))")
+
+
 @dataclass(eq=False)
 class Cone:
     """Open upward cone at a graph point with aperture parameter 4L:
@@ -255,9 +261,7 @@ class Cone:
     aperture: float  # the parameter L
 
     def __post_init__(self):
-        lip = self.graph.lip_declared
-        if not (self.aperture > 1.0 and self.aperture > lip):
-            raise ValueError("aperture L must exceed max(1, Lip(f))")
+        check_aperture(self.graph, self.aperture)
         if len(self.apex_u) != self.graph.param_dim:
             raise ValueError("apex_u must have length ambient_dim - 1")
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .. import kernel as kernel_mod
-from ..geometry import Ball, Cone, LipschitzGraph
+from ..geometry import Ball, LipschitzGraph, check_aperture
 from ..measure import (
     CANTOR_MAX_GENERATION,
     DiscreteMeasure,
@@ -39,7 +39,8 @@ from ..operators import (
     geometric_schedule,
     hl_maximal_batch,  # noqa: F401  kept bound here for perfbench/tracing.py
     lp_norm,
-    nontangential_max,
+    nontangential_max,  # noqa: F401  kept bound here for perfbench/tracing.py
+    nontangential_max_many,
     pair_sum_schedule,
     pair_sum_stats,  # noqa: F401  kept bound here for perfbench/tracing.py
     pv_estimate,
@@ -83,10 +84,11 @@ def _or_default(cfg: Config, prm: dict, key: str, default):
 
 def _aperture(cfg: Config, prm: dict, graph: LipschitzGraph) -> float:
     """scenario.aperture, default 2 max(1, Lip f); a cone needs L > max(1, Lip f)."""
-    lip = graph.lip_declared
-    aperture = _or_default(cfg, prm, "aperture", 2.0 * max(1.0, lip))
-    if not (aperture > 1.0 and aperture > lip):
-        raise ConfigError("scenario.aperture: aperture L must exceed max(1, Lip(f))")
+    aperture = _or_default(cfg, prm, "aperture", 2.0 * max(1.0, graph.lip_declared))
+    try:
+        check_aperture(graph, aperture)
+    except ValueError as exc:
+        raise ConfigError(f"scenario.aperture: {exc}") from exc
     return aperture
 
 
@@ -499,13 +501,14 @@ def scenario_carleson(cfg: Config, prm: dict, rng: Rng, threads: int) -> Scenari
         mu = build_spec(SlabAboveGraphSpec(graph, box, m, thickness, prm["levels"]), "scenario")
         sigma = build_spec(GraphMeasureSpec(graph, box, m), "scenario")
         sigma_u = graph.to_graph_frame(sigma.positions)[:, :-1]
-        for name, g in densities:
+        try:
+            n_vals = nontangential_max_many([g for _, g in densities], graph, sigma_u, aperture, height,
+                                            prm["mesh_depth"])
+        except ValueError as exc:
+            raise ConfigError(f"scenario.mesh_depth: {exc}") from exc
+        for (name, g), n_row in zip(densities, n_vals):
             lhs = lp_norm(mu, g, p) ** p
-            n_vals = np.empty(sigma.count)
-            for i, u in enumerate(sigma_u):
-                cone = Cone(graph, tuple(u.tolist()), aperture)
-                n_vals[i] = nontangential_max(g, cone, height, prm["mesh_depth"])
-            rhs = lp_norm(sigma, n_vals, p) ** p
+            rhs = lp_norm(sigma, n_row, p) ** p
             ratio = lhs / rhs if rhs > 0 else math.nan
             rows.append([m, name, lhs, rhs, ratio])
             if rhs > 0:

@@ -60,3 +60,24 @@ def brute_pair_sum(pos_a, w_a, pos_b, w_b, kernel, eps):
         max_term = max(max_term, float(np.max(np.abs(terms))))
         count += int(mask.sum())
     return math.fsum(chain.from_iterable(map(np.ndarray.tolist, parts))), max_term, count
+
+
+def cone_mesh_loop(cone, height_cap, mesh_depth):
+    """The cone mesh one level at a time, each level placed at the apex
+    and stacked: 2^mesh_depth levels t = height_cap * level / levels,
+    a (2 level + 1)^d grid of half-width rho = t / (4L) kept strictly
+    inside radius rho."""
+    graph = cone.graph
+    u0 = np.asarray(cone.apex_u, dtype=float)
+    f0 = float(graph.height(u0)[0])
+    levels = 1 << mesh_depth
+    coords = []
+    for level in range(1, levels + 1):
+        t = height_cap * level / levels
+        rho = t / (4.0 * cone.aperture)
+        ticks = np.linspace(-1.0, 1.0, 2 * level + 1) * rho * (1.0 - 1e-12)
+        mesh = np.meshgrid(*([ticks] * graph.param_dim), indexing="ij")
+        offsets = np.column_stack([m.reshape(-1) for m in mesh])
+        u = u0[None, :] + offsets[np.linalg.norm(offsets, axis=1) < rho]
+        coords.append(np.column_stack([u, np.full(len(u), f0 + t)]))
+    return graph.from_graph_frame(np.vstack(coords))

@@ -17,6 +17,7 @@ from siolab.harness import (
 )
 from siolab.harness.cli import EXIT_CONFIG, main as cli_main
 from siolab.harness.report import fmt_value
+from siolab.harness import scenarios
 from siolab.harness.scenarios import read_scenario
 
 
@@ -338,6 +339,25 @@ def test_carleson_constant_density_ratio():
             assert lhs == 0.0 and rhs == 0.0 and math.isnan(ratio)
 
 
+def test_carleson_dim3_rhs_matches_per_cone_loop(monkeypatch):
+    # d = 2 cross-sections: every rhs cell of the batched run equals the
+    # one a per-cone nontangential_max loop gives
+    cfg = {"scenario": {"tag": "CarlesonEmbedding", "seed": "3", "resolutions": "8, 16", "mesh_depth": "3"},
+           "graph": {"profile": "sawtooth", "dim": "3", "amplitude": "0.3", "period": "0.5"}}
+    batched = run_scenario(config_from_dict(cfg))
+    assert batched.passed
+
+    def per_cone(hs, graph, apex_u, aperture, height_cap, mesh_depth):
+        cones = [sl.Cone(graph, tuple(u), aperture) for u in apex_u.tolist()]
+        return np.array([[sl.nontangential_max(h, c, height_cap, mesh_depth) for c in cones] for h in hs])
+
+    monkeypatch.setattr(scenarios, "nontangential_max_many", per_cone)
+    looped = run_scenario(config_from_dict(cfg))
+    rhs = [row[3] for row in batched.table("metrics").rows]
+    assert len(rhs) == 8 and sum(r > 0 for r in rhs) == 6  # all but the zero density
+    assert rhs == [row[3] for row in looped.table("metrics").rows]
+
+
 def test_random_density_rejects_zero_draws():
     from siolab.harness.scenarios import random_nonzero_density
 
@@ -530,6 +550,9 @@ def _with(base, **keys):
         pytest.param(_with(_CARLESON, height_cap="0"), "height_cap", id="carleson-height_cap"),
         pytest.param(_with(_CARLESON, resolutions="0, 8"), "resolutions", id="carleson-resolution_0"),
         pytest.param(_with(_CARLESON, box="1, -1"), "box", id="carleson-box_reversed"),
+        # the cone mesh point guard, checked on its bound before any allocation
+        pytest.param(_with(_CARLESON, mesh_depth="20"), "mesh_depth", id="carleson-mesh_depth_guard"),
+        pytest.param(_with(_CARLESON, mesh_depth="1000000000"), "mesh_depth", id="carleson-mesh_depth_huge"),
         pytest.param(_with(_SEPARATED, p="0.5"), "p", id="separated-p_below_1"),
         pytest.param(_with(_SEPARATED, p="2, 1"), "p", id="separated-p_1"),
         pytest.param(_with(_CANTOR_GROWTH, generations="11"), "generations", id="cantor-generation_11"),

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -12,7 +13,7 @@ from siolab import measure, operators, summation
 from siolab.operators import density_values, pair_sum_schedule, pair_sum_stats, truncated_batch
 from siolab.harness.rng import Rng
 
-from oracles import brute_force_sup, brute_pair_sum
+from oracles import brute_force_sup, brute_pair_sum, cone_mesh_loop
 
 
 def two_atom_line():
@@ -92,6 +93,8 @@ def _nan_calls():
         "truncated_values_per_point": lambda: table.truncated_values_per_point(g, per_point),
         "lp_norm": lambda: sl.lp_norm(nu, g, math.nan),
         "cone_mesh": lambda: operators.cone_mesh(cone, math.nan, 3),
+        "nontangential_max_many": lambda: operators.nontangential_max_many(
+            [np.cos], cone.graph, [cone.apex_u], 1.5, math.nan, 3),
         "bound_constants": lambda: sl.bound_constants(k, math.nan),
         "measure_weight": lambda: sl.DiscreteMeasure(pts, [1.0, math.nan, 1.0, 1.0, 1.0], 0.1),
         "measure_resolution": lambda: sl.DiscreteMeasure(pts, np.ones(5), math.nan),
@@ -522,12 +525,89 @@ def test_nontangential_max_bounded_by_cone_estimate():
 
 
 def test_nontangential_max_validation():
-    g = sl.LipschitzGraph(2, sl.Affine((0.0,)))
-    cone = sl.Cone(g, (0.0,), 1.5)
+    # the batched form raises what Cone and the single-cone form raise
+    g = sl.LipschitzGraph(2, sl.Affine((1.2,)))
+    zero = lambda p: np.zeros(len(p))
+    cases = [
+        (1.5, 0.0, 3), (1.5, -1.0, 3), (1.5, math.nan, 3), (1.5, 1.0, 0), (1.5, 1.0, -2),
+        (1.0, 1.0, 3), (1.2, 1.0, 3),  # L must exceed max(1, Lip f) = 1.2
+    ]
+    for aperture, height_cap, mesh_depth in cases:
+        with pytest.raises(ValueError):
+            sl.nontangential_max(zero, sl.Cone(g, (0.0,), aperture), height_cap, mesh_depth)
+        with pytest.raises(ValueError):
+            operators.nontangential_max_many([zero], g, [(0.0,)], aperture, height_cap, mesh_depth)
+
+
+def test_nontangential_max_many_rejects_wrong_apex_length():
+    g = sl.LipschitzGraph(3, sl.Affine((0.0, 0.0)))
     with pytest.raises(ValueError):
-        sl.nontangential_max(lambda p: np.zeros(len(p)), cone, 0.0, 3)
-    with pytest.raises(ValueError):
-        sl.nontangential_max(lambda p: np.zeros(len(p)), cone, 1.0, 0)
+        operators.nontangential_max_many([np.cos], g, [(0.0,)], 1.5, 1.0, 3)
+
+
+def test_cone_mesh_point_guard(monkeypatch):
+    # depth 3 in d = 2: K = 8 levels, bound K (2K+1)^2 = 2312 grid points
+    g = sl.LipschitzGraph(3, sl.Affine((0.0, 0.0)))
+    cone = sl.Cone(g, (0.0, 0.0), 1.5)
+    monkeypatch.setattr(operators, "MESH_POINTS_GUARD", 8 * 17**2 - 1)
+    with pytest.raises(ValueError, match="mesh point guard"):
+        operators.cone_mesh(cone, 1.0, 3)
+    with pytest.raises(ValueError, match="mesh point guard"):
+        operators.nontangential_max_many([np.cos], g, [(0.0, 0.0)], 1.5, 1.0, 3)
+    monkeypatch.setattr(operators, "MESH_POINTS_GUARD", 8 * 17**2)
+    assert len(operators.cone_mesh(cone, 1.0, 3)) < 8 * 17**2
+
+
+@pytest.mark.parametrize("mesh_depth", [20, 64, 10**9])
+def test_cone_mesh_point_guard_before_allocation(mesh_depth):
+    # 2^20 levels in d = 1 is about 2e12 points: rejected on the bound alone
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="mesh point guard"):
+        operators.cone_mesh(sl.Cone(sl.LipschitzGraph(2, sl.Affine((0.0,))), (0.0,), 1.5), 1.0, mesh_depth)
+    assert time.perf_counter() - start < 1.0
+
+
+_MESH_DENSITIES = [
+    lambda p: np.sin(3.0 * p[:, 0]) * np.exp(-p[:, -1]),
+    lambda p: np.exp(-np.sum((p - 0.25) ** 2, axis=1) / 0.5),
+    lambda p: p[:, -1] * (p[:, 0] > 0.1),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    profile=st.sampled_from(["sawtooth", "bump"]),
+    rotated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    mesh_depth=st.integers(1, 4),
+    height_cap=st.floats(0.05, 2.0),
+    slack=st.floats(1.001, 3.0),
+    per_chunk=st.integers(2, 6),
+    full_chunks=st.integers(0, 3),
+    data=st.data(),
+)
+def test_nontangential_max_many_equals_per_cone_loop(
+    d, profile, rotated, seed, mesh_depth, height_cap, slack, per_chunk, full_chunks, data
+):
+    rng = np.random.default_rng(seed)
+    rotation = np.linalg.qr(rng.standard_normal((d + 1, d + 1)))[0] if rotated else None
+    shape = sl.Sawtooth(0.3, 0.5) if profile == "sawtooth" else sl.SmoothBump(0.4, 0.3)
+    graph = sl.LipschitzGraph(d + 1, shape, rotation)
+    aperture = slack * max(1.0, graph.lip_declared)
+    # a budget that splits the apexes mid-array: the last chunk is short
+    n_apex = per_chunk * full_chunks + data.draw(st.integers(1, per_chunk - 1))
+    apexes = rng.uniform(-1.0, 1.0, (n_apex, d))
+    m = len(operators._cone_template(aperture, height_cap, mesh_depth, d)[0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_MESH_CHUNK_POINTS", per_chunk * m + m // 2)
+        got = operators.nontangential_max_many(_MESH_DENSITIES, graph, apexes, aperture, height_cap, mesh_depth)
+    cones = [sl.Cone(graph, tuple(u), aperture) for u in apexes.tolist()]
+    want = [[sl.nontangential_max(h, c, height_cap, mesh_depth) for c in cones] for h in _MESH_DENSITIES]
+    assert got.tolist() == want
+    # the template-built mesh is the per-level loop's, point for point
+    assert np.array_equal(operators.cone_mesh(cones[0], height_cap, mesh_depth),
+                          cone_mesh_loop(cones[0], height_cap, mesh_depth))
 
 
 # ---------------------------------------------------------------------------
