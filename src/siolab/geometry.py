@@ -361,29 +361,22 @@ Shape = Ball | Rectangle
 
 
 @dataclass(eq=False)
-class RegionPiece:
-    """One of the 2n pieces: outward direction and its separating graph."""
-
-    index: int
-    direction: np.ndarray
-    graph: LipschitzGraph
-
-
-@dataclass(eq=False)
 class RegionDecomposition:
     """Partition of the complement of a shape into 2n disjoint regions,
-    each lying strictly above a rotated Lipschitz graph that supports the
-    shape from below.  Region membership is first-match in piece order.
+    region i lying strictly above ``graphs[i]``, a rotated Lipschitz
+    graph that supports the shape from below; the last column of its
+    frame is the region's outward direction.  Region membership is
+    first match in graph order.
     """
 
     shape: Shape
-    pieces: list[RegionPiece]
+    graphs: list[LipschitzGraph]
 
     def assign(self, points) -> np.ndarray:
         """Region index per point; -1 marks points inside the shape.
 
-        Exterior points are assigned to the first piece whose graph they
-        lie strictly above.  A numerically marginal exterior point (on
+        Exterior points are assigned to the first graph they lie
+        strictly above.  A numerically marginal exterior point (on
         every candidate graph to tolerance) falls back to the largest
         signed height, keeping the predicate total on the complement.
         """
@@ -395,10 +388,10 @@ class RegionDecomposition:
             return out
         ext_pts = pts[ext]
         tol = ON_TOLERANCE * (1.0 + np.linalg.norm(ext_pts, axis=1))
-        heights = np.stack([p.graph.signed_height(ext_pts) for p in self.pieces])
+        heights = np.stack([g.signed_height(ext_pts) for g in self.graphs])
         unassigned = np.ones(len(ext_pts), dtype=bool)
         chosen = np.empty(len(ext_pts), dtype=int)
-        for i in range(len(self.pieces)):
+        for i in range(len(self.graphs)):
             take = unassigned & (heights[i] > tol)
             chosen[take] = i
             unassigned &= ~take
@@ -419,7 +412,7 @@ def decompose_complement(shape: Shape) -> RegionDecomposition:
     Rectangle: each face extends to its hyperplane, an affine graph with
     zero slope in the frame whose vertical axis is the outward face
     normal.  Ball: each of the 2n signed coordinate directions carries a
-    cap-cone graph (see BallCap) supporting the ball.  Piece order is
+    cap-cone graph (see BallCap) supporting the ball.  Graph order is
     +a_1, -a_1, +a_2, -a_2, ... (a_k the rectangle axes, or the standard
     basis for a ball); membership is first match.
     """
@@ -431,13 +424,12 @@ def decompose_complement(shape: Shape) -> RegionDecomposition:
     else:
         raise TypeError(f"unsupported shape {type(shape).__name__}")
     center = np.asarray(shape.center)
-    pieces: list[RegionPiece] = []
+    graphs = []
     for k in range(n):
         for sign in (+1.0, -1.0):
-            direction = sign * axes[:, k]
-            frame = _face_frame(axes, k, sign)
+            frame = _face_frame(axes, k, sign)  # last column: the outward direction
             if isinstance(shape, Rectangle):
-                level = float(center @ direction) + shape.half_widths[k]
+                level = float(center @ frame[:, -1]) + shape.half_widths[k]
                 prof = Affine(slope=(0.0,) * (n - 1), offset=level)
             else:
                 local_center = center @ frame
@@ -446,9 +438,8 @@ def decompose_complement(shape: Shape) -> RegionDecomposition:
                     center_u=tuple(local_center[:-1]),
                     level=float(local_center[-1]),
                 )
-            graph = LipschitzGraph(n, prof, rotation=frame)
-            pieces.append(RegionPiece(len(pieces), direction, graph))
-    return RegionDecomposition(shape, pieces)
+            graphs.append(LipschitzGraph(n, prof, rotation=frame))
+    return RegionDecomposition(shape, graphs)
 
 
 def _face_frame(axes: np.ndarray, k: int, sign: float) -> np.ndarray:

@@ -150,25 +150,25 @@ def config_from_dict(data: dict[str, dict[str, str]]) -> Config:
 # ---------------------------------------------------------------------------
 
 
-def build_kernel(cfg: Config, section: str = "kernel"):
-    family = cfg.get_str(section, "family", "riesz").lower()
-    dim = cfg.get_int(section, "dim", REQUIRED)
-    c0 = cfg.get_float(section, "c0", 0.0) or None
-    c1 = cfg.get_float(section, "c1", 0.0) or None
+def build_kernel(cfg: Config):
+    family = cfg.get_str("kernel", "family", "riesz").lower()
+    dim = cfg.get_int("kernel", "dim", REQUIRED)
+    c0 = cfg.get_float("kernel", "c0", 0.0) or None
+    c1 = cfg.get_float("kernel", "c1", 0.0) or None
     try:
         if family == "riesz":
-            axis = cfg.get_int(section, "axis", 1)  # 1-based in config files
+            axis = cfg.get_int("kernel", "axis", 1)  # 1-based in config files
             kern = kernel_mod.RieszComponent(dim, axis - 1, c0, c1)
         elif family == "odd_homogeneous":
-            exponents = tuple(cfg.get_ints(section, "exponents", REQUIRED))
+            exponents = tuple(cfg.get_ints("kernel", "exponents", REQUIRED))
             kern = kernel_mod.OddHomogeneous(dim, exponents, c0, c1)
         else:
             raise ConfigError(f"unknown kernel family {family!r}")
     except ValueError as exc:
         raise ConfigError(f"invalid kernel: {exc}") from exc
     # echo the constants the kernel actually certifies, not the sentinel
-    cfg.echo[f"{section}.c0"] = _fmt(kern.c0_declared)
-    cfg.echo[f"{section}.c1"] = _fmt(kern.c1_declared)
+    cfg.echo["kernel.c0"] = _fmt(kern.c0_declared)
+    cfg.echo["kernel.c1"] = _fmt(kern.c1_declared)
     return kern
 
 
@@ -177,25 +177,25 @@ def optional_graph(cfg: Config):
     return build_graph(cfg) if cfg.has("graph", "profile") else None
 
 
-def build_graph(cfg: Config, section: str = "graph"):
-    dim = cfg.get_int(section, "dim", REQUIRED)
-    profile_name = cfg.get_str(section, "profile", REQUIRED).lower()
+def build_graph(cfg: Config):
+    dim = cfg.get_int("graph", "dim", REQUIRED)
+    profile_name = cfg.get_str("graph", "profile", REQUIRED).lower()
     try:
         if profile_name == "affine":
-            slope = tuple(cfg.get_floats(section, "slope", [0.0] * (dim - 1)))
-            offset = cfg.get_float(section, "offset", 0.0)
+            slope = tuple(cfg.get_floats("graph", "slope", [0.0] * (dim - 1)))
+            offset = cfg.get_float("graph", "offset", 0.0)
             profile = geometry.Affine(slope, offset)
         elif profile_name == "sawtooth":
             profile = geometry.Sawtooth(
-                cfg.get_float(section, "amplitude", REQUIRED),
-                cfg.get_float(section, "period", REQUIRED),
+                cfg.get_float("graph", "amplitude", REQUIRED),
+                cfg.get_float("graph", "period", REQUIRED),
             )
         elif profile_name == "cone":
-            profile = geometry.ConeProfile(cfg.get_float(section, "slope", REQUIRED))
+            profile = geometry.ConeProfile(cfg.get_float("graph", "slope", REQUIRED))
         elif profile_name == "smooth_bump":
             profile = geometry.SmoothBump(
-                cfg.get_float(section, "amplitude", REQUIRED),
-                cfg.get_float(section, "width", REQUIRED),
+                cfg.get_float("graph", "amplitude", REQUIRED),
+                cfg.get_float("graph", "width", REQUIRED),
             )
         else:
             raise ConfigError(f"unknown graph profile {profile_name!r}")

@@ -120,8 +120,9 @@ def _growth_bounded(series_list, growth_cap: float) -> bool:
 def random_simple_function(rng: Rng, box) -> SimpleFunction:
     """1 to 5 ball indicators with centers in the box and coefficients
     uniform in [-1, 1]."""
-    spans = [hi - lo for lo, hi in box]
-    scale = max(spans)
+    scale = max(hi - lo for lo, hi in box)
+    if not scale > 0:
+        raise ConfigError("random simple functions need a measure with atoms at two or more positions")
     n_terms = rng.integer(1, 5)
     terms = []
     for _ in range(n_terms):
@@ -447,38 +448,6 @@ def scenario_cantor_growth(cfg: Config, prm: dict, rng: Rng, threads: int) -> Sc
 # ---------------------------------------------------------------------------
 
 
-class _GaussianDensity:
-    def __init__(self, center, width):
-        self.center = np.asarray(center, dtype=float)
-        self.width = float(width)
-
-    def __call__(self, pts):
-        d2 = np.sum((np.atleast_2d(pts) - self.center) ** 2, axis=1)
-        return np.exp(-d2 / (2.0 * self.width**2))
-
-
-class _CoordinateSlabDensity:
-    """y -> y_k restricted to a horizontal slab a <= y_n <= b."""
-
-    def __init__(self, axis, lo, hi):
-        self.axis = int(axis)
-        self.lo = float(lo)
-        self.hi = float(hi)
-
-    def __call__(self, pts):
-        pts = np.atleast_2d(pts)
-        inside = (pts[:, -1] >= self.lo) & (pts[:, -1] <= self.hi)
-        return pts[:, self.axis] * inside
-
-
-class _ConstantDensity:
-    def __init__(self, value: float = 1.0):
-        self.value = float(value)
-
-    def __call__(self, pts):
-        return np.full(len(np.atleast_2d(pts)), self.value)
-
-
 def scenario_carleson(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
     box = box_pairs(prm["box"], graph.param_dim, "scenario.box")
@@ -488,11 +457,21 @@ def scenario_carleson(cfg: Config, prm: dict, rng: Rng, threads: int) -> Scenari
     height = _or_default(cfg, prm, "height_cap", 2.0 * thickness)
 
     mid = graph.points_on_graph(np.zeros(graph.param_dim))[0]
+    center = mid + np.eye(graph.ambient_dim)[-1] * 0.4 * thickness
+    lo, hi = float(mid[-1]) - 0.1, float(mid[-1]) + 0.8 * thickness
+
+    def gaussian(pts):  # width 0.5 about a point 0.4 thickness above the graph
+        return np.exp(-np.sum((np.atleast_2d(pts) - center) ** 2, axis=1) / (2.0 * 0.5**2))
+
+    def coordinate_slab(pts):  # y -> y_1 on the horizontal slab lo <= y_n <= hi
+        pts = np.atleast_2d(pts)
+        return pts[:, 0] * ((pts[:, -1] >= lo) & (pts[:, -1] <= hi))
+
     densities = [
-        ("constant", _ConstantDensity()),
-        ("gaussian", _GaussianDensity(mid + np.eye(graph.ambient_dim)[-1] * 0.4 * thickness, 0.5)),
-        ("coordinate_slab", _CoordinateSlabDensity(0, float(mid[-1]) - 0.1, float(mid[-1]) + 0.8 * thickness)),
-        ("zero", _ConstantDensity(0.0)),  # both sides vanish; ratio skipped
+        ("constant", lambda pts: np.ones(len(np.atleast_2d(pts)))),
+        ("gaussian", gaussian),
+        ("coordinate_slab", coordinate_slab),
+        ("zero", lambda pts: np.zeros(len(np.atleast_2d(pts)))),  # both sides vanish; ratio skipped
     ]
 
     rows = []
@@ -572,12 +551,12 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: in
             raise ConfigError("scenario.resolutions is not read by the control")
         # negative control: mu = nu = four-corners Cantor, same side;
         # the ratio is expected to grow with the generation (reported,
-        # no pass criterion).  Its full-support density is always there,
-        # so random_functions may be 0.
+        # no pass criterion).  Its full-support indicator chi_square is
+        # always among the densities, so random_functions may be 0.
         for gen in _or_default(cfg, prm, "generations", [3, 4, 5, 6]):
             nu = cantor_four_corners(gen)
             _same_dim(kern, nu.ambient_dim, "Cantor set")
-            densities = _control_densities(rng, nu, n_g)
+            densities = [("chi_square", np.ones(nu.count)), *_seeded_densities(rng, nu, n_g)]
             ratios = _ratio_table(nu, nu, kern, p_list, densities, threads)
             for p in p_list:
                 rows.append([gen, p, ratios[p]])
@@ -622,13 +601,6 @@ def _seeded_densities(rng: Rng, nu: DiscreteMeasure, count: int):
     for j in range(count):
         _, values = random_nonzero_density(rng.spawn(1000 + j), nu, box)
         out.append((f"g{j}", values))
-    return out
-
-
-def _control_densities(rng: Rng, nu: DiscreteMeasure, count: int):
-    """Control densities always include the full-support indicator."""
-    out = [("chi_square", np.ones(nu.count))]
-    out.extend(_seeded_densities(rng, nu, count))
     return out
 
 

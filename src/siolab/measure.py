@@ -43,12 +43,12 @@ class DiscreteMeasure:
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
         if len(self.positions) != len(self.weights):
             raise ValueError("positions and weights must have equal length")
-        if not np.all(self.weights >= 0):
-            raise ValueError("weights must be >= 0")
+        if not np.all((self.weights >= 0) & (self.weights < math.inf)):
+            raise ValueError("weights must be finite and >= 0")
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("positions must be finite")
-        if not self.resolution > 0:
-            raise ValueError("resolution must be > 0")
+        if not 0 < self.resolution < math.inf:
+            raise ValueError("resolution must be finite and > 0")
 
     @property
     def ambient_dim(self) -> int:

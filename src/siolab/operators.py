@@ -458,28 +458,24 @@ def pv_estimate(
     kernel,
     x,
     eps0: float | None = None,
-    eps_min: float | None = None,
     floor_factor: float = 4.0,
 ) -> PVResult:
     """Principal-value study of int K(x - y) dnu(y): truncated values
-    along a ratio-1/2 geometric schedule from eps0 down to eps_min,
-    converged when the Cauchy tail is at most 1e-3 of the largest
-    |value|.
-
-    eps_min defaults to floor_factor * resolution and may not go below
-    it: the discretization carries no information at finer scales.
+    along a ratio-1/2 geometric schedule from eps0 (default diam / 4)
+    down to the resolution floor floor_factor * h, below which the
+    discretization carries no information, converged when the Cauchy
+    tail is at most 1e-3 of the largest |value|.  The whole trace is one
+    ``pair_sum_schedule`` pass with x as the single unit-weight point,
+    so each value carries that engine's Sum2 bound.
     """
-    floor = floor_factor * nu.resolution
-    if eps_min is None:
-        eps_min = floor
-    if eps_min < floor:
-        raise ValueError("eps_min below the resolution floor")
     if eps0 is None:
         eps0 = nu.bounding_diameter() / 4.0
-    schedule = geometric_schedule(eps0, eps_min)
+    schedule = geometric_schedule(eps0, floor_factor * nu.resolution)
     if len(schedule) < 4:
         raise ValueError("schedule shorter than 4 entries")
-    values = [truncated(nu, kernel, None, x, e) for e in schedule]
+    pole = np.asarray(x, dtype=float).reshape(1, -1)
+    trace = pair_sum_schedule(pole, np.ones(1), nu.positions, nu.weights, kernel, schedule)
+    values = [stats.value for stats in trace]
     tail = cauchy_tail(values)
     scale = max(abs(v) for v in values)
     return PVResult(

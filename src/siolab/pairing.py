@@ -157,7 +157,7 @@ class PairingTrace:
     cauchy_tail: float
     rows: list[TraceRow]
     block_totals: list[list[float]]
-    cancellation_noise: float = 0.0
+    cancellation_noise: float
 
     @property
     def limit_estimate(self) -> float:
@@ -200,7 +200,7 @@ def convergence_study(
             decomp = decompose_complement(q_shape)
             region = decomp.assign(mu.positions)
             region_masks = [
-                p_only & (region == r) for r in range(len(decomp.pieces))
+                p_only & (region == r) for r in range(len(decomp.graphs))
             ]
             i1 = _masked_pair(mu, kernel, both, both, schedule)
             i2 = [_masked_pair(mu, kernel, m, both, schedule) for m in region_masks]

@@ -178,14 +178,14 @@ def test_rotated_rectangle_membership():
 def test_square_decomposition_top_region():
     square = sl.Rectangle((0.0, 0.0), (0.5, 0.5))
     dec = sl.decompose_complement(square)
-    assert len(dec.pieces) == 4
+    assert len(dec.graphs) == 4
     idx = dec.region_of([0.0, 10.0])
-    piece = dec.pieces[idx]
-    assert np.allclose(piece.direction, [0.0, 1.0])
+    graph = dec.graphs[idx]
+    assert np.allclose(graph.rotation[:, -1], [0.0, 1.0])
     # the separating graph is the horizontal line y = 1/2
-    assert isinstance(piece.graph.profile, sl.Affine)
-    assert piece.graph.profile.offset == 0.5
-    assert piece.graph.lip_declared == 0.0
+    assert isinstance(graph.profile, sl.Affine)
+    assert graph.profile.offset == 0.5
+    assert graph.lip_declared == 0.0
 
 
 def test_ball_decomposition_assigns_far_point():
@@ -193,15 +193,15 @@ def test_ball_decomposition_assigns_far_point():
     dec = sl.decompose_complement(ball)
     point = np.array([0.0, 10.0])
     idx = dec.region_of(point)
-    piece = dec.pieces[idx]
+    graph = dec.graphs[idx]
     # every separating graph of a ball is a cap-cone; the assigned one
     # must hold the point strictly above it
-    assert isinstance(piece.graph.profile, sl.BallCap)
-    assert piece.graph.signed_height(point)[0] > 0
-    # the upward piece is the unit-slope cap-cone of the plane
-    top = next(p for p in dec.pieces if np.allclose(p.direction, [0.0, 1.0]))
-    assert top.graph.lip_declared == 1.0
-    assert top.graph.signed_height(point)[0] > 0
+    assert isinstance(graph.profile, sl.BallCap)
+    assert graph.signed_height(point)[0] > 0
+    # the upward region's graph is the unit-slope cap-cone of the plane
+    top = next(g for g in dec.graphs if np.allclose(g.rotation[:, -1], [0.0, 1.0]))
+    assert top.lip_declared == 1.0
+    assert top.signed_height(point)[0] > 0
 
 
 def test_interior_point_reports_inside():
@@ -220,7 +220,7 @@ def _check_decomposition(shape, rng, n_samples=100_000):
     pts = rng.points_in_box(n_samples, wide)
     exterior = pts[~shape.contains_many(pts)]
     tol = ON_TOLERANCE * (1.0 + np.linalg.norm(exterior, axis=1))
-    heights = np.stack([p.graph.signed_height(exterior) for p in dec.pieces])
+    heights = np.stack([g.signed_height(exterior) for g in dec.graphs])
     strictly_above = heights > tol
     # no gaps: every exterior sample is strictly above some graph
     assert np.all(np.any(strictly_above, axis=0))
@@ -233,8 +233,8 @@ def _check_decomposition(shape, rng, n_samples=100_000):
     inner = pts[shape.contains_many(pts)]
     if len(inner):
         tol_in = ON_TOLERANCE * (1.0 + np.linalg.norm(inner, axis=1))
-        for piece in dec.pieces:
-            assert np.all(piece.graph.signed_height(inner) <= tol_in)
+        for graph in dec.graphs:
+            assert np.all(graph.signed_height(inner) <= tol_in)
 
 
 def test_ball_decomposition_sampling_oracle():

@@ -577,6 +577,21 @@ def test_cli_scenario_key_out_of_schema_is_a_config_error(tmp_path, capsys, cfg,
     assert f"scenario.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        pytest.param({"kernel": _RIESZ, "mu": {"kind": "cantor", "generation": "0"},
+                      "scenario": {"tag": "WeakPairing"}}, id="weak_pairing-cantor_0"),
+        pytest.param(_with(_SEPARATED, resolutions="1, 2"), id="separated-resolution_1"),
+        pytest.param(_with(_CONTROL, generations="0", random_functions="2"), id="control-generation_0"),
+    ],
+)
+def test_cli_random_functions_on_one_atom_position_are_a_config_error(tmp_path, capsys, cfg):
+    # the balls' radii scale with the bounding box, which is a point here
+    assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
+    assert "two or more positions" in capsys.readouterr().err
+
+
 _RIESZ_3D = {"family": "riesz", "dim": "3", "axis": "1"}
 _CRIT10_SLAB = {"kind": "slab_above_graph", "box": "-1, 1", "m": "128", "thickness": "0.4", "levels": "16"}
 

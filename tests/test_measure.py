@@ -307,6 +307,8 @@ def test_serialization_header_format(tmp_path):
         pytest.param("n=2 h=0x1p-4\n", "header", id="no-count"),
         pytest.param("n=2 count=0\n", "header", id="no-h"),
         pytest.param("", "header", id="empty-file"),
+        pytest.param("n=2 count=1 h=0x1p-4\n0x1p-1 0x0p+0 inf\n", "weights must be finite", id="infinite-weight"),
+        pytest.param("n=2 count=1 h=inf\n0x1p-1 0x0p+0 0x1p+0\n", "resolution must be finite", id="infinite-h"),
     ],
 )
 def test_load_measure_rejects_inconsistent_files(tmp_path, text, problem):

@@ -304,10 +304,20 @@ def test_pv_schedule_validation():
     nu = sl.cantor_four_corners(2)
     with pytest.raises(ValueError):
         sl.pv_estimate(nu, sl.RieszComponent(2, 0), [0.0, 0.0], eps0=8 * nu.resolution)
-    with pytest.raises(ValueError):
-        sl.pv_estimate(
-            nu, sl.RieszComponent(2, 0), [0.0, 0.0], eps_min=nu.resolution
-        )
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pv_estimate_matches_truncated_loop(dim):
+    # one pair_sum_schedule pass against the per-eps single-point sums
+    rng = Rng(97 + dim)
+    nu, _ = random_config(rng, 300, dim)
+    nu = sl.DiscreteMeasure(nu.positions, nu.weights, resolution=1e-3)
+    k = sl.RieszComponent(dim, dim - 1)
+    points = [*rng.points_in_box(4, [(-1, 1)] * dim), nu.positions[7]]  # one point on an atom
+    for x in points:
+        res = sl.pv_estimate(nu, k, x, eps0=1.5)
+        loop = [sl.truncated(nu, k, None, x, e) for e in res.eps_schedule]
+        assert res.values == pytest.approx(loop, rel=1e-13, abs=1e-300)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -837,14 +847,44 @@ def test_pair_sum_schedule_within_sum2_bound(dim, w_a, n_b, squares, seed):
     terms = k.evaluate_many(safe) * (w_a[:, None] * w_b[None, :]).reshape(-1)
     for eps, stats in zip(schedule, got):
         included = terms[dist > eps].tolist()
-        n = len(included)
-        exact = sum(map(Fraction, included), Fraction(0))
-        abs_sum = sum((abs(Fraction(t)) for t in included), Fraction(0))
-        # at most n partials: the documented bound with m = n
-        partials = (1 + _gamma(n)) ** 2 * _gamma(max(2 * n - 1, 0)) ** 2
-        bound = _U * abs(exact) + ((1 + _U) * _gamma(max(n - 1, 0)) ** 2 + partials) * abs_sum
-        assert stats.pair_count == n
-        assert abs(Fraction(stats.value) - exact) <= bound
+        assert stats.pair_count == len(included)
+        _assert_within_pair_sum_bound(stats.value, included)
+
+
+def _assert_within_pair_sum_bound(value, included):
+    """``pair_sum_schedule``'s documented bound on one value, exactly."""
+    n = len(included)
+    exact = sum(map(Fraction, included), Fraction(0))
+    abs_sum = sum((abs(Fraction(t)) for t in included), Fraction(0))
+    # at most n partials: the documented bound with m = n
+    partials = (1 + _gamma(n)) ** 2 * _gamma(max(2 * n - 1, 0)) ** 2
+    bound = _U * abs(exact) + ((1 + _U) * _gamma(max(n - 1, 0)) ** 2 + partials) * abs_sum
+    assert abs(Fraction(value) - exact) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    weights=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=30),
+    scale=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pv_estimate_within_pair_sum_bound(dim, weights, scale, seed):
+    # integer atoms and x, eps0 = sqrt(64 scale): each eps0 2^-j is the
+    # correctly rounded sqrt(64 scale / 4^j), so an integer squared
+    # distance 64 scale / 4^j ties with that eps exactly
+    rng = np.random.default_rng(seed)
+    w = np.array(weights)
+    positions = rng.integers(-4, 5, size=(len(w), dim)).astype(float)
+    x = rng.integers(-4, 5, size=dim).astype(float)
+    nu = sl.DiscreteMeasure(positions, w, resolution=2.0**-4)
+    k = sl.RieszComponent(dim, 0)
+    res = sl.pv_estimate(nu, k, x, eps0=math.sqrt(64 * scale))
+    diffs = x[None, :] - positions
+    dist = np.linalg.norm(diffs, axis=1)
+    terms = k.evaluate_many(np.where(dist[:, None] > 0, diffs, 1.0)) * w
+    for eps, value in zip(res.eps_schedule, res.values):
+        _assert_within_pair_sum_bound(value, terms[dist > eps].tolist())
 
 
 @settings(max_examples=40, deadline=None)

@@ -213,7 +213,7 @@ def test_region_routing_equivalence():
     dec = sl.decompose_complement(q)
     region = dec.assign(mu.positions)
     routed_parts = []
-    for r in range(len(dec.pieces)):
+    for r in range(len(dec.graphs)):
         m = p_only & (region == r)
         routed_parts.append(
             pair_sum_stats(

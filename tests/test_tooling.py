@@ -9,7 +9,8 @@ The benchmark's configs and the README's key table must both agree with
 the ``[scenario]`` key tables.  Array sums follow ``siolab.summation``
 alone: no source or test names a float type whose width depends on the
 platform, and ``math.fsum`` takes an array only in the two places that
-README names.
+README names.  The count of settable values (parameters and fields with
+a default) is pinned, so a new knob is a deliberate change.
 """
 
 import ast
@@ -153,3 +154,21 @@ def test_fsum_takes_an_array_only_in_the_single_point_sums():
         for site in _fsum_of_array_sites(ast.parse(path.read_text()))
     }
     assert sites == {"operators.truncated", "measure.DiscreteMeasure.total_mass"}
+
+
+def _settable_values(tree):
+    """Parameters with a default (positional or keyword-only) plus
+    class-body annotated assignments with a value (dataclass and
+    NamedTuple fields with a default)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from node.args.defaults
+            yield from (d for d in node.args.kw_defaults if d is not None)
+        elif isinstance(node, ast.ClassDef):
+            yield from (s for s in node.body if isinstance(s, ast.AnnAssign) and s.value is not None)
+
+
+def test_settable_values_do_not_grow():
+    # a change that needs a new knob raises this number and says why
+    count = sum(len(list(_settable_values(ast.parse(path.read_text())))) for path in PACKAGE.rglob("*.py"))
+    assert count <= 44
