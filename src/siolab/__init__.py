@@ -13,7 +13,6 @@ from .geometry import (
     Rectangle,
     RegionDecomposition,
     Sawtooth,
-    Side,
     SmoothBump,
     decompose_complement,
     lipschitz_estimate,
@@ -30,22 +29,16 @@ from .measure import (
     concat,
     graph_measure,
     growth_constant,
-    load_measure,
     lower_density,
-    restrict,
-    save_measure,
     slab_above_graph,
     split_by_graph,
     uniform_on_shape,
 )
 from .operators import (
     BoundConstants,
-    MaximalFunctionValue,
     PVResult,
     TruncationTable,
     bound_constants,
-    double_truncated_stats,
-    hl_maximal,
     lp_norm,
     maximal,
     nontangential_max,

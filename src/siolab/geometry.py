@@ -13,25 +13,18 @@ Conventions used throughout the package:
   exactly and stored at construction.
 
 Point arguments are accepted as 1-D arrays (single point) or (N, n)
-stacks; the vectorized variants return arrays.
+stacks; the methods return one entry per point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 ON_TOLERANCE = 1e-12
 ORTHOGONALITY_TOL = 1e-12
-
-
-class Side(Enum):
-    BELOW = -1
-    ON = 0
-    ABOVE = 1
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +222,7 @@ class LipschitzGraph:
         return g[:, -1] - self.profile.value(g[:, :-1])
 
     def classify_many(self, points) -> np.ndarray:
-        """Side of each point: -1 below, 0 on, +1 above (int array)."""
+        """Where each point lies: -1 below, 0 on, +1 above the graph (int array)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         delta = self.signed_height(pts)
         tol = ON_TOLERANCE * (1.0 + np.linalg.norm(pts, axis=1))
@@ -237,10 +230,6 @@ class LipschitzGraph:
         out[delta > tol] = 1
         out[delta < -tol] = -1
         return out
-
-    def classify(self, point) -> Side:
-        """Side of ``point`` relative to the graph: Above, On, or Below."""
-        return Side(int(self.classify_many(point)[0]))
 
 
 def check_aperture(graph: LipschitzGraph, aperture: float) -> None:
@@ -265,20 +254,12 @@ class Cone:
         if len(self.apex_u) != self.graph.param_dim:
             raise ValueError("apex_u must have length ambient_dim - 1")
 
-    @property
-    def apex(self) -> np.ndarray:
-        """Apex (u0, f(u0)) in ambient coordinates."""
-        return self.graph.points_on_graph(np.asarray(self.apex_u))[0]
-
     def contains_many(self, points) -> np.ndarray:
         g = self.graph.to_graph_frame(points)
         u0 = np.asarray(self.apex_u, dtype=float)
         f_u0 = float(self.graph.height(u0)[0])
         horiz = np.linalg.norm(g[:, :-1] - u0, axis=1)
         return (g[:, -1] - f_u0) > 4.0 * self.aperture * horiz
-
-    def contains(self, point) -> bool:
-        return bool(self.contains_many(point)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +286,6 @@ class Ball:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         d = np.linalg.norm(pts - np.asarray(self.center, dtype=float), axis=1)
         return d <= self.radius
-
-    def contains(self, point) -> bool:
-        return bool(self.contains_many(point)[0])
 
     def bounding_box(self) -> list[tuple[float, float]]:
         return [(c - self.radius, c + self.radius) for c in self.center]
@@ -342,9 +320,6 @@ class Rectangle:
     def contains_many(self, points) -> np.ndarray:
         local = np.abs(self.local_coords(points))
         return np.all(local <= np.asarray(self.half_widths), axis=1)
-
-    def contains(self, point) -> bool:
-        return bool(self.contains_many(point)[0])
 
     def bounding_box(self) -> list[tuple[float, float]]:
         # axis-aligned box of the rotated rectangle
@@ -399,11 +374,6 @@ class RegionDecomposition:
             chosen[unassigned] = np.argmax(heights[:, unassigned], axis=0)
         out[ext] = chosen
         return out
-
-    def region_of(self, point) -> int | None:
-        """Region index of a single point, or None when inside the shape."""
-        idx = int(self.assign(point)[0])
-        return None if idx < 0 else idx
 
 
 def decompose_complement(shape: Shape) -> RegionDecomposition:

@@ -4,14 +4,13 @@ orchestration, and report emission."""
 from .config import Config, ConfigError, config_from_dict, load_config
 from .report import ScenarioReport, write_csv
 from .rng import Rng
-from .scenarios import available_scenarios, run_scenario
+from .scenarios import run_scenario
 
 __all__ = [
     "Config",
     "ConfigError",
     "Rng",
     "ScenarioReport",
-    "available_scenarios",
     "config_from_dict",
     "load_config",
     "run_scenario",

@@ -127,9 +127,9 @@ def load_config(path) -> Config:
         interpolation=None, inline_comment_prefixes=("#",), comment_prefixes=("#", ";")
     )
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file: {exc}") from exc
@@ -228,9 +228,10 @@ def _parse_shape(cfg: Config, section: str):
     raise ConfigError(f"unknown shape kind {kind!r}")
 
 
-def build_measure_spec(cfg: Config, section: str, graph=None, m: int | None = None):
-    """The measure spec of [section]; a resolution sweep passes its atom
-    count ``m``, which [section] then may not set."""
+def build_measure_spec(cfg: Config, section: str, graph, m: int | None = None):
+    """The measure spec of [section]; a graph-based kind without a
+    ``graph`` (None) builds it from [graph].  A resolution sweep passes
+    its atom count ``m``, which [section] then may not set."""
     kind = cfg.get_str(section, "kind", REQUIRED).lower()
 
     def count() -> int:
@@ -274,5 +275,5 @@ def build_spec(spec, section: str) -> measure.DiscreteMeasure:
         raise ConfigError(f"cannot build measure [{section}]: {exc}") from exc
 
 
-def build_measure(cfg: Config, section: str, graph=None) -> measure.DiscreteMeasure:
+def build_measure(cfg: Config, section: str, graph) -> measure.DiscreteMeasure:
     return build_spec(build_measure_spec(cfg, section, graph), section)

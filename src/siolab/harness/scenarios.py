@@ -11,6 +11,7 @@ byte-identical at any ``--threads`` setting.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import operator
@@ -74,6 +75,17 @@ def _chunks(rng: Rng, total: int, size: int) -> list[tuple[int, int]]:
     return [(min(size, total - s), rng.spawn(i).next_u64()) for i, s in enumerate(starts)]
 
 
+@contextlib.contextmanager
+def _blame(key: str):
+    """Raise a ValueError of the block (a failed precondition or an
+    operator's size guard) as a ConfigError naming the config ``key``
+    that set the offending input, before any output is written."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _or_default(cfg: Config, prm: dict, key: str, default):
     """prm[key], or ``default`` (echoed) where the config leaves the key out."""
     if prm[key] is None:
@@ -85,10 +97,8 @@ def _or_default(cfg: Config, prm: dict, key: str, default):
 def _aperture(cfg: Config, prm: dict, graph: LipschitzGraph) -> float:
     """scenario.aperture, default 2 max(1, Lip f); a cone needs L > max(1, Lip f)."""
     aperture = _or_default(cfg, prm, "aperture", 2.0 * max(1.0, graph.lip_declared))
-    try:
+    with _blame("scenario.aperture"):
         check_aperture(graph, aperture)
-    except ValueError as exc:
-        raise ConfigError(f"scenario.aperture: {exc}") from exc
     return aperture
 
 
@@ -278,7 +288,8 @@ def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, threads: int) -> Scenari
         (nu, kern, graph, aperture, consts.d1, consts.d2, n, seed)
         for n, seed in _chunks(rng, prm["tuples"], prm["tuples_per_batch"])
     ]
-    results = _pmap(_lemma_l2_batch, tasks, threads)
+    with _blame("scenario.tuples_per_batch"):  # rows of each batch's table
+        results = _pmap(_lemma_l2_batch, tasks, threads)
     violations = sum(r[0] for r in results)
     worst = min(r[1] for r in results)
     report = ScenarioReport("lemma_l2", {})
@@ -387,7 +398,8 @@ def scenario_weak_pairing(cfg: Config, prm: dict, rng: Rng, threads: int) -> Sce
     ratio = (eps_min / eps0) ** (1.0 / (points - 1))
     schedule = [eps0 * ratio**k for k in range(points)]
 
-    trace = convergence_study(mu, kern, f, g, schedule)
+    with _blame("[mu]"):  # its atom count sets the pair counts
+        trace = convergence_study(mu, kern, f, g, schedule)
     scale = max(abs(v) for v in trace.values)
     report = ScenarioReport("weak_pairing", {})
     # one row per (term, eps) plus a coefficient-weighted totals row per eps
@@ -480,11 +492,9 @@ def scenario_carleson(cfg: Config, prm: dict, rng: Rng, threads: int) -> Scenari
         mu = build_spec(SlabAboveGraphSpec(graph, box, m, thickness, prm["levels"]), "scenario")
         sigma = build_spec(GraphMeasureSpec(graph, box, m), "scenario")
         sigma_u = graph.to_graph_frame(sigma.positions)[:, :-1]
-        try:
+        with _blame("scenario.mesh_depth"):
             n_vals = nontangential_max_many([g for _, g in densities], graph, sigma_u, aperture, height,
                                             prm["mesh_depth"])
-        except ValueError as exc:
-            raise ConfigError(f"scenario.mesh_depth: {exc}") from exc
         for (name, g), n_row in zip(densities, n_vals):
             lhs = lp_norm(mu, g, p) ** p
             rhs = lp_norm(sigma, n_row, p) ** p
@@ -557,7 +567,8 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: in
             nu = cantor_four_corners(gen)
             _same_dim(kern, nu.ambient_dim, "Cantor set")
             densities = [("chi_square", np.ones(nu.count)), *_seeded_densities(rng, nu, n_g)]
-            ratios = _ratio_table(nu, nu, kern, p_list, densities, threads)
+            with _blame("scenario.generations"):
+                ratios = _ratio_table(nu, nu, kern, p_list, densities, threads)
             for p in p_list:
                 rows.append([gen, p, ratios[p]])
         report.add_table("ratios", ["generation", "p", "max_ratio"], rows)
@@ -582,7 +593,8 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: in
         if np.any(graph.classify_many(mu.positions) == -1):
             raise ConfigError("mu must be supported above or on the graph")
         densities = _seeded_densities(rng, nu, n_g)
-        ratios = _ratio_table(nu, mu, kern, p_list, densities, threads)
+        with _blame("scenario.resolutions"):
+            ratios = _ratio_table(nu, mu, kern, p_list, densities, threads)
         for p in p_list:
             rows.append([m, p, ratios[p]])
             per_p[p].append(ratios[p])
@@ -624,13 +636,14 @@ def scenario_double_integral(cfg: Config, prm: dict, rng: Rng, threads: int) -> 
         raise ConfigError("schedule shorter than 4 entries")
 
     inner_lower = concat([below, on]) if on.count else below
-    forward = pair_sum_schedule(
-        outer.positions, outer.weights, below.positions, below.weights, kern, schedule
-    )
-    mirrored = pair_sum_schedule(
-        above.positions, above.weights,
-        inner_lower.positions, inner_lower.weights, kern, schedule,
-    )
+    with _blame("[mu], [mu2]" if cfg.has("mu2", "kind") else "[mu]"):  # atom counts set the pair counts
+        forward = pair_sum_schedule(
+            outer.positions, outer.weights, below.positions, below.weights, kern, schedule
+        )
+        mirrored = pair_sum_schedule(
+            above.positions, above.weights,
+            inner_lower.positions, inner_lower.weights, kern, schedule,
+        )
     values = [fwd.value for fwd in forward]
     rows = [[eps, fwd.value, mir.value] for eps, fwd, mir in zip(schedule, forward, mirrored)]
     bounds = [
@@ -744,10 +757,6 @@ SCENARIOS = {
         "tolerance": Key("float", 1e-2, "> 0"),
     }),
 }
-
-
-def available_scenarios() -> list[str]:
-    return sorted(SCENARIOS)
 
 
 def read_scenario(cfg: Config):

@@ -53,9 +53,6 @@ class RieszComponent:
             raise ValueError("kernel evaluated at the origin")
         return diffs[:, self.axis] / norm2 ** (self.ambient_dim / 2.0)
 
-    def evaluate(self, x) -> float:
-        return float(self.evaluate_many(x)[0])
-
 
 @dataclass(eq=False)
 class OddHomogeneous:
@@ -100,9 +97,6 @@ class OddHomogeneous:
             for _ in range(p):
                 num = num * diffs[:, i]
         return num / norm2 ** ((self.ambient_dim - 1 + self.degree) / 2.0)
-
-    def evaluate(self, x) -> float:
-        return float(self.evaluate_many(x)[0])
 
 
 # ---------------------------------------------------------------------------

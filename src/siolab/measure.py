@@ -82,23 +82,6 @@ class DiscreteMeasure:
         )
 
 
-def restrict(mu: DiscreteMeasure, region) -> DiscreteMeasure:
-    """Atoms filtered by membership, weights unchanged.
-
-    ``region`` is a Shape, a boolean mask over atoms, or a callable
-    mapping an (N, n) position array to a boolean mask.
-    """
-    if isinstance(region, np.ndarray):
-        mask = region
-    elif hasattr(region, "contains_many"):
-        mask = region.contains_many(mu.positions)
-    elif callable(region):
-        mask = np.asarray(region(mu.positions), dtype=bool)
-    else:
-        raise TypeError("region must be a shape, mask, or predicate")
-    return mu.restrict_mask(mask)
-
-
 def split_by_graph(mu: DiscreteMeasure, graph: LipschitzGraph):
     """Partition atoms by side of the graph: (on, above, below).
 
@@ -347,39 +330,3 @@ def lower_density(mu: DiscreteMeasure, centers, radii) -> float:
     atom positions (support points).
     """
     return float(np.min(_density_ratios(mu, centers, radii), initial=math.inf))
-
-
-# ---------------------------------------------------------------------------
-# Flat text serialization (hex floats, exact round trip)
-# ---------------------------------------------------------------------------
-
-
-def save_measure(mu: DiscreteMeasure, path) -> None:
-    """Write ``n=<dim> count=<N> h=<res>`` then one ``x1 ... xn w`` line
-    per atom, all floats in C99 hex so the round trip is exact.
-    """
-    with open(path, "w") as fh:
-        fh.write(f"n={mu.ambient_dim} count={mu.count} h={mu.resolution.hex()}\n")
-        for p, w in zip(mu.positions, mu.weights):
-            coords = " ".join(float(v).hex() for v in p)
-            fh.write(f"{coords} {float(w).hex()}\n")
-
-
-def load_measure(path) -> DiscreteMeasure:
-    """Read a ``save_measure`` file.  ValueError on a header without n,
-    count and h, a negative count, or atom lines other than count.
-    """
-    with open(path) as fh:
-        header, *lines = fh.read().splitlines() or [""]
-    fields = dict(item.partition("=")[::2] for item in header.split())
-    if not {"n", "count", "h"} <= fields.keys():
-        raise ValueError("measure header needs n=, count= and h= fields")
-    n, count = int(fields["n"]), int(fields["count"])
-    if count < 0 or len(lines) != count:
-        raise ValueError(f"header counts {count} atoms, the file has {len(lines)} atom lines")
-    rows = [line.split() for line in lines]
-    for i, parts in enumerate(rows):
-        if len(parts) != n + 1:
-            raise ValueError(f"atom line {i} malformed")
-    data = np.array([[float.fromhex(v) for v in parts] for parts in rows]).reshape(count, n + 1)
-    return DiscreteMeasure(data[:, :n], data[:, n], resolution=float.fromhex(fields["h"]))

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import Cone, check_aperture
-from .measure import DiscreteMeasure, restrict
+from .measure import DiscreteMeasure
 from .summation import certified_sums, sum2_prefix, sum2_rows, sum2_total
 
 PAIR_COUNT_GUARD = 10**10
@@ -252,11 +252,6 @@ def maximal(nu: DiscreteMeasure, kernel, g, x) -> float:
 # ---------------------------------------------------------------------------
 
 
-class MaximalFunctionValue(NamedTuple):
-    value: float
-    diverges: bool
-
-
 def _hl_from_ascending(atom_mass: np.ndarray, n: int, dist_asc: np.ndarray, order_asc: np.ndarray):
     """(values, diverges, uncertified row count) of the maximal function
     with per-atom masses |g| w in ambient dimension n, from per-point
@@ -301,11 +296,6 @@ def hl_maximal_batch(nu: DiscreteMeasure, g, points):
         d_sorted = np.take_along_axis(dist, order, axis=1)
         values[sl], diverges[sl], _ = _hl_from_ascending(a, nu.ambient_dim, d_sorted, order)
     return values, diverges
-
-
-def hl_maximal(nu: DiscreteMeasure, g, x) -> MaximalFunctionValue:
-    vals, div = hl_maximal_batch(nu, g, np.atleast_2d(np.asarray(x, dtype=float)))
-    return MaximalFunctionValue(float(vals[0]), bool(div[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -553,18 +543,6 @@ def pair_sum_stats(
     and the number of included pairs (for cancellation bounds).
     """
     return pair_sum_schedule(pos_a, w_a, pos_b, w_b, kernel, [eps])[0]
-
-
-def double_truncated_stats(mu: DiscreteMeasure, kernel, region_a, region_b, eps: float) -> PairSumStats:
-    """Double truncated integral of K(x - y) with x restricted to
-    region_a and y to region_b (regions as accepted by measure.restrict;
-    the caller guarantees they are disjoint or identical), with stats.
-    """
-    part_a = restrict(mu, region_a)
-    part_b = restrict(mu, region_b)
-    return pair_sum_stats(
-        part_a.positions, part_a.weights, part_b.positions, part_b.weights, kernel, eps
-    )
 
 
 # ---------------------------------------------------------------------------

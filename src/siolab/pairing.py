@@ -59,9 +59,6 @@ class SimpleFunction:
             out += coef * shape.contains_many(pts)
         return out
 
-    def evaluate(self, point) -> float:
-        return float(self.evaluate_many(point)[0])
-
 
 def pairing(mu: DiscreteMeasure, kernel, f: SimpleFunction, g: SimpleFunction, eps: float) -> float:
     """int T^eps(f)(x) g(x) dmu(x), expanded bilinearly over shape pairs."""

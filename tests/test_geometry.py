@@ -18,24 +18,24 @@ def flat_graph(n=2):
 
 
 def test_classify_flat_above():
-    assert flat_graph().classify([0.0, 1.0]) is sl.Side.ABOVE
+    assert flat_graph().classify_many([0.0, 1.0])[0] == 1
 
 
 def test_classify_cone_profile_below():
     g = sl.LipschitzGraph(2, sl.ConeProfile(1.0))
     # f(1) = 1 > 0.5
-    assert g.classify([1.0, 0.5]) is sl.Side.BELOW
+    assert g.classify_many([1.0, 0.5])[0] == -1
 
 
 def test_classify_on_graph():
-    assert flat_graph().classify([3.0, 0.0]) is sl.Side.ON
+    assert flat_graph().classify_many([3.0, 0.0])[0] == 0
 
 
 def test_classify_on_tolerance_scales_with_point():
     g = flat_graph()
     # within the relative band at large |p|
-    assert g.classify([1e6, 1e-7]) is sl.Side.ON
-    assert g.classify([0.0, 1e-7]) is sl.Side.ABOVE
+    assert g.classify_many([1e6, 1e-7])[0] == 0
+    assert g.classify_many([0.0, 1e-7])[0] == 1
 
 
 def test_classify_rotation_invariance():
@@ -115,11 +115,11 @@ def test_cone_membership_examples():
     g = flat_graph()
     cone = sl.Cone(g, (0.0,), 1.0 + 1e-9)
     # 1 > 4L * 0.1 = 0.4
-    assert cone.contains([0.1, 1.0])
+    assert cone.contains_many([0.1, 1.0])[0]
     # 2 > 4L * 1 = 4 is false
-    assert not cone.contains([1.0, 2.0])
+    assert not cone.contains_many([1.0, 2.0])[0]
     # apex itself: strict inequality fails
-    assert not cone.contains(cone.apex)
+    assert not cone.contains_many(g.points_on_graph(cone.apex_u))[0]
 
 
 def test_cone_requires_large_aperture():
@@ -155,10 +155,10 @@ def test_shape_validation():
 
 def test_closed_membership():
     ball = sl.Ball((0.0, 0.0), 1.0)
-    assert ball.contains([1.0, 0.0])  # boundary belongs
+    assert ball.contains_many([1.0, 0.0])[0]  # boundary belongs
     rect = sl.Rectangle((0.0, 0.0), (1.0, 2.0))
-    assert rect.contains([1.0, 2.0])
-    assert not rect.contains([1.0 + 1e-12, 0.0])
+    assert rect.contains_many([1.0, 2.0])[0]
+    assert not rect.contains_many([1.0 + 1e-12, 0.0])[0]
 
 
 def test_rotated_rectangle_membership():
@@ -166,8 +166,8 @@ def test_rotated_rectangle_membership():
     rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
     rect = sl.Rectangle((0.0, 0.0), (1.0, 0.1), rotation=rot)
     inside = np.array([0.5, 0.5]) * math.sqrt(2.0) * 0.9
-    assert rect.contains(inside)
-    assert not rect.contains([0.5, -0.5])
+    assert rect.contains_many(inside)[0]
+    assert not rect.contains_many([0.5, -0.5])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def test_square_decomposition_top_region():
     square = sl.Rectangle((0.0, 0.0), (0.5, 0.5))
     dec = sl.decompose_complement(square)
     assert len(dec.graphs) == 4
-    idx = dec.region_of([0.0, 10.0])
+    idx = dec.assign([0.0, 10.0])[0]
     graph = dec.graphs[idx]
     assert np.allclose(graph.rotation[:, -1], [0.0, 1.0])
     # the separating graph is the horizontal line y = 1/2
@@ -192,7 +192,7 @@ def test_ball_decomposition_assigns_far_point():
     ball = sl.Ball((0.0, 0.0), 1.0)
     dec = sl.decompose_complement(ball)
     point = np.array([0.0, 10.0])
-    idx = dec.region_of(point)
+    idx = dec.assign(point)[0]
     graph = dec.graphs[idx]
     # every separating graph of a ball is a cap-cone; the assigned one
     # must hold the point strictly above it
@@ -207,7 +207,7 @@ def test_ball_decomposition_assigns_far_point():
 def test_interior_point_reports_inside():
     ball = sl.Ball((0.0, 0.0), 1.0)
     dec = sl.decompose_complement(ball)
-    assert dec.region_of([0.1, -0.2]) is None
+    assert dec.assign([0.1, -0.2])[0] == -1
 
 
 def _check_decomposition(shape, rng, n_samples=100_000):

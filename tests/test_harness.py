@@ -419,6 +419,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[scenario]\ntag = Nonsense\n")
     assert cli_main(["run", str(bad), "--out-dir", str(tmp_path)]) == 2
+    # a config file that is not UTF-8 text
+    bad.write_bytes(b"[scenario]\ntag = KernelValidation\n\xff\xfe\n[kernel]\ndim = 2\n")
+    assert cli_main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -475,44 +480,34 @@ def test_pmap_caps_workers_at_cpu_count(monkeypatch):
 
 def test_cli_validate_kernel(tmp_path):
     cfg_path = tmp_path / "k.cfg"
-    cfg_path.write_text("[kernel]\nfamily = riesz\ndim = 2\naxis = 1\n")
-    assert cli_main(["validate-kernel", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+    cfg_path.write_text("[scenario]\ntag = KernelValidation\n[kernel]\nfamily = riesz\ndim = 2\naxis = 1\n")
+    assert cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
 
 
 def test_cli_pv_subcommand(tmp_path):
     cfg_path = tmp_path / "pv.cfg"
     cfg_path.write_text(
-        "[scenario]\nseed = 5\nresolutions = 128, 256\neps0 = 0.64\n"
+        "[scenario]\ntag = PVConvergence\nseed = 5\nresolutions = 128, 256\neps0 = 0.64\n"
         "[graph]\nprofile = affine\ndim = 2\n"
         "[kernel]\nfamily = riesz\ndim = 2\naxis = 1\n"
     )
-    assert cli_main(["pv", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "pv_convergence_metrics.csv").exists()
-
-
-def test_cli_build_measure_round_trip(tmp_path):
-    cfg_path = tmp_path / "m.cfg"
-    cfg_path.write_text("[mu]\nkind = cantor\ngeneration = 3\n")
-    out = tmp_path / "measure.txt"
-    assert cli_main(["build-measure", str(cfg_path), "--out", str(out)]) == 0
-    mu = sl.load_measure(out)
-    assert mu.count == 64
-    assert mu.total_mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cli_env_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SIOLAB_OUT", str(tmp_path / "envout"))
     cfg_path = tmp_path / "k.cfg"
-    cfg_path.write_text("[kernel]\nfamily = riesz\ndim = 2\n")
-    assert cli_main(["validate-kernel", str(cfg_path)]) == 0
+    cfg_path.write_text("[scenario]\ntag = KernelValidation\n[kernel]\nfamily = riesz\ndim = 2\n")
+    assert cli_main(["run", str(cfg_path)]) == 0
     assert (tmp_path / "envout" / "kernel_validation_report.txt").exists()
 
 
 def test_cli_failing_verdict_exit_code(tmp_path, capsys):
     # understate c0 so the size validation fails
     cfg_path = tmp_path / "k.cfg"
-    cfg_path.write_text("[kernel]\nfamily = riesz\ndim = 2\nc0 = 0.5\n")
-    assert cli_main(["validate-kernel", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+    cfg_path.write_text("[scenario]\ntag = KernelValidation\n[kernel]\nfamily = riesz\ndim = 2\nc0 = 0.5\n")
+    assert cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +624,35 @@ def test_cli_atom_count_guard_is_a_config_error(tmp_path, capsys, cfg):
 
 # the benchmark's WeakPairing config: a ball of mu in 2-D, fixed f and g
 _BALL_MU = {"kind": "uniform_on_shape", "shape": "ball", "center": "0, 0", "radius": "1", "m": "60"}
+_SAWTOOTH = {"profile": "sawtooth", "dim": "2", "amplitude": "0.3", "period": "0.5"}
+
+
+@pytest.mark.parametrize(
+    "cfg, key",
+    [
+        pytest.param(_scenario("LemmaL2Check", {"tuples": "20000", "tuples_per_batch": "20000"},
+                               graph=_SAWTOOTH, kernel=_RIESZ,
+                               nu={"kind": "graph_measure", "box": "-1, 1", "m": "4096", "shift": "-1"}),
+                     "scenario.tuples_per_batch", id="lemma_l2-table_bytes"),
+        pytest.param(_with(_CONTROL, generations="8", random_functions="0", p="2"), "scenario.generations",
+                     id="control-table_bytes"),
+        pytest.param(_with(_SEPARATED, resolutions="32768", random_functions="1", p="2"), "scenario.resolutions",
+                     id="separated-table_bytes"),
+        pytest.param(_scenario("DoubleIntegralConvergence", graph=_FLAT, kernel=_RIESZ,
+                               mu={**_BALL_MU, "center": "0, 0.3", "m": "1000"}),
+                     "[mu]", id="double_integral-pair_count"),
+        pytest.param(_scenario("WeakPairing", kernel=_RIESZ, mu={**_BALL_MU, "m": "1000"},
+                               f={"mode": "ball", "center": "-0.5, 0", "radius": "0.5"},
+                               g={"mode": "ball", "center": "0.5, 0", "radius": "0.5"}),
+                     "[mu]", id="weak_pairing-pair_count"),
+    ],
+)
+def test_cli_operator_guard_is_a_config_error(tmp_path, capsys, cfg, key):
+    # a table or a pair sum past its guard exits 2 before any output is written
+    assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{key}: " in err and "guard exceeded" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -676,17 +700,6 @@ def test_schema_control_switch_picks_its_keys():
         read_scenario(config_from_dict(_with(_SEPARATED, control="maybe")))
 
 
-def test_cli_build_measure_uses_the_optional_graph(tmp_path):
-    cfg_path = tmp_path / "m.cfg"
-    cfg_path.write_text(
-        "[graph]\nprofile = sawtooth\ndim = 2\namplitude = 0.3\nperiod = 0.5\n"
-        "[nu]\nkind = graph_measure\nbox = -1, 1\nm = 32\nshift = -1\n"
-    )
-    out = tmp_path / "nu.txt"
-    assert cli_main(["build-measure", str(cfg_path), "--out", str(out), "--section", "nu"]) == 0
-    assert sl.load_measure(out).count == 32
-
-
 _PV_256 = {"scenario": {"tag": "PVConvergence", "resolutions": "256", "eps0": "0.64"}, "graph": _FLAT,
            "kernel": _RIESZ}
 _WEAK_PAIRING = {"scenario": {"tag": "WeakPairing", "tolerance": "0.1"}, "kernel": _RIESZ,
@@ -716,14 +729,3 @@ def test_cli_unread_key_is_a_config_error(tmp_path, capsys, cfg, key):
     assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_cli_build_measure_unread_key_is_a_config_error(tmp_path, capsys):
-    cfg_path = tmp_path / "m.cfg"
-    cfg_path.write_text(
-        "[graph]\nprofile = affine\ndim = 2\n"
-        "[nu]\nkind = graph_measure\nbox = -1, 1\nm = 32\nshfit = -1\n"
-    )
-    out = tmp_path / "nu.txt"
-    assert cli_main(["build-measure", str(cfg_path), "--out", str(out), "--section", "nu"]) == EXIT_CONFIG
-    assert "nu.shfit" in capsys.readouterr().err and not out.exists()

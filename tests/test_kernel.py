@@ -10,15 +10,15 @@ from siolab.harness.rng import Rng
 
 def test_riesz_evaluate_examples():
     k = sl.RieszComponent(2, 0)
-    assert k.evaluate([1.0, 0.0]) == 1.0
-    assert k.evaluate([0.0, 1.0]) == 0.0
-    assert k.evaluate([1.0, 1.0]) == 0.5
+    assert k.evaluate_many([1.0, 0.0])[0] == 1.0
+    assert k.evaluate_many([0.0, 1.0])[0] == 0.0
+    assert k.evaluate_many([1.0, 1.0])[0] == 0.5
 
 
 def test_evaluate_at_origin_rejected():
     k = sl.RieszComponent(2, 0)
     with pytest.raises(ValueError):
-        k.evaluate([0.0, 0.0])
+        k.evaluate_many([0.0, 0.0])
     with pytest.raises(ValueError):
         k.evaluate_many(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
@@ -29,7 +29,7 @@ def test_odd_homogeneous_requires_odd_degree():
     k = sl.OddHomogeneous(2, (3, 0))
     assert k.degree == 3
     # x1^3 / |x|^4 at (1, 1): 1 / 4
-    assert k.evaluate([1.0, 1.0]) == pytest.approx(0.25)
+    assert k.evaluate_many([1.0, 1.0])[0] == pytest.approx(0.25)
 
 
 def test_oddness_is_bitwise():

@@ -35,7 +35,7 @@ def test_cantor_mass_and_cap():
 def test_cantor_restrict_to_quadrant():
     mu = sl.cantor_four_corners(2)
     quadrant = sl.Rectangle((0.125, 0.125), (0.125, 0.125))
-    sub = sl.restrict(mu, quadrant)
+    sub = mu.restrict_mask(quadrant.contains_many(mu.positions))
     # one of the four level-1 squares holds 4 of the 16 atoms
     assert sub.count == 4
 
@@ -260,68 +260,17 @@ def test_split_conserves_mass_exactly():
 
 def test_restrict_identity_and_empty():
     mu = sl.cantor_four_corners(2)
-    assert sl.restrict(mu, sl.Ball((0.5, 0.5), 10.0)).count == mu.count
-    assert sl.restrict(mu, sl.Ball((50.0, 50.0), 0.1)).count == 0
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_hex_round_trip(tmp_path):
-    rng = Rng(101)
-    mu = sl.DiscreteMeasure(
-        rng.points_in_box(57, [(-1, 1), (-1, 1), (0, 2)]),
-        rng.uniforms(57),
-        resolution=math.pi * 1e-3,
-    )
-    path = tmp_path / "measure.txt"
-    sl.save_measure(mu, path)
-    back = sl.load_measure(path)
-    assert back.ambient_dim == 3
-    assert back.resolution == mu.resolution  # bitwise
-    assert np.array_equal(back.positions, mu.positions)
-    assert np.array_equal(back.weights, mu.weights)
-
-
-def test_serialization_header_format(tmp_path):
-    mu = sl.cantor_four_corners(1)
-    path = tmp_path / "m.txt"
-    sl.save_measure(mu, path)
-    header = path.read_text().splitlines()[0]
-    assert header.startswith("n=2 count=4 h=")
-    assert float.fromhex(header.split("h=")[1]) == mu.resolution
+    assert mu.restrict_mask(sl.Ball((0.5, 0.5), 10.0).contains_many(mu.positions)).count == mu.count
+    assert mu.restrict_mask(sl.Ball((50.0, 50.0), 0.1).contains_many(mu.positions)).count == 0
 
 
 @pytest.mark.parametrize(
-    "text, problem",
+    "weights, resolution, problem",
     [
-        pytest.param(
-            "n=2 count=1 h=0x1p-4\n0x1p-1 0x0p+0 0x1p+0\n0x1p+0 0x0p+0 0x1p+0\n", "atom lines",
-            id="extra-atom-line",
-        ),
-        pytest.param("n=2 count=2 h=0x1p-4\n0x1p-1 0x0p+0 0x1p+0\n", "atom lines", id="missing-atom-line"),
-        pytest.param("n=2 count=-1 h=0x1p-4\n", "atom lines", id="negative-count"),
-        pytest.param("count=0 h=0x1p-4\n", "header", id="no-n"),
-        pytest.param("n=2 h=0x1p-4\n", "header", id="no-count"),
-        pytest.param("n=2 count=0\n", "header", id="no-h"),
-        pytest.param("", "header", id="empty-file"),
-        pytest.param("n=2 count=1 h=0x1p-4\n0x1p-1 0x0p+0 inf\n", "weights must be finite", id="infinite-weight"),
-        pytest.param("n=2 count=1 h=inf\n0x1p-1 0x0p+0 0x1p+0\n", "resolution must be finite", id="infinite-h"),
+        pytest.param([math.inf], 0.0625, "weights must be finite", id="infinite-weight"),
+        pytest.param([1.0], math.inf, "resolution must be finite", id="infinite-h"),
     ],
 )
-def test_load_measure_rejects_inconsistent_files(tmp_path, text, problem):
-    path = tmp_path / "m.txt"
-    path.write_text(text)
+def test_discrete_measure_rejects_infinite_values(weights, resolution, problem):
     with pytest.raises(ValueError, match=problem):
-        sl.load_measure(path)
-
-
-def test_load_measure_reads_atoms_and_trailing_newline(tmp_path):
-    path = tmp_path / "m.txt"
-    for text in ("n=2 count=1 h=0x1p-4\n0x1p-1 0x0p+0 0x1p+0\n", "n=2 count=1 h=0x1p-4\n0x1p-1 0x0p+0 0x1p+0"):
-        path.write_text(text)
-        mu = sl.load_measure(path)
-        assert mu.count == 1 and mu.resolution == 0.0625
-        assert mu.positions.tolist() == [[0.5, 0.0]] and mu.weights.tolist() == [1.0]
+        sl.DiscreteMeasure(np.array([[0.5, 0.0]]), np.array(weights), resolution=resolution)

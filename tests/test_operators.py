@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import siolab as sl
 from siolab import measure, operators, summation
-from siolab.operators import density_values, pair_sum_schedule, pair_sum_stats, truncated_batch
+from siolab.operators import density_values, hl_maximal_batch, pair_sum_schedule, pair_sum_stats, truncated_batch
 from siolab.harness.rng import Rng
 
 from oracles import brute_force_sup, brute_pair_sum, cone_mesh_loop
@@ -132,7 +132,7 @@ def test_maximal_two_atom_example():
 def test_maximal_single_atom():
     nu = sl.DiscreteMeasure(np.array([[0.6, 0.8]]), np.array([0.7]), resolution=0.01)
     k = sl.RieszComponent(2, 0)
-    expected = abs(k.evaluate([-0.6, -0.8])) * 0.7 * 0.5
+    expected = abs(k.evaluate_many([-0.6, -0.8])[0]) * 0.7 * 0.5
     assert sl.maximal(nu, k, 0.5, [0.0, 0.0]) == pytest.approx(expected, rel=1e-15)
 
 
@@ -191,18 +191,18 @@ def test_maximal_batch_matches_scalar():
 
 def test_hl_maximal_two_atoms():
     nu = two_atom_line()
-    res = sl.hl_maximal(nu, None, [0.0, 0.0])
-    assert res.value == 1.0 and not res.diverges
+    values, diverges = hl_maximal_batch(nu, None, [[0.0, 0.0]])
+    assert values[0] == 1.0 and not diverges[0]
 
 
 def test_hl_maximal_zero_density():
-    assert sl.hl_maximal(two_atom_line(), 0.0, [0.0, 0.0]).value == 0.0
+    assert hl_maximal_batch(two_atom_line(), 0.0, [[0.0, 0.0]])[0][0] == 0.0
 
 
 def test_hl_maximal_diverges_on_atom():
     nu = two_atom_line()
-    res = sl.hl_maximal(nu, None, [1.0, 0.0])
-    assert res.diverges and math.isinf(res.value)
+    values, diverges = hl_maximal_batch(nu, None, [[1.0, 0.0]])
+    assert diverges[0] and math.isinf(values[0])
 
 
 def test_hl_maximal_oracle():
@@ -215,7 +215,7 @@ def test_hl_maximal_oracle():
     for r in np.unique(d):
         if r > 0:
             best = max(best, a[d <= r].sum() / r)
-    assert sl.hl_maximal(nu, g, x).value == pytest.approx(best, rel=1e-12)
+    assert hl_maximal_batch(nu, g, [x])[0][0] == pytest.approx(best, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +347,9 @@ def test_double_truncated_self_pair_cancels():
     mu = sl.cantor_four_corners(4)
     k = sl.RieszComponent(2, 0)
     ball = sl.Ball((0.5, 0.5), 2.0)
+    part = mu.restrict_mask(ball.contains_many(mu.positions))
     for eps in (0.5, 0.1, 0.02):
-        stats = sl.double_truncated_stats(mu, k, ball, ball, eps)
+        stats = pair_sum_stats(part.positions, part.weights, part.positions, part.weights, k, eps)
         bound = mu.count**2 * 2.0**-50 * stats.max_abs_term
         assert abs(stats.value) <= bound
 
@@ -362,8 +363,9 @@ def test_double_truncated_separated_regions_eps_independent():
     k = sl.RieszComponent(2, 0)
     left = sl.Ball((0.05, 0.0), 0.5)
     right = sl.Ball((5.05, 0.0), 0.5)
+    a, b = (mu.restrict_mask(s.contains_many(mu.positions)) for s in (left, right))
     vals = {
-        sl.double_truncated_stats(mu, k, left, right, eps).value for eps in (0.2, 0.5, 1.0, 2.0)
+        pair_sum_stats(a.positions, a.weights, b.positions, b.weights, k, eps).value for eps in (0.2, 0.5, 1.0, 2.0)
     }
     assert len(vals) == 1  # gap is ~4.9, all eps below it agree
 
@@ -373,15 +375,14 @@ def test_double_truncated_swap_antisymmetry():
     k = sl.RieszComponent(2, 1)
     a = sl.Ball((0.2, 0.2), 0.4)
     b = sl.Ball((0.7, 0.6), 0.5)
-    fwd = sl.double_truncated_stats(mu, k, a, b, 0.05).value
-    back = sl.double_truncated_stats(mu, k, b, a, 0.05).value
+    part_a, part_b = (mu.restrict_mask(s.contains_many(mu.positions)) for s in (a, b))
+    fwd = pair_sum_stats(part_a.positions, part_a.weights, part_b.positions, part_b.weights, k, 0.05).value
+    back = pair_sum_stats(part_b.positions, part_b.weights, part_a.positions, part_a.weights, k, 0.05).value
     scale = max(abs(fwd), abs(back), 1e-300)
     assert abs(fwd + back) / scale < 1e-12
 
 
 def test_double_truncated_pair_guard():
-    mu = sl.DiscreteMeasure(np.zeros((1, 2)), np.ones(1), resolution=0.1)
-    big = SimpleNamespace(contains_many=lambda pts: np.ones(len(pts), dtype=bool))
     with pytest.raises(ValueError):
         pair_sum_stats(
             np.zeros((200_000, 2)), np.ones(200_000),
@@ -505,7 +506,7 @@ def test_nontangential_max_constant():
 def test_nontangential_max_converges_toward_apex_sup():
     g = sl.LipschitzGraph(2, sl.Affine((0.0,)))
     cone = sl.Cone(g, (0.0,), 1.5)
-    apex = cone.apex
+    apex = g.points_on_graph(cone.apex_u)[0]
 
     def h(pts):
         return -np.linalg.norm(np.atleast_2d(pts) - apex, axis=1)
@@ -526,11 +527,11 @@ def test_nontangential_max_bounded_by_cone_estimate():
     aperture = 2.0
     c = sl.bound_constants(kern, aperture)
     cone = sl.Cone(graph, (0.2,), aperture)
-    x = cone.apex
+    x = graph.points_on_graph(cone.apex_u)[0]
     h = lambda pts: sl.TruncationTable(nu, kern, pts).maximal_values(gv)
     n_val = sl.nontangential_max(h, cone, 1.0, 4)
     tstar = sl.maximal(nu, kern, gv, x)
-    mval = sl.hl_maximal(nu, gv, x).value
+    mval = hl_maximal_batch(nu, gv, [x])[0][0]
     assert n_val <= c.c_n * (tstar + mval) * (1 + 1e-9)
 
 
@@ -965,7 +966,8 @@ def test_empty_measure_gives_zeros():
     values, diverges = sl.operators.hl_maximal_batch(nu, None, pts)
     assert values.tolist() == zeros and not diverges.any()
     assert sl.maximal(nu, k, None, pts[0]) == 0.0
-    assert sl.hl_maximal(nu, None, pts[0]) == (0.0, False)
+    values, diverges = hl_maximal_batch(nu, None, pts[:1])
+    assert (values.tolist(), diverges.tolist()) == ([0.0], [False])
     assert sl.lp_norm(nu, None, 2.0) == 0.0
 
 

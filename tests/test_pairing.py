@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import siolab as sl
+from siolab.operators import pair_sum_stats
 from siolab.pairing import CANCELLATION_FACTOR
 from siolab.harness.rng import Rng
 
@@ -58,10 +59,10 @@ def test_simple_function_rejects_mixed_shapes():
 
 def test_simple_function_evaluates_closed_indicators():
     f = sl.SimpleFunction([(2.0, sl.Ball((0.0, 0.0), 1.0)), (-0.5, sl.Ball((1.0, 0.0), 1.0))])
-    assert f.evaluate([-0.5, 0.0]) == 2.0
-    assert f.evaluate([1.0, 0.0]) == 1.5  # boundary of the first counts (closed)
-    assert f.evaluate([1.5, 0.0]) == -0.5
-    assert f.evaluate([5.0, 5.0]) == 0.0
+    assert f.evaluate_many([-0.5, 0.0])[0] == 2.0
+    assert f.evaluate_many([1.0, 0.0])[0] == 1.5  # boundary of the first counts (closed)
+    assert f.evaluate_many([1.5, 0.0])[0] == -0.5
+    assert f.evaluate_many([5.0, 5.0])[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +174,8 @@ def test_i_decomposition_completeness():
     q = sl.Ball((-0.2, 0.0), 0.6)
     for eps in (0.3, 0.08):
         d = sl.i_decomposition(mu, k, p, q, eps)
-        direct = sl.double_truncated_stats(mu, k, p, q, eps).value
+        part_p, part_q = (mu.restrict_mask(s.contains_many(mu.positions)) for s in (p, q))
+        direct = pair_sum_stats(part_p.positions, part_p.weights, part_q.positions, part_q.weights, k, eps).value
         bound = max(d.pair_count, 1) * 2.0**-46 * max(d.max_abs_term, 1e-300)
         assert abs(d.total - direct) <= bound
 
