@@ -111,6 +111,26 @@ def _schedule_ends(cfg: Config, prm: dict, mu: DiscreteMeasure) -> tuple[float, 
     return eps0, eps_min
 
 
+def _halving_schedule(cfg: Config, prm: dict, mu: DiscreteMeasure) -> list[float]:
+    """The ratio-1/2 eps schedule between the ``_schedule_ends``; a trace needs 4 entries."""
+    schedule = geometric_schedule(*_schedule_ends(cfg, prm, mu))
+    if len(schedule) < 4:
+        raise ConfigError(f"scenario.eps0: schedule shorter than 4 entries ({len(schedule)})")
+    return schedule
+
+
+def _tail_verdict(report: ScenarioReport, values, tolerance: float, noise: float) -> None:
+    """The trace passes when its Cauchy tail is at most max(tolerance max |v|, noise):
+    a tail below the arithmetic noise floor counts as exact cancellation."""
+    tail = cauchy_tail(values)
+    scale = max(abs(v) for v in values)
+    report.add_verdict(
+        "cauchy_tail",
+        tail <= max(tolerance * scale, noise),
+        f"tail {tail:.3e} scale {scale:.3e} noise {noise:.3e}",
+    )
+
+
 def _same_dim(kern, dim: int, what: str) -> None:
     """A kernel on R^n needs data in R^n."""
     if kern.ambient_dim != dim:
@@ -312,7 +332,6 @@ def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, threads: int) -> S
     kern = build_kernel(cfg)
     _same_dim(kern, graph.ambient_dim, "graph")
     box = box_pairs(prm["box"], graph.param_dim, "scenario.box")
-    eps0 = prm["eps0"] or None
 
     rows = []
     max_tails: list[float] = []
@@ -320,6 +339,7 @@ def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, threads: int) -> S
     for m in prm["resolutions"]:
         sigma = build_spec(GraphMeasureSpec(graph, box, m, prm["shift"]), "scenario")
         graph_u = graph.to_graph_frame(sigma.positions)[:, :-1]
+        schedule = _halving_schedule(cfg, prm, sigma)
         m_tail = 0.0
         m_scale = 0.0
         for p_idx, u in enumerate(prm["points"]):
@@ -329,10 +349,7 @@ def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, threads: int) -> S
             target = np.full(graph.param_dim, u)
             i = int(np.argmin(np.linalg.norm(graph_u - target, axis=1)))
             x = sigma.positions[i]
-            try:
-                res = pv_estimate(sigma, kern, x, eps0=eps0, floor_factor=prm["floor_factor"])
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            res = pv_estimate(sigma, kern, x, schedule)
             scale = max(abs(v) for v in res.values)
             rows.append([m, p_idx, u, res.tail, scale, res.limit_estimate, int(res.converged)])
             m_tail = max(m_tail, res.tail)
@@ -400,7 +417,6 @@ def scenario_weak_pairing(cfg: Config, prm: dict, rng: Rng, threads: int) -> Sce
 
     with _blame("[mu]"):  # its atom count sets the pair counts
         trace = convergence_study(mu, kern, f, g, schedule)
-    scale = max(abs(v) for v in trace.values)
     report = ScenarioReport("weak_pairing", {})
     # one row per (term, eps) plus a coefficient-weighted totals row per eps
     rows = [
@@ -414,13 +430,7 @@ def scenario_weak_pairing(cfg: Config, prm: dict, rng: Rng, threads: int) -> Sce
         ["g_term", "f_term", "eps", "value", "i1", "i2", "i3", "i4"],
         rows,
     )
-    # a tail below the arithmetic noise floor counts as exact cancellation
-    allowance = max(prm["tolerance"] * scale, trace.cancellation_noise)
-    report.add_verdict(
-        "cauchy_tail",
-        trace.cauchy_tail <= allowance,
-        f"tail {trace.cauchy_tail:.3e} scale {scale:.3e} noise {trace.cancellation_noise:.3e}",
-    )
+    _tail_verdict(report, trace.values, prm["tolerance"], trace.cancellation_noise)
     return report
 
 
@@ -626,45 +636,32 @@ def scenario_double_integral(cfg: Config, prm: dict, rng: Rng, threads: int) -> 
     kern = build_kernel(cfg)
     _same_dim(kern, graph.ambient_dim, "graph")
     mu = build_measure(cfg, "mu", graph=graph)
+    sections = "[mu]"
     if cfg.has("mu2", "kind"):
         mu = concat([mu, build_measure(cfg, "mu2", graph=graph)])
+        sections = "[mu], [mu2]"
+    schedule = _halving_schedule(cfg, prm, mu)
     on, above, below = split_by_graph(mu, graph)
-    outer = concat([above, on]) if on.count else above
+    if below.count == 0 or above.count + on.count == 0:
+        cfg.check_all_read()  # every section is read: a misspelt shift, say, is named first
+        side = "strictly below" if below.count == 0 else "above or on"
+        raise ConfigError(f"{sections}: no atom lies {side} the graph, so every pair sum is empty")
 
-    schedule = geometric_schedule(*_schedule_ends(cfg, prm, mu))
-    if len(schedule) < 4:
-        raise ConfigError("schedule shorter than 4 entries")
+    def pair_sums(outer, inner):
+        return pair_sum_schedule(outer.positions, outer.weights, inner.positions, inner.weights, kern, schedule)
 
-    inner_lower = concat([below, on]) if on.count else below
-    with _blame("[mu], [mu2]" if cfg.has("mu2", "kind") else "[mu]"):  # atom counts set the pair counts
-        forward = pair_sum_schedule(
-            outer.positions, outer.weights, below.positions, below.weights, kern, schedule
-        )
-        mirrored = pair_sum_schedule(
-            above.positions, above.weights,
-            inner_lower.positions, inner_lower.weights, kern, schedule,
-        )
-    values = [fwd.value for fwd in forward]
+    with _blame(sections):  # atom counts set the pair counts
+        forward = pair_sums(concat([above, on]), below)
+        # the on-graph atoms change sides in the mirror order; without them it is the same sum
+        mirrored = pair_sums(above, concat([below, on])) if on.count else forward
     rows = [[eps, fwd.value, mir.value] for eps, fwd, mir in zip(schedule, forward, mirrored)]
-    bounds = [
+    noise = max(
         max(fwd.pair_count, 1) * CANCELLATION_FACTOR * max(fwd.max_abs_term, mir.max_abs_term)
         for fwd, mir in zip(forward, mirrored)
-    ]
-    noise = max(bounds)
-    # with no on-graph mass both orders sum the same terms
-    consistency_ok = on.count > 0 or all(abs(v - m) <= b for (_, v, m), b in zip(rows, bounds))
-
-    tail = cauchy_tail(values)
-    scale = max(abs(v) for v in values)
+    )
     report = ScenarioReport("double_integral", {})
     report.add_table("trace", ["eps", "value", "mirror_value"], rows)
-    allowance = max(prm["tolerance"] * scale, noise)
-    report.add_verdict(
-        "cauchy_tail",
-        tail <= allowance,
-        f"tail {tail:.3e} scale {scale:.3e} noise {noise:.3e}",
-    )
-    report.add_verdict("mirror_consistent", consistency_ok)
+    _tail_verdict(report, [fwd.value for fwd in forward], prm["tolerance"], noise)
     return report
 
 
@@ -691,7 +688,7 @@ class Key(NamedTuple):
 
 
 _APERTURE = Key("float")  # default 2 max(1, Lip f); must exceed max(1, Lip f)
-_EPS0 = Key("float")  # default diam(mu) / 4; must exceed floor_factor * h
+_EPS0 = Key("float")  # default diam / 4 of the traced measure; must exceed floor_factor * h
 _FLOOR_FACTOR = Key("float", 4.0, ">= 4")
 _GROWTH_FACTOR = Key("float", 1.5, ">= 1")
 _RESOLUTIONS = Key("ints", REQUIRED, ">= 1, increasing")
@@ -716,7 +713,7 @@ SCENARIOS = {
         "box": _BOX,
         "points": Key("floats", (-0.35, 0.15, 0.55)),
         "floor_factor": _FLOOR_FACTOR,
-        "eps0": Key("float", 0.0, ">= 0"),  # 0: diam(sigma) / 4
+        "eps0": _EPS0,
         "tolerance": Key("float", 1e-2, "> 0"),
         "noise_factor": Key("float", 1.1, ">= 1"),
         "shift": Key("float", 0.0),

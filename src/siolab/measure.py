@@ -123,7 +123,7 @@ def _grid_centers(box, cells_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
     if cells_per_axis < 1:
         raise ValueError("grid resolution must be >= 1")
     if cells_per_axis ** len(box) > ATOM_COUNT_GUARD:
-        raise ValueError("atom count guard exceeded")
+        raise ValueError(f"atom count guard exceeded: {cells_per_axis ** len(box)} atoms, limit {ATOM_COUNT_GUARD}")
     axes = [
         lo + (np.arange(cells_per_axis) + 0.5) * (hi - lo) / cells_per_axis
         for lo, hi in box
@@ -220,7 +220,7 @@ def slab_above_graph(
         raise ValueError("box must have ambient_dim - 1 sides")
     centers, sizes = _grid_centers(box, cells_per_axis)
     if len(centers) * levels > ATOM_COUNT_GUARD:
-        raise ValueError("atom count guard exceeded")
+        raise ValueError(f"atom count guard exceeded: {len(centers) * levels} atoms, limit {ATOM_COUNT_GUARD}")
     cell_volume = float(np.prod(sizes))
     heights = (np.arange(levels) + 0.5) * thickness / levels
     f = graph.height(centers)

@@ -174,8 +174,9 @@ class TruncationTable:
     def __init__(self, nu: DiscreteMeasure, kernel, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n_pts, n_atoms = len(pts), nu.count
-        if n_pts * n_atoms * _TABLE_BYTES_PER_CELL > TABLE_BYTES_GUARD:
-            raise ValueError("truncation table byte guard exceeded")
+        n_bytes = n_pts * n_atoms * _TABLE_BYTES_PER_CELL
+        if n_bytes > TABLE_BYTES_GUARD:
+            raise ValueError(f"truncation table byte guard exceeded: {n_bytes} bytes, limit {TABLE_BYTES_GUARD}")
         self.measure = nu
         self.fallback_rows = 0
         self.order = np.empty((n_pts, n_atoms), dtype=np.int64)
@@ -443,24 +444,15 @@ def geometric_schedule(eps0: float, eps_min: float) -> list[float]:
     return out
 
 
-def pv_estimate(
-    nu: DiscreteMeasure,
-    kernel,
-    x,
-    eps0: float | None = None,
-    floor_factor: float = 4.0,
-) -> PVResult:
+def pv_estimate(nu: DiscreteMeasure, kernel, x, schedule) -> PVResult:
     """Principal-value study of int K(x - y) dnu(y): truncated values
-    along a ratio-1/2 geometric schedule from eps0 (default diam / 4)
-    down to the resolution floor floor_factor * h, below which the
-    discretization carries no information, converged when the Cauchy
-    tail is at most 1e-3 of the largest |value|.  The whole trace is one
-    ``pair_sum_schedule`` pass with x as the single unit-weight point,
-    so each value carries that engine's Sum2 bound.
+    along a strictly decreasing eps schedule of at least 4 entries (as
+    ``geometric_schedule`` builds, down to a floor such as floor_factor * h,
+    below which the discretization carries no information), converged
+    when the Cauchy tail is at most 1e-3 of the largest |value|.  The
+    whole trace is one ``pair_sum_schedule`` pass with x as the single
+    unit-weight point, so each value carries that engine's Sum2 bound.
     """
-    if eps0 is None:
-        eps0 = nu.bounding_diameter() / 4.0
-    schedule = geometric_schedule(eps0, floor_factor * nu.resolution)
     if len(schedule) < 4:
         raise ValueError("schedule shorter than 4 entries")
     pole = np.asarray(x, dtype=float).reshape(1, -1)
@@ -504,7 +496,7 @@ def pair_sum_schedule(
     if len(eps) == 0 or not np.all(eps > 0) or np.any(eps[1:] >= eps[:-1]):
         raise ValueError("eps schedule must be nonempty, positive and strictly decreasing")
     if len(pos_a) * len(pos_b) > PAIR_COUNT_GUARD:
-        raise ValueError("pair count guard exceeded")
+        raise ValueError(f"pair count guard exceeded: {len(pos_a) * len(pos_b)} pairs, limit {PAIR_COUNT_GUARD}")
     partials = [[] for _ in eps]  # per bin: sum2_total of each block's terms
     max_terms = np.zeros(len(eps))
     counts = np.zeros(len(eps), dtype=np.int64)

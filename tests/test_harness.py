@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import siolab as sl
+from siolab import measure, operators
 from siolab.harness import (
     ConfigError,
     Rng,
@@ -241,6 +242,7 @@ _APERTURE = "aperture L must exceed"
 _INCREASING = "resolutions must be increasing"
 _FLOOR = "floor_factor must be >= 4"
 _EPS0 = "eps0 must exceed the schedule floor"
+_PV_H64 = sl.graph_measure(sl.LipschitzGraph(2, sl.Affine((0.0,))), [(-1.0, 1.0)], 64).resolution
 
 
 def _scenario(tag, scenario=None, **sections):
@@ -277,6 +279,14 @@ def _double_integral(scenario):
         pytest.param(_weak_pairing({"eps0": repr(4.0 * sl.cantor_four_corners(2).resolution)}),
                      _EPS0, id="weak_pairing-eps0_at_floor"),
         pytest.param(_double_integral({"eps0": "0.1"}), _EPS0, id="double_integral-eps0_below_floor"),
+        pytest.param(_scenario("PVConvergence", {"resolutions": "64", "eps0": repr(4.0 * _PV_H64)},
+                               graph=_FLAT, kernel=_RIESZ), _EPS0, id="pv-eps0_at_floor"),
+        pytest.param(_scenario("PVConvergence", {"resolutions": "64", "eps0": repr(12.0 * _PV_H64)},
+                               graph=_FLAT, kernel=_RIESZ), "scenario.eps0: schedule shorter than 4 entries",
+                     id="pv-short_schedule"),
+        # 0 meant diam(sigma) / 4 once; the default is now the key left out
+        pytest.param(_scenario("PVConvergence", {"resolutions": "64", "eps0": "0"}, graph=_FLAT,
+                               kernel=_RIESZ), _EPS0, id="pv-eps0_zero"),
     ],
 )
 def test_scenario_rule_violations_are_config_errors(cfg, message):
@@ -368,19 +378,38 @@ def test_random_density_rejects_zero_draws():
         assert np.any(values != 0.0)
 
 
-def test_double_integral_empty_inner_region():
-    # measure entirely above the graph: the inner (below) region is
-    # empty and the trace vanishes identically
-    cfg = config_from_dict(
-        {"scenario": {"tag": "DoubleIntegralConvergence", "seed": "4", "eps0": "2.0"},
-         "graph": {"profile": "affine", "dim": "2"},
-         "kernel": {"family": "riesz", "dim": "2", "axis": "1"},
-         "mu": {"kind": "slab_above_graph", "box": "-1, 1", "m": "64",
-                 "thickness": "0.4", "levels": "8"}}
-    )
-    rep = run_scenario(cfg)
-    assert rep.passed
-    assert all(row[1] == 0.0 for row in rep.table("trace").rows)
+def test_double_integral_empty_inner_region(tmp_path, capsys):
+    # measure entirely above the graph (or, mirrored, entirely below): one
+    # side is empty, every pair sum vanishes, and there is nothing to check
+    slab = {"kind": "slab_above_graph", "box": "-1, 1", "m": "64", "thickness": "0.4", "levels": "8"}
+    for mu, side in ((slab, "strictly below"), ({**slab, "shift": "-0.4"}, "above or on")):
+        cfg = {"scenario": {"tag": "DoubleIntegralConvergence", "seed": "4", "eps0": "2.0"},
+               "graph": {"profile": "affine", "dim": "2"},
+               "kernel": {"family": "riesz", "dim": "2", "axis": "1"},
+               "mu": mu}
+        with pytest.raises(ConfigError, match=rf"^\[mu\]: no atom lies {side} the graph"):
+            run_scenario(config_from_dict(cfg))
+        assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
+        assert f"[mu]: no atom lies {side}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_double_integral_mirror_pass_with_atoms_on_the_graph():
+    # one grid row of the rectangle lies on the flat graph, so the mirror
+    # order moves those atoms to the inner side; more rows lie above it than
+    # below, so the vertical Riesz component differs between the orders
+    rect = {"kind": "uniform_on_shape", "shape": "rectangle", "center": "0.3, 0.1", "half_widths": "1, 0.6",
+            "m": "30"}
+    cfg = {**_double_integral({"eps0": "3.0"}), "kernel": {**_RIESZ, "axis": "2"}, "mu": rect}
+    rows = run_scenario(config_from_dict(cfg)).table("trace").rows
+    mu = sl.uniform_on_shape(sl.Rectangle((0.3, 0.1), (1.0, 0.6)), 30)
+    on, above, below = sl.split_by_graph(mu, sl.LipschitzGraph(2, sl.Affine((0.0,))))
+    assert (on.count, above.count, below.count) == (30, 510, 360)
+    inner = sl.concat([below, on])
+    direct = operators.pair_sum_schedule(above.positions, above.weights, inner.positions, inner.weights,
+                                         sl.RieszComponent(2, 1), [row[0] for row in rows])
+    assert [row[2] for row in rows] == [stats.value for stats in direct]
+    assert any(row[1] != row[2] for row in rows)
 
 
 def test_separated_boundedness_threads_identical(tmp_path):
@@ -619,7 +648,7 @@ def test_cli_atom_count_guard_is_a_config_error(tmp_path, capsys, cfg):
     start = time.perf_counter()
     assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
     assert time.perf_counter() - start < 10.0
-    assert "atom count guard exceeded" in capsys.readouterr().err
+    assert f"atom count guard exceeded: 50000000 atoms, limit {measure.ATOM_COUNT_GUARD}" in capsys.readouterr().err
 
 
 # the benchmark's WeakPairing config: a ball of mu in 2-D, fixed f and g
@@ -627,31 +656,36 @@ _BALL_MU = {"kind": "uniform_on_shape", "shape": "ball", "center": "0, 0", "radi
 _SAWTOOTH = {"profile": "sawtooth", "dim": "2", "amplitude": "0.3", "period": "0.5"}
 
 
+_TABLE_LIMIT = f"limit {operators.TABLE_BYTES_GUARD}"
+_PAIR_LIMIT = f"limit {operators.PAIR_COUNT_GUARD}"
+
+
 @pytest.mark.parametrize(
-    "cfg, key",
+    "cfg, key, limit",
     [
         pytest.param(_scenario("LemmaL2Check", {"tuples": "20000", "tuples_per_batch": "20000"},
                                graph=_SAWTOOTH, kernel=_RIESZ,
                                nu={"kind": "graph_measure", "box": "-1, 1", "m": "4096", "shift": "-1"}),
-                     "scenario.tuples_per_batch", id="lemma_l2-table_bytes"),
+                     "scenario.tuples_per_batch", _TABLE_LIMIT, id="lemma_l2-table_bytes"),
         pytest.param(_with(_CONTROL, generations="8", random_functions="0", p="2"), "scenario.generations",
-                     id="control-table_bytes"),
+                     _TABLE_LIMIT, id="control-table_bytes"),
         pytest.param(_with(_SEPARATED, resolutions="32768", random_functions="1", p="2"), "scenario.resolutions",
-                     id="separated-table_bytes"),
+                     _TABLE_LIMIT, id="separated-table_bytes"),
         pytest.param(_scenario("DoubleIntegralConvergence", graph=_FLAT, kernel=_RIESZ,
                                mu={**_BALL_MU, "center": "0, 0.3", "m": "1000"}),
-                     "[mu]", id="double_integral-pair_count"),
+                     "[mu]", _PAIR_LIMIT, id="double_integral-pair_count"),
         pytest.param(_scenario("WeakPairing", kernel=_RIESZ, mu={**_BALL_MU, "m": "1000"},
                                f={"mode": "ball", "center": "-0.5, 0", "radius": "0.5"},
                                g={"mode": "ball", "center": "0.5, 0", "radius": "0.5"}),
-                     "[mu]", id="weak_pairing-pair_count"),
+                     "[mu]", _PAIR_LIMIT, id="weak_pairing-pair_count"),
     ],
 )
-def test_cli_operator_guard_is_a_config_error(tmp_path, capsys, cfg, key):
-    # a table or a pair sum past its guard exits 2 before any output is written
+def test_cli_operator_guard_is_a_config_error(tmp_path, capsys, cfg, key, limit):
+    # a table or a pair sum past its guard exits 2 before any output is written,
+    # naming the size asked for and the limit
     assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"{key}: " in err and "guard exceeded" in err
+    assert f"{key}: " in err and "guard exceeded" in err and limit in err
     assert not (tmp_path / "out").exists()
 
 

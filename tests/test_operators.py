@@ -261,7 +261,8 @@ def test_lp_norm_homogeneity(magnitude, sign, p):
 def test_pv_far_outside_support_is_constant():
     nu = sl.cantor_four_corners(4)
     x = np.array([50.0, 50.0])
-    res = sl.pv_estimate(nu, sl.RieszComponent(2, 0), x, eps0=0.5)
+    schedule = operators.geometric_schedule(0.5, 4 * nu.resolution)
+    res = sl.pv_estimate(nu, sl.RieszComponent(2, 0), x, schedule)
     assert len(set(res.values)) == 1
     assert res.converged and res.tail == 0.0
 
@@ -270,7 +271,8 @@ def test_pv_symmetric_atoms_vanish():
     nu = sl.DiscreteMeasure(
         np.array([[0.9, 0.4], [-0.9, -0.4]]), np.array([1.0, 1.0]), resolution=1e-4
     )
-    res = sl.pv_estimate(nu, sl.RieszComponent(2, 0), [0.0, 0.0], eps0=0.3)
+    schedule = operators.geometric_schedule(0.3, 4 * nu.resolution)
+    res = sl.pv_estimate(nu, sl.RieszComponent(2, 0), [0.0, 0.0], schedule)
     assert all(v == 0.0 for v in res.values)
     assert res.converged
 
@@ -282,7 +284,8 @@ def test_pv_flat_graph_tangential_component():
     for m in (2**8, 2**10):
         sigma = sl.graph_measure(g, [(-1.0, 1.0)], m)
         x = sigma.positions[int(0.7 * m)]
-        res = sl.pv_estimate(sigma, k, x)
+        schedule = operators.geometric_schedule(sigma.bounding_diameter() / 4, 4 * sigma.resolution)
+        res = sl.pv_estimate(sigma, k, x, schedule)
         tails.append(res.tail)
     # exact left/right tie cancellation: the tail vanishes identically
     assert tails == [0.0, 0.0]
@@ -295,15 +298,17 @@ def test_pv_flat_graph_at_origin_vanishes():
     k = sl.RieszComponent(2, 0)
     for m in (2**8, 2**10, 2**12):
         sigma = sl.graph_measure(g, [(-1.0, 1.0)], m)
-        res = sl.pv_estimate(sigma, k, [0.0, 0.0], eps0=0.64)
+        schedule = operators.geometric_schedule(0.64, 4 * sigma.resolution)
+        res = sl.pv_estimate(sigma, k, [0.0, 0.0], schedule)
         assert all(v == 0.0 for v in res.values)
         assert res.converged
 
 
 def test_pv_schedule_validation():
     nu = sl.cantor_four_corners(2)
-    with pytest.raises(ValueError):
-        sl.pv_estimate(nu, sl.RieszComponent(2, 0), [0.0, 0.0], eps0=8 * nu.resolution)
+    schedule = operators.geometric_schedule(8 * nu.resolution, 4 * nu.resolution)
+    with pytest.raises(ValueError, match="shorter than 4"):
+        sl.pv_estimate(nu, sl.RieszComponent(2, 0), [0.0, 0.0], schedule)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -314,8 +319,9 @@ def test_pv_estimate_matches_truncated_loop(dim):
     nu = sl.DiscreteMeasure(nu.positions, nu.weights, resolution=1e-3)
     k = sl.RieszComponent(dim, dim - 1)
     points = [*rng.points_in_box(4, [(-1, 1)] * dim), nu.positions[7]]  # one point on an atom
+    schedule = operators.geometric_schedule(1.5, 4 * nu.resolution)
     for x in points:
-        res = sl.pv_estimate(nu, k, x, eps0=1.5)
+        res = sl.pv_estimate(nu, k, x, schedule)
         loop = [sl.truncated(nu, k, None, x, e) for e in res.eps_schedule]
         assert res.values == pytest.approx(loop, rel=1e-13, abs=1e-300)
 
@@ -880,7 +886,8 @@ def test_pv_estimate_within_pair_sum_bound(dim, weights, scale, seed):
     x = rng.integers(-4, 5, size=dim).astype(float)
     nu = sl.DiscreteMeasure(positions, w, resolution=2.0**-4)
     k = sl.RieszComponent(dim, 0)
-    res = sl.pv_estimate(nu, k, x, eps0=math.sqrt(64 * scale))
+    schedule = operators.geometric_schedule(math.sqrt(64 * scale), 4 * nu.resolution)
+    res = sl.pv_estimate(nu, k, x, schedule)
     diffs = x[None, :] - positions
     dist = np.linalg.norm(diffs, axis=1)
     terms = k.evaluate_many(np.where(dist[:, None] > 0, diffs, 1.0)) * w

@@ -76,7 +76,8 @@ _PUBLIC_FOR_USERS = {
     "lower_density": "the lower counterpart of growth_constant on atom centers",
     "pairing": "the single-eps pairing that convergence_study traces over a schedule",
     "i_decomposition": "the four overlap blocks of one shape pair at one eps",
-    "fubini_check": "the discrete Fubini identity of acceptance criterion 2",
+    "fubini_check": "the residual of the discrete Fubini identity I3 = -J; only test_pairing calls it"
+                    " (acceptance criterion 2 rebuilds the identity from pair_sum_stats)",
     "config_from_dict": "an in-memory config in the file format's shape",
 }
 
@@ -187,4 +188,4 @@ def _settable_values(tree):
 def test_settable_values_do_not_grow():
     # a change that needs a new knob raises this number and says why
     count = sum(len(list(_settable_values(ast.parse(path.read_text())))) for path in PACKAGE.rglob("*.py"))
-    assert count <= 41
+    assert count <= 39
