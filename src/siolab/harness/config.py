@@ -12,6 +12,7 @@ their kinds, defaults and ranges, are the ``Key`` tables of
 from __future__ import annotations
 
 import configparser
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -20,6 +21,18 @@ from .. import geometry, kernel as kernel_mod, measure
 
 class ConfigError(Exception):
     """Malformed configuration; maps to CLI exit code 2."""
+
+
+@contextlib.contextmanager
+def blame(where: str):
+    """Raise a ValueError of the block (a failed precondition or an
+    operator's size guard) as a ConfigError ``<where>: <reason>``, where
+    ``where`` is the config key or ``[section]`` that set the offending
+    input; the one map from a library ValueError to exit 2."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -155,7 +168,7 @@ def build_kernel(cfg: Config):
     dim = cfg.get_int("kernel", "dim", REQUIRED)
     c0 = cfg.get_float("kernel", "c0", 0.0) or None
     c1 = cfg.get_float("kernel", "c1", 0.0) or None
-    try:
+    with blame("[kernel]"):
         if family == "riesz":
             axis = cfg.get_int("kernel", "axis", 1)  # 1-based in config files
             kern = kernel_mod.RieszComponent(dim, axis - 1, c0, c1)
@@ -164,8 +177,6 @@ def build_kernel(cfg: Config):
             kern = kernel_mod.OddHomogeneous(dim, exponents, c0, c1)
         else:
             raise ConfigError(f"unknown kernel family {family!r}")
-    except ValueError as exc:
-        raise ConfigError(f"invalid kernel: {exc}") from exc
     # echo the constants the kernel actually certifies, not the sentinel
     cfg.echo["kernel.c0"] = _fmt(kern.c0_declared)
     cfg.echo["kernel.c1"] = _fmt(kern.c1_declared)
@@ -180,7 +191,7 @@ def optional_graph(cfg: Config):
 def build_graph(cfg: Config):
     dim = cfg.get_int("graph", "dim", REQUIRED)
     profile_name = cfg.get_str("graph", "profile", REQUIRED).lower()
-    try:
+    with blame("[graph]"):
         if profile_name == "affine":
             slope = tuple(cfg.get_floats("graph", "slope", [0.0] * (dim - 1)))
             offset = cfg.get_float("graph", "offset", 0.0)
@@ -200,8 +211,6 @@ def build_graph(cfg: Config):
         else:
             raise ConfigError(f"unknown graph profile {profile_name!r}")
         return geometry.LipschitzGraph(dim, profile)
-    except ValueError as exc:
-        raise ConfigError(f"invalid graph: {exc}") from exc
 
 
 def box_pairs(vals: list[float], dim: int, name: str) -> list[tuple[float, float]]:
@@ -217,63 +226,42 @@ def box_pairs(vals: list[float], dim: int, name: str) -> list[tuple[float, float
 def _parse_shape(cfg: Config, section: str):
     kind = cfg.get_str(section, "shape", REQUIRED).lower()
     center = tuple(cfg.get_floats(section, "center", REQUIRED))
-    try:
-        if kind == "ball":
-            return geometry.Ball(center, cfg.get_float(section, "radius", REQUIRED))
-        if kind == "rectangle":
-            half = tuple(cfg.get_floats(section, "half_widths", REQUIRED))
-            return geometry.Rectangle(center, half)
-    except ValueError as exc:
-        raise ConfigError(f"invalid shape: {exc}") from exc
+    if kind == "ball":
+        return geometry.Ball(center, cfg.get_float(section, "radius", REQUIRED))
+    if kind == "rectangle":
+        return geometry.Rectangle(center, tuple(cfg.get_floats(section, "half_widths", REQUIRED)))
     raise ConfigError(f"unknown shape kind {kind!r}")
 
 
-def build_measure_spec(cfg: Config, section: str, graph, m: int | None = None):
-    """The measure spec of [section]; a graph-based kind without a
-    ``graph`` (None) builds it from [graph].  A resolution sweep passes
-    its atom count ``m``, which [section] then may not set."""
+def build_measure(cfg: Config, section: str, graph, m: int | None = None) -> measure.DiscreteMeasure:
+    """The measure of [section], a ValueError of its parts or of its
+    build (such as the atom-count guard) naming the section.  A
+    graph-based kind without a ``graph`` (None) builds it from [graph].
+    A resolution sweep passes its atom count ``m``, which [section] then
+    may not set."""
     kind = cfg.get_str(section, "kind", REQUIRED).lower()
 
     def count() -> int:
         return cfg.get_int(section, "m", REQUIRED) if m is None else m
 
-    try:
+    with blame(f"[{section}]"):
         if kind in ("graph_measure", "slab_above_graph"):
             graph = graph if graph is not None else build_graph(cfg)
             box = box_pairs(cfg.get_floats(section, "box", REQUIRED), graph.param_dim, f"{section}.box")
         if kind == "graph_measure":
-            return measure.GraphMeasureSpec(
-                graph, box,
-                count(),
-                cfg.get_float(section, "shift", 0.0),
-            )
-        if kind == "cantor":
-            return measure.CantorFourCornersSpec(cfg.get_int(section, "generation", REQUIRED))
-        if kind == "uniform_on_shape":
-            return measure.UniformOnShapeSpec(
-                _parse_shape(cfg, section), count()
-            )
-        if kind == "slab_above_graph":
-            return measure.SlabAboveGraphSpec(
+            spec = measure.GraphMeasureSpec(graph, box, count(), cfg.get_float(section, "shift", 0.0))
+        elif kind == "cantor":
+            spec = measure.CantorFourCornersSpec(cfg.get_int(section, "generation", REQUIRED))
+        elif kind == "uniform_on_shape":
+            spec = measure.UniformOnShapeSpec(_parse_shape(cfg, section), count())
+        elif kind == "slab_above_graph":
+            spec = measure.SlabAboveGraphSpec(
                 graph, box,
                 count(),
                 cfg.get_float(section, "thickness", REQUIRED),
                 cfg.get_int(section, "levels", 8),
                 cfg.get_float(section, "shift", 0.0),
             )
-    except ValueError as exc:
-        raise ConfigError(f"invalid measure spec: {exc}") from exc
-    raise ConfigError(f"unknown measure kind {kind!r}")
-
-
-def build_spec(spec, section: str) -> measure.DiscreteMeasure:
-    """``measure.build(spec)``, a ValueError (such as the atom-count
-    guard) raised as a ConfigError naming ``section``."""
-    try:
+        else:
+            raise ConfigError(f"unknown measure kind {kind!r}")
         return measure.build(spec)
-    except ValueError as exc:
-        raise ConfigError(f"cannot build measure [{section}]: {exc}") from exc
-
-
-def build_measure(cfg: Config, section: str, graph) -> measure.DiscreteMeasure:
-    return build_spec(build_measure_spec(cfg, section, graph), section)

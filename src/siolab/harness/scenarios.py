@@ -11,7 +11,6 @@ byte-identical at any ``--threads`` setting.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import multiprocessing
 import operator
@@ -21,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .. import kernel as kernel_mod
+from .. import kernel as kernel_mod, measure
 from ..geometry import Ball, LipschitzGraph, check_aperture
 from ..measure import (
     CANTOR_MAX_GENERATION,
@@ -49,13 +48,17 @@ from ..operators import (
 )
 from ..pairing import CANCELLATION_FACTOR, SimpleFunction, convergence_study
 from .config import (
-    REQUIRED, Config, ConfigError, _fmt, box_pairs, build_graph, build_kernel, build_measure,
-    build_measure_spec, build_spec, optional_graph,
+    REQUIRED, Config, ConfigError, _fmt, blame, box_pairs, build_graph, build_kernel, build_measure, optional_graph,
 )
 from .report import ScenarioReport
 from .rng import Rng
 
 _POINT_CHUNK = 2048  # fixed chunk size; must not depend on worker count
+
+# fixed verdict thresholds: a settable one could only loosen a pinned criterion
+_NOISE_FACTOR = 1.1  # PV tail_shrinks: the worst tail may grow this much per refinement
+_STABILITY_FACTOR = 1.2  # CantorGrowth: largest ratio of successive growth constants
+_GROWTH_CAP = 1.5  # CarlesonEmbedding, SeparatedBoundedness: largest growth of a ratio per refinement
 
 
 def _pmap(fn, items, threads: int):
@@ -75,17 +78,6 @@ def _chunks(rng: Rng, total: int, size: int) -> list[tuple[int, int]]:
     return [(min(size, total - s), rng.spawn(i).next_u64()) for i, s in enumerate(starts)]
 
 
-@contextlib.contextmanager
-def _blame(key: str):
-    """Raise a ValueError of the block (a failed precondition or an
-    operator's size guard) as a ConfigError naming the config ``key``
-    that set the offending input, before any output is written."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
 def _or_default(cfg: Config, prm: dict, key: str, default):
     """prm[key], or ``default`` (echoed) where the config leaves the key out."""
     if prm[key] is None:
@@ -97,7 +89,7 @@ def _or_default(cfg: Config, prm: dict, key: str, default):
 def _aperture(cfg: Config, prm: dict, graph: LipschitzGraph) -> float:
     """scenario.aperture, default 2 max(1, Lip f); a cone needs L > max(1, Lip f)."""
     aperture = _or_default(cfg, prm, "aperture", 2.0 * max(1.0, graph.lip_declared))
-    with _blame("scenario.aperture"):
+    with blame("scenario.aperture"):
         check_aperture(graph, aperture)
     return aperture
 
@@ -131,10 +123,10 @@ def _tail_verdict(report: ScenarioReport, values, tolerance: float, noise: float
     )
 
 
-def _same_dim(kern, dim: int, what: str) -> None:
-    """A kernel on R^n needs data in R^n."""
-    if kern.ambient_dim != dim:
-        raise ConfigError(f"kernel dimension {kern.ambient_dim} differs from the {what} dimension {dim}")
+def _same_dim(what: str, dim: int, other: str, other_dim: int) -> None:
+    """The kernel, the graph and the measures of one run live in one R^n."""
+    if dim != other_dim:
+        raise ConfigError(f"{what} dimension {dim} differs from the {other} dimension {other_dim}")
 
 
 def _growth_bounded(series_list, growth_cap: float) -> bool:
@@ -295,11 +287,10 @@ def _lemma_l2_batch(args):
 def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
-    _same_dim(kern, graph.ambient_dim, "graph")
+    _same_dim("kernel", kern.ambient_dim, "graph", graph.ambient_dim)
     aperture = _aperture(cfg, prm, graph)
-    nu = build_measure(cfg, "nu", graph=graph)
-    if nu.ambient_dim != graph.ambient_dim:
-        raise ConfigError("nu dimension does not match the graph")
+    nu = build_measure(cfg, "nu", graph)
+    _same_dim("[nu]", nu.ambient_dim, "graph", graph.ambient_dim)
     if np.any(graph.classify_many(nu.positions) != -1):
         raise ConfigError("nu must be supported strictly below the graph")
     consts = bound_constants(kern, aperture)
@@ -308,7 +299,7 @@ def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, threads: int) -> Scenari
         (nu, kern, graph, aperture, consts.d1, consts.d2, n, seed)
         for n, seed in _chunks(rng, prm["tuples"], prm["tuples_per_batch"])
     ]
-    with _blame("scenario.tuples_per_batch"):  # rows of each batch's table
+    with blame("scenario.tuples_per_batch"):  # rows of each batch's table
         results = _pmap(_lemma_l2_batch, tasks, threads)
     violations = sum(r[0] for r in results)
     worst = min(r[1] for r in results)
@@ -330,14 +321,15 @@ def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, threads: int) -> Scenari
 def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
-    _same_dim(kern, graph.ambient_dim, "graph")
+    _same_dim("kernel", kern.ambient_dim, "graph", graph.ambient_dim)
     box = box_pairs(prm["box"], graph.param_dim, "scenario.box")
 
     rows = []
     max_tails: list[float] = []
     max_scales: list[float] = []
     for m in prm["resolutions"]:
-        sigma = build_spec(GraphMeasureSpec(graph, box, m, prm["shift"]), "scenario")
+        with blame("scenario.resolutions"):  # sets the atom count
+            sigma = measure.build(GraphMeasureSpec(graph, box, m, prm["shift"]))
         graph_u = graph.to_graph_frame(sigma.positions)[:, :-1]
         schedule = _halving_schedule(cfg, prm, sigma)
         m_tail = 0.0
@@ -365,17 +357,16 @@ def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, threads: int) -> S
     )
     # the scenario tail is the worst over its evaluation points
     tol = prm["tolerance"]
-    noise = prm["noise_factor"]
     finest_ok = max_tails[-1] <= tol * max_scales[-1]
     shrink_ok = all(
-        b <= noise * a + 1e-14 * s
+        b <= _NOISE_FACTOR * a + 1e-14 * s
         for a, b, s in zip(max_tails, max_tails[1:], max_scales[1:])
     )
     report.add_verdict(
         "tail_at_finest", finest_ok,
         f"tail {max_tails[-1]:.3e} vs {tol:g} x scale {max_scales[-1]:.3e}",
     )
-    report.add_verdict("tail_shrinks", shrink_ok, f"noise factor {noise:g}")
+    report.add_verdict("tail_shrinks", shrink_ok, f"noise factor {_NOISE_FACTOR:g}")
     return report
 
 
@@ -384,38 +375,42 @@ def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, threads: int) -> S
 # ---------------------------------------------------------------------------
 
 
-def _simple_function_from(cfg: Config, section: str, rng: Rng, box) -> SimpleFunction:
+def _simple_function_from(cfg: Config, section: str, rng: Rng, box, stream: int):
+    """([section]'s simple function, its random stream or None in ball
+    mode); ``stream`` is the default stream of random mode."""
     mode = cfg.get_str(section, "mode", "random").lower()
     if mode == "random":
-        stream = cfg.get_int(section, "stream", 0)
-        return random_simple_function(rng.spawn(stream), box)
+        stream = cfg.get_int(section, "stream", stream)
+        if not 0 <= stream < 2**64:  # Rng.spawn reads a label mod 2^64
+            raise ConfigError(f"{section}.stream must be in [0, 2^64)")
+        return random_simple_function(rng.spawn(stream), box), stream
     if mode == "ball":
         center = tuple(cfg.get_floats(section, "center", REQUIRED))
         if len(center) != len(box):
             raise ConfigError(f"{section}.center needs {len(box)} numbers")
         radius = cfg.get_float(section, "radius", REQUIRED)
         coef = cfg.get_float(section, "coef", 1.0)
-        try:
-            ball = Ball(center, radius)
-        except ValueError as exc:
-            raise ConfigError(f"invalid ball in [{section}]: {exc}") from exc
-        return SimpleFunction([(coef, ball)])
+        with blame(f"[{section}]"):
+            return SimpleFunction([(coef, Ball(center, radius))]), None
     raise ConfigError(f"unknown simple-function mode {mode!r} in [{section}]")
 
 
 def scenario_weak_pairing(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     kern = build_kernel(cfg)
-    mu = build_measure(cfg, "mu", graph=optional_graph(cfg))
-    _same_dim(kern, mu.ambient_dim, "mu")
+    mu = build_measure(cfg, "mu", optional_graph(cfg))
+    _same_dim("kernel", kern.ambient_dim, "[mu]", mu.ambient_dim)
     box = mu.bounding_box()
-    f = _simple_function_from(cfg, "f", rng, box)
-    g = _simple_function_from(cfg, "g", rng, box)
+    f, f_stream = _simple_function_from(cfg, "f", rng, box, 0)
+    g, g_stream = _simple_function_from(cfg, "g", rng, box, 1)
+    if f_stream is not None and f_stream == g_stream:
+        # g = f, and <T^eps f, f> = 0 for every eps by antisymmetry: a trace of no data
+        raise ConfigError(f"g.stream: equals f.stream ({f_stream}), so g = f and the pairing vanishes")
     eps0, eps_min = _schedule_ends(cfg, prm, mu)
     points = max(8, int(math.floor(math.log2(eps0 / eps_min))) + 1)
     ratio = (eps_min / eps0) ** (1.0 / (points - 1))
     schedule = [eps0 * ratio**k for k in range(points)]
 
-    with _blame("[mu]"):  # its atom count sets the pair counts
+    with blame("[mu]"):  # its atom count sets the pair counts
         trace = convergence_study(mu, kern, f, g, schedule)
     report = ScenarioReport("weak_pairing", {})
     # one row per (term, eps) plus a coefficient-weighted totals row per eps
@@ -457,11 +452,10 @@ def scenario_cantor_growth(cfg: Config, prm: dict, rng: Rng, threads: int) -> Sc
         estimates.append(c)
     report = ScenarioReport("cantor_growth", {})
     report.add_table("metrics", ["generation", "atoms", "growth_constant"], rows)
-    stability = prm["stability_factor"]
     stable = all(
-        max(b / a, a / b) <= stability for a, b in zip(estimates, estimates[1:])
+        max(b / a, a / b) <= _STABILITY_FACTOR for a, b in zip(estimates, estimates[1:])
     )
-    report.add_verdict("growth_stable", stable, f"factor {stability:g}")
+    report.add_verdict("growth_stable", stable, f"factor {_STABILITY_FACTOR:g}")
     return report
 
 
@@ -499,10 +493,11 @@ def scenario_carleson(cfg: Config, prm: dict, rng: Rng, threads: int) -> Scenari
     rows = []
     ratios: dict[str, list[float]] = {name: [] for name, _ in densities}
     for m in prm["resolutions"]:
-        mu = build_spec(SlabAboveGraphSpec(graph, box, m, thickness, prm["levels"]), "scenario")
-        sigma = build_spec(GraphMeasureSpec(graph, box, m), "scenario")
+        with blame("scenario.resolutions"):  # sets the atom counts
+            mu = measure.build(SlabAboveGraphSpec(graph, box, m, thickness, prm["levels"], 0.0))
+            sigma = measure.build(GraphMeasureSpec(graph, box, m, 0.0))
         sigma_u = graph.to_graph_frame(sigma.positions)[:, :-1]
-        with _blame("scenario.mesh_depth"):
+        with blame("scenario.mesh_depth"):
             n_vals = nontangential_max_many([g for _, g in densities], graph, sigma_u, aperture, height,
                                             prm["mesh_depth"])
         for (name, g), n_row in zip(densities, n_vals):
@@ -515,9 +510,8 @@ def scenario_carleson(cfg: Config, prm: dict, rng: Rng, threads: int) -> Scenari
 
     report = ScenarioReport("carleson", {})
     report.add_table("metrics", ["resolution", "density", "lhs", "rhs", "ratio"], rows)
-    growth_cap = prm["growth_factor"]
-    bounded = _growth_bounded(ratios.values(), growth_cap)
-    report.add_verdict("embedding_ratio_bounded", bounded, f"growth cap {growth_cap:g}")
+    bounded = _growth_bounded(ratios.values(), _GROWTH_CAP)
+    report.add_verdict("embedding_ratio_bounded", bounded, f"growth cap {_GROWTH_CAP:g}")
     return report
 
 
@@ -575,9 +569,9 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: in
         # always among the densities, so random_functions may be 0.
         for gen in _or_default(cfg, prm, "generations", [3, 4, 5, 6]):
             nu = cantor_four_corners(gen)
-            _same_dim(kern, nu.ambient_dim, "Cantor set")
+            _same_dim("kernel", kern.ambient_dim, "Cantor set", nu.ambient_dim)
             densities = [("chi_square", np.ones(nu.count)), *_seeded_densities(rng, nu, n_g)]
-            with _blame("scenario.generations"):
+            with blame("scenario.generations"):
                 ratios = _ratio_table(nu, nu, kern, p_list, densities, threads)
             for p in p_list:
                 rows.append([gen, p, ratios[p]])
@@ -592,10 +586,12 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: in
     if prm["resolutions"] is None:
         raise ConfigError("missing required key scenario.resolutions")
     graph = build_graph(cfg)
-    _same_dim(kern, graph.ambient_dim, "graph")
+    _same_dim("kernel", kern.ambient_dim, "graph", graph.ambient_dim)
     per_p = {p: [] for p in p_list}
     for m in prm["resolutions"]:
-        nu, mu = (build_spec(build_measure_spec(cfg, s, graph, m), s) for s in ("nu", "mu"))
+        nu, mu = (build_measure(cfg, s, graph, m) for s in ("nu", "mu"))
+        _same_dim("[nu]", nu.ambient_dim, "graph", graph.ambient_dim)
+        _same_dim("[mu]", mu.ambient_dim, "graph", graph.ambient_dim)
         if nu.count == 0 or mu.count == 0:
             raise ConfigError("empty measure in the separated configuration")
         if np.any(graph.classify_many(nu.positions) != -1):
@@ -603,15 +599,14 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: in
         if np.any(graph.classify_many(mu.positions) == -1):
             raise ConfigError("mu must be supported above or on the graph")
         densities = _seeded_densities(rng, nu, n_g)
-        with _blame("scenario.resolutions"):
+        with blame("scenario.resolutions"):
             ratios = _ratio_table(nu, mu, kern, p_list, densities, threads)
         for p in p_list:
             rows.append([m, p, ratios[p]])
             per_p[p].append(ratios[p])
     report.add_table("ratios", ["resolution", "p", "max_ratio"], rows)
-    growth_cap = prm["growth_factor"]
-    stable = _growth_bounded(per_p.values(), growth_cap)
-    report.add_verdict("ratio_stable", stable, f"growth cap {growth_cap:g} per refinement")
+    stable = _growth_bounded(per_p.values(), _GROWTH_CAP)
+    report.add_verdict("ratio_stable", stable, f"growth cap {_GROWTH_CAP:g} per refinement")
     return report
 
 
@@ -634,12 +629,15 @@ def _seeded_densities(rng: Rng, nu: DiscreteMeasure, count: int):
 def scenario_double_integral(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
-    _same_dim(kern, graph.ambient_dim, "graph")
-    mu = build_measure(cfg, "mu", graph=graph)
+    _same_dim("kernel", kern.ambient_dim, "graph", graph.ambient_dim)
+    mu = build_measure(cfg, "mu", graph)
     sections = "[mu]"
     if cfg.has("mu2", "kind"):
-        mu = concat([mu, build_measure(cfg, "mu2", graph=graph)])
+        parts = [mu, build_measure(cfg, "mu2", graph)]
         sections = "[mu], [mu2]"
+        with blame(sections):  # the two parts may differ in dimension
+            mu = concat(parts)
+    _same_dim(sections, mu.ambient_dim, "graph", graph.ambient_dim)
     schedule = _halving_schedule(cfg, prm, mu)
     on, above, below = split_by_graph(mu, graph)
     if below.count == 0 or above.count + on.count == 0:
@@ -650,7 +648,7 @@ def scenario_double_integral(cfg: Config, prm: dict, rng: Rng, threads: int) -> 
     def pair_sums(outer, inner):
         return pair_sum_schedule(outer.positions, outer.weights, inner.positions, inner.weights, kern, schedule)
 
-    with _blame(sections):  # atom counts set the pair counts
+    with blame(sections):  # atom counts set the pair counts
         forward = pair_sums(concat([above, on]), below)
         # the on-graph atoms change sides in the mirror order; without them it is the same sum
         mirrored = pair_sums(above, concat([below, on])) if on.count else forward
@@ -690,7 +688,6 @@ class Key(NamedTuple):
 _APERTURE = Key("float")  # default 2 max(1, Lip f); must exceed max(1, Lip f)
 _EPS0 = Key("float")  # default diam / 4 of the traced measure; must exceed floor_factor * h
 _FLOOR_FACTOR = Key("float", 4.0, ">= 4")
-_GROWTH_FACTOR = Key("float", 1.5, ">= 1")
 _RESOLUTIONS = Key("ints", REQUIRED, ">= 1, increasing")
 _BOX = Key("floats", (-1.0, 1.0))
 
@@ -715,7 +712,6 @@ SCENARIOS = {
         "floor_factor": _FLOOR_FACTOR,
         "eps0": _EPS0,
         "tolerance": Key("float", 1e-2, "> 0"),
-        "noise_factor": Key("float", 1.1, ">= 1"),
         "shift": Key("float", 0.0),
     }),
     "weakpairing": (scenario_weak_pairing, {
@@ -727,7 +723,6 @@ SCENARIOS = {
         "generations": Key("ints", (3, 4, 5), f">= 0, <= {CANTOR_MAX_GENERATION}"),
         "centers": Key("int", 200, ">= 1"),
         "radii": Key("int", 50, ">= 1"),
-        "stability_factor": Key("float", 1.2, ">= 1"),
     }),
     "carlesonembedding": (scenario_carleson, {
         "resolutions": _RESOLUTIONS,
@@ -738,7 +733,6 @@ SCENARIOS = {
         "aperture": _APERTURE,
         "height_cap": Key("float", None, "> 0"),  # default 2 thickness
         "mesh_depth": Key("int", 4, ">= 1"),
-        "growth_factor": _GROWTH_FACTOR,
     }),
     "separatedboundedness": (scenario_separated_boundedness, {
         "p": Key("floats", (1.5, 2.0, 3.0), "> 1"),
@@ -746,7 +740,6 @@ SCENARIOS = {
         "random_functions": Key("int", 50, ">= 0"),  # >= 1 without the control
         "resolutions": Key("ints", None, ">= 1, increasing"),  # required without the control
         "generations": Key("ints", None, f">= 0, <= {CANTOR_MAX_GENERATION}"),  # control: 3, 4, 5, 6
-        "growth_factor": _GROWTH_FACTOR,
     }),
     "doubleintegralconvergence": (scenario_double_integral, {
         "eps0": _EPS0,

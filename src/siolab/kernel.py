@@ -183,7 +183,7 @@ SIZE_SLACK = 1e-9
 GRADIENT_SLACK = 1e-4
 
 
-def validate(kernel, rng, sample_count: int = 2000) -> KernelValidation:
+def validate(kernel, rng, sample_count: int) -> KernelValidation:
     """Check the declared constants against sampled suprema."""
     x = _shell_samples(kernel, rng, sample_count)
     kx = kernel.evaluate_many(x)

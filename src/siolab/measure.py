@@ -242,7 +242,7 @@ class GraphMeasureSpec:
     graph: LipschitzGraph
     box: list
     cells_per_axis: int
-    vertical_shift: float = 0.0
+    vertical_shift: float
 
 
 @dataclass(eq=False)
@@ -262,8 +262,8 @@ class SlabAboveGraphSpec:
     box: list
     cells_per_axis: int
     thickness: float
-    levels: int = 8
-    vertical_shift: float = 0.0
+    levels: int
+    vertical_shift: float
 
 
 MeasureSpec = GraphMeasureSpec | CantorFourCornersSpec | UniformOnShapeSpec | SlabAboveGraphSpec

@@ -31,7 +31,7 @@ import numpy as np
 
 from .geometry import Shape, decompose_complement
 from .measure import DiscreteMeasure
-from .operators import PairSumStats, cauchy_tail, pair_sum_schedule
+from .operators import PairSumStats, pair_sum_schedule
 from .operators import pair_sum_stats  # noqa: F401  kept bound here for perfbench/tracing.py
 
 CANCELLATION_FACTOR = 2.0**-50  # cancellation bounds read N^2 * this * max|term|
@@ -140,8 +140,7 @@ class TraceRow:
 @dataclass
 class PairingTrace:
     """Pairing values along a decreasing eps schedule with the per-term
-    overlap decomposition; ``cauchy_tail`` is ``operators.cauchy_tail``
-    of the values, and ``block_totals[k]`` holds, per block I1..I4, the
+    overlap decomposition; ``block_totals[k]`` holds, per block I1..I4, the
     sum over shape pairs of b_j a_i times that block at eps k.
 
     ``cancellation_noise`` bounds the arithmetic noise of the trace
@@ -151,14 +150,9 @@ class PairingTrace:
 
     eps_schedule: list[float]
     values: list[float]
-    cauchy_tail: float
     rows: list[TraceRow]
     block_totals: list[list[float]]
     cancellation_noise: float
-
-    @property
-    def limit_estimate(self) -> float:
-        return self.values[-1]
 
 
 def convergence_study(
@@ -219,4 +213,4 @@ def convergence_study(
     values = [math.fsum(parts) for parts in totals]
     block_totals = [[math.fsum(col) for col in zip(*w)] for w in weighted]
     noise = max(pair_count, 1) * CANCELLATION_FACTOR * max_term
-    return PairingTrace(schedule, values, cauchy_tail(values), rows, block_totals, noise)
+    return PairingTrace(schedule, values, rows, block_totals, noise)

@@ -285,7 +285,7 @@ def test_criterion_6_kernel_validation():
         and size == 1.0
         and anti == 0.0
         and float(np.max(rel)) < 1e-5
-        and kn.validate(k, rng).ok
+        and kn.validate(k, rng, 2000).ok
     )
     _verdict(
         6,

@@ -712,6 +712,53 @@ def test_cli_bad_simple_function_ball_is_a_config_error(tmp_path, capsys, sectio
     assert message in err and next(iter(ball)) in err
 
 
+_FLAT_3D = {"profile": "affine", "dim": "3"}
+_MU2_BALL = {"kind": "uniform_on_shape", "shape": "ball", "center": "0, -0.5", "radius": "0.3", "m": "8"}
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    [
+        # the three dimension mismatches ended in a traceback with exit 1 (a failed verdict's code)
+        pytest.param(_scenario("SeparatedBoundedness", {"resolutions": "8, 16", "random_functions": "2", "p": "2"},
+                               graph=_FLAT_3D, kernel=_RIESZ_3D, nu={"kind": "cantor", "generation": "3"},
+                               mu={**_SLAB, "levels": "2"}),
+                     "[nu] dimension 2 differs from the graph dimension 3", id="separated-cantor_nu"),
+        pytest.param(_scenario("DoubleIntegralConvergence", graph=_FLAT_3D, kernel=_RIESZ_3D,
+                               mu={"kind": "cantor", "generation": "4"}),
+                     "[mu] dimension 2 differs from the graph dimension 3", id="double_integral-cantor_mu"),
+        pytest.param({**_double_integral({"eps0": "1.0"}), "mu2": {**_MU2_BALL, "center": "0, 0, -0.5"}},
+                     "[mu], [mu2]: ambient dimensions differ", id="double_integral-3d_mu2"),
+        # the shape's message named no section
+        pytest.param({**_double_integral({"eps0": "1.0"}), "mu2": {**_MU2_BALL, "radius": "0"}},
+                     "[mu2]: radius must be > 0", id="double_integral-mu2_radius_0"),
+    ],
+)
+def test_cli_bad_measure_is_a_config_error_naming_its_section(tmp_path, capsys, cfg, message):
+    assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_RANDOM_PAIRING = _scenario("WeakPairing", {"seed": "7"}, kernel=_RIESZ, mu={**_BALL_MU, "m": "40"})
+
+
+def test_weak_pairing_default_streams_give_a_nonzero_trace():
+    # f and g once shared stream 0, so g = f and every total was cancellation noise
+    rep = run_scenario(config_from_dict(_RANDOM_PAIRING))
+    assert (rep.config_echo["f.stream"], rep.config_echo["g.stream"]) == ("0", "1")
+    totals = [row[3] for row in rep.table("trace").rows if row[0] == "total"]
+    noise = float(rep.verdicts[0].detail.split("noise ")[1])
+    assert max(abs(v) for v in totals) > 1e3 * noise
+
+
+@pytest.mark.parametrize("stream", ["0", str(2**64)], ids=["equal", "equal_mod_2_64"])
+def test_cli_weak_pairing_equal_streams_are_a_config_error(tmp_path, capsys, stream):
+    assert _cli_run(tmp_path, {**_RANDOM_PAIRING, "g": {"stream": stream}}) == EXIT_CONFIG
+    assert "g.stream" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_schema_echo_and_computed_defaults():
     cfg = config_from_dict(_with(_CARLESON, p="3"))
     _, values = read_scenario(cfg)

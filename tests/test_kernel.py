@@ -96,7 +96,7 @@ def test_cubed_coordinate_size_sup():
 
 def test_size_validation_fails_for_understated_constant():
     k = sl.RieszComponent(2, 0, 0.5, 1.0)  # corrupted declaration c0 = 0.5
-    result = kn.validate(k, Rng(8))
+    result = kn.validate(k, Rng(8), 2000)
     assert not result.size_ok
     assert result.antisymmetry_ok
 
@@ -118,7 +118,7 @@ def test_riesz_gradient_sup_dimension_constant():
     sup = kn.gradient_bound_sup(k, 3000, Rng(10))
     assert sup <= 2.0 * (1 + 1e-4)
     assert sup == pytest.approx(2.0, rel=1e-3)
-    assert kn.validate(k, Rng(11)).gradient_ok
+    assert kn.validate(k, Rng(11), 2000).gradient_ok
 
 
 def test_gradient_sup_zero_kernel():
@@ -139,5 +139,5 @@ def test_validate_catalog_kernels_pass():
         sl.OddHomogeneous(2, (3, 0)),
         sl.OddHomogeneous(3, (1, 1, 1)),
     ):
-        result = kn.validate(k, rng)
+        result = kn.validate(k, rng, 2000)
         assert result.ok, (type(k).__name__, result)

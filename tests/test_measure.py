@@ -121,7 +121,7 @@ def test_atom_count_guard():
 
 
 def test_build_dispatch():
-    spec = sl.GraphMeasureSpec(flat_graph(), [(0.0, 1.0)], 4)
+    spec = sl.GraphMeasureSpec(flat_graph(), [(0.0, 1.0)], 4, 0.0)
     mu = sl.build(spec)
     assert mu.count == 4
     assert sl.build(sl.CantorFourCornersSpec(2)).count == 16
