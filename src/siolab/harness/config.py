@@ -84,10 +84,14 @@ class Config:
         return list(self.get_as(section, key, default, "ints"))
 
     def check_all_read(self) -> None:
-        """Raise a ConfigError naming every key that the run never read
-        in a section it read (echoed); run before any output is written."""
+        """Raise a ConfigError naming every section that the run never
+        read, and every key that it never read in a section it read
+        (echoed); run before any output is written."""
         read = {name.partition(".")[0] for name in self.echo}
-        unread = [f"{s}.{k}" for s in sorted(read & set(self.sections)) for k in self.sections[s]]
+        sections = [f"[{s}]" for s in sorted(set(self.sections) - read)]
+        if sections:
+            raise ConfigError(f"section not read by this run: {', '.join(sections)}")
+        unread = [f"{s}.{k}" for s in sorted(self.sections) for k in self.sections[s]]
         unread = [name for name in unread if name not in self.echo]
         if unread:
             raise ConfigError(f"key not read by this run: {', '.join(unread)}")

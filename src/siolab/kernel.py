@@ -22,6 +22,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _columns_norm2(cols, n: int):
+    """(cols as float, |x|^2 of each column) of coordinate-major (n, M)
+    differences, the squares added one coordinate at a time as in
+    ``operators._distance_blocks``; for n < 8 that is np.sum over a row,
+    bit for bit.  Raises at the origin."""
+    cols = np.asarray(cols, dtype=float)
+    if cols.ndim != 2 or len(cols) != n:
+        raise ValueError(f"expected ({n}, M) coordinate columns, got shape {cols.shape}")
+    norm2 = cols[0] * cols[0]
+    for k in range(1, n):
+        norm2 += cols[k] * cols[k]
+    if np.any(norm2 == 0.0):
+        raise ValueError("kernel evaluated at the origin")
+    return cols, norm2
+
+
 @dataclass(eq=False)
 class RieszComponent:
     """K(x) = x_i / |x|^n, the i-th component of the Riesz kernel."""
@@ -46,12 +62,11 @@ class RieszComponent:
         if not (self.c0_declared > 0 and self.c1_declared > 0):
             raise ValueError("declared constants must be > 0")
 
-    def evaluate_many(self, diffs: np.ndarray) -> np.ndarray:
-        diffs = np.atleast_2d(np.asarray(diffs, dtype=float))
-        norm2 = np.sum(diffs * diffs, axis=1)
-        if np.any(norm2 == 0.0):
-            raise ValueError("kernel evaluated at the origin")
-        return diffs[:, self.axis] / norm2 ** (self.ambient_dim / 2.0)
+    def evaluate_many(self, cols: np.ndarray) -> np.ndarray:
+        """K at each column of coordinate-major (n, M) differences."""
+        cols, scale = _columns_norm2(cols, self.ambient_dim)
+        scale **= self.ambient_dim / 2.0  # in place: one temporary fewer per call
+        return np.divide(cols[self.axis], scale, out=scale)
 
 
 @dataclass(eq=False)
@@ -87,16 +102,15 @@ class OddHomogeneous:
         if not (self.c0_declared > 0 and self.c1_declared > 0):
             raise ValueError("declared constants must be > 0")
 
-    def evaluate_many(self, diffs: np.ndarray) -> np.ndarray:
-        diffs = np.atleast_2d(np.asarray(diffs, dtype=float))
-        norm2 = np.sum(diffs * diffs, axis=1)
-        if np.any(norm2 == 0.0):
-            raise ValueError("kernel evaluated at the origin")
-        num = np.ones(len(diffs))
+    def evaluate_many(self, cols: np.ndarray) -> np.ndarray:
+        """K at each column of coordinate-major (n, M) differences."""
+        cols, scale = _columns_norm2(cols, self.ambient_dim)
+        num = np.ones(cols.shape[1])
         for i, p in enumerate(self.exponents):
             for _ in range(p):
-                num = num * diffs[:, i]
-        return num / norm2 ** ((self.ambient_dim - 1 + self.degree) / 2.0)
+                num = num * cols[i]
+        scale **= (self.ambient_dim - 1 + self.degree) / 2.0
+        return np.divide(num, scale, out=scale)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +131,7 @@ def antisymmetry_residual(kernel, sample_count: int, rng) -> float:
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     x = _shell_samples(kernel, rng, sample_count)
-    return float(np.max(np.abs(kernel.evaluate_many(x) + kernel.evaluate_many(-x))))
+    return float(np.max(np.abs(kernel.evaluate_many(x.T) + kernel.evaluate_many(-x.T))))
 
 
 def size_bound_sup(kernel, sample_count: int, rng) -> float:
@@ -133,7 +147,7 @@ def size_bound_sup(kernel, sample_count: int, rng) -> float:
     x = _shell_samples(kernel, rng, sample_count)
     x = np.vstack([x, np.eye(n), -np.eye(n)])
     r = np.linalg.norm(x, axis=1)
-    return float(np.max(np.abs(kernel.evaluate_many(x)) * r ** (n - 1)))
+    return float(np.max(np.abs(kernel.evaluate_many(x.T)) * r ** (n - 1)))
 
 
 def gradient_fd(kernel, x: np.ndarray) -> np.ndarray:
@@ -148,7 +162,7 @@ def gradient_fd(kernel, x: np.ndarray) -> np.ndarray:
     for j in range(n):
         step = np.zeros_like(x)
         step[:, j] = h
-        grad[:, j] = (kernel.evaluate_many(x + step) - kernel.evaluate_many(x - step)) / (2.0 * h)
+        grad[:, j] = (kernel.evaluate_many((x + step).T) - kernel.evaluate_many((x - step).T)) / (2.0 * h)
     return grad
 
 def gradient_bound_sup(kernel, sample_count: int, rng) -> float:
@@ -186,8 +200,8 @@ GRADIENT_SLACK = 1e-4
 def validate(kernel, rng, sample_count: int) -> KernelValidation:
     """Check the declared constants against sampled suprema."""
     x = _shell_samples(kernel, rng, sample_count)
-    kx = kernel.evaluate_many(x)
-    residuals = np.abs(kx + kernel.evaluate_many(-x))
+    kx = kernel.evaluate_many(x.T)
+    residuals = np.abs(kx + kernel.evaluate_many(-x.T))
     anti = float(np.max(residuals))
     anti_ok = bool(np.all(residuals <= 1e-12 * np.abs(kx)))
     size = size_bound_sup(kernel, sample_count, rng)

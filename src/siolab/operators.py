@@ -78,36 +78,45 @@ def density_values(g, mu: DiscreteMeasure) -> np.ndarray:
 
 
 def _kernel_at_diffs(kernel, diffs: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """K at each difference row, with 0 substituted where dist == 0
-    (those atoms are excluded from every truncated sum anyway).
+    """K at each coordinate-major difference column of ``diffs`` (n, B, N),
+    with 0 where dist == 0 (those atoms are excluded from every truncated
+    sum anyway): there the first coordinate is replaced by 1 in place.
     """
     zero = dist == 0.0
     if np.any(zero):
-        safe = diffs.copy()
-        safe[zero] = np.eye(diffs.shape[-1])[0]
-        vals = kernel.evaluate_many(safe.reshape(-1, diffs.shape[-1]))
-        vals = vals.reshape(dist.shape)
+        np.copyto(diffs[0], 1.0, where=zero)
+        vals = kernel.evaluate_many(diffs.reshape(len(diffs), -1)).reshape(dist.shape)
         vals[zero] = 0.0
         return vals
-    return kernel.evaluate_many(diffs.reshape(-1, diffs.shape[-1])).reshape(dist.shape)
+    return kernel.evaluate_many(diffs.reshape(len(diffs), -1)).reshape(dist.shape)
 
 
 def _distance_blocks(pts: np.ndarray, positions: np.ndarray):
     """(slice, differences, distances) over consecutive blocks of the
-    points, about _BLOCK_ELEMENTS point-atom pairs per block.
+    points, about _BLOCK_ELEMENTS point-atom pairs per block.  The
+    differences are coordinate-major, (n, B, N): row k holds coordinate k
+    of x - y.  Both arrays are views of buffers allocated once per call
+    and overwritten by the next block.
 
     The squares are added one coordinate at a time, in the order
     np.linalg.norm adds them, so a distance here equals the one the
     single-point ``truncated`` compares with eps, bit for bit.
     """
-    block = max(1, _BLOCK_ELEMENTS // max(1, len(positions)))
-    for start in range(0, len(pts), block):
-        sl = slice(start, min(start + block, len(pts)))
-        diffs = pts[sl][:, None, :] - positions[None, :, :]
-        sq = diffs[..., 0] * diffs[..., 0]
-        for k in range(1, diffs.shape[2]):
-            sq += diffs[..., k] * diffs[..., k]
-        yield sl, diffs, np.sqrt(sq)
+    n_pts, n_atoms = len(pts), len(positions)
+    block = max(1, min(n_pts, _BLOCK_ELEMENTS // max(1, n_atoms)))
+    cols = np.ascontiguousarray(positions.T)[:, None, :]
+    diffs = np.empty((positions.shape[1], block, n_atoms))
+    sq = np.empty((block, n_atoms))
+    dist = np.empty((block, n_atoms))
+    for start in range(0, n_pts, block):
+        sl = slice(start, min(start + block, n_pts))
+        r = sl.stop - start
+        d, s, t = diffs[:, :r], sq[:r], dist[:r]
+        np.subtract(pts[sl].T[:, :, None], cols, out=d)
+        np.multiply(d[0], d[0], out=s)
+        for k in range(1, len(d)):
+            s += np.multiply(d[k], d[k], out=t)
+        yield sl, d, np.sqrt(s, out=t)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +137,7 @@ def truncated(nu: DiscreteMeasure, kernel, g, x, eps: float) -> float:
     if not np.any(mask):
         return 0.0
     gv = density_values(g, nu)
-    terms = kernel.evaluate_many(diffs[mask]) * gv[mask] * nu.weights[mask]
+    terms = kernel.evaluate_many(diffs[mask].T) * gv[mask] * nu.weights[mask]
     return math.fsum(terms.tolist())
 
 
@@ -480,6 +489,16 @@ class PairSumStats(NamedTuple):
     pair_count: int
 
 
+def _bin_sums(kernel, diffs: np.ndarray, wprod: np.ndarray, mask: np.ndarray):
+    """(max |term|, term count, unrounded Sum2) of the pair terms
+    K(diff) w_a w_b in ``mask``, gathered in row-major order by one flat
+    index; no term outlives the call."""
+    idx = np.flatnonzero(mask)
+    terms = kernel.evaluate_many(diffs.reshape(len(diffs), -1).take(idx, axis=1))
+    terms *= wprod.take(idx)
+    return float(np.max(np.abs(terms))), len(terms), sum2_total(terms)
+
+
 def pair_sum_schedule(
     pos_a: np.ndarray, w_a: np.ndarray, pos_b: np.ndarray, w_b: np.ndarray, kernel, schedule
 ) -> list[PairSumStats]:
@@ -509,10 +528,10 @@ def pair_sum_schedule(
             outside ^= mask
             if not np.any(mask):
                 continue
-            terms = kernel.evaluate_many(diffs[mask]) * wprod[mask]
-            max_terms[j] = max(max_terms[j], float(np.max(np.abs(terms))))
-            counts[j] += len(terms)
-            partials[j] += sum2_total(terms)
+            max_term, count, sums = _bin_sums(kernel, diffs, wprod, mask)
+            max_terms[j] = max(max_terms[j], max_term)
+            counts[j] += count
+            partials[j] += sums
     flat = np.array([0.0] + [x for part in partials for x in part])  # 0: no pair yet
     values = sum2_prefix(flat[None, :])[0, np.cumsum([len(part) for part in partials])]
     return [

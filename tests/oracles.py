@@ -30,7 +30,7 @@ def brute_force_sup(nu, kernel, g, x, grid_size=2000):
     keep = d > 0
     terms = np.zeros(nu.count)
     gv = np.ones(nu.count) if g is None else np.asarray(g, dtype=float)
-    terms[keep] = kernel.evaluate_many(diffs[keep]) * gv[keep] * nu.weights[keep]
+    terms[keep] = kernel.evaluate_many(diffs[keep].T) * gv[keep] * nu.weights[keep]
     mask = d[None, :] > eps_values[:, None]
     # eps ascends, so equal masks are neighbours: sum each distinct one once
     first = np.concatenate([[True], np.any(mask[1:] != mask[:-1], axis=1)])
@@ -55,7 +55,7 @@ def brute_pair_sum(pos_a, w_a, pos_b, w_b, kernel, eps):
         mask = dist > eps
         if not np.any(mask):
             continue
-        terms = kernel.evaluate_many(diffs[mask]) * (w_a[sl][:, None] * w_b[None, :])[mask]
+        terms = kernel.evaluate_many(diffs[mask].T) * (w_a[sl][:, None] * w_b[None, :])[mask]
         parts.append(terms)
         max_term = max(max_term, float(np.max(np.abs(terms))))
         count += int(mask.sum())

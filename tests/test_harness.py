@@ -92,11 +92,6 @@ profile = sawtooth
 dim = 2
 amplitude = 0.3
 period = 0.5
-
-[kernel]
-family = riesz
-dim = 2
-axis = 1
 """
 
 
@@ -809,4 +804,25 @@ def test_cli_unread_key_is_a_config_error(tmp_path, capsys, cfg, key):
     # otherwise a misspelt optional key silently takes its default
     assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# the ball lies on both sides of the graph, so without [mu2] the run passes
+_BALL_DOUBLE = {**_double_integral({"eps0": "2.0"}), "mu": {**_BALL_MU, "m": "80"}}
+_KINDLESS_SLAB = {k: v for k, v in _CRIT10_SLAB.items() if k != "kind"}
+
+
+@pytest.mark.parametrize(
+    "cfg, section",
+    [
+        pytest.param({**_BALL_DOUBLE, "mu_2": {**_CRIT10_SLAB, "shift": "-0.4"}}, "[mu_2]", id="misspelt_header"),
+        pytest.param({**_BALL_DOUBLE, "mu2": {**_KINDLESS_SLAB, "knd": "slab_above_graph", "shift": "-0.4"}}, "[mu2]",
+                     id="misspelt_kind"),
+        pytest.param({**_WEAK_PAIRING, "nu": _CANTOR}, "[nu]", id="weak_pairing_nu"),
+    ],
+)
+def test_cli_unread_section_is_a_config_error(tmp_path, capsys, cfg, section):
+    # otherwise the run traces without the section and no echo line shows it
+    assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
+    assert f"section not read by this run: {section}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

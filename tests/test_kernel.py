@@ -10,17 +10,44 @@ from siolab.harness.rng import Rng
 
 def test_riesz_evaluate_examples():
     k = sl.RieszComponent(2, 0)
-    assert k.evaluate_many([1.0, 0.0])[0] == 1.0
-    assert k.evaluate_many([0.0, 1.0])[0] == 0.0
-    assert k.evaluate_many([1.0, 1.0])[0] == 0.5
+    assert k.evaluate_many([[1.0], [0.0]])[0] == 1.0
+    assert k.evaluate_many([[0.0], [1.0]])[0] == 0.0
+    assert k.evaluate_many([[1.0], [1.0]])[0] == 0.5
 
 
 def test_evaluate_at_origin_rejected():
     k = sl.RieszComponent(2, 0)
     with pytest.raises(ValueError):
-        k.evaluate_many([0.0, 0.0])
+        k.evaluate_many([[0.0], [0.0]])
     with pytest.raises(ValueError):
-        k.evaluate_many(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        k.evaluate_many(np.array([[1.0, 0.0], [0.0, 0.0]]).T)
+
+
+def _row_formula(k, x):
+    """K at each row of x, with |x|^2 as np.sum over the row."""
+    norm2 = np.sum(x * x, axis=1)
+    if isinstance(k, sl.RieszComponent):
+        return x[:, k.axis] / norm2 ** (k.ambient_dim / 2.0)
+    num = np.ones(len(x))
+    for i, p in enumerate(k.exponents):
+        for _ in range(p):
+            num = num * x[:, i]
+    return num / norm2 ** ((k.ambient_dim - 1 + k.degree) / 2.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_columns_equal_row_formula_bitwise(n):
+    # numpy adds rows of fewer than 8 entries in order, which is the
+    # kernels' coordinate loop
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3000, n)) * np.exp(rng.uniform(-20.0, 20.0, (3000, 1)))
+    x[:5] = np.eye(n)[np.arange(5) % n]  # on the axes
+    for k in (sl.RieszComponent(n, n - 1), sl.OddHomogeneous(n, (1,) + (0,) * (n - 2) + (2,))):
+        assert np.array_equal(k.evaluate_many(x.T), _row_formula(k, x))
+        with pytest.raises(ValueError, match="origin"):
+            k.evaluate_many(np.column_stack([x[0], np.zeros(n)]))
+    with pytest.raises(ValueError, match="coordinate columns"):
+        k.evaluate_many(x)  # rows, not columns
 
 
 def test_odd_homogeneous_requires_odd_degree():
@@ -29,14 +56,14 @@ def test_odd_homogeneous_requires_odd_degree():
     k = sl.OddHomogeneous(2, (3, 0))
     assert k.degree == 3
     # x1^3 / |x|^4 at (1, 1): 1 / 4
-    assert k.evaluate_many([1.0, 1.0])[0] == pytest.approx(0.25)
+    assert k.evaluate_many([[1.0], [1.0]])[0] == pytest.approx(0.25)
 
 
 def test_oddness_is_bitwise():
     rng = Rng(4)
     x = rng.points_in_box(2000, [(-3, 3)] * 3)
     for k in (sl.RieszComponent(3, 1), sl.OddHomogeneous(3, (1, 1, 1))):
-        assert np.array_equal(k.evaluate_many(-x), -k.evaluate_many(x))
+        assert np.array_equal(k.evaluate_many(-x.T), -k.evaluate_many(x.T))
 
 
 def test_homogeneity():
@@ -46,8 +73,8 @@ def test_homogeneity():
         x = rng.points_in_box(500, [(-2, 2)] * n)
         x = x[np.linalg.norm(x, axis=1) > 1e-3]
         for lam in (0.25, 3.0, 17.5):
-            expected = lam ** -(n - 1) * k.evaluate_many(x)
-            got = k.evaluate_many(lam * x)
+            expected = lam ** -(n - 1) * k.evaluate_many(x.T)
+            got = k.evaluate_many((lam * x).T)
             assert np.max(np.abs(got - expected) / np.abs(expected).clip(1e-300)) < 1e-12
 
 
@@ -67,8 +94,8 @@ class _Corrupted:
     c0_declared = 1.0
     c1_declared = 1.0
 
-    def evaluate_many(self, diffs):
-        return sl.RieszComponent(2, 0).evaluate_many(diffs) + 1.0
+    def evaluate_many(self, cols):
+        return sl.RieszComponent(2, 0).evaluate_many(cols) + 1.0
 
 
 def test_antisymmetry_residual_detects_corruption():
@@ -126,7 +153,7 @@ def test_gradient_sup_zero_kernel():
         ambient_dim=2,
         c0_declared=1.0,
         c1_declared=1.0,
-        evaluate_many=lambda diffs: np.zeros(len(np.atleast_2d(diffs))),
+        evaluate_many=lambda cols: np.zeros(np.shape(cols)[1]),
     )
     assert kn.gradient_bound_sup(zero, 100, Rng(12)) == 0.0
 

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -132,7 +133,7 @@ def test_maximal_two_atom_example():
 def test_maximal_single_atom():
     nu = sl.DiscreteMeasure(np.array([[0.6, 0.8]]), np.array([0.7]), resolution=0.01)
     k = sl.RieszComponent(2, 0)
-    expected = abs(k.evaluate_many([-0.6, -0.8])[0]) * 0.7 * 0.5
+    expected = abs(k.evaluate_many([[-0.6], [-0.8]])[0]) * 0.7 * 0.5
     assert sl.maximal(nu, k, 0.5, [0.0, 0.0]) == pytest.approx(expected, rel=1e-15)
 
 
@@ -851,7 +852,7 @@ def test_pair_sum_schedule_within_sum2_bound(dim, w_a, n_b, squares, seed):
     diffs = (pos_a[:, None, :] - pos_b[None, :, :]).reshape(-1, dim)
     dist = np.sqrt(np.sum(diffs * diffs, axis=1))
     safe = np.where(dist[:, None] > 0, diffs, 1.0)
-    terms = k.evaluate_many(safe) * (w_a[:, None] * w_b[None, :]).reshape(-1)
+    terms = k.evaluate_many(safe.T) * (w_a[:, None] * w_b[None, :]).reshape(-1)
     for eps, stats in zip(schedule, got):
         included = terms[dist > eps].tolist()
         assert stats.pair_count == len(included)
@@ -890,7 +891,7 @@ def test_pv_estimate_within_pair_sum_bound(dim, weights, scale, seed):
     res = sl.pv_estimate(nu, k, x, schedule)
     diffs = x[None, :] - positions
     dist = np.linalg.norm(diffs, axis=1)
-    terms = k.evaluate_many(np.where(dist[:, None] > 0, diffs, 1.0)) * w
+    terms = k.evaluate_many(np.where(dist[:, None] > 0, diffs, 1.0).T) * w
     for eps, value in zip(res.eps_schedule, res.values):
         _assert_within_pair_sum_bound(value, terms[dist > eps].tolist())
 
@@ -949,7 +950,7 @@ def test_truncated_values_within_sum2_bound(dens, n_pts, seed):
     for i, x in enumerate(pts):
         diffs = x - positions
         keep = np.sqrt(np.sum(diffs * diffs, axis=1)) > eps[i]
-        batch_terms = k.evaluate_many(diffs[keep]) * (weights * g)[keep]
+        batch_terms = k.evaluate_many(diffs[keep].T) * (weights * g)[keep]
         table_terms = (table.kw_desc[i] * g[table.order[i]])[table.dist_desc[i] > eps[i]]
         for value, terms in ((batch[i], batch_terms), (from_table[i], table_terms)):
             exact = sum(map(Fraction, terms.tolist()), Fraction(0))
@@ -1074,3 +1075,108 @@ def test_truncated_batch_strict_at_breakpoint():
     assert vals.tolist() == [-1.5, -0.5, 0.0]
     with pytest.raises(ValueError):
         truncated_batch(nu, k, None, np.zeros((1, 2)), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# reused distance-block buffers
+# ---------------------------------------------------------------------------
+
+
+def _block_rows(monkeypatch):
+    """Record the row count of every block that ``_distance_blocks`` yields."""
+    rows = []
+    blocks = operators._distance_blocks
+
+    def recorded(pts, positions):
+        for sl_, diffs, dist in blocks(pts, positions):
+            rows.append(len(dist))
+            yield sl_, diffs, dist
+
+    monkeypatch.setattr(operators, "_distance_blocks", recorded)
+    return rows
+
+
+def _table_outputs(nu, k, pts, g, eps):
+    table = sl.TruncationTable(nu, k, pts)
+    values, diverges = table.hl_maximal_values(g)
+    return {
+        "order": table.order, "dist_desc": table.dist_desc, "kw_desc": table.kw_desc, "valid": table.valid,
+        "maximal": table.maximal_values(g), "truncated": table.truncated_values_per_point(g, eps),
+        "hl_table": values, "hl_table_diverges": diverges,
+        "batch": truncated_batch(nu, k, g, pts, eps),
+        **dict(zip(("hl", "hl_diverges"), hl_maximal_batch(nu, g, pts))),
+    }
+
+
+@pytest.mark.parametrize("case", ["cantor_on_atoms", "random_3d"])
+def test_multi_block_outputs_equal_single_block(monkeypatch, case):
+    # three full blocks and a short last one must give the single-block
+    # bits; on the Cantor atoms themselves (mu = nu) rows hold zero
+    # distances and exact ties
+    rng = Rng(97)
+    if case == "cantor_on_atoms":
+        nu = sl.cantor_four_corners(2)
+        pts = nu.positions[:10]
+        k = sl.RieszComponent(2, 0)
+    else:
+        nu, _ = random_config(rng, 16, dim=3)
+        pts = np.vstack([rng.points_in_box(9, [(-1, 1)] * 3), nu.positions[4]])
+        k = sl.OddHomogeneous(3, (1, 0, 2))
+    g = rng.uniforms(nu.count, -1.0, 1.0)
+    eps = rng.uniforms(len(pts), 0.05, 1.0)
+    eps[0] = np.linalg.norm(pts[0] - nu.positions[5])  # an exact breakpoint
+    rows = _block_rows(monkeypatch)
+    single = _table_outputs(nu, k, pts, g, eps)
+    assert rows == [len(pts)] * 3  # the table, truncated_batch and hl_maximal_batch
+    rows.clear()
+    monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 3 * nu.count)
+    blocked = _table_outputs(nu, k, pts, g, eps)
+    assert rows == [3, 3, 3, 1] * 3
+    for name, value in single.items():
+        assert np.array_equal(blocked[name], value), name
+    if case == "cantor_on_atoms":
+        assert np.any(single["dist_desc"] == 0.0) and np.any(~single["valid"][:, :-1])
+
+
+def test_multi_block_pair_sum_schedule_within_bound(monkeypatch):
+    rng = Rng(99)
+    nu = sl.cantor_four_corners(2)
+    pos_a = np.vstack([nu.positions[:6], rng.points_in_box(4, [(-0.2, 1.2)] * 2)])
+    w_a, w_b = rng.uniforms(10, -1.0, 1.0), nu.weights
+    k = sl.RieszComponent(2, 1)
+    schedule = [2.0, 0.5, 0.25, 0.0625]
+    rows = _block_rows(monkeypatch)
+    monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 3 * nu.count)
+    got = pair_sum_schedule(pos_a, w_a, nu.positions, w_b, k, schedule)
+    assert rows == [3, 3, 3, 1]
+    diffs = (pos_a[:, None, :] - nu.positions[None, :, :]).reshape(-1, 2)
+    dist = np.sqrt(np.sum(diffs * diffs, axis=1))
+    terms = k.evaluate_many(np.where(dist[:, None] > 0, diffs, 1.0).T) * (w_a[:, None] * w_b[None, :]).reshape(-1)
+    for eps, stats in zip(schedule, got):
+        _, max_term, count = brute_pair_sum(pos_a, w_a, nu.positions, w_b, k, eps)
+        assert (stats.max_abs_term, stats.pair_count) == (max_term, count)
+        _assert_within_pair_sum_bound(stats.value, terms[dist > eps].tolist())
+
+
+# the traced peak of the test below, measured at the parent of the
+# coordinate-major distance pass (numpy 2.4.6)
+_PAIR_SUM_PEAK_BYTES = 138_982_797  # 132.5 MiB
+
+
+def test_pair_sum_schedule_traced_peak_is_pinned():
+    # DoubleIntegral's size: 2048 x 2048 pairs in two distance blocks, 16 eps;
+    # one more live (block x atoms) array, such as the previous block's
+    # squared distances, adds 16 MiB
+    graph = sl.LipschitzGraph(2, sl.Affine((0.0,)))
+    above = sl.slab_above_graph(graph, [(-1.0, 1.0)], 128, 0.4, 16, 0.0)
+    below = sl.slab_above_graph(graph, [(-1.0, 1.0)], 128, 0.4, 16, -0.4)
+    assert above.count == below.count == 2048
+    schedule = [2.0**-j for j in range(16)]
+    tracemalloc.start()
+    try:
+        pair_sum_schedule(above.positions, above.weights, below.positions, below.weights,
+                          sl.RieszComponent(2, 1), schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PAIR_SUM_PEAK_BYTES

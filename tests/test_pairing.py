@@ -36,7 +36,7 @@ def pairing_oracle(mu, kernel, f, g, eps):
         if not np.any(mask):
             continue
         inner = np.sum(
-            kernel.evaluate_many(diffs[mask]) * fv[mask] * mu.weights[mask]
+            kernel.evaluate_many(diffs[mask].T) * fv[mask] * mu.weights[mask]
         )
         total += gv[a] * mu.weights[a] * inner
     return total
