@@ -36,7 +36,6 @@ from .measure import (
 )
 from .operators import (
     BoundConstants,
-    PVResult,
     TruncationTable,
     bound_constants,
     lp_norm,

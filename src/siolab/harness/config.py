@@ -48,7 +48,7 @@ class Config:
     def has(self, section: str, key: str) -> bool:
         return key in self.sections.get(section, {})
 
-    def get_str(self, section: str, key: str, default=None) -> str:
+    def get_str(self, section: str, key: str, default) -> str:
         """The raw text of [section].key, else ``default``; either is echoed."""
         sec = self.sections.get(section, {})
         if key not in sec:
@@ -71,16 +71,16 @@ class Config:
         except ValueError as exc:
             raise ConfigError(f"{section}.{key} is not {what}: {val!r}") from exc
 
-    def get_float(self, section: str, key: str, default=None) -> float:
+    def get_float(self, section: str, key: str, default) -> float:
         return self.get_as(section, key, default, "float")
 
-    def get_int(self, section: str, key: str, default=None) -> int:
+    def get_int(self, section: str, key: str, default) -> int:
         return self.get_as(section, key, default, "int")
 
-    def get_floats(self, section: str, key: str, default=None) -> list[float]:
+    def get_floats(self, section: str, key: str, default) -> list[float]:
         return list(self.get_as(section, key, default, "floats"))
 
-    def get_ints(self, section: str, key: str, default=None) -> list[int]:
+    def get_ints(self, section: str, key: str, default) -> list[int]:
         return list(self.get_as(section, key, default, "ints"))
 
     def check_all_read(self) -> None:

@@ -14,12 +14,15 @@ Summation conventions, fixed package-wide:
   truncated transform is piecewise constant in eps with jumps only at
   distinct atom distances, so the supremum is a maximum over suffix
   sums by distance group, plus the empty truncation value 0.
+
+A principal value is a trace, not a verdict: ``pv_estimate`` returns the
+truncated values along its caller's eps schedule, and the caller judges
+convergence by ``cauchy_tail`` against its own tolerance.
 """
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -412,28 +415,6 @@ def lp_norm(mu: DiscreteMeasure, g, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PVResult:
-    """Truncated values along a decreasing eps schedule.
-
-    ``tail`` is the ``cauchy_tail`` of the values; ``limit_estimate`` is
-    the final value.  Convergence means tail <= 1e-3 max |value|; the
-    criterion is a Cauchy check, not a rate claim.
-    """
-
-    eps_schedule: list[float]
-    values: list[float]
-    converged: bool
-    tail: float
-    limit_estimate: float
-
-    def __post_init__(self):
-        if any(b >= a for a, b in zip(self.eps_schedule, self.eps_schedule[1:])):
-            raise ValueError("eps schedule must be strictly decreasing")
-        if self.tail < 0:
-            raise ValueError("tail must be >= 0")
-
-
 def cauchy_tail(values) -> float:
     """max - min over the last quarter (at least the last two) of a trace
     along a decreasing eps schedule: the Cauchy criterion, read finitely."""
@@ -453,29 +434,17 @@ def geometric_schedule(eps0: float, eps_min: float) -> list[float]:
     return out
 
 
-def pv_estimate(nu: DiscreteMeasure, kernel, x, schedule) -> PVResult:
-    """Principal-value study of int K(x - y) dnu(y): truncated values
-    along a strictly decreasing eps schedule of at least 4 entries (as
-    ``geometric_schedule`` builds, down to a floor such as floor_factor * h,
-    below which the discretization carries no information), converged
-    when the Cauchy tail is at most 1e-3 of the largest |value|.  The
-    whole trace is one ``pair_sum_schedule`` pass with x as the single
-    unit-weight point, so each value carries that engine's Sum2 bound.
+def pv_estimate(nu: DiscreteMeasure, kernel, x, schedule) -> list[float]:
+    """Principal-value trace of int K(x - y) dnu(y): the truncated values
+    along a strictly decreasing eps schedule (as ``geometric_schedule``
+    builds, down to a floor such as floor_factor * h, below which the
+    discretization carries no information).  One ``pair_sum_schedule``
+    pass with x as the single unit-weight point, so each value carries
+    that engine's Sum2 bound.
     """
-    if len(schedule) < 4:
-        raise ValueError("schedule shorter than 4 entries")
     pole = np.asarray(x, dtype=float).reshape(1, -1)
     trace = pair_sum_schedule(pole, np.ones(1), nu.positions, nu.weights, kernel, schedule)
-    values = [stats.value for stats in trace]
-    tail = cauchy_tail(values)
-    scale = max(abs(v) for v in values)
-    return PVResult(
-        eps_schedule=schedule,
-        values=values,
-        converged=tail <= 1e-3 * scale,
-        tail=tail,
-        limit_estimate=values[-1],
-    )
+    return [stats.value for stats in trace]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from siolab.harness import (
     write_csv,
 )
 from siolab.harness.cli import EXIT_CONFIG, main as cli_main
+from siolab.harness.config import REQUIRED
 from siolab.harness.report import fmt_value
 from siolab.harness import scenarios
 from siolab.harness.scenarios import read_scenario
@@ -99,21 +100,19 @@ def test_load_config_and_types(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text(CONFIG_TEXT)
     cfg = load_config(path)
-    assert cfg.get_str("scenario", "tag") == "ConeSeparation"
-    assert cfg.get_int("scenario", "seed") == 99
-    assert cfg.get_float("graph", "amplitude") == 0.3
+    assert cfg.get_str("scenario", "tag", REQUIRED) == "ConeSeparation"
+    assert cfg.get_int("scenario", "seed", REQUIRED) == 99
+    assert cfg.get_float("graph", "amplitude", REQUIRED) == 0.3
 
 
 def test_config_lists_and_defaults():
     cfg = config_from_dict({"scenario": {"p": "1.5, 2, 3"}})
-    assert cfg.get_floats("scenario", "p") == [1.5, 2.0, 3.0]
+    assert cfg.get_floats("scenario", "p", REQUIRED) == [1.5, 2.0, 3.0]
     assert cfg.get_int("scenario", "seed", 0) == 0
     assert cfg.echo["scenario.seed"] == "0"  # defaults are echoed
 
 
 def test_config_missing_required():
-    from siolab.harness.config import REQUIRED
-
     cfg = config_from_dict({})
     with pytest.raises(ConfigError):
         cfg.get_str("scenario", "tag", REQUIRED)
@@ -122,13 +121,13 @@ def test_config_missing_required():
 def test_config_bad_number():
     cfg = config_from_dict({"scenario": {"seed": "not-a-number"}})
     with pytest.raises(ConfigError):
-        cfg.get_int("scenario", "seed")
+        cfg.get_int("scenario", "seed", REQUIRED)
     for bad in ("nan", "inf", "-inf", "1e400"):
         cfg = config_from_dict({"scenario": {"eps0": bad, "p": f"1.5, {bad}"}})
         with pytest.raises(ConfigError):
-            cfg.get_float("scenario", "eps0")
+            cfg.get_float("scenario", "eps0", REQUIRED)
         with pytest.raises(ConfigError):
-            cfg.get_floats("scenario", "p")
+            cfg.get_floats("scenario", "p", REQUIRED)
 
 
 def test_kernel_axis_is_one_based():
@@ -225,6 +224,21 @@ def test_pv_scenario_rejects_small_floor():
     )
     with pytest.raises(ConfigError):
         run_scenario(cfg)
+
+
+def test_pv_converged_column_applies_the_scenario_tolerance():
+    # tail_at_finest reads the same rule; point 1 has tail/scale 2.1e-3
+    cfg = config_from_dict(
+        {"scenario": {"tag": "PVConvergence", "resolutions": "256", "floor_factor": "8",
+                      "eps0": "0.64", "tolerance": "1e-2"},
+         "graph": {"profile": "smooth_bump", "dim": "2", "amplitude": "0.3", "width": "0.6"},
+         "kernel": {"family": "riesz", "dim": "2", "axis": "1"}}
+    )
+    table = run_scenario(cfg).table("metrics")
+    col = {name: i for i, name in enumerate(table.header)}
+    assert len(table.rows) == 3
+    for row in table.rows:
+        assert row[col["converged"]] == int(row[col["tail"]] <= 1e-2 * row[col["scale"]])
 
 
 _FLAT = {"profile": "affine", "dim": "2"}
