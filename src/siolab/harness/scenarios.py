@@ -326,15 +326,11 @@ def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, threads: int) -> S
 
     tol = prm["tolerance"]
     rows = []
-    max_tails: list[float] = []
-    max_scales: list[float] = []
     for m in prm["resolutions"]:
         with blame("scenario.resolutions"):  # sets the atom count
             sigma = measure.build(GraphMeasureSpec(graph, box, m, prm["shift"]))
         graph_u = graph.to_graph_frame(sigma.positions)[:, :-1]
         schedule = _halving_schedule(cfg, prm, sigma)
-        m_tail = 0.0
-        m_scale = 0.0
         for p_idx, u in enumerate(prm["points"]):
             # evaluate at the support point (atom) nearest the requested
             # parameter; almost-every-point existence is sampled on the
@@ -346,10 +342,6 @@ def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, threads: int) -> S
             tail = cauchy_tail(values)
             scale = max(abs(v) for v in values)
             rows.append([m, p_idx, u, tail, scale, values[-1], int(tail <= tol * scale)])
-            m_tail = max(m_tail, tail)
-            m_scale = max(m_scale, scale)
-        max_tails.append(m_tail)
-        max_scales.append(m_scale)
 
     report = ScenarioReport("pv_convergence", {})
     report.add_table(
@@ -357,15 +349,19 @@ def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, threads: int) -> S
         ["resolution", "point", "u", "tail", "scale", "limit_estimate", "converged"],
         rows,
     )
-    # the scenario tail is the worst over its evaluation points
-    finest_ok = max_tails[-1] <= tol * max_scales[-1]
+    per_m = [[row for row in rows if row[0] == m] for m in prm["resolutions"]]
+    # the worst tail and scale over the points, per resolution
+    max_tails, max_scales = ([max(row[k] for row in part) for part in per_m] for k in (3, 4))
+    # every point at the finest resolution converges, by its row's rule;
+    # scale 0 means every value is 0, and so is the tail
+    finest = per_m[-1]
+    worst = max(row[3] / row[4] if row[4] > 0 else 0.0 for row in finest)
     shrink_ok = all(
         b <= _NOISE_FACTOR * a + 1e-14 * s
         for a, b, s in zip(max_tails, max_tails[1:], max_scales[1:])
     )
     report.add_verdict(
-        "tail_at_finest", finest_ok,
-        f"tail {max_tails[-1]:.3e} vs {tol:g} x scale {max_scales[-1]:.3e}",
+        "tail_at_finest", all(row[6] for row in finest), f"worst tail/scale {worst:.3e} vs {tol:g}",
     )
     report.add_verdict("tail_shrinks", shrink_ok, f"noise factor {_NOISE_FACTOR:g}")
     return report

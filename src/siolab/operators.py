@@ -9,7 +9,9 @@ Summation conventions, fixed package-wide:
   (math.fsum) in atom index order.
 * Every other sum follows ``summation``: a total (T^eps rows, L^p
   norms, pair sums) is one Sum2, and a sup over prefixes (T* and the
-  maximal function) is a scan certified against the sup it reports.
+  maximal function) is a max over the Sum2 prefixes of each row, taken
+  in one pass by the compiled loops of ``sups.c`` or, where they cannot
+  be built, by numpy with the same bits.
 * The supremum over all truncation radii is exact, not sampled: the
   truncated transform is piecewise constant in eps with jumps only at
   distinct atom distances, so the supremum is a maximum over suffix
@@ -21,15 +23,18 @@ convergence by ``cauchy_tail`` against its own tolerance.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import os
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import Cone, check_aperture
 from .measure import DiscreteMeasure
-from .summation import certified_sums, sum2_prefix, sum2_rows, sum2_total
+from .summation import sum2_prefix, sum2_rows, sum2_total
 
 PAIR_COUNT_GUARD = 10**10
 # a TruncationTable stores P x N int64 order, float64 distances and
@@ -164,6 +169,42 @@ def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
 # Maximal transform via distance breakpoints
 # ---------------------------------------------------------------------------
 
+_SUPS_SOURCE = Path(__file__).with_name("sups.c")
+# FMA contraction or fast-math would round differently from numpy
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+@functools.cache
+def _compiled():
+    """The loops of ``sups.c`` through ctypes, built with ``cc`` on first
+    use into ``build/`` beside it under the CRC of source and flags (a
+    per-process name renamed into place, so forked workers may race); or
+    None where no compiler, compile or writable directory is found, and
+    the callers take the numpy path to the same bits."""
+    import ctypes
+    import zlib
+
+    key = zlib.crc32(_SUPS_SOURCE.read_bytes() + " ".join(_CFLAGS).encode())
+    lib = _SUPS_SOURCE.with_name("build") / f"sups_{key:08x}.so"
+    tmp = lib.with_suffix(f".{os.getpid()}.so")
+    try:
+        if not lib.exists():
+            import subprocess
+
+            lib.parent.mkdir(exist_ok=True)
+            if subprocess.run(["cc", *_CFLAGS, "-o", tmp, _SUPS_SOURCE], capture_output=True).returncode == 0:
+                os.replace(tmp, lib)
+        dll = ctypes.CDLL(str(lib))
+    except OSError:  # no compiler, a failed compile, an unwritable directory or a library that does not load
+        tmp.unlink(missing_ok=True)
+        return None
+    f64, i64, flag = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64, np.int64, np.bool_))
+    size = ctypes.c_int64
+    dll.maximal_values.argtypes = [size, size, f64, i64, f64, flag, f64]
+    dll.hl_maximal_values.argtypes = [size, size, size, f64, i64, f64, f64, flag]
+    dll.maximal_values.restype = dll.hl_maximal_values.restype = None
+    return dll
+
 
 class TruncationTable:
     """Distance-sorted kernel table for a batch of evaluation points.
@@ -171,13 +212,12 @@ class TruncationTable:
     Sorting is done once per (measure, points) pair; evaluating a
     transform for another density then only needs a gather and one sum
     per row (see ``summation``).  A truncated value is one Sum2.  A sup
-    (T* or the maximal function) is one blocked float64 prefix scan, with
-    the rows whose a priori bound gamma_k sum|t| exceeds 1e-13 of their
-    sup redone by Sum2 and counted in ``fallback_rows``.  Distances
-    are sorted descending so prefix sums ARE the truncated sums: the
-    prefix through distance group d equals T^eps for eps in [next
-    smaller distance, d).  Read backwards, the same sort serves the
-    (n-1)-dimensional maximal function.
+    (T* or the maximal function) is a max over the Sum2 prefixes of a
+    row, gathered, summed and maxed in one pass (``_compiled``).
+    Distances are sorted descending so prefix sums ARE the truncated
+    sums: the prefix through distance group d equals T^eps for eps in
+    [next smaller distance, d).  Read backwards, the same sort serves
+    the (n-1)-dimensional maximal function.
 
     A table takes 25 bytes per (point, atom) cell; building one larger
     than ``TABLE_BYTES_GUARD`` raises ValueError.
@@ -190,7 +230,6 @@ class TruncationTable:
         if n_bytes > TABLE_BYTES_GUARD:
             raise ValueError(f"truncation table byte guard exceeded: {n_bytes} bytes, limit {TABLE_BYTES_GUARD}")
         self.measure = nu
-        self.fallback_rows = 0
         self.order = np.empty((n_pts, n_atoms), dtype=np.int64)
         self.dist_desc = np.empty((n_pts, n_atoms))
         self.kw_desc = np.empty((n_pts, n_atoms))
@@ -215,15 +254,13 @@ class TruncationTable:
 
     def maximal_values(self, g) -> np.ndarray:
         """sup over eps > 0 of |T^eps g| at every point (exact sup)."""
-        if self.kw_desc.shape[1] == 0:
-            return np.zeros(len(self.kw_desc))
-
-        def sup(prefix, rows):  # empty truncation (eps >= max distance) contributes 0
-            values = np.max(np.abs(prefix, out=prefix), axis=1, where=self.valid[rows], initial=0.0)
-            return values, values
-
-        values, redone = certified_sums(self._sorted_terms(g), sup)
-        self.fallback_rows += redone
+        lib = _compiled()
+        if lib is None:
+            prefix = sum2_prefix(self._sorted_terms(g))
+            return np.max(np.abs(prefix, out=prefix), axis=1, where=self.valid, initial=0.0)
+        values = np.empty(len(self.order))
+        gv = np.ascontiguousarray(density_values(g, self.measure))
+        lib.maximal_values(*self.order.shape, gv, self.order, self.kw_desc, self.valid, values)
         return values
 
     def truncated_values(self, g, eps: float) -> np.ndarray:
@@ -240,17 +277,9 @@ class TruncationTable:
         return sum2_rows(np.where(self.dist_desc > eps[:, None], self._sorted_terms(g), 0.0))
 
     def hl_maximal_values(self, g):
-        """``hl_maximal_batch`` at the table's points, read from the
-        descending sort backwards instead of sorting again."""
-        nu = self.measure
-        values, diverges, fallback = _hl_from_ascending(
-            np.abs(density_values(g, nu)) * nu.weights,
-            nu.ambient_dim,
-            self.dist_desc[:, ::-1],
-            self.order[:, ::-1],
-        )
-        self.fallback_rows += fallback
-        return values, diverges
+        """``hl_maximal_batch`` at the table's points, bit for bit."""
+        mass = np.abs(density_values(g, self.measure)) * self.measure.weights
+        return _hl_from_descending(mass, self.measure.ambient_dim, self.dist_desc, self.order)
 
 
 def maximal(nu: DiscreteMeasure, kernel, g, x) -> float:
@@ -265,33 +294,32 @@ def maximal(nu: DiscreteMeasure, kernel, g, x) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _hl_from_ascending(atom_mass: np.ndarray, n: int, dist_asc: np.ndarray, order_asc: np.ndarray):
-    """(values, diverges, uncertified row count) of the maximal function
-    with per-atom masses |g| w in ambient dimension n, from per-point
-    atom distances sorted ascending and their atom indices.
+def _hl_from_descending(atom_mass: np.ndarray, n: int, dist_desc: np.ndarray, order: np.ndarray):
+    """(values, diverges) of the maximal function with per-atom masses
+    |g| w in ambient dimension n, from per-point atom distances sorted
+    descending and their atom indices, read backwards.
 
     Candidate radii are the distinct atom distances: mass is constant
     between them while r^(1-n) decreases, so breakpoints realize the sup.
-    The masses are nonnegative, so the scan's bound over the total mass
-    bounds the relative error of every prefix.
+    Each candidate is a Sum2 prefix of the masses times 1 / (r ... r),
+    n - 1 factors r, a rule that rounds alike in C and in numpy.
     """
-    if dist_asc.shape[1] == 0:
-        return np.zeros(len(dist_asc)), np.zeros(len(dist_asc), dtype=bool), 0
-    mass = atom_mass[order_asc]
-    diverges = np.any((dist_asc == 0.0) & (mass > 0.0), axis=1)
-    usable = np.empty(dist_asc.shape, dtype=bool)
-    usable[:, :-1] = dist_asc[:, :-1] != dist_asc[:, 1:]
-    usable[:, -1] = True
-    usable &= dist_asc > 0.0
-
-    def sup(cum, rows):
-        total = cum[:, -1].copy()
-        cum *= np.where(usable[rows], dist_asc[rows], 1.0) ** (1 - n)
-        return np.max(cum, axis=1, where=usable[rows], initial=0.0), total
-
-    values, redone = certified_sums(mass, sup)
+    lib = _compiled()
+    if lib is not None:
+        values, diverges = np.empty(len(order)), np.empty(len(order), dtype=bool)
+        lib.hl_maximal_values(*order.shape, n, atom_mass, order, dist_desc, values, diverges)
+        return values, diverges
+    mass, dist = atom_mass[order[:, ::-1]], dist_desc[:, ::-1]
+    diverges = np.any((dist == 0.0) & (mass > 0.0), axis=1)
+    usable = np.empty(dist.shape, dtype=bool)
+    usable[:, :-1] = dist[:, :-1] != dist[:, 1:]
+    usable[:, -1:] = True
+    usable &= dist > 0.0
+    radius = np.where(usable, dist, 1.0)
+    weight = 1.0 / functools.reduce(np.multiply, [radius] * (n - 1), np.ones_like(radius))
+    values = np.max(sum2_prefix(mass) * weight, axis=1, where=usable, initial=0.0)
     values[diverges] = math.inf
-    return values, diverges, redone
+    return values, diverges
 
 
 def hl_maximal_batch(nu: DiscreteMeasure, g, points):
@@ -305,9 +333,9 @@ def hl_maximal_batch(nu: DiscreteMeasure, g, points):
     diverges = np.zeros(len(pts), dtype=bool)
     a = np.abs(density_values(g, nu)) * nu.weights
     for sl, _, dist in _distance_blocks(pts, nu.positions):
-        order = np.argsort(dist, axis=1, kind="stable")
-        d_sorted = np.take_along_axis(dist, order, axis=1)
-        values[sl], diverges[sl], _ = _hl_from_ascending(a, nu.ambient_dim, d_sorted, order)
+        order = np.argsort(-dist, axis=1, kind="stable")  # the table's order
+        dist_desc = np.take_along_axis(dist, order, axis=1)
+        values[sl], diverges[sl] = _hl_from_descending(a, nu.ambient_dim, dist_desc, order)
     return values, diverges
 
 

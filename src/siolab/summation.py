@@ -4,47 +4,13 @@ so its bits are the same on every platform.  With u = 2^-53 and
 gamma_k = k u / (1 - k u): a total is one Sum2 (``sum2_rows``), whose
 prefix S of n terms is within u|S| + gamma_{n-1}^2 sum|t|, as accurate
 as a sum in twice the working precision, rounded once; ``sum2_total``
-keeps it unrounded, for sums of partial sums.  A sup over prefixes is
-certified by ``certified_sums``: a ``blocked_prefix`` scan, within
-gamma_k sum|t| for k about 2 sqrt(N), and a Sum2 redo of each row whose
-scan bound exceeds 1e-13 of the sup it reports.
+keeps it unrounded, for sums of partial sums.  A sup over prefixes is a
+max over the ``sum2_prefix`` of its row, which ``operators`` takes in one
+compiled pass of the same operations in the same order: the same bits.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-_U = np.finfo(float).eps / 2
-_CERTIFY_REL = 1e-13  # largest certified error relative to a reported value
-
-
-def blocked_prefix(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 prefix sums along each row of a (P, N) array, N >= 1, and
-    a per-row bound on the absolute error of every prefix in the row.
-
-    Two levels: a cumsum inside blocks of b = ceil(sqrt(N)) terms (the
-    last block may be shorter), then a cumsum of the full block totals
-    added to the blocks after them.  A prefix passes through at most
-    (b - 1) + (ceil(N/b) - 1) + 1 roundings, so its error is at most
-    gamma_k * sum|t| for k = b + ceil(N/b) + 1 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2002, sec. 4.2); sum|t| is itself
-    a float64 sum, inflated by (1 + 2 N u) to cover its own rounding.
-    """
-    p, n = terms.shape
-    b = math.isqrt(n - 1) + 1
-    m = n - n % b
-    prefix = np.empty((p, n))
-    blocks = prefix[:, :m].reshape(p, m // b, b)
-    np.cumsum(terms[:, :m].reshape(p, m // b, b), axis=2, out=blocks)
-    np.cumsum(terms[:, m:], axis=1, out=prefix[:, m:])
-    offsets = np.cumsum(blocks[:, :, -1], axis=1)
-    blocks[:, 1:] += offsets[:, :-1, None]
-    prefix[:, m:] += offsets[:, -1:]
-    k = b + -(-n // b) + 1
-    gamma = k * _U / (1.0 - k * _U)
-    bound = gamma * (1.0 + 2.0 * n * _U) * np.abs(terms).sum(axis=1)
-    return prefix, bound
 
 
 def _two_sum_errors(terms: np.ndarray) -> np.ndarray:
@@ -91,17 +57,3 @@ def sum2_total(terms: np.ndarray) -> tuple[float, float]:
     which is overwritten.  Unrounded, the pair is within
     gamma_{N-1}^2 sum|t| of the exact total."""
     return float(_two_sum_errors(terms[None, :])[0, -1]), float(terms.sum())
-
-
-def certified_sums(terms: np.ndarray, report) -> tuple[np.ndarray, int]:
-    """(sups, rows redone by Sum2) of a (P, N) array, N >= 1, where
-    ``report(prefix, rows)`` maps the prefix sums of rows ``rows`` (all,
-    or an index array) to their (sups, magnitudes).  A bound on every
-    prefix bounds a sup over prefixes, since |max|a| - max|b|| <= max|a - b|.
-    """
-    prefix, bound = blocked_prefix(terms)
-    values, magnitude = report(prefix, slice(None))
-    del prefix  # before the Sum2 temporaries
-    redo = np.flatnonzero(bound > _CERTIFY_REL * magnitude)
-    values[redo] = report(sum2_prefix(terms[redo]), redo)[0]
-    return values, len(redo)

@@ -241,6 +241,20 @@ def test_pv_converged_column_applies_the_scenario_tolerance():
         assert row[col["converged"]] == int(row[col["tail"]] <= 1e-2 * row[col["scale"]])
 
 
+def test_pv_tail_at_finest_fails_when_a_finest_row_does_not_converge(tmp_path, capsys):
+    # point 0 at m = 1024 has tail/scale 0.028 > 0.025 and writes converged = 0,
+    # while the largest tail over the points is below 0.025 of the largest scale
+    cfg = {"scenario": {"tag": "PVConvergence", "resolutions": "256, 1024", "floor_factor": "8",
+                        "eps0": "0.64", "tolerance": "0.025"},
+           "graph": {"profile": "smooth_bump", "dim": "2", "amplitude": "0.3", "width": "0.6"},
+           "kernel": {"family": "riesz", "dim": "2", "axis": "2"}}
+    assert _cli_run(tmp_path, cfg) == 1
+    rows = (tmp_path / "out" / "pv_convergence_metrics.csv").read_text().splitlines()
+    assert rows[4].split(",")[:2] == ["1024", "0"] and rows[4].endswith(",0")
+    assert "tail_at_finest: FAIL  (worst tail/scale 2.802e-02 vs 0.025)" in (
+        tmp_path / "out" / "pv_convergence_report.txt").read_text()
+
+
 _FLAT = {"profile": "affine", "dim": "2"}
 _STEEP = {"profile": "affine", "dim": "2", "slope": "2"}  # Lip f = 2
 _RIESZ = {"family": "riesz", "dim": "2"}

@@ -1,12 +1,14 @@
 import math
+import shutil
 import time
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import siolab as sl
@@ -777,23 +779,53 @@ def _sequential_sum2(row):
     return out
 
 
+def _both_paths(fn):
+    """(compiled, numpy) results of ``fn()``, the second with the loader
+    patched as where no compiler is found; the compiled path must load
+    wherever a C compiler is installed."""
+    if shutil.which("cc") is not None:
+        assert operators._compiled() is not None
+    compiled = fn()
+    with mock.patch.object(operators, "_compiled", lambda: None):
+        return compiled, fn()
+
+
+def _scan_table(terms, valid):
+    """A TruncationTable whose row i gathers ``terms[i]`` itself (the
+    identity order and g = 1), with the candidates ``valid``."""
+    table = object.__new__(sl.TruncationTable)
+    table.measure = sl.DiscreteMeasure(np.zeros((terms.shape[1], 2)), np.ones(terms.shape[1]), 1.0)
+    table.order = np.tile(np.arange(terms.shape[1]), (len(terms), 1))
+    table.kw_desc = np.array(terms, dtype=float)
+    table.valid = valid
+    return table
+
+
+def _assert_sups_within_sum2_bound(terms, valid=None):
+    """T* of ``_scan_table`` on both paths: the max of |Sum2 prefix| at the
+    candidates (all by default), bit for bit, and within the largest Sum2
+    prefix bound of the exact sup, since |max|a| - max|b|| <= max|a - b|."""
+    valid = np.ones(terms.shape, dtype=bool) if valid is None else valid
+    compiled, fallback = _both_paths(lambda: _scan_table(terms, valid).maximal_values(None))
+    assert compiled.tolist() == fallback.tolist()
+    for i, row in enumerate(terms):
+        exact = _exact_prefixes(row)
+        kept = [(p, e) for p, (e, _), v in zip(_sequential_sum2(row.tolist()), exact, valid[i]) if v]
+        assert compiled[i] == max([abs(p) for p, _ in kept], default=0.0)
+        bound = max(_sum2_bound(e, j + 1, a) for j, (e, a) in enumerate(exact))
+        assert abs(Fraction(compiled[i]) - max([abs(e) for _, e in kept], default=Fraction(0))) <= bound
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows=_scan_rows, n=st.integers(1, 150))
 def test_certified_prefix_error_within_bound(rows, n):
-    terms = _tiled(rows, n)
-    prefix, bound = summation.blocked_prefix(terms)
-    for i, row in enumerate(terms):
-        for j, (exact, _) in enumerate(_exact_prefixes(row)):
-            assert abs(Fraction(prefix[i, j]) - exact) <= Fraction(bound[i])
+    _assert_sups_within_sum2_bound(_tiled(rows, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 15, 16, 17, 24, 25, 26, 100])
 def test_certified_prefix_block_edges(n):
-    terms = Rng(87).uniforms(2 * n, -1.0, 1.0).reshape(2, n)
-    prefix, bound = summation.blocked_prefix(terms)
-    for i in range(2):
-        for j, (exact, _) in enumerate(_exact_prefixes(terms[i])):
-            assert abs(Fraction(prefix[i, j]) - exact) <= Fraction(bound[i])
+    # row lengths at and around squares
+    _assert_sups_within_sum2_bound(Rng(87).uniforms(2 * n, -1.0, 1.0).reshape(2, n))
 
 
 @settings(max_examples=60, deadline=None)
@@ -808,21 +840,10 @@ def test_sum2_prefix_is_sequential_sum2_within_bound(rows, n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=_scan_rows, n=st.integers(1, 150))
-def test_certified_sums_fallback_rows_within_bound(rows, n):
-    terms = _tiled(rows, n)
-    scan, bound = summation.blocked_prefix(terms)
-    values, redone = summation.certified_sums(
-        terms, lambda prefix, rows: (prefix[:, -1].copy(), np.abs(prefix[:, -1]))
-    )
-    fallback = bound > 1e-13 * np.abs(scan[:, -1])
-    assert redone == int(np.sum(fallback))
-    for i, row in enumerate(terms):
-        exact, abs_sum = _exact_prefixes(row)[-1]
-        if fallback[i]:
-            assert abs(Fraction(values[i]) - exact) <= _sum2_bound(exact, n, abs_sum)
-        else:
-            assert values[i] == scan[i, -1]
+@given(rows=_scan_rows, n=st.integers(1, 150), seed=st.integers(0, 2**32 - 1))
+def test_certified_sums_fallback_rows_within_bound(rows, n, seed):
+    # only some positions are candidates, as in a row with distance ties
+    _assert_sups_within_sum2_bound(_tiled(rows, n), np.random.default_rng(seed).random((len(rows), n)) < 0.3)
 
 
 @settings(max_examples=40, deadline=None)
@@ -961,7 +982,6 @@ def test_empty_measure_gives_zeros():
     assert table.truncated_values_per_point(None, np.array([0.5, 1.0])).tolist() == zeros
     values, diverges = table.hl_maximal_values(None)
     assert values.tolist() == zeros and not diverges.any()
-    assert table.fallback_rows == 0
     assert truncated_batch(nu, k, None, pts, 0.5).tolist() == zeros
     values, diverges = sl.operators.hl_maximal_batch(nu, None, pts)
     assert values.tolist() == zeros and not diverges.any()
@@ -995,8 +1015,8 @@ def test_maximal_values_oracle_ties_and_zero_distances(grid, weights, dens, pole
 
 def test_maximal_values_fallback_on_cancellation():
     # two atoms at equal distance carry huge opposite terms that cancel
-    # exactly inside their tie group; the float64 bound then cannot
-    # certify the O(1) sup of the rest, so those rows are redone
+    # exactly inside their tie group; the O(1) sup of the rest is exact
+    # on both paths
     rng = Rng(89)
     small = rng.points_in_box(30, [(-0.4, 0.4)] * 2) + np.array([0.0, 3.0])
     positions = np.vstack([[[1.0, 0.0], [-1.0, 0.0]], small])
@@ -1005,18 +1025,12 @@ def test_maximal_values_fallback_on_cancellation():
     k = sl.RieszComponent(2, 0)
     pts = np.array([[0.0, 0.0], [0.0, 0.0]])
     table = sl.TruncationTable(nu, k, pts)
-    values = table.maximal_values(g)
-    assert table.fallback_rows == 2
+    compiled, fallback = _both_paths(lambda: table.maximal_values(g))
+    assert compiled.tolist() == fallback.tolist()
     terms = table.kw_desc * g[table.order]
     for i, row in enumerate(terms):
         exact = max(abs(p) for (p, _), v in zip(_exact_prefixes(row), table.valid[i]) if v)
-        assert values[i] == float(exact)
-    table.maximal_values(g)
-    assert table.fallback_rows == 4  # cumulative
-    # a truncated value is one Sum2, never a redone scan
-    table.truncated_values_per_point(g, np.array([0.5, 2.0]))
-    table.truncated_values(g, 0.5)
-    assert table.fallback_rows == 4
+        assert compiled[i] == float(exact)
 
 
 def test_hl_maximal_values_matches_batch():
@@ -1033,6 +1047,7 @@ def test_hl_maximal_values_matches_batch():
 
 
 def test_hl_maximal_values_matches_batch_with_ties():
+    # both sort descending and stably, so a tie group sums in one order
     nu = sl.graph_measure(sl.LipschitzGraph(2, sl.Affine((0.0,))), [(-1.0, 1.0)], 64)
     g = Rng(93).uniforms(nu.count, -1, 1)
     pts = np.vstack([nu.positions[[3, 20]] + np.array([0.0, 0.5]), nu.positions[40]])
@@ -1040,7 +1055,59 @@ def test_hl_maximal_values_matches_batch_with_ties():
     values, diverges = table.hl_maximal_values(g)
     ref_values, ref_diverges = sl.operators.hl_maximal_batch(nu, g, pts)
     assert np.array_equal(diverges, ref_diverges) and diverges[-1]
-    assert values[:-1] == pytest.approx(ref_values[:-1], rel=1e-14)
+    assert np.array_equal(values, ref_values)
+    assert np.any(table.dist_desc[0, :-1] == table.dist_desc[0, 1:])
+
+
+def _hl_reference(nu, g, x):
+    """M at x one atom at a time: the masses |g| w summed by sequential
+    Sum2 in the table's order read backwards (ascending distance, ties in
+    reverse index order), each candidate times 1 / (r ... r), n - 1 factors."""
+    d = np.sqrt(np.sum((x - nu.positions) ** 2, axis=1)).tolist()
+    mass = (np.abs(g) * nu.weights).tolist()
+    order = sorted(range(len(d)), key=lambda j: (d[j], -j))
+    if any(d[j] == 0.0 and mass[j] > 0.0 for j in order):
+        return math.inf
+    best = 0.0
+    for k, (j, cum) in enumerate(zip(order, _sequential_sum2([mass[j] for j in order]))):
+        if d[j] > 0.0 and (k == len(order) - 1 or d[order[k + 1]] != d[j]):
+            power = 1.0
+            for _ in range(nu.ambient_dim - 1):
+                power *= d[j]
+            best = max(best, cum * (1.0 / power))
+    return best
+
+
+@settings(max_examples=30, deadline=None)
+@example(dim=3, n=40, n_pts=4, on_atoms=False, seed=7)  # the M weight 1 / (r r) in R^3
+@given(
+    dim=st.sampled_from([2, 3]),
+    n=st.integers(0, 40),
+    n_pts=st.integers(1, 4),
+    on_atoms=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_and_numpy_sups_are_bit_equal(dim, n, n_pts, on_atoms, seed):
+    # integer grid atoms: exact distance ties, points on atoms (zero
+    # distances), some zero densities, single-atom rows and N = 0
+    rng = np.random.default_rng(seed)
+    positions = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    nu = sl.DiscreteMeasure(positions, rng.uniform(0.0, 1.0, n), 1e-3)
+    g = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-1.0, 1.0, n))
+    pts = rng.integers(-2, 3, size=(n_pts, dim)) + (0.0 if on_atoms else rng.choice([0.0, 0.5], (n_pts, dim)))
+    k = sl.RieszComponent(dim, 0)
+
+    def sups():
+        table = sl.TruncationTable(nu, k, pts)
+        return table.maximal_values(g), *table.hl_maximal_values(g), *hl_maximal_batch(nu, g, pts)
+
+    compiled, fallback = _both_paths(sups)
+    for a, b in zip(compiled, fallback):
+        assert a.tobytes() == b.tobytes()
+    assert compiled[1].tobytes() == compiled[3].tobytes()
+    assert compiled[1].tolist() == [_hl_reference(nu, g, x) for x in pts]
+    for x, value in zip(pts, compiled[0]):
+        assert value == pytest.approx(brute_force_sup(nu, k, g, x, grid_size=50), rel=1e-12, abs=1e-300)
 
 
 def test_truncated_batch_matches_scalar():

@@ -14,6 +14,8 @@ platform, and ``math.fsum`` takes an array only in the two places that
 README names.  In the harness, only ``config.blame`` maps a ValueError
 to a configuration error.  The count of settable values (parameters and
 fields with a default) is pinned, so a new knob is a deliberate change.
+The compiled sups are built without FMA contraction or fast-math, which
+would round them differently from their numpy path.
 """
 
 import ast
@@ -231,3 +233,10 @@ def test_settable_values_do_not_grow():
     # a change that needs a new knob raises this number and says why
     count = sum(len(list(_settable_values(ast.parse(path.read_text())))) for path in PACKAGE.rglob("*.py"))
     assert count <= 30
+
+
+def test_compiled_sups_round_as_numpy_does():
+    from siolab.operators import _CFLAGS
+
+    assert "-ffp-contract=off" in _CFLAGS
+    assert not {"-ffast-math", "-Ofast"} & set(_CFLAGS)
