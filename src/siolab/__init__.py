@@ -15,7 +15,6 @@ from .geometry import (
     Sawtooth,
     SmoothBump,
     decompose_complement,
-    lipschitz_estimate,
 )
 from .kernel import OddHomogeneous, RieszComponent
 from .measure import (
@@ -29,7 +28,6 @@ from .measure import (
     concat,
     graph_measure,
     growth_constant,
-    lower_density,
     slab_above_graph,
     split_by_graph,
     uniform_on_shape,
@@ -45,13 +43,9 @@ from .operators import (
     truncated,
 )
 from .pairing import (
-    IDecomposition,
     PairingTrace,
     SimpleFunction,
     convergence_study,
-    fubini_check,
-    i_decomposition,
-    pairing,
 )
 
 __version__ = "0.1.0"

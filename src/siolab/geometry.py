@@ -420,26 +420,3 @@ def _face_frame(axes: np.ndarray, k: int, sign: float) -> np.ndarray:
     cols = [axes[:, j] for j in range(n) if j != k]
     cols.append(sign * axes[:, k])
     return np.column_stack(cols)
-
-
-# ---------------------------------------------------------------------------
-# Validation helpers
-# ---------------------------------------------------------------------------
-
-
-def lipschitz_estimate(graph: LipschitzGraph, sample_count: int, box, rng) -> float:
-    """Max sampled difference quotient |f(u) - f(v)| / |u - v| over random
-    pairs in ``box`` (a list of (lo, hi) per parameter axis).  A lower
-    bound on Lip(f); must not exceed lip_declared * (1 + 1e-9).
-    """
-    if sample_count < 2:
-        raise ValueError("sample_count must be >= 2")
-    u = rng.points_in_box(sample_count, box)
-    v = rng.points_in_box(sample_count, box)
-    gap = np.linalg.norm(u - v, axis=1)
-    keep = gap > 0
-    if not np.any(keep):
-        return 0.0
-    fu = graph.height(u[keep])
-    fv = graph.height(v[keep])
-    return float(np.max(np.abs(fu - fv) / gap[keep]))

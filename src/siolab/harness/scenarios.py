@@ -423,6 +423,7 @@ def scenario_weak_pairing(cfg: Config, prm: dict, rng: Rng, threads: int) -> Sce
         rows,
     )
     _tail_verdict(report, trace.values, prm["tolerance"], trace.cancellation_noise)
+    report.add_verdict("regions_separated", trace.regions_separated)
     return report
 
 

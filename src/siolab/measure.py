@@ -286,7 +286,7 @@ def build(spec: MeasureSpec) -> DiscreteMeasure:
 
 
 # ---------------------------------------------------------------------------
-# Growth and lower-density estimation
+# Growth estimation
 # ---------------------------------------------------------------------------
 
 
@@ -304,29 +304,17 @@ def _ball_masses(mu: DiscreteMeasure, center: np.ndarray, radii: np.ndarray) -> 
     return masses
 
 
-def _density_ratios(mu: DiscreteMeasure, centers, radii) -> np.ndarray:
-    """mu(B(x, r)) / r^(n-1), one row per center x and one column per r."""
-    radii = np.asarray(radii, dtype=float)
-    if radii.size == 0:
-        raise ValueError("empty radii grid")
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    scale = radii ** (mu.ambient_dim - 1)
-    return np.array([_ball_masses(mu, c, radii) / scale for c in centers])
-
-
 def growth_constant(mu: DiscreteMeasure, centers, radii) -> float:
     """Max over (center, r) of mu(B(x, r)) / r^(n-1).
 
     All radii must sit at or above the resolution floor; below it the
     atomic approximation degenerates to point masses.
     """
-    if not np.all(np.asarray(radii, dtype=float) >= mu.resolution):
+    radii = np.asarray(radii, dtype=float)
+    if not np.all(radii >= mu.resolution):
         raise ValueError("radii below the measure resolution floor")
-    return float(np.max(_density_ratios(mu, centers, radii), initial=0.0))
-
-
-def lower_density(mu: DiscreteMeasure, centers, radii) -> float:
-    """Min over (center, r) of mu(B(x, r)) / r^(n-1); centers should be
-    atom positions (support points).
-    """
-    return float(np.min(_density_ratios(mu, centers, radii), initial=math.inf))
+    if radii.size == 0:
+        raise ValueError("empty radii grid")
+    scale = radii ** (mu.ambient_dim - 1)
+    ratios = [_ball_masses(mu, c, radii) / scale for c in np.atleast_2d(np.asarray(centers, dtype=float))]
+    return float(np.max(np.array(ratios), initial=0.0))

@@ -432,8 +432,8 @@ def nontangential_max_many(hs, graph, apex_u, aperture: float, height_cap: float
 
 def lp_norm(mu: DiscreteMeasure, g, p: float) -> float:
     """(sum |g|^p w)^(1/p), the sum one Sum2; 0 on an empty measure."""
-    if not p >= 1:
-        raise ValueError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError("p must be in [1, inf)")
     powered = np.abs(density_values(g, mu)) ** p * mu.weights
     return float(sum2_rows(powered[None, :])[0]) ** (1.0 / p)
 

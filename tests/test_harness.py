@@ -854,3 +854,39 @@ def test_cli_unread_section_is_a_config_error(tmp_path, capsys, cfg, section):
     assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
     assert f"section not read by this run: {section}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# the benchmark's WeakPairing config (a ball of mu) and criterion 10's (Cantor)
+_BENCH_PAIRING = _scenario("WeakPairing", {"tolerance": "0.1"}, kernel={**_RIESZ, "axis": "1"}, mu=_BALL_MU,
+                           f={"mode": "ball", "center": "0.2, 0.1", "radius": "0.5"},
+                           g={"mode": "ball", "center": "-0.1, 0.2", "radius": "0.6"})
+
+
+def _verdicts(cfg):
+    return {v.name: v for v in run_scenario(config_from_dict(cfg)).verdicts}
+
+
+@pytest.mark.parametrize("cfg", [_BENCH_PAIRING, _WEAK_PAIRING], ids=["benchmark", "cantor"])
+def test_weak_pairing_regions_separated_catches_a_lowered_ball_cap(monkeypatch, cfg):
+    # the complement graphs of Q must support Q from below; lowered by a
+    # tenth of the radius, they cut through Q's atoms
+    assert _verdicts(cfg)["regions_separated"].passed
+    value = sl.BallCap.value
+    monkeypatch.setattr(sl.BallCap, "value", lambda self, u: value(self, u) - 0.1 * self.radius)
+    assert not _verdicts(cfg)["regions_separated"].passed
+
+
+def test_weak_pairing_verdict_does_not_depend_on_the_coefficient_scale():
+    # the noise floor once ignored b_j a_i, so coef = 1e-8 put the tail
+    # below it and turned this FAIL into a PASS
+    runs = []
+    for coef in ("1", "1e-8"):
+        cfg = _with(_BENCH_PAIRING, tolerance="0.001")
+        cfg["f"] = {**cfg["f"], "coef": coef}
+        cfg["g"] = {**cfg["g"], "coef": coef}
+        tail = _verdicts(cfg)["cauchy_tail"]
+        fields = tail.detail.split()
+        runs.append((tail.passed, float(fields[1]), float(fields[3]), float(fields[5])))
+    assert not runs[0][0] and not runs[1][0]
+    # b_j a_i = 1e-16 scales tail, scale and noise alike (the detail prints four digits)
+    assert runs[1][1:] == pytest.approx([1e-16 * v for v in runs[0][1:]], rel=1e-3)

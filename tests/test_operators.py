@@ -241,6 +241,13 @@ def test_lp_norm_requires_p_at_least_one():
         sl.lp_norm(two_atom_line(), 1.0, 0.5)
 
 
+def test_lp_norm_rejects_infinite_p():
+    # |g|^inf w summed and raised to 1/inf read 1.0 for every g
+    for g in (5.0, 0.1):
+        with pytest.raises(ValueError, match=r"\[1, inf\)"):
+            sl.lp_norm(two_atom_line(), g, math.inf)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     magnitude=st.floats(min_value=1e-3, max_value=1e3),

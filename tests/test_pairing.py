@@ -8,6 +8,8 @@ from siolab.operators import cauchy_tail, pair_sum_stats
 from siolab.pairing import CANCELLATION_FACTOR
 from siolab.harness.rng import Rng
 
+from oracles import fubini_check, i_decomposition, pairing
+
 
 def four_corner_square():
     """Unit weights at the four points (+-1, +-1)."""
@@ -74,7 +76,7 @@ def test_pairing_full_overlap_cancels():
     mu, k = random_setup(Rng(1))
     full = sl.SimpleFunction([(1.0, sl.Ball((0.0, 0.0), 5.0))])
     for eps in (0.5, 0.1, 0.02):
-        val = sl.pairing(mu, k, full, full, eps)
+        val = pairing(mu, k, full, full, eps)
         assert abs(val) <= mu.count**2 * CANCELLATION_FACTOR * 10.0
 
 
@@ -87,7 +89,7 @@ def test_pairing_separated_supports_eps_independent():
     k = sl.RieszComponent(2, 0)
     f = sl.SimpleFunction([(1.0, sl.Ball((0.1, 0.0), 1.0))])
     g = sl.SimpleFunction([(1.0, sl.Ball((6.1, 0.0), 1.0))])
-    vals = {sl.pairing(mu, k, f, g, eps) for eps in (0.3, 1.0, 3.0)}
+    vals = {pairing(mu, k, f, g, eps) for eps in (0.3, 1.0, 3.0)}
     assert len(vals) == 1
 
 
@@ -97,7 +99,7 @@ def test_pairing_four_atom_hand_value():
     f = sl.SimpleFunction([(1.0, sl.Rectangle((-1.0, 0.0), (0.5, 1.5)))])  # left pair
     g = sl.SimpleFunction([(1.0, sl.Rectangle((1.0, 0.0), (0.5, 1.5)))])  # right pair
     # cross pairs: K(2,0) + K(2,2) + K(2,-2) + K(2,0) = .5 + .25 + .25 + .5
-    val = sl.pairing(mu, k, f, g, 0.5)
+    val = pairing(mu, k, f, g, 0.5)
     assert val == pytest.approx(1.5, rel=1e-15)
     assert val == pytest.approx(pairing_oracle(mu, k, f, g, 0.5), rel=1e-15)
 
@@ -112,7 +114,7 @@ def test_pairing_matches_direct_double_sum():
         [(0.3, sl.Ball((0.0, 0.4), 0.9)), (0.9, sl.Ball((0.5, -0.5), 0.6))]
     )
     for eps in (0.4, 0.1):
-        assert sl.pairing(mu, k, f, g, eps) == pytest.approx(
+        assert pairing(mu, k, f, g, eps) == pytest.approx(
             pairing_oracle(mu, k, f, g, eps), rel=1e-11, abs=1e-14
         )
 
@@ -128,8 +130,8 @@ def test_pairing_bilinearity():
         [(a, f1.terms[0][1]), (b, f2.terms[0][1])]
     )
     eps = 0.15
-    lhs = sl.pairing(mu, k, combined, g, eps)
-    rhs = a * sl.pairing(mu, k, f1, g, eps) + b * sl.pairing(mu, k, f2, g, eps)
+    lhs = pairing(mu, k, combined, g, eps)
+    rhs = a * pairing(mu, k, f1, g, eps) + b * pairing(mu, k, f2, g, eps)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-16)
 
 
@@ -139,8 +141,8 @@ def test_pairing_antisymmetric_in_f_g():
     f = sl.SimpleFunction([(1.0, sl.Ball((0.2, 0.2), 0.7))])
     g = sl.SimpleFunction([(1.0, sl.Ball((-0.1, -0.3), 0.9))])
     eps = 0.1
-    fwd = sl.pairing(mu, k, f, g, eps)
-    back = sl.pairing(mu, k, g, f, eps)
+    fwd = pairing(mu, k, f, g, eps)
+    back = pairing(mu, k, g, f, eps)
     scale = max(abs(fwd), abs(back), 1e-300)
     assert abs(fwd + back) / scale < 1e-11
 
@@ -153,7 +155,7 @@ def test_pairing_antisymmetric_in_f_g():
 def test_i_decomposition_identical_shapes():
     mu, k = random_setup(Rng(17))
     ball = sl.Ball((0.0, 0.0), 0.8)
-    d = sl.i_decomposition(mu, k, ball, ball, 0.1)
+    d = i_decomposition(mu, k, ball, ball, 0.1)
     assert d.i2 == 0.0 and d.i3 == 0.0 and d.i4 == 0.0
     assert abs(d.i1) <= mu.count**2 * CANCELLATION_FACTOR * d.max_abs_term
 
@@ -162,7 +164,7 @@ def test_i_decomposition_disjoint_shapes():
     mu, k = random_setup(Rng(19))
     p = sl.Ball((-0.5, 0.0), 0.3)
     q = sl.Ball((0.5, 0.0), 0.3)
-    d = sl.i_decomposition(mu, k, p, q, 0.05)
+    d = i_decomposition(mu, k, p, q, 0.05)
     assert d.i1 == 0.0 and d.i2 == 0.0 and d.i3 == 0.0
     assert d.i4 != 0.0
 
@@ -173,7 +175,7 @@ def test_i_decomposition_completeness():
     p = sl.Ball((0.1, 0.1), 0.7)
     q = sl.Ball((-0.2, 0.0), 0.6)
     for eps in (0.3, 0.08):
-        d = sl.i_decomposition(mu, k, p, q, eps)
+        d = i_decomposition(mu, k, p, q, eps)
         part_p, part_q = (mu.restrict_mask(s.contains_many(mu.positions)) for s in (p, q))
         direct = pair_sum_stats(part_p.positions, part_p.weights, part_q.positions, part_q.weights, k, eps).value
         bound = max(d.pair_count, 1) * 2.0**-46 * max(d.max_abs_term, 1e-300)
@@ -190,23 +192,33 @@ def test_fubini_residuals():
     ]
     for p, q in cases:
         for eps in (0.25, 0.06):
-            res = sl.fubini_check(mu, k, p, q, eps)
+            res = fubini_check(mu, k, p, q, eps)
             assert res <= mu.count**2 * CANCELLATION_FACTOR * 10.0
 
 
-def test_region_routing_equivalence():
+_TURN = np.array([[math.cos(0.6), -math.sin(0.6)], [math.sin(0.6), math.cos(0.6)]])
+
+
+@pytest.mark.parametrize(
+    "dim, p, q",
+    [
+        pytest.param(2, sl.Ball((0.15, 0.0), 0.8), sl.Ball((-0.25, 0.1), 0.55), id="ball"),
+        pytest.param(2, sl.Ball((0.15, 0.0), 0.8), sl.Rectangle((-0.25, 0.1), (0.5, 0.3), rotation=_TURN),
+                     id="rotated_rectangle"),
+        pytest.param(3, sl.Ball((0.15, 0.0, 0.1), 0.8), sl.Ball((-0.25, 0.1, 0.0), 0.55), id="ball_3d"),
+    ],
+)
+def test_region_routing_equivalence(dim, p, q):
     # summing x over the complement regions of Q must equal the direct
     # P-minus-Q sum: same atoms, different grouping
     rng = Rng(31)
-    mu, k = random_setup(rng, 500)
-    p = sl.Ball((0.15, 0.0), 0.8)
-    q = sl.Ball((-0.25, 0.1), 0.55)
+    mu = sl.DiscreteMeasure(rng.points_in_box(500, [(-1, 1)] * dim), rng.uniforms(500, 0.0, 1.0), resolution=1e-5)
+    k = sl.RieszComponent(dim, 0)
     eps = 0.1
     in_p = p.contains_many(mu.positions)
     in_q = q.contains_many(mu.positions)
     p_only = in_p & ~in_q
     both = in_p & in_q
-    from siolab.operators import pair_sum_stats
 
     direct = pair_sum_stats(
         mu.positions[p_only], mu.weights[p_only],
@@ -267,9 +279,10 @@ def test_convergence_study_totals_match_pairing():
     schedule = geometric(0.8, 8)
     trace = sl.convergence_study(mu, k, f, g, schedule)
     for eps, val in zip(trace.eps_schedule, trace.values):
-        assert val == pytest.approx(sl.pairing(mu, k, f, g, eps), rel=1e-10, abs=1e-14)
+        assert val == pytest.approx(pairing(mu, k, f, g, eps), rel=1e-10, abs=1e-14)
     # the diagonal block column is pure cancellation noise in every row
     assert all(abs(r.i1) <= trace.cancellation_noise for r in trace.rows)
+    assert trace.regions_separated
 
 
 def test_convergence_study_graph_measure_cauchy():

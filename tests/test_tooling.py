@@ -15,7 +15,8 @@ README names.  In the harness, only ``config.blame`` maps a ValueError
 to a configuration error.  The count of settable values (parameters and
 fields with a default) is pinned, so a new knob is a deliberate change.
 The compiled sups are built without FMA contraction or fast-math, which
-would round them differently from their numpy path.
+would round them differently from their numpy path.  The only ``noqa``
+lines are the four re-imports that keep a name bound for the tracer.
 """
 
 import ast
@@ -90,12 +91,6 @@ def _used_names(tree, reexports: bool):
 _PUBLIC_FOR_USERS = {
     "truncated": "the README example and the fsum reference of the batched T^eps",
     "maximal": "the README example of the exact sup over all radii",
-    "lipschitz_estimate": "samples a graph's difference quotients against its declared constant",
-    "lower_density": "the lower counterpart of growth_constant on atom centers",
-    "pairing": "the single-eps pairing that convergence_study traces over a schedule",
-    "i_decomposition": "the four overlap blocks of one shape pair at one eps",
-    "fubini_check": "the residual of the discrete Fubini identity I3 = -J; only test_pairing calls it"
-                    " (acceptance criterion 2 rebuilds the identity from pair_sum_stats)",
     "config_from_dict": "an in-memory config in the file format's shape",
     "antisymmetry_residual": "max |K(x) + K(-x)| over a sample; acceptance criterion 6 and test_kernel call it"
                              " (the scenarios read only KernelValidation's field of that name)",
@@ -240,3 +235,20 @@ def test_compiled_sups_round_as_numpy_does():
 
     assert "-ffp-contract=off" in _CFLAGS
     assert not {"-ffast-math", "-Ofast"} & set(_CFLAGS)
+
+
+def test_noqa_lines_are_the_tracer_reimports():
+    # each keeps a name bound where perfbench/tracing.py wraps it; count them down, never up
+    lines = sorted(
+        (path.relative_to(PACKAGE).as_posix(), line.partition("#")[0].strip().rstrip(","))
+        for path in PACKAGE.rglob("*")
+        if path.suffix in (".py", ".c")
+        for line in path.read_text().splitlines()
+        if "noqa" in line
+    )
+    assert lines == [
+        ("harness/scenarios.py", "hl_maximal_batch"),
+        ("harness/scenarios.py", "nontangential_max"),
+        ("harness/scenarios.py", "pair_sum_stats"),
+        ("pairing.py", "from .operators import pair_sum_stats"),
+    ]
