@@ -9,9 +9,9 @@ Summation conventions, fixed package-wide:
   (math.fsum) in atom index order.
 * Every other sum follows ``summation``: a total (T^eps rows, L^p
   norms, pair sums) is one Sum2, and a sup over prefixes (T* and the
-  maximal function) is a max over the Sum2 prefixes of each row, taken
-  in one pass by the compiled loops of ``sups.c`` or, where they cannot
-  be built, by numpy with the same bits.
+  maximal function) is a max over the Sum2 prefixes of each row; the
+  table's stable row sort, these sums and the sups run in the loops of
+  ``sups.c`` or, where they cannot be built, in numpy with the same bits.
 * The supremum over all truncation radii is exact, not sampled: the
   truncated transform is piecewise constant in eps with jumps only at
   distinct atom distances, so the supremum is a maximum over suffix
@@ -160,8 +160,13 @@ def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
         raise ValueError("eps must be > 0")
     out = np.zeros(len(pts))
     gw = nu.weights * density_values(g, nu)
+    lib = _compiled()
     for sl, diffs, dist in _distance_blocks(pts, nu.positions):
-        out[sl] = sum2_rows(np.where(dist > eps[sl, None], _kernel_at_diffs(kernel, diffs, dist) * gw, 0.0))
+        kv = _kernel_at_diffs(kernel, diffs, dist)
+        if lib is None:
+            out[sl] = sum2_rows(np.where(dist > eps[sl, None], kv * gw, 0.0))
+        else:
+            lib.truncated_rows(*dist.shape, dist, np.ascontiguousarray(eps[sl]), kv, gw, out[sl])
     return out
 
 
@@ -199,11 +204,34 @@ def _compiled():
         tmp.unlink(missing_ok=True)
         return None
     f64, i64, flag = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64, np.int64, np.bool_))
+    # sort_rows takes None (NULL) for the kernel terms and the mask it then skips
+    nullable = {"from_param": classmethod(lambda cls, a: a if a is None else super(cls, cls).from_param(a))}
+    f64_or_null, flag_or_null = (type("or_null", (p,), nullable) for p in (f64, flag))
     size = ctypes.c_int64
+    dll.sort_rows.argtypes = [size, size, f64, i64, f64, f64_or_null, f64_or_null, flag_or_null]
+    dll.truncated_rows.argtypes = [size, size, f64, f64, f64, f64, f64]
     dll.maximal_values.argtypes = [size, size, f64, i64, f64, flag, f64]
     dll.hl_maximal_values.argtypes = [size, size, size, f64, i64, f64, f64, flag]
-    dll.maximal_values.restype = dll.hl_maximal_values.restype = None
+    dll.sort_rows.restype = ctypes.c_int
+    dll.truncated_rows.restype = dll.maximal_values.restype = dll.hl_maximal_values.restype = None
     return dll
+
+
+def _sort_rows(dist, order, dist_desc, kw, kw_desc, valid):
+    """Each row of ``dist`` descending, ties in atom order, into ``order``,
+    ``dist_desc`` and, unless ``kw`` is None, ``kw_desc`` and the mask
+    ``valid``: one pass of ``sups.c``, or numpy's stable argsort."""
+    lib = _compiled()
+    if lib is not None:
+        if lib.sort_rows(*dist.shape, dist, order, dist_desc, kw, kw_desc, valid) != 0:
+            raise MemoryError("sort_rows: out of memory")
+        return
+    order[:] = np.argsort(-dist, axis=1, kind="stable")
+    dist_desc[:] = np.take_along_axis(dist, order, axis=1)
+    if kw is not None:
+        kw_desc[:] = np.take_along_axis(kw, order, axis=1)
+        valid[:, :-1] = dist_desc[:, :-1] != dist_desc[:, 1:]
+        valid[:, -1:] = True
 
 
 class TruncationTable:
@@ -211,9 +239,11 @@ class TruncationTable:
 
     Sorting is done once per (measure, points) pair; evaluating a
     transform for another density then only needs a gather and one sum
-    per row (see ``summation``).  A truncated value is one Sum2.  A sup
-    (T* or the maximal function) is a max over the Sum2 prefixes of a
-    row, gathered, summed and maxed in one pass (``_compiled``).
+    per row (see ``summation``).  One compiled pass per block sorts each
+    row stably (``_sort_rows``), gathers the kernel terms and marks the
+    candidates.  A truncated value is one Sum2.  A sup (T* or the maximal
+    function) is a max over the Sum2 prefixes of a row, gathered, summed
+    and maxed in one pass (``_compiled``).
     Distances are sorted descending so prefix sums ARE the truncated
     sums: the prefix through distance group d equals T^eps for eps in
     [next smaller distance, d).  Read backwards, the same sort serves
@@ -237,12 +267,7 @@ class TruncationTable:
         self.valid = np.empty((n_pts, n_atoms), dtype=bool)
         for sl, diffs, dist in _distance_blocks(pts, nu.positions):
             kvals = _kernel_at_diffs(kernel, diffs, dist) * nu.weights[None, :]
-            order = np.argsort(-dist, axis=1, kind="stable")
-            self.order[sl] = order
-            self.dist_desc[sl] = np.take_along_axis(dist, order, axis=1)
-            self.kw_desc[sl] = np.take_along_axis(kvals, order, axis=1)
-        self.valid[:, :-1] = self.dist_desc[:, :-1] != self.dist_desc[:, 1:]
-        self.valid[:, -1:] = True
+            _sort_rows(dist, self.order[sl], self.dist_desc[sl], kvals, self.kw_desc[sl], self.valid[sl])
         # zero-distance groups never enter a truncated sum (their kernel
         # terms are zeroed) and their trailing candidate duplicates the
         # previous one, so no special casing is needed.
@@ -333,8 +358,8 @@ def hl_maximal_batch(nu: DiscreteMeasure, g, points):
     diverges = np.zeros(len(pts), dtype=bool)
     a = np.abs(density_values(g, nu)) * nu.weights
     for sl, _, dist in _distance_blocks(pts, nu.positions):
-        order = np.argsort(-dist, axis=1, kind="stable")  # the table's order
-        dist_desc = np.take_along_axis(dist, order, axis=1)
+        order, dist_desc = np.empty(dist.shape, dtype=np.int64), np.empty(dist.shape)
+        _sort_rows(dist, order, dist_desc, None, None, None)  # the table's order
         values[sl], diverges[sl] = _hl_from_descending(a, nu.ambient_dim, dist_desc, order)
     return values, diverges
 

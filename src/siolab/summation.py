@@ -5,8 +5,8 @@ gamma_k = k u / (1 - k u): a total is one Sum2 (``sum2_rows``), whose
 prefix S of n terms is within u|S| + gamma_{n-1}^2 sum|t|, as accurate
 as a sum in twice the working precision, rounded once; ``sum2_total``
 keeps it unrounded, for sums of partial sums.  A sup over prefixes is a
-max over the ``sum2_prefix`` of its row, which ``operators`` takes in one
-compiled pass of the same operations in the same order: the same bits.
+max over the ``sum2_prefix`` of its row; ``operators`` takes it, and the
+T^eps row totals, in compiled passes of the same operations: same bits.
 """
 from __future__ import annotations
 

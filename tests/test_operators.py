@@ -1117,6 +1117,92 @@ def test_compiled_and_numpy_sups_are_bit_equal(dim, n, n_pts, on_atoms, seed):
         assert value == pytest.approx(brute_force_sup(nu, k, g, x, grid_size=50), rel=1e-12, abs=1e-300)
 
 
+def _table_atoms(layout, n, dim, rng):
+    """Atoms for ``test_compiled_and_numpy_table_builds_are_bit_equal``:
+    an integer grid; one coincident point (every distance tied); or points
+    on the first axis at |x| = 1, 1, 2, 2, ... in index order, so from the
+    origin each row ascends with ties, whatever the signs."""
+    if layout == "grid":
+        return rng.integers(-2, 3, size=(n, dim)).astype(float)
+    if layout == "coincident":
+        return np.tile(rng.integers(-2, 3, size=dim).astype(float), (n, 1))
+    positions = np.zeros((n, dim))
+    positions[:, 0] = (1 + np.arange(n) // 2) * rng.choice([-1.0, 1.0], n)
+    return positions
+
+
+@settings(max_examples=40, deadline=None)
+@example(layout="ascending", dim=2, n=4, n_pts=1, on_atoms=True, seed=0)  # distances 1, 1, 2, 2 from an atom-free origin
+@given(
+    layout=st.sampled_from(["grid", "coincident", "ascending"]),
+    dim=st.sampled_from([2, 3]),
+    n=st.integers(0, 40),
+    n_pts=st.integers(1, 4),
+    on_atoms=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_and_numpy_table_builds_are_bit_equal(layout, dim, n, n_pts, on_atoms, seed):
+    # the compiled row sort, gather and candidate mask, hl_maximal_batch's
+    # sort and truncated_batch's masked totals against numpy's stable
+    # argsort path: exact ties, points on atoms, single-atom rows, N = 0
+    rng = np.random.default_rng(seed)
+    positions = _table_atoms(layout, n, dim, rng)
+    nu = sl.DiscreteMeasure(positions, rng.uniform(0.0, 1.0, n), 1e-3)
+    g = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-1.0, 1.0, n))
+    if layout == "ascending":
+        pts = np.zeros((n_pts, dim))
+    else:
+        pts = rng.integers(-2, 3, size=(n_pts, dim)) + (0.0 if on_atoms else rng.choice([0.0, 0.5], (n_pts, dim)))
+    eps = rng.choice([0.5, 1.0, math.sqrt(2.0), 2.0], n_pts)  # often exactly an atom distance
+    k = sl.RieszComponent(dim, 0)
+
+    def build():
+        table = sl.TruncationTable(nu, k, pts)
+        arrays = (table.order, table.dist_desc, table.kw_desc, table.valid)
+        return (*arrays, *hl_maximal_batch(nu, g, pts), truncated_batch(nu, k, g, pts, eps))
+
+    compiled, fallback = _both_paths(build)
+    for a, b in zip(compiled, fallback):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if layout == "ascending" and n:
+        # from the origin, each tie group lists its atoms in index order
+        assert compiled[0][0].tolist() == sorted(range(n), key=lambda j: (-(j // 2), j))
+
+
+@settings(max_examples=60, deadline=None)
+@example(rows=[[1.0, 2.0, 2.0, 3.0]])  # an ascending run with a tie is not reversed whole
+@example(rows=[[3.0, 2.0, 2.0, 1.0, 1.0, 4.0, 4.0]])
+@given(
+    rows=st.integers(1, 30).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf, math.nan]), min_size=n, max_size=n),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+def test_compiled_row_sort_is_numpys_stable_argsort(rows):
+    dist = np.array(rows)
+
+    def sort():
+        out = np.empty(dist.shape, dtype=np.int64), np.empty(dist.shape), np.empty(dist.shape)
+        kw, valid = np.arange(dist.size, dtype=float).reshape(dist.shape), np.empty(dist.shape, dtype=bool)
+        operators._sort_rows(dist, out[0], out[1], kw, out[2], valid)
+        return (*out, valid)
+
+    compiled, fallback = _both_paths(sort)
+    for a, b in zip(compiled, fallback):
+        assert a.tobytes() == b.tobytes()
+    assert compiled[0].tolist() == np.argsort(-dist, axis=1, kind="stable").tolist()
+
+
+def test_sort_rows_out_of_memory_raises():
+    nu = sl.DiscreteMeasure(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2), 0.1)
+    no_memory = SimpleNamespace(sort_rows=lambda *args: -1)
+    with mock.patch.object(operators, "_compiled", lambda: no_memory), pytest.raises(MemoryError):
+        sl.TruncationTable(nu, sl.RieszComponent(2, 0), np.zeros((3, 2)))
+
+
 def test_truncated_batch_matches_scalar():
     rng = Rng(95)
     nu, g = random_config(rng, 120)

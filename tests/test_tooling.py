@@ -14,15 +14,22 @@ platform, and ``math.fsum`` takes an array only in the two places that
 README names.  In the harness, only ``config.blame`` maps a ValueError
 to a configuration error.  The count of settable values (parameters and
 fields with a default) is pinned, so a new knob is a deliberate change.
-The compiled sups are built without FMA contraction or fast-math, which
-would round them differently from their numpy path.  The only ``noqa``
+The compiled loops are built without FMA contraction or fast-math, which
+would round them differently from their numpy path; with ``-Wall
+-Wextra -Werror`` added, ``sups.c`` still compiles, and it exports every
+symbol that ``operators._compiled`` binds.  The only ``noqa``
 lines are the four re-imports that keep a name bound for the tracer.
 """
 
 import ast
+import ctypes
 import importlib.util
 import re
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -235,6 +242,29 @@ def test_compiled_sups_round_as_numpy_does():
 
     assert "-ffp-contract=off" in _CFLAGS
     assert not {"-ffast-math", "-Ofast"} & set(_CFLAGS)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_sups_compile_without_warnings_and_export_every_bound_symbol(tmp_path):
+    from siolab.operators import _CFLAGS
+
+    lib = tmp_path / "sups.so"
+    build = subprocess.run(
+        ["cc", *_CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", lib, PACKAGE / "sups.c"], capture_output=True, text=True
+    )
+    assert build.returncode == 0, build.stderr
+    compiled = next(
+        node for node in ast.parse((PACKAGE / "operators.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_compiled"
+    )
+    bound = {
+        node.attr
+        for node in ast.walk(compiled)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "dll"
+    }
+    dll = ctypes.CDLL(str(lib))
+    assert {"sort_rows", "truncated_rows", "maximal_values", "hl_maximal_values"} <= bound
+    assert [name for name in sorted(bound) if not hasattr(dll, name)] == []
 
 
 def test_noqa_lines_are_the_tracer_reimports():
