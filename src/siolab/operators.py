@@ -37,12 +37,12 @@ from .measure import DiscreteMeasure
 from .summation import sum2_prefix, sum2_rows, sum2_total
 
 PAIR_COUNT_GUARD = 10**10
-# a TruncationTable stores P x N int64 order, float64 distances and
-# kernel terms and a bool candidate mask: 25 bytes per cell.  The guard
-# admits 2048-point chunks against the 4^6 atoms of a generation-6
-# Cantor set (210 MB) with room to spare.
+# a TruncationTable stores P x N int64 order and float64 distances and
+# kernel terms: 24 bytes per cell.  The guard admits 2048-point chunks
+# against the 4^6 atoms of a generation-6 Cantor set (201 MB) with room
+# to spare.
 TABLE_BYTES_GUARD = 1 << 30
-_TABLE_BYTES_PER_CELL = 25
+_TABLE_BYTES_PER_CELL = 24
 _BLOCK_ELEMENTS = 1 << 21  # target elements per temporary block
 # a cone mesh template holds fewer than K (2K+1)^d points for K = 2^mesh_depth
 # levels; 2^22 admits depth 10 in d = 1, 6 in d = 2 and 4 in d = 3
@@ -51,7 +51,7 @@ _MESH_CHUNK_POINTS = 1 << 16  # mesh points per apex chunk of nontangential_max_
 
 
 # ---------------------------------------------------------------------------
-# Densities
+# Densities and points
 # ---------------------------------------------------------------------------
 
 
@@ -78,6 +78,15 @@ def density_values(g, mu: DiscreteMeasure) -> np.ndarray:
     if not np.all(np.isfinite(vals)):
         raise ValueError("density values must be finite")
     return vals
+
+
+def _points(points, dim: int) -> np.ndarray:
+    """The points as a (P, dim) float array, one point as P = 1; ValueError
+    unless each has ``dim`` coordinates and all are finite."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != dim or not np.all(np.isfinite(pts)):
+        raise ValueError(f"points must be finite with {dim} coordinates each, got shape {pts.shape}")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +147,7 @@ def truncated(nu: DiscreteMeasure, kernel, g, x, eps: float) -> float:
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
-    x = np.asarray(x, dtype=float)
+    (x,) = _points(x, nu.ambient_dim)  # exactly one point
     diffs = x[None, :] - nu.positions
     dist = np.linalg.norm(diffs, axis=1)
     mask = dist > eps
@@ -154,7 +163,7 @@ def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
     masked Sum2 over atoms (strict truncation); no distance sort, so it
     suits one radius per point.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _points(points, nu.ambient_dim)
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(pts),))
     if not np.all(eps > 0):
         raise ValueError("eps must be > 0")
@@ -204,57 +213,59 @@ def _compiled():
         tmp.unlink(missing_ok=True)
         return None
     f64, i64, flag = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64, np.int64, np.bool_))
-    # sort_rows takes None (NULL) for the kernel terms and the mask it then skips
-    nullable = {"from_param": classmethod(lambda cls, a: a if a is None else super(cls, cls).from_param(a))}
-    f64_or_null, flag_or_null = (type("or_null", (p,), nullable) for p in (f64, flag))
     size = ctypes.c_int64
-    dll.sort_rows.argtypes = [size, size, f64, i64, f64, f64_or_null, f64_or_null, flag_or_null]
+    dll.sort_rows.argtypes = [size, size, f64, i64, f64, f64, f64]
     dll.truncated_rows.argtypes = [size, size, f64, f64, f64, f64, f64]
-    dll.maximal_values.argtypes = [size, size, f64, i64, f64, flag, f64]
+    dll.maximal_values.argtypes = [size, size, f64, i64, f64, f64, f64]
     dll.hl_maximal_values.argtypes = [size, size, size, f64, i64, f64, f64, flag]
-    dll.sort_rows.restype = ctypes.c_int
     dll.truncated_rows.restype = dll.maximal_values.restype = dll.hl_maximal_values.restype = None
     return dll
 
 
-def _sort_rows(dist, order, dist_desc, kw, kw_desc, valid):
-    """Each row of ``dist`` descending, ties in atom order, into ``order``,
-    ``dist_desc`` and, unless ``kw`` is None, ``kw_desc`` and the mask
-    ``valid``: one pass of ``sups.c``, or numpy's stable argsort."""
+def _stable_desc(dist: np.ndarray):
+    """(order, dist_desc) of each row descending, ties in atom order and
+    NaN last: the unique stable order, which ``sups.c``'s sort equals."""
+    order = np.argsort(-dist, axis=1, kind="stable")
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
+def _group_ends(dist: np.ndarray) -> np.ndarray:
+    """True at the last index of each run of equal distances in a row."""
+    return np.concatenate([dist[:, :-1] != dist[:, 1:], np.ones_like(dist[:, :1], dtype=bool)], axis=1)
+
+
+def _sort_rows(dist, order, dist_desc, kw, kw_desc):
+    """``_stable_desc(dist)`` into ``order`` and ``dist_desc``, and ``kw``
+    in that order into ``kw_desc``: one pass of ``sups.c``, or numpy's."""
     lib = _compiled()
     if lib is not None:
-        if lib.sort_rows(*dist.shape, dist, order, dist_desc, kw, kw_desc, valid) != 0:
+        if lib.sort_rows(*dist.shape, dist, order, dist_desc, kw, kw_desc) != 0:
             raise MemoryError("sort_rows: out of memory")
         return
-    order[:] = np.argsort(-dist, axis=1, kind="stable")
-    dist_desc[:] = np.take_along_axis(dist, order, axis=1)
-    if kw is not None:
-        kw_desc[:] = np.take_along_axis(kw, order, axis=1)
-        valid[:, :-1] = dist_desc[:, :-1] != dist_desc[:, 1:]
-        valid[:, -1:] = True
+    order[:], dist_desc[:] = _stable_desc(dist)
+    kw_desc[:] = np.take_along_axis(kw, order, axis=1)
 
 
 class TruncationTable:
-    """Distance-sorted kernel table for a batch of evaluation points.
+    """Distance-sorted kernel table for a batch of evaluation points.  The
+    table is its sort: ``order``, ``dist_desc`` and ``kw_desc``, built once
+    per (measure, points) pair by one compiled pass per block that orders
+    each row stably and gathers the kernel terms (``_sort_rows``).
 
-    Sorting is done once per (measure, points) pair; evaluating a
-    transform for another density then only needs a gather and one sum
-    per row (see ``summation``).  One compiled pass per block sorts each
-    row stably (``_sort_rows``), gathers the kernel terms and marks the
-    candidates.  A truncated value is one Sum2.  A sup (T* or the maximal
-    function) is a max over the Sum2 prefixes of a row, gathered, summed
-    and maxed in one pass (``_compiled``).
     Distances are sorted descending so prefix sums ARE the truncated
     sums: the prefix through distance group d equals T^eps for eps in
-    [next smaller distance, d).  Read backwards, the same sort serves
-    the (n-1)-dimensional maximal function.
+    [next smaller distance, d).  Another density then costs a gather and
+    one Sum2 per row (see ``summation``); a sup (T* or the maximal
+    function) is a max over the prefixes that end a group of
+    ``dist_desc``, in one compiled pass (``_compiled``).  Read backwards,
+    the same sort serves the (n-1)-dimensional maximal function.
 
-    A table takes 25 bytes per (point, atom) cell; building one larger
+    A table takes 24 bytes per (point, atom) cell; building one larger
     than ``TABLE_BYTES_GUARD`` raises ValueError.
     """
 
     def __init__(self, nu: DiscreteMeasure, kernel, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _points(points, nu.ambient_dim)
         n_pts, n_atoms = len(pts), nu.count
         n_bytes = n_pts * n_atoms * _TABLE_BYTES_PER_CELL
         if n_bytes > TABLE_BYTES_GUARD:
@@ -263,14 +274,11 @@ class TruncationTable:
         self.order = np.empty((n_pts, n_atoms), dtype=np.int64)
         self.dist_desc = np.empty((n_pts, n_atoms))
         self.kw_desc = np.empty((n_pts, n_atoms))
-        # candidate positions: last index of each distance group
-        self.valid = np.empty((n_pts, n_atoms), dtype=bool)
         for sl, diffs, dist in _distance_blocks(pts, nu.positions):
             kvals = _kernel_at_diffs(kernel, diffs, dist) * nu.weights[None, :]
-            _sort_rows(dist, self.order[sl], self.dist_desc[sl], kvals, self.kw_desc[sl], self.valid[sl])
-        # zero-distance groups never enter a truncated sum (their kernel
-        # terms are zeroed) and their trailing candidate duplicates the
-        # previous one, so no special casing is needed.
+            _sort_rows(dist, self.order[sl], self.dist_desc[sl], kvals, self.kw_desc[sl])
+        # a zero-distance group's kernel terms are zeroed, so its group end
+        # repeats the previous prefix: no special casing is needed.
 
     def _sorted_terms(self, g) -> np.ndarray:
         terms = density_values(g, self.measure)[self.order]
@@ -282,10 +290,10 @@ class TruncationTable:
         lib = _compiled()
         if lib is None:
             prefix = sum2_prefix(self._sorted_terms(g))
-            return np.max(np.abs(prefix, out=prefix), axis=1, where=self.valid, initial=0.0)
+            return np.max(np.abs(prefix, out=prefix), axis=1, where=_group_ends(self.dist_desc), initial=0.0)
         values = np.empty(len(self.order))
         gv = np.ascontiguousarray(density_values(g, self.measure))
-        lib.maximal_values(*self.order.shape, gv, self.order, self.kw_desc, self.valid, values)
+        lib.maximal_values(*self.order.shape, gv, self.order, self.dist_desc, self.kw_desc, values)
         return values
 
     def truncated_values(self, g, eps: float) -> np.ndarray:
@@ -304,7 +312,7 @@ class TruncationTable:
     def hl_maximal_values(self, g):
         """``hl_maximal_batch`` at the table's points, bit for bit."""
         mass = np.abs(density_values(g, self.measure)) * self.measure.weights
-        return _hl_from_descending(mass, self.measure.ambient_dim, self.dist_desc, self.order)
+        return _hl_from_descending(mass, self.measure.ambient_dim, self.order, self.dist_desc)
 
 
 def maximal(nu: DiscreteMeasure, kernel, g, x) -> float:
@@ -319,10 +327,10 @@ def maximal(nu: DiscreteMeasure, kernel, g, x) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _hl_from_descending(atom_mass: np.ndarray, n: int, dist_desc: np.ndarray, order: np.ndarray):
+def _hl_from_descending(atom_mass: np.ndarray, n: int, order: np.ndarray, dist_desc: np.ndarray):
     """(values, diverges) of the maximal function with per-atom masses
-    |g| w in ambient dimension n, from per-point atom distances sorted
-    descending and their atom indices, read backwards.
+    |g| w in ambient dimension n, from per-point atom indices and their
+    distances sorted descending, read backwards.
 
     Candidate radii are the distinct atom distances: mass is constant
     between them while r^(1-n) decreases, so breakpoints realize the sup.
@@ -336,10 +344,7 @@ def _hl_from_descending(atom_mass: np.ndarray, n: int, dist_desc: np.ndarray, or
         return values, diverges
     mass, dist = atom_mass[order[:, ::-1]], dist_desc[:, ::-1]
     diverges = np.any((dist == 0.0) & (mass > 0.0), axis=1)
-    usable = np.empty(dist.shape, dtype=bool)
-    usable[:, :-1] = dist[:, :-1] != dist[:, 1:]
-    usable[:, -1:] = True
-    usable &= dist > 0.0
+    usable = _group_ends(dist) & (dist > 0.0)
     radius = np.where(usable, dist, 1.0)
     weight = 1.0 / functools.reduce(np.multiply, [radius] * (n - 1), np.ones_like(radius))
     values = np.max(sum2_prefix(mass) * weight, axis=1, where=usable, initial=0.0)
@@ -353,14 +358,11 @@ def hl_maximal_batch(nu: DiscreteMeasure, g, points):
     an atom with |g| w > 0 diverges (r^(1-n) blows up as r -> 0) and its
     value entry is +inf.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    values = np.zeros(len(pts))
-    diverges = np.zeros(len(pts), dtype=bool)
+    pts = _points(points, nu.ambient_dim)
+    values, diverges = np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
     a = np.abs(density_values(g, nu)) * nu.weights
     for sl, _, dist in _distance_blocks(pts, nu.positions):
-        order, dist_desc = np.empty(dist.shape, dtype=np.int64), np.empty(dist.shape)
-        _sort_rows(dist, order, dist_desc, None, None, None)  # the table's order
-        values[sl], diverges[sl] = _hl_from_descending(a, nu.ambient_dim, dist_desc, order)
+        values[sl], diverges[sl] = _hl_from_descending(a, nu.ambient_dim, *_stable_desc(dist))  # the table's order
     return values, diverges
 
 
@@ -429,12 +431,10 @@ def nontangential_max_many(hs, graph, apex_u, aperture: float, height_cap: float
     f(u0) taken for every apex in one call; apexes then go in chunks of
     about ``_MESH_CHUNK_POINTS`` mesh points, each chunk mapped to the
     ambient frame once and evaluated once per density.  Raises the
-    ValueErrors of ``Cone`` and ``_cone_template``.
+    ValueErrors of ``Cone``, ``_points`` and ``_cone_template``.
     """
     check_aperture(graph, aperture)
-    u0 = np.atleast_2d(np.asarray(apex_u, dtype=float))
-    if u0.shape[1] != graph.param_dim:
-        raise ValueError("apex_u must have length ambient_dim - 1")
+    u0 = _points(apex_u, graph.param_dim)
     offsets, heights = _cone_template(aperture, height_cap, mesh_depth, graph.param_dim)
     f0 = graph.height(u0)
     out = np.empty((len(hs), len(u0)))
@@ -495,8 +495,8 @@ def pv_estimate(nu: DiscreteMeasure, kernel, x, schedule) -> list[float]:
     pass with x as the single unit-weight point, so each value carries
     that engine's Sum2 bound.
     """
-    pole = np.asarray(x, dtype=float).reshape(1, -1)
-    trace = pair_sum_schedule(pole, np.ones(1), nu.positions, nu.weights, kernel, schedule)
+    (pole,) = _points(x, nu.ambient_dim)  # exactly one point
+    trace = pair_sum_schedule(pole[None, :], np.ones(1), nu.positions, nu.weights, kernel, schedule)
     return [stats.value for stats in trace]
 
 

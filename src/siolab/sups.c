@@ -19,17 +19,17 @@ static inline void sum2_add(double *s, double *c, double t)
    np.argsort(-dist, kind="stable"), by a natural merge sort.  A run is a
    maximal non-increasing stretch, or a maximal strictly increasing one
    reversed (so no tie is reversed); runs merge pairwise, a tie taking the
-   left item.  Fills order, dist_desc and, unless kw is NULL, kw_desc and
-   valid (the last index of each distance group); -1 if out of memory. */
+   left item.  Fills order, dist_desc and kw_desc, the kernel terms kw in
+   that order; -1 if out of memory. */
 typedef struct { double key; int64_t idx; } item;
 int sort_rows(int64_t rows, int64_t n, const double *dist, int64_t *order, double *dist_desc,
-              const double *kw, double *kw_desc, uint8_t *valid)
+              const double *kw, double *kw_desc)
 {
     if (rows == 0 || n == 0) return 0;
     item *buf = malloc(2 * n * sizeof *buf), t;
     int64_t *bound = malloc((n + 1) * sizeof *bound);
     if (!buf || !bound) { free(buf); free(bound); return -1; }
-    for (int64_t r = 0; r < rows; r++, dist += n, order += n, dist_desc += n) {
+    for (int64_t r = 0; r < rows; r++, dist += n, order += n, dist_desc += n, kw += n, kw_desc += n) {
         item *x = buf, *y = buf + n;
         int64_t runs = 0;
         for (int64_t j = 0; j < n; j++) x[j] = (item){dist[j] == dist[j] ? dist[j] : -1.0, j};  /* NaN last */
@@ -51,10 +51,9 @@ int sort_rows(int64_t rows, int64_t n, const double *dist, int64_t *order, doubl
             }
             item *swap = x; x = y; y = swap;
         }
-        for (int64_t j = 0; j < n; j++) order[j] = x[j].idx, dist_desc[j] = x[j].key < 0.0 ? dist[x[j].idx] : x[j].key;
-        if (kw) {
-            for (int64_t j = 0; j < n; j++) kw_desc[j] = kw[x[j].idx], valid[j] = j == n - 1 || dist_desc[j] != dist_desc[j + 1];
-            kw += n, kw_desc += n, valid += n;
+        for (int64_t j = 0; j < n; j++) {
+            order[j] = x[j].idx, kw_desc[j] = kw[x[j].idx];
+            dist_desc[j] = x[j].key < 0.0 ? dist[x[j].idx] : x[j].key;
         }
     }
     free(buf); free(bound);
@@ -76,17 +75,17 @@ void truncated_rows(int64_t rows, int64_t n, const double *dist, const double *e
     }
 }
 
-/* T*: the max of |prefix| of g[order[j]] * kw[j] over the j with valid[j], and 0 */
-void maximal_values(int64_t rows, int64_t n, const double *g, const int64_t *order, const double *kw,
-                    const uint8_t *valid, double *out)
+/* T*: the max of |prefix| of g[order[j]] * kw[j] at the last j of each group of equal dist[j], and 0 */
+void maximal_values(int64_t rows, int64_t n, const double *g, const int64_t *order, const double *dist,
+                    const double *kw, double *out)
 {
-    for (int64_t i = 0; i < rows; i++, order += n, kw += n, valid += n) {
+    for (int64_t i = 0; i < rows; i++, order += n, dist += n, kw += n) {
         double s = 0.0, c = 0.0, best = 0.0;
         for (int64_t j = 0; j < n; j++) {
             double t = g[order[j]] * kw[j];
             if (j == 0) s = t; else sum2_add(&s, &c, t);
             double a = fabs(s + c);
-            if (valid[j] && (a > best || a != a)) best = a;  /* NaN sticks, as in np.max */
+            if ((j == n - 1 || dist[j] != dist[j + 1]) && (a > best || a != a)) best = a;  /* NaN sticks, as in np.max */
         }
         out[i] = best;
     }

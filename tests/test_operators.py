@@ -88,10 +88,19 @@ def _nan_calls():
     pts = Rng(88).points_in_box(5, [(-1, 1)] * 2)
     table = sl.TruncationTable(nu, k, pts)
     per_point = np.array([0.1, 0.2, math.nan, 0.3, 0.4])
+    nan_pts = np.where(np.arange(5)[:, None] == 2, math.nan, pts)
     cone = sl.Cone(sl.LipschitzGraph(2, sl.Affine((0.0,))), (0.0,), 1.5)
     return {
         "truncated": lambda: sl.truncated(nu, k, g, pts[0], math.nan),
         "truncated_batch": lambda: truncated_batch(nu, k, g, pts, math.nan),
+        "point_truncated": lambda: sl.truncated(nu, k, g, [0.5, math.nan], 0.1),
+        "point_truncated_batch": lambda: truncated_batch(nu, k, g, nan_pts, 0.1),
+        "point_TruncationTable": lambda: sl.TruncationTable(nu, k, nan_pts),
+        "point_maximal": lambda: sl.maximal(nu, k, g, [math.nan, 0.5]),
+        "point_hl_maximal_batch": lambda: hl_maximal_batch(nu, g, nan_pts),
+        "point_pv_estimate": lambda: sl.pv_estimate(nu, k, [0.5, math.nan], [0.5, 0.25]),
+        "point_nontangential_max_many": lambda: operators.nontangential_max_many(
+            [np.cos], cone.graph, [[math.nan]], 1.5, 1.0, 3),
         "truncated_values": lambda: table.truncated_values(g, math.nan),
         "truncated_values_per_point": lambda: table.truncated_values_per_point(g, per_point),
         "lp_norm": lambda: sl.lp_norm(nu, g, math.nan),
@@ -115,9 +124,29 @@ def _nan_calls():
 
 @pytest.mark.parametrize("entry", sorted(_nan_calls()))
 def test_nan_parameter_rejected(entry):
-    # each guard is written `not x > 0` (or `>= 0`), which a NaN fails
+    # each guard is written `not x > 0` (or `>= 0`), which a NaN fails;
+    # a point is checked finite, coordinate by coordinate
     with pytest.raises(ValueError):
         _nan_calls()[entry]()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda nu, k, g: sl.maximal(nu, k, None, 0.5),
+        lambda nu, k, g: sl.truncated(nu, k, g, [0.5], 0.1),
+        lambda nu, k, g: truncated_batch(nu, k, g, np.full((3, 1), 0.5), 0.1),
+        lambda nu, k, g: sl.TruncationTable(nu, k, np.full((3, 1), 0.5)),
+        lambda nu, k, g: hl_maximal_batch(nu, g, np.full((3, 1), 0.5)),
+        lambda nu, k, g: sl.pv_estimate(nu, k, [0.5], [0.5, 0.25]),
+    ],
+    ids=["maximal", "truncated", "truncated_batch", "TruncationTable", "hl_maximal_batch", "pv_estimate"],
+)
+def test_points_in_the_wrong_dimension_rejected(call):
+    # a 1-coordinate point would broadcast against the plane's atoms
+    nu, g = random_config(Rng(87), 30)
+    with pytest.raises(ValueError):
+        call(nu, sl.RieszComponent(2, 0), g)
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +692,19 @@ def test_truncated_values_per_point_eps():
 def test_truncation_table_byte_guard(monkeypatch):
     nu, _ = random_config(Rng(75), 40)
     pts = Rng(76).points_in_box(10, [(-1, 1)] * 2)
-    monkeypatch.setattr(operators, "TABLE_BYTES_GUARD", 10 * 40 * 25 - 1)
+    monkeypatch.setattr(operators, "TABLE_BYTES_GUARD", 10 * 40 * operators._TABLE_BYTES_PER_CELL - 1)
     with pytest.raises(ValueError):
         sl.TruncationTable(nu, sl.RieszComponent(2, 0), pts)
-    monkeypatch.setattr(operators, "TABLE_BYTES_GUARD", 10 * 40 * 25)
+    monkeypatch.setattr(operators, "TABLE_BYTES_GUARD", 10 * 40 * operators._TABLE_BYTES_PER_CELL)
     sl.TruncationTable(nu, sl.RieszComponent(2, 0), pts)
+
+
+def test_table_bytes_per_cell_is_the_arrays_a_table_holds():
+    nu, _ = random_config(Rng(75), 40)
+    table = sl.TruncationTable(nu, sl.RieszComponent(2, 0), Rng(76).points_in_box(10, [(-1, 1)] * 2))
+    arrays = [a for a in vars(table).values() if isinstance(a, np.ndarray)]
+    assert all(a.shape == (10, 40) for a in arrays)
+    assert sum(a.itemsize for a in arrays) == operators._TABLE_BYTES_PER_CELL
 
 
 # ---------------------------------------------------------------------------
@@ -797,14 +834,23 @@ def _both_paths(fn):
         return compiled, fn()
 
 
+def _group_end_mask(dist_desc):
+    """True where a row's distance differs from the next one, and last."""
+    return np.hstack([dist_desc[:, :-1] != dist_desc[:, 1:], np.ones((len(dist_desc), 1), dtype=bool)])
+
+
 def _scan_table(terms, valid):
     """A TruncationTable whose row i gathers ``terms[i]`` itself (the
-    identity order and g = 1), with the candidates ``valid``."""
+    identity order and g = 1), with descending distances whose group ends
+    are the candidates ``valid`` (the last index always is one): at j, the
+    number of candidates at or after j."""
+    assert valid[:, -1].all()
     table = object.__new__(sl.TruncationTable)
     table.measure = sl.DiscreteMeasure(np.zeros((terms.shape[1], 2)), np.ones(terms.shape[1]), 1.0)
     table.order = np.tile(np.arange(terms.shape[1]), (len(terms), 1))
+    table.dist_desc = np.cumsum(valid[:, ::-1], axis=1)[:, ::-1].astype(float)
     table.kw_desc = np.array(terms, dtype=float)
-    table.valid = valid
+    assert _group_end_mask(table.dist_desc).tolist() == valid.tolist()
     return table
 
 
@@ -825,7 +871,7 @@ def _assert_sups_within_sum2_bound(terms, valid=None):
 
 @settings(max_examples=60, deadline=None)
 @given(rows=_scan_rows, n=st.integers(1, 150))
-def test_certified_prefix_error_within_bound(rows, n):
+def test_sup_prefix_error_within_bound(rows, n):
     _assert_sups_within_sum2_bound(_tiled(rows, n))
 
 
@@ -848,9 +894,12 @@ def test_sum2_prefix_is_sequential_sum2_within_bound(rows, n):
 
 @settings(max_examples=60, deadline=None)
 @given(rows=_scan_rows, n=st.integers(1, 150), seed=st.integers(0, 2**32 - 1))
-def test_certified_sums_fallback_rows_within_bound(rows, n, seed):
-    # only some positions are candidates, as in a row with distance ties
-    _assert_sups_within_sum2_bound(_tiled(rows, n), np.random.default_rng(seed).random((len(rows), n)) < 0.3)
+def test_sup_at_group_ends_within_bound(rows, n, seed):
+    # only some positions are candidates, as in a row with distance ties;
+    # the last position ends a group in every row
+    valid = np.random.default_rng(seed).random((len(rows), n)) < 0.3
+    valid[:, -1] = True
+    _assert_sups_within_sum2_bound(_tiled(rows, n), valid)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1020,7 +1069,7 @@ def test_maximal_values_oracle_ties_and_zero_distances(grid, weights, dens, pole
     assert fast == pytest.approx(brute_force_sup(nu, k, g, x), rel=1e-12, abs=1e-300)
 
 
-def test_maximal_values_fallback_on_cancellation():
+def test_maximal_values_exact_on_cancelling_ties():
     # two atoms at equal distance carry huge opposite terms that cancel
     # exactly inside their tie group; the O(1) sup of the rest is exact
     # on both paths
@@ -1036,7 +1085,7 @@ def test_maximal_values_fallback_on_cancellation():
     assert compiled.tolist() == fallback.tolist()
     terms = table.kw_desc * g[table.order]
     for i, row in enumerate(terms):
-        exact = max(abs(p) for (p, _), v in zip(_exact_prefixes(row), table.valid[i]) if v)
+        exact = max(abs(p) for (p, _), v in zip(_exact_prefixes(row), _group_end_mask(table.dist_desc)[i]) if v)
         assert compiled[i] == float(exact)
 
 
@@ -1142,9 +1191,9 @@ def _table_atoms(layout, n, dim, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_compiled_and_numpy_table_builds_are_bit_equal(layout, dim, n, n_pts, on_atoms, seed):
-    # the compiled row sort, gather and candidate mask, hl_maximal_batch's
-    # sort and truncated_batch's masked totals against numpy's stable
-    # argsort path: exact ties, points on atoms, single-atom rows, N = 0
+    # the compiled row sort and gather, and truncated_batch's masked
+    # totals, against numpy's stable argsort path, which hl_maximal_batch
+    # always takes: exact ties, points on atoms, single-atom rows, N = 0
     rng = np.random.default_rng(seed)
     positions = _table_atoms(layout, n, dim, rng)
     nu = sl.DiscreteMeasure(positions, rng.uniform(0.0, 1.0, n), 1e-3)
@@ -1158,7 +1207,7 @@ def test_compiled_and_numpy_table_builds_are_bit_equal(layout, dim, n, n_pts, on
 
     def build():
         table = sl.TruncationTable(nu, k, pts)
-        arrays = (table.order, table.dist_desc, table.kw_desc, table.valid)
+        arrays = (table.order, table.dist_desc, table.kw_desc)
         return (*arrays, *hl_maximal_batch(nu, g, pts), truncated_batch(nu, k, g, pts, eps))
 
     compiled, fallback = _both_paths(build)
@@ -1186,9 +1235,8 @@ def test_compiled_row_sort_is_numpys_stable_argsort(rows):
 
     def sort():
         out = np.empty(dist.shape, dtype=np.int64), np.empty(dist.shape), np.empty(dist.shape)
-        kw, valid = np.arange(dist.size, dtype=float).reshape(dist.shape), np.empty(dist.shape, dtype=bool)
-        operators._sort_rows(dist, out[0], out[1], kw, out[2], valid)
-        return (*out, valid)
+        operators._sort_rows(dist, out[0], out[1], np.arange(dist.size, dtype=float).reshape(dist.shape), out[2])
+        return out
 
     compiled, fallback = _both_paths(sort)
     for a, b in zip(compiled, fallback):
@@ -1252,7 +1300,7 @@ def _table_outputs(nu, k, pts, g, eps):
     table = sl.TruncationTable(nu, k, pts)
     values, diverges = table.hl_maximal_values(g)
     return {
-        "order": table.order, "dist_desc": table.dist_desc, "kw_desc": table.kw_desc, "valid": table.valid,
+        "order": table.order, "dist_desc": table.dist_desc, "kw_desc": table.kw_desc,
         "maximal": table.maximal_values(g), "truncated": table.truncated_values_per_point(g, eps),
         "hl_table": values, "hl_table_diverges": diverges,
         "batch": truncated_batch(nu, k, g, pts, eps),
@@ -1287,7 +1335,7 @@ def test_multi_block_outputs_equal_single_block(monkeypatch, case):
     for name, value in single.items():
         assert np.array_equal(blocked[name], value), name
     if case == "cantor_on_atoms":
-        assert np.any(single["dist_desc"] == 0.0) and np.any(~single["valid"][:, :-1])
+        assert np.any(single["dist_desc"] == 0.0) and not _group_end_mask(single["dist_desc"]).all()
 
 
 def test_multi_block_pair_sum_schedule_within_bound(monkeypatch):

@@ -17,7 +17,8 @@ fields with a default) is pinned, so a new knob is a deliberate change.
 The compiled loops are built without FMA contraction or fast-math, which
 would round them differently from their numpy path; with ``-Wall
 -Wextra -Werror`` added, ``sups.c`` still compiles, and it exports every
-symbol that ``operators._compiled`` binds.  The only ``noqa``
+symbol that ``operators._compiled`` binds, each with as many argtypes as
+its C parameters.  The only ``noqa``
 lines are the four re-imports that keep a name bound for the tracer.
 """
 
@@ -253,18 +254,37 @@ def test_sups_compile_without_warnings_and_export_every_bound_symbol(tmp_path):
         ["cc", *_CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", lib, PACKAGE / "sups.c"], capture_output=True, text=True
     )
     assert build.returncode == 0, build.stderr
-    compiled = next(
-        node for node in ast.parse((PACKAGE / "operators.py").read_text()).body
-        if isinstance(node, ast.FunctionDef) and node.name == "_compiled"
-    )
     bound = {
         node.attr
-        for node in ast.walk(compiled)
+        for node in ast.walk(_compiled_loader())
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "dll"
     }
     dll = ctypes.CDLL(str(lib))
     assert {"sort_rows", "truncated_rows", "maximal_values", "hl_maximal_values"} <= bound
     assert [name for name in sorted(bound) if not hasattr(dll, name)] == []
+
+
+def _compiled_loader() -> ast.FunctionDef:
+    return next(
+        node for node in ast.parse((PACKAGE / "operators.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_compiled"
+    )
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_bound_argtypes_match_the_c_parameter_lists():
+    # ctypes passes any argument past a short argtypes list unchecked
+    argtypes = {
+        node.targets[0].value.attr: len(node.value.elts)
+        for node in ast.walk(_compiled_loader())
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Attribute)
+        and node.targets[0].attr == "argtypes"
+    }
+    params = {
+        name: len(args.split(","))
+        for name, args in re.findall(r"^(?:int|void) (\w+)\(([^)]*)\)", (PACKAGE / "sups.c").read_text(), re.MULTILINE)
+    }
+    assert argtypes == params == {"sort_rows": 7, "truncated_rows": 7, "maximal_values": 7, "hl_maximal_values": 8}
 
 
 def test_noqa_lines_are_the_tracer_reimports():
