@@ -6,6 +6,14 @@ The catalog holds homogeneous kernels of degree -(n-1):
 * ``OddHomogeneous(n, exponents)``: K(x) = x^P / |x|^(n-1+d) for a
   monomial exponent vector P of odd total degree d.
 
+Both are monomial kernels K(x) = x^P / |x|^q, and each exposes its
+(P, q) as ``monomial``: Riesz axis i is (e_i, n), ``OddHomogeneous`` is
+(P, n-1+d).  ``evaluate_many`` and the compiled loops of ``sups.c``
+share one rule, so they give the same bits: |x|^2 adds the squares one
+coordinate at a time, the numerator multiplies its factors in coordinate
+order, and |x|^q is q // 2 factors |x|^2, times sqrt(|x|^2) when q is
+odd (numpy's ``**`` may round differently with its SIMD dispatch).
+
 Oddness is exact at the formula level: negating the argument negates
 the numerator bit-for-bit while |x| is unchanged, so K(-x) == -K(x)
 holds bitwise.  The size constant c0 (sup of |K(x)| |x|^(n-1)) is known
@@ -22,11 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _columns_norm2(cols, n: int):
-    """(cols as float, |x|^2 of each column) of coordinate-major (n, M)
-    differences, the squares added one coordinate at a time as in
-    ``operators._distance_blocks``; for n < 8 that is np.sum over a row,
-    bit for bit.  Raises at the origin."""
+def _monomial_values(cols, n: int, exponents, q: int) -> np.ndarray:
+    """x^P / |x|^q at each column of coordinate-major (n, M) differences,
+    by the rule of the module docstring, each product taken from the
+    left: |x|^2 as the squares added one coordinate at a time, as in
+    ``operators._distance_blocks`` (for n < 8 that is np.sum over a row,
+    bit for bit).  Raises at the origin."""
     cols = np.asarray(cols, dtype=float)
     if cols.ndim != 2 or len(cols) != n:
         raise ValueError(f"expected ({n}, M) coordinate columns, got shape {cols.shape}")
@@ -35,7 +44,20 @@ def _columns_norm2(cols, n: int):
         norm2 += cols[k] * cols[k]
     if np.any(norm2 == 0.0):
         raise ValueError("kernel evaluated at the origin")
-    return cols, norm2
+    num = _product([cols[i] for i, p in enumerate(exponents) for _ in range(p)])
+    power = _product([norm2] * (q // 2))
+    if q % 2:  # norm2 is not read again: its root may take its buffer unless power is norm2
+        np.multiply(power, np.sqrt(norm2, out=None if power is norm2 else norm2), out=power)
+    return np.divide(num, power, out=power)
+
+
+def _product(factors):
+    """The product of the arrays taken from the left: the only factor
+    itself, or one new buffer that each further factor multiplies in place."""
+    out = factors[0]
+    for i, f in enumerate(factors[1:]):
+        out = out * f if i == 0 else np.multiply(out, f, out=out)
+    return out
 
 
 @dataclass(eq=False)
@@ -62,11 +84,15 @@ class RieszComponent:
         if not (self.c0_declared > 0 and self.c1_declared > 0):
             raise ValueError("declared constants must be > 0")
 
+    @property
+    def monomial(self) -> tuple[tuple[int, ...], int]:
+        """(P, q) with K(x) = x^P / |x|^q: (e_axis, n)."""
+        n = self.ambient_dim
+        return tuple(int(i == self.axis) for i in range(n)), n
+
     def evaluate_many(self, cols: np.ndarray) -> np.ndarray:
         """K at each column of coordinate-major (n, M) differences."""
-        cols, scale = _columns_norm2(cols, self.ambient_dim)
-        scale **= self.ambient_dim / 2.0  # in place: one temporary fewer per call
-        return np.divide(cols[self.axis], scale, out=scale)
+        return _monomial_values(cols, self.ambient_dim, *self.monomial)
 
 
 @dataclass(eq=False)
@@ -102,15 +128,14 @@ class OddHomogeneous:
         if not (self.c0_declared > 0 and self.c1_declared > 0):
             raise ValueError("declared constants must be > 0")
 
+    @property
+    def monomial(self) -> tuple[tuple[int, ...], int]:
+        """(P, q) with K(x) = x^P / |x|^q: (P, n-1+d)."""
+        return tuple(self.exponents), self.ambient_dim - 1 + self.degree
+
     def evaluate_many(self, cols: np.ndarray) -> np.ndarray:
         """K at each column of coordinate-major (n, M) differences."""
-        cols, scale = _columns_norm2(cols, self.ambient_dim)
-        num = np.ones(cols.shape[1])
-        for i, p in enumerate(self.exponents):
-            for _ in range(p):
-                num = num * cols[i]
-        scale **= (self.ambient_dim - 1 + self.degree) / 2.0
-        return np.divide(num, scale, out=scale)
+        return _monomial_values(cols, self.ambient_dim, *self.monomial)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ Summation conventions, fixed package-wide:
 * Every other sum follows ``summation``: a total (T^eps rows, L^p
   norms, pair sums) is one Sum2, and a sup over prefixes (T* and the
   maximal function) is a max over the Sum2 prefixes of each row; the
-  table's stable row sort, these sums and the sups run in the loops of
-  ``sups.c`` or, where they cannot be built, in numpy with the same bits.
+  table's rows (distances, kernel terms and their stable sort), these
+  sums and the sups run in the loops of ``sups.c`` or, where they cannot
+  be built, in numpy with the same bits.
 * The supremum over all truncation radii is exact, not sampled: the
   truncated transform is piecewise constant in eps with jumps only at
   distinct atom distances, so the supremum is a maximum over suffix
@@ -94,6 +95,19 @@ def _points(points, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _cells(kernel, pts: np.ndarray, nu: DiscreteMeasure):
+    """The leading arguments of ``sups.c``'s ``table_rows`` and
+    ``truncated_rows``: the point and atom counts, the dimension, the
+    points and the atoms, and the kernel's monomial form (P, q).  Raises
+    ValueError, as ``evaluate_many`` does on the numpy path, unless the
+    kernel's dimension is the measure's."""
+    powers, q = kernel.monomial
+    if len(powers) != nu.ambient_dim:
+        raise ValueError(f"expected a kernel on R^{nu.ambient_dim}, got one on R^{len(powers)}")
+    positions = np.ascontiguousarray(nu.positions)
+    return len(pts), nu.count, nu.ambient_dim, np.ascontiguousarray(pts), positions, np.array(powers, np.int64), q
+
+
 def _kernel_at_diffs(kernel, diffs: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """K at each coordinate-major difference column of ``diffs`` (n, B, N),
     with 0 where dist == 0 (those atoms are excluded from every truncated
@@ -161,21 +175,23 @@ def truncated(nu: DiscreteMeasure, kernel, g, x, eps: float) -> float:
 def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
     """T^eps g at every point, eps a scalar or one radius per point, by a
     masked Sum2 over atoms (strict truncation); no distance sort, so it
-    suits one radius per point.
+    suits one radius per point.  One compiled pass per point computes
+    each distance and kernel term and sums them (``sups.c``); the numpy
+    path takes the same operations block by block.
     """
     pts = _points(points, nu.ambient_dim)
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(pts),))
+    eps = np.ascontiguousarray(np.broadcast_to(np.asarray(eps, dtype=float), (len(pts),)))
     if not np.all(eps > 0):
         raise ValueError("eps must be > 0")
     out = np.zeros(len(pts))
     gw = nu.weights * density_values(g, nu)
     lib = _compiled()
+    if lib is not None:
+        lib.truncated_rows(*_cells(kernel, pts, nu), eps, gw, out)
+        return out
     for sl, diffs, dist in _distance_blocks(pts, nu.positions):
         kv = _kernel_at_diffs(kernel, diffs, dist)
-        if lib is None:
-            out[sl] = sum2_rows(np.where(dist > eps[sl, None], kv * gw, 0.0))
-        else:
-            lib.truncated_rows(*dist.shape, dist, np.ascontiguousarray(eps[sl]), kv, gw, out[sl])
+        out[sl] = sum2_rows(np.where(dist > eps[sl, None], kv * gw, 0.0))
     return out
 
 
@@ -194,7 +210,8 @@ def _compiled():
     use into ``build/`` beside it under the CRC of source and flags (a
     per-process name renamed into place, so forked workers may race); or
     None where no compiler, compile or writable directory is found, and
-    the callers take the numpy path to the same bits."""
+    the callers take the numpy path to the same bits.  A compile removes
+    the libraries of earlier sources from ``build/``."""
     import ctypes
     import zlib
 
@@ -208,14 +225,17 @@ def _compiled():
             lib.parent.mkdir(exist_ok=True)
             if subprocess.run(["cc", *_CFLAGS, "-o", tmp, _SUPS_SOURCE], capture_output=True).returncode == 0:
                 os.replace(tmp, lib)
+                for stale in lib.parent.glob("sups_" + "?" * 8 + ".so"):  # not another process's temporary
+                    if stale != lib:
+                        stale.unlink(missing_ok=True)
         dll = ctypes.CDLL(str(lib))
     except OSError:  # no compiler, a failed compile, an unwritable directory or a library that does not load
         tmp.unlink(missing_ok=True)
         return None
     f64, i64, flag = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64, np.int64, np.bool_))
     size = ctypes.c_int64
-    dll.sort_rows.argtypes = [size, size, f64, i64, f64, f64, f64]
-    dll.truncated_rows.argtypes = [size, size, f64, f64, f64, f64, f64]
+    dll.table_rows.argtypes = [size, size, size, f64, f64, i64, size, f64, i64, f64, f64]  # _cells, then the rest
+    dll.truncated_rows.argtypes = [size, size, size, f64, f64, i64, size, f64, f64, f64]
     dll.maximal_values.argtypes = [size, size, f64, i64, f64, f64, f64]
     dll.hl_maximal_values.argtypes = [size, size, size, f64, i64, f64, f64, flag]
     dll.truncated_rows.restype = dll.maximal_values.restype = dll.hl_maximal_values.restype = None
@@ -223,8 +243,8 @@ def _compiled():
 
 
 def _stable_desc(dist: np.ndarray):
-    """(order, dist_desc) of each row descending, ties in atom order and
-    NaN last: the unique stable order, which ``sups.c``'s sort equals."""
+    """(order, dist_desc) of each row descending, ties in atom order: the
+    unique stable order, which ``sups.c``'s sort equals."""
     order = np.argsort(-dist, axis=1, kind="stable")
     return order, np.take_along_axis(dist, order, axis=1)
 
@@ -234,23 +254,14 @@ def _group_ends(dist: np.ndarray) -> np.ndarray:
     return np.concatenate([dist[:, :-1] != dist[:, 1:], np.ones_like(dist[:, :1], dtype=bool)], axis=1)
 
 
-def _sort_rows(dist, order, dist_desc, kw, kw_desc):
-    """``_stable_desc(dist)`` into ``order`` and ``dist_desc``, and ``kw``
-    in that order into ``kw_desc``: one pass of ``sups.c``, or numpy's."""
-    lib = _compiled()
-    if lib is not None:
-        if lib.sort_rows(*dist.shape, dist, order, dist_desc, kw, kw_desc) != 0:
-            raise MemoryError("sort_rows: out of memory")
-        return
-    order[:], dist_desc[:] = _stable_desc(dist)
-    kw_desc[:] = np.take_along_axis(kw, order, axis=1)
-
-
 class TruncationTable:
     """Distance-sorted kernel table for a batch of evaluation points.  The
     table is its sort: ``order``, ``dist_desc`` and ``kw_desc``, built once
-    per (measure, points) pair by one compiled pass per block that orders
-    each row stably and gathers the kernel terms (``_sort_rows``).
+    per (measure, points) pair by one compiled pass per point that computes
+    the row's distances and kernel terms K(x - y) w(y) into row-sized
+    scratch, sorts them stably and gathers the terms (``table_rows`` in
+    ``sups.c``); the numpy path takes the same operations block by block.
+    The kernel must expose its ``monomial`` form, as the catalog's do.
 
     Distances are sorted descending so prefix sums ARE the truncated
     sums: the prefix through distance group d equals T^eps for eps in
@@ -274,11 +285,18 @@ class TruncationTable:
         self.order = np.empty((n_pts, n_atoms), dtype=np.int64)
         self.dist_desc = np.empty((n_pts, n_atoms))
         self.kw_desc = np.empty((n_pts, n_atoms))
-        for sl, diffs, dist in _distance_blocks(pts, nu.positions):
-            kvals = _kernel_at_diffs(kernel, diffs, dist) * nu.weights[None, :]
-            _sort_rows(dist, self.order[sl], self.dist_desc[sl], kvals, self.kw_desc[sl])
         # a zero-distance group's kernel terms are zeroed, so its group end
         # repeats the previous prefix: no special casing is needed.
+        lib = _compiled()
+        if lib is not None:
+            weights = np.ascontiguousarray(nu.weights)
+            if lib.table_rows(*_cells(kernel, pts, nu), weights, self.order, self.dist_desc, self.kw_desc) != 0:
+                raise MemoryError("table_rows: out of memory")
+            return
+        for sl, diffs, dist in _distance_blocks(pts, nu.positions):
+            self.order[sl], self.dist_desc[sl] = _stable_desc(dist)
+            kw = _kernel_at_diffs(kernel, diffs, dist) * nu.weights
+            self.kw_desc[sl] = np.take_along_axis(kw, self.order[sl], axis=1)
 
     def _sorted_terms(self, g) -> np.ndarray:
         terms = density_values(g, self.measure)[self.order]
@@ -319,7 +337,8 @@ def maximal(nu: DiscreteMeasure, kernel, g, x) -> float:
     """T* g(x) = sup over eps > 0 of |T^eps g(x)|, computed exactly by
     the breakpoint algorithm (suffix sums by distance group).
     """
-    return float(TruncationTable(nu, kernel, x).maximal_values(g)[0])
+    (x,) = _points(x, nu.ambient_dim)  # exactly one point
+    return float(TruncationTable(nu, kernel, x[None, :]).maximal_values(g)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 /* The compiled loops of siolab.operators, one row per point: the table's
-   row sort and the sums of its rows.  A row is summed by Sum2 (Ogita, Rump
-   and Oishi, SIAM J. Sci. Comput. 26, 2005), with the operations of
-   summation.sum2_prefix in its order: s the running sum, c the running sum
-   of the exact TwoSum errors, a prefix s + c.  Compiled without FMA
+   row build, T^eps, and the sups of the table's rows.  A row is summed by
+   Sum2 (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005), with the
+   operations of summation.sum2_prefix in its order: s the running sum, c
+   the running sum of the exact TwoSum errors, a prefix s + c.  A cell's
+   distance and kernel term take the operations of the numpy path
+   (operators._distance_blocks and kernel.evaluate_many) in their order:
+   r2 the squares of x - y added coordinate by coordinate, the distance
+   sqrt(r2), and K(x - y) = (x - y)^P / |x - y|^q, the numerator's factors
+   multiplied in coordinate order from 1 and |x - y|^q formed as q / 2
+   factors r2, times sqrt(r2) when q is odd.  Compiled without FMA
    contraction or fast-math, each loop equals its numpy path bit for bit. */
 #include <math.h>
 #include <stdint.h>
@@ -15,24 +21,52 @@ static inline void sum2_add(double *s, double *c, double t)
     *s = x;
 }
 
-/* Each row of dist descending, ties in atom order, NaN last: the order of
-   np.argsort(-dist, kind="stable"), by a natural merge sort.  A run is a
+/* |x - y|^2 for points of dim coordinates */
+static inline double norm2(int64_t dim, const double *x, const double *y)
+{
+    double r2 = (x[0] - y[0]) * (x[0] - y[0]);
+    for (int64_t k = 1; k < dim; k++) r2 += (x[k] - y[k]) * (x[k] - y[k]);
+    return r2;
+}
+
+/* K(x - y) = (x - y)^P / |x - y|^q from r2 = |x - y|^2 > 0 */
+static inline double kernel(int64_t dim, const double *x, const double *y, const int64_t *powers, int64_t q,
+                            double r2)
+{
+    double num = 1.0, power = 1.0;
+    for (int64_t k = 0; k < dim; k++)
+        for (int64_t p = 0; p < powers[k]; p++) num *= x[k] - y[k];
+    for (int64_t p = 0; p < q / 2; p++) power *= r2;
+    if (q % 2) power *= sqrt(r2);
+    return num / power;
+}
+
+/* The table's rows, one per point of pts (rows x dim) against the n atoms
+   pos (n x dim) of weights w: each row's distances descending with ties in
+   atom order (the order of np.argsort(-dist, kind="stable")) into order
+   and dist_desc, and the kernel terms K(x - y) w(y), 0 at distance 0, in
+   that order into kw_desc.  The sort is a natural merge sort: a run is a
    maximal non-increasing stretch, or a maximal strictly increasing one
    reversed (so no tie is reversed); runs merge pairwise, a tie taking the
-   left item.  Fills order, dist_desc and kw_desc, the kernel terms kw in
-   that order; -1 if out of memory. */
+   left item.  No distance is NaN, since points and atoms are finite.
+   -1 if out of memory. */
 typedef struct { double key; int64_t idx; } item;
-int sort_rows(int64_t rows, int64_t n, const double *dist, int64_t *order, double *dist_desc,
-              const double *kw, double *kw_desc)
+int table_rows(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos, const int64_t *powers,
+               int64_t q, const double *w, int64_t *order, double *dist_desc, double *kw_desc)
 {
     if (rows == 0 || n == 0) return 0;
     item *buf = malloc(2 * n * sizeof *buf), t;
+    double *kw = malloc(n * sizeof *kw);
     int64_t *bound = malloc((n + 1) * sizeof *bound);
-    if (!buf || !bound) { free(buf); free(bound); return -1; }
-    for (int64_t r = 0; r < rows; r++, dist += n, order += n, dist_desc += n, kw += n, kw_desc += n) {
+    if (!buf || !kw || !bound) { free(buf); free(kw); free(bound); return -1; }
+    for (int64_t r = 0; r < rows; r++, pts += dim, order += n, dist_desc += n, kw_desc += n) {
         item *x = buf, *y = buf + n;
         int64_t runs = 0;
-        for (int64_t j = 0; j < n; j++) x[j] = (item){dist[j] == dist[j] ? dist[j] : -1.0, j};  /* NaN last */
+        for (int64_t j = 0; j < n; j++) {
+            double r2 = norm2(dim, pts, pos + j * dim), d = sqrt(r2);
+            x[j] = (item){d, j};
+            kw[j] = (d > 0.0 ? kernel(dim, pts, pos + j * dim, powers, q, r2) : 0.0) * w[j];
+        }
         for (int64_t a = 0, b; a < n; a = b) {
             bound[runs++] = a;
             for (b = a + 1; b < n && x[b].key <= x[b - 1].key; b++) {}
@@ -42,33 +76,32 @@ int sort_rows(int64_t rows, int64_t n, const double *dist, int64_t *order, doubl
             }
         }
         for (bound[runs] = n; runs > 1; runs = (runs + 1) / 2, bound[runs] = n) {
-            for (int64_t q = 0; q < runs; q += 2) {  /* an odd last run is copied */
-                int64_t i = bound[q], m = bound[q + 1], b = q + 2 <= runs ? bound[q + 2] : m, j = m, k = i;
+            for (int64_t run = 0; run < runs; run += 2) {  /* an odd last run is copied */
+                int64_t i = bound[run], m = bound[run + 1], b = run + 2 <= runs ? bound[run + 2] : m, j = m, k = i;
                 while (i < m && j < b) y[k++] = x[j].key > x[i].key ? x[j++] : x[i++];
                 while (i < m) y[k++] = x[i++];
                 while (j < b) y[k++] = x[j++];
-                bound[q / 2] = bound[q];
+                bound[run / 2] = bound[run];
             }
             item *swap = x; x = y; y = swap;
         }
-        for (int64_t j = 0; j < n; j++) {
-            order[j] = x[j].idx, kw_desc[j] = kw[x[j].idx];
-            dist_desc[j] = x[j].key < 0.0 ? dist[x[j].idx] : x[j].key;
-        }
+        for (int64_t j = 0; j < n; j++) order[j] = x[j].idx, dist_desc[j] = x[j].key, kw_desc[j] = kw[x[j].idx];
     }
-    free(buf); free(bound);
+    free(buf); free(kw); free(bound);
     return 0;
 }
 
-/* T^eps: per row, the Sum2 total of kv[j] * gw[j] over the j with
-   dist[j] > eps, excluded terms added as 0.0 as numpy adds them */
-void truncated_rows(int64_t rows, int64_t n, const double *dist, const double *eps, const double *kv,
-                    const double *gw, double *out)
+/* T^eps: per point of pts, the Sum2 total of K(x - y) gw(y) over the atoms
+   y of pos with |x - y| > eps, excluded terms added as 0.0 as numpy adds
+   them */
+void truncated_rows(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
+                    const int64_t *powers, int64_t q, const double *eps, const double *gw, double *out)
 {
-    for (int64_t i = 0; i < rows; i++, dist += n, kv += n) {
+    for (int64_t i = 0; i < rows; i++, pts += dim) {
         double s = 0.0, c = 0.0;
         for (int64_t j = 0; j < n; j++) {
-            double t = dist[j] > eps[i] ? kv[j] * gw[j] : 0.0;
+            double r2 = norm2(dim, pts, pos + j * dim);
+            double t = sqrt(r2) > eps[i] ? kernel(dim, pts, pos + j * dim, powers, q, r2) * gw[j] : 0.0;
             if (j == 0) s = t; else sum2_add(&s, &c, t);
         }
         out[i] = s + c;  /* 0 for n = 0 */

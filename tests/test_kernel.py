@@ -23,31 +23,84 @@ def test_evaluate_at_origin_rejected():
         k.evaluate_many(np.array([[1.0, 0.0], [0.0, 0.0]]).T)
 
 
-def _row_formula(k, x):
-    """K at each row of x, with |x|^2 as np.sum over the row."""
-    norm2 = np.sum(x * x, axis=1)
+def _monomial(k):
+    """(P, q) with K(x) = x^P / |x|^q, from each family's definition."""
+    n = k.ambient_dim
     if isinstance(k, sl.RieszComponent):
-        return x[:, k.axis] / norm2 ** (k.ambient_dim / 2.0)
+        return tuple(int(i == k.axis) for i in range(n)), n
+    return tuple(k.exponents), n - 1 + sum(k.exponents)
+
+
+def _row_formula(k, x):
+    """K at each row of x, with |x|^2 as np.sum over the row and |x|^q as
+    q // 2 factors |x|^2 from the left, times sqrt(|x|^2) for odd q."""
+    exponents, q = _monomial(k)
+    norm2 = np.sum(x * x, axis=1)
     num = np.ones(len(x))
-    for i, p in enumerate(k.exponents):
+    for i, p in enumerate(exponents):
         for _ in range(p):
             num = num * x[:, i]
-    return num / norm2 ** ((k.ambient_dim - 1 + k.degree) / 2.0)
+    power = np.ones(len(x))
+    for _ in range(q // 2):
+        power = power * norm2
+    if q % 2:
+        power = power * np.sqrt(norm2)
+    return num / power
+
+
+def _catalog(n):
+    """Both families in R^n, with odd and even q."""
+    return (
+        sl.RieszComponent(n, n - 1),
+        sl.OddHomogeneous(n, (1,) + (0,) * (n - 2) + (2,)),
+        sl.OddHomogeneous(n, (3,) + (0,) * (n - 1)),
+    )
+
+
+def _samples(n, count):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((count, n)) * np.exp(rng.uniform(-20.0, 20.0, (count, 1)))
+    x[:5] = np.eye(n)[np.arange(5) % n]  # on the axes
+    return x
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_columns_equal_row_formula_bitwise(n):
     # numpy adds rows of fewer than 8 entries in order, which is the
     # kernels' coordinate loop
-    rng = np.random.default_rng(n)
-    x = rng.standard_normal((3000, n)) * np.exp(rng.uniform(-20.0, 20.0, (3000, 1)))
-    x[:5] = np.eye(n)[np.arange(5) % n]  # on the axes
-    for k in (sl.RieszComponent(n, n - 1), sl.OddHomogeneous(n, (1,) + (0,) * (n - 2) + (2,))):
+    x = _samples(n, 3000)
+    for k in _catalog(n):
+        assert k.monomial == _monomial(k)
         assert np.array_equal(k.evaluate_many(x.T), _row_formula(k, x))
         with pytest.raises(ValueError, match="origin"):
             k.evaluate_many(np.column_stack([x[0], np.zeros(n)]))
     with pytest.raises(ValueError, match="coordinate columns"):
         k.evaluate_many(x)  # rows, not columns
+
+
+def _gamma(m):
+    u = 2.0**-53
+    return m * u / (1 - m * u)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_values_within_rounding_bound_of_mpmath(n):
+    # exact inputs, so every error is a rounding of the kernel's rule:
+    # |x|^2 is within gamma_n (n positive terms), its k = q // 2 factors
+    # within gamma_(kn + k - 1), a sqrt factor adds n + 2 more roundings
+    # at most, and the numerator's d - 1 products and the quotient d
+    mpmath = pytest.importorskip("mpmath")
+    x = _samples(n, 400)
+    for k in _catalog(n):
+        exponents, q = k.monomial
+        degree = sum(exponents)
+        bound = _gamma((q // 2) * (n + 1) - 1 + (q % 2) * (n + 2) + degree)
+        for row, value in zip(x.tolist(), k.evaluate_many(x.T).tolist()):
+            with mpmath.workdps(50):
+                coords = [mpmath.mpf(c) for c in row]
+                num = mpmath.fprod(c**p for c, p in zip(coords, exponents))
+                exact = num / mpmath.sqrt(mpmath.fsum(c * c for c in coords)) ** q
+                assert abs(mpmath.mpf(value) - exact) <= bound * abs(exact), (type(k).__name__, row)
 
 
 def test_odd_homogeneous_requires_odd_degree():

@@ -161,6 +161,14 @@ def test_maximal_two_atom_example():
     assert sl.maximal(nu, k, None, [0.0, 0.0]) == 1.5
 
 
+def test_maximal_takes_exactly_one_point():
+    # two points used to answer silently for the first
+    nu = two_atom_line()
+    with pytest.raises(ValueError):
+        sl.maximal(nu, sl.RieszComponent(2, 0), None, [[0.0, 0.0], [5.0, 5.0]])
+    assert sl.maximal(nu, sl.RieszComponent(2, 0), None, [[0.0, 0.0]]) == 1.5
+
+
 def test_maximal_single_atom():
     nu = sl.DiscreteMeasure(np.array([[0.6, 0.8]]), np.array([0.7]), resolution=0.01)
     k = sl.RieszComponent(2, 0)
@@ -1180,20 +1188,34 @@ def _table_atoms(layout, n, dim, rng):
     return positions
 
 
-@settings(max_examples=40, deadline=None)
-@example(layout="ascending", dim=2, n=4, n_pts=1, on_atoms=True, seed=0)  # distances 1, 1, 2, 2 from an atom-free origin
+def _table_kernel(family, dim):
+    """A catalog kernel in R^dim with even q (parity 0) or odd q: Riesz
+    has q = dim, and x_0^3 / |x|^q has q = dim + 2."""
+    if family == "riesz":
+        return sl.RieszComponent(dim, dim - 1)
+    return sl.OddHomogeneous(dim, (3,) + (0,) * (dim - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@example(layout="ascending", family="riesz", dim=2, n=4, n_pts=1, on_atoms=True, seed=0)  # 1, 1, 2, 2 from the origin
+@example(layout="grid", family="riesz", dim=2, n=0, n_pts=2, on_atoms=False, seed=1)  # N = 0
+@example(layout="grid", family="odd", dim=3, n=5, n_pts=0, on_atoms=False, seed=2)  # P = 0
+@example(layout="coincident", family="odd", dim=4, n=7, n_pts=3, on_atoms=True, seed=3)
 @given(
     layout=st.sampled_from(["grid", "coincident", "ascending"]),
-    dim=st.sampled_from([2, 3]),
+    family=st.sampled_from(["riesz", "odd"]),
+    dim=st.sampled_from([2, 3, 4]),
     n=st.integers(0, 40),
-    n_pts=st.integers(1, 4),
+    n_pts=st.integers(0, 4),
     on_atoms=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_compiled_and_numpy_table_builds_are_bit_equal(layout, dim, n, n_pts, on_atoms, seed):
-    # the compiled row sort and gather, and truncated_batch's masked
-    # totals, against numpy's stable argsort path, which hl_maximal_batch
-    # always takes: exact ties, points on atoms, single-atom rows, N = 0
+def test_compiled_and_numpy_table_builds_are_bit_equal(layout, family, dim, n, n_pts, on_atoms, seed):
+    # the compiled table rows (distances, kernel terms and sort fused) and
+    # truncated_batch's fused masked totals, against numpy's blocked
+    # distance pass, evaluate_many and stable argsort, which
+    # hl_maximal_batch always takes: both kernel families with odd and
+    # even q, exact ties, points on atoms, single-atom rows, N = 0, P = 0
     rng = np.random.default_rng(seed)
     positions = _table_atoms(layout, n, dim, rng)
     nu = sl.DiscreteMeasure(positions, rng.uniform(0.0, 1.0, n), 1e-3)
@@ -1203,7 +1225,7 @@ def test_compiled_and_numpy_table_builds_are_bit_equal(layout, dim, n, n_pts, on
     else:
         pts = rng.integers(-2, 3, size=(n_pts, dim)) + (0.0 if on_atoms else rng.choice([0.0, 0.5], (n_pts, dim)))
     eps = rng.choice([0.5, 1.0, math.sqrt(2.0), 2.0], n_pts)  # often exactly an atom distance
-    k = sl.RieszComponent(dim, 0)
+    k = _table_kernel(family, dim)
 
     def build():
         table = sl.TruncationTable(nu, k, pts)
@@ -1213,40 +1235,71 @@ def test_compiled_and_numpy_table_builds_are_bit_equal(layout, dim, n, n_pts, on
     compiled, fallback = _both_paths(build)
     for a, b in zip(compiled, fallback):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    if layout == "ascending" and n:
+    if layout == "ascending" and n and n_pts:
         # from the origin, each tie group lists its atoms in index order
         assert compiled[0][0].tolist() == sorted(range(n), key=lambda j: (-(j // 2), j))
 
 
+_HUGE = 1e300  # its square overflows: the distance from the origin is inf
+
+
 @settings(max_examples=60, deadline=None)
-@example(rows=[[1.0, 2.0, 2.0, 3.0]])  # an ascending run with a tie is not reversed whole
-@example(rows=[[3.0, 2.0, 2.0, 1.0, 1.0, 4.0, 4.0]])
+@example(rows=[[1.0, 2.0, 2.0, 3.0]], seed=0)  # an ascending run with a tie is not reversed whole
+@example(rows=[[3.0, 2.0, 2.0, 1.0, 1.0, 4.0, 4.0]], seed=0)
+@example(rows=[[_HUGE, 0.0, 1.0, _HUGE, 0.0]], seed=0)
 @given(
     rows=st.integers(1, 30).flatmap(
         lambda n: st.lists(
-            st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf, math.nan]), min_size=n, max_size=n),
+            st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, 4.0, _HUGE]), min_size=n, max_size=n),
             min_size=1,
             max_size=4,
         )
-    )
+    ),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_compiled_row_sort_is_numpys_stable_argsort(rows):
-    dist = np.array(rows)
+def test_compiled_row_sort_is_numpys_stable_argsort(rows, seed):
+    # each row is a table of one point, the origin, against atoms on the
+    # first axis at +-|x|, so its distances are the row (inf for _HUGE);
+    # distances are never NaN, since points and atoms are finite
+    signs = np.random.default_rng(seed).choice([-1.0, 1.0], len(rows[0]))
+    for row in rows:
+        positions = np.zeros((len(row), 2))
+        positions[:, 0] = signs * np.array(row)
+        nu = sl.DiscreteMeasure(positions, np.ones(len(row)), 1e-3)
+        dist = np.where(np.array(row) == _HUGE, math.inf, np.array(row))
 
-    def sort():
-        out = np.empty(dist.shape, dtype=np.int64), np.empty(dist.shape), np.empty(dist.shape)
-        operators._sort_rows(dist, out[0], out[1], np.arange(dist.size, dtype=float).reshape(dist.shape), out[2])
-        return out
+        def sort():
+            table = sl.TruncationTable(nu, sl.RieszComponent(2, 0), np.zeros((1, 2)))
+            return table.order, table.dist_desc, table.kw_desc
 
-    compiled, fallback = _both_paths(sort)
-    for a, b in zip(compiled, fallback):
-        assert a.tobytes() == b.tobytes()
-    assert compiled[0].tolist() == np.argsort(-dist, axis=1, kind="stable").tolist()
+        with np.errstate(over="ignore"):  # numpy's squares of _HUGE
+            compiled, fallback = _both_paths(sort)
+        for a, b in zip(compiled, fallback):
+            assert a.tobytes() == b.tobytes()
+        assert compiled[0].tolist() == [np.argsort(-dist, kind="stable").tolist()]
+        assert compiled[1].tolist() == [dist[compiled[0][0]].tolist()]
+
+
+@pytest.mark.parametrize("kernel", [sl.RieszComponent(2, 0), sl.RieszComponent(4, 3)])
+def test_kernel_of_another_dimension_raises_on_both_paths(kernel):
+    # the compiled pass reads the kernel's exponents by the measure's dimension
+    nu = sl.DiscreteMeasure(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.5]]), np.ones(2), 0.1)
+    pts = np.array([[0.5, 0.5, 0.5], [0.0, 1.0, 2.0]])
+    for build in (lambda: sl.TruncationTable(nu, kernel, pts), lambda: truncated_batch(nu, kernel, None, pts, 0.1)):
+        if shutil.which("cc") is not None:
+            assert operators._compiled() is not None
+        with pytest.raises(ValueError):
+            build()
+        with mock.patch.object(operators, "_compiled", lambda: None), pytest.raises(ValueError):
+            build()
+    with pytest.raises(ValueError):
+        sl.maximal(nu, kernel, None, pts[0])
 
 
 def test_sort_rows_out_of_memory_raises():
+    # the table build's row scratch; truncated_batch allocates none
     nu = sl.DiscreteMeasure(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2), 0.1)
-    no_memory = SimpleNamespace(sort_rows=lambda *args: -1)
+    no_memory = SimpleNamespace(table_rows=lambda *args: -1)
     with mock.patch.object(operators, "_compiled", lambda: no_memory), pytest.raises(MemoryError):
         sl.TruncationTable(nu, sl.RieszComponent(2, 0), np.zeros((3, 2)))
 
@@ -1310,9 +1363,9 @@ def _table_outputs(nu, k, pts, g, eps):
 
 @pytest.mark.parametrize("case", ["cantor_on_atoms", "random_3d"])
 def test_multi_block_outputs_equal_single_block(monkeypatch, case):
-    # three full blocks and a short last one must give the single-block
-    # bits; on the Cantor atoms themselves (mu = nu) rows hold zero
-    # distances and exact ties
+    # the numpy path in three full blocks and a short last one must give
+    # the bits of the compiled single pass; on the Cantor atoms themselves
+    # (mu = nu) rows hold zero distances and exact ties
     rng = Rng(97)
     if case == "cantor_on_atoms":
         nu = sl.cantor_four_corners(2)
@@ -1325,13 +1378,17 @@ def test_multi_block_outputs_equal_single_block(monkeypatch, case):
     g = rng.uniforms(nu.count, -1.0, 1.0)
     eps = rng.uniforms(len(pts), 0.05, 1.0)
     eps[0] = np.linalg.norm(pts[0] - nu.positions[5])  # an exact breakpoint
+    if shutil.which("cc") is not None:
+        assert operators._compiled() is not None
     rows = _block_rows(monkeypatch)
     single = _table_outputs(nu, k, pts, g, eps)
-    assert rows == [len(pts)] * 3  # the table, truncated_batch and hl_maximal_batch
+    # compiled, hl_maximal_batch alone takes a block: the table and truncated_batch are fused
+    assert rows == ([len(pts)] if operators._compiled() is not None else [len(pts)] * 3)
     rows.clear()
     monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 3 * nu.count)
+    monkeypatch.setattr(operators, "_compiled", lambda: None)
     blocked = _table_outputs(nu, k, pts, g, eps)
-    assert rows == [3, 3, 3, 1] * 3
+    assert rows == [3, 3, 3, 1] * 3  # the table, truncated_batch and hl_maximal_batch
     for name, value in single.items():
         assert np.array_equal(blocked[name], value), name
     if case == "cantor_on_atoms":

@@ -18,7 +18,8 @@ The compiled loops are built without FMA contraction or fast-math, which
 would round them differently from their numpy path; with ``-Wall
 -Wextra -Werror`` added, ``sups.c`` still compiles, and it exports every
 symbol that ``operators._compiled`` binds, each with as many argtypes as
-its C parameters.  The only ``noqa``
+its C parameters; a compile leaves no library of an earlier source in
+the build directory.  The only ``noqa``
 lines are the four re-imports that keep a name bound for the tracer.
 """
 
@@ -260,7 +261,7 @@ def test_sups_compile_without_warnings_and_export_every_bound_symbol(tmp_path):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "dll"
     }
     dll = ctypes.CDLL(str(lib))
-    assert {"sort_rows", "truncated_rows", "maximal_values", "hl_maximal_values"} <= bound
+    assert {"table_rows", "truncated_rows", "maximal_values", "hl_maximal_values"} <= bound
     assert [name for name in sorted(bound) if not hasattr(dll, name)] == []
 
 
@@ -284,7 +285,26 @@ def test_bound_argtypes_match_the_c_parameter_lists():
         name: len(args.split(","))
         for name, args in re.findall(r"^(?:int|void) (\w+)\(([^)]*)\)", (PACKAGE / "sups.c").read_text(), re.MULTILINE)
     }
-    assert argtypes == params == {"sort_rows": 7, "truncated_rows": 7, "maximal_values": 7, "hl_maximal_values": 8}
+    assert argtypes == params == {"table_rows": 11, "truncated_rows": 10, "maximal_values": 7, "hl_maximal_values": 8}
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_compile_leaves_only_the_current_library(tmp_path, monkeypatch):
+    # the libraries of earlier sources go; another process's temporary,
+    # renamed into place once its compile ends, stays
+    from siolab import operators
+
+    source = tmp_path / "sups.c"
+    source.write_bytes((PACKAGE / "sups.c").read_bytes())
+    build = tmp_path / "build"
+    build.mkdir()
+    for name in ("sups_00000000.so", "sups_deadbeef.so", "sups_deadbeef.4242.so"):
+        (build / name).write_bytes(b"")
+    monkeypatch.setattr(operators, "_SUPS_SOURCE", source)
+    assert operators._compiled.__wrapped__() is not None
+    current = [p.name for p in build.glob("sups_????????.so")]
+    assert len(current) == 1
+    assert sorted(p.name for p in build.iterdir()) == sorted([*current, "sups_deadbeef.4242.so"])
 
 
 def test_noqa_lines_are_the_tracer_reimports():
