@@ -36,6 +36,7 @@ from ..operators import (
     TruncationTable,
     bound_constants,
     cauchy_tail,
+    density_stack,
     geometric_schedule,
     hl_maximal_batch,  # noqa: F401  kept bound here for perfbench/tracing.py
     lp_norm,
@@ -275,7 +276,7 @@ def _lemma_l2_batch(args):
     eps = np.where(below, r * rng.uniforms(count, 0.05, 0.999), r * (1.0 + rng.uniforms(count, 0.0, 3.0)))
 
     x_table = TruncationTable(nu, kern, x)
-    tstar = x_table.maximal_values(gv)
+    tstar = x_table.maximal_values([gv])[0]
     mval, _ = x_table.hl_maximal_values(gv)
     lhs = np.abs(truncated_batch(nu, kern, gv, y, eps))
     constant = np.where(eps < r, d1, d2)
@@ -519,26 +520,25 @@ def scenario_carleson(cfg: Config, prm: dict, rng: Rng, threads: int) -> Scenari
 
 
 def _tstar_chunk(args):
-    """Maximal-transform values for a fixed point chunk and all density
-    tables; one distance sort is shared across densities."""
-    nu, kern, pts, tables = args
-    tt = TruncationTable(nu, kern, pts)
-    return np.stack([tt.maximal_values(t) for t in tables], axis=0)
+    """Maximal-transform values for a fixed point chunk and every density
+    of the stack, from one distance sort and one sup pass."""
+    nu, kern, pts, stack = args
+    return TruncationTable(nu, kern, pts).maximal_values(stack)
 
 
-def _tstar_all(nu, kern, points, tables, threads):
+def _tstar_all(nu, kern, points, stack, threads):
     tasks = [
-        (nu, kern, points[start : start + _POINT_CHUNK], tables)
+        (nu, kern, points[start : start + _POINT_CHUNK], stack)
         for start in range(0, len(points), _POINT_CHUNK)
     ]
     parts = _pmap(_tstar_chunk, tasks, threads)
-    return np.concatenate(parts, axis=1)  # (n_tables, n_points)
+    return np.concatenate(parts, axis=1)  # (n_densities, n_points)
 
 
 def _ratio_table(nu, mu, kern, p_list, densities, threads):
     """max over densities of |T* g|_{L^p(mu)} / |g|_{L^p(nu)} per p."""
-    tables = [g_vals for _, g_vals in densities]
-    tstar = _tstar_all(nu, kern, mu.positions, tables, threads)
+    stack = density_stack([g_vals for _, g_vals in densities], nu).T  # (D, N), each chunk reads it uncopied
+    tstar = _tstar_all(nu, kern, mu.positions, stack, threads)
     out = {}
     for p in p_list:
         best = 0.0

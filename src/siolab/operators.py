@@ -81,6 +81,30 @@ def density_values(g, mu: DiscreteMeasure) -> np.ndarray:
     return vals
 
 
+def density_stack(gs, mu: DiscreteMeasure) -> np.ndarray:
+    """Per-atom values of a stack of densities, atom-major (N, D): ``gs``
+    is a sequence of densities, each as ``density_values`` reads it, or a
+    2-D (D, N) array of per-atom values.  A bare number or a 1-D array is
+    refused: a list of numbers is one per-atom density to
+    ``density_values``, not D constant ones."""
+    if isinstance(gs, np.ndarray):
+        if gs.ndim != 2:
+            raise TypeError(f"a density stack array must be 2-D (D, N), got {gs.ndim}-D; for one density g pass [g]")
+        if gs.shape[1] != mu.count:
+            raise ValueError("per-atom table length mismatch")
+        vals = np.ascontiguousarray(gs.T, dtype=float)  # no copy of an atom-major stack's transpose
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("density values must be finite")
+        return vals
+    if not isinstance(gs, (list, tuple)) or any(isinstance(g, numbers.Real) for g in gs):
+        raise TypeError("a density stack is a sequence of densities, none a bare number, or a 2-D (D, N) array;"
+                        " for one density g pass [g]")
+    vals = np.empty((mu.count, len(gs)))
+    for k, g in enumerate(gs):
+        vals[:, k] = density_values(g, mu)
+    return vals
+
+
 def _points(points, dim: int) -> np.ndarray:
     """The points as a (P, dim) float array, one point as P = 1; ValueError
     unless each has ``dim`` coordinates and all are finite."""
@@ -211,7 +235,9 @@ def _compiled():
     per-process name renamed into place, so forked workers may race); or
     None where no compiler, compile or writable directory is found, and
     the callers take the numpy path to the same bits.  A compile removes
-    the libraries of earlier sources from ``build/``."""
+    the libraries of earlier sources from ``build/``.  ``lanes`` holds
+    the host's probe (``sup_lanes``, 8 with AVX-512, else 1), which picks
+    the copy of ``maximal_values`` on each call."""
     import ctypes
     import zlib
 
@@ -236,9 +262,11 @@ def _compiled():
     size = ctypes.c_int64
     dll.table_rows.argtypes = [size, size, size, f64, f64, i64, size, f64, i64, f64, f64]  # _cells, then the rest
     dll.truncated_rows.argtypes = [size, size, size, f64, f64, i64, size, f64, f64, f64]
-    dll.maximal_values.argtypes = [size, size, f64, i64, f64, f64, f64]
+    dll.maximal_values.argtypes = [size, size, size, size, f64, i64, f64, f64, f64]
     dll.hl_maximal_values.argtypes = [size, size, size, f64, i64, f64, f64, flag]
+    dll.sup_lanes.argtypes = []
     dll.truncated_rows.restype = dll.maximal_values.restype = dll.hl_maximal_values.restype = None
+    dll.lanes = dll.sup_lanes()
     return dll
 
 
@@ -268,8 +296,13 @@ class TruncationTable:
     [next smaller distance, d).  Another density then costs a gather and
     one Sum2 per row (see ``summation``); a sup (T* or the maximal
     function) is a max over the prefixes that end a group of
-    ``dist_desc``, in one compiled pass (``_compiled``).  Read backwards,
-    the same sort serves the (n-1)-dimensional maximal function.
+    ``dist_desc``, in one compiled pass (``_compiled``).  T* takes a
+    stack of densities in that one pass: on a host with AVX-512 (probed
+    at run time, not set by build flags) 8 densities share a vector, one
+    lane each, and since each lane is its density's own Sum2 with its
+    operations in their order, every density gets the bits of a pass of
+    its own.  Read backwards, the same sort serves the (n-1)-dimensional
+    maximal function.
 
     A table takes 24 bytes per (point, atom) cell; building one larger
     than ``TABLE_BYTES_GUARD`` raises ValueError.
@@ -298,20 +331,20 @@ class TruncationTable:
             kw = _kernel_at_diffs(kernel, diffs, dist) * nu.weights
             self.kw_desc[sl] = np.take_along_axis(kw, self.order[sl], axis=1)
 
-    def _sorted_terms(self, g) -> np.ndarray:
-        terms = density_values(g, self.measure)[self.order]
-        terms *= self.kw_desc
-        return terms
-
-    def maximal_values(self, g) -> np.ndarray:
-        """sup over eps > 0 of |T^eps g| at every point (exact sup)."""
+    def maximal_values(self, gs) -> np.ndarray:
+        """sup over eps > 0 of |T^eps g| at every point for each density g
+        of the stack ``gs`` (see ``density_stack``), exact: (D, P)."""
+        stack = density_stack(gs, self.measure)
+        values = np.empty((stack.shape[1], len(self.order)))
         lib = _compiled()
         if lib is None:
-            prefix = sum2_prefix(self._sorted_terms(g))
-            return np.max(np.abs(prefix, out=prefix), axis=1, where=_group_ends(self.dist_desc), initial=0.0)
-        values = np.empty(len(self.order))
-        gv = np.ascontiguousarray(density_values(g, self.measure))
-        lib.maximal_values(*self.order.shape, gv, self.order, self.dist_desc, self.kw_desc, values)
+            ends = _group_ends(self.dist_desc)
+            for g, out in zip(stack.T, values):
+                prefix = sum2_prefix(g[self.order] * self.kw_desc)
+                np.max(np.abs(prefix, out=prefix), axis=1, where=ends, initial=0.0, out=out)
+            return values
+        lib.maximal_values(*self.order.shape, stack.shape[1], lib.lanes, stack, self.order, self.dist_desc,
+                           self.kw_desc, values)
         return values
 
     def truncated_values(self, g, eps: float) -> np.ndarray:
@@ -325,7 +358,8 @@ class TruncationTable:
         eps = np.asarray(eps, dtype=float)
         if not np.all(eps > 0):
             raise ValueError("eps must be > 0")
-        return sum2_rows(np.where(self.dist_desc > eps[:, None], self._sorted_terms(g), 0.0))
+        terms = density_values(g, self.measure)[self.order] * self.kw_desc
+        return sum2_rows(np.where(self.dist_desc > eps[:, None], terms, 0.0))
 
     def hl_maximal_values(self, g):
         """``hl_maximal_batch`` at the table's points, bit for bit."""
@@ -338,7 +372,7 @@ def maximal(nu: DiscreteMeasure, kernel, g, x) -> float:
     the breakpoint algorithm (suffix sums by distance group).
     """
     (x,) = _points(x, nu.ambient_dim)  # exactly one point
-    return float(TruncationTable(nu, kernel, x[None, :]).maximal_values(g)[0])
+    return float(TruncationTable(nu, kernel, x[None, :]).maximal_values([density_values(g, nu)])[0, 0])
 
 
 # ---------------------------------------------------------------------------

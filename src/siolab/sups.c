@@ -9,7 +9,11 @@
    sqrt(r2), and K(x - y) = (x - y)^P / |x - y|^q, the numerator's factors
    multiplied in coordinate order from 1 and |x - y|^q formed as q / 2
    factors r2, times sqrt(r2) when q is odd.  Compiled without FMA
-   contraction or fast-math, each loop equals its numpy path bit for bit. */
+   contraction or fast-math, each loop equals its numpy path bit for bit.
+   T* takes a stack of densities; on x86-64 hosts with AVX-512 a copy
+   chosen at run time (sup_lanes) sums 8 densities at once, one vector
+   lane each, and since a lane is one density's Sum2 with that density's
+   operations in their order, each lane keeps the bits of the scalar loop. */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -108,20 +112,90 @@ void truncated_rows(int64_t rows, int64_t n, int64_t dim, const double *pts, con
     }
 }
 
-/* T*: the max of |prefix| of g[order[j]] * kw[j] at the last j of each group of equal dist[j], and 0 */
-void maximal_values(int64_t rows, int64_t n, const double *g, const int64_t *order, const double *dist,
-                    const double *kw, double *out)
+/* T*: per density k of the stack g (n atoms x d densities, atom-major)
+   and row i, the max of |prefix| of g[order[j] * d + k] * kw[j] at the
+   last j of each group of equal dist[j], and 0, into out[k * rows + i] */
+static void maximal_rows(int64_t rows, int64_t n, int64_t d, const double *g, const int64_t *order,
+                         const double *dist, const double *kw, double *out)
 {
-    for (int64_t i = 0; i < rows; i++, order += n, dist += n, kw += n) {
-        double s = 0.0, c = 0.0, best = 0.0;
-        for (int64_t j = 0; j < n; j++) {
-            double t = g[order[j]] * kw[j];
-            if (j == 0) s = t; else sum2_add(&s, &c, t);
-            double a = fabs(s + c);
-            if ((j == n - 1 || dist[j] != dist[j + 1]) && (a > best || a != a)) best = a;  /* NaN sticks, as in np.max */
+    for (int64_t i = 0; i < rows; i++, order += n, dist += n, kw += n)
+        for (int64_t k = 0; k < d; k++) {
+            double s = 0.0, c = 0.0, best = 0.0;
+            for (int64_t j = 0; j < n; j++) {
+                double t = g[order[j] * d + k] * kw[j];
+                if (j == 0) s = t; else sum2_add(&s, &c, t);
+                double a = fabs(s + c);
+                if ((j == n - 1 || dist[j] != dist[j + 1]) && (a > best || a != a)) best = a;  /* NaN sticks, as in np.max */
+            }
+            out[k * rows + i] = best;
         }
-        out[i] = best;
+}
+
+/* GCC on x86-64 only: the masked load is GCC's builtin, and the lowering
+   below is checked in GCC's output; other compilers build the scalar copy */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define SUP_AVX512 1
+typedef double v8d __attribute__((vector_size(64)));
+typedef int64_t v8l __attribute__((vector_size(64)));
+
+/* maximal_rows with 8 densities per vector, one per lane, the last
+   block's missing densities loaded as zeros by a masked load and not
+   written.  GCC vector extensions and one builtin, not immintrin.h,
+   which would more than double the compile's peak memory; the max's
+   masks come from vector compares, which GCC turns into mask compares
+   and a masked blend where the vectors stay inside this function. */
+__attribute__((target("avx512f")))
+static void maximal_rows_avx512(int64_t rows, int64_t n, int64_t d, const double *g, const int64_t *order,
+                                const double *dist, const double *kw, double *out)
+{
+    for (int64_t i = 0; i < rows; i++, order += n, dist += n, kw += n)
+        for (int64_t k = 0; k < d; k += 8) {
+            unsigned char live = d - k < 8 ? (1u << (d - k)) - 1 : 0xff;
+            v8d s = {0}, c = {0}, best = {0};
+            for (int64_t j = 0; j < n; j++) {
+                v8d t = __builtin_ia32_loadupd512_mask(g + order[j] * d + k, (v8d){0}, live) * kw[j];
+                if (j == 0) {
+                    s = t;
+                } else {  /* sum2_add */
+                    v8d x = s + t, z = x - s;
+                    c += (t - z) + (s - (x - z));
+                    s = x;
+                }
+                if (j == n - 1 || dist[j] != dist[j + 1]) {
+                    v8d a = (v8d)((v8l)(s + c) & INT64_MAX);  /* fabs */
+                    v8l up = (a > best) | (a != a);  /* NaN sticks */
+                    best = (v8d)(((v8l)a & up) | ((v8l)best & ~up));
+                }
+            }
+            for (int64_t l = 0; l < 8 && k + l < d; l++) out[(k + l) * rows + i] = best[l];
+        }
+}
+#endif
+
+/* The lane count of the fastest maximal_values copy this host runs: 8
+   with AVX-512 (where the compiler builds that copy), else 1 */
+int sup_lanes(void)
+{
+#ifdef SUP_AVX512
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f")) return 8;
+#endif
+    return 1;
+}
+
+/* T* for d densities: the AVX-512 copy if lanes is 8, which sup_lanes
+   returns only where the host runs it, else the scalar loop */
+void maximal_values(int64_t rows, int64_t n, int64_t d, int64_t lanes, const double *g, const int64_t *order,
+                    const double *dist, const double *kw, double *out)
+{
+#ifdef SUP_AVX512
+    if (lanes == 8) {
+        maximal_rows_avx512(rows, n, d, g, order, dist, kw, out);
+        return;
     }
+#endif
+    (void)lanes;
+    maximal_rows(rows, n, d, g, order, dist, kw, out);
 }
 
 /* M: the distances read backwards (ascending); the max of prefix(mass[order])

@@ -219,7 +219,7 @@ def test_maximal_batch_matches_scalar():
     nu, g = random_config(rng, 80)
     k = sl.RieszComponent(2, 1)
     pts = rng.points_in_box(25, [(-1, 1)] * 2)
-    batch = sl.TruncationTable(nu, k, pts).maximal_values(g)
+    batch = sl.TruncationTable(nu, k, pts).maximal_values([g])[0]
     for i, x in enumerate(pts):
         assert batch[i] == sl.maximal(nu, k, g, x)
 
@@ -573,7 +573,7 @@ def test_nontangential_max_bounded_by_cone_estimate():
     c = sl.bound_constants(kern, aperture)
     cone = sl.Cone(graph, (0.2,), aperture)
     x = graph.points_on_graph(cone.apex_u)[0]
-    h = lambda pts: sl.TruncationTable(nu, kern, pts).maximal_values(gv)
+    h = lambda pts: sl.TruncationTable(nu, kern, pts).maximal_values([gv])[0]
     n_val = sl.nontangential_max(h, cone, 1.0, 4)
     tstar = sl.maximal(nu, kern, gv, x)
     mval = hl_maximal_batch(nu, gv, [x])[0][0]
@@ -782,6 +782,26 @@ def test_density_forms_agree():
         assert np.array_equal(density_values(form, nu), g)
 
 
+def test_density_stack_refuses_one_bare_density():
+    # a list of numbers or a 1-D array is one per-atom density to
+    # density_values; as a stack it would read as D constant densities
+    nu, g = random_config(Rng(86), 12)
+    table = sl.TruncationTable(nu, sl.RieszComponent(2, 0), np.zeros((3, 2)))
+    for bare in (g, g.tolist(), [0.5, None], None, 0.5, g[None, None, :]):
+        with pytest.raises(TypeError, match=r"pass \[g\]"):
+            table.maximal_values(bare)
+    with pytest.raises(ValueError, match="length mismatch"):
+        table.maximal_values(g[None, :5])
+    with pytest.raises(ValueError, match="finite"):
+        table.maximal_values(np.where(np.arange(12) == 3, math.nan, g)[None, :])
+    one = table.maximal_values([g])
+    assert one.shape == (1, 3)
+    for form in ([g.tolist()], (g,), g[None, :], np.asfortranarray(g[None, :])):
+        assert table.maximal_values(form).tobytes() == one.tobytes()
+    assert table.maximal_values([]).shape == (0, 3)
+    assert operators.density_stack([None, g], nu).tolist() == np.column_stack([np.ones(12), g]).tolist()
+
+
 # ---------------------------------------------------------------------------
 # summation policy: blocked scan, Sum2 and the fallback between them
 # ---------------------------------------------------------------------------
@@ -867,7 +887,7 @@ def _assert_sups_within_sum2_bound(terms, valid=None):
     candidates (all by default), bit for bit, and within the largest Sum2
     prefix bound of the exact sup, since |max|a| - max|b|| <= max|a - b|."""
     valid = np.ones(terms.shape, dtype=bool) if valid is None else valid
-    compiled, fallback = _both_paths(lambda: _scan_table(terms, valid).maximal_values(None))
+    compiled, fallback = _both_paths(lambda: _scan_table(terms, valid).maximal_values([None])[0])
     assert compiled.tolist() == fallback.tolist()
     for i, row in enumerate(terms):
         exact = _exact_prefixes(row)
@@ -997,7 +1017,7 @@ def test_tie_group_cancellation_matches_truncated():
     x = np.zeros((1, 2))
     table = sl.TruncationTable(nu, k, x)
     assert sl.truncated(nu, k, g, x[0], 0.5) == 0.6
-    assert table.maximal_values(g).tolist() == [0.6]
+    assert table.maximal_values([g]).tolist() == [[0.6]]
     assert table.truncated_values_per_point(g, np.array([0.5])).tolist() == [0.6]
     assert truncated_batch(nu, k, g, x, 0.5).tolist() == [0.6]
     assert sl.maximal(nu, k, g, x[0]) == 0.6
@@ -1041,7 +1061,7 @@ def test_empty_measure_gives_zeros():
     pts = np.zeros((2, 2))
     table = sl.TruncationTable(nu, k, pts)
     zeros = [0.0, 0.0]
-    assert table.maximal_values(None).tolist() == zeros
+    assert table.maximal_values([None]).tolist() == [zeros]
     assert table.truncated_values(None, 0.5).tolist() == zeros
     assert table.truncated_values_per_point(None, np.array([0.5, 1.0])).tolist() == zeros
     values, diverges = table.hl_maximal_values(None)
@@ -1073,7 +1093,7 @@ def test_maximal_values_oracle_ties_and_zero_distances(grid, weights, dens, pole
     g = np.array(dens[:n])
     x = positions[pole % n] if on_atom else positions[pole % n] + np.array([0.5, 0.25])
     k = sl.RieszComponent(2, axis)
-    fast = sl.TruncationTable(nu, k, x[None, :]).maximal_values(g)[0]
+    fast = sl.TruncationTable(nu, k, x[None, :]).maximal_values([g])[0, 0]
     assert fast == pytest.approx(brute_force_sup(nu, k, g, x), rel=1e-12, abs=1e-300)
 
 
@@ -1089,12 +1109,109 @@ def test_maximal_values_exact_on_cancelling_ties():
     k = sl.RieszComponent(2, 0)
     pts = np.array([[0.0, 0.0], [0.0, 0.0]])
     table = sl.TruncationTable(nu, k, pts)
-    compiled, fallback = _both_paths(lambda: table.maximal_values(g))
+    compiled, fallback = _both_paths(lambda: table.maximal_values([g])[0])
     assert compiled.tolist() == fallback.tolist()
     terms = table.kw_desc * g[table.order]
     for i, row in enumerate(terms):
         exact = max(abs(p) for (p, _), v in zip(_exact_prefixes(row), _group_end_mask(table.dist_desc)[i]) if v)
         assert compiled[i] == float(exact)
+
+
+def _sup_copies(table, gs):
+    """T* of ``table`` for the stack ``gs``, (D, P), by each way this host
+    computes it: the entry, the scalar copy (lanes 1), the AVX-512 copy
+    where the probe finds it, the numpy path, and the loop of one scalar
+    call per density."""
+    out = {"entry": table.maximal_values(gs)}
+    with mock.patch.object(operators, "_compiled", lambda: None), np.errstate(over="ignore", invalid="ignore"):
+        out["numpy"] = table.maximal_values(gs)
+    lib = operators._compiled()
+    if shutil.which("cc") is not None:
+        assert lib is not None
+    if lib is None:
+        return out
+    stack = operators.density_stack(gs, table.measure)
+
+    def run(columns, lanes):
+        values = np.empty((columns.shape[1], len(table.order)))
+        lib.maximal_values(*table.order.shape, columns.shape[1], lanes, columns, table.order, table.dist_desc,
+                           table.kw_desc, values)
+        return values
+
+    out["scalar"] = run(stack, 1)
+    if lib.lanes == 8:
+        out["avx512"] = run(stack, 8)
+    out["per_density"] = np.concatenate([run(np.ascontiguousarray(stack[:, k : k + 1]), 1) for k in range(len(gs))])
+    return out
+
+
+def _assert_copies_bit_equal(table, gs):
+    copies = _sup_copies(table, gs)
+    reference = copies["per_density" if "per_density" in copies else "numpy"]
+    assert reference.shape == (len(gs), len(table.order))
+    for name, values in copies.items():
+        assert values.shape == reference.shape and values.tobytes() == reference.tobytes(), name
+    return reference
+
+
+def _lane_table(kind, rng):
+    """(table, atom count) for the lane tests: ``_scan_table`` rows with
+    distance ties, the cancellation mix of terms or infinite and NaN terms,
+    or a table of points on integer-grid atoms (zero distances and ties)."""
+    n = 37
+    if kind == "zero_distance":
+        positions = rng.integers(-2, 3, size=(n, 2)).astype(float)
+        nu = sl.DiscreteMeasure(positions, rng.uniform(0.0, 1.0, n), 1e-3)
+        return sl.TruncationTable(nu, sl.RieszComponent(2, 1), np.vstack([positions[:4], [[0.5, 0.0]]])), n
+    valid = rng.random((5, n)) < 0.3
+    valid[:, -1] = True
+    if kind == "ties":
+        terms = rng.uniform(-1.0, 1.0, (5, n))
+    elif kind == "cancellation":
+        terms = rng.choice([1e16, -1e16, 1.0, -1.0, 1e-6, 0.0], (5, n))
+    else:  # nan_terms
+        terms = rng.choice([math.inf, -math.inf, math.nan, 1.0, -2.0], (5, n), p=[0.05, 0.05, 0.02, 0.44, 0.44])
+        terms[0] = 1.0  # one row of finite terms
+    return _scan_table(terms, valid), n
+
+
+@pytest.mark.parametrize("d", [1, 9, 13, 50])
+@pytest.mark.parametrize("kind", ["ties", "zero_distance", "cancellation", "nan_terms"])
+def test_sup_copies_bit_equal_to_the_per_density_loop(kind, d):
+    # each density is one lane's Sum2, its operations in their order, so
+    # every copy gives the bits of one scalar pass per density; D = 9 and
+    # 13 leave a partial last block of 8 lanes
+    rng = np.random.default_rng(d)
+    table, n = _lane_table(kind, rng)
+    gs = rng.uniform(-1.0, 1.0, (d, n)) * rng.choice([1.0, 0.0, 1e9], (d, 1))
+    values = _assert_copies_bit_equal(table, gs)
+    if kind == "nan_terms":
+        assert np.isfinite(values[:, 0]).all() and np.isnan(values).any()
+
+
+@pytest.mark.parametrize("d", [1, 9])
+@pytest.mark.parametrize("shape", [(0, 5), (3, 0), (0, 0)], ids=["P=0", "N=0", "both"])
+def test_sup_copies_on_empty_tables(shape, d):
+    rows, n = shape
+    nu = sl.DiscreteMeasure(np.arange(2.0 * n).reshape(n, 2), np.ones(n), 1e-3)
+    table = sl.TruncationTable(nu, sl.RieszComponent(2, 0), np.zeros((rows, 2)))
+    values = _assert_copies_bit_equal(table, np.ones((d, n)))
+    assert values.tolist() == [[0.0] * rows] * d
+
+
+def test_nan_lane_leaves_the_other_lanes_bits():
+    # density 4 turns the terms +-1e300 into +-inf, whose sum is NaN, in
+    # its lane alone; the other lanes of its block of 8 and of the next
+    # keep the bits of their one-density passes
+    rng = np.random.default_rng(5)
+    terms = np.hstack([[[1e300, -1e300]] * 3, rng.uniform(-1.0, 1.0, (3, 20))])
+    table = _scan_table(terms, np.ones(terms.shape, dtype=bool))
+    gs = rng.uniform(-1.0, 1.0, (11, 22))
+    gs[4] = 1e300
+    values = _assert_copies_bit_equal(table, gs)
+    assert np.isnan(values[4]).all() and np.isfinite(np.delete(values, 4, axis=0)).all()
+    for k, g in enumerate(gs):
+        assert table.maximal_values([g]).tobytes() == values[k].tobytes()
 
 
 def test_hl_maximal_values_matches_batch():
@@ -1163,7 +1280,7 @@ def test_compiled_and_numpy_sups_are_bit_equal(dim, n, n_pts, on_atoms, seed):
 
     def sups():
         table = sl.TruncationTable(nu, k, pts)
-        return table.maximal_values(g), *table.hl_maximal_values(g), *hl_maximal_batch(nu, g, pts)
+        return table.maximal_values([g])[0], *table.hl_maximal_values(g), *hl_maximal_batch(nu, g, pts)
 
     compiled, fallback = _both_paths(sups)
     for a, b in zip(compiled, fallback):
@@ -1354,7 +1471,7 @@ def _table_outputs(nu, k, pts, g, eps):
     values, diverges = table.hl_maximal_values(g)
     return {
         "order": table.order, "dist_desc": table.dist_desc, "kw_desc": table.kw_desc,
-        "maximal": table.maximal_values(g), "truncated": table.truncated_values_per_point(g, eps),
+        "maximal": table.maximal_values([g]), "truncated": table.truncated_values_per_point(g, eps),
         "hl_table": values, "hl_table_diverges": diverges,
         "batch": truncated_batch(nu, k, g, pts, eps),
         **dict(zip(("hl", "hl_diverges"), hl_maximal_batch(nu, g, pts))),

@@ -15,7 +15,8 @@ README names.  In the harness, only ``config.blame`` maps a ValueError
 to a configuration error.  The count of settable values (parameters and
 fields with a default) is pinned, so a new knob is a deliberate change.
 The compiled loops are built without FMA contraction or fast-math, which
-would round them differently from their numpy path; with ``-Wall
+would round them differently from their numpy path, and without flags
+that tie the library to one host's CPU; with ``-Wall
 -Wextra -Werror`` added, ``sups.c`` still compiles, and it exports every
 symbol that ``operators._compiled`` binds, each with as many argtypes as
 its C parameters; a compile leaves no library of an earlier source in
@@ -246,6 +247,15 @@ def test_compiled_sups_round_as_numpy_does():
     assert not {"-ffast-math", "-Ofast"} & set(_CFLAGS)
 
 
+def test_compiled_sups_build_for_any_host_of_the_architecture():
+    # the library is keyed by source and flags, not by host, so a checkout
+    # shared between hosts must not load code that one of them cannot run;
+    # the AVX-512 copy is chosen at run time instead
+    from siolab.operators import _CFLAGS
+
+    assert [flag for flag in _CFLAGS if flag.startswith(("-march", "-mtune", "-mavx"))] == []
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_sups_compile_without_warnings_and_export_every_bound_symbol(tmp_path):
     from siolab.operators import _CFLAGS
@@ -255,13 +265,14 @@ def test_sups_compile_without_warnings_and_export_every_bound_symbol(tmp_path):
         ["cc", *_CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", lib, PACKAGE / "sups.c"], capture_output=True, text=True
     )
     assert build.returncode == 0, build.stderr
-    bound = {
+    bound = {  # read from the library; an attribute stored on it (the probed lane count) is not a symbol
         node.attr
         for node in ast.walk(_compiled_loader())
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "dll"
+        and isinstance(node.ctx, ast.Load)
     }
     dll = ctypes.CDLL(str(lib))
-    assert {"table_rows", "truncated_rows", "maximal_values", "hl_maximal_values"} <= bound
+    assert {"table_rows", "truncated_rows", "maximal_values", "hl_maximal_values", "sup_lanes"} <= bound
     assert [name for name in sorted(bound) if not hasattr(dll, name)] == []
 
 
@@ -282,10 +293,12 @@ def test_bound_argtypes_match_the_c_parameter_lists():
         and node.targets[0].attr == "argtypes"
     }
     params = {
-        name: len(args.split(","))
+        name: 0 if args == "void" else len(args.split(","))
         for name, args in re.findall(r"^(?:int|void) (\w+)\(([^)]*)\)", (PACKAGE / "sups.c").read_text(), re.MULTILINE)
     }
-    assert argtypes == params == {"table_rows": 11, "truncated_rows": 10, "maximal_values": 7, "hl_maximal_values": 8}
+    assert argtypes == params == {
+        "table_rows": 11, "truncated_rows": 10, "maximal_values": 9, "hl_maximal_values": 8, "sup_lanes": 0,
+    }
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
