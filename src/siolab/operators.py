@@ -10,9 +10,9 @@ Summation conventions, fixed package-wide:
 * Every other sum follows ``summation``: a total (T^eps rows, L^p
   norms, pair sums) is one Sum2, and a sup over prefixes (T* and the
   maximal function) is a max over the Sum2 prefixes of each row; the
-  table's rows (distances, kernel terms and their stable sort), these
-  sums and the sups run in the loops of ``sups.c`` or, where they cannot
-  be built, in numpy with the same bits.
+  table's rows (distances, kernel terms and their stable sort), the
+  T^eps rows, the pair sums' partials and the sups run in the loops of
+  ``sups.c`` or, where they cannot be built, in numpy with the same bits.
 * The supremum over all truncation radii is exact, not sampled: the
   truncated transform is piecewise constant in eps with jumps only at
   distinct atom distances, so the supremum is a maximum over suffix
@@ -119,17 +119,18 @@ def _points(points, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cells(kernel, pts: np.ndarray, nu: DiscreteMeasure):
-    """The leading arguments of ``sups.c``'s ``table_rows`` and
-    ``truncated_rows``: the point and atom counts, the dimension, the
-    points and the atoms, and the kernel's monomial form (P, q).  Raises
-    ValueError, as ``evaluate_many`` does on the numpy path, unless the
-    kernel's dimension is the measure's."""
+def _cells(kernel, pts: np.ndarray, positions: np.ndarray):
+    """The leading arguments of ``sups.c``'s ``table_rows``,
+    ``truncated_rows`` and ``pair_partials``: the point and atom counts,
+    the dimension, the points and the atoms, and the kernel's monomial form
+    (P, q).  Raises ValueError, as ``evaluate_many`` does on the numpy
+    path, unless the kernel's dimension is the atoms'."""
     powers, q = kernel.monomial
-    if len(powers) != nu.ambient_dim:
-        raise ValueError(f"expected a kernel on R^{nu.ambient_dim}, got one on R^{len(powers)}")
-    positions = np.ascontiguousarray(nu.positions)
-    return len(pts), nu.count, nu.ambient_dim, np.ascontiguousarray(pts), positions, np.array(powers, np.int64), q
+    n_atoms, dim = positions.shape
+    if len(powers) != dim:
+        raise ValueError(f"expected a kernel on R^{dim}, got one on R^{len(powers)}")
+    pts, positions = np.ascontiguousarray(pts), np.ascontiguousarray(positions)
+    return len(pts), n_atoms, dim, pts, positions, np.array(powers, np.int64), q
 
 
 def _kernel_at_diffs(kernel, diffs: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -146,19 +147,24 @@ def _kernel_at_diffs(kernel, diffs: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return kernel.evaluate_many(diffs.reshape(len(diffs), -1)).reshape(dist.shape)
 
 
+def _rows_per_block(n_pts: int, n_atoms: int) -> int:
+    """The points per block of ``_distance_blocks``: about _BLOCK_ELEMENTS
+    point-atom pairs, at least one point."""
+    return max(1, min(n_pts, _BLOCK_ELEMENTS // max(1, n_atoms)))
+
+
 def _distance_blocks(pts: np.ndarray, positions: np.ndarray):
-    """(slice, differences, distances) over consecutive blocks of the
-    points, about _BLOCK_ELEMENTS point-atom pairs per block.  The
-    differences are coordinate-major, (n, B, N): row k holds coordinate k
-    of x - y.  Both arrays are views of buffers allocated once per call
-    and overwritten by the next block.
+    """(slice, differences, distances) over consecutive blocks of
+    ``_rows_per_block`` points.  The differences are coordinate-major,
+    (n, B, N): row k holds coordinate k of x - y.  Both arrays are views
+    of buffers allocated once per call and overwritten by the next block.
 
     The squares are added one coordinate at a time, in the order
     np.linalg.norm adds them, so a distance here equals the one the
     single-point ``truncated`` compares with eps, bit for bit.
     """
     n_pts, n_atoms = len(pts), len(positions)
-    block = max(1, min(n_pts, _BLOCK_ELEMENTS // max(1, n_atoms)))
+    block = _rows_per_block(n_pts, n_atoms)
     cols = np.ascontiguousarray(positions.T)[:, None, :]
     diffs = np.empty((positions.shape[1], block, n_atoms))
     sq = np.empty((block, n_atoms))
@@ -211,7 +217,7 @@ def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
     gw = nu.weights * density_values(g, nu)
     lib = _compiled()
     if lib is not None:
-        lib.truncated_rows(*_cells(kernel, pts, nu), eps, gw, out)
+        lib.truncated_rows(*_cells(kernel, pts, nu.positions), eps, gw, out)
         return out
     for sl, diffs, dist in _distance_blocks(pts, nu.positions):
         kv = _kernel_at_diffs(kernel, diffs, dist)
@@ -230,10 +236,11 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 @functools.cache
 def _compiled():
-    """The loops of ``sups.c`` through ctypes, built with ``cc`` on first
-    use into ``build/`` beside it under the CRC of source and flags (a
-    per-process name renamed into place, so forked workers may race); or
-    None where no compiler, compile or writable directory is found, and
+    """The loops of ``sups.c`` through ctypes (the table build, T^eps, the
+    pair engine and the two sups), built with ``cc`` on first use (never
+    at import) into ``build/`` beside it under the CRC of source and flags
+    (a per-process name renamed into place, so forked workers may race);
+    or None where no compiler, compile or writable directory is found, and
     the callers take the numpy path to the same bits.  A compile removes
     the libraries of earlier sources from ``build/``.  ``lanes`` holds
     the host's probe (``sup_lanes``, 8 with AVX-512, else 1), which picks
@@ -262,10 +269,12 @@ def _compiled():
     size = ctypes.c_int64
     dll.table_rows.argtypes = [size, size, size, f64, f64, i64, size, f64, i64, f64, f64]  # _cells, then the rest
     dll.truncated_rows.argtypes = [size, size, size, f64, f64, i64, size, f64, f64, f64]
+    dll.pair_partials.argtypes = [size, size, size, f64, f64, i64, size, f64, f64, size, f64, size, f64, flag, f64, i64]
     dll.maximal_values.argtypes = [size, size, size, size, f64, i64, f64, f64, f64]
     dll.hl_maximal_values.argtypes = [size, size, size, f64, i64, f64, f64, flag]
     dll.sup_lanes.argtypes = []
-    dll.truncated_rows.restype = dll.maximal_values.restype = dll.hl_maximal_values.restype = None
+    for void in (dll.truncated_rows, dll.pair_partials, dll.maximal_values, dll.hl_maximal_values):
+        void.restype = None
     dll.lanes = dll.sup_lanes()
     return dll
 
@@ -322,8 +331,8 @@ class TruncationTable:
         # repeats the previous prefix: no special casing is needed.
         lib = _compiled()
         if lib is not None:
-            weights = np.ascontiguousarray(nu.weights)
-            if lib.table_rows(*_cells(kernel, pts, nu), weights, self.order, self.dist_desc, self.kw_desc) != 0:
+            cells = (*_cells(kernel, pts, nu.positions), np.ascontiguousarray(nu.weights))
+            if lib.table_rows(*cells, self.order, self.dist_desc, self.kw_desc) != 0:
                 raise MemoryError("table_rows: out of memory")
             return
         for sl, diffs, dist in _distance_blocks(pts, nu.positions):
@@ -571,29 +580,27 @@ def _bin_sums(kernel, diffs: np.ndarray, wprod: np.ndarray, mask: np.ndarray):
     idx = np.flatnonzero(mask)
     terms = kernel.evaluate_many(diffs.reshape(len(diffs), -1).take(idx, axis=1))
     terms *= wprod.take(idx)
-    return float(np.max(np.abs(terms))), len(terms), sum2_total(terms)
+    return np.max(np.abs(terms)), len(terms), sum2_total(terms)
 
 
-def pair_sum_schedule(
-    pos_a: np.ndarray, w_a: np.ndarray, pos_b: np.ndarray, w_b: np.ndarray, kernel, schedule
-) -> list[PairSumStats]:
-    """``pair_sum_stats`` at every eps of a strictly decreasing schedule,
-    from one pass over the pairs.  Bin j holds the pairs with
-    eps[j] < |x_a - y_b| <= eps[j-1], each kernel term evaluated once.
-    Each (distance block, bin) is summed by Sum2 in row-major order and
-    kept unrounded (its float64 total and the sum of its TwoSum errors);
-    the value at eps[k] is one Sum2 over the m partials of bins 0..k.
-    For the exact value T of its N terms it is within u|T| +
-    ((1 + u) gamma_{N-1}^2 + (1 + gamma_N)^2 gamma_{2m-1}^2) sum|t|.
-    """
-    eps = np.asarray(schedule, dtype=float).reshape(-1)
-    if len(eps) == 0 or not np.all(eps > 0) or np.any(eps[1:] >= eps[:-1]):
-        raise ValueError("eps schedule must be nonempty, positive and strictly decreasing")
-    if len(pos_a) * len(pos_b) > PAIR_COUNT_GUARD:
-        raise ValueError(f"pair count guard exceeded: {len(pos_a) * len(pos_b)} pairs, limit {PAIR_COUNT_GUARD}")
-    partials = [[] for _ in eps]  # per bin: sum2_total of each block's terms
+def _pair_partials(pos_a: np.ndarray, w_a: np.ndarray, pos_b: np.ndarray, w_b: np.ndarray, kernel, eps):
+    """The pass of ``pair_sum_schedule`` over the pairs: (partials, seen,
+    max |term|, count).  Per (block of ``_rows_per_block`` rows of pos_a,
+    bin) the unrounded Sum2 of the bin's terms in row-major order, as
+    ``sum2_total`` gives it, and whether the block has any; per bin the
+    max |term| (NaN once a term is, as np.max) and the term count.  One
+    compiled pass (``sups.c``'s ``pair_partials``), or numpy's blocks with
+    the same bits."""
+    block = _rows_per_block(len(pos_a), len(pos_b))
+    partials = np.zeros((-(-len(pos_a) // block), len(eps), 2))
+    seen = np.zeros(partials.shape[:2], dtype=bool)
     max_terms = np.zeros(len(eps))
     counts = np.zeros(len(eps), dtype=np.int64)
+    lib = _compiled()
+    if lib is not None:
+        lib.pair_partials(*_cells(kernel, pos_a, pos_b), w_a, w_b, len(eps), eps, block, partials, seen, max_terms,
+                          counts)
+        return partials, seen, max_terms, counts
     for sl, diffs, dist in _distance_blocks(pos_a, pos_b):
         wprod = w_a[sl][:, None] * w_b[None, :]
         outside = False  # pairs binned already: dist > eps[j-1]
@@ -603,12 +610,44 @@ def pair_sum_schedule(
             outside ^= mask
             if not np.any(mask):
                 continue
-            max_term, count, sums = _bin_sums(kernel, diffs, wprod, mask)
-            max_terms[j] = max(max_terms[j], max_term)
+            max_term, count, partials[sl.start // block, j] = _bin_sums(kernel, diffs, wprod, mask)
+            seen[sl.start // block, j] = True
+            max_terms[j] = np.maximum(max_terms[j], max_term)  # NaN sticks
             counts[j] += count
-            partials[j] += sums
-    flat = np.array([0.0] + [x for part in partials for x in part])  # 0: no pair yet
-    values = sum2_prefix(flat[None, :])[0, np.cumsum([len(part) for part in partials])]
+    return partials, seen, max_terms, counts
+
+
+def pair_sum_schedule(
+    pos_a: np.ndarray, w_a: np.ndarray, pos_b: np.ndarray, w_b: np.ndarray, kernel, schedule
+) -> list[PairSumStats]:
+    """``pair_sum_stats`` at every eps of a strictly decreasing schedule,
+    from one pass over the pairs (``_pair_partials``).  Bin j holds the
+    pairs with eps[j] < |x_a - y_b| <= eps[j-1], each kernel term
+    evaluated once.  Each (distance block, bin) is summed by Sum2 in
+    row-major order and kept unrounded (its float64 total and the
+    sequential sum of its TwoSum errors); the value at eps[k] is one Sum2
+    over the m partials of bins 0..k, bin-major.  For the exact value T of
+    its N terms it is within u|T| + ((1 + u) gamma_{N-1}^2 +
+    (1 + gamma_N)^2 gamma_{2m-1}^2) sum|t|.  ``max_abs_term`` is NaN once
+    an included term is.
+
+    Positions are finite, one row per point, both of the kernel's
+    dimension, and the weights finite, one per position: ValueError
+    otherwise.
+    """
+    eps = np.ascontiguousarray(schedule, dtype=float).reshape(-1)
+    if len(eps) == 0 or not np.all(eps > 0) or np.any(eps[1:] >= eps[:-1]):
+        raise ValueError("eps schedule must be nonempty, positive and strictly decreasing")
+    pos_a, pos_b = (_points(pos, kernel.ambient_dim) for pos in (pos_a, pos_b))
+    w_a, w_b = (np.ascontiguousarray(w, dtype=float) for w in (w_a, w_b))
+    for w, pos in ((w_a, pos_a), (w_b, pos_b)):
+        if w.shape != (len(pos),) or not np.all(np.isfinite(w)):
+            raise ValueError(f"weights must be finite, one per position: got shape {w.shape} for {len(pos)} positions")
+    if len(pos_a) * len(pos_b) > PAIR_COUNT_GUARD:
+        raise ValueError(f"pair count guard exceeded: {len(pos_a) * len(pos_b)} pairs, limit {PAIR_COUNT_GUARD}")
+    partials, seen, max_terms, counts = _pair_partials(pos_a, w_a, pos_b, w_b, kernel, eps)
+    flat = np.concatenate([[0.0], partials.transpose(1, 0, 2)[seen.T].reshape(-1)])  # 0: no pair yet
+    values = sum2_prefix(flat[None, :])[0, 2 * np.cumsum(np.count_nonzero(seen, axis=0))]
     return [
         PairSumStats(float(v), float(m), int(c))
         for v, m, c in zip(values, np.maximum.accumulate(max_terms), np.cumsum(counts))

@@ -4,9 +4,12 @@ so its bits are the same on every platform.  With u = 2^-53 and
 gamma_k = k u / (1 - k u): a total is one Sum2 (``sum2_rows``), whose
 prefix S of n terms is within u|S| + gamma_{n-1}^2 sum|t|, as accurate
 as a sum in twice the working precision, rounded once; ``sum2_total``
-keeps it unrounded, for sums of partial sums.  A sup over prefixes is a
-max over the ``sum2_prefix`` of its row; ``operators`` takes it, and the
-T^eps row totals, in compiled passes of the same operations: same bits.
+keeps it unrounded, for sums of partial sums.  Every sum here, the
+TwoSum errors' too, adds its terms one at a time in order (a cumsum,
+never numpy's pairwise ``sum``), as textbook Sum2 does.  A sup over
+prefixes is a max over the ``sum2_prefix`` of its row; ``operators``
+takes it, the T^eps row totals and the pair engine's partials in
+compiled passes of the same operations: same bits.
 """
 from __future__ import annotations
 
@@ -54,6 +57,8 @@ def sum2_rows(terms: np.ndarray) -> np.ndarray:
 
 def sum2_total(terms: np.ndarray) -> tuple[float, float]:
     """(float64 sum, sum of its TwoSum errors) of a 1-D array, N >= 1,
-    which is overwritten.  Unrounded, the pair is within
+    which is overwritten: both sums sequential, as textbook Sum2 (and
+    ``sups.c``'s pair engine) add them.  Unrounded, the pair is within
     gamma_{N-1}^2 sum|t| of the exact total."""
-    return float(_two_sum_errors(terms[None, :])[0, -1]), float(terms.sum())
+    s = float(_two_sum_errors(terms[None, :])[0, -1])
+    return s, float(np.cumsum(terms, out=terms)[-1])

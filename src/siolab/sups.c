@@ -1,15 +1,19 @@
 /* The compiled loops of siolab.operators, one row per point: the table's
-   row build, T^eps, and the sups of the table's rows.  A row is summed by
-   Sum2 (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005), with the
-   operations of summation.sum2_prefix in its order: s the running sum, c
-   the running sum of the exact TwoSum errors, a prefix s + c.  A cell's
-   distance and kernel term take the operations of the numpy path
-   (operators._distance_blocks and kernel.evaluate_many) in their order:
-   r2 the squares of x - y added coordinate by coordinate, the distance
-   sqrt(r2), and K(x - y) = (x - y)^P / |x - y|^q, the numerator's factors
-   multiplied in coordinate order from 1 and |x - y|^q formed as q / 2
-   factors r2, times sqrt(r2) when q is odd.  Compiled without FMA
+   row build, T^eps, the pair engine, and the sups of the table's rows.  A
+   row is summed by Sum2 (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26,
+   2005), with the operations of summation.sum2_prefix in its order: s the
+   running sum, c the running sum of the exact TwoSum errors, a prefix
+   s + c.  A cell's distance and kernel term take the operations of the
+   numpy path (operators._distance_blocks and kernel.evaluate_many) in
+   their order: r2 the squares of x - y added coordinate by coordinate, the
+   distance sqrt(r2), and K(x - y) = (x - y)^P / |x - y|^q, the numerator's
+   factors multiplied in coordinate order from 1 and |x - y|^q formed as
+   q / 2 factors r2, times sqrt(r2) when q is odd.  Compiled without FMA
    contraction or fast-math, each loop equals its numpy path bit for bit.
+   The pair engine puts each pair in the bin of the first eps its distance
+   exceeds and keeps, per (block of rows, bin), the Sum2 of the bin's
+   terms unrounded (s and c, as summation.sum2_total gives them), which
+   operators.pair_sum_schedule sums in turn.
    T* takes a stack of densities; on x86-64 hosts with AVX-512 a copy
    chosen at run time (sup_lanes) sums 8 densities at once, one vector
    lane each, and since a lane is one density's Sum2 with that density's
@@ -109,6 +113,40 @@ void truncated_rows(int64_t rows, int64_t n, int64_t dim, const double *pts, con
             if (j == 0) s = t; else sum2_add(&s, &c, t);
         }
         out[i] = s + c;  /* 0 for n = 0 */
+    }
+}
+
+/* The pair engine of operators.pair_sum_schedule over the pairs (x, y) of
+   pts x pos, row by row: a pair with |x - y| > eps[bins - 1] (eps strictly
+   decreasing; the other pairs are skipped) falls in bin j, the first with
+   |x - y| > eps[j], and its term is K(x - y) (w_a(x) w_b(y)).  Per (block
+   of `block` rows, bin), the Sum2 of its terms in row-major order goes
+   into partials (the float64 sum, then the sum of its TwoSum errors) and
+   seen marks a block's bin that holds a term; per bin the max |term|, NaN
+   sticking as in np.max, and the term count.  The outputs start zeroed. */
+void pair_partials(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
+                   const int64_t *powers, int64_t q, const double *w_a, const double *w_b, int64_t bins,
+                   const double *eps, int64_t block, double *partials, uint8_t *seen, double *max_term,
+                   int64_t *counts)
+{
+    for (int64_t i = 0; i < rows; i++, pts += dim) {
+        double *part = partials + i / block * bins * 2;
+        uint8_t *any = seen + i / block * bins;
+        for (int64_t b = 0; b < n; b++) {
+            double r2 = norm2(dim, pts, pos + b * dim), d = sqrt(r2);
+            if (!(d > eps[bins - 1])) continue;
+            int64_t j = 0;
+            while (!(d > eps[j])) j++;
+            double t = kernel(dim, pts, pos + b * dim, powers, q, r2) * (w_a[i] * w_b[b]), a = fabs(t);
+            if (a > max_term[j] || a != a) max_term[j] = a;
+            counts[j]++;
+            if (any[j]) {
+                sum2_add(part + 2 * j, part + 2 * j + 1, t);
+            } else {
+                part[2 * j] = t;
+                any[j] = 1;
+            }
+        }
     }
 }
 

@@ -500,6 +500,33 @@ def test_pair_sum_schedule_empty_side_is_zero():
         assert pair_sum_schedule(*args, k, schedule) == [(0.0, 0.0, 0)] * 3
 
 
+def test_pair_sum_schedule_validates_its_arrays():
+    # unchecked, a longer weight array is read at the wrong cells (numpy)
+    # or out of bounds (C), and a NaN coordinate drops its pairs
+    pos_a, pos_b = np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 2.0], [3.0, 1.0]])
+    k = sl.RieszComponent(2, 0)
+    bad = [
+        (pos_a, np.ones(2), pos_b, np.array([1.0, 1.0, 5.0])),
+        (pos_a, np.ones(3), pos_b, np.ones(2)),
+        (pos_a, np.ones(1), pos_b, np.ones(2)),
+        (pos_a, np.ones((2, 1)), pos_b, np.ones(2)),
+        (pos_a, np.ones(2), pos_b, np.array([1.0, math.inf])),
+        (pos_a, np.ones(2), pos_b, np.array([math.nan, 1.0])),
+        (np.array([[0.0, math.nan], [1.0, 0.0]]), np.ones(2), pos_b, np.ones(2)),
+        (pos_a, np.ones(2), np.ones((2, 3)), np.ones(2)),
+        (pos_a[:, :1], np.ones(2), pos_b, np.ones(2)),
+    ]
+
+    def calls():
+        for args in bad:
+            with pytest.raises(ValueError, match="must be finite"):
+                pair_sum_schedule(*args, k, [0.5])
+        return pair_sum_schedule(pos_a, np.ones(2), pos_b, np.ones(2), k, [0.5])
+
+    compiled, fallback = _both_paths(calls)
+    assert compiled == fallback == [(-0.5, 0.4, 4)]  # terms 0, -0.3, 0.2, -0.4
+
+
 # ---------------------------------------------------------------------------
 # cone estimate constants and the lemma inequalities
 # ---------------------------------------------------------------------------
@@ -918,6 +945,26 @@ def test_sum2_prefix_is_sequential_sum2_within_bound(rows, n):
         assert prefix[i].tolist() == _sequential_sum2(row.tolist())
         for j, (exact, abs_sum) in enumerate(_exact_prefixes(row)):
             assert abs(Fraction(prefix[i, j]) - exact) <= _sum2_bound(exact, j + 1, abs_sum)
+
+
+def _textbook_sum2(terms):
+    """(s, c) of Sum2 as the paper writes it, one term at a time: the
+    float64 sum and the sum of its TwoSum errors, unrounded."""
+    s, c = terms[0], 0.0
+    for t in terms[1:]:
+        x = s + t
+        z = x - s
+        c += (t - z) + (s - (x - z))
+        s = x
+    return s, c
+
+
+@settings(max_examples=60, deadline=None)
+@given(row=st.lists(_scan_values, min_size=1, max_size=150))
+def test_sum2_total_is_sequential_sum2(row):
+    # the compiled pair engine adds each error in turn; numpy's pairwise
+    # sum would round its partials differently
+    assert summation.sum2_total(np.array(row)) == _textbook_sum2(row)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1357,6 +1404,102 @@ def test_compiled_and_numpy_table_builds_are_bit_equal(layout, family, dim, n, n
         assert compiled[0][0].tolist() == sorted(range(n), key=lambda j: (-(j // 2), j))
 
 
+def _pair_engine_bits(*args):
+    """``pair_sum_schedule``'s values and max |term| as bytes (NaN-safe),
+    and its pair counts."""
+    stats = pair_sum_schedule(*args)
+    return (np.array([s.value for s in stats]).tobytes(), np.array([s.max_abs_term for s in stats]).tobytes(),
+            [s.pair_count for s in stats])
+
+
+@settings(max_examples=60, deadline=None)
+@example(family="riesz", dim=2, n_a=0, n_b=5, squares={4, 1}, block_rows=None, huge=False, seed=0)  # empty side
+@example(family="odd", dim=3, n_a=6, n_b=0, squares={9}, block_rows=2, huge=False, seed=1)
+@example(family="riesz", dim=4, n_a=7, n_b=9, squares={2}, block_rows=2, huge=False, seed=2)  # one eps, 4 blocks
+@example(family="odd", dim=2, n_a=5, n_b=8, squares={16, 4, 1}, block_rows=2, huge=True, seed=3)
+@given(
+    family=st.sampled_from(["riesz", "odd"]),
+    dim=st.sampled_from([2, 3, 4]),
+    n_a=st.integers(0, 12),
+    n_b=st.integers(0, 30),
+    squares=st.sets(st.integers(1, 40), min_size=1, max_size=8),
+    block_rows=st.sampled_from([None, 1, 2, 5]),
+    huge=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compiled_and_numpy_pair_engines_are_bit_equal(family, dim, n_a, n_b, squares, block_rows, huge, seed):
+    # integer grids, so distances often equal a schedule eps = sqrt(k)
+    # exactly; both kernel families with odd and even q; block_rows rows
+    # per distance block; with huge, atoms near 1e300 (whose squared
+    # distances overflow) and weights near 1e300, so that some terms are
+    # 0 / inf, inf / inf, K * inf or 0 * inf: zero, NaN and inf terms
+    rng = np.random.default_rng(seed)
+    pos_a = rng.integers(-3, 4, size=(n_a, dim)).astype(float)
+    pos_b = rng.integers(-3, 4, size=(n_b, dim)).astype(float)
+    w_a, w_b = rng.uniform(-1.0, 1.0, n_a), rng.uniform(0.0, 1.0, n_b)
+    if huge:
+        pos_b[::3] *= 1e300
+        w_a[::2] *= 1e300
+        w_b[1::3] *= 1e300
+    k = _table_kernel(family, dim)
+    schedule = np.sqrt(np.array(sorted(squares, reverse=True), dtype=float))
+    block = operators._BLOCK_ELEMENTS if block_rows is None else block_rows * max(1, n_b)
+    with mock.patch.object(operators, "_BLOCK_ELEMENTS", block), np.errstate(over="ignore", invalid="ignore"):
+        compiled, fallback = _both_paths(lambda: _pair_engine_bits(pos_a, w_a, pos_b, w_b, k, schedule))
+        diffs = (pos_a[:, None, :] - pos_b[None, :, :]).reshape(-1, dim)
+        dist = np.sqrt(np.sum(diffs * diffs, axis=1))
+        terms = k.evaluate_many(np.where(dist[:, None] > 0, diffs, 1.0).T) * (w_a[:, None] * w_b[None, :]).reshape(-1)
+    assert compiled == fallback
+    # max |term| is NaN once an included term is, as np.max is
+    for eps, max_term, count in zip(schedule, np.frombuffer(compiled[1]), compiled[2]):
+        included = terms[dist > eps]
+        assert count == len(included)
+        assert math.isnan(max_term) == bool(np.isnan(included).any())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_a=st.integers(0, 9),
+    n_b=st.integers(0, 12),
+    block_rows=st.integers(1, 4),
+    weights=st.lists(_scan_values, min_size=21, max_size=21),
+    squares=st.sets(st.integers(1, 20), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_partials_are_textbook_sum2_per_block_and_bin(n_a, n_b, block_rows, weights, squares, seed):
+    # the engine's pass on both paths against one loop over the pairs in
+    # row-major order: bin j the first eps[j] < distance, each (block of
+    # block_rows rows, bin) one Sum2; weights near 1e16 and 1 cancel, so
+    # another partition or another order of the error sum shows in the bits
+    rng = np.random.default_rng(seed)
+    pos_a = rng.integers(-3, 4, size=(n_a, 2)).astype(float)
+    pos_b = rng.integers(-3, 4, size=(n_b, 2)).astype(float)
+    w_a, w_b = np.array(weights[:n_a]), np.array(weights[n_a:n_a + n_b])
+    k = sl.RieszComponent(2, 1)
+    eps = np.sqrt(np.array(sorted(squares, reverse=True), dtype=float))
+    with mock.patch.object(operators, "_BLOCK_ELEMENTS", block_rows * max(1, n_b)):
+        compiled, fallback = _both_paths(lambda: operators._pair_partials(pos_a, w_a, pos_b, w_b, k, eps))
+    for a, b in zip(compiled, fallback):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    terms = {}
+    for i, x in enumerate(pos_a):
+        for b, y in enumerate(pos_b):
+            d = x - y
+            dist = math.sqrt(d[0] * d[0] + d[1] * d[1])
+            j = next((j for j, e in enumerate(eps) if dist > e), None)
+            if j is not None:
+                term = float(k.evaluate_many(d[:, None])[0]) * (w_a[i] * w_b[b])
+                terms.setdefault((i // block_rows, j), []).append(term)
+    partials, seen, max_terms, counts = compiled
+    assert seen.shape == (-(-n_a // max(1, min(n_a, block_rows))), len(eps))
+    assert {key: tuple(partials[key]) for key in zip(*np.nonzero(seen))} == {
+        key: _textbook_sum2(t) for key, t in terms.items()
+    }
+    for j in range(len(eps)):
+        in_bin = [t for (_, bin_), ts in terms.items() if bin_ == j for t in ts]
+        assert (max_terms[j], counts[j]) == (max(map(abs, in_bin), default=0.0), len(in_bin))
+
+
 _HUGE = 1e300  # its square overflows: the distance from the origin is inf
 
 
@@ -1513,6 +1656,8 @@ def test_multi_block_outputs_equal_single_block(monkeypatch, case):
 
 
 def test_multi_block_pair_sum_schedule_within_bound(monkeypatch):
+    # both paths in three full blocks and a short last one: the compiled
+    # pass takes numpy's partition, so its partials and bits are numpy's
     rng = Rng(99)
     nu = sl.cantor_four_corners(2)
     pos_a = np.vstack([nu.positions[:6], rng.points_in_box(4, [(-0.2, 1.2)] * 2)])
@@ -1521,26 +1666,31 @@ def test_multi_block_pair_sum_schedule_within_bound(monkeypatch):
     schedule = [2.0, 0.5, 0.25, 0.0625]
     rows = _block_rows(monkeypatch)
     monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 3 * nu.count)
-    got = pair_sum_schedule(pos_a, w_a, nu.positions, w_b, k, schedule)
-    assert rows == [3, 3, 3, 1]
+    compiled, fallback = _both_paths(lambda: pair_sum_schedule(pos_a, w_a, nu.positions, w_b, k, schedule))
+    assert rows == [3, 3, 3, 1]  # the numpy path's blocks
+    assert compiled == fallback
     diffs = (pos_a[:, None, :] - nu.positions[None, :, :]).reshape(-1, 2)
     dist = np.sqrt(np.sum(diffs * diffs, axis=1))
     terms = k.evaluate_many(np.where(dist[:, None] > 0, diffs, 1.0).T) * (w_a[:, None] * w_b[None, :]).reshape(-1)
-    for eps, stats in zip(schedule, got):
-        _, max_term, count = brute_pair_sum(pos_a, w_a, nu.positions, w_b, k, eps)
-        assert (stats.max_abs_term, stats.pair_count) == (max_term, count)
-        _assert_within_pair_sum_bound(stats.value, terms[dist > eps].tolist())
+    for got in (compiled, fallback):
+        for eps, stats in zip(schedule, got):
+            _, max_term, count = brute_pair_sum(pos_a, w_a, nu.positions, w_b, k, eps)
+            assert (stats.max_abs_term, stats.pair_count) == (max_term, count)
+            _assert_within_pair_sum_bound(stats.value, terms[dist > eps].tolist())
 
 
-# the traced peak of the test below, measured at the parent of the
-# coordinate-major distance pass (numpy 2.4.6)
+# the traced peak of the test below on the numpy path, measured at the
+# parent of the coordinate-major distance pass (numpy 2.4.6)
 _PAIR_SUM_PEAK_BYTES = 138_982_797  # 132.5 MiB
+# the compiled path's: 11,796 to 12,978 bytes measured (the per-(block, bin)
+# outputs, the flat partials and the returned list), plus a 11.6 KiB margin,
+# less than one 2048-float row
+_COMPILED_PAIR_SUM_PEAK_BYTES = 24 * 1024
 
 
-def test_pair_sum_schedule_traced_peak_is_pinned():
-    # DoubleIntegral's size: 2048 x 2048 pairs in two distance blocks, 16 eps;
-    # one more live (block x atoms) array, such as the previous block's
-    # squared distances, adds 16 MiB
+def _pair_sum_traced_peak():
+    """The tracemalloc peak of DoubleIntegral's size: 2048 x 2048 pairs in
+    two distance blocks, 16 eps."""
     graph = sl.LipschitzGraph(2, sl.Affine((0.0,)))
     above = sl.slab_above_graph(graph, [(-1.0, 1.0)], 128, 0.4, 16, 0.0)
     below = sl.slab_above_graph(graph, [(-1.0, 1.0)], 128, 0.4, 16, -0.4)
@@ -1550,7 +1700,20 @@ def test_pair_sum_schedule_traced_peak_is_pinned():
     try:
         pair_sum_schedule(above.positions, above.weights, below.positions, below.weights,
                           sl.RieszComponent(2, 1), schedule)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= _PAIR_SUM_PEAK_BYTES
+
+
+def test_pair_sum_schedule_traced_peak_is_pinned():
+    # the numpy path: one more live (block x atoms) array, such as the
+    # previous block's squared distances, adds 16 MiB
+    with mock.patch.object(operators, "_compiled", lambda: None):
+        assert _pair_sum_traced_peak() <= _PAIR_SUM_PEAK_BYTES
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
+def test_compiled_pair_sum_schedule_traced_peak_is_pinned():
+    # the compiled pass holds no per-pair or per-row array
+    assert operators._compiled() is not None  # loaded before the trace
+    assert _pair_sum_traced_peak() <= _COMPILED_PAIR_SUM_PEAK_BYTES
