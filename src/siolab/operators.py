@@ -12,7 +12,7 @@ Summation conventions, fixed package-wide:
   maximal function) is a max over the Sum2 prefixes of each row; the
   table's rows (distances, kernel terms and their stable sort), the
   T^eps rows, the pair sums' partials and the sups run in the loops of
-  ``sups.c`` or, where they cannot be built, in numpy with the same bits.
+  ``sups.c``, which need a C compiler (``_compiled``).
 * The supremum over all truncation radii is exact, not sampled: the
   truncated transform is piecewise constant in eps with jumps only at
   distinct atom distances, so the supremum is a maximum over suffix
@@ -35,7 +35,7 @@ import numpy as np
 
 from .geometry import Cone, check_aperture
 from .measure import DiscreteMeasure
-from .summation import sum2_prefix, sum2_rows, sum2_total
+from .summation import sum2_prefix, sum2_rows
 
 PAIR_COUNT_GUARD = 10**10
 # a TruncationTable stores P x N int64 order and float64 distances and
@@ -119,13 +119,12 @@ def _points(points, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cells(kernel, pts: np.ndarray, positions: np.ndarray):
+def _cells(monomial, pts: np.ndarray, positions: np.ndarray):
     """The leading arguments of ``sups.c``'s ``table_rows``,
     ``truncated_rows`` and ``pair_partials``: the point and atom counts,
-    the dimension, the points and the atoms, and the kernel's monomial form
-    (P, q).  Raises ValueError, as ``evaluate_many`` does on the numpy
-    path, unless the kernel's dimension is the atoms'."""
-    powers, q = kernel.monomial
+    the dimension, the points and the atoms, and a kernel's ``monomial``
+    form (P, q).  Raises ValueError unless P has the atoms' dimension."""
+    powers, q = monomial
     n_atoms, dim = positions.shape
     if len(powers) != dim:
         raise ValueError(f"expected a kernel on R^{dim}, got one on R^{len(powers)}")
@@ -133,51 +132,11 @@ def _cells(kernel, pts: np.ndarray, positions: np.ndarray):
     return len(pts), n_atoms, dim, pts, positions, np.array(powers, np.int64), q
 
 
-def _kernel_at_diffs(kernel, diffs: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """K at each coordinate-major difference column of ``diffs`` (n, B, N),
-    with 0 where dist == 0 (those atoms are excluded from every truncated
-    sum anyway): there the first coordinate is replaced by 1 in place.
-    """
-    zero = dist == 0.0
-    if np.any(zero):
-        np.copyto(diffs[0], 1.0, where=zero)
-        vals = kernel.evaluate_many(diffs.reshape(len(diffs), -1)).reshape(dist.shape)
-        vals[zero] = 0.0
-        return vals
-    return kernel.evaluate_many(diffs.reshape(len(diffs), -1)).reshape(dist.shape)
-
-
 def _rows_per_block(n_pts: int, n_atoms: int) -> int:
-    """The points per block of ``_distance_blocks``: about _BLOCK_ELEMENTS
-    point-atom pairs, at least one point."""
+    """The points per block of ``hl_maximal_batch`` and of the pair
+    engine's partials: about _BLOCK_ELEMENTS point-atom pairs, at least
+    one point."""
     return max(1, min(n_pts, _BLOCK_ELEMENTS // max(1, n_atoms)))
-
-
-def _distance_blocks(pts: np.ndarray, positions: np.ndarray):
-    """(slice, differences, distances) over consecutive blocks of
-    ``_rows_per_block`` points.  The differences are coordinate-major,
-    (n, B, N): row k holds coordinate k of x - y.  Both arrays are views
-    of buffers allocated once per call and overwritten by the next block.
-
-    The squares are added one coordinate at a time, in the order
-    np.linalg.norm adds them, so a distance here equals the one the
-    single-point ``truncated`` compares with eps, bit for bit.
-    """
-    n_pts, n_atoms = len(pts), len(positions)
-    block = _rows_per_block(n_pts, n_atoms)
-    cols = np.ascontiguousarray(positions.T)[:, None, :]
-    diffs = np.empty((positions.shape[1], block, n_atoms))
-    sq = np.empty((block, n_atoms))
-    dist = np.empty((block, n_atoms))
-    for start in range(0, n_pts, block):
-        sl = slice(start, min(start + block, n_pts))
-        r = sl.stop - start
-        d, s, t = diffs[:, :r], sq[:r], dist[:r]
-        np.subtract(pts[sl].T[:, :, None], cols, out=d)
-        np.multiply(d[0], d[0], out=s)
-        for k in range(1, len(d)):
-            s += np.multiply(d[k], d[k], out=t)
-        yield sl, d, np.sqrt(s, out=t)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +165,7 @@ def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
     """T^eps g at every point, eps a scalar or one radius per point, by a
     masked Sum2 over atoms (strict truncation); no distance sort, so it
     suits one radius per point.  One compiled pass per point computes
-    each distance and kernel term and sums them (``sups.c``); the numpy
-    path takes the same operations block by block.
+    each distance and kernel term and sums them (``sups.c``).
     """
     pts = _points(points, nu.ambient_dim)
     eps = np.ascontiguousarray(np.broadcast_to(np.asarray(eps, dtype=float), (len(pts),)))
@@ -215,13 +173,7 @@ def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
         raise ValueError("eps must be > 0")
     out = np.zeros(len(pts))
     gw = nu.weights * density_values(g, nu)
-    lib = _compiled()
-    if lib is not None:
-        lib.truncated_rows(*_cells(kernel, pts, nu.positions), eps, gw, out)
-        return out
-    for sl, diffs, dist in _distance_blocks(pts, nu.positions):
-        kv = _kernel_at_diffs(kernel, diffs, dist)
-        out[sl] = sum2_rows(np.where(dist > eps[sl, None], kv * gw, 0.0))
+    _compiled().truncated_rows(*_cells(kernel.monomial, pts, nu.positions), eps, gw, out)
     return out
 
 
@@ -230,7 +182,7 @@ def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _SUPS_SOURCE = Path(__file__).with_name("sups.c")
-# FMA contraction or fast-math would round differently from numpy
+# FMA contraction or fast-math would round differently from the oracles
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
@@ -239,12 +191,13 @@ def _compiled():
     """The loops of ``sups.c`` through ctypes (the table build, T^eps, the
     pair engine and the two sups), built with ``cc`` on first use (never
     at import) into ``build/`` beside it under the CRC of source and flags
-    (a per-process name renamed into place, so forked workers may race);
-    or None where no compiler, compile or writable directory is found, and
-    the callers take the numpy path to the same bits.  A compile removes
-    the libraries of earlier sources from ``build/``.  ``lanes`` holds
-    the host's probe (``sup_lanes``, 8 with AVX-512, else 1), which picks
-    the copy of ``maximal_values`` on each call."""
+    (a per-process name renamed into place, so forked workers may race).
+    They are the only implementation: where no compiler, compile, writable
+    directory or loadable library is found, RuntimeError names ``cc``,
+    the build directory and the tail of the compiler's message.  A compile
+    removes the libraries of earlier sources from ``build/``.  ``lanes``
+    holds the host's probe (``sup_lanes``, 8 with AVX-512, else 1), which
+    picks the copy of ``maximal_values`` on each call."""
     import ctypes
     import zlib
 
@@ -256,15 +209,18 @@ def _compiled():
             import subprocess
 
             lib.parent.mkdir(exist_ok=True)
-            if subprocess.run(["cc", *_CFLAGS, "-o", tmp, _SUPS_SOURCE], capture_output=True).returncode == 0:
-                os.replace(tmp, lib)
-                for stale in lib.parent.glob("sups_" + "?" * 8 + ".so"):  # not another process's temporary
-                    if stale != lib:
-                        stale.unlink(missing_ok=True)
+            build = subprocess.run(["cc", *_CFLAGS, "-o", tmp, _SUPS_SOURCE], capture_output=True, text=True)
+            if build.returncode != 0:
+                raise OSError("\n".join(build.stderr.splitlines()[-20:]))
+            os.replace(tmp, lib)
+            for stale in lib.parent.glob("sups_" + "?" * 8 + ".so"):  # not another process's temporary
+                if stale != lib:
+                    stale.unlink(missing_ok=True)
         dll = ctypes.CDLL(str(lib))
-    except OSError:  # no compiler, a failed compile, an unwritable directory or a library that does not load
+    except OSError as err:  # no compiler, a failed compile, an unwritable directory or a library that does not load
         tmp.unlink(missing_ok=True)
-        return None
+        raise RuntimeError(f"siolab needs a C compiler: `cc` could not build {_SUPS_SOURCE.name} into {lib.parent},"
+                           f" or {lib.name} did not load: {err}") from err
     f64, i64, flag = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64, np.int64, np.bool_))
     size = ctypes.c_int64
     dll.table_rows.argtypes = [size, size, size, f64, f64, i64, size, f64, i64, f64, f64]  # _cells, then the rest
@@ -279,16 +235,16 @@ def _compiled():
     return dll
 
 
-def _stable_desc(dist: np.ndarray):
-    """(order, dist_desc) of each row descending, ties in atom order: the
-    unique stable order, which ``sups.c``'s sort equals."""
-    order = np.argsort(-dist, axis=1, kind="stable")
-    return order, np.take_along_axis(dist, order, axis=1)
-
-
-def _group_ends(dist: np.ndarray) -> np.ndarray:
-    """True at the last index of each run of equal distances in a row."""
-    return np.concatenate([dist[:, :-1] != dist[:, 1:], np.ones_like(dist[:, :1], dtype=bool)], axis=1)
+def _sorted_rows(monomial, pts: np.ndarray, nu: DiscreteMeasure):
+    """(order, dist_desc, kw_desc) of ``sups.c``'s ``table_rows``: per
+    point, the atoms by distance descending, ties in atom order, and the
+    terms K(x - y) w(y) of the kernel of ``monomial`` form in that order."""
+    shape = (len(pts), nu.count)
+    order, dist_desc, kw_desc = np.empty(shape, dtype=np.int64), np.empty(shape), np.empty(shape)
+    cells = (*_cells(monomial, pts, nu.positions), np.ascontiguousarray(nu.weights))
+    if _compiled().table_rows(*cells, order, dist_desc, kw_desc) != 0:
+        raise MemoryError("table_rows: out of memory")
+    return order, dist_desc, kw_desc
 
 
 class TruncationTable:
@@ -297,8 +253,8 @@ class TruncationTable:
     per (measure, points) pair by one compiled pass per point that computes
     the row's distances and kernel terms K(x - y) w(y) into row-sized
     scratch, sorts them stably and gathers the terms (``table_rows`` in
-    ``sups.c``); the numpy path takes the same operations block by block.
-    The kernel must expose its ``monomial`` form, as the catalog's do.
+    ``sups.c``).  The kernel must expose its ``monomial`` form, as the
+    catalog's do.
 
     Distances are sorted descending so prefix sums ARE the truncated
     sums: the prefix through distance group d equals T^eps for eps in
@@ -324,21 +280,9 @@ class TruncationTable:
         if n_bytes > TABLE_BYTES_GUARD:
             raise ValueError(f"truncation table byte guard exceeded: {n_bytes} bytes, limit {TABLE_BYTES_GUARD}")
         self.measure = nu
-        self.order = np.empty((n_pts, n_atoms), dtype=np.int64)
-        self.dist_desc = np.empty((n_pts, n_atoms))
-        self.kw_desc = np.empty((n_pts, n_atoms))
         # a zero-distance group's kernel terms are zeroed, so its group end
         # repeats the previous prefix: no special casing is needed.
-        lib = _compiled()
-        if lib is not None:
-            cells = (*_cells(kernel, pts, nu.positions), np.ascontiguousarray(nu.weights))
-            if lib.table_rows(*cells, self.order, self.dist_desc, self.kw_desc) != 0:
-                raise MemoryError("table_rows: out of memory")
-            return
-        for sl, diffs, dist in _distance_blocks(pts, nu.positions):
-            self.order[sl], self.dist_desc[sl] = _stable_desc(dist)
-            kw = _kernel_at_diffs(kernel, diffs, dist) * nu.weights
-            self.kw_desc[sl] = np.take_along_axis(kw, self.order[sl], axis=1)
+        self.order, self.dist_desc, self.kw_desc = _sorted_rows(kernel.monomial, pts, nu)
 
     def maximal_values(self, gs) -> np.ndarray:
         """sup over eps > 0 of |T^eps g| at every point for each density g
@@ -346,12 +290,6 @@ class TruncationTable:
         stack = density_stack(gs, self.measure)
         values = np.empty((stack.shape[1], len(self.order)))
         lib = _compiled()
-        if lib is None:
-            ends = _group_ends(self.dist_desc)
-            for g, out in zip(stack.T, values):
-                prefix = sum2_prefix(g[self.order] * self.kw_desc)
-                np.max(np.abs(prefix, out=prefix), axis=1, where=ends, initial=0.0, out=out)
-            return values
         lib.maximal_values(*self.order.shape, stack.shape[1], lib.lanes, stack, self.order, self.dist_desc,
                            self.kw_desc, values)
         return values
@@ -397,20 +335,10 @@ def _hl_from_descending(atom_mass: np.ndarray, n: int, order: np.ndarray, dist_d
     Candidate radii are the distinct atom distances: mass is constant
     between them while r^(1-n) decreases, so breakpoints realize the sup.
     Each candidate is a Sum2 prefix of the masses times 1 / (r ... r),
-    n - 1 factors r, a rule that rounds alike in C and in numpy.
+    n - 1 factors r, in one compiled pass (``sups.c``).
     """
-    lib = _compiled()
-    if lib is not None:
-        values, diverges = np.empty(len(order)), np.empty(len(order), dtype=bool)
-        lib.hl_maximal_values(*order.shape, n, atom_mass, order, dist_desc, values, diverges)
-        return values, diverges
-    mass, dist = atom_mass[order[:, ::-1]], dist_desc[:, ::-1]
-    diverges = np.any((dist == 0.0) & (mass > 0.0), axis=1)
-    usable = _group_ends(dist) & (dist > 0.0)
-    radius = np.where(usable, dist, 1.0)
-    weight = 1.0 / functools.reduce(np.multiply, [radius] * (n - 1), np.ones_like(radius))
-    values = np.max(sum2_prefix(mass) * weight, axis=1, where=usable, initial=0.0)
-    values[diverges] = math.inf
+    values, diverges = np.empty(len(order)), np.empty(len(order), dtype=bool)
+    _compiled().hl_maximal_values(*order.shape, n, atom_mass, order, dist_desc, values, diverges)
     return values, diverges
 
 
@@ -418,13 +346,18 @@ def hl_maximal_batch(nu: DiscreteMeasure, g, points):
     """sup over r > 0 of r^(1-n) * integral of |g| over the closed ball
     B(x, r), per point.  Returns (values, diverges); a point sitting on
     an atom with |g| w > 0 diverges (r^(1-n) blows up as r -> 0) and its
-    value entry is +inf.
+    value entry is +inf.  Each block of ``_rows_per_block`` points is
+    sorted as a table's rows are, by the constant kernel (P = 0, q = 0),
+    whose terms go unread.
     """
     pts = _points(points, nu.ambient_dim)
     values, diverges = np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
     a = np.abs(density_values(g, nu)) * nu.weights
-    for sl, _, dist in _distance_blocks(pts, nu.positions):
-        values[sl], diverges[sl] = _hl_from_descending(a, nu.ambient_dim, *_stable_desc(dist))  # the table's order
+    step = _rows_per_block(len(pts), nu.count)
+    for start in range(0, len(pts), step):
+        sl = slice(start, start + step)
+        order, dist_desc, _ = _sorted_rows(((0,) * nu.ambient_dim, 0), pts[sl], nu)
+        values[sl], diverges[sl] = _hl_from_descending(a, nu.ambient_dim, order, dist_desc)
     return values, diverges
 
 
@@ -573,47 +506,21 @@ class PairSumStats(NamedTuple):
     pair_count: int
 
 
-def _bin_sums(kernel, diffs: np.ndarray, wprod: np.ndarray, mask: np.ndarray):
-    """(max |term|, term count, unrounded Sum2) of the pair terms
-    K(diff) w_a w_b in ``mask``, gathered in row-major order by one flat
-    index; no term outlives the call."""
-    idx = np.flatnonzero(mask)
-    terms = kernel.evaluate_many(diffs.reshape(len(diffs), -1).take(idx, axis=1))
-    terms *= wprod.take(idx)
-    return np.max(np.abs(terms)), len(terms), sum2_total(terms)
-
-
 def _pair_partials(pos_a: np.ndarray, w_a: np.ndarray, pos_b: np.ndarray, w_b: np.ndarray, kernel, eps):
     """The pass of ``pair_sum_schedule`` over the pairs: (partials, seen,
     max |term|, count).  Per (block of ``_rows_per_block`` rows of pos_a,
-    bin) the unrounded Sum2 of the bin's terms in row-major order, as
-    ``sum2_total`` gives it, and whether the block has any; per bin the
-    max |term| (NaN once a term is, as np.max) and the term count.  One
-    compiled pass (``sups.c``'s ``pair_partials``), or numpy's blocks with
-    the same bits."""
+    bin) the unrounded Sum2 of the bin's terms in row-major order (the
+    float64 sum and the sequential sum of its TwoSum errors), and whether
+    the block has any; per bin the max |term| (NaN once a term is, as
+    np.max) and the term count.  One compiled pass (``sups.c``'s
+    ``pair_partials``)."""
     block = _rows_per_block(len(pos_a), len(pos_b))
     partials = np.zeros((-(-len(pos_a) // block), len(eps), 2))
     seen = np.zeros(partials.shape[:2], dtype=bool)
     max_terms = np.zeros(len(eps))
     counts = np.zeros(len(eps), dtype=np.int64)
-    lib = _compiled()
-    if lib is not None:
-        lib.pair_partials(*_cells(kernel, pos_a, pos_b), w_a, w_b, len(eps), eps, block, partials, seen, max_terms,
-                          counts)
-        return partials, seen, max_terms, counts
-    for sl, diffs, dist in _distance_blocks(pos_a, pos_b):
-        wprod = w_a[sl][:, None] * w_b[None, :]
-        outside = False  # pairs binned already: dist > eps[j-1]
-        for j, e in enumerate(eps):
-            # outside is a subset of dist > e, so xor leaves bin j
-            mask = (dist > e) ^ outside
-            outside ^= mask
-            if not np.any(mask):
-                continue
-            max_term, count, partials[sl.start // block, j] = _bin_sums(kernel, diffs, wprod, mask)
-            seen[sl.start // block, j] = True
-            max_terms[j] = np.maximum(max_terms[j], max_term)  # NaN sticks
-            counts[j] += count
+    _compiled().pair_partials(*_cells(kernel.monomial, pos_a, pos_b), w_a, w_b, len(eps), eps, block, partials, seen,
+                              max_terms, counts)
     return partials, seen, max_terms, counts
 
 

@@ -3,13 +3,14 @@ and Python lists use ``math.fsum``).  It uses float64 arithmetic alone,
 so its bits are the same on every platform.  With u = 2^-53 and
 gamma_k = k u / (1 - k u): a total is one Sum2 (``sum2_rows``), whose
 prefix S of n terms is within u|S| + gamma_{n-1}^2 sum|t|, as accurate
-as a sum in twice the working precision, rounded once; ``sum2_total``
-keeps it unrounded, for sums of partial sums.  Every sum here, the
-TwoSum errors' too, adds its terms one at a time in order (a cumsum,
+as a sum in twice the working precision, rounded once.  Every sum here,
+the TwoSum errors' too, adds its terms one at a time in order (a cumsum,
 never numpy's pairwise ``sum``), as textbook Sum2 does.  A sup over
-prefixes is a max over the ``sum2_prefix`` of its row; ``operators``
-takes it, the T^eps row totals and the pair engine's partials in
-compiled passes of the same operations: same bits.
+prefixes is a max over the Sum2 prefixes of its row; ``operators``
+takes it, the T^eps row totals and the pair engine's partials (each
+kept unrounded: the float64 sum and the sum of its TwoSum errors) in
+the compiled passes of ``sups.c``, with the same operations in the same
+order.
 """
 from __future__ import annotations
 
@@ -54,11 +55,3 @@ def sum2_rows(terms: np.ndarray) -> np.ndarray:
     s = _two_sum_errors(terms)
     return s[:, -1] + np.cumsum(terms, axis=1, out=terms)[:, -1]
 
-
-def sum2_total(terms: np.ndarray) -> tuple[float, float]:
-    """(float64 sum, sum of its TwoSum errors) of a 1-D array, N >= 1,
-    which is overwritten: both sums sequential, as textbook Sum2 (and
-    ``sups.c``'s pair engine) add them.  Unrounded, the pair is within
-    gamma_{N-1}^2 sum|t| of the exact total."""
-    s = float(_two_sum_errors(terms[None, :])[0, -1])
-    return s, float(np.cumsum(terms, out=terms)[-1])

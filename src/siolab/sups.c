@@ -3,17 +3,18 @@
    row is summed by Sum2 (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26,
    2005), with the operations of summation.sum2_prefix in its order: s the
    running sum, c the running sum of the exact TwoSum errors, a prefix
-   s + c.  A cell's distance and kernel term take the operations of the
-   numpy path (operators._distance_blocks and kernel.evaluate_many) in
-   their order: r2 the squares of x - y added coordinate by coordinate, the
-   distance sqrt(r2), and K(x - y) = (x - y)^P / |x - y|^q, the numerator's
-   factors multiplied in coordinate order from 1 and |x - y|^q formed as
-   q / 2 factors r2, times sqrt(r2) when q is odd.  Compiled without FMA
-   contraction or fast-math, each loop equals its numpy path bit for bit.
+   s + c.  A cell's distance and kernel term take the operations of
+   kernel.evaluate_many in their order: r2 the squares of x - y added
+   coordinate by coordinate, the distance sqrt(r2), and K(x - y) =
+   (x - y)^P / |x - y|^q, the numerator's factors multiplied in coordinate
+   order from 1 and |x - y|^q formed as q / 2 factors r2, times sqrt(r2)
+   when q is odd.  These loops are siolab's only implementation; the
+   reference of each is its numpy oracle in tests/oracles.py, which it
+   equals bit for bit, compiled without FMA contraction or fast-math.
    The pair engine puts each pair in the bin of the first eps its distance
    exceeds and keeps, per (block of rows, bin), the Sum2 of the bin's
-   terms unrounded (s and c, as summation.sum2_total gives them), which
-   operators.pair_sum_schedule sums in turn.
+   terms unrounded (s and c), which operators.pair_sum_schedule sums in
+   turn.
    T* takes a stack of densities; on x86-64 hosts with AVX-512 a copy
    chosen at run time (sup_lanes) sums 8 densities at once, one vector
    lane each, and since a lane is one density's Sum2 with that density's

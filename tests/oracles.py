@@ -7,6 +7,12 @@ certify the fast paths.  The single-eps pairing, its four overlap blocks
 and the Fubini residual are one ``pair_sum_stats`` call per restricted
 atom set, independent of the multi-eps schedule that
 ``pairing.convergence_study`` runs.
+
+The second half is the reference of each compiled loop of ``sups.c``,
+in plain numpy over whole arrays and with the loop's operations in its
+order, so the two agree bit for bit: distances add the squares one
+coordinate at a time, kernel terms are ``evaluate_many``'s, rows sort by
+numpy's stable argsort, and sums are Sum2 (``siolab.summation``).
 """
 
 import math
@@ -15,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from siolab.operators import pair_sum_stats
+from siolab.operators import density_stack, density_values, pair_sum_stats
+from siolab.summation import _two_sum_errors, sum2_prefix, sum2_rows
 
 
 def brute_force_sup(nu, kernel, g, x, grid_size=2000):
@@ -185,3 +192,111 @@ def lower_density(mu, centers, radii):
         for r, s in zip(radii, scale):
             out = min(out, math.fsum(mu.weights[d <= r].tolist()) / s)
     return out
+
+
+# ---------------------------------------------------------------------------
+# references of the compiled loops
+# ---------------------------------------------------------------------------
+
+
+def sum2_total(terms):
+    """(float64 sum, sum of its TwoSum errors) of a 1-D array, N >= 1,
+    which is overwritten: textbook Sum2, both sums sequential, unrounded."""
+    s = float(_two_sum_errors(terms[None, :])[0, -1])
+    return s, float(np.cumsum(terms, out=terms)[-1])
+
+
+def distances(pts, positions):
+    """(diffs, dist) of every (point, atom) pair: coordinate-major
+    differences x - y, (n, P, N), and the distances, the squares added one
+    coordinate at a time."""
+    diffs = pts.T[:, :, None] - positions.T[:, None, :]
+    sq = diffs[0] * diffs[0]
+    for d in diffs[1:]:
+        sq = sq + d * d
+    return diffs, np.sqrt(sq)
+
+
+def kernel_terms(kernel, diffs, dist):
+    """K at each difference, 0 where the distance is 0."""
+    safe = np.where(dist == 0.0, 1.0, diffs)  # K is not evaluated at 0
+    return np.where(dist == 0.0, 0.0, kernel.evaluate_many(safe.reshape(len(safe), -1)).reshape(dist.shape))
+
+
+def stable_desc(dist):
+    """(order, dist_desc): each row's distances descending, ties in atom order."""
+    order = np.argsort(-dist, axis=1, kind="stable")
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
+def group_ends(dist):
+    """True at the last index of each run of equal distances in a row."""
+    return np.concatenate([dist[:, :-1] != dist[:, 1:], np.ones_like(dist[:, :1], dtype=bool)], axis=1)
+
+
+def table_rows(nu, kernel, pts):
+    """(order, dist_desc, kw_desc) of ``TruncationTable(nu, kernel, pts)``."""
+    diffs, dist = distances(pts, nu.positions)
+    order, dist_desc = stable_desc(dist)
+    kw = kernel_terms(kernel, diffs, dist) * nu.weights
+    return order, dist_desc, np.take_along_axis(kw, order, axis=1)
+
+
+def truncated_batch(nu, kernel, g, pts, eps):
+    """``operators.truncated_batch``: per point, the Sum2 of the terms
+    K(x - y) g(y) w(y) in atom order, 0.0 in place of each term at
+    distance <= eps."""
+    diffs, dist = distances(pts, nu.positions)
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(pts),))
+    gw = nu.weights * density_values(g, nu)
+    return sum2_rows(np.where(dist > eps[:, None], kernel_terms(kernel, diffs, dist) * gw, 0.0))
+
+
+def maximal_values(table, gs):
+    """``TruncationTable.maximal_values``, (D, P): per density, the max
+    of |Sum2 prefix| at the group ends of each row, and 0."""
+    ends = group_ends(table.dist_desc)
+    return np.array([
+        np.max(np.abs(sum2_prefix(g[table.order] * table.kw_desc)), axis=1, where=ends, initial=0.0)
+        for g in density_stack(gs, table.measure).T
+    ])
+
+
+def hl_maximal_batch(nu, g, pts):
+    """``operators.hl_maximal_batch``, (values, diverges): the table's
+    rows read backwards, the max over the group ends at distance r > 0 of
+    the Sum2 prefix of the masses |g| w times 1 / (r ... r), n - 1
+    factors, and 0; +inf (diverges) where mass > 0 sits at distance 0."""
+    order, dist = (a[:, ::-1] for a in stable_desc(distances(pts, nu.positions)[1]))
+    mass = (np.abs(density_values(g, nu)) * nu.weights)[order]
+    diverges = np.any((dist == 0.0) & (mass > 0.0), axis=1)
+    usable = group_ends(dist) & (dist > 0.0)
+    radius, power = np.where(usable, dist, 1.0), 1.0
+    for _ in range(nu.ambient_dim - 1):
+        power = power * radius
+    values = np.max(sum2_prefix(mass) * (1.0 / power), axis=1, where=usable, initial=0.0)
+    values[diverges] = math.inf
+    return values, diverges
+
+
+def pair_partials(pos_a, w_a, pos_b, w_b, kernel, eps, block):
+    """``operators._pair_partials`` with ``block`` rows of pos_a per
+    block: (partials, seen, max |term|, count).  A pair goes to the first
+    bin j with distance > eps[j], or to none; per (block, bin) the
+    ``sum2_total`` of its terms K(x - y) (w_a w_b) in row-major order."""
+    diffs, dist = distances(pos_a, pos_b)
+    terms = kernel_terms(kernel, diffs, dist) * (w_a[:, None] * w_b[None, :])
+    bins = np.sum(dist[:, :, None] <= eps, axis=2)  # eps decreases: the first j with dist > eps[j]
+    n_blocks = -(-len(pos_a) // block)
+    partials = np.zeros((n_blocks, len(eps), 2))
+    seen = np.zeros((n_blocks, len(eps)), dtype=bool)
+    max_terms = np.zeros(len(eps))
+    counts = np.zeros(len(eps), dtype=np.int64)
+    for j in range(len(eps)):
+        in_bin = bins == j
+        max_terms[j], counts[j] = np.max(np.abs(terms[in_bin]), initial=0.0), np.count_nonzero(in_bin)  # NaN sticks
+        for k in range(n_blocks):
+            rows = slice(k * block, (k + 1) * block)
+            if np.any(in_bin[rows]):
+                partials[k, j], seen[k, j] = sum2_total(terms[rows][in_bin[rows]]), True
+    return partials, seen, max_terms, counts

@@ -1,5 +1,4 @@
 import math
-import shutil
 import time
 import tracemalloc
 from fractions import Fraction
@@ -16,6 +15,7 @@ from siolab import measure, operators, summation
 from siolab.operators import density_values, hl_maximal_batch, pair_sum_schedule, pair_sum_stats, truncated_batch
 from siolab.harness.rng import Rng
 
+import oracles
 from oracles import brute_force_sup, brute_pair_sum, cone_mesh_loop
 
 
@@ -501,8 +501,8 @@ def test_pair_sum_schedule_empty_side_is_zero():
 
 
 def test_pair_sum_schedule_validates_its_arrays():
-    # unchecked, a longer weight array is read at the wrong cells (numpy)
-    # or out of bounds (C), and a NaN coordinate drops its pairs
+    # unchecked, a longer weight array is read out of bounds, and a NaN
+    # coordinate drops its pairs
     pos_a, pos_b = np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.0, 2.0], [3.0, 1.0]])
     k = sl.RieszComponent(2, 0)
     bad = [
@@ -517,14 +517,10 @@ def test_pair_sum_schedule_validates_its_arrays():
         (pos_a[:, :1], np.ones(2), pos_b, np.ones(2)),
     ]
 
-    def calls():
-        for args in bad:
-            with pytest.raises(ValueError, match="must be finite"):
-                pair_sum_schedule(*args, k, [0.5])
-        return pair_sum_schedule(pos_a, np.ones(2), pos_b, np.ones(2), k, [0.5])
-
-    compiled, fallback = _both_paths(calls)
-    assert compiled == fallback == [(-0.5, 0.4, 4)]  # terms 0, -0.3, 0.2, -0.4
+    for args in bad:
+        with pytest.raises(ValueError, match="must be finite"):
+            pair_sum_schedule(*args, k, [0.5])
+    assert pair_sum_schedule(pos_a, np.ones(2), pos_b, np.ones(2), k, [0.5]) == [(-0.5, 0.4, 4)]  # terms 0, -0.3, 0.2, -0.4
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +826,7 @@ def test_density_stack_refuses_one_bare_density():
 
 
 # ---------------------------------------------------------------------------
-# summation policy: blocked scan, Sum2 and the fallback between them
+# summation policy: Sum2 prefixes and the sups over them
 # ---------------------------------------------------------------------------
 
 
@@ -878,22 +874,6 @@ def _sequential_sum2(row):
     return out
 
 
-def _both_paths(fn):
-    """(compiled, numpy) results of ``fn()``, the second with the loader
-    patched as where no compiler is found; the compiled path must load
-    wherever a C compiler is installed."""
-    if shutil.which("cc") is not None:
-        assert operators._compiled() is not None
-    compiled = fn()
-    with mock.patch.object(operators, "_compiled", lambda: None):
-        return compiled, fn()
-
-
-def _group_end_mask(dist_desc):
-    """True where a row's distance differs from the next one, and last."""
-    return np.hstack([dist_desc[:, :-1] != dist_desc[:, 1:], np.ones((len(dist_desc), 1), dtype=bool)])
-
-
 def _scan_table(terms, valid):
     """A TruncationTable whose row i gathers ``terms[i]`` itself (the
     identity order and g = 1), with descending distances whose group ends
@@ -905,17 +885,18 @@ def _scan_table(terms, valid):
     table.order = np.tile(np.arange(terms.shape[1]), (len(terms), 1))
     table.dist_desc = np.cumsum(valid[:, ::-1], axis=1)[:, ::-1].astype(float)
     table.kw_desc = np.array(terms, dtype=float)
-    assert _group_end_mask(table.dist_desc).tolist() == valid.tolist()
+    assert oracles.group_ends(table.dist_desc).tolist() == valid.tolist()
     return table
 
 
 def _assert_sups_within_sum2_bound(terms, valid=None):
-    """T* of ``_scan_table`` on both paths: the max of |Sum2 prefix| at the
-    candidates (all by default), bit for bit, and within the largest Sum2
+    """T* of ``_scan_table``: its oracle's bits, the max of |Sum2 prefix|
+    at the candidates (all by default), and within the largest Sum2
     prefix bound of the exact sup, since |max|a| - max|b|| <= max|a - b|."""
     valid = np.ones(terms.shape, dtype=bool) if valid is None else valid
-    compiled, fallback = _both_paths(lambda: _scan_table(terms, valid).maximal_values([None])[0])
-    assert compiled.tolist() == fallback.tolist()
+    table = _scan_table(terms, valid)
+    compiled = table.maximal_values([None])[0]
+    assert compiled.tolist() == oracles.maximal_values(table, [None])[0].tolist()
     for i, row in enumerate(terms):
         exact = _exact_prefixes(row)
         kept = [(p, e) for p, (e, _), v in zip(_sequential_sum2(row.tolist()), exact, valid[i]) if v]
@@ -964,7 +945,7 @@ def _textbook_sum2(terms):
 def test_sum2_total_is_sequential_sum2(row):
     # the compiled pair engine adds each error in turn; numpy's pairwise
     # sum would round its partials differently
-    assert summation.sum2_total(np.array(row)) == _textbook_sum2(row)
+    assert oracles.sum2_total(np.array(row)) == _textbook_sum2(row)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1147,7 +1128,6 @@ def test_maximal_values_oracle_ties_and_zero_distances(grid, weights, dens, pole
 def test_maximal_values_exact_on_cancelling_ties():
     # two atoms at equal distance carry huge opposite terms that cancel
     # exactly inside their tie group; the O(1) sup of the rest is exact
-    # on both paths
     rng = Rng(89)
     small = rng.points_in_box(30, [(-0.4, 0.4)] * 2) + np.array([0.0, 3.0])
     positions = np.vstack([[[1.0, 0.0], [-1.0, 0.0]], small])
@@ -1156,27 +1136,23 @@ def test_maximal_values_exact_on_cancelling_ties():
     k = sl.RieszComponent(2, 0)
     pts = np.array([[0.0, 0.0], [0.0, 0.0]])
     table = sl.TruncationTable(nu, k, pts)
-    compiled, fallback = _both_paths(lambda: table.maximal_values([g])[0])
-    assert compiled.tolist() == fallback.tolist()
+    compiled = table.maximal_values([g])[0]
+    assert compiled.tolist() == oracles.maximal_values(table, [g])[0].tolist()
     terms = table.kw_desc * g[table.order]
     for i, row in enumerate(terms):
-        exact = max(abs(p) for (p, _), v in zip(_exact_prefixes(row), _group_end_mask(table.dist_desc)[i]) if v)
+        exact = max(abs(p) for (p, _), v in zip(_exact_prefixes(row), oracles.group_ends(table.dist_desc)[i]) if v)
         assert compiled[i] == float(exact)
 
 
 def _sup_copies(table, gs):
     """T* of ``table`` for the stack ``gs``, (D, P), by each way this host
     computes it: the entry, the scalar copy (lanes 1), the AVX-512 copy
-    where the probe finds it, the numpy path, and the loop of one scalar
-    call per density."""
+    where the probe finds it and the loop of one scalar call per density;
+    and by the oracle."""
     out = {"entry": table.maximal_values(gs)}
-    with mock.patch.object(operators, "_compiled", lambda: None), np.errstate(over="ignore", invalid="ignore"):
-        out["numpy"] = table.maximal_values(gs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out["oracle"] = oracles.maximal_values(table, gs)
     lib = operators._compiled()
-    if shutil.which("cc") is not None:
-        assert lib is not None
-    if lib is None:
-        return out
     stack = operators.density_stack(gs, table.measure)
 
     def run(columns, lanes):
@@ -1194,7 +1170,7 @@ def _sup_copies(table, gs):
 
 def _assert_copies_bit_equal(table, gs):
     copies = _sup_copies(table, gs)
-    reference = copies["per_density" if "per_density" in copies else "numpy"]
+    reference = copies["per_density"]
     assert reference.shape == (len(gs), len(table.order))
     for name, values in copies.items():
         assert values.shape == reference.shape and values.tobytes() == reference.tobytes(), name
@@ -1315,31 +1291,28 @@ def _hl_reference(nu, g, x):
     on_atoms=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_compiled_and_numpy_sups_are_bit_equal(dim, n, n_pts, on_atoms, seed):
+def test_sups_equal_their_oracles(dim, n, n_pts, on_atoms, seed):
     # integer grid atoms: exact distance ties, points on atoms (zero
-    # distances), some zero densities, single-atom rows and N = 0
+    # distances), some zero densities, single-atom rows and N = 0; M from
+    # the table and from hl_maximal_batch's own sort
     rng = np.random.default_rng(seed)
     positions = rng.integers(-2, 3, size=(n, dim)).astype(float)
     nu = sl.DiscreteMeasure(positions, rng.uniform(0.0, 1.0, n), 1e-3)
     g = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-1.0, 1.0, n))
     pts = rng.integers(-2, 3, size=(n_pts, dim)) + (0.0 if on_atoms else rng.choice([0.0, 0.5], (n_pts, dim)))
     k = sl.RieszComponent(dim, 0)
-
-    def sups():
-        table = sl.TruncationTable(nu, k, pts)
-        return table.maximal_values([g])[0], *table.hl_maximal_values(g), *hl_maximal_batch(nu, g, pts)
-
-    compiled, fallback = _both_paths(sups)
-    for a, b in zip(compiled, fallback):
-        assert a.tobytes() == b.tobytes()
-    assert compiled[1].tobytes() == compiled[3].tobytes()
+    table = sl.TruncationTable(nu, k, pts)
+    compiled = (table.maximal_values([g])[0], *table.hl_maximal_values(g), *hl_maximal_batch(nu, g, pts))
+    reference = (oracles.maximal_values(table, [g])[0], *oracles.hl_maximal_batch(nu, g, pts) * 2)
+    for a, b in zip(compiled, reference, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert compiled[1].tolist() == [_hl_reference(nu, g, x) for x in pts]
     for x, value in zip(pts, compiled[0]):
         assert value == pytest.approx(brute_force_sup(nu, k, g, x, grid_size=50), rel=1e-12, abs=1e-300)
 
 
 def _table_atoms(layout, n, dim, rng):
-    """Atoms for ``test_compiled_and_numpy_table_builds_are_bit_equal``:
+    """Atoms for ``test_table_builds_equal_their_oracles``:
     an integer grid; one coincident point (every distance tied); or points
     on the first axis at |x| = 1, 1, 2, 2, ... in index order, so from the
     origin each row ascends with ties, whatever the signs."""
@@ -1374,11 +1347,11 @@ def _table_kernel(family, dim):
     on_atoms=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_compiled_and_numpy_table_builds_are_bit_equal(layout, family, dim, n, n_pts, on_atoms, seed):
-    # the compiled table rows (distances, kernel terms and sort fused) and
-    # truncated_batch's fused masked totals, against numpy's blocked
-    # distance pass, evaluate_many and stable argsort, which
-    # hl_maximal_batch always takes: both kernel families with odd and
+def test_table_builds_equal_their_oracles(layout, family, dim, n, n_pts, on_atoms, seed):
+    # the compiled table rows (distances, kernel terms and sort fused),
+    # hl_maximal_batch's sort by the constant kernel and truncated_batch's
+    # fused masked totals, against numpy's whole-array distances,
+    # evaluate_many and stable argsort: both kernel families with odd and
     # even q, exact ties, points on atoms, single-atom rows, N = 0, P = 0
     rng = np.random.default_rng(seed)
     positions = _table_atoms(layout, n, dim, rng)
@@ -1391,25 +1364,16 @@ def test_compiled_and_numpy_table_builds_are_bit_equal(layout, family, dim, n, n
     eps = rng.choice([0.5, 1.0, math.sqrt(2.0), 2.0], n_pts)  # often exactly an atom distance
     k = _table_kernel(family, dim)
 
-    def build():
-        table = sl.TruncationTable(nu, k, pts)
-        arrays = (table.order, table.dist_desc, table.kw_desc)
-        return (*arrays, *hl_maximal_batch(nu, g, pts), truncated_batch(nu, k, g, pts, eps))
-
-    compiled, fallback = _both_paths(build)
-    for a, b in zip(compiled, fallback):
+    table = sl.TruncationTable(nu, k, pts)
+    compiled = (table.order, table.dist_desc, table.kw_desc, *hl_maximal_batch(nu, g, pts),
+                truncated_batch(nu, k, g, pts, eps))
+    reference = (*oracles.table_rows(nu, k, pts), *oracles.hl_maximal_batch(nu, g, pts),
+                 oracles.truncated_batch(nu, k, g, pts, eps))
+    for a, b in zip(compiled, reference, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     if layout == "ascending" and n and n_pts:
         # from the origin, each tie group lists its atoms in index order
         assert compiled[0][0].tolist() == sorted(range(n), key=lambda j: (-(j // 2), j))
-
-
-def _pair_engine_bits(*args):
-    """``pair_sum_schedule``'s values and max |term| as bytes (NaN-safe),
-    and its pair counts."""
-    stats = pair_sum_schedule(*args)
-    return (np.array([s.value for s in stats]).tobytes(), np.array([s.max_abs_term for s in stats]).tobytes(),
-            [s.pair_count for s in stats])
 
 
 @settings(max_examples=60, deadline=None)
@@ -1427,12 +1391,12 @@ def _pair_engine_bits(*args):
     huge=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_compiled_and_numpy_pair_engines_are_bit_equal(family, dim, n_a, n_b, squares, block_rows, huge, seed):
+def test_pair_engines_equal_their_oracles(family, dim, n_a, n_b, squares, block_rows, huge, seed):
     # integer grids, so distances often equal a schedule eps = sqrt(k)
     # exactly; both kernel families with odd and even q; block_rows rows
-    # per distance block; with huge, atoms near 1e300 (whose squared
-    # distances overflow) and weights near 1e300, so that some terms are
-    # 0 / inf, inf / inf, K * inf or 0 * inf: zero, NaN and inf terms
+    # per distance block (None: the default, one block); with huge, atoms
+    # near 1e300 (whose squared distances overflow) and weights near 1e300,
+    # so that some terms are 0 / inf, inf / inf, K * inf or 0 * inf
     rng = np.random.default_rng(seed)
     pos_a = rng.integers(-3, 4, size=(n_a, dim)).astype(float)
     pos_b = rng.integers(-3, 4, size=(n_b, dim)).astype(float)
@@ -1443,15 +1407,19 @@ def test_compiled_and_numpy_pair_engines_are_bit_equal(family, dim, n_a, n_b, sq
         w_b[1::3] *= 1e300
     k = _table_kernel(family, dim)
     schedule = np.sqrt(np.array(sorted(squares, reverse=True), dtype=float))
-    block = operators._BLOCK_ELEMENTS if block_rows is None else block_rows * max(1, n_b)
-    with mock.patch.object(operators, "_BLOCK_ELEMENTS", block), np.errstate(over="ignore", invalid="ignore"):
-        compiled, fallback = _both_paths(lambda: _pair_engine_bits(pos_a, w_a, pos_b, w_b, k, schedule))
+    block_elements = operators._BLOCK_ELEMENTS if block_rows is None else block_rows * max(1, n_b)
+    block = max(1, min(n_a, block_rows or n_a))  # the rows per block of that partition
+    with mock.patch.object(operators, "_BLOCK_ELEMENTS", block_elements), np.errstate(over="ignore", invalid="ignore"):
+        compiled = operators._pair_partials(pos_a, w_a, pos_b, w_b, k, schedule)
+        stats = pair_sum_schedule(pos_a, w_a, pos_b, w_b, k, schedule)
+        reference = oracles.pair_partials(pos_a, w_a, pos_b, w_b, k, schedule, block)
         diffs = (pos_a[:, None, :] - pos_b[None, :, :]).reshape(-1, dim)
         dist = np.sqrt(np.sum(diffs * diffs, axis=1))
         terms = k.evaluate_many(np.where(dist[:, None] > 0, diffs, 1.0).T) * (w_a[:, None] * w_b[None, :]).reshape(-1)
-    assert compiled == fallback
+    for a, b in zip(compiled, reference, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     # max |term| is NaN once an included term is, as np.max is
-    for eps, max_term, count in zip(schedule, np.frombuffer(compiled[1]), compiled[2]):
+    for eps, (_, max_term, count) in zip(schedule, stats):
         included = terms[dist > eps]
         assert count == len(included)
         assert math.isnan(max_term) == bool(np.isnan(included).any())
@@ -1467,7 +1435,7 @@ def test_compiled_and_numpy_pair_engines_are_bit_equal(family, dim, n_a, n_b, sq
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pair_partials_are_textbook_sum2_per_block_and_bin(n_a, n_b, block_rows, weights, squares, seed):
-    # the engine's pass on both paths against one loop over the pairs in
+    # the engine's pass and its oracle against one loop over the pairs in
     # row-major order: bin j the first eps[j] < distance, each (block of
     # block_rows rows, bin) one Sum2; weights near 1e16 and 1 cancel, so
     # another partition or another order of the error sum shows in the bits
@@ -1478,8 +1446,9 @@ def test_pair_partials_are_textbook_sum2_per_block_and_bin(n_a, n_b, block_rows,
     k = sl.RieszComponent(2, 1)
     eps = np.sqrt(np.array(sorted(squares, reverse=True), dtype=float))
     with mock.patch.object(operators, "_BLOCK_ELEMENTS", block_rows * max(1, n_b)):
-        compiled, fallback = _both_paths(lambda: operators._pair_partials(pos_a, w_a, pos_b, w_b, k, eps))
-    for a, b in zip(compiled, fallback):
+        compiled = operators._pair_partials(pos_a, w_a, pos_b, w_b, k, eps)
+    reference = oracles.pair_partials(pos_a, w_a, pos_b, w_b, k, eps, max(1, min(n_a, block_rows)))
+    for a, b in zip(compiled, reference, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     terms = {}
     for i, x in enumerate(pos_a):
@@ -1528,13 +1497,11 @@ def test_compiled_row_sort_is_numpys_stable_argsort(rows, seed):
         nu = sl.DiscreteMeasure(positions, np.ones(len(row)), 1e-3)
         dist = np.where(np.array(row) == _HUGE, math.inf, np.array(row))
 
-        def sort():
-            table = sl.TruncationTable(nu, sl.RieszComponent(2, 0), np.zeros((1, 2)))
-            return table.order, table.dist_desc, table.kw_desc
-
+        table = sl.TruncationTable(nu, sl.RieszComponent(2, 0), np.zeros((1, 2)))
+        compiled = (table.order, table.dist_desc, table.kw_desc)
         with np.errstate(over="ignore"):  # numpy's squares of _HUGE
-            compiled, fallback = _both_paths(sort)
-        for a, b in zip(compiled, fallback):
+            reference = oracles.table_rows(nu, sl.RieszComponent(2, 0), np.zeros((1, 2)))
+        for a, b in zip(compiled, reference, strict=True):
             assert a.tobytes() == b.tobytes()
         assert compiled[0].tolist() == [np.argsort(-dist, kind="stable").tolist()]
         assert compiled[1].tolist() == [dist[compiled[0][0]].tolist()]
@@ -1546,17 +1513,13 @@ def test_kernel_of_another_dimension_raises_on_both_paths(kernel):
     nu = sl.DiscreteMeasure(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.5]]), np.ones(2), 0.1)
     pts = np.array([[0.5, 0.5, 0.5], [0.0, 1.0, 2.0]])
     for build in (lambda: sl.TruncationTable(nu, kernel, pts), lambda: truncated_batch(nu, kernel, None, pts, 0.1)):
-        if shutil.which("cc") is not None:
-            assert operators._compiled() is not None
         with pytest.raises(ValueError):
-            build()
-        with mock.patch.object(operators, "_compiled", lambda: None), pytest.raises(ValueError):
             build()
     with pytest.raises(ValueError):
         sl.maximal(nu, kernel, None, pts[0])
 
 
-def test_sort_rows_out_of_memory_raises():
+def test_table_rows_out_of_memory_raises():
     # the table build's row scratch; truncated_batch allocates none
     nu = sl.DiscreteMeasure(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2), 0.1)
     no_memory = SimpleNamespace(table_rows=lambda *args: -1)
@@ -1591,22 +1554,8 @@ def test_truncated_batch_strict_at_breakpoint():
 
 
 # ---------------------------------------------------------------------------
-# reused distance-block buffers
+# row blocks
 # ---------------------------------------------------------------------------
-
-
-def _block_rows(monkeypatch):
-    """Record the row count of every block that ``_distance_blocks`` yields."""
-    rows = []
-    blocks = operators._distance_blocks
-
-    def recorded(pts, positions):
-        for sl_, diffs, dist in blocks(pts, positions):
-            rows.append(len(dist))
-            yield sl_, diffs, dist
-
-    monkeypatch.setattr(operators, "_distance_blocks", recorded)
-    return rows
 
 
 def _table_outputs(nu, k, pts, g, eps):
@@ -1623,8 +1572,8 @@ def _table_outputs(nu, k, pts, g, eps):
 
 @pytest.mark.parametrize("case", ["cantor_on_atoms", "random_3d"])
 def test_multi_block_outputs_equal_single_block(monkeypatch, case):
-    # the numpy path in three full blocks and a short last one must give
-    # the bits of the compiled single pass; on the Cantor atoms themselves
+    # hl_maximal_batch in three full blocks and a short last one gives the
+    # bits of one block and of its oracle; on the Cantor atoms themselves
     # (mu = nu) rows hold zero distances and exact ties
     rng = Rng(97)
     if case == "cantor_on_atoms":
@@ -1638,51 +1587,43 @@ def test_multi_block_outputs_equal_single_block(monkeypatch, case):
     g = rng.uniforms(nu.count, -1.0, 1.0)
     eps = rng.uniforms(len(pts), 0.05, 1.0)
     eps[0] = np.linalg.norm(pts[0] - nu.positions[5])  # an exact breakpoint
-    if shutil.which("cc") is not None:
-        assert operators._compiled() is not None
-    rows = _block_rows(monkeypatch)
     single = _table_outputs(nu, k, pts, g, eps)
-    # compiled, hl_maximal_batch alone takes a block: the table and truncated_batch are fused
-    assert rows == ([len(pts)] if operators._compiled() is not None else [len(pts)] * 3)
-    rows.clear()
     monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 3 * nu.count)
-    monkeypatch.setattr(operators, "_compiled", lambda: None)
+    assert operators._rows_per_block(len(pts), nu.count) == 3  # blocks of 3, 3, 3 and 1 points
     blocked = _table_outputs(nu, k, pts, g, eps)
-    assert rows == [3, 3, 3, 1] * 3  # the table, truncated_batch and hl_maximal_batch
     for name, value in single.items():
-        assert np.array_equal(blocked[name], value), name
+        assert blocked[name].tobytes() == value.tobytes(), name
+    for name, value in zip(("hl", "hl_diverges"), oracles.hl_maximal_batch(nu, g, pts)):
+        assert blocked[name].tobytes() == value.tobytes(), name
     if case == "cantor_on_atoms":
-        assert np.any(single["dist_desc"] == 0.0) and not _group_end_mask(single["dist_desc"]).all()
+        assert np.any(single["dist_desc"] == 0.0) and not oracles.group_ends(single["dist_desc"]).all()
 
 
 def test_multi_block_pair_sum_schedule_within_bound(monkeypatch):
-    # both paths in three full blocks and a short last one: the compiled
-    # pass takes numpy's partition, so its partials and bits are numpy's
+    # three full blocks and a short last one: the partials are the
+    # oracle's for that partition, and each value is within its bound
     rng = Rng(99)
     nu = sl.cantor_four_corners(2)
     pos_a = np.vstack([nu.positions[:6], rng.points_in_box(4, [(-0.2, 1.2)] * 2)])
     w_a, w_b = rng.uniforms(10, -1.0, 1.0), nu.weights
     k = sl.RieszComponent(2, 1)
     schedule = [2.0, 0.5, 0.25, 0.0625]
-    rows = _block_rows(monkeypatch)
     monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 3 * nu.count)
-    compiled, fallback = _both_paths(lambda: pair_sum_schedule(pos_a, w_a, nu.positions, w_b, k, schedule))
-    assert rows == [3, 3, 3, 1]  # the numpy path's blocks
-    assert compiled == fallback
+    partials = operators._pair_partials(pos_a, w_a, nu.positions, w_b, k, np.array(schedule))
+    reference = oracles.pair_partials(pos_a, w_a, nu.positions, w_b, k, np.array(schedule), 3)
+    assert partials[1].shape == (4, len(schedule))  # blocks of 3, 3, 3 and 1 rows
+    for a, b in zip(partials, reference, strict=True):
+        assert a.tobytes() == b.tobytes()
     diffs = (pos_a[:, None, :] - nu.positions[None, :, :]).reshape(-1, 2)
     dist = np.sqrt(np.sum(diffs * diffs, axis=1))
     terms = k.evaluate_many(np.where(dist[:, None] > 0, diffs, 1.0).T) * (w_a[:, None] * w_b[None, :]).reshape(-1)
-    for got in (compiled, fallback):
-        for eps, stats in zip(schedule, got):
-            _, max_term, count = brute_pair_sum(pos_a, w_a, nu.positions, w_b, k, eps)
-            assert (stats.max_abs_term, stats.pair_count) == (max_term, count)
-            _assert_within_pair_sum_bound(stats.value, terms[dist > eps].tolist())
+    for eps, stats in zip(schedule, pair_sum_schedule(pos_a, w_a, nu.positions, w_b, k, schedule)):
+        _, max_term, count = brute_pair_sum(pos_a, w_a, nu.positions, w_b, k, eps)
+        assert (stats.max_abs_term, stats.pair_count) == (max_term, count)
+        _assert_within_pair_sum_bound(stats.value, terms[dist > eps].tolist())
 
 
-# the traced peak of the test below on the numpy path, measured at the
-# parent of the coordinate-major distance pass (numpy 2.4.6)
-_PAIR_SUM_PEAK_BYTES = 138_982_797  # 132.5 MiB
-# the compiled path's: 11,796 to 12,978 bytes measured (the per-(block, bin)
+# the traced peak of the test below: 11,796 to 12,978 bytes measured (the per-(block, bin)
 # outputs, the flat partials and the returned list), plus a 11.6 KiB margin,
 # less than one 2048-float row
 _COMPILED_PAIR_SUM_PEAK_BYTES = 24 * 1024
@@ -1705,15 +1646,7 @@ def _pair_sum_traced_peak():
         tracemalloc.stop()
 
 
-def test_pair_sum_schedule_traced_peak_is_pinned():
-    # the numpy path: one more live (block x atoms) array, such as the
-    # previous block's squared distances, adds 16 MiB
-    with mock.patch.object(operators, "_compiled", lambda: None):
-        assert _pair_sum_traced_peak() <= _PAIR_SUM_PEAK_BYTES
-
-
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_compiled_pair_sum_schedule_traced_peak_is_pinned():
     # the compiled pass holds no per-pair or per-row array
-    assert operators._compiled() is not None  # loaded before the trace
+    operators._compiled()  # built and loaded before the trace
     assert _pair_sum_traced_peak() <= _COMPILED_PAIR_SUM_PEAK_BYTES

@@ -15,20 +15,22 @@ README names.  In the harness, only ``config.blame`` maps a ValueError
 to a configuration error.  The count of settable values (parameters and
 fields with a default) is pinned, so a new knob is a deliberate change.
 The compiled loops are built without FMA contraction or fast-math, which
-would round them differently from their numpy path, and without flags
-that tie the library to one host's CPU; with ``-Wall
+would round them differently from their oracles in ``tests/oracles.py``,
+and without flags that tie the library to one host's CPU; with ``-Wall
 -Wextra -Werror`` added, ``sups.c`` still compiles, and it exports every
 symbol that ``operators._compiled`` binds, each with as many argtypes as
 its C parameters; a compile leaves no library of an earlier source in
-the build directory.  The only ``noqa``
-lines are the four re-imports that keep a name bound for the tracer.
+the build directory.  The compiled loops are the only implementation:
+without ``cc`` or a compile, the loader's error names ``cc``, the build
+directory and the compiler's message, and no source or test takes
+another path.  The only ``noqa`` lines are the four re-imports that keep
+a name bound for the tracer.
 """
 
 import ast
 import ctypes
 import importlib.util
 import re
-import shutil
 import subprocess
 from pathlib import Path
 
@@ -256,7 +258,6 @@ def test_compiled_sups_build_for_any_host_of_the_architecture():
     assert [flag for flag in _CFLAGS if flag.startswith(("-march", "-mtune", "-mavx"))] == []
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_sups_compile_without_warnings_and_export_every_bound_symbol(tmp_path):
     from siolab.operators import _CFLAGS
 
@@ -284,7 +285,6 @@ def _compiled_loader() -> ast.FunctionDef:
     )
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
 def test_bound_argtypes_match_the_c_parameter_lists():
     # ctypes passes any argument past a short argtypes list unchecked
     argtypes = {
@@ -311,20 +311,25 @@ def test_sups_include_only_the_c_library_headers_they_need():
     assert includes == ["<math.h>", "<stdint.h>", "<stdlib.h>"]
 
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler")
-def test_compile_leaves_only_the_current_library(tmp_path, monkeypatch):
-    # the libraries of earlier sources go; another process's temporary,
-    # renamed into place once its compile ends, stays
+def _copied_source(tmp_path, monkeypatch, extra=""):
+    """(operators, build directory) with the loader pointed at a copy of
+    ``sups.c`` plus ``extra`` in ``tmp_path``, where no library is cached."""
     from siolab import operators
 
     source = tmp_path / "sups.c"
-    source.write_bytes((PACKAGE / "sups.c").read_bytes())
-    build = tmp_path / "build"
+    source.write_text((PACKAGE / "sups.c").read_text() + extra)
+    monkeypatch.setattr(operators, "_SUPS_SOURCE", source)
+    return operators, tmp_path / "build"
+
+
+def test_compile_leaves_only_the_current_library(tmp_path, monkeypatch):
+    # the libraries of earlier sources go; another process's temporary,
+    # renamed into place once its compile ends, stays
+    operators, build = _copied_source(tmp_path, monkeypatch)
     build.mkdir()
     for name in ("sups_00000000.so", "sups_deadbeef.so", "sups_deadbeef.4242.so"):
         (build / name).write_bytes(b"")
-    monkeypatch.setattr(operators, "_SUPS_SOURCE", source)
-    assert operators._compiled.__wrapped__() is not None
+    operators._compiled.__wrapped__()
     current = [p.name for p in build.glob("sups_????????.so")]
     assert len(current) == 1
     assert sorted(p.name for p in build.iterdir()) == sorted([*current, "sups_deadbeef.4242.so"])
@@ -345,3 +350,42 @@ def test_noqa_lines_are_the_tracer_reimports():
         ("harness/scenarios.py", "pair_sum_stats"),
         ("pairing.py", "from .operators import pair_sum_stats"),
     ]
+
+
+def test_loader_without_cc_names_cc_and_the_build_directory(tmp_path, monkeypatch):
+    operators, build = _copied_source(tmp_path, monkeypatch)
+    monkeypatch.setenv("PATH", str(tmp_path / "no-compiler-here"))
+    with pytest.raises(RuntimeError) as raised:
+        operators._compiled.__wrapped__()
+    assert "`cc`" in str(raised.value) and str(build) in str(raised.value)
+
+
+def test_failed_compile_reports_the_compiler_and_leaves_no_temporary(tmp_path, monkeypatch):
+    operators, build = _copied_source(tmp_path, monkeypatch, "\nint broken(void) { return }\n")
+    with pytest.raises(RuntimeError) as raised:
+        operators._compiled.__wrapped__()
+    assert "`cc`" in str(raised.value) and "error: expected expression" in str(raised.value)
+    assert list(build.iterdir()) == []  # no sups_<crc>.<pid>.so
+
+
+def _nodes(paths, kind):
+    return [(path.name, node) for path in paths for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, kind)]
+
+
+def test_each_compiled_loop_has_one_path():
+    # the compiled loops are the only implementation: no source compares
+    # the library (lib) or its loader's result with None, and no test
+    # patches the loader to return None
+    def loader(x):  # lib, or a call such as _compiled()
+        x = getattr(x, "func", x)
+        return getattr(x, "id", getattr(x, "attr", None)) in ("lib", "_compiled")
+
+    def none(x):
+        return isinstance(x, ast.Constant) and x.value is None
+
+    sources = [(name, node.lineno) for name, node in _nodes(PACKAGE.rglob("*.py"), ast.Compare)
+               if any(map(none, [node.left, *node.comparators])) and any(map(loader, [node.left, *node.comparators]))]
+    patches = [(name, node.lineno) for name, node in _nodes((ROOT / "tests").glob("*.py"), ast.Call)
+               if any(isinstance(a, ast.Constant) and a.value == "_compiled" for a in node.args)
+               and any(isinstance(a, ast.Lambda) and none(a.body) for a in node.args)]
+    assert sources == patches == []
