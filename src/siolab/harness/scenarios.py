@@ -62,15 +62,31 @@ _STABILITY_FACTOR = 1.2  # CantorGrowth: largest ratio of successive growth cons
 _GROWTH_CAP = 1.5  # CarlesonEmbedding, SeparatedBoundedness: largest growth of a ratio per refinement
 
 
-def _pmap(fn, items, threads: int):
-    """Ordered map over independent items on at most one worker per CPU;
-    chunking is fixed and ``fn`` pure, so results match at any count."""
-    threads = min(threads, os.cpu_count() or 1)
-    if threads <= 1 or len(items) <= 1:
+class _Workers:
+    """The worker pool of one ``run_scenario`` call: at most one worker per
+    CPU, forked by the first ``_pmap`` that needs more than one and reused
+    by the run's later ones, and ended with the run."""
+
+    def __init__(self, threads: int):
+        self.threads = min(threads, os.cpu_count() or 1)
+        self.pool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.pool is not None:
+            self.pool.terminate()
+
+
+def _pmap(fn, items, workers: _Workers):
+    """Ordered map over independent items on the run's workers; chunking
+    is fixed and ``fn`` pure, so results match at any count."""
+    if workers.threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=threads) as pool:
-        return pool.map(fn, items)
+    if workers.pool is None:
+        workers.pool = multiprocessing.get_context("fork").Pool(processes=workers.threads)
+    return workers.pool.map(fn, items)
 
 
 def _chunks(rng: Rng, total: int, size: int) -> list[tuple[int, int]]:
@@ -172,7 +188,7 @@ def random_nonzero_density(rng: Rng, nu: DiscreteMeasure, box):
 # ---------------------------------------------------------------------------
 
 
-def scenario_kernel_validation(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_kernel_validation(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
     kern = build_kernel(cfg)
     report = ScenarioReport("kernel_validation", {})
     result = kernel_mod.validate(kern, rng, prm["samples"])
@@ -234,13 +250,13 @@ def _cone_chunk(args):
     return int(np.sum(slack < -1e-12)), float(np.min(slack))
 
 
-def scenario_cone_separation(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_cone_separation(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
     graph = build_graph(cfg)
     aperture = _aperture(cfg, prm, graph)
     samples = prm["samples"]
     box = [(-1.0, 1.0)] * graph.param_dim
     tasks = [(graph, aperture, box, n, seed) for n, seed in _chunks(rng, samples, _POINT_CHUNK * 8)]
-    results = _pmap(_cone_chunk, tasks, threads)
+    results = _pmap(_cone_chunk, tasks, workers)
     violations = sum(r[0] for r in results)
     min_slack = min(r[1] for r in results)
     report = ScenarioReport("cone_separation", {})
@@ -285,7 +301,7 @@ def _lemma_l2_batch(args):
     return int(np.sum(slack < -1e-9)), float(np.min(slack)), count
 
 
-def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
     _same_dim("kernel", kern.ambient_dim, "graph", graph.ambient_dim)
@@ -301,7 +317,7 @@ def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, threads: int) -> Scenari
         for n, seed in _chunks(rng, prm["tuples"], prm["tuples_per_batch"])
     ]
     with blame("scenario.tuples_per_batch"):  # rows of each batch's table
-        results = _pmap(_lemma_l2_batch, tasks, threads)
+        results = _pmap(_lemma_l2_batch, tasks, workers)
     violations = sum(r[0] for r in results)
     worst = min(r[1] for r in results)
     report = ScenarioReport("lemma_l2", {})
@@ -319,7 +335,7 @@ def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, threads: int) -> Scenari
 # ---------------------------------------------------------------------------
 
 
-def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
     _same_dim("kernel", kern.ambient_dim, "graph", graph.ambient_dim)
@@ -393,7 +409,7 @@ def _simple_function_from(cfg: Config, section: str, rng: Rng, box, stream: int)
     raise ConfigError(f"unknown simple-function mode {mode!r} in [{section}]")
 
 
-def scenario_weak_pairing(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_weak_pairing(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
     kern = build_kernel(cfg)
     mu = build_measure(cfg, "mu", optional_graph(cfg))
     _same_dim("kernel", kern.ambient_dim, "[mu]", mu.ambient_dim)
@@ -433,7 +449,7 @@ def scenario_weak_pairing(cfg: Config, prm: dict, rng: Rng, threads: int) -> Sce
 # ---------------------------------------------------------------------------
 
 
-def scenario_cantor_growth(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_cantor_growth(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
     rows = []
     estimates = []
     for gen in prm["generations"]:
@@ -463,7 +479,7 @@ def scenario_cantor_growth(cfg: Config, prm: dict, rng: Rng, threads: int) -> Sc
 # ---------------------------------------------------------------------------
 
 
-def scenario_carleson(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_carleson(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
     graph = build_graph(cfg)
     box = box_pairs(prm["box"], graph.param_dim, "scenario.box")
     thickness = prm["thickness"]
@@ -526,19 +542,19 @@ def _tstar_chunk(args):
     return TruncationTable(nu, kern, pts).maximal_values(stack)
 
 
-def _tstar_all(nu, kern, points, stack, threads):
+def _tstar_all(nu, kern, points, stack, workers):
     tasks = [
         (nu, kern, points[start : start + _POINT_CHUNK], stack)
         for start in range(0, len(points), _POINT_CHUNK)
     ]
-    parts = _pmap(_tstar_chunk, tasks, threads)
+    parts = _pmap(_tstar_chunk, tasks, workers)
     return np.concatenate(parts, axis=1)  # (n_densities, n_points)
 
 
-def _ratio_table(nu, mu, kern, p_list, densities, threads):
+def _ratio_table(nu, mu, kern, p_list, densities, workers):
     """max over densities of |T* g|_{L^p(mu)} / |g|_{L^p(nu)} per p."""
     stack = density_stack([g_vals for _, g_vals in densities], nu).T  # (D, N), each chunk reads it uncopied
-    tstar = _tstar_all(nu, kern, mu.positions, stack, threads)
+    tstar = _tstar_all(nu, kern, mu.positions, stack, workers)
     out = {}
     for p in p_list:
         best = 0.0
@@ -551,7 +567,7 @@ def _ratio_table(nu, mu, kern, p_list, densities, threads):
     return out
 
 
-def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
     kern = build_kernel(cfg)
     p_list = prm["p"]
     n_g = prm["random_functions"]
@@ -570,7 +586,7 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: in
             _same_dim("kernel", kern.ambient_dim, "Cantor set", nu.ambient_dim)
             densities = [("chi_square", np.ones(nu.count)), *_seeded_densities(rng, nu, n_g)]
             with blame("scenario.generations"):
-                ratios = _ratio_table(nu, nu, kern, p_list, densities, threads)
+                ratios = _ratio_table(nu, nu, kern, p_list, densities, workers)
             for p in p_list:
                 rows.append([gen, p, ratios[p]])
         report.add_table("ratios", ["generation", "p", "max_ratio"], rows)
@@ -598,7 +614,7 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, threads: in
             raise ConfigError("mu must be supported above or on the graph")
         densities = _seeded_densities(rng, nu, n_g)
         with blame("scenario.resolutions"):
-            ratios = _ratio_table(nu, mu, kern, p_list, densities, threads)
+            ratios = _ratio_table(nu, mu, kern, p_list, densities, workers)
         for p in p_list:
             rows.append([m, p, ratios[p]])
             per_p[p].append(ratios[p])
@@ -624,7 +640,7 @@ def _seeded_densities(rng: Rng, nu: DiscreteMeasure, count: int):
 # ---------------------------------------------------------------------------
 
 
-def scenario_double_integral(cfg: Config, prm: dict, rng: Rng, threads: int) -> ScenarioReport:
+def scenario_double_integral(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
     _same_dim("kernel", kern.ambient_dim, "graph", graph.ambient_dim)
@@ -793,7 +809,8 @@ def run_scenario(
     seed = seed_override if seed_override is not None else cfg.get_int("scenario", "seed", 0)
     cfg.echo["scenario.seed"] = str(seed)
     start = time.perf_counter()
-    report = scenario(cfg, prm, Rng(seed), threads)
+    with _Workers(threads) as workers:
+        report = scenario(cfg, prm, Rng(seed), workers)
     report.runtime_seconds = time.perf_counter() - start
     cfg.check_all_read()
     report.config_echo = dict(cfg.echo)

@@ -253,8 +253,13 @@ class TruncationTable:
     per (measure, points) pair by one compiled pass per point that computes
     the row's distances and kernel terms K(x - y) w(y) into row-sized
     scratch, sorts them stably and gathers the terms (``table_rows`` in
-    ``sups.c``).  The kernel must expose its ``monomial`` form, as the
-    catalog's do.
+    ``sups.c``).  A row of at most 16 natural runs is merge sorted; any
+    other is distributed into one bucket per atom by distance and
+    finished by one insertion sort, or merge sorted if a bucket would
+    hold more than 32 atoms.  The merge takes the left item of a tie and
+    the buckets and the insertion sort never reorder equal distances, so
+    either path gives the one stable order, bit for bit.  The kernel must
+    expose its ``monomial`` form, as the catalog's do.
 
     Distances are sorted descending so prefix sums ARE the truncated
     sums: the prefix through distance group d equals T^eps for eps in

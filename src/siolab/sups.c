@@ -8,9 +8,16 @@
    coordinate by coordinate, the distance sqrt(r2), and K(x - y) =
    (x - y)^P / |x - y|^q, the numerator's factors multiplied in coordinate
    order from 1 and |x - y|^q formed as q / 2 factors r2, times sqrt(r2)
-   when q is odd.  These loops are siolab's only implementation; the
-   reference of each is its numpy oracle in tests/oracles.py, which it
-   equals bit for bit, compiled without FMA contraction or fast-math.
+   when q is odd.  A table row sorts its distances descending, ties in
+   atom order, one of two ways chosen by its count of natural runs (an
+   adaptive check in the manner of Peters' Timsort): a row of at most 16
+   runs merges them; any other goes to n buckets by distance
+   (distribution sort, Knuth, TAOCP 3, 5.2.5) that one insertion sort
+   finishes, or merges if a bucket would hold more than 32 items.
+   Neither moves an item past an equal key, so both give the one stable
+   order.  These loops are siolab's only implementation; the reference of
+   each is its numpy oracle in tests/oracles.py, which it equals bit for
+   bit, compiled without FMA contraction or fast-math.
    The pair engine puts each pair in the bin of the first eps its distance
    exceeds and keeps, per (block of rows, bin), the Sum2 of the bin's
    terms unrounded (s and c), which operators.pair_sum_schedule sums in
@@ -50,53 +57,121 @@ static inline double kernel(int64_t dim, const double *x, const double *y, const
     return num / power;
 }
 
+typedef struct { double key; int64_t idx; } item;
+
+/* A row is merged when it holds at most RUN_LIMIT runs; else it is
+   bucketed, unless a bucket would hold more than BUCKET_LIMIT items */
+enum { RUN_LIMIT = 16, BUCKET_LIMIT = 32 };
+
+/* The natural runs of x[0, n): a run is a maximal non-increasing stretch,
+   or a maximal strictly increasing one, which is reversed in place (so no
+   tie is reversed); their starts go into bound, n after the last.
+   Returns the run count. */
+static int64_t find_runs(item *x, int64_t n, int64_t *bound)
+{
+    int64_t runs = 0;
+    item t;
+    for (int64_t a = 0, b; a < n; a = b) {
+        bound[runs++] = a;
+        for (b = a + 1; b < n && x[b].key <= x[b - 1].key; b++) {}
+        if (b == a + 1 && b < n) {  /* x[b] > x[a]: strictly increasing */
+            while (b < n && x[b].key > x[b - 1].key) b++;
+            for (int64_t lo = a, hi = b - 1; lo < hi; lo++, hi--) t = x[lo], x[lo] = x[hi], x[hi] = t;
+        }
+    }
+    bound[runs] = n;
+    return runs;
+}
+
+/* The runs of find_runs merged pairwise, pass by pass, a tie taking the
+   left item, with y (n items) as scratch: returns x or y, whichever holds
+   the sorted row.  Overwrites bound. */
+static item *merge_runs(item *x, item *y, int64_t runs, int64_t *bound)
+{
+    for (int64_t n = bound[runs]; runs > 1; runs = (runs + 1) / 2, bound[runs] = n) {
+        for (int64_t run = 0; run < runs; run += 2) {  /* an odd last run is copied */
+            int64_t i = bound[run], m = bound[run + 1], b = run + 2 <= runs ? bound[run + 2] : m, j = m, k = i;
+            while (i < m && j < b) y[k++] = x[j].key > x[i].key ? x[j++] : x[i++];
+            while (i < m) y[k++] = x[i++];
+            while (j < b) y[k++] = x[j++];
+            bound[run / 2] = bound[run];
+        }
+        item *swap = x; x = y; y = swap;
+    }
+    return x;
+}
+
+/* bucket_sort's bucket of key d: min(n - 1, floor((hi - d) scale)), a
+   non-increasing function of d alone */
+static inline int64_t bucket(double hi, double scale, int64_t n, double d)
+{
+    int64_t b = (int64_t)((hi - d) * scale);
+    return b < n - 1 ? b : n - 1;
+}
+
+/* The row x of find_runs (ties still in atom order) sorted into y by
+   distribution (Knuth, TAOCP 3, 5.2.5): n buckets, scale = n / (hi - lo)
+   over the row's keys in [lo, hi], the buckets in key order descending
+   and each in x's order, so equal keys share a bucket and keep their
+   order; one insertion sort, which moves an item only past strictly
+   smaller keys, then finishes the row.  count is n + 1 scratch.  Returns
+   0, y unsorted, if hi is infinite, hi == lo, scale is not finite or a
+   bucket would hold more than BUCKET_LIMIT items. */
+static int bucket_sort(const item *x, item *y, int64_t n, int64_t runs, const int64_t *bound, int64_t *count)
+{
+    double hi = x[0].key, lo = x[n - 1].key;
+    for (int64_t run = 0; run < runs; run++) {  /* a run's first key is its max, its last its min */
+        hi = fmax(hi, x[bound[run]].key);
+        lo = fmin(lo, x[bound[run + 1] - 1].key);
+    }
+    double scale = n / (hi - lo);
+    if (!(hi < INFINITY && hi > lo && scale < INFINITY)) return 0;
+    for (int64_t b = 0; b <= n; b++) count[b] = 0;
+    for (int64_t j = 0; j < n; j++)
+        if (++count[bucket(hi, scale, n, x[j].key) + 1] > BUCKET_LIMIT) return 0;
+    for (int64_t b = 1; b < n; b++) count[b] += count[b - 1];  /* count[b]: bucket b's first slot */
+    for (int64_t j = 0; j < n; j++) y[count[bucket(hi, scale, n, x[j].key)]++] = x[j];
+    for (int64_t i = 1; i < n; i++) {
+        item t = y[i];
+        int64_t j = i;
+        for (; j > 0 && y[j - 1].key < t.key; j--) y[j] = y[j - 1];
+        y[j] = t;
+    }
+    return 1;
+}
+
 /* The table's rows, one per point of pts (rows x dim) against the n atoms
    pos (n x dim) of weights w: each row's distances descending with ties in
    atom order (the order of np.argsort(-dist, kind="stable")) into order
    and dist_desc, and the kernel terms K(x - y) w(y), 0 at distance 0, in
-   that order into kw_desc.  The sort is a natural merge sort: a run is a
-   maximal non-increasing stretch, or a maximal strictly increasing one
-   reversed (so no tie is reversed); runs merge pairwise, a tie taking the
-   left item.  No distance is NaN, since points and atoms are finite.
-   -1 if out of memory. */
-typedef struct { double key; int64_t idx; } item;
+   that order into kw_desc.  Each row is sorted one of two ways after
+   find_runs: a row of at most RUN_LIMIT runs, or one that bucket_sort
+   refuses, by merge_runs; any other row by bucket_sort.  Both give the one
+   stable descending order: a merge takes the left item of a tie, and an
+   insertion sort over buckets that keep ties in order moves no item past
+   an equal key, whatever the buckets.  No distance is NaN, since points
+   and atoms are finite.  -1 if out of memory. */
 int table_rows(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos, const int64_t *powers,
                int64_t q, const double *w, int64_t *order, double *dist_desc, double *kw_desc)
 {
     if (rows == 0 || n == 0) return 0;
-    item *buf = malloc(2 * n * sizeof *buf), t;
+    item *buf = malloc(2 * n * sizeof *buf);
     double *kw = malloc(n * sizeof *kw);
-    int64_t *bound = malloc((n + 1) * sizeof *bound);
-    if (!buf || !kw || !bound) { free(buf); free(kw); free(bound); return -1; }
+    int64_t *bound = malloc((n + 1) * sizeof *bound), *count = malloc((n + 1) * sizeof *count);
+    if (!buf || !kw || !bound || !count) { free(buf); free(kw); free(bound); free(count); return -1; }
     for (int64_t r = 0; r < rows; r++, pts += dim, order += n, dist_desc += n, kw_desc += n) {
         item *x = buf, *y = buf + n;
-        int64_t runs = 0;
         for (int64_t j = 0; j < n; j++) {
             double r2 = norm2(dim, pts, pos + j * dim), d = sqrt(r2);
             x[j] = (item){d, j};
             kw[j] = (d > 0.0 ? kernel(dim, pts, pos + j * dim, powers, q, r2) : 0.0) * w[j];
         }
-        for (int64_t a = 0, b; a < n; a = b) {
-            bound[runs++] = a;
-            for (b = a + 1; b < n && x[b].key <= x[b - 1].key; b++) {}
-            if (b == a + 1 && b < n) {  /* x[b] > x[a]: strictly increasing */
-                while (b < n && x[b].key > x[b - 1].key) b++;
-                for (int64_t lo = a, hi = b - 1; lo < hi; lo++, hi--) t = x[lo], x[lo] = x[hi], x[hi] = t;
-            }
-        }
-        for (bound[runs] = n; runs > 1; runs = (runs + 1) / 2, bound[runs] = n) {
-            for (int64_t run = 0; run < runs; run += 2) {  /* an odd last run is copied */
-                int64_t i = bound[run], m = bound[run + 1], b = run + 2 <= runs ? bound[run + 2] : m, j = m, k = i;
-                while (i < m && j < b) y[k++] = x[j].key > x[i].key ? x[j++] : x[i++];
-                while (i < m) y[k++] = x[i++];
-                while (j < b) y[k++] = x[j++];
-                bound[run / 2] = bound[run];
-            }
-            item *swap = x; x = y; y = swap;
-        }
+        int64_t runs = find_runs(x, n, bound);
+        if (runs > RUN_LIMIT && bucket_sort(x, y, n, runs, bound, count)) x = y;
+        else x = merge_runs(x, y, runs, bound);
         for (int64_t j = 0; j < n; j++) order[j] = x[j].idx, dist_desc[j] = x[j].key, kw_desc[j] = kw[x[j].idx];
     }
-    free(buf); free(kw); free(bound);
+    free(buf); free(kw); free(bound); free(count);
     return 0;
 }
 

@@ -502,32 +502,70 @@ def test_cli_non_finite_eps0_is_a_config_error(tmp_path, capsys, scenario, eps0)
     assert "eps0" in capsys.readouterr().err
 
 
-def test_pmap_caps_workers_at_cpu_count(monkeypatch):
+def _fake_pools(monkeypatch, cpus):
+    """Stands a recording in-process pool in for the fork pool: returns the
+    list of (processes, maps, terminated) of each pool made."""
     from siolab.harness import scenarios
 
-    seen = []
+    made = []
 
     class FakePool:
         def __init__(self, processes):
-            seen.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            self.record = {"processes": processes, "maps": 0, "terminated": False}
+            made.append(self.record)
 
         def map(self, fn, items):
+            self.record["maps"] += 1
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 3)
+        def terminate(self):
+            self.record["terminated"] = True
+
+    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(
         scenarios.multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=FakePool)
     )
+    return made
+
+
+def test_pmap_caps_workers_at_cpu_count(monkeypatch):
+    from siolab.harness import scenarios
+
+    made = _fake_pools(monkeypatch, 3)
     items = list(range(10))
-    assert scenarios._pmap(abs, items, 64) == items
-    assert scenarios._pmap(abs, items, 2) == items
-    assert seen == [3, 2]
+    for threads in (64, 2):
+        with scenarios._Workers(threads) as workers:
+            assert scenarios._pmap(abs, items, workers) == items
+    assert [m["processes"] for m in made] == [3, 2]
+
+
+def test_pmap_forks_one_pool_per_run(monkeypatch):
+    # a run's maps share one pool, forked by the first map with more than
+    # one item and ended with the run; one worker or one item forks none
+    from siolab.harness import scenarios
+
+    made = _fake_pools(monkeypatch, 2)
+    items = list(range(5))
+    with scenarios._Workers(1) as workers:
+        assert scenarios._pmap(abs, items, workers) == items
+    with scenarios._Workers(2) as workers:
+        assert scenarios._pmap(abs, [-1], workers) == [1]
+        assert made == []
+        for _ in range(3):
+            assert scenarios._pmap(abs, items, workers) == items
+        assert made == [{"processes": 2, "maps": 3, "terminated": False}]
+    assert made[0]["terminated"]
+    cfg = config_from_dict({
+        "scenario": {"tag": "SeparatedBoundedness", "seed": "5", "resolutions": "300, 400",
+                     "random_functions": "3", "p": "2"},
+        "graph": {"profile": "sawtooth", "dim": "2", "amplitude": "0.3", "period": "0.5"},
+        "kernel": {"family": "riesz", "dim": "2", "axis": "1"},
+        "nu": {"kind": "graph_measure", "box": "-1, 1", "shift": "-1"},
+        "mu": {"kind": "slab_above_graph", "box": "-1, 1", "thickness": "0.5"},
+    })
+    made.clear()
+    run_scenario(cfg, threads=2)  # 2400 and 3200 slab points: two chunks per resolution
+    assert made == [{"processes": 2, "maps": 2, "terminated": True}]
 
 
 def test_cli_validate_kernel(tmp_path):

@@ -1507,6 +1507,120 @@ def test_compiled_row_sort_is_numpys_stable_argsort(rows, seed):
         assert compiled[1].tolist() == [dist[compiled[0][0]].tolist()]
 
 
+def _sort_path(dist):
+    """The sort ``sups.c``'s ``table_rows`` gives a row of distances (in
+    atom order): "merge" for at most 16 natural runs, else "bucket", or
+    "refused" where its bucket sort hands the row back to the merge (an
+    infinite distance, no spread, or more than 32 items in a bucket)."""
+    n, runs, a = len(dist), 0, 0
+    while a < n:  # find_runs: non-increasing, or strictly increasing
+        runs, b = runs + 1, a + 1
+        while b < n and dist[b] <= dist[b - 1]:
+            b += 1
+        if b == a + 1 and b < n:
+            while b < n and dist[b] > dist[b - 1]:
+                b += 1
+        a = b
+    if runs <= 16:
+        return "merge"
+    hi, lo = float(np.max(dist)), float(np.min(dist))
+    if not (hi < math.inf and hi > lo and n / (hi - lo) < math.inf):
+        return "refused"
+    buckets = np.minimum(n - 1, ((hi - dist) * (n / (hi - lo))).astype(np.int64))
+    return "bucket" if np.bincount(buckets).max() <= 32 else "refused"
+
+
+def _axis_row(dist, dim, rng):
+    """Atoms at the given distances from the origin, each on a random axis
+    with a random sign, so that the origin's row reads ``dist`` exactly
+    (inf for _HUGE) and equal distances tie exactly."""
+    positions = np.zeros((len(dist), dim))
+    positions[np.arange(len(dist)), rng.integers(0, dim, len(dist))] = dist * rng.choice([-1.0, 1.0], len(dist))
+    return positions
+
+
+def _assert_rows_equal_oracles(nu, kernel, pts):
+    """The table's rows and ``hl_maximal_batch`` (which sorts the same way)
+    equal their numpy oracles byte for byte."""
+    g = np.linspace(-1.0, 1.0, nu.count)
+    table = sl.TruncationTable(nu, kernel, pts)
+    compiled = (table.order, table.dist_desc, table.kw_desc, *hl_maximal_batch(nu, g, pts))
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy's squares of _HUGE
+        reference = (*oracles.table_rows(nu, kernel, pts), *oracles.hl_maximal_batch(nu, g, pts))
+    for a, b in zip(compiled, reference, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_ROW_LAYOUTS = {  # name: (distances from the origin, the sort they take)
+    "few_runs": (lambda rng: np.tile(np.arange(60.0, 0.0, -1.0), 4) * 0.37, "merge"),
+    "spread": (lambda rng: rng.uniform(1.0, 2.0, 300), "bucket"),
+    "outlier": (lambda rng: np.append(rng.uniform(1.0, 1.001, 299), 1e6), "refused"),
+    "all_equal": (lambda rng: np.full(200, 1.5), "merge"),
+    "huge": (lambda rng: np.where(np.arange(200) % 7 == 3, _HUGE, rng.uniform(1.0, 2.0, 200)), "refused"),
+    "on_atoms": (lambda rng: np.where(np.arange(200) % 10 == 0, 0.0, rng.uniform(0.0, 1.0, 200)), "bucket"),
+    "ties": (lambda rng: rng.integers(1, 40, 300).astype(float), "bucket"),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(_ROW_LAYOUTS))
+def test_each_row_sort_equals_numpys_stable_argsort(layout):
+    # one layout per branch of table_rows' choice, each checked to take it:
+    # few runs merge; spread distances are bucketed; a far outlier crowds
+    # the rest into the last buckets, and an infinite distance leaves no
+    # scale, so the bucket sort refuses both; all-equal rows are one run;
+    # zero distances (points on atoms) and exact ties spread across many
+    # runs must keep atom order through the buckets and insertion sort
+    make, path = _ROW_LAYOUTS[layout]
+    rng = np.random.default_rng(sorted(_ROW_LAYOUTS).index(layout))
+    dist = make(rng)
+    assert _sort_path(np.where(dist == _HUGE, math.inf, dist)) == path
+    nu = sl.DiscreteMeasure(_axis_row(dist, 3, rng), rng.uniform(0.5, 1.0, len(dist)), 1e-3)
+    _assert_rows_equal_oracles(nu, sl.RieszComponent(3, 2), np.zeros((1, 3)))
+    if layout in ("on_atoms", "ties"):
+        _, counts = np.unique(dist, return_counts=True)
+        assert counts.max() > 1  # ties inside the bucket path
+
+
+def test_outlier_and_cluster_row_of_4096_atoms_equals_its_oracle():
+    # the layout the bucket sort could make quadratic: 4095 atoms within
+    # 1e-3 of distance 1 and one at 1e6, last, so every cluster distance
+    # falls in one of the last buckets; the sort refuses the row at the
+    # 33rd item of a bucket and merges it (a bounded cost; no timing here)
+    rng = np.random.default_rng(4096)
+    dist = np.append(rng.uniform(1.0, 1.001, 4095), 1e6)
+    assert _sort_path(dist) == "refused"
+    nu = sl.DiscreteMeasure(_axis_row(dist, 2, rng), rng.uniform(0.5, 1.0, len(dist)), 1e-3)
+    _assert_rows_equal_oracles(nu, sl.RieszComponent(2, 0), np.zeros((3, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@example(layout="uniform", dim=2, n=50, n_pts=1, on_atoms=False, seed=0)
+@example(layout="grid", dim=3, n=400, n_pts=2, on_atoms=True, seed=1)
+@given(
+    layout=st.sampled_from(["uniform", "clusters", "grid"]),
+    dim=st.sampled_from([2, 3]),
+    n=st.integers(50, 400),
+    n_pts=st.integers(1, 3),
+    on_atoms=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_many_run_table_rows_equal_their_oracles(layout, dim, n, n_pts, on_atoms, seed):
+    # rows long enough for more than 16 runs, so most take the bucket
+    # sort: continuous uniform or clustered atoms (crowded clusters make
+    # the sort refuse some rows), or a grid of exact ties; points off the
+    # atoms or on them (zero distances)
+    rng = np.random.default_rng(seed)
+    if layout == "uniform":
+        positions = rng.uniform(-1.0, 1.0, (n, dim))
+    elif layout == "clusters":
+        positions = rng.uniform(-1.0, 1.0, (4, dim))[rng.integers(0, 4, n)] + rng.normal(0.0, 0.01, (n, dim))
+    else:
+        positions = rng.integers(-3, 4, (n, dim)) * 0.25
+    pts = positions[rng.integers(0, n, n_pts)] if on_atoms else rng.uniform(-1.5, 1.5, (n_pts, dim))
+    nu = sl.DiscreteMeasure(positions, rng.uniform(0.0, 1.0, n), 1e-3)
+    _assert_rows_equal_oracles(nu, _table_kernel("odd" if seed % 2 else "riesz", dim), pts)
+
+
 @pytest.mark.parametrize("kernel", [sl.RieszComponent(2, 0), sl.RieszComponent(4, 3)])
 def test_kernel_of_another_dimension_raises_on_both_paths(kernel):
     # the compiled pass reads the kernel's exponents by the measure's dimension
