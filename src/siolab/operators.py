@@ -38,13 +38,12 @@ from .measure import DiscreteMeasure
 from .summation import sum2_prefix, sum2_rows
 
 PAIR_COUNT_GUARD = 10**10
-# a TruncationTable stores P x N int64 order and float64 distances and
-# kernel terms: 24 bytes per cell.  The guard admits 2048-point chunks
-# against the 4^6 atoms of a generation-6 Cantor set (201 MB) with room
-# to spare.
+# the rows of _sorted_rows (a TruncationTable's, or hl_maximal_batch's)
+# are P x N int64 order and float64 distances and kernel terms: 24 bytes
+# per cell.  The guard admits 2048-point chunks against the 4^6 atoms of
+# a generation-6 Cantor set (201 MB) with room to spare.
 TABLE_BYTES_GUARD = 1 << 30
 _TABLE_BYTES_PER_CELL = 24
-_BLOCK_ELEMENTS = 1 << 21  # target elements per temporary block
 # a cone mesh template holds fewer than K (2K+1)^d points for K = 2^mesh_depth
 # levels; 2^22 admits depth 10 in d = 1, 6 in d = 2 and 4 in d = 3
 MESH_POINTS_GUARD = 1 << 22
@@ -130,13 +129,6 @@ def _cells(monomial, pts: np.ndarray, positions: np.ndarray):
         raise ValueError(f"expected a kernel on R^{dim}, got one on R^{len(powers)}")
     pts, positions = np.ascontiguousarray(pts), np.ascontiguousarray(positions)
     return len(pts), n_atoms, dim, pts, positions, np.array(powers, np.int64), q
-
-
-def _rows_per_block(n_pts: int, n_atoms: int) -> int:
-    """The points per block of ``hl_maximal_batch`` and of the pair
-    engine's partials: about _BLOCK_ELEMENTS point-atom pairs, at least
-    one point."""
-    return max(1, min(n_pts, _BLOCK_ELEMENTS // max(1, n_atoms)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +217,7 @@ def _compiled():
     size = ctypes.c_int64
     dll.table_rows.argtypes = [size, size, size, f64, f64, i64, size, f64, i64, f64, f64]  # _cells, then the rest
     dll.truncated_rows.argtypes = [size, size, size, f64, f64, i64, size, f64, f64, f64]
-    dll.pair_partials.argtypes = [size, size, size, f64, f64, i64, size, f64, f64, size, f64, size, f64, flag, f64, i64]
+    dll.pair_partials.argtypes = [size, size, size, f64, f64, i64, size, f64, f64, size, f64, f64, f64, i64]
     dll.maximal_values.argtypes = [size, size, size, size, f64, i64, f64, f64, f64]
     dll.hl_maximal_values.argtypes = [size, size, size, f64, i64, f64, f64, flag]
     dll.sup_lanes.argtypes = []
@@ -238,8 +230,12 @@ def _compiled():
 def _sorted_rows(monomial, pts: np.ndarray, nu: DiscreteMeasure):
     """(order, dist_desc, kw_desc) of ``sups.c``'s ``table_rows``: per
     point, the atoms by distance descending, ties in atom order, and the
-    terms K(x - y) w(y) of the kernel of ``monomial`` form in that order."""
+    terms K(x - y) w(y) of the kernel of ``monomial`` form in that order;
+    ValueError before any allocation past ``TABLE_BYTES_GUARD``."""
     shape = (len(pts), nu.count)
+    n_bytes = shape[0] * shape[1] * _TABLE_BYTES_PER_CELL
+    if n_bytes > TABLE_BYTES_GUARD:
+        raise ValueError(f"truncation table byte guard exceeded: {n_bytes} bytes, limit {TABLE_BYTES_GUARD}")
     order, dist_desc, kw_desc = np.empty(shape, dtype=np.int64), np.empty(shape), np.empty(shape)
     cells = (*_cells(monomial, pts, nu.positions), np.ascontiguousarray(nu.weights))
     if _compiled().table_rows(*cells, order, dist_desc, kw_desc) != 0:
@@ -280,10 +276,6 @@ class TruncationTable:
 
     def __init__(self, nu: DiscreteMeasure, kernel, points):
         pts = _points(points, nu.ambient_dim)
-        n_pts, n_atoms = len(pts), nu.count
-        n_bytes = n_pts * n_atoms * _TABLE_BYTES_PER_CELL
-        if n_bytes > TABLE_BYTES_GUARD:
-            raise ValueError(f"truncation table byte guard exceeded: {n_bytes} bytes, limit {TABLE_BYTES_GUARD}")
         self.measure = nu
         # a zero-distance group's kernel terms are zeroed, so its group end
         # repeats the previous prefix: no special casing is needed.
@@ -306,8 +298,10 @@ class TruncationTable:
         return self.truncated_values_per_point(g, np.full(len(self.dist_desc), float(eps)))
 
     def truncated_values_per_point(self, g, eps: np.ndarray) -> np.ndarray:
-        """T^eps g with an individual truncation radius per point, one Sum2 per row."""
+        """T^eps g with one truncation radius > 0 per point, shape (P,), one Sum2 per row."""
         eps = np.asarray(eps, dtype=float)
+        if eps.shape != (len(self.order),):
+            raise ValueError(f"eps must hold one radius per point, shape ({len(self.order)},), got {eps.shape}")
         if not np.all(eps > 0):
             raise ValueError("eps must be > 0")
         terms = density_values(g, self.measure)[self.order] * self.kw_desc
@@ -351,19 +345,14 @@ def hl_maximal_batch(nu: DiscreteMeasure, g, points):
     """sup over r > 0 of r^(1-n) * integral of |g| over the closed ball
     B(x, r), per point.  Returns (values, diverges); a point sitting on
     an atom with |g| w > 0 diverges (r^(1-n) blows up as r -> 0) and its
-    value entry is +inf.  Each block of ``_rows_per_block`` points is
-    sorted as a table's rows are, by the constant kernel (P = 0, q = 0),
-    whose terms go unread.
+    value entry is +inf.  The points' rows are sorted as a table's are,
+    by the constant kernel (P = 0, q = 0), whose terms go unread, under
+    the table's ``TABLE_BYTES_GUARD``.
     """
     pts = _points(points, nu.ambient_dim)
-    values, diverges = np.zeros(len(pts)), np.zeros(len(pts), dtype=bool)
     a = np.abs(density_values(g, nu)) * nu.weights
-    step = _rows_per_block(len(pts), nu.count)
-    for start in range(0, len(pts), step):
-        sl = slice(start, start + step)
-        order, dist_desc, _ = _sorted_rows(((0,) * nu.ambient_dim, 0), pts[sl], nu)
-        values[sl], diverges[sl] = _hl_from_descending(a, nu.ambient_dim, order, dist_desc)
-    return values, diverges
+    order, dist_desc, _ = _sorted_rows(((0,) * nu.ambient_dim, 0), pts, nu)
+    return _hl_from_descending(a, nu.ambient_dim, order, dist_desc)
 
 
 # ---------------------------------------------------------------------------
@@ -512,21 +501,17 @@ class PairSumStats(NamedTuple):
 
 
 def _pair_partials(pos_a: np.ndarray, w_a: np.ndarray, pos_b: np.ndarray, w_b: np.ndarray, kernel, eps):
-    """The pass of ``pair_sum_schedule`` over the pairs: (partials, seen,
-    max |term|, count).  Per (block of ``_rows_per_block`` rows of pos_a,
-    bin) the unrounded Sum2 of the bin's terms in row-major order (the
-    float64 sum and the sequential sum of its TwoSum errors), and whether
-    the block has any; per bin the max |term| (NaN once a term is, as
-    np.max) and the term count.  One compiled pass (``sups.c``'s
-    ``pair_partials``)."""
-    block = _rows_per_block(len(pos_a), len(pos_b))
-    partials = np.zeros((-(-len(pos_a) // block), len(eps), 2))
-    seen = np.zeros(partials.shape[:2], dtype=bool)
+    """The pass of ``pair_sum_schedule`` over the pairs: (partials, max
+    |term|, count).  Per bin the unrounded Sum2 of the bin's terms in
+    row-major order (the float64 sum and the sequential sum of its
+    TwoSum errors), the max |term| (NaN once a term is, as np.max) and
+    the term count.  One compiled pass (``sups.c``'s ``pair_partials``)."""
+    partials = np.zeros((len(eps), 2))
     max_terms = np.zeros(len(eps))
     counts = np.zeros(len(eps), dtype=np.int64)
-    _compiled().pair_partials(*_cells(kernel.monomial, pos_a, pos_b), w_a, w_b, len(eps), eps, block, partials, seen,
-                              max_terms, counts)
-    return partials, seen, max_terms, counts
+    _compiled().pair_partials(*_cells(kernel.monomial, pos_a, pos_b), w_a, w_b, len(eps), eps, partials, max_terms,
+                              counts)
+    return partials, max_terms, counts
 
 
 def pair_sum_schedule(
@@ -535,11 +520,11 @@ def pair_sum_schedule(
     """``pair_sum_stats`` at every eps of a strictly decreasing schedule,
     from one pass over the pairs (``_pair_partials``).  Bin j holds the
     pairs with eps[j] < |x_a - y_b| <= eps[j-1], each kernel term
-    evaluated once.  Each (distance block, bin) is summed by Sum2 in
-    row-major order and kept unrounded (its float64 total and the
-    sequential sum of its TwoSum errors); the value at eps[k] is one Sum2
-    over the m partials of bins 0..k, bin-major.  For the exact value T of
-    its N terms it is within u|T| + ((1 + u) gamma_{N-1}^2 +
+    evaluated once.  Each bin is summed by Sum2 in row-major order and
+    kept unrounded (its float64 total and the sequential sum of its
+    TwoSum errors); the value at eps[k] is one Sum2 over the partials of
+    the m non-empty bins among 0..k, in bin order.  For the exact value T
+    of its N terms it is within u|T| + ((1 + u) gamma_{N-1}^2 +
     (1 + gamma_N)^2 gamma_{2m-1}^2) sum|t|.  ``max_abs_term`` is NaN once
     an included term is.
 
@@ -557,9 +542,9 @@ def pair_sum_schedule(
             raise ValueError(f"weights must be finite, one per position: got shape {w.shape} for {len(pos)} positions")
     if len(pos_a) * len(pos_b) > PAIR_COUNT_GUARD:
         raise ValueError(f"pair count guard exceeded: {len(pos_a) * len(pos_b)} pairs, limit {PAIR_COUNT_GUARD}")
-    partials, seen, max_terms, counts = _pair_partials(pos_a, w_a, pos_b, w_b, kernel, eps)
-    flat = np.concatenate([[0.0], partials.transpose(1, 0, 2)[seen.T].reshape(-1)])  # 0: no pair yet
-    values = sum2_prefix(flat[None, :])[0, 2 * np.cumsum(np.count_nonzero(seen, axis=0))]
+    partials, max_terms, counts = _pair_partials(pos_a, w_a, pos_b, w_b, kernel, eps)
+    flat = np.concatenate([[0.0], partials[counts > 0].reshape(-1)])  # 0: no pair yet
+    values = sum2_prefix(flat[None, :])[0, 2 * np.cumsum(counts > 0)]
     return [
         PairSumStats(float(v), float(m), int(c))
         for v, m, c in zip(values, np.maximum.accumulate(max_terms), np.cumsum(counts))
@@ -575,8 +560,8 @@ def pair_sum_stats(
     eps: float,
 ) -> PairSumStats:
     """sum over pairs (a, b) with |x_a - y_b| > eps of K(x_a - y_b) w_a w_b,
-    one bin of ``pair_sum_schedule``, a Sum2 over the unrounded Sum2 of
-    each distance block, with its bound.  Also reports the largest |term|
+    one bin of ``pair_sum_schedule``, the unrounded Sum2 of its terms
+    rounded once, with its bound.  Also reports the largest |term|
     and the number of included pairs (for cancellation bounds).
     """
     return pair_sum_schedule(pos_a, w_a, pos_b, w_b, kernel, [eps])[0]

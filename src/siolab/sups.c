@@ -19,8 +19,8 @@
    each is its numpy oracle in tests/oracles.py, which it equals bit for
    bit, compiled without FMA contraction or fast-math.
    The pair engine puts each pair in the bin of the first eps its distance
-   exceeds and keeps, per (block of rows, bin), the Sum2 of the bin's
-   terms unrounded (s and c), which operators.pair_sum_schedule sums in
+   exceeds and keeps, per bin, the Sum2 of the bin's terms in row-major
+   order unrounded (s and c), which operators.pair_sum_schedule sums in
    turn.
    T* takes a stack of densities; on x86-64 hosts with AVX-512 a copy
    chosen at run time (sup_lanes) sums 8 densities at once, one vector
@@ -195,19 +195,16 @@ void truncated_rows(int64_t rows, int64_t n, int64_t dim, const double *pts, con
 /* The pair engine of operators.pair_sum_schedule over the pairs (x, y) of
    pts x pos, row by row: a pair with |x - y| > eps[bins - 1] (eps strictly
    decreasing; the other pairs are skipped) falls in bin j, the first with
-   |x - y| > eps[j], and its term is K(x - y) (w_a(x) w_b(y)).  Per (block
-   of `block` rows, bin), the Sum2 of its terms in row-major order goes
-   into partials (the float64 sum, then the sum of its TwoSum errors) and
-   seen marks a block's bin that holds a term; per bin the max |term|, NaN
-   sticking as in np.max, and the term count.  The outputs start zeroed. */
+   |x - y| > eps[j], and its term is K(x - y) (w_a(x) w_b(y)).  Per bin,
+   the Sum2 of its terms in row-major order goes into partials (the
+   float64 sum, then the sum of its TwoSum errors), the max |term|, NaN
+   sticking as in np.max, and the term count, which is 0 while the bin
+   holds no term.  The outputs start zeroed. */
 void pair_partials(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
                    const int64_t *powers, int64_t q, const double *w_a, const double *w_b, int64_t bins,
-                   const double *eps, int64_t block, double *partials, uint8_t *seen, double *max_term,
-                   int64_t *counts)
+                   const double *eps, double *partials, double *max_term, int64_t *counts)
 {
-    for (int64_t i = 0; i < rows; i++, pts += dim) {
-        double *part = partials + i / block * bins * 2;
-        uint8_t *any = seen + i / block * bins;
+    for (int64_t i = 0; i < rows; i++, pts += dim)
         for (int64_t b = 0; b < n; b++) {
             double r2 = norm2(dim, pts, pos + b * dim), d = sqrt(r2);
             if (!(d > eps[bins - 1])) continue;
@@ -215,15 +212,9 @@ void pair_partials(int64_t rows, int64_t n, int64_t dim, const double *pts, cons
             while (!(d > eps[j])) j++;
             double t = kernel(dim, pts, pos + b * dim, powers, q, r2) * (w_a[i] * w_b[b]), a = fabs(t);
             if (a > max_term[j] || a != a) max_term[j] = a;
-            counts[j]++;
-            if (any[j]) {
-                sum2_add(part + 2 * j, part + 2 * j + 1, t);
-            } else {
-                part[2 * j] = t;
-                any[j] = 1;
-            }
+            if (counts[j]++) sum2_add(partials + 2 * j, partials + 2 * j + 1, t);
+            else partials[2 * j] = t;
         }
-    }
 }
 
 /* T*: per density k of the stack g (n atoms x d densities, atom-major)

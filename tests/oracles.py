@@ -75,6 +75,16 @@ def brute_pair_sum(pos_a, w_a, pos_b, w_b, kernel, eps):
     return math.fsum(chain.from_iterable(map(np.ndarray.tolist, parts))), max_term, count
 
 
+def line_pv(u, slope):
+    """The principal value of int K(x - y) dsigma(y), K = x_1 / |x|^2 the
+    Hilbert kernel, sigma the arc measure of the segment y = slope t,
+    t in [-1, 1], at its point of parameter u: log((1 + u) / (1 - u)) /
+    sqrt(1 + slope^2).  x - y = (u - t)(1, slope) gives K = 1 / ((u - t)
+    (1 + slope^2)) and dsigma = sqrt(1 + slope^2) dt, and the principal
+    value of int dt / (u - t) over [-1, 1] is log((1 + u) / (1 - u))."""
+    return math.log((1.0 + u) / (1.0 - u)) / math.sqrt(1.0 + slope * slope)
+
+
 def cone_mesh_loop(cone, height_cap, mesh_depth):
     """The cone mesh one level at a time, each level placed at the apex
     and stacked: 2^mesh_depth levels t = height_cap * level / levels,
@@ -279,24 +289,19 @@ def hl_maximal_batch(nu, g, pts):
     return values, diverges
 
 
-def pair_partials(pos_a, w_a, pos_b, w_b, kernel, eps, block):
-    """``operators._pair_partials`` with ``block`` rows of pos_a per
-    block: (partials, seen, max |term|, count).  A pair goes to the first
-    bin j with distance > eps[j], or to none; per (block, bin) the
-    ``sum2_total`` of its terms K(x - y) (w_a w_b) in row-major order."""
+def pair_partials(pos_a, w_a, pos_b, w_b, kernel, eps):
+    """``operators._pair_partials``: (partials, max |term|, count).  A pair
+    goes to the first bin j with distance > eps[j], or to none; per bin
+    the ``sum2_total`` of its terms K(x - y) (w_a w_b) in row-major order."""
     diffs, dist = distances(pos_a, pos_b)
     terms = kernel_terms(kernel, diffs, dist) * (w_a[:, None] * w_b[None, :])
     bins = np.sum(dist[:, :, None] <= eps, axis=2)  # eps decreases: the first j with dist > eps[j]
-    n_blocks = -(-len(pos_a) // block)
-    partials = np.zeros((n_blocks, len(eps), 2))
-    seen = np.zeros((n_blocks, len(eps)), dtype=bool)
+    partials = np.zeros((len(eps), 2))
     max_terms = np.zeros(len(eps))
     counts = np.zeros(len(eps), dtype=np.int64)
     for j in range(len(eps)):
         in_bin = bins == j
         max_terms[j], counts[j] = np.max(np.abs(terms[in_bin]), initial=0.0), np.count_nonzero(in_bin)  # NaN sticks
-        for k in range(n_blocks):
-            rows = slice(k * block, (k + 1) * block)
-            if np.any(in_bin[rows]):
-                partials[k, j], seen[k, j] = sum2_total(terms[rows][in_bin[rows]]), True
-    return partials, seen, max_terms, counts
+        if counts[j]:
+            partials[j] = sum2_total(terms[in_bin])
+    return partials, max_terms, counts

@@ -478,6 +478,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_cli_threads_below_one_is_rejected(tmp_path, capsys, threads):
+    # --threads 0 or -3 used to run on one worker and exit 0
+    cfg_path = tmp_path / "cone.cfg"
+    cfg_path.write_text(CONFIG_TEXT)
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["run", str(cfg_path), "--threads", threads, "--out-dir", str(tmp_path / "out")])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "argument --threads: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "scenario, eps0",
     [

@@ -469,7 +469,7 @@ def test_pair_sum_schedule_matches_oracle_on_grid(dim, n_a, n_b, squares, seed):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_pair_sum_stats_bit_equal_to_oracle(dim):
-    # 900 x 2400 pairs span two distance blocks
+    # 900 x 2400 pairs, 2.16 million terms summed per bin in one pass
     rng = Rng(71 + dim)
     pos_a = rng.points_in_box(900, [(-1, 1)] * dim)
     pos_b = rng.points_in_box(2400, [(-1, 1)] * dim)
@@ -720,14 +720,27 @@ def test_truncated_values_per_point_eps():
         )
 
 
+@pytest.mark.parametrize("eps", [np.array([0.5]), np.array(0.5), np.full((10, 1), 0.5), np.full(11, 0.5)],
+                         ids=["one_element", "zero_d", "column", "one_too_many"])
+def test_truncated_values_per_point_needs_one_eps_per_point(eps):
+    # a 1-element eps was broadcast over every row, and a 0-d one raised IndexError
+    nu, g = random_config(Rng(74), 30)
+    table = sl.TruncationTable(nu, sl.RieszComponent(2, 1), Rng(75).points_in_box(10, [(-1, 1)] * 2))
+    with pytest.raises(ValueError, match="one radius per point"):
+        table.truncated_values_per_point(g, eps)
+
+
 def test_truncation_table_byte_guard(monkeypatch):
-    nu, _ = random_config(Rng(75), 40)
+    # both builders of table rows, the table and hl_maximal_batch's sort
+    nu, g = random_config(Rng(75), 40)
     pts = Rng(76).points_in_box(10, [(-1, 1)] * 2)
-    monkeypatch.setattr(operators, "TABLE_BYTES_GUARD", 10 * 40 * operators._TABLE_BYTES_PER_CELL - 1)
-    with pytest.raises(ValueError):
-        sl.TruncationTable(nu, sl.RieszComponent(2, 0), pts)
-    monkeypatch.setattr(operators, "TABLE_BYTES_GUARD", 10 * 40 * operators._TABLE_BYTES_PER_CELL)
-    sl.TruncationTable(nu, sl.RieszComponent(2, 0), pts)
+    builders = (lambda: sl.TruncationTable(nu, sl.RieszComponent(2, 0), pts), lambda: hl_maximal_batch(nu, g, pts))
+    for build in builders:
+        monkeypatch.setattr(operators, "TABLE_BYTES_GUARD", 10 * 40 * operators._TABLE_BYTES_PER_CELL - 1)
+        with pytest.raises(ValueError, match="truncation table byte guard exceeded"):
+            build()
+        monkeypatch.setattr(operators, "TABLE_BYTES_GUARD", 10 * 40 * operators._TABLE_BYTES_PER_CELL)
+        build()
 
 
 def test_table_bytes_per_cell_is_the_arrays_a_table_holds():
@@ -1377,24 +1390,22 @@ def test_table_builds_equal_their_oracles(layout, family, dim, n, n_pts, on_atom
 
 
 @settings(max_examples=60, deadline=None)
-@example(family="riesz", dim=2, n_a=0, n_b=5, squares={4, 1}, block_rows=None, huge=False, seed=0)  # empty side
-@example(family="odd", dim=3, n_a=6, n_b=0, squares={9}, block_rows=2, huge=False, seed=1)
-@example(family="riesz", dim=4, n_a=7, n_b=9, squares={2}, block_rows=2, huge=False, seed=2)  # one eps, 4 blocks
-@example(family="odd", dim=2, n_a=5, n_b=8, squares={16, 4, 1}, block_rows=2, huge=True, seed=3)
+@example(family="riesz", dim=2, n_a=0, n_b=5, squares={4, 1}, huge=False, seed=0)  # empty side
+@example(family="odd", dim=3, n_a=6, n_b=0, squares={9}, huge=False, seed=1)
+@example(family="riesz", dim=4, n_a=7, n_b=9, squares={2}, huge=False, seed=2)  # one eps
+@example(family="odd", dim=2, n_a=5, n_b=8, squares={16, 4, 1}, huge=True, seed=3)
 @given(
     family=st.sampled_from(["riesz", "odd"]),
     dim=st.sampled_from([2, 3, 4]),
     n_a=st.integers(0, 12),
     n_b=st.integers(0, 30),
     squares=st.sets(st.integers(1, 40), min_size=1, max_size=8),
-    block_rows=st.sampled_from([None, 1, 2, 5]),
     huge=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_pair_engines_equal_their_oracles(family, dim, n_a, n_b, squares, block_rows, huge, seed):
+def test_pair_engines_equal_their_oracles(family, dim, n_a, n_b, squares, huge, seed):
     # integer grids, so distances often equal a schedule eps = sqrt(k)
-    # exactly; both kernel families with odd and even q; block_rows rows
-    # per distance block (None: the default, one block); with huge, atoms
+    # exactly; both kernel families with odd and even q; with huge, atoms
     # near 1e300 (whose squared distances overflow) and weights near 1e300,
     # so that some terms are 0 / inf, inf / inf, K * inf or 0 * inf
     rng = np.random.default_rng(seed)
@@ -1407,12 +1418,10 @@ def test_pair_engines_equal_their_oracles(family, dim, n_a, n_b, squares, block_
         w_b[1::3] *= 1e300
     k = _table_kernel(family, dim)
     schedule = np.sqrt(np.array(sorted(squares, reverse=True), dtype=float))
-    block_elements = operators._BLOCK_ELEMENTS if block_rows is None else block_rows * max(1, n_b)
-    block = max(1, min(n_a, block_rows or n_a))  # the rows per block of that partition
-    with mock.patch.object(operators, "_BLOCK_ELEMENTS", block_elements), np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         compiled = operators._pair_partials(pos_a, w_a, pos_b, w_b, k, schedule)
         stats = pair_sum_schedule(pos_a, w_a, pos_b, w_b, k, schedule)
-        reference = oracles.pair_partials(pos_a, w_a, pos_b, w_b, k, schedule, block)
+        reference = oracles.pair_partials(pos_a, w_a, pos_b, w_b, k, schedule)
         diffs = (pos_a[:, None, :] - pos_b[None, :, :]).reshape(-1, dim)
         dist = np.sqrt(np.sum(diffs * diffs, axis=1))
         terms = k.evaluate_many(np.where(dist[:, None] > 0, diffs, 1.0).T) * (w_a[:, None] * w_b[None, :]).reshape(-1)
@@ -1429,25 +1438,23 @@ def test_pair_engines_equal_their_oracles(family, dim, n_a, n_b, squares, block_
 @given(
     n_a=st.integers(0, 9),
     n_b=st.integers(0, 12),
-    block_rows=st.integers(1, 4),
     weights=st.lists(_scan_values, min_size=21, max_size=21),
     squares=st.sets(st.integers(1, 20), min_size=1, max_size=5),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_pair_partials_are_textbook_sum2_per_block_and_bin(n_a, n_b, block_rows, weights, squares, seed):
+def test_pair_partials_are_textbook_sum2_per_bin(n_a, n_b, weights, squares, seed):
     # the engine's pass and its oracle against one loop over the pairs in
-    # row-major order: bin j the first eps[j] < distance, each (block of
-    # block_rows rows, bin) one Sum2; weights near 1e16 and 1 cancel, so
-    # another partition or another order of the error sum shows in the bits
+    # row-major order: bin j the first eps[j] < distance, each bin one
+    # Sum2; weights near 1e16 and 1 cancel, so another partition or
+    # another order of the error sum shows in the bits
     rng = np.random.default_rng(seed)
     pos_a = rng.integers(-3, 4, size=(n_a, 2)).astype(float)
     pos_b = rng.integers(-3, 4, size=(n_b, 2)).astype(float)
     w_a, w_b = np.array(weights[:n_a]), np.array(weights[n_a:n_a + n_b])
     k = sl.RieszComponent(2, 1)
     eps = np.sqrt(np.array(sorted(squares, reverse=True), dtype=float))
-    with mock.patch.object(operators, "_BLOCK_ELEMENTS", block_rows * max(1, n_b)):
-        compiled = operators._pair_partials(pos_a, w_a, pos_b, w_b, k, eps)
-    reference = oracles.pair_partials(pos_a, w_a, pos_b, w_b, k, eps, max(1, min(n_a, block_rows)))
+    compiled = operators._pair_partials(pos_a, w_a, pos_b, w_b, k, eps)
+    reference = oracles.pair_partials(pos_a, w_a, pos_b, w_b, k, eps)
     for a, b in zip(compiled, reference, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     terms = {}
@@ -1458,14 +1465,12 @@ def test_pair_partials_are_textbook_sum2_per_block_and_bin(n_a, n_b, block_rows,
             j = next((j for j, e in enumerate(eps) if dist > e), None)
             if j is not None:
                 term = float(k.evaluate_many(d[:, None])[0]) * (w_a[i] * w_b[b])
-                terms.setdefault((i // block_rows, j), []).append(term)
-    partials, seen, max_terms, counts = compiled
-    assert seen.shape == (-(-n_a // max(1, min(n_a, block_rows))), len(eps))
-    assert {key: tuple(partials[key]) for key in zip(*np.nonzero(seen))} == {
-        key: _textbook_sum2(t) for key, t in terms.items()
-    }
+                terms.setdefault(j, []).append(term)
+    partials, max_terms, counts = compiled
+    assert partials.shape == (len(eps), 2)
     for j in range(len(eps)):
-        in_bin = [t for (_, bin_), ts in terms.items() if bin_ == j for t in ts]
+        in_bin = terms.get(j, [])
+        assert tuple(partials[j]) == (_textbook_sum2(in_bin) if in_bin else (0.0, 0.0))
         assert (max_terms[j], counts[j]) == (max(map(abs, in_bin), default=0.0), len(in_bin))
 
 
@@ -1668,27 +1673,15 @@ def test_truncated_batch_strict_at_breakpoint():
 
 
 # ---------------------------------------------------------------------------
-# row blocks
+# Cantor atoms: zero distances and exact ties
 # ---------------------------------------------------------------------------
 
 
-def _table_outputs(nu, k, pts, g, eps):
-    table = sl.TruncationTable(nu, k, pts)
-    values, diverges = table.hl_maximal_values(g)
-    return {
-        "order": table.order, "dist_desc": table.dist_desc, "kw_desc": table.kw_desc,
-        "maximal": table.maximal_values([g]), "truncated": table.truncated_values_per_point(g, eps),
-        "hl_table": values, "hl_table_diverges": diverges,
-        "batch": truncated_batch(nu, k, g, pts, eps),
-        **dict(zip(("hl", "hl_diverges"), hl_maximal_batch(nu, g, pts))),
-    }
-
-
 @pytest.mark.parametrize("case", ["cantor_on_atoms", "random_3d"])
-def test_multi_block_outputs_equal_single_block(monkeypatch, case):
-    # hl_maximal_batch in three full blocks and a short last one gives the
-    # bits of one block and of its oracle; on the Cantor atoms themselves
-    # (mu = nu) rows hold zero distances and exact ties
+def test_hl_maximal_batch_equals_the_table_and_its_oracle(case):
+    # hl_maximal_batch's own sort gives the bits of the table's M and of
+    # the oracle; on the Cantor atoms themselves (mu = nu) rows hold zero
+    # distances and exact ties
     rng = Rng(97)
     if case == "cantor_on_atoms":
         nu = sl.cantor_four_corners(2)
@@ -1699,33 +1692,25 @@ def test_multi_block_outputs_equal_single_block(monkeypatch, case):
         pts = np.vstack([rng.points_in_box(9, [(-1, 1)] * 3), nu.positions[4]])
         k = sl.OddHomogeneous(3, (1, 0, 2))
     g = rng.uniforms(nu.count, -1.0, 1.0)
-    eps = rng.uniforms(len(pts), 0.05, 1.0)
-    eps[0] = np.linalg.norm(pts[0] - nu.positions[5])  # an exact breakpoint
-    single = _table_outputs(nu, k, pts, g, eps)
-    monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 3 * nu.count)
-    assert operators._rows_per_block(len(pts), nu.count) == 3  # blocks of 3, 3, 3 and 1 points
-    blocked = _table_outputs(nu, k, pts, g, eps)
-    for name, value in single.items():
-        assert blocked[name].tobytes() == value.tobytes(), name
-    for name, value in zip(("hl", "hl_diverges"), oracles.hl_maximal_batch(nu, g, pts)):
-        assert blocked[name].tobytes() == value.tobytes(), name
+    table = sl.TruncationTable(nu, k, pts)
+    batch = hl_maximal_batch(nu, g, pts)
+    for a, b, c in zip(batch, table.hl_maximal_values(g), oracles.hl_maximal_batch(nu, g, pts), strict=True):
+        assert a.tobytes() == b.tobytes() == c.tobytes()
     if case == "cantor_on_atoms":
-        assert np.any(single["dist_desc"] == 0.0) and not oracles.group_ends(single["dist_desc"]).all()
+        assert np.any(table.dist_desc == 0.0) and not oracles.group_ends(table.dist_desc).all()
 
 
-def test_multi_block_pair_sum_schedule_within_bound(monkeypatch):
-    # three full blocks and a short last one: the partials are the
-    # oracle's for that partition, and each value is within its bound
+def test_pair_sum_schedule_within_bound_on_cantor_atoms():
+    # Cantor atoms against themselves and random points: the partials are
+    # the oracle's, and each value is within its bound
     rng = Rng(99)
     nu = sl.cantor_four_corners(2)
     pos_a = np.vstack([nu.positions[:6], rng.points_in_box(4, [(-0.2, 1.2)] * 2)])
     w_a, w_b = rng.uniforms(10, -1.0, 1.0), nu.weights
     k = sl.RieszComponent(2, 1)
     schedule = [2.0, 0.5, 0.25, 0.0625]
-    monkeypatch.setattr(operators, "_BLOCK_ELEMENTS", 3 * nu.count)
     partials = operators._pair_partials(pos_a, w_a, nu.positions, w_b, k, np.array(schedule))
-    reference = oracles.pair_partials(pos_a, w_a, nu.positions, w_b, k, np.array(schedule), 3)
-    assert partials[1].shape == (4, len(schedule))  # blocks of 3, 3, 3 and 1 rows
+    reference = oracles.pair_partials(pos_a, w_a, nu.positions, w_b, k, np.array(schedule))
     for a, b in zip(partials, reference, strict=True):
         assert a.tobytes() == b.tobytes()
     diffs = (pos_a[:, None, :] - nu.positions[None, :, :]).reshape(-1, 2)
@@ -1737,15 +1722,15 @@ def test_multi_block_pair_sum_schedule_within_bound(monkeypatch):
         _assert_within_pair_sum_bound(stats.value, terms[dist > eps].tolist())
 
 
-# the traced peak of the test below: 11,796 to 12,978 bytes measured (the per-(block, bin)
-# outputs, the flat partials and the returned list), plus a 11.6 KiB margin,
+# the traced peak of the test below: 10,012 to 12,081 bytes measured (the per-bin
+# outputs, the flat partials and the returned list), plus a 12.2 KiB margin,
 # less than one 2048-float row
 _COMPILED_PAIR_SUM_PEAK_BYTES = 24 * 1024
 
 
 def _pair_sum_traced_peak():
-    """The tracemalloc peak of DoubleIntegral's size: 2048 x 2048 pairs in
-    two distance blocks, 16 eps."""
+    """The tracemalloc peak of DoubleIntegral's size: 2048 x 2048 pairs,
+    16 eps."""
     graph = sl.LipschitzGraph(2, sl.Affine((0.0,)))
     above = sl.slab_above_graph(graph, [(-1.0, 1.0)], 128, 0.4, 16, 0.0)
     below = sl.slab_above_graph(graph, [(-1.0, 1.0)], 128, 0.4, 16, -0.4)

@@ -18,8 +18,8 @@ The compiled loops are built without FMA contraction or fast-math, which
 would round them differently from their oracles in ``tests/oracles.py``,
 and without flags that tie the library to one host's CPU; with ``-Wall
 -Wextra -Werror`` added, ``sups.c`` still compiles, and it exports every
-symbol that ``operators._compiled`` binds, each with as many argtypes as
-its C parameters; a compile leaves no library of an earlier source in
+symbol that ``operators._compiled`` binds, each with one argtype of the
+matching kind per C parameter; a compile leaves no library of an earlier source in
 the build directory.  The compiled loops are the only implementation:
 without ``cc`` or a compile, the loader's error names ``cc``, the build
 directory and the compiler's message, and no source or test takes
@@ -285,20 +285,33 @@ def _compiled_loader() -> ast.FunctionDef:
     )
 
 
+# the ctypes name that operators._compiled binds for each C parameter type
+_CTYPES_OF_C = {"int64_t": "size", "double *": "f64", "int64_t *": "i64", "uint8_t *": "flag"}
+
+
+def _c_kind(param: str) -> str:
+    """The ctypes name for one C parameter such as ``const double *pts``."""
+    kind = re.sub(r"^const |\w+$", "", param.strip()).strip()
+    return _CTYPES_OF_C.get(kind, kind)
+
+
 def test_bound_argtypes_match_the_c_parameter_lists():
-    # ctypes passes any argument past a short argtypes list unchecked
+    # ctypes passes any argument past a short argtypes list unchecked, and
+    # an array bound as another kind (or a count where an array goes) is
+    # read as whatever its bytes are: each parameter's kind must match
     argtypes = {
-        node.targets[0].value.attr: len(node.value.elts)
+        node.targets[0].value.attr: [elt.id for elt in node.value.elts]
         for node in ast.walk(_compiled_loader())
         if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Attribute)
         and node.targets[0].attr == "argtypes"
     }
     params = {
-        name: 0 if args == "void" else len(args.split(","))
+        name: [] if args == "void" else [_c_kind(arg) for arg in args.split(",")]
         for name, args in re.findall(r"^(?:int|void) (\w+)\(([^)]*)\)", (PACKAGE / "sups.c").read_text(), re.MULTILINE)
     }
-    assert argtypes == params == {
-        "table_rows": 11, "truncated_rows": 10, "pair_partials": 16, "maximal_values": 9, "hl_maximal_values": 8,
+    assert argtypes == params
+    assert {name: len(kinds) for name, kinds in params.items()} == {
+        "table_rows": 11, "truncated_rows": 10, "pair_partials": 14, "maximal_values": 9, "hl_maximal_values": 8,
         "sup_lanes": 0,
     }
 
