@@ -47,7 +47,7 @@ from ..operators import (
     pv_estimate,
     truncated_batch,
 )
-from ..pairing import CANCELLATION_FACTOR, SimpleFunction, convergence_study
+from ..pairing import SimpleFunction, cancellation_noise, convergence_study
 from .config import (
     REQUIRED, Config, ConfigError, _fmt, blame, box_pairs, build_graph, build_kernel, build_measure, optional_graph,
 )
@@ -64,10 +64,12 @@ _GROWTH_CAP = 1.5  # CarlesonEmbedding, SeparatedBoundedness: largest growth of 
 
 class _Workers:
     """The worker pool of one ``run_scenario`` call: at most one worker per
-    CPU, forked by the first ``_pmap`` that needs more than one and reused
-    by the run's later ones, and ended with the run."""
+    CPU (ValueError below 1), forked by the first ``_pmap`` that needs more
+    than one and reused by the run's later ones, and ended with the run."""
 
     def __init__(self, threads: int):
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
         self.threads = min(threads, os.cpu_count() or 1)
         self.pool = None
 
@@ -668,7 +670,7 @@ def scenario_double_integral(cfg: Config, prm: dict, rng: Rng, workers: _Workers
         mirrored = pair_sums(above, concat([below, on])) if on.count else forward
     rows = [[eps, fwd.value, mir.value] for eps, fwd, mir in zip(schedule, forward, mirrored)]
     noise = max(
-        max(fwd.pair_count, 1) * CANCELLATION_FACTOR * max(fwd.max_abs_term, mir.max_abs_term)
+        cancellation_noise(1.0, fwd.pair_count, max(fwd.max_abs_term, mir.max_abs_term))
         for fwd, mir in zip(forward, mirrored)
     )
     report = ScenarioReport("double_integral", {})

@@ -5,14 +5,13 @@ Summation conventions, fixed package-wide:
 * Truncation is strict: the closed ball B(x, eps) is removed, so atoms
   at distance exactly eps are excluded; the maximal-function ball is
   closed, so atoms at distance exactly r are included.
-* The single-point ``truncated`` uses error-free accumulation
-  (math.fsum) in atom index order.
-* Every other sum follows ``summation``: a total (T^eps rows, L^p
-  norms, pair sums) is one Sum2, and a sup over prefixes (T* and the
-  maximal function) is a max over the Sum2 prefixes of each row; the
-  table's rows (distances, kernel terms and their stable sort), the
-  T^eps rows, the pair sums' partials and the sups run in the loops of
-  ``sups.c``, which need a C compiler (``_compiled``).
+* Every sum follows ``summation``: a total (T^eps rows, L^p norms,
+  pair sums) is one Sum2, and a sup over prefixes (T* and the maximal
+  function) is a max over the Sum2 prefixes of each row; the table's
+  rows (distances, kernel terms and their stable sort), the T^eps rows,
+  the pair sums' partials and the sups run in the loops of ``sups.c``,
+  which need a C compiler (``_compiled``).  T^eps has one home,
+  ``truncated_batch``; ``truncated`` and ``truncated_values*`` call it.
 * The supremum over all truncation radii is exact, not sampled: the
   truncated transform is piecewise constant in eps with jumps only at
   distinct atom distances, so the supremum is a maximum over suffix
@@ -35,7 +34,7 @@ import numpy as np
 
 from .geometry import Cone, check_aperture
 from .measure import DiscreteMeasure
-from .summation import sum2_prefix, sum2_rows
+from .summation import sum2_prefix
 
 PAIR_COUNT_GUARD = 10**10
 # the rows of _sorted_rows (a TruncationTable's, or hl_maximal_batch's)
@@ -138,19 +137,10 @@ def _cells(monomial, pts: np.ndarray, positions: np.ndarray):
 
 def truncated(nu: DiscreteMeasure, kernel, g, x, eps: float) -> float:
     """T^eps g(x) = sum over atoms y with |x - y| > eps (strict) of
-    K(x - y) g(y) w(y), accumulated error-free in atom index order.
+    K(x - y) g(y) w(y): the one-point call of ``truncated_batch``.
     """
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
     (x,) = _points(x, nu.ambient_dim)  # exactly one point
-    diffs = x[None, :] - nu.positions
-    dist = np.linalg.norm(diffs, axis=1)
-    mask = dist > eps
-    if not np.any(mask):
-        return 0.0
-    gv = density_values(g, nu)
-    terms = kernel.evaluate_many(diffs[mask].T) * gv[mask] * nu.weights[mask]
-    return math.fsum(terms.tolist())
+    return float(truncated_batch(nu, kernel, g, x[None, :], eps)[0])
 
 
 def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
@@ -259,27 +249,27 @@ class TruncationTable:
 
     Distances are sorted descending so prefix sums ARE the truncated
     sums: the prefix through distance group d equals T^eps for eps in
-    [next smaller distance, d).  Another density then costs a gather and
-    one Sum2 per row (see ``summation``); a sup (T* or the maximal
-    function) is a max over the prefixes that end a group of
-    ``dist_desc``, in one compiled pass (``_compiled``).  T* takes a
-    stack of densities in that one pass: on a host with AVX-512 (probed
-    at run time, not set by build flags) 8 densities share a vector, one
-    lane each, and since each lane is its density's own Sum2 with its
-    operations in their order, every density gets the bits of a pass of
-    its own.  Read backwards, the same sort serves the (n-1)-dimensional
-    maximal function.
+    [next smaller distance, d).  A sup (T* or the maximal function) is
+    a max over the prefixes that end a group of ``dist_desc``, in one
+    compiled pass (``_compiled``).  T* takes a stack of densities in
+    that one pass: on a host with AVX-512 (probed at run time, not set
+    by build flags) 8 densities share a vector, one lane each, and since
+    each lane is its density's own Sum2 with its operations in their
+    order, every density gets the bits of a pass of its own.  Read
+    backwards, the same sort serves the (n-1)-dimensional maximal
+    function.  One radius needs no sort: ``truncated_values*`` are
+    ``truncated_batch`` at the table's ``points`` and ``kernel``.
 
     A table takes 24 bytes per (point, atom) cell; building one larger
     than ``TABLE_BYTES_GUARD`` raises ValueError.
     """
 
     def __init__(self, nu: DiscreteMeasure, kernel, points):
-        pts = _points(points, nu.ambient_dim)
-        self.measure = nu
+        self.points = _points(points, nu.ambient_dim).copy()  # the table's, not the caller's array
+        self.measure, self.kernel = nu, kernel
         # a zero-distance group's kernel terms are zeroed, so its group end
         # repeats the previous prefix: no special casing is needed.
-        self.order, self.dist_desc, self.kw_desc = _sorted_rows(kernel.monomial, pts, nu)
+        self.order, self.dist_desc, self.kw_desc = _sorted_rows(kernel.monomial, self.points, nu)
 
     def maximal_values(self, gs) -> np.ndarray:
         """sup over eps > 0 of |T^eps g| at every point for each density g
@@ -292,20 +282,15 @@ class TruncationTable:
         return values
 
     def truncated_values(self, g, eps: float) -> np.ndarray:
-        """T^eps g at every point."""
-        if not eps > 0:
-            raise ValueError("eps must be > 0")
-        return self.truncated_values_per_point(g, np.full(len(self.dist_desc), float(eps)))
+        """T^eps g at every point: ``truncated_batch`` at the table's points."""
+        return truncated_batch(self.measure, self.kernel, g, self.points, eps)
 
     def truncated_values_per_point(self, g, eps: np.ndarray) -> np.ndarray:
-        """T^eps g with one truncation radius > 0 per point, shape (P,), one Sum2 per row."""
+        """``truncated_values`` with one radius per point, shape (P,)."""
         eps = np.asarray(eps, dtype=float)
-        if eps.shape != (len(self.order),):
-            raise ValueError(f"eps must hold one radius per point, shape ({len(self.order)},), got {eps.shape}")
-        if not np.all(eps > 0):
-            raise ValueError("eps must be > 0")
-        terms = density_values(g, self.measure)[self.order] * self.kw_desc
-        return sum2_rows(np.where(self.dist_desc > eps[:, None], terms, 0.0))
+        if eps.shape != (len(self.points),):
+            raise ValueError(f"eps must hold one radius per point, shape ({len(self.points)},), got {eps.shape}")
+        return truncated_batch(self.measure, self.kernel, g, self.points, eps)
 
     def hl_maximal_values(self, g):
         """``hl_maximal_batch`` at the table's points, bit for bit."""
@@ -449,7 +434,7 @@ def lp_norm(mu: DiscreteMeasure, g, p: float) -> float:
     if not 1 <= p < math.inf:
         raise ValueError("p must be in [1, inf)")
     powered = np.abs(density_values(g, mu)) ** p * mu.weights
-    return float(sum2_rows(powered[None, :])[0]) ** (1.0 / p)
+    return float(sum2_prefix(powered[None, :])[0, -1] if mu.count else 0.0) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,11 @@ from .operators import pair_sum_stats  # noqa: F401  kept bound here for perfben
 CANCELLATION_FACTOR = 2.0**-50  # cancellation bounds read N^2 * this * max|term|
 
 
+def cancellation_noise(weight: float, pair_count: int, max_abs_term: float) -> float:
+    """A pair sum's noise bound: weight x max(pair_count, 1) x CANCELLATION_FACTOR x max |term|, left to right."""
+    return weight * max(pair_count, 1) * CANCELLATION_FACTOR * max_abs_term
+
+
 @dataclass(eq=False)
 class SimpleFunction:
     """Finite linear combination of shape indicators, homogeneous per
@@ -152,8 +157,8 @@ def convergence_study(
                 rows.append(TraceRow(j, i, eps, contribution, *blocks))
                 totals[k].append(contribution)
                 weighted[k].append([coef * v for v in blocks])
-                pair_count = max(sum(s.pair_count for s in parts), 1)
-                noise[k].append(abs(coef) * pair_count * CANCELLATION_FACTOR * max(s.max_abs_term for s in parts))
+                pair_count = sum(s.pair_count for s in parts)
+                noise[k].append(cancellation_noise(abs(coef), pair_count, max(s.max_abs_term for s in parts)))
     values = [math.fsum(parts) for parts in totals]
     block_totals = [[math.fsum(col) for col in zip(*w)] for w in weighted]
     return PairingTrace(schedule, values, rows, block_totals, max(map(math.fsum, noise)), separated)

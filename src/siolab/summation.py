@@ -1,7 +1,7 @@
-"""The one summation policy for sums over numpy arrays (single points
-and Python lists use ``math.fsum``).  It uses float64 arithmetic alone,
+"""The one summation policy for sums over numpy arrays (only a total
+mass and Python lists use ``math.fsum``).  It uses float64 arithmetic alone,
 so its bits are the same on every platform.  With u = 2^-53 and
-gamma_k = k u / (1 - k u): a total is one Sum2 (``sum2_rows``), whose
+gamma_k = k u / (1 - k u): a total is one Sum2 (a last prefix), whose
 prefix S of n terms is within u|S| + gamma_{n-1}^2 sum|t|, as accurate
 as a sum in twice the working precision, rounded once.  Every sum here,
 the TwoSum errors' too, adds its terms one at a time in order (a cumsum,
@@ -45,13 +45,3 @@ def sum2_prefix(terms: np.ndarray) -> np.ndarray:
     s = _two_sum_errors(terms)
     s += np.cumsum(terms, axis=1, out=terms)
     return s
-
-
-def sum2_rows(terms: np.ndarray) -> np.ndarray:
-    """The Sum2 total of each row of a (P, N) array, which is overwritten:
-    the last column of ``sum2_prefix``, and 0 where N = 0."""
-    if terms.shape[1] == 0:
-        return np.zeros(len(terms))
-    s = _two_sum_errors(terms)
-    return s[:, -1] + np.cumsum(terms, axis=1, out=terms)[:, -1]
-

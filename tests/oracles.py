@@ -3,10 +3,12 @@
 These deliberately avoid the breakpoint/suffix machinery of the package:
 sums are evaluated by direct masking per truncation radius and
 accumulated error-free (``math.fsum``, correctly rounded), so they can
-certify the fast paths.  The single-eps pairing, its four overlap blocks
-and the Fubini residual are one ``pair_sum_stats`` call per restricted
-atom set, independent of the multi-eps schedule that
-``pairing.convergence_study`` runs.
+certify the fast paths; ``truncated`` is the single-point T^eps
+reference, and ``line_pv`` and ``line_tstar`` are closed forms on a
+line.  The single-eps pairing, its four overlap blocks and the Fubini
+residual are one ``pair_sum_stats`` call per restricted atom set,
+independent of the multi-eps schedule that ``pairing.convergence_study``
+runs.
 
 The second half is the reference of each compiled loop of ``sups.c``,
 in plain numpy over whole arrays and with the loop's operations in its
@@ -22,7 +24,19 @@ from typing import NamedTuple
 import numpy as np
 
 from siolab.operators import density_stack, density_values, pair_sum_stats
-from siolab.summation import _two_sum_errors, sum2_prefix, sum2_rows
+from siolab.summation import _two_sum_errors, sum2_prefix
+
+
+def truncated(nu, kernel, g, x, eps):
+    """T^eps g(x) at one point: the terms K(x - y) g(y) w(y) of the atoms
+    with |x - y| > eps (strict), ``np.linalg.norm`` distances, summed
+    error-free (``math.fsum``) in atom order."""
+    diffs = np.asarray(x, dtype=float)[None, :] - nu.positions
+    mask = np.linalg.norm(diffs, axis=1) > eps
+    if not np.any(mask):
+        return 0.0
+    terms = kernel.evaluate_many(diffs[mask].T) * density_values(g, nu)[mask] * nu.weights[mask]
+    return math.fsum(terms.tolist())
 
 
 def brute_force_sup(nu, kernel, g, x, grid_size=2000):
@@ -83,6 +97,16 @@ def line_pv(u, slope):
     (1 + slope^2)) and dsigma = sqrt(1 + slope^2) dt, and the principal
     value of int dt / (u - t) over [-1, 1] is log((1 + u) / (1 - u))."""
     return math.log((1.0 + u) / (1.0 - u)) / math.sqrt(1.0 + slope * slope)
+
+
+def line_tstar(s, t):
+    """T*1 of the Hilbert kernel K = x_1 / |x|^2 and the arc measure of
+    the segment [-1, 1] x {0}, at the point (s, t), |s| < 1:
+    |log(((s + 1)^2 + t^2) / ((s - 1)^2 + t^2)) / 2|, which is |T^eps 1|
+    for eps <= |t| (on the line, t = 0, the principal value ``line_pv``).
+    A larger eps excludes a chord that is symmetric about s, so it
+    cancels, or that reaches past an end, and then |T^eps 1| decreases."""
+    return abs(0.5 * math.log(((s + 1.0) ** 2 + t * t) / ((s - 1.0) ** 2 + t * t)))
 
 
 def cone_mesh_loop(cone, height_cap, mesh_depth):
@@ -259,7 +283,9 @@ def truncated_batch(nu, kernel, g, pts, eps):
     diffs, dist = distances(pts, nu.positions)
     eps = np.broadcast_to(np.asarray(eps, dtype=float), (len(pts),))
     gw = nu.weights * density_values(g, nu)
-    return sum2_rows(np.where(dist > eps[:, None], kernel_terms(kernel, diffs, dist) * gw, 0.0))
+    if nu.count == 0:
+        return np.zeros(len(pts))
+    return sum2_prefix(np.where(dist > eps[:, None], kernel_terms(kernel, diffs, dist) * gw, 0.0))[:, -1]
 
 
 def maximal_values(table, gs):

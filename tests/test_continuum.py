@@ -1,10 +1,12 @@
 """Computed limits against closed forms of the continuum.
 
 On a straight line the Riesz kernel K = x_1 / |x|^2 is the Hilbert
-kernel, and its principal value has a closed form (``oracles.line_pv``).
-The graph measure of the line is the midpoint rule of its arc measure, so
-at an atom the truncated sums of ``pv_estimate`` converge to that closed
-form at second order in the grid step h.
+kernel, and its principal value has a closed form (``oracles.line_pv``),
+as has T* of the constant density on the flat line, on it and off it
+(``oracles.line_tstar``).  The graph measure of the line is the midpoint
+rule of its arc measure, so at an atom the truncated sums of
+``pv_estimate`` and the exact sup of ``TruncationTable.maximal_values``
+converge to those closed forms at second order in the grid step h.
 """
 
 import math
@@ -15,12 +17,20 @@ import pytest
 import siolab as sl
 from siolab.operators import geometric_schedule
 
-from oracles import line_pv
+from oracles import line_pv, line_tstar
 
 # the largest |error| / h^2 measured on these cases is 0.189 (slope 0,
 # s = 0.55, m = 256); each 4x refinement shrank the error 15.8 to 16.3x
 _PV_ERROR_PER_H2 = 0.25
 _MIN_ORDER = 1.8
+# the largest |relative error| / h^2 of T* measured on these cases is
+# 0.153 (s = 0.55 on the line, m = 256; -9.3e-6 there and -3.6e-8 at
+# m = 4096); each 4x refinement shrank the error 15.9 to 16.0x
+_TSTAR_REL_ERROR_PER_H2 = 0.2
+
+
+def _observed_orders(errors, steps):
+    return [math.log(e0 / e1) / math.log(h0 / h1) for e0, e1, h0, h1 in zip(errors, errors[1:], steps, steps[1:])]
 
 
 @pytest.mark.parametrize("slope", [0.0, 0.5])
@@ -40,5 +50,25 @@ def test_pv_on_a_line_converges_to_its_closed_form(slope, s):
         errors.append(abs(trace[-1] - line_pv(pole[0], slope)))
         steps.append(h)
         assert errors[-1] <= _PV_ERROR_PER_H2 * h * h, (m, errors[-1] / (h * h))
-    for (e0, h0), (e1, h1) in zip(zip(errors, steps), zip(errors[1:], steps[1:])):
-        assert math.log(e0 / e1) / math.log(h0 / h1) >= _MIN_ORDER
+    assert min(_observed_orders(errors, steps)) >= _MIN_ORDER
+
+
+@pytest.mark.parametrize("lift", [0, 3])
+@pytest.mark.parametrize("s", [-0.35, 0.15, 0.55])
+def test_tstar_on_a_line_converges_to_its_closed_form(s, lift):
+    # T* of the constant density at the atom nearest the parameter s and
+    # at the point 3h above it, each against the closed form at its own
+    # coordinates.  Atoms at equal distance on both sides of the point
+    # form tie groups, whose pairs cancel only if the sup reads group ends
+    kernel = sl.RieszComponent(2, 0)
+    graph = sl.LipschitzGraph(2, sl.Affine((0.0,)))
+    errors, steps = [], []
+    for m in (256, 1024, 4096):
+        nu = sl.graph_measure(graph, [(-1.0, 1.0)], m)
+        h = nu.resolution
+        x = nu.positions[np.argmin(np.abs(nu.positions[:, 0] - s))] + (0.0, lift * h)
+        tstar = sl.TruncationTable(nu, kernel, x[None, :]).maximal_values([None])[0, 0]
+        errors.append(abs(tstar / line_tstar(*x) - 1.0))
+        steps.append(h)
+        assert errors[-1] <= _TSTAR_REL_ERROR_PER_H2 * h * h, (m, errors[-1] / (h * h))
+    assert min(_observed_orders(errors, steps)) >= _MIN_ORDER

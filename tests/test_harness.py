@@ -490,6 +490,14 @@ def test_cli_threads_below_one_is_rejected(tmp_path, capsys, threads):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_run_scenario_threads_below_one_is_rejected(tmp_path, threads):
+    # the library entry point used to run such a count on one worker and return
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_scenario(config_from_dict(_KERNEL), threads=threads, out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "scenario, eps0",
     [

@@ -366,7 +366,7 @@ def test_pv_estimate_matches_truncated_loop(dim):
     schedule = operators.geometric_schedule(1.5, 4 * nu.resolution)
     for x in points:
         values = sl.pv_estimate(nu, k, x, schedule)
-        loop = [sl.truncated(nu, k, None, x, e) for e in schedule]
+        loop = [oracles.truncated(nu, k, None, x, e) for e in schedule]
         assert values == pytest.approx(loop, rel=1e-13, abs=1e-300)
 
 
@@ -703,7 +703,7 @@ def test_truncated_values_match_scalar_op():
     for eps in (0.05, 0.3, 1.1):
         vals = table.truncated_values(g, eps)
         for i, x in enumerate(pts):
-            assert vals[i] == pytest.approx(sl.truncated(nu, k, g, x, eps), rel=1e-13, abs=1e-300)
+            assert vals[i] == pytest.approx(oracles.truncated(nu, k, g, x, eps), rel=1e-13, abs=1e-300)
 
 
 def test_truncated_values_per_point_eps():
@@ -715,9 +715,7 @@ def test_truncated_values_per_point_eps():
     table = sl.TruncationTable(nu, k, pts)
     vals = table.truncated_values_per_point(g, eps)
     for i, x in enumerate(pts):
-        assert vals[i] == pytest.approx(
-            sl.truncated(nu, k, g, x, eps[i]), rel=1e-13, abs=1e-300
-        )
+        assert vals[i] == pytest.approx(oracles.truncated(nu, k, g, x, eps[i]), rel=1e-13, abs=1e-300)
 
 
 @pytest.mark.parametrize("eps", [np.array([0.5]), np.array(0.5), np.full((10, 1), 0.5), np.full(11, 0.5)],
@@ -728,6 +726,30 @@ def test_truncated_values_per_point_needs_one_eps_per_point(eps):
     table = sl.TruncationTable(nu, sl.RieszComponent(2, 1), Rng(75).points_in_box(10, [(-1, 1)] * 2))
     with pytest.raises(ValueError, match="one radius per point"):
         table.truncated_values_per_point(g, eps)
+
+
+@pytest.mark.parametrize("n_atoms", [0, 1, 30])
+def test_every_truncated_entry_is_truncated_batch(n_atoms):
+    # truncated and the table's truncated_values* are truncated_batch at
+    # their points, byte for byte: integer grid atoms (ties), points on
+    # atoms (zero distances), each eps exactly an atom distance, a
+    # negative density and an empty measure
+    rng = np.random.default_rng(n_atoms)
+    positions = rng.integers(-2, 3, size=(n_atoms, 2)).astype(float)
+    nu = sl.DiscreteMeasure(positions, rng.uniform(0.0, 1.0, n_atoms), 1e-3)
+    g = rng.uniform(-1.0, -0.5, n_atoms)
+    pts = np.array([[0.0, 0.0], [1.0, -1.0], [0.5, 0.5], [-2.0, 2.0]])
+    eps = np.array([1.0, math.sqrt(2.0), math.sqrt(0.5), 2.0])
+    k = sl.RieszComponent(2, 1)
+    table = sl.TruncationTable(nu, k, pts)
+    batch = truncated_batch(nu, k, g, pts, eps)
+    assert table.truncated_values_per_point(g, eps).tobytes() == batch.tobytes()
+    assert np.array([sl.truncated(nu, k, g, x, e) for x, e in zip(pts, eps)]).tobytes() == batch.tobytes()
+    for e in eps:
+        assert table.truncated_values(g, e).tobytes() == truncated_batch(nu, k, g, pts, e).tobytes()
+    if n_atoms == 30:
+        dist = np.linalg.norm(pts[:, None, :] - positions[None, :, :], axis=2)
+        assert np.any(dist == 0.0) and np.all(np.any(dist == eps[:, None], axis=1)) and np.all(batch != 0.0)
 
 
 def test_truncation_table_byte_guard(monkeypatch):
@@ -744,11 +766,13 @@ def test_truncation_table_byte_guard(monkeypatch):
 
 
 def test_table_bytes_per_cell_is_the_arrays_a_table_holds():
+    # the (P, N) arrays are the table; besides them it keeps only its (P, n) points
     nu, _ = random_config(Rng(75), 40)
     table = sl.TruncationTable(nu, sl.RieszComponent(2, 0), Rng(76).points_in_box(10, [(-1, 1)] * 2))
-    arrays = [a for a in vars(table).values() if isinstance(a, np.ndarray)]
-    assert all(a.shape == (10, 40) for a in arrays)
-    assert sum(a.itemsize for a in arrays) == operators._TABLE_BYTES_PER_CELL
+    arrays = {name: a for name, a in vars(table).items() if isinstance(a, np.ndarray)}
+    assert arrays.pop("points").shape == (10, 2)
+    assert all(a.shape == (10, 40) for a in arrays.values())
+    assert sum(a.itemsize for a in arrays.values()) == operators._TABLE_BYTES_PER_CELL == 24
 
 
 # ---------------------------------------------------------------------------
@@ -1072,7 +1096,8 @@ def test_tie_group_cancellation_matches_truncated():
 )
 def test_truncated_values_within_sum2_bound(dens, n_pts, seed):
     # integer grid atoms (ties, zero distances) with the cancellation mix
-    # as density: every T^eps value is one Sum2 of its row
+    # as density: every T^eps value is one Sum2 of its row, and the
+    # table's values are the batch's, bit for bit
     rng = np.random.default_rng(seed)
     n = len(dens)
     positions = rng.integers(-3, 4, size=(n, 2)).astype(float)
@@ -1083,17 +1108,15 @@ def test_truncated_values_within_sum2_bound(dens, n_pts, seed):
     eps = rng.uniform(0.1, 4.0, n_pts)
     k = sl.RieszComponent(2, 0)
     table = sl.TruncationTable(nu, k, pts)
-    from_table = table.truncated_values_per_point(g, eps)
     batch = truncated_batch(nu, k, g, pts, eps)
+    assert table.truncated_values_per_point(g, eps).tobytes() == batch.tobytes()
     for i, x in enumerate(pts):
         diffs = x - positions
         keep = np.sqrt(np.sum(diffs * diffs, axis=1)) > eps[i]
-        batch_terms = k.evaluate_many(diffs[keep].T) * (weights * g)[keep]
-        table_terms = (table.kw_desc[i] * g[table.order[i]])[table.dist_desc[i] > eps[i]]
-        for value, terms in ((batch[i], batch_terms), (from_table[i], table_terms)):
-            exact = sum(map(Fraction, terms.tolist()), Fraction(0))
-            abs_sum = sum((abs(Fraction(t)) for t in terms.tolist()), Fraction(0))
-            assert abs(Fraction(value) - exact) <= _sum2_bound(exact, n, abs_sum)
+        terms = k.evaluate_many(diffs[keep].T) * (weights * g)[keep]
+        exact = sum(map(Fraction, terms.tolist()), Fraction(0))
+        abs_sum = sum((abs(Fraction(t)) for t in terms.tolist()), Fraction(0))
+        assert abs(Fraction(batch[i]) - exact) <= _sum2_bound(exact, n, abs_sum)
 
 
 def test_empty_measure_gives_zeros():
@@ -1657,10 +1680,10 @@ def test_truncated_batch_matches_scalar():
         eps[i] = np.linalg.norm(pts[i] - nu.positions[i])
     vals = truncated_batch(nu, k, g, pts, eps)
     for i, x in enumerate(pts):
-        assert vals[i] == pytest.approx(sl.truncated(nu, k, g, x, eps[i]), rel=1e-13, abs=1e-300)
+        assert vals[i] == pytest.approx(oracles.truncated(nu, k, g, x, eps[i]), rel=1e-13, abs=1e-300)
     scalar_eps = truncated_batch(nu, k, g, pts, 0.4)
     for i, x in enumerate(pts):
-        assert scalar_eps[i] == pytest.approx(sl.truncated(nu, k, g, x, 0.4), rel=1e-13, abs=1e-300)
+        assert scalar_eps[i] == pytest.approx(oracles.truncated(nu, k, g, x, 0.4), rel=1e-13, abs=1e-300)
 
 
 def test_truncated_batch_strict_at_breakpoint():

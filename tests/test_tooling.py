@@ -10,7 +10,7 @@ names a removed entry point no longer runs.
 The benchmark's configs and the README's key table must both agree with
 the ``[scenario]`` key tables.  Array sums follow ``siolab.summation``
 alone: no source or test names a float type whose width depends on the
-platform, and ``math.fsum`` takes an array only in the two places that
+platform, and ``math.fsum`` takes an array only in the one place that
 README names.  In the harness, only ``config.blame`` maps a ValueError
 to a configuration error.  The count of settable values (parameters and
 fields with a default) is pinned, so a new knob is a deliberate change.
@@ -101,7 +101,7 @@ def _used_names(tree, reexports: bool):
 
 # public entry points that only the tests or the README call
 _PUBLIC_FOR_USERS = {
-    "truncated": "the README example and the fsum reference of the batched T^eps",
+    "truncated": "the README example of one truncation radius",
     "maximal": "the README example of the exact sup over all radii",
     "config_from_dict": "an in-memory config in the file format's shape",
     "antisymmetry_residual": "max |K(x) + K(-x)| over a sample; acceptance criterion 6 and test_kernel call it"
@@ -190,14 +190,14 @@ def _fsum_of_array_sites(tree, scope=""):
                 yield scope.rstrip(".")
 
 
-def test_fsum_takes_an_array_only_in_the_single_point_sums():
+def test_fsum_takes_an_array_only_in_the_total_mass():
     # every other array total is a Sum2 of siolab.summation
     sites = {
         f"{path.stem}.{site}"
         for path in sorted(PACKAGE.rglob("*.py"))
         for site in _fsum_of_array_sites(ast.parse(path.read_text()))
     }
-    assert sites == {"operators.truncated", "measure.DiscreteMeasure.total_mass"}
+    assert sites == {"measure.DiscreteMeasure.total_mass"}
 
 
 def _value_error_handler_sites(tree, scope=""):
