@@ -10,8 +10,10 @@ Summation conventions, fixed package-wide:
   function) is a max over the Sum2 prefixes of each row; the table's
   rows (distances, kernel terms and their stable sort), the T^eps rows,
   the pair sums' partials and the sups run in the loops of ``sups.c``,
-  which need a C compiler (``_compiled``).  T^eps has one home,
-  ``truncated_batch``; ``truncated`` and ``truncated_values*`` call it.
+  which need a C compiler (``_compiled``), in the copy that the host's
+  probe picks (``lanes``), each copy with the same bits.  T^eps has one
+  home, ``truncated_batch``; ``truncated`` and ``truncated_values*`` call
+  it.
 * The supremum over all truncation radii is exact, not sampled: the
   truncated transform is piecewise constant in eps with jumps only at
   distinct atom distances, so the supremum is a maximum over suffix
@@ -147,7 +149,8 @@ def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
     """T^eps g at every point, eps a scalar or one radius per point, by a
     masked Sum2 over atoms (strict truncation); no distance sort, so it
     suits one radius per point.  One compiled pass per point computes
-    each distance and kernel term and sums them (``sups.c``).
+    each distance and kernel term and sums them (``sups.c``); with
+    ``lanes`` 8 it takes 8 points per vector, one lane each.
     """
     pts = _points(points, nu.ambient_dim)
     eps = np.ascontiguousarray(np.broadcast_to(np.asarray(eps, dtype=float), (len(pts),)))
@@ -155,7 +158,8 @@ def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
         raise ValueError("eps must be > 0")
     out = np.zeros(len(pts))
     gw = nu.weights * density_values(g, nu)
-    _compiled().truncated_rows(*_cells(kernel.monomial, pts, nu.positions), eps, gw, out)
+    lib = _compiled()
+    lib.truncated_rows(*_cells(kernel.monomial, pts, nu.positions), lib.lanes, eps, gw, out)
     return out
 
 
@@ -179,7 +183,10 @@ def _compiled():
     the build directory and the tail of the compiler's message.  A compile
     removes the libraries of earlier sources from ``build/``.  ``lanes``
     holds the host's probe (``sup_lanes``, 8 with AVX-512, else 1), which
-    picks the copy of ``maximal_values`` on each call."""
+    every caller passes to pick the copy of each loop: with 8, the row
+    loops (the table build, T^eps, the pair engine and M) take 8 points
+    per vector, and T* takes 8 densities; each lane keeps the scalar
+    copy's bits."""
     import ctypes
     import zlib
 
@@ -205,13 +212,13 @@ def _compiled():
                            f" or {lib.name} did not load: {err}") from err
     f64, i64, flag = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64, np.int64, np.bool_))
     size = ctypes.c_int64
-    dll.table_rows.argtypes = [size, size, size, f64, f64, i64, size, f64, i64, f64, f64]  # _cells, then the rest
-    dll.truncated_rows.argtypes = [size, size, size, f64, f64, i64, size, f64, f64, f64]
-    dll.pair_partials.argtypes = [size, size, size, f64, f64, i64, size, f64, f64, size, f64, f64, f64, i64]
+    dll.table_rows.argtypes = [size, size, size, f64, f64, i64, size, size, f64, i64, f64, f64]  # _cells, lanes, ...
+    dll.truncated_rows.argtypes = [size, size, size, f64, f64, i64, size, size, f64, f64, f64]
+    dll.pair_partials.argtypes = [size, size, size, f64, f64, i64, size, size, f64, f64, size, f64, f64, f64, i64]
     dll.maximal_values.argtypes = [size, size, size, size, f64, i64, f64, f64, f64]
-    dll.hl_maximal_values.argtypes = [size, size, size, f64, i64, f64, f64, flag]
+    dll.hl_maximal_values.argtypes = [size, size, size, size, f64, i64, f64, f64, flag]
     dll.sup_lanes.argtypes = []
-    for void in (dll.truncated_rows, dll.pair_partials, dll.maximal_values, dll.hl_maximal_values):
+    for void in (dll.truncated_rows, dll.maximal_values, dll.hl_maximal_values):
         void.restype = None
     dll.lanes = dll.sup_lanes()
     return dll
@@ -227,8 +234,9 @@ def _sorted_rows(monomial, pts: np.ndarray, nu: DiscreteMeasure):
     if n_bytes > TABLE_BYTES_GUARD:
         raise ValueError(f"truncation table byte guard exceeded: {n_bytes} bytes, limit {TABLE_BYTES_GUARD}")
     order, dist_desc, kw_desc = np.empty(shape, dtype=np.int64), np.empty(shape), np.empty(shape)
-    cells = (*_cells(monomial, pts, nu.positions), np.ascontiguousarray(nu.weights))
-    if _compiled().table_rows(*cells, order, dist_desc, kw_desc) != 0:
+    lib = _compiled()
+    cells = (*_cells(monomial, pts, nu.positions), lib.lanes, np.ascontiguousarray(nu.weights))
+    if lib.table_rows(*cells, order, dist_desc, kw_desc) != 0:
         raise MemoryError("table_rows: out of memory")
     return order, dist_desc, kw_desc
 
@@ -239,10 +247,12 @@ class TruncationTable:
     per (measure, points) pair by one compiled pass per point that computes
     the row's distances and kernel terms K(x - y) w(y) into row-sized
     scratch, sorts them stably and gathers the terms (``table_rows`` in
-    ``sups.c``).  A row of at most 16 natural runs is merge sorted; any
-    other is distributed into one bucket per atom by distance and
-    finished by one insertion sort, or merge sorted if a bucket would
-    hold more than 32 atoms.  The merge takes the left item of a tie and
+    ``sups.c``; on a host with AVX-512, 8 points per vector fill 8 rows'
+    scratch at once, one lane each, and each row is then sorted alone).
+    A row of at most 16 natural runs is merge sorted; any other is
+    distributed into one bucket per atom by distance and finished by one
+    insertion sort, or merge sorted if a bucket would hold more than 32
+    atoms.  The merge takes the left item of a tie and
     the buckets and the insertion sort never reorder equal distances, so
     either path gives the one stable order, bit for bit.  The kernel must
     expose its ``monomial`` form, as the catalog's do.
@@ -257,7 +267,8 @@ class TruncationTable:
     each lane is its density's own Sum2 with its operations in their
     order, every density gets the bits of a pass of its own.  Read
     backwards, the same sort serves the (n-1)-dimensional maximal
-    function.  One radius needs no sort: ``truncated_values*`` are
+    function, whose AVX-512 copy takes 8 rows per vector, one lane each.
+    One radius needs no sort: ``truncated_values*`` are
     ``truncated_batch`` at the table's ``points`` and ``kernel``.
 
     A table takes 24 bytes per (point, atom) cell; building one larger
@@ -322,7 +333,8 @@ def _hl_from_descending(atom_mass: np.ndarray, n: int, order: np.ndarray, dist_d
     n - 1 factors r, in one compiled pass (``sups.c``).
     """
     values, diverges = np.empty(len(order)), np.empty(len(order), dtype=bool)
-    _compiled().hl_maximal_values(*order.shape, n, atom_mass, order, dist_desc, values, diverges)
+    lib = _compiled()
+    lib.hl_maximal_values(*order.shape, n, lib.lanes, atom_mass, order, dist_desc, values, diverges)
     return values, diverges
 
 
@@ -332,7 +344,8 @@ def hl_maximal_batch(nu: DiscreteMeasure, g, points):
     an atom with |g| w > 0 diverges (r^(1-n) blows up as r -> 0) and its
     value entry is +inf.  The points' rows are sorted as a table's are,
     by the constant kernel (P = 0, q = 0), whose terms go unread, under
-    the table's ``TABLE_BYTES_GUARD``.
+    the table's ``TABLE_BYTES_GUARD``; both compiled passes take 8 rows
+    per vector where the host has AVX-512 (``_compiled``).
     """
     pts = _points(points, nu.ambient_dim)
     a = np.abs(density_values(g, nu)) * nu.weights
@@ -490,12 +503,17 @@ def _pair_partials(pos_a: np.ndarray, w_a: np.ndarray, pos_b: np.ndarray, w_b: n
     |term|, count).  Per bin the unrounded Sum2 of the bin's terms in
     row-major order (the float64 sum and the sequential sum of its
     TwoSum errors), the max |term| (NaN once a term is, as np.max) and
-    the term count.  One compiled pass (``sups.c``'s ``pair_partials``)."""
+    the term count.  One compiled pass (``sups.c``'s ``pair_partials``);
+    its AVX-512 copy computes the terms of 8 rows per vector into
+    row-sized scratch, then bins them row by row.  MemoryError if that
+    scratch cannot be allocated."""
     partials = np.zeros((len(eps), 2))
     max_terms = np.zeros(len(eps))
     counts = np.zeros(len(eps), dtype=np.int64)
-    _compiled().pair_partials(*_cells(kernel.monomial, pos_a, pos_b), w_a, w_b, len(eps), eps, partials, max_terms,
-                              counts)
+    lib = _compiled()
+    if lib.pair_partials(*_cells(kernel.monomial, pos_a, pos_b), lib.lanes, w_a, w_b, len(eps), eps, partials,
+                         max_terms, counts) != 0:
+        raise MemoryError("pair_partials: out of memory")
     return partials, max_terms, counts
 
 

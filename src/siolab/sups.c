@@ -22,20 +22,25 @@
    exceeds and keeps, per bin, the Sum2 of the bin's terms in row-major
    order unrounded (s and c), which operators.pair_sum_schedule sums in
    turn.
-   T* takes a stack of densities; on x86-64 hosts with AVX-512 a copy
-   chosen at run time (sup_lanes) sums 8 densities at once, one vector
-   lane each, and since a lane is one density's Sum2 with that density's
-   operations in their order, each lane keeps the bits of the scalar loop. */
+   Every entry has a scalar copy and, on x86-64 hosts with AVX-512, a copy
+   that takes 8 lanes per vector, chosen at run time by its lanes argument
+   (the probe sup_lanes).  The row loops (the table build, T^eps, the pair
+   engine and M) put 8 points in the lanes, one each, and broadcast one
+   atom at a time; T* puts 8 densities in them.  A lane does its point's
+   or its density's operations in their order, with vsqrtpd and vdivpd,
+   which round as the scalar sqrt and division do, so every lane keeps
+   the bits of the scalar loop.  A partial last block of points repeats
+   the last point in its padding lanes, which are never written. */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-static inline void sum2_add(double *s, double *c, double t)
-{
-    double x = *s + t, z = x - *s;
-    *c += (t - z) + (*s - (x - z));
-    *s = x;
-}
+/* s, c += t by TwoSum, for doubles and for vectors of them alike */
+#define SUM2_ADD(s, c, t) do {                       \
+        __typeof__(s) x_ = (s) + (t), z_ = x_ - (s); \
+        (c) += ((t) - z_) + ((s) - (x_ - z_));       \
+        (s) = x_;                                    \
+    } while (0)
 
 /* |x - y|^2 for points of dim coordinates */
 static inline double norm2(int64_t dim, const double *x, const double *y)
@@ -140,35 +145,286 @@ static int bucket_sort(const item *x, item *y, int64_t n, int64_t runs, const in
     return 1;
 }
 
+/* x (n items, keys in atom order) sorted descending, ties in atom order,
+   one of two ways after find_runs: a row of at most RUN_LIMIT runs, or one
+   that bucket_sort refuses, by merge_runs; any other row by bucket_sort.
+   Both give the one stable descending order: a merge takes the left item
+   of a tie, and an insertion sort over buckets that keep ties in order
+   moves no item past an equal key, whatever the buckets.  y is n items of
+   scratch, bound and count n + 1 each; returns x or y, whichever holds the
+   sorted row. */
+static item *sort_row(item *x, item *y, int64_t n, int64_t *bound, int64_t *count)
+{
+    int64_t runs = find_runs(x, n, bound);
+    if (runs > RUN_LIMIT && bucket_sort(x, y, n, runs, bound, count)) return y;
+    return merge_runs(x, y, runs, bound);
+}
+
+/* The pair engine's step for an included pair (d > eps[bins - 1]) of term
+   t: bin j, the first with d > eps[j], takes t into its max |t|, count
+   and Sum2 */
+static inline void pair_add(double d, double t, const double *eps, double *partials, double *max_term,
+                            int64_t *counts)
+{
+    int64_t j = 0;
+    while (!(d > eps[j])) j++;
+    double a = fabs(t);
+    if (a > max_term[j] || a != a) max_term[j] = a;
+    if (counts[j]++) SUM2_ADD(partials[2 * j], partials[2 * j + 1], t);
+    else partials[2 * j] = t;
+}
+
+/* GCC on x86-64 only: the builtins are GCC's, and the lowering below is
+   checked in GCC's output; other compilers build the scalar copies.  GCC
+   vector extensions and builtins, not immintrin.h, which would more than
+   double the compile's peak memory.  The vectors stay inside the
+   target("avx512f") functions (passed only by pointer), and a mask comes
+   from a vector compare, which GCC turns into a mask compare and a masked
+   blend there. */
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define SUP_AVX512 1
+#define AVX512 __attribute__((target("avx512f")))
+typedef double v8d __attribute__((vector_size(64)));
+typedef long long v8l __attribute__((vector_size(64)));
+
+/* the lanes of a block of points from row i that hold rows (bit l for row
+   i + l), and the row of lane l, the last row for a padding lane */
+static inline unsigned char live_lanes(int64_t rows, int64_t i)
+{
+    return rows - i < 8 ? (1u << (rows - i)) - 1 : 0xff;
+}
+
+static inline int64_t lane_row(int64_t rows, int64_t i, int64_t l)
+{
+    return i + l < rows ? i + l : rows - 1;
+}
+
+/* the 8 doubles at p */
+#define LOAD8(p) __builtin_ia32_loadupd512_mask((p), (v8d){0}, 0xff)
+
+/* best = the NaN-sticky max of best and a in the lanes of the mask when */
+#define MAX8(best, a, when) do {                                              \
+        v8l up_ = (when) & ((v8l)((a) > (best)) | (v8l)((a) != (a)));        \
+        (best) = (v8d)(((v8l)(a) & up_) | ((v8l)(best) & ~up_));            \
+    } while (0)
+
+/* The coordinates of the points of rows i .. i + 7 into x (dim vectors),
+   one lane per row */
+AVX512 static inline void block_points(int64_t rows, int64_t i, int64_t dim, const double *pts, v8d *x)
+{
+    for (int64_t l = 0; l < 8; l++)
+        for (int64_t k = 0; k < dim; k++) x[k][l] = pts[lane_row(rows, i, l) * dim + k];
+}
+
+/* The per-row values a of rows i .. i + 7 into *v, one lane per row */
+AVX512 static inline void block_values(int64_t rows, int64_t i, const double *a, v8d *v)
+{
+    for (int64_t l = 0; l < 8; l++) (*v)[l] = a[lane_row(rows, i, l)];
+}
+
+/* norm2 and kernel for 8 points at once (x: their coordinates, one lane
+   per point) against the atom y, in the scalar operations' order: the
+   distance sqrt(r2) into *dist, by vsqrtpd, and K(x - y) into *term, NaN
+   or inf where the distance is 0 */
+AVX512 static inline void cells8(int64_t dim, const v8d *x, const double *y, const int64_t *powers, int64_t q,
+                                 v8d *dist, v8d *term)
+{
+    v8d r2 = (x[0] - y[0]) * (x[0] - y[0]), num = (v8d){0} + 1.0, power = num;
+    for (int64_t k = 1; k < dim; k++) r2 += (x[k] - y[k]) * (x[k] - y[k]);
+    *dist = __builtin_ia32_sqrtpd512_mask(r2, r2, 0xff, 4);  /* 4: the current rounding mode */
+    for (int64_t k = 0; k < dim; k++)
+        for (int64_t p = 0; p < powers[k]; p++) num *= x[k] - y[k];
+    for (int64_t p = 0; p < q / 2; p++) power *= r2;
+    if (q % 2) power *= *dist;
+    *term = num / power;
+}
+
+/* The table's rows 8 at a time: the distances and terms of the 8 points
+   into a row of scratch each, xs + l n and kws + l n for lane l, then each
+   row sorted as the scalar copy sorts it */
+AVX512 static int table_rows_avx512(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
+                                    const int64_t *powers, int64_t q, const double *w, int64_t *order,
+                                    double *dist_desc, double *kw_desc)
+{
+    if (rows == 0 || n == 0) return 0;
+    item *xs = malloc(9 * n * sizeof *xs);  /* 8 rows, then the sort's scratch */
+    double *kws = malloc(8 * n * sizeof *kws);
+    int64_t *bound = malloc((n + 1) * sizeof *bound), *count = malloc((n + 1) * sizeof *count);
+    if (!xs || !kws || !bound || !count) { free(xs); free(kws); free(bound); free(count); return -1; }
+    v8d x[dim];
+    for (int64_t i = 0; i < rows; i += 8) {
+        block_points(rows, i, dim, pts, x);
+        for (int64_t j = 0; j < n; j++) {
+            v8d d, t;
+            cells8(dim, x, pos + j * dim, powers, q, &d, &t);
+            t = (v8d)((v8l)t & (v8l)(d > 0.0)) * w[j];
+            for (int64_t l = 0; l < 8; l++) xs[l * n + j] = (item){d[l], j}, kws[l * n + j] = t[l];
+        }
+        for (int64_t l = 0; l < 8 && i + l < rows; l++) {
+            int64_t r = (i + l) * n, *o = order + r;
+            double *dd = dist_desc + r, *kd = kw_desc + r;
+            const double *kw = kws + l * n;
+            item *s = sort_row(xs + l * n, xs + 8 * n, n, bound, count);
+            for (int64_t j = 0; j < n; j++) o[j] = s[j].idx, dd[j] = s[j].key, kd[j] = kw[s[j].idx];
+        }
+    }
+    free(xs); free(kws); free(bound); free(count);
+    return 0;
+}
+
+/* T^eps 8 points at a time, in vectors throughout */
+AVX512 static void truncated_rows_avx512(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
+                                         const int64_t *powers, int64_t q, const double *eps, const double *gw,
+                                         double *out)
+{
+    v8d x[dim], e;
+    for (int64_t i = 0; i < rows; i += 8) {
+        block_points(rows, i, dim, pts, x);
+        block_values(rows, i, eps, &e);
+        v8d s = {0}, c = {0};
+        for (int64_t j = 0; j < n; j++) {
+            v8d d, t;
+            cells8(dim, x, pos + j * dim, powers, q, &d, &t);
+            t = (v8d)((v8l)(t * gw[j]) & (v8l)(d > e));  /* 0.0 where d <= eps */
+            if (j == 0) s = t; else SUM2_ADD(s, c, t);
+        }
+        __builtin_ia32_storeupd512_mask(out + i, s + c, live_lanes(rows, i));
+    }
+}
+
+/* The pair engine 8 rows at a time: the distances and terms of the 8
+   points into cell, the 8 lanes of an atom side by side (a row of scratch
+   per lane, as the table build keeps, took DoubleIntegral's 2048 x 2048
+   pass 21 -> 48 ms on a 2-core Xeon: rows 16 KiB apart alias in the
+   cache), then each row's pairs binned in row-major order.  -1 if out of
+   memory. */
+AVX512 static int pair_rows_avx512(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
+                                   const int64_t *powers, int64_t q, const double *w_a, const double *w_b,
+                                   int64_t bins, const double *eps, double *partials, double *max_term,
+                                   int64_t *counts)
+{
+    if (rows == 0 || n == 0) return 0;
+    double *cell = malloc(16 * n * sizeof *cell);
+    if (!cell) return -1;
+    v8d x[dim], wa;
+    for (int64_t i = 0; i < rows; i += 8) {
+        block_points(rows, i, dim, pts, x);
+        block_values(rows, i, w_a, &wa);
+        for (int64_t b = 0; b < n; b++) {
+            v8d d, t;
+            cells8(dim, x, pos + b * dim, powers, q, &d, &t);
+            __builtin_ia32_storeupd512_mask(cell + 16 * b, d, 0xff);
+            __builtin_ia32_storeupd512_mask(cell + 16 * b + 8, t * (wa * w_b[b]), 0xff);
+        }
+        for (int64_t l = 0; l < 8 && i + l < rows; l++)
+            for (int64_t b = 0; b < n; b++)
+                if (cell[16 * b + l] > eps[bins - 1])
+                    pair_add(cell[16 * b + l], cell[16 * b + 8 + l], eps, partials, max_term, counts);
+    }
+    free(cell);
+    return 0;
+}
+
+/* T* with 8 densities per vector, one per lane, the last block's missing
+   densities loaded as zeros by a masked load and not written */
+AVX512 static void maximal_rows_avx512(int64_t rows, int64_t n, int64_t d, const double *g, const int64_t *order,
+                                       const double *dist, const double *kw, double *out)
+{
+    for (int64_t i = 0; i < rows; i++, order += n, dist += n, kw += n)
+        for (int64_t k = 0; k < d; k += 8) {
+            v8d s = {0}, c = {0}, best = {0};
+            for (int64_t j = 0; j < n; j++) {
+                v8d t = __builtin_ia32_loadupd512_mask(g + order[j] * d + k, (v8d){0}, live_lanes(d, k)) * kw[j];
+                if (j == 0) s = t; else SUM2_ADD(s, c, t);
+                if (j == n - 1 || dist[j] != dist[j + 1]) {
+                    v8d a = (v8d)((v8l)(s + c) & INT64_MAX);  /* fabs */
+                    MAX8(best, a, (v8l){0} - 1);
+                }
+            }
+            for (int64_t l = 0; l < 8 && k + l < d; l++) out[(k + l) * rows + i] = best[l];
+        }
+}
+
+/* M 8 rows at a time, one per lane, read backwards in chunks of HL_CHUNK
+   atoms: each lane's masses mass[order[j]] and distances dist[j] are
+   copied into cell, the 8 lanes of an atom side by side, and the chunk is
+   summed from there.  (Vector gathers of order, mass and dist in place of
+   the copy took a 500 x 700 call 0.70 -> 1.11 ms on a 2-core Xeon.) */
+enum { HL_CHUNK = 64 };
+AVX512 static void hl_rows_avx512(int64_t rows, int64_t n, int64_t dim, const double *mass, const int64_t *order,
+                                  const double *dist, double *out, uint8_t *diverges)
+{
+    double cell[16 * (HL_CHUNK + 1)];  /* atom base + a of a chunk: its masses at 16 a, its distances at 16 a + 8 */
+    for (int64_t i = 0; i < rows; i += 8) {
+        v8d s = {0}, c = {0}, best = {0}, d = {0};
+        v8l div = {0};
+        for (int64_t top = n; top > 0; top -= HL_CHUNK) {
+            int64_t lo = top > HL_CHUNK ? top - HL_CHUNK : 0, base = lo ? lo - 1 : 0;  /* the chunk is [lo, top) */
+            for (int64_t l = 0; l < 8; l++) {
+                int64_t r = lane_row(rows, i, l) * n;
+                for (int64_t j = base; j < top; j++)
+                    cell[16 * (j - base) + l] = mass[order[r + j]], cell[16 * (j - base) + 8 + l] = dist[r + j];
+            }
+            if (top == n) d = LOAD8(cell + 16 * (n - 1 - base) + 8);
+            for (int64_t j = top - 1; j >= lo; j--) {
+                v8d m = LOAD8(cell + 16 * (j - base)), power = (v8d){0} + 1.0;
+                v8d next = j ? LOAD8(cell + 16 * (j - 1 - base) + 8) : d;
+                if (j == n - 1) s = m; else SUM2_ADD(s, c, m);
+                div |= (v8l)(d == 0.0) & (v8l)(m > 0.0);
+                for (int64_t k = 1; k < dim; k++) power *= d;
+                v8d v = (s + c) * (1.0 / power);
+                MAX8(best, v, (v8l)(d > 0.0) & (j ? (v8l)(d != next) : (v8l){0} - 1));
+                d = next;
+            }
+        }
+        for (int64_t l = 0; l < 8 && i + l < rows; l++) {
+            diverges[i + l] = div[l] != 0;
+            out[i + l] = div[l] ? INFINITY : best[l];
+        }
+    }
+}
+#endif
+
+/* The lane count of the fastest copies this host runs: 8 with AVX-512
+   (where the compiler builds those copies), else 1 */
+int sup_lanes(void)
+{
+#ifdef SUP_AVX512
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f")) return 8;
+#endif
+    return 1;
+}
+
+/* The entries.  Each runs its AVX-512 copy if lanes is 8, which sup_lanes
+   returns only where the host runs it, else its scalar loop, one point
+   (or one density) at a time. */
+
 /* The table's rows, one per point of pts (rows x dim) against the n atoms
    pos (n x dim) of weights w: each row's distances descending with ties in
-   atom order (the order of np.argsort(-dist, kind="stable")) into order
-   and dist_desc, and the kernel terms K(x - y) w(y), 0 at distance 0, in
-   that order into kw_desc.  Each row is sorted one of two ways after
-   find_runs: a row of at most RUN_LIMIT runs, or one that bucket_sort
-   refuses, by merge_runs; any other row by bucket_sort.  Both give the one
-   stable descending order: a merge takes the left item of a tie, and an
-   insertion sort over buckets that keep ties in order moves no item past
-   an equal key, whatever the buckets.  No distance is NaN, since points
-   and atoms are finite.  -1 if out of memory. */
+   atom order (the order of np.argsort(-dist, kind="stable"), by sort_row)
+   into order and dist_desc, and the kernel terms K(x - y) w(y), 0 at
+   distance 0, in that order into kw_desc.  No distance is NaN, since
+   points and atoms are finite.  -1 if out of memory. */
 int table_rows(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos, const int64_t *powers,
-               int64_t q, const double *w, int64_t *order, double *dist_desc, double *kw_desc)
+               int64_t q, int64_t lanes, const double *w, int64_t *order, double *dist_desc, double *kw_desc)
 {
+#ifdef SUP_AVX512
+    if (lanes == 8) return table_rows_avx512(rows, n, dim, pts, pos, powers, q, w, order, dist_desc, kw_desc);
+#endif
+    (void)lanes;
     if (rows == 0 || n == 0) return 0;
     item *buf = malloc(2 * n * sizeof *buf);
     double *kw = malloc(n * sizeof *kw);
     int64_t *bound = malloc((n + 1) * sizeof *bound), *count = malloc((n + 1) * sizeof *count);
     if (!buf || !kw || !bound || !count) { free(buf); free(kw); free(bound); free(count); return -1; }
     for (int64_t r = 0; r < rows; r++, pts += dim, order += n, dist_desc += n, kw_desc += n) {
-        item *x = buf, *y = buf + n;
         for (int64_t j = 0; j < n; j++) {
             double r2 = norm2(dim, pts, pos + j * dim), d = sqrt(r2);
-            x[j] = (item){d, j};
+            buf[j] = (item){d, j};
             kw[j] = (d > 0.0 ? kernel(dim, pts, pos + j * dim, powers, q, r2) : 0.0) * w[j];
         }
-        int64_t runs = find_runs(x, n, bound);
-        if (runs > RUN_LIMIT && bucket_sort(x, y, n, runs, bound, count)) x = y;
-        else x = merge_runs(x, y, runs, bound);
+        item *x = sort_row(buf, buf + n, n, bound, count);
         for (int64_t j = 0; j < n; j++) order[j] = x[j].idx, dist_desc[j] = x[j].key, kw_desc[j] = kw[x[j].idx];
     }
     free(buf); free(kw); free(bound); free(count);
@@ -179,14 +435,21 @@ int table_rows(int64_t rows, int64_t n, int64_t dim, const double *pts, const do
    y of pos with |x - y| > eps, excluded terms added as 0.0 as numpy adds
    them */
 void truncated_rows(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
-                    const int64_t *powers, int64_t q, const double *eps, const double *gw, double *out)
+                    const int64_t *powers, int64_t q, int64_t lanes, const double *eps, const double *gw, double *out)
 {
+#ifdef SUP_AVX512
+    if (lanes == 8) {
+        truncated_rows_avx512(rows, n, dim, pts, pos, powers, q, eps, gw, out);
+        return;
+    }
+#endif
+    (void)lanes;
     for (int64_t i = 0; i < rows; i++, pts += dim) {
         double s = 0.0, c = 0.0;
         for (int64_t j = 0; j < n; j++) {
             double r2 = norm2(dim, pts, pos + j * dim);
             double t = sqrt(r2) > eps[i] ? kernel(dim, pts, pos + j * dim, powers, q, r2) * gw[j] : 0.0;
-            if (j == 0) s = t; else sum2_add(&s, &c, t);
+            if (j == 0) s = t; else SUM2_ADD(s, c, t);
         }
         out[i] = s + c;  /* 0 for n = 0 */
     }
@@ -199,97 +462,29 @@ void truncated_rows(int64_t rows, int64_t n, int64_t dim, const double *pts, con
    the Sum2 of its terms in row-major order goes into partials (the
    float64 sum, then the sum of its TwoSum errors), the max |term|, NaN
    sticking as in np.max, and the term count, which is 0 while the bin
-   holds no term.  The outputs start zeroed. */
-void pair_partials(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
-                   const int64_t *powers, int64_t q, const double *w_a, const double *w_b, int64_t bins,
-                   const double *eps, double *partials, double *max_term, int64_t *counts)
+   holds no term.  The outputs start zeroed.  -1 if out of memory. */
+int pair_partials(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
+                  const int64_t *powers, int64_t q, int64_t lanes, const double *w_a, const double *w_b,
+                  int64_t bins, const double *eps, double *partials, double *max_term, int64_t *counts)
 {
+#ifdef SUP_AVX512
+    if (lanes == 8)
+        return pair_rows_avx512(rows, n, dim, pts, pos, powers, q, w_a, w_b, bins, eps, partials, max_term, counts);
+#endif
+    (void)lanes;
     for (int64_t i = 0; i < rows; i++, pts += dim)
         for (int64_t b = 0; b < n; b++) {
             double r2 = norm2(dim, pts, pos + b * dim), d = sqrt(r2);
-            if (!(d > eps[bins - 1])) continue;
-            int64_t j = 0;
-            while (!(d > eps[j])) j++;
-            double t = kernel(dim, pts, pos + b * dim, powers, q, r2) * (w_a[i] * w_b[b]), a = fabs(t);
-            if (a > max_term[j] || a != a) max_term[j] = a;
-            if (counts[j]++) sum2_add(partials + 2 * j, partials + 2 * j + 1, t);
-            else partials[2 * j] = t;
+            if (d > eps[bins - 1])
+                pair_add(d, kernel(dim, pts, pos + b * dim, powers, q, r2) * (w_a[i] * w_b[b]), eps, partials,
+                         max_term, counts);
         }
+    return 0;
 }
 
 /* T*: per density k of the stack g (n atoms x d densities, atom-major)
    and row i, the max of |prefix| of g[order[j] * d + k] * kw[j] at the
    last j of each group of equal dist[j], and 0, into out[k * rows + i] */
-static void maximal_rows(int64_t rows, int64_t n, int64_t d, const double *g, const int64_t *order,
-                         const double *dist, const double *kw, double *out)
-{
-    for (int64_t i = 0; i < rows; i++, order += n, dist += n, kw += n)
-        for (int64_t k = 0; k < d; k++) {
-            double s = 0.0, c = 0.0, best = 0.0;
-            for (int64_t j = 0; j < n; j++) {
-                double t = g[order[j] * d + k] * kw[j];
-                if (j == 0) s = t; else sum2_add(&s, &c, t);
-                double a = fabs(s + c);
-                if ((j == n - 1 || dist[j] != dist[j + 1]) && (a > best || a != a)) best = a;  /* NaN sticks, as in np.max */
-            }
-            out[k * rows + i] = best;
-        }
-}
-
-/* GCC on x86-64 only: the masked load is GCC's builtin, and the lowering
-   below is checked in GCC's output; other compilers build the scalar copy */
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define SUP_AVX512 1
-typedef double v8d __attribute__((vector_size(64)));
-typedef int64_t v8l __attribute__((vector_size(64)));
-
-/* maximal_rows with 8 densities per vector, one per lane, the last
-   block's missing densities loaded as zeros by a masked load and not
-   written.  GCC vector extensions and one builtin, not immintrin.h,
-   which would more than double the compile's peak memory; the max's
-   masks come from vector compares, which GCC turns into mask compares
-   and a masked blend where the vectors stay inside this function. */
-__attribute__((target("avx512f")))
-static void maximal_rows_avx512(int64_t rows, int64_t n, int64_t d, const double *g, const int64_t *order,
-                                const double *dist, const double *kw, double *out)
-{
-    for (int64_t i = 0; i < rows; i++, order += n, dist += n, kw += n)
-        for (int64_t k = 0; k < d; k += 8) {
-            unsigned char live = d - k < 8 ? (1u << (d - k)) - 1 : 0xff;
-            v8d s = {0}, c = {0}, best = {0};
-            for (int64_t j = 0; j < n; j++) {
-                v8d t = __builtin_ia32_loadupd512_mask(g + order[j] * d + k, (v8d){0}, live) * kw[j];
-                if (j == 0) {
-                    s = t;
-                } else {  /* sum2_add */
-                    v8d x = s + t, z = x - s;
-                    c += (t - z) + (s - (x - z));
-                    s = x;
-                }
-                if (j == n - 1 || dist[j] != dist[j + 1]) {
-                    v8d a = (v8d)((v8l)(s + c) & INT64_MAX);  /* fabs */
-                    v8l up = (a > best) | (a != a);  /* NaN sticks */
-                    best = (v8d)(((v8l)a & up) | ((v8l)best & ~up));
-                }
-            }
-            for (int64_t l = 0; l < 8 && k + l < d; l++) out[(k + l) * rows + i] = best[l];
-        }
-}
-#endif
-
-/* The lane count of the fastest maximal_values copy this host runs: 8
-   with AVX-512 (where the compiler builds that copy), else 1 */
-int sup_lanes(void)
-{
-#ifdef SUP_AVX512
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f")) return 8;
-#endif
-    return 1;
-}
-
-/* T* for d densities: the AVX-512 copy if lanes is 8, which sup_lanes
-   returns only where the host runs it, else the scalar loop */
 void maximal_values(int64_t rows, int64_t n, int64_t d, int64_t lanes, const double *g, const int64_t *order,
                     const double *dist, const double *kw, double *out)
 {
@@ -300,21 +495,38 @@ void maximal_values(int64_t rows, int64_t n, int64_t d, int64_t lanes, const dou
     }
 #endif
     (void)lanes;
-    maximal_rows(rows, n, d, g, order, dist, kw, out);
+    for (int64_t i = 0; i < rows; i++, order += n, dist += n, kw += n)
+        for (int64_t k = 0; k < d; k++) {
+            double s = 0.0, c = 0.0, best = 0.0;
+            for (int64_t j = 0; j < n; j++) {
+                double t = g[order[j] * d + k] * kw[j];
+                if (j == 0) s = t; else SUM2_ADD(s, c, t);
+                double a = fabs(s + c);
+                if ((j == n - 1 || dist[j] != dist[j + 1]) && (a > best || a != a)) best = a;  /* NaN sticks, as in np.max */
+            }
+            out[k * rows + i] = best;
+        }
 }
 
 /* M: the distances read backwards (ascending); the max of prefix(mass[order])
    * (1 / (d * ... * d)), dim - 1 factors, at the last atom of each distance
    group with d > 0, and 0.  Mass > 0 at distance 0 diverges: +inf. */
-void hl_maximal_values(int64_t rows, int64_t n, int64_t dim, const double *mass, const int64_t *order,
-                       const double *dist, double *out, uint8_t *diverges)
+void hl_maximal_values(int64_t rows, int64_t n, int64_t dim, int64_t lanes, const double *mass,
+                       const int64_t *order, const double *dist, double *out, uint8_t *diverges)
 {
+#ifdef SUP_AVX512
+    if (lanes == 8) {
+        hl_rows_avx512(rows, n, dim, mass, order, dist, out, diverges);
+        return;
+    }
+#endif
+    (void)lanes;
     for (int64_t i = 0; i < rows; i++, order += n, dist += n) {
         double s = 0.0, c = 0.0, best = 0.0;
         uint8_t div = 0;
         for (int64_t j = n - 1; j >= 0; j--) {
             double m = mass[order[j]], d = dist[j], power = 1.0;
-            if (j == n - 1) s = m; else sum2_add(&s, &c, m);
+            if (j == n - 1) s = m; else SUM2_ADD(s, c, m);
             div |= d == 0.0 && m > 0.0;
             if (d > 0.0 && (j == 0 || d != dist[j - 1])) {
                 for (int64_t k = 1; k < dim; k++) power *= d;

@@ -109,6 +109,20 @@ def line_tstar(s, t):
     return abs(0.5 * math.log(((s + 1.0) ** 2 + t * t) / ((s - 1.0) ** 2 + t * t)))
 
 
+def interval_pairing(p, q):
+    """int_P int_Q dy dx / (x - y) for the intervals P = [a, b] and
+    Q = [c, d], the pairing of the Hilbert kernel K = x_1 / |x|^2 on a
+    flat line: H(b - c) - H(a - c) - H(b - d) + H(a - d), where
+    H(z) = z log|z| - z (H(0) = 0) is the second antiderivative of
+    1 / z; the principal value where P and Q overlap."""
+    (a, b), (c, d) = p, q
+
+    def h(z):
+        return z * math.log(abs(z)) - z if z else 0.0
+
+    return h(b - c) - h(a - c) - h(b - d) + h(a - d)
+
+
 def cone_mesh_loop(cone, height_cap, mesh_depth):
     """The cone mesh one level at a time, each level placed at the apex
     and stacked: 2^mesh_depth levels t = height_cap * level / levels,

@@ -3,10 +3,14 @@
 On a straight line the Riesz kernel K = x_1 / |x|^2 is the Hilbert
 kernel, and its principal value has a closed form (``oracles.line_pv``),
 as has T* of the constant density on the flat line, on it and off it
-(``oracles.line_tstar``).  The graph measure of the line is the midpoint
-rule of its arc measure, so at an atom the truncated sums of
+(``oracles.line_tstar``), and so has the pairing of two intervals
+(``oracles.interval_pairing``).  The graph measure of the line is the
+midpoint rule of its arc measure, so at an atom the truncated sums of
 ``pv_estimate`` and the exact sup of ``TruncationTable.maximal_values``
-converge to those closed forms at second order in the grid step h.
+converge to those closed forms at second order in the grid step h.  The
+truncated pairing of two overlapping intervals misses the pairs within
+eps of each other near the ends of the overlap, so it converges at first
+order in eps.
 """
 
 import math
@@ -16,8 +20,9 @@ import pytest
 
 import siolab as sl
 from siolab.operators import geometric_schedule
+from siolab.pairing import SimpleFunction, convergence_study
 
-from oracles import line_pv, line_tstar
+from oracles import interval_pairing, line_pv, line_tstar
 
 # the largest |error| / h^2 measured on these cases is 0.189 (slope 0,
 # s = 0.55, m = 256); each 4x refinement shrank the error 15.8 to 16.3x
@@ -27,6 +32,10 @@ _MIN_ORDER = 1.8
 # 0.153 (s = 0.55 on the line, m = 256; -9.3e-6 there and -3.6e-8 at
 # m = 4096); each 4x refinement shrank the error 15.9 to 16.0x
 _TSTAR_REL_ERROR_PER_H2 = 0.2
+# the pairing's |error| / eps measured at eps = 32h, 16h, 8h and 4h (m =
+# 4096): 1.98, 1.97, 1.93 and 1.86 (3.6e-3 at 4h); observed orders 1.01
+# to 1.05
+_PAIRING_ERROR_PER_EPS = 2.0
 
 
 def _observed_orders(errors, steps):
@@ -72,3 +81,22 @@ def test_tstar_on_a_line_converges_to_its_closed_form(s, lift):
         steps.append(h)
         assert errors[-1] <= _TSTAR_REL_ERROR_PER_H2 * h * h, (m, errors[-1] / (h * h))
     assert min(_observed_orders(errors, steps)) >= _MIN_ORDER
+
+
+def test_pairing_of_two_balls_on_a_line_converges_to_its_closed_form():
+    # int T^eps(X_Q) X_P on the flat line, through the pairing's pass over
+    # the pair engine: the ball P = B((-0.1, 0), 0.6) meets the line in
+    # [-0.7, 0.5] and Q = B((0.2, 0), 0.5) in [-0.3, 0.7], whose pairing
+    # is -1.337980; the eps schedule halves from 512h down to 4h
+    kernel = sl.RieszComponent(2, 0)
+    nu = sl.graph_measure(sl.LipschitzGraph(2, sl.Affine((0.0,))), [(-1.0, 1.0)], 4096)
+    h = nu.resolution
+    f = SimpleFunction([(1.0, sl.Ball((0.2, 0.0), 0.5))])
+    g = SimpleFunction([(1.0, sl.Ball((-0.1, 0.0), 0.6))])
+    exact = interval_pairing((-0.7, 0.5), (-0.3, 0.7))
+    assert exact == pytest.approx(-1.337980, abs=1e-6)
+    trace = convergence_study(nu, kernel, f, g, [4.0 * h * 2.0**k for k in range(7, -1, -1)])
+    eps, errors = trace.eps_schedule[-4:], [abs(v - exact) for v in trace.values[-4:]]
+    for e, error in zip(eps, errors):
+        assert error <= _PAIRING_ERROR_PER_EPS * e, (e, error / e)
+    assert all(0.9 <= order <= 1.1 for order in _observed_orders(errors, eps))

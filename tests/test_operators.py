@@ -1180,11 +1180,16 @@ def test_maximal_values_exact_on_cancelling_ties():
         assert compiled[i] == float(exact)
 
 
+def _lane_counts():
+    """The lane counts of the copies of the compiled loops this host runs:
+    1 (the scalar copies) and, where the probe finds AVX-512, 8."""
+    return sorted({1, operators._compiled().lanes})
+
+
 def _sup_copies(table, gs):
     """T* of ``table`` for the stack ``gs``, (D, P), by each way this host
-    computes it: the entry, the scalar copy (lanes 1), the AVX-512 copy
-    where the probe finds it and the loop of one scalar call per density;
-    and by the oracle."""
+    computes it: the entry, each copy (``_lane_counts``) and the loop of
+    one scalar call per density; and by the oracle."""
     out = {"entry": table.maximal_values(gs)}
     with np.errstate(over="ignore", invalid="ignore"):
         out["oracle"] = oracles.maximal_values(table, gs)
@@ -1197,9 +1202,7 @@ def _sup_copies(table, gs):
                            table.kw_desc, values)
         return values
 
-    out["scalar"] = run(stack, 1)
-    if lib.lanes == 8:
-        out["avx512"] = run(stack, 8)
+    out.update({f"lanes={lanes}": run(stack, lanes) for lanes in _lane_counts()})
     out["per_density"] = np.concatenate([run(np.ascontiguousarray(stack[:, k : k + 1]), 1) for k in range(len(gs))])
     return out
 
@@ -1271,6 +1274,96 @@ def test_nan_lane_leaves_the_other_lanes_bits():
     assert np.isnan(values[4]).all() and np.isfinite(np.delete(values, 4, axis=0)).all()
     for k, g in enumerate(gs):
         assert table.maximal_values([g]).tobytes() == values[k].tobytes()
+
+
+def _row_loops(nu, kernel, g, pts, eps, w_pts, schedule):
+    """The four row loops of ``sups.c`` through their package entries: the
+    table's rows (``table_rows``), T^eps (``truncated_rows``), M from the
+    table and from ``hl_maximal_batch``'s own sort (``hl_maximal_values``),
+    and the pair engine of the points, of weights ``w_pts``, against the
+    atoms (``pair_partials``)."""
+    table = sl.TruncationTable(nu, kernel, pts)
+    return {
+        "table_rows": (table.order, table.dist_desc, table.kw_desc),
+        "truncated_rows": (truncated_batch(nu, kernel, g, pts, eps),),
+        "hl_maximal_values": (*table.hl_maximal_values(g), *hl_maximal_batch(nu, g, pts)),
+        "pair_partials": operators._pair_partials(pts, w_pts, nu.positions, nu.weights, kernel, schedule),
+    }
+
+
+def _row_oracles(nu, kernel, g, pts, eps, w_pts, schedule):
+    """``_row_loops`` by the loops' oracles in ``tests/oracles.py``."""
+    return {
+        "table_rows": oracles.table_rows(nu, kernel, pts),
+        "truncated_rows": (oracles.truncated_batch(nu, kernel, g, pts, eps),),
+        "hl_maximal_values": oracles.hl_maximal_batch(nu, g, pts) * 2,
+        "pair_partials": oracles.pair_partials(pts, w_pts, nu.positions, nu.weights, kernel, schedule),
+    }
+
+
+def _row_case(case, n_pts, dim, rng):
+    """(measure, density, points, one eps per point, point weights) of
+    ``test_row_loop_copies_equal_their_oracles``: integer-grid atoms
+    (exact ties) with points off them, on them (zero distances) or with
+    every fifth atom moved to 1e300 (infinite distances), or no atoms."""
+    n = 0 if case == "no_atoms" else 70  # past the 64 atoms of one M chunk
+    positions = rng.integers(-2, 3, size=(n, dim)).astype(float)
+    if case == "huge":
+        positions[::5, 0] = _HUGE
+    nu = sl.DiscreteMeasure(positions, rng.uniform(0.0, 1.0, n), 1e-3)
+    g = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-1.0, 1.0, n))  # g w of both signs, and 0
+    pts = rng.integers(-2, 3, size=(n_pts, dim)) + (0.0 if case == "on_atoms" else rng.choice([0.0, 0.5], (n_pts, dim)))
+    eps = rng.choice([0.5, 1.0, math.sqrt(2.0), 2.0], n_pts)  # often exactly an atom distance
+    return nu, g, pts, eps, rng.uniform(-1.0, 1.0, n_pts)
+
+
+@pytest.mark.parametrize("n_pts", [0, 1, 7, 8, 9, 17])
+@pytest.mark.parametrize("case", ["off_atoms", "on_atoms", "huge", "no_atoms"])
+def test_row_loop_copies_equal_their_oracles(case, n_pts):
+    # each copy of each row loop, the entries run with the probe's lane
+    # count replaced, bit for bit against its oracle: P = 0, one block of
+    # 8 points, partial last blocks (1, 7, 9, 17), both kernel families in
+    # dims 2-4 (q odd in dim 3, even in 2 and 4); with atoms at 1e300 the
+    # odd family's terms are -inf / inf, so the pair engine's max |term|
+    # goes NaN
+    rng = np.random.default_rng(n_pts + 100 * ["off_atoms", "on_atoms", "huge", "no_atoms"].index(case))
+    schedule = np.sqrt([9.0, 4.0, 2.0, 1.0])
+    for dim in (2, 3, 4):
+        nu, g, pts, eps, w_pts = _row_case(case, n_pts, dim, rng)
+        for family in ("riesz", "odd"):
+            k = _table_kernel(family, dim)
+            with np.errstate(over="ignore", invalid="ignore"):
+                reference = _row_oracles(nu, k, g, pts, eps, w_pts, schedule)
+            for lanes in _lane_counts():
+                with mock.patch.object(operators._compiled(), "lanes", lanes):
+                    compiled = _row_loops(nu, k, g, pts, eps, w_pts, schedule)
+                for loop, arrays in compiled.items():
+                    for a, b in zip(arrays, reference[loop], strict=True):
+                        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (loop, lanes)
+            if case == "huge" and family == "odd" and n_pts:
+                assert np.isnan(compiled["pair_partials"][1]).any()
+
+
+@pytest.mark.parametrize("n_pts", [1, 7, 9, 17])
+def test_padding_lanes_are_never_written(n_pts):
+    # a partial last block repeats the last point in its padding lanes:
+    # called with P rows, no copy writes past row P of an output that has
+    # room for 8 more
+    rng = np.random.default_rng(n_pts)
+    nu, g, pts, eps, _ = _row_case("on_atoms", n_pts, 3, rng)
+    k = _table_kernel("odd", 3)
+    lib = operators._compiled()
+    cells = operators._cells(k.monomial, pts, nu.positions)
+    n, rows = nu.count, n_pts + 8
+    for lanes in _lane_counts():
+        order, dist, kw = np.full((rows, n), -7), np.full((rows, n), 7.0), np.full((rows, n), 7.0)
+        out, values, diverges = np.full(rows, 7.0), np.full(rows, 7.0), np.ones(rows, dtype=bool)
+        assert lib.table_rows(*cells, lanes, nu.weights, order, dist, kw) == 0
+        lib.truncated_rows(*cells, lanes, eps, nu.weights * g, out)
+        mass = np.abs(g) * nu.weights
+        lib.hl_maximal_values(n_pts, n, 3, lanes, mass, order[:n_pts], dist[:n_pts], values, diverges)
+        for array, fill in ((order, -7), (dist, 7.0), (kw, 7.0), (out, 7.0), (values, 7.0), (diverges, True)):
+            assert (array[n_pts:] == fill).all(), lanes
 
 
 def test_hl_maximal_values_matches_batch():
@@ -1662,11 +1755,15 @@ def test_kernel_of_another_dimension_raises_on_both_paths(kernel):
 
 
 def test_table_rows_out_of_memory_raises():
-    # the table build's row scratch; truncated_batch allocates none
+    # the row scratch of the table build and of the pair engine;
+    # truncated_batch allocates none
     nu = sl.DiscreteMeasure(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2), 0.1)
-    no_memory = SimpleNamespace(table_rows=lambda *args: -1)
-    with mock.patch.object(operators, "_compiled", lambda: no_memory), pytest.raises(MemoryError):
-        sl.TruncationTable(nu, sl.RieszComponent(2, 0), np.zeros((3, 2)))
+    no_memory = SimpleNamespace(table_rows=lambda *args: -1, pair_partials=lambda *args: -1, lanes=1)
+    with mock.patch.object(operators, "_compiled", lambda: no_memory):
+        with pytest.raises(MemoryError, match="table_rows"):
+            sl.TruncationTable(nu, sl.RieszComponent(2, 0), np.zeros((3, 2)))
+        with pytest.raises(MemoryError, match="pair_partials"):
+            pair_sum_schedule(nu.positions, nu.weights, nu.positions, nu.weights, sl.RieszComponent(2, 0), [0.5])
 
 
 def test_truncated_batch_matches_scalar():

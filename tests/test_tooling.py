@@ -20,7 +20,9 @@ and without flags that tie the library to one host's CPU; with ``-Wall
 -Wextra -Werror`` added, ``sups.c`` still compiles, and it exports every
 symbol that ``operators._compiled`` binds, each with one argtype of the
 matching kind per C parameter; a compile leaves no library of an earlier source in
-the build directory.  The compiled loops are the only implementation:
+the build directory.  The built library holds no FMA instruction, and its
+AVX-512 copies take their square roots with vsqrtpd, never a scalar vsqrtsd
+per lane.  The compiled loops are the only implementation:
 without ``cc`` or a compile, the loader's error names ``cc``, the build
 directory and the compiler's message, and no source or test takes
 another path.  The only ``noqa`` lines are the four re-imports that keep
@@ -30,7 +32,9 @@ a name bound for the tracer.
 import ast
 import ctypes
 import importlib.util
+import platform
 import re
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -311,7 +315,7 @@ def test_bound_argtypes_match_the_c_parameter_lists():
     }
     assert argtypes == params
     assert {name: len(kinds) for name, kinds in params.items()} == {
-        "table_rows": 11, "truncated_rows": 10, "pair_partials": 14, "maximal_values": 9, "hl_maximal_values": 8,
+        "table_rows": 12, "truncated_rows": 11, "pair_partials": 15, "maximal_values": 9, "hl_maximal_values": 9,
         "sup_lanes": 0,
     }
 
@@ -322,6 +326,33 @@ def test_sups_include_only_the_c_library_headers_they_need():
     # and builtins need no header)
     includes = re.findall(r"^\s*#\s*include\s*(\S+)", (PACKAGE / "sups.c").read_text(), re.MULTILINE)
     assert includes == ["<math.h>", "<stdint.h>", "<stdlib.h>"]
+
+
+def _builds_avx512_copies() -> bool:
+    """Whether ``cc`` builds the AVX-512 copies of ``sups.c``: GCC (not
+    clang) on x86-64, the source's own condition."""
+    macros = subprocess.run(["cc", "-dM", "-E", "-"], input="", capture_output=True, text=True).stdout
+    return platform.machine() == "x86_64" and "__GNUC__" in macros and "__clang__" not in macros
+
+
+@pytest.mark.skipif(shutil.which("objdump") is None, reason="needs objdump")
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="x86-64 mnemonics")
+def test_compiled_loops_hold_no_fma_and_only_vector_square_roots():
+    # an FMA rounds once where the oracles round twice; a square root per
+    # lane written with sqrt compiles to 8 scalar vsqrtsd, where the
+    # AVX-512 copies need one vsqrtpd (the scalar copies' SSE2 sqrtsd is
+    # another mnemonic)
+    from siolab import operators
+
+    listing = subprocess.run(["objdump", "-d", operators._compiled()._name], capture_output=True, text=True,
+                             check=True).stdout
+    # an instruction line is address, bytes and instruction, tab-separated
+    mnemonics = {fields[2].split()[0] for fields in (line.split("\t") for line in listing.splitlines())
+                 if len(fields) > 2 and fields[2].strip()}
+    assert mnemonics
+    assert sorted(m for m in mnemonics if re.match(r"vfn?m(add|sub)", m)) == []
+    assert "vsqrtsd" not in mnemonics
+    assert ("vsqrtpd" in mnemonics) == _builds_avx512_copies()
 
 
 def _copied_source(tmp_path, monkeypatch, extra=""):
