@@ -293,9 +293,7 @@ def _lemma_l2_batch(args):
     below = rng.uniforms(count) < 0.5  # half eps < r, half eps >= r
     eps = np.where(below, r * rng.uniforms(count, 0.05, 0.999), r * (1.0 + rng.uniforms(count, 0.0, 3.0)))
 
-    x_table = TruncationTable(nu, kern, x)
-    tstar = x_table.maximal_values([gv])[0]
-    mval, _ = x_table.hl_maximal_values(gv)
+    (tstar,), (mval, _) = TruncationTable(nu, kern, x).sups([gv], gv)
     lhs = np.abs(truncated_batch(nu, kern, gv, y, eps))
     constant = np.where(eps < r, d1, d2)
     rhs = 3.0 * tstar + constant * mval
@@ -318,7 +316,7 @@ def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> Sc
         (nu, kern, graph, aperture, consts.d1, consts.d2, n, seed)
         for n, seed in _chunks(rng, prm["tuples"], prm["tuples_per_batch"])
     ]
-    with blame("scenario.tuples_per_batch"):  # rows of each batch's table
+    with blame("scenario.tuples_per_batch"):  # the points of each batch's sups, under the table guard
         results = _pmap(_lemma_l2_batch, tasks, workers)
     violations = sum(r[0] for r in results)
     worst = min(r[1] for r in results)
@@ -539,7 +537,7 @@ def scenario_carleson(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> Sc
 
 def _tstar_chunk(args):
     """Maximal-transform values for a fixed point chunk and every density
-    of the stack, from one distance sort and one sup pass."""
+    of the stack, from one compiled pass that sorts each point's row once."""
     nu, kern, pts, stack = args
     return TruncationTable(nu, kern, pts).maximal_values(stack)
 

@@ -7,9 +7,10 @@ Summation conventions, fixed package-wide:
   closed, so atoms at distance exactly r are included.
 * Every sum follows ``summation``: a total (T^eps rows, L^p norms,
   pair sums) is one Sum2, and a sup over prefixes (T* and the maximal
-  function) is a max over the Sum2 prefixes of each row; the table's
-  rows (distances, kernel terms and their stable sort), the T^eps rows,
-  the pair sums' partials and the sups run in the loops of ``sups.c``,
+  function) is a max over the Sum2 prefixes of each row; the sups (each
+  point's row of distances and kernel terms, stably sorted and read
+  while it is in scratch), the T^eps rows and the pair sums' partials
+  run in the loops of ``sups.c``,
   which need a C compiler (``_compiled``), in the copy that the host's
   probe picks (``lanes``), each copy with the same bits.  T^eps has one
   home, ``truncated_batch``; ``truncated`` and ``truncated_values*`` call
@@ -39,10 +40,12 @@ from .measure import DiscreteMeasure
 from .summation import sum2_prefix
 
 PAIR_COUNT_GUARD = 10**10
-# the rows of _sorted_rows (a TruncationTable's, or hl_maximal_batch's)
-# are P x N int64 order and float64 distances and kernel terms: 24 bytes
-# per cell.  The guard admits 2048-point chunks against the 4^6 atoms of
-# a generation-6 Cantor set (201 MB) with room to spare.
+# bounds the P x N cells one _row_sups call sorts (a TruncationTable's
+# sups, or hl_maximal_batch's), at 24 bytes per cell (a row's item, its
+# distance and atom index, and its kernel term), not memory the call
+# holds: it sorts one row at a time in O(N) scratch.  The guard admits
+# 2048-point chunks against the 4^6 atoms of a generation-6 Cantor set
+# (201 MB) with room to spare.
 TABLE_BYTES_GUARD = 1 << 30
 _TABLE_BYTES_PER_CELL = 24
 # a cone mesh template holds fewer than K (2K+1)^d points for K = 2^mesh_depth
@@ -120,7 +123,7 @@ def _points(points, dim: int) -> np.ndarray:
 
 
 def _cells(monomial, pts: np.ndarray, positions: np.ndarray):
-    """The leading arguments of ``sups.c``'s ``table_rows``,
+    """The leading arguments of ``sups.c``'s ``row_sups``,
     ``truncated_rows`` and ``pair_partials``: the point and atom counts,
     the dimension, the points and the atoms, and a kernel's ``monomial``
     form (P, q).  Raises ValueError unless P has the atoms' dimension."""
@@ -174,8 +177,8 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 @functools.cache
 def _compiled():
-    """The loops of ``sups.c`` through ctypes (the table build, T^eps, the
-    pair engine and the two sups), built with ``cc`` on first use (never
+    """The loops of ``sups.c`` through ctypes (the sups, T^eps and the
+    pair engine), built with ``cc`` on first use (never
     at import) into ``build/`` beside it under the CRC of source and flags
     (a per-process name renamed into place, so forked workers may race).
     They are the only implementation: where no compiler, compile, writable
@@ -184,9 +187,10 @@ def _compiled():
     removes the libraries of earlier sources from ``build/``.  ``lanes``
     holds the host's probe (``sup_lanes``, 8 with AVX-512, else 1), which
     every caller passes to pick the copy of each loop: with 8, the row
-    loops (the table build, T^eps, the pair engine and M) take 8 points
-    per vector, and T* takes 8 densities; each lane keeps the scalar
-    copy's bits."""
+    loops (the sups' distances and terms, T^eps, the pair engine and M)
+    take 8 points per vector, and T* takes 8 densities; each lane keeps
+    the scalar copy's bits.  An array argument may be None, passed as
+    NULL, which ``row_sups`` reads as no mass."""
     import ctypes
     import zlib
 
@@ -210,87 +214,96 @@ def _compiled():
         tmp.unlink(missing_ok=True)
         raise RuntimeError(f"siolab needs a C compiler: `cc` could not build {_SUPS_SOURCE.name} into {lib.parent},"
                            f" or {lib.name} did not load: {err}") from err
-    f64, i64, flag = (np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS") for t in (np.float64, np.int64, np.bool_))
+    def array(dtype):
+        """A C-contiguous array of dtype, or None passed as NULL."""
+        kind = np.ctypeslib.ndpointer(dtype, flags="C_CONTIGUOUS")
+        convert = classmethod(lambda cls, a: None if a is None else kind.from_param(a))
+        return type(kind.__name__, (kind,), {"from_param": convert})
+
+    f64, i64, flag = (array(t) for t in (np.float64, np.int64, np.bool_))
     size = ctypes.c_int64
-    dll.table_rows.argtypes = [size, size, size, f64, f64, i64, size, size, f64, i64, f64, f64]  # _cells, lanes, ...
-    dll.truncated_rows.argtypes = [size, size, size, f64, f64, i64, size, size, f64, f64, f64]
+    dll.row_sups.argtypes = [size, size, size, f64, f64, i64, size, size, f64, size, f64, f64, f64, f64, flag]
+    dll.truncated_rows.argtypes = [size, size, size, f64, f64, i64, size, size, f64, f64, f64]  # _cells, lanes, ...
     dll.pair_partials.argtypes = [size, size, size, f64, f64, i64, size, size, f64, f64, size, f64, f64, f64, i64]
-    dll.maximal_values.argtypes = [size, size, size, size, f64, i64, f64, f64, f64]
-    dll.hl_maximal_values.argtypes = [size, size, size, size, f64, i64, f64, f64, flag]
     dll.sup_lanes.argtypes = []
-    for void in (dll.truncated_rows, dll.maximal_values, dll.hl_maximal_values):
-        void.restype = None
+    dll.truncated_rows.restype = None
     dll.lanes = dll.sup_lanes()
     return dll
 
 
-def _sorted_rows(monomial, pts: np.ndarray, nu: DiscreteMeasure):
-    """(order, dist_desc, kw_desc) of ``sups.c``'s ``table_rows``: per
-    point, the atoms by distance descending, ties in atom order, and the
-    terms K(x - y) w(y) of the kernel of ``monomial`` form in that order;
-    ValueError before any allocation past ``TABLE_BYTES_GUARD``."""
-    shape = (len(pts), nu.count)
-    n_bytes = shape[0] * shape[1] * _TABLE_BYTES_PER_CELL
+def _row_sups(monomial, pts: np.ndarray, nu: DiscreteMeasure, stack: np.ndarray, mass):
+    """(T*, (M, diverges)) at the points ``pts`` from ``sups.c``'s
+    ``row_sups``: per point, one compiled pass computes the row's
+    distances and (for a nonempty ``stack``) the terms K(x - y) w(y) of
+    the kernel of ``monomial`` form, sorts the row by distance descending,
+    ties in atom order, and reads T* of each density of the atom-major
+    (N, D) ``stack`` into a (D, P) array and, unless ``mass`` is None, M
+    of the per-atom masses ``mass`` from it while it is sorted; the M pair
+    is (None, None) without mass.  ValueError before the call past
+    ``TABLE_BYTES_GUARD``, MemoryError if its O(N) scratch cannot be
+    allocated."""
+    n_bytes = len(pts) * nu.count * _TABLE_BYTES_PER_CELL
     if n_bytes > TABLE_BYTES_GUARD:
         raise ValueError(f"truncation table byte guard exceeded: {n_bytes} bytes, limit {TABLE_BYTES_GUARD}")
-    order, dist_desc, kw_desc = np.empty(shape, dtype=np.int64), np.empty(shape), np.empty(shape)
+    tstar = np.empty((stack.shape[1], len(pts)))
+    values, diverges = (None, None) if mass is None else (np.empty(len(pts)), np.empty(len(pts), dtype=bool))
     lib = _compiled()
     cells = (*_cells(monomial, pts, nu.positions), lib.lanes, np.ascontiguousarray(nu.weights))
-    if lib.table_rows(*cells, order, dist_desc, kw_desc) != 0:
-        raise MemoryError("table_rows: out of memory")
-    return order, dist_desc, kw_desc
+    if lib.row_sups(*cells, stack.shape[1], stack, tstar, mass, values, diverges) != 0:
+        raise MemoryError("row_sups: out of memory")
+    return tstar, (values, diverges)
 
 
 class TruncationTable:
-    """Distance-sorted kernel table for a batch of evaluation points.  The
-    table is its sort: ``order``, ``dist_desc`` and ``kw_desc``, built once
-    per (measure, points) pair by one compiled pass per point that computes
-    the row's distances and kernel terms K(x - y) w(y) into row-sized
-    scratch, sorts them stably and gathers the terms (``table_rows`` in
+    """The truncations of a kernel's transform at a batch of evaluation
+    points: the measure, the kernel and the points, and no more.  A sup
+    sorts each point's row as it is read and holds no row: one compiled
+    pass per point computes the row's distances and kernel terms
+    K(x - y) w(y) into row-sized scratch, sorts them stably and takes the
+    sups from the sorted row while it is there (``row_sups`` in
     ``sups.c``; on a host with AVX-512, 8 points per vector fill 8 rows'
     scratch at once, one lane each, and each row is then sorted alone).
     A row of at most 16 natural runs is merge sorted; any other is
     distributed into one bucket per atom by distance and finished by one
     insertion sort, or merge sorted if a bucket would hold more than 32
-    atoms.  The merge takes the left item of a tie and
-    the buckets and the insertion sort never reorder equal distances, so
-    either path gives the one stable order, bit for bit.  The kernel must
-    expose its ``monomial`` form, as the catalog's do.
+    atoms.  The merge takes the left item of a tie and the buckets and the
+    insertion sort never reorder equal distances, so either path gives the
+    one stable order, bit for bit.  The kernel must expose its
+    ``monomial`` form, as the catalog's do.
 
     Distances are sorted descending so prefix sums ARE the truncated
     sums: the prefix through distance group d equals T^eps for eps in
     [next smaller distance, d).  A sup (T* or the maximal function) is
-    a max over the prefixes that end a group of ``dist_desc``, in one
-    compiled pass (``_compiled``).  T* takes a stack of densities in
-    that one pass: on a host with AVX-512 (probed at run time, not set
-    by build flags) 8 densities share a vector, one lane each, and since
-    each lane is its density's own Sum2 with its operations in their
-    order, every density gets the bits of a pass of its own.  Read
-    backwards, the same sort serves the (n-1)-dimensional maximal
-    function, whose AVX-512 copy takes 8 rows per vector, one lane each.
+    a max over the prefixes that end a distance group.  T* takes a stack
+    of densities in that one pass: on a host with AVX-512 (probed at run
+    time, not set by build flags) 8 densities share a vector, one lane
+    each, and since each lane is its density's own Sum2 with its
+    operations in their order, every density gets the bits of a pass of
+    its own.  Read backwards, the same sorted row serves the
+    (n-1)-dimensional maximal function, whose AVX-512 copy takes 8 rows
+    per vector, one lane each; ``sups`` takes T* and M from one sort.
     One radius needs no sort: ``truncated_values*`` are
     ``truncated_batch`` at the table's ``points`` and ``kernel``.
 
-    A table takes 24 bytes per (point, atom) cell; building one larger
-    than ``TABLE_BYTES_GUARD`` raises ValueError.
+    A call allocates its (D, P) output and O(N) scratch; one that would
+    sort more than ``TABLE_BYTES_GUARD`` bytes of cells, at 24 per (point,
+    atom) cell, raises ValueError.
     """
 
     def __init__(self, nu: DiscreteMeasure, kernel, points):
         self.points = _points(points, nu.ambient_dim).copy()  # the table's, not the caller's array
         self.measure, self.kernel = nu, kernel
-        # a zero-distance group's kernel terms are zeroed, so its group end
-        # repeats the previous prefix: no special casing is needed.
-        self.order, self.dist_desc, self.kw_desc = _sorted_rows(kernel.monomial, self.points, nu)
 
     def maximal_values(self, gs) -> np.ndarray:
         """sup over eps > 0 of |T^eps g| at every point for each density g
         of the stack ``gs`` (see ``density_stack``), exact: (D, P)."""
-        stack = density_stack(gs, self.measure)
-        values = np.empty((stack.shape[1], len(self.order)))
-        lib = _compiled()
-        lib.maximal_values(*self.order.shape, stack.shape[1], lib.lanes, stack, self.order, self.dist_desc,
-                           self.kw_desc, values)
-        return values
+        return _row_sups(self.kernel.monomial, self.points, self.measure, density_stack(gs, self.measure), None)[0]
+
+    def sups(self, gs, g):
+        """(``maximal_values(gs)``, ``hl_maximal_batch`` of g at the
+        table's points), bit for bit, from one sort per point."""
+        mass = np.abs(density_values(g, self.measure)) * self.measure.weights
+        return _row_sups(self.kernel.monomial, self.points, self.measure, density_stack(gs, self.measure), mass)
 
     def truncated_values(self, g, eps: float) -> np.ndarray:
         """T^eps g at every point: ``truncated_batch`` at the table's points."""
@@ -302,11 +315,6 @@ class TruncationTable:
         if eps.shape != (len(self.points),):
             raise ValueError(f"eps must hold one radius per point, shape ({len(self.points)},), got {eps.shape}")
         return truncated_batch(self.measure, self.kernel, g, self.points, eps)
-
-    def hl_maximal_values(self, g):
-        """``hl_maximal_batch`` at the table's points, bit for bit."""
-        mass = np.abs(density_values(g, self.measure)) * self.measure.weights
-        return _hl_from_descending(mass, self.measure.ambient_dim, self.order, self.dist_desc)
 
 
 def maximal(nu: DiscreteMeasure, kernel, g, x) -> float:
@@ -322,35 +330,24 @@ def maximal(nu: DiscreteMeasure, kernel, g, x) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _hl_from_descending(atom_mass: np.ndarray, n: int, order: np.ndarray, dist_desc: np.ndarray):
-    """(values, diverges) of the maximal function with per-atom masses
-    |g| w in ambient dimension n, from per-point atom indices and their
-    distances sorted descending, read backwards.
-
-    Candidate radii are the distinct atom distances: mass is constant
-    between them while r^(1-n) decreases, so breakpoints realize the sup.
-    Each candidate is a Sum2 prefix of the masses times 1 / (r ... r),
-    n - 1 factors r, in one compiled pass (``sups.c``).
-    """
-    values, diverges = np.empty(len(order)), np.empty(len(order), dtype=bool)
-    lib = _compiled()
-    lib.hl_maximal_values(*order.shape, n, lib.lanes, atom_mass, order, dist_desc, values, diverges)
-    return values, diverges
-
-
 def hl_maximal_batch(nu: DiscreteMeasure, g, points):
     """sup over r > 0 of r^(1-n) * integral of |g| over the closed ball
     B(x, r), per point.  Returns (values, diverges); a point sitting on
     an atom with |g| w > 0 diverges (r^(1-n) blows up as r -> 0) and its
-    value entry is +inf.  The points' rows are sorted as a table's are,
-    by the constant kernel (P = 0, q = 0), whose terms go unread, under
-    the table's ``TABLE_BYTES_GUARD``; both compiled passes take 8 rows
-    per vector where the host has AVX-512 (``_compiled``).
+    value entry is +inf.
+
+    Candidate radii are the distinct atom distances: mass is constant
+    between them while r^(1-n) decreases, so breakpoints realize the sup.
+    Each candidate is a Sum2 prefix of the masses |g| w, read by distance
+    ascending, times 1 / (r ... r), n - 1 factors r.  The points' rows are
+    sorted as a table's are, with no densities, so no kernel term is
+    computed, under the table's ``TABLE_BYTES_GUARD``, in one compiled
+    pass (``_row_sups``) that takes 8 rows per vector where the host has
+    AVX-512 (``_compiled``).
     """
     pts = _points(points, nu.ambient_dim)
-    a = np.abs(density_values(g, nu)) * nu.weights
-    order, dist_desc, _ = _sorted_rows(((0,) * nu.ambient_dim, 0), pts, nu)
-    return _hl_from_descending(a, nu.ambient_dim, order, dist_desc)
+    mass = np.abs(density_values(g, nu)) * nu.weights
+    return _row_sups(((0,) * nu.ambient_dim, 0), pts, nu, np.empty((nu.count, 0)), mass)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,25 @@
-/* The compiled loops of siolab.operators, one row per point: the table's
-   row build, T^eps, the pair engine, and the sups of the table's rows.  A
-   row is summed by Sum2 (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26,
-   2005), with the operations of summation.sum2_prefix in its order: s the
-   running sum, c the running sum of the exact TwoSum errors, a prefix
-   s + c.  A cell's distance and kernel term take the operations of
+/* The compiled loops of siolab.operators, one row per point: the sups of
+   each point's distance-sorted row (T* and M), T^eps and the pair engine.
+   A row is summed by Sum2 (Ogita, Rump and Oishi, SIAM J. Sci. Comput.
+   26, 2005), with the operations of summation.sum2_prefix in its order:
+   s the running sum, c the running sum of the exact TwoSum errors, a
+   prefix s + c.  A cell's distance and kernel term take the operations of
    kernel.evaluate_many in their order: r2 the squares of x - y added
    coordinate by coordinate, the distance sqrt(r2), and K(x - y) =
    (x - y)^P / |x - y|^q, the numerator's factors multiplied in coordinate
    order from 1 and |x - y|^q formed as q / 2 factors r2, times sqrt(r2)
-   when q is odd.  A table row sorts its distances descending, ties in
-   atom order, one of two ways chosen by its count of natural runs (an
-   adaptive check in the manner of Peters' Timsort): a row of at most 16
-   runs merges them; any other goes to n buckets by distance
+   when q is odd.  The sups sort each point's row by distance, descending,
+   ties in atom order, one of two ways chosen by its count of natural runs
+   (an adaptive check in the manner of Peters' Timsort): a row of at most
+   16 runs merges them; any other goes to n buckets by distance
    (distribution sort, Knuth, TAOCP 3, 5.2.5) that one insertion sort
    finishes, or merges if a bucket would hold more than 32 items.
    Neither moves an item past an equal key, so both give the one stable
-   order.  These loops are siolab's only implementation; the reference of
+   order.  While the sorted row is still in scratch, T* of every density
+   of a stack and M of one mass vector are read from it (the build and
+   its reads fused, as in Kennedy and McKinley, LCPC 1993): no row
+   outlives its point, so a call holds O(n) scratch and writes only the
+   sups.  These loops are siolab's only implementation; the reference of
    each is its numpy oracle in tests/oracles.py, which it equals bit for
    bit, compiled without FMA contraction or fast-math.
    The pair engine puts each pair in the bin of the first eps its distance
@@ -24,13 +28,13 @@
    turn.
    Every entry has a scalar copy and, on x86-64 hosts with AVX-512, a copy
    that takes 8 lanes per vector, chosen at run time by its lanes argument
-   (the probe sup_lanes).  The row loops (the table build, T^eps, the pair
-   engine and M) put 8 points in the lanes, one each, and broadcast one
-   atom at a time; T* puts 8 densities in them.  A lane does its point's
-   or its density's operations in their order, with vsqrtpd and vdivpd,
-   which round as the scalar sqrt and division do, so every lane keeps
-   the bits of the scalar loop.  A partial last block of points repeats
-   the last point in its padding lanes, which are never written. */
+   (the probe sup_lanes).  The row loops (the sups' distances and terms,
+   T^eps, the pair engine and M) put 8 points in the lanes, one each, and
+   broadcast one atom at a time; T* puts 8 densities in them.  A lane does
+   its point's or its density's operations in their order, with vsqrtpd
+   and vdivpd, which round as the scalar sqrt and division do, so every
+   lane keeps the bits of the scalar loop.  A partial last block of points
+   repeats the last point in its padding lanes, which are never written. */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -160,6 +164,47 @@ static item *sort_row(item *x, item *y, int64_t n, int64_t *bound, int64_t *coun
     return merge_runs(x, y, runs, bound);
 }
 
+/* T* of one sorted row (n items) for each density k of the stack g (n
+   atoms x d densities, atom-major), kw the row's terms in its order: the
+   max of |prefix| of g[row[j].idx * d + k] * kw[j] at the last j of each
+   group of equal distances, and 0, into out[k * stride] */
+static void tstar_row(int64_t n, int64_t d, const double *g, const item *row, const double *kw, int64_t stride,
+                      double *out)
+{
+    for (int64_t k = 0; k < d; k++) {
+        double s = 0.0, c = 0.0, best = 0.0;
+        for (int64_t j = 0; j < n; j++) {
+            double t = g[row[j].idx * d + k] * kw[j];
+            if (j == 0) s = t; else SUM2_ADD(s, c, t);
+            double a = fabs(s + c);
+            if ((j == n - 1 || row[j].key != row[j + 1].key) && (a > best || a != a)) best = a;  /* NaN sticks, as in np.max */
+        }
+        out[k * stride] = best;
+    }
+}
+
+/* M of one sorted row read backwards (ascending): the max of
+   prefix(mass[row[j].idx]) * (1 / (r * ... * r)), dim - 1 factors, at the
+   last item of each distance group with r > 0, and 0.  Mass > 0 at
+   distance 0 diverges: +inf. */
+static void hl_row(int64_t n, int64_t dim, const double *mass, const item *row, double *out, uint8_t *diverges)
+{
+    double s = 0.0, c = 0.0, best = 0.0;
+    uint8_t div = 0;
+    for (int64_t j = n - 1; j >= 0; j--) {
+        double m = mass[row[j].idx], r = row[j].key, power = 1.0;
+        if (j == n - 1) s = m; else SUM2_ADD(s, c, m);
+        div |= r == 0.0 && m > 0.0;
+        if (r > 0.0 && (j == 0 || r != row[j - 1].key)) {
+            for (int64_t k = 1; k < dim; k++) power *= r;
+            double v = (s + c) * (1.0 / power);
+            if (v > best || v != v) best = v;
+        }
+    }
+    *diverges = div;
+    *out = div ? INFINITY : best;
+}
+
 /* The pair engine's step for an included pair (d > eps[bins - 1]) of term
    t: bin j, the first with d > eps[j], takes t into its max |t|, count
    and Sum2 */
@@ -225,51 +270,19 @@ AVX512 static inline void block_values(int64_t rows, int64_t i, const double *a,
 /* norm2 and kernel for 8 points at once (x: their coordinates, one lane
    per point) against the atom y, in the scalar operations' order: the
    distance sqrt(r2) into *dist, by vsqrtpd, and K(x - y) into *term, NaN
-   or inf where the distance is 0 */
+   or inf where the distance is 0, unless term is NULL */
 AVX512 static inline void cells8(int64_t dim, const v8d *x, const double *y, const int64_t *powers, int64_t q,
                                  v8d *dist, v8d *term)
 {
     v8d r2 = (x[0] - y[0]) * (x[0] - y[0]), num = (v8d){0} + 1.0, power = num;
     for (int64_t k = 1; k < dim; k++) r2 += (x[k] - y[k]) * (x[k] - y[k]);
     *dist = __builtin_ia32_sqrtpd512_mask(r2, r2, 0xff, 4);  /* 4: the current rounding mode */
+    if (!term) return;
     for (int64_t k = 0; k < dim; k++)
         for (int64_t p = 0; p < powers[k]; p++) num *= x[k] - y[k];
     for (int64_t p = 0; p < q / 2; p++) power *= r2;
     if (q % 2) power *= *dist;
     *term = num / power;
-}
-
-/* The table's rows 8 at a time: the distances and terms of the 8 points
-   into a row of scratch each, xs + l n and kws + l n for lane l, then each
-   row sorted as the scalar copy sorts it */
-AVX512 static int table_rows_avx512(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
-                                    const int64_t *powers, int64_t q, const double *w, int64_t *order,
-                                    double *dist_desc, double *kw_desc)
-{
-    if (rows == 0 || n == 0) return 0;
-    item *xs = malloc(9 * n * sizeof *xs);  /* 8 rows, then the sort's scratch */
-    double *kws = malloc(8 * n * sizeof *kws);
-    int64_t *bound = malloc((n + 1) * sizeof *bound), *count = malloc((n + 1) * sizeof *count);
-    if (!xs || !kws || !bound || !count) { free(xs); free(kws); free(bound); free(count); return -1; }
-    v8d x[dim];
-    for (int64_t i = 0; i < rows; i += 8) {
-        block_points(rows, i, dim, pts, x);
-        for (int64_t j = 0; j < n; j++) {
-            v8d d, t;
-            cells8(dim, x, pos + j * dim, powers, q, &d, &t);
-            t = (v8d)((v8l)t & (v8l)(d > 0.0)) * w[j];
-            for (int64_t l = 0; l < 8; l++) xs[l * n + j] = (item){d[l], j}, kws[l * n + j] = t[l];
-        }
-        for (int64_t l = 0; l < 8 && i + l < rows; l++) {
-            int64_t r = (i + l) * n, *o = order + r;
-            double *dd = dist_desc + r, *kd = kw_desc + r;
-            const double *kw = kws + l * n;
-            item *s = sort_row(xs + l * n, xs + 8 * n, n, bound, count);
-            for (int64_t j = 0; j < n; j++) o[j] = s[j].idx, dd[j] = s[j].key, kd[j] = kw[s[j].idx];
-        }
-    }
-    free(xs); free(kws); free(bound); free(count);
-    return 0;
 }
 
 /* T^eps 8 points at a time, in vectors throughout */
@@ -294,7 +307,7 @@ AVX512 static void truncated_rows_avx512(int64_t rows, int64_t n, int64_t dim, c
 
 /* The pair engine 8 rows at a time: the distances and terms of the 8
    points into cell, the 8 lanes of an atom side by side (a row of scratch
-   per lane, as the table build keeps, took DoubleIntegral's 2048 x 2048
+   per lane, as row_sups keeps, took DoubleIntegral's 2048 x 2048
    pass 21 -> 48 ms on a 2-core Xeon: rows 16 KiB apart alias in the
    cache), then each row's pairs binned in row-major order.  -1 if out of
    memory. */
@@ -325,62 +338,94 @@ AVX512 static int pair_rows_avx512(int64_t rows, int64_t n, int64_t dim, const d
     return 0;
 }
 
-/* T* with 8 densities per vector, one per lane, the last block's missing
-   densities loaded as zeros by a masked load and not written */
-AVX512 static void maximal_rows_avx512(int64_t rows, int64_t n, int64_t d, const double *g, const int64_t *order,
-                                       const double *dist, const double *kw, double *out)
+/* tstar_row with 8 densities per vector, one per lane, the last block's
+   missing densities loaded as zeros by a masked load and not written */
+AVX512 static void tstar_row_avx512(int64_t n, int64_t d, const double *g, const item *row, const double *kw,
+                                    int64_t stride, double *out)
 {
-    for (int64_t i = 0; i < rows; i++, order += n, dist += n, kw += n)
-        for (int64_t k = 0; k < d; k += 8) {
-            v8d s = {0}, c = {0}, best = {0};
-            for (int64_t j = 0; j < n; j++) {
-                v8d t = __builtin_ia32_loadupd512_mask(g + order[j] * d + k, (v8d){0}, live_lanes(d, k)) * kw[j];
-                if (j == 0) s = t; else SUM2_ADD(s, c, t);
-                if (j == n - 1 || dist[j] != dist[j + 1]) {
-                    v8d a = (v8d)((v8l)(s + c) & INT64_MAX);  /* fabs */
-                    MAX8(best, a, (v8l){0} - 1);
-                }
+    for (int64_t k = 0; k < d; k += 8) {
+        v8d s = {0}, c = {0}, best = {0};
+        for (int64_t j = 0; j < n; j++) {
+            v8d t = __builtin_ia32_loadupd512_mask(g + row[j].idx * d + k, (v8d){0}, live_lanes(d, k)) * kw[j];
+            if (j == 0) s = t; else SUM2_ADD(s, c, t);
+            if (j == n - 1 || row[j].key != row[j + 1].key) {
+                v8d a = (v8d)((v8l)(s + c) & INT64_MAX);  /* fabs */
+                MAX8(best, a, (v8l){0} - 1);
             }
-            for (int64_t l = 0; l < 8 && k + l < d; l++) out[(k + l) * rows + i] = best[l];
         }
+        for (int64_t l = 0; l < 8 && k + l < d; l++) out[(k + l) * stride] = best[l];
+    }
 }
 
-/* M 8 rows at a time, one per lane, read backwards in chunks of HL_CHUNK
-   atoms: each lane's masses mass[order[j]] and distances dist[j] are
+/* hl_row of a block of live <= 8 sorted rows, block + l n for row l, one
+   per lane (a padding lane reads the last row), read backwards in chunks
+   of HL_CHUNK atoms: each lane's masses mass[idx] and distances are
    copied into cell, the 8 lanes of an atom side by side, and the chunk is
-   summed from there.  (Vector gathers of order, mass and dist in place of
-   the copy took a 500 x 700 call 0.70 -> 1.11 ms on a 2-core Xeon.) */
+   summed from there; into out[l] and diverges[l] for l < live.  (Vector
+   gathers of the indices, masses and distances in place of the copy took
+   a 500 x 700 call 0.70 -> 1.11 ms on a 2-core Xeon.) */
 enum { HL_CHUNK = 64 };
-AVX512 static void hl_rows_avx512(int64_t rows, int64_t n, int64_t dim, const double *mass, const int64_t *order,
-                                  const double *dist, double *out, uint8_t *diverges)
+AVX512 static void hl_block_avx512(int64_t live, int64_t n, int64_t dim, const double *mass, const item *block,
+                                   double *out, uint8_t *diverges)
 {
     double cell[16 * (HL_CHUNK + 1)];  /* atom base + a of a chunk: its masses at 16 a, its distances at 16 a + 8 */
+    v8d s = {0}, c = {0}, best = {0}, d = {0};
+    v8l div = {0};
+    for (int64_t top = n; top > 0; top -= HL_CHUNK) {
+        int64_t lo = top > HL_CHUNK ? top - HL_CHUNK : 0, base = lo ? lo - 1 : 0;  /* the chunk is [lo, top) */
+        for (int64_t l = 0; l < 8; l++) {
+            const item *row = block + lane_row(live, 0, l) * n;
+            for (int64_t j = base; j < top; j++)
+                cell[16 * (j - base) + l] = mass[row[j].idx], cell[16 * (j - base) + 8 + l] = row[j].key;
+        }
+        if (top == n) d = LOAD8(cell + 16 * (n - 1 - base) + 8);
+        for (int64_t j = top - 1; j >= lo; j--) {
+            v8d m = LOAD8(cell + 16 * (j - base)), power = (v8d){0} + 1.0;
+            v8d next = j ? LOAD8(cell + 16 * (j - 1 - base) + 8) : d;
+            if (j == n - 1) s = m; else SUM2_ADD(s, c, m);
+            div |= (v8l)(d == 0.0) & (v8l)(m > 0.0);
+            for (int64_t k = 1; k < dim; k++) power *= d;
+            v8d v = (s + c) * (1.0 / power);
+            MAX8(best, v, (v8l)(d > 0.0) & (j ? (v8l)(d != next) : (v8l){0} - 1));
+            d = next;
+        }
+    }
+    for (int64_t l = 0; l < live; l++) {
+        diverges[l] = div[l] != 0;
+        out[l] = div[l] ? INFINITY : best[l];
+    }
+}
+
+/* row_sups 8 points at a time: the distances of the 8 points (and, with
+   densities, their terms) into a row of scratch each, xs + l n and
+   kws + l n for lane l; then each row sorted as the scalar copy sorts it,
+   back into xs + l n, its terms gathered into that order in kw and its T*
+   taken; then M of the block's rows, one per lane */
+AVX512 static void row_sups_avx512(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
+                                   const int64_t *powers, int64_t q, const double *w, int64_t d, const double *g,
+                                   double *tstar, const double *mass, double *hl, uint8_t *diverges, item *xs,
+                                   double *kws, double *kw, int64_t *bound, int64_t *count)
+{
+    v8d x[dim];
     for (int64_t i = 0; i < rows; i += 8) {
-        v8d s = {0}, c = {0}, best = {0}, d = {0};
-        v8l div = {0};
-        for (int64_t top = n; top > 0; top -= HL_CHUNK) {
-            int64_t lo = top > HL_CHUNK ? top - HL_CHUNK : 0, base = lo ? lo - 1 : 0;  /* the chunk is [lo, top) */
-            for (int64_t l = 0; l < 8; l++) {
-                int64_t r = lane_row(rows, i, l) * n;
-                for (int64_t j = base; j < top; j++)
-                    cell[16 * (j - base) + l] = mass[order[r + j]], cell[16 * (j - base) + 8 + l] = dist[r + j];
-            }
-            if (top == n) d = LOAD8(cell + 16 * (n - 1 - base) + 8);
-            for (int64_t j = top - 1; j >= lo; j--) {
-                v8d m = LOAD8(cell + 16 * (j - base)), power = (v8d){0} + 1.0;
-                v8d next = j ? LOAD8(cell + 16 * (j - 1 - base) + 8) : d;
-                if (j == n - 1) s = m; else SUM2_ADD(s, c, m);
-                div |= (v8l)(d == 0.0) & (v8l)(m > 0.0);
-                for (int64_t k = 1; k < dim; k++) power *= d;
-                v8d v = (s + c) * (1.0 / power);
-                MAX8(best, v, (v8l)(d > 0.0) & (j ? (v8l)(d != next) : (v8l){0} - 1));
-                d = next;
-            }
+        int64_t live = rows - i < 8 ? rows - i : 8;
+        block_points(rows, i, dim, pts, x);
+        for (int64_t j = 0; j < n; j++) {
+            v8d r, t;
+            cells8(dim, x, pos + j * dim, powers, q, &r, d ? &t : NULL);
+            for (int64_t l = 0; l < 8; l++) xs[l * n + j] = (item){r[l], j};
+            if (!d) continue;
+            t = (v8d)((v8l)t & (v8l)(r > 0.0)) * w[j];
+            for (int64_t l = 0; l < 8; l++) kws[l * n + j] = t[l];
         }
-        for (int64_t l = 0; l < 8 && i + l < rows; l++) {
-            diverges[i + l] = div[l] != 0;
-            out[i + l] = div[l] ? INFINITY : best[l];
+        for (int64_t l = 0; l < live; l++) {
+            item *row = xs + l * n, *sorted = sort_row(row, xs + 8 * n, n, bound, count);
+            for (int64_t j = 0; sorted != row && j < n; j++) row[j] = sorted[j];
+            if (!d) continue;
+            for (int64_t j = 0; j < n; j++) kw[j] = kws[l * n + row[j].idx];
+            tstar_row_avx512(n, d, g, row, kw, rows, tstar + i + l);
         }
+        if (mass) hl_block_avx512(live, n, dim, mass, xs, hl + i, diverges + i);
     }
 }
 #endif
@@ -400,34 +445,51 @@ int sup_lanes(void)
    returns only where the host runs it, else its scalar loop, one point
    (or one density) at a time. */
 
-/* The table's rows, one per point of pts (rows x dim) against the n atoms
-   pos (n x dim) of weights w: each row's distances descending with ties in
-   atom order (the order of np.argsort(-dist, kind="stable"), by sort_row)
-   into order and dist_desc, and the kernel terms K(x - y) w(y), 0 at
-   distance 0, in that order into kw_desc.  No distance is NaN, since
-   points and atoms are finite.  -1 if out of memory. */
-int table_rows(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos, const int64_t *powers,
-               int64_t q, int64_t lanes, const double *w, int64_t *order, double *dist_desc, double *kw_desc)
+/* The sups of the rows, one per point of pts (rows x dim) against the n
+   atoms pos (n x dim) of weights w: each row's distances, sorted
+   descending with ties in atom order (the order of np.argsort(-dist,
+   kind="stable"), by sort_row), and with d > 0 its kernel terms
+   K(x - y) w(y), 0 at distance 0 (so a zero-distance group's end repeats
+   the prefix before it), in that order.  From the sorted row,
+   T* of each density of the stack g (n atoms x d, atom-major; tstar_row)
+   into tstar[k * rows + i], and, unless mass is NULL, M of the masses
+   mass (hl_row) into hl[i] and diverges[i].  No distance is NaN, since
+   points and atoms are finite.  One allocation of scratch, 9 rows of
+   items and 9 of terms; -1 if out of memory. */
+int row_sups(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos, const int64_t *powers,
+             int64_t q, int64_t lanes, const double *w, int64_t d, const double *g, double *tstar,
+             const double *mass, double *hl, uint8_t *diverges)
 {
+    if (rows == 0 || (d == 0 && !mass)) return 0;
+    /* 8 rows of a block and the sort's scratch; 8 rows of terms and the
+       gathered terms of one; the sort's bound and count */
+    item *xs = malloc((n + 1) * (9 * sizeof *xs + 9 * sizeof(double) + 2 * sizeof(int64_t)));
+    if (!xs) return -1;
+    double *kws = (double *)(xs + 9 * n), *kw = kws + 8 * n;
+    int64_t *bound = (int64_t *)(kw + n), *count = bound + n + 1;
 #ifdef SUP_AVX512
-    if (lanes == 8) return table_rows_avx512(rows, n, dim, pts, pos, powers, q, w, order, dist_desc, kw_desc);
+    if (lanes == 8) {
+        row_sups_avx512(rows, n, dim, pts, pos, powers, q, w, d, g, tstar, mass, hl, diverges, xs, kws, kw, bound,
+                        count);
+        free(xs);
+        return 0;
+    }
 #endif
     (void)lanes;
-    if (rows == 0 || n == 0) return 0;
-    item *buf = malloc(2 * n * sizeof *buf);
-    double *kw = malloc(n * sizeof *kw);
-    int64_t *bound = malloc((n + 1) * sizeof *bound), *count = malloc((n + 1) * sizeof *count);
-    if (!buf || !kw || !bound || !count) { free(buf); free(kw); free(bound); free(count); return -1; }
-    for (int64_t r = 0; r < rows; r++, pts += dim, order += n, dist_desc += n, kw_desc += n) {
+    for (int64_t i = 0; i < rows; i++, pts += dim) {
         for (int64_t j = 0; j < n; j++) {
-            double r2 = norm2(dim, pts, pos + j * dim), d = sqrt(r2);
-            buf[j] = (item){d, j};
-            kw[j] = (d > 0.0 ? kernel(dim, pts, pos + j * dim, powers, q, r2) : 0.0) * w[j];
+            double r2 = norm2(dim, pts, pos + j * dim), r = sqrt(r2);
+            xs[j] = (item){r, j};
+            if (d) kws[j] = (r > 0.0 ? kernel(dim, pts, pos + j * dim, powers, q, r2) : 0.0) * w[j];
         }
-        item *x = sort_row(buf, buf + n, n, bound, count);
-        for (int64_t j = 0; j < n; j++) order[j] = x[j].idx, dist_desc[j] = x[j].key, kw_desc[j] = kw[x[j].idx];
+        item *row = sort_row(xs, xs + n, n, bound, count);
+        if (d) {
+            for (int64_t j = 0; j < n; j++) kw[j] = kws[row[j].idx];
+            tstar_row(n, d, g, row, kw, rows, tstar + i);
+        }
+        if (mass) hl_row(n, dim, mass, row, hl + i, diverges + i);
     }
-    free(buf); free(kw); free(bound); free(count);
+    free(xs);
     return 0;
 }
 
@@ -480,61 +542,4 @@ int pair_partials(int64_t rows, int64_t n, int64_t dim, const double *pts, const
                          max_term, counts);
         }
     return 0;
-}
-
-/* T*: per density k of the stack g (n atoms x d densities, atom-major)
-   and row i, the max of |prefix| of g[order[j] * d + k] * kw[j] at the
-   last j of each group of equal dist[j], and 0, into out[k * rows + i] */
-void maximal_values(int64_t rows, int64_t n, int64_t d, int64_t lanes, const double *g, const int64_t *order,
-                    const double *dist, const double *kw, double *out)
-{
-#ifdef SUP_AVX512
-    if (lanes == 8) {
-        maximal_rows_avx512(rows, n, d, g, order, dist, kw, out);
-        return;
-    }
-#endif
-    (void)lanes;
-    for (int64_t i = 0; i < rows; i++, order += n, dist += n, kw += n)
-        for (int64_t k = 0; k < d; k++) {
-            double s = 0.0, c = 0.0, best = 0.0;
-            for (int64_t j = 0; j < n; j++) {
-                double t = g[order[j] * d + k] * kw[j];
-                if (j == 0) s = t; else SUM2_ADD(s, c, t);
-                double a = fabs(s + c);
-                if ((j == n - 1 || dist[j] != dist[j + 1]) && (a > best || a != a)) best = a;  /* NaN sticks, as in np.max */
-            }
-            out[k * rows + i] = best;
-        }
-}
-
-/* M: the distances read backwards (ascending); the max of prefix(mass[order])
-   * (1 / (d * ... * d)), dim - 1 factors, at the last atom of each distance
-   group with d > 0, and 0.  Mass > 0 at distance 0 diverges: +inf. */
-void hl_maximal_values(int64_t rows, int64_t n, int64_t dim, int64_t lanes, const double *mass,
-                       const int64_t *order, const double *dist, double *out, uint8_t *diverges)
-{
-#ifdef SUP_AVX512
-    if (lanes == 8) {
-        hl_rows_avx512(rows, n, dim, mass, order, dist, out, diverges);
-        return;
-    }
-#endif
-    (void)lanes;
-    for (int64_t i = 0; i < rows; i++, order += n, dist += n) {
-        double s = 0.0, c = 0.0, best = 0.0;
-        uint8_t div = 0;
-        for (int64_t j = n - 1; j >= 0; j--) {
-            double m = mass[order[j]], d = dist[j], power = 1.0;
-            if (j == n - 1) s = m; else SUM2_ADD(s, c, m);
-            div |= d == 0.0 && m > 0.0;
-            if (d > 0.0 && (j == 0 || d != dist[j - 1])) {
-                for (int64_t k = 1; k < dim; k++) power *= d;
-                double v = (s + c) * (1.0 / power);
-                if (v > best || v != v) best = v;
-            }
-        }
-        diverges[i] = div;
-        out[i] = div ? INFINITY : best;
-    }
 }

@@ -4,8 +4,8 @@ These deliberately avoid the breakpoint/suffix machinery of the package:
 sums are evaluated by direct masking per truncation radius and
 accumulated error-free (``math.fsum``, correctly rounded), so they can
 certify the fast paths; ``truncated`` is the single-point T^eps
-reference, and ``line_pv`` and ``line_tstar`` are closed forms on a
-line.  The single-eps pairing, its four overlap blocks and the Fubini
+reference, and ``line_pv``, ``line_tstar`` and ``line_hl`` are closed
+forms on a line.  The single-eps pairing, its four overlap blocks and the Fubini
 residual are one ``pair_sum_stats`` call per restricted atom set,
 independent of the multi-eps schedule that ``pairing.convergence_study``
 runs.
@@ -14,7 +14,8 @@ The second half is the reference of each compiled loop of ``sups.c``,
 in plain numpy over whole arrays and with the loop's operations in its
 order, so the two agree bit for bit: distances add the squares one
 coordinate at a time, kernel terms are ``evaluate_many``'s, rows sort by
-numpy's stable argsort, and sums are Sum2 (``siolab.summation``).
+numpy's stable argsort (``table_rows``, the whole (P, N) table that the
+compiled sups never hold), and sums are Sum2 (``siolab.summation``).
 """
 
 import math
@@ -107,6 +108,25 @@ def line_tstar(s, t):
     A larger eps excludes a chord that is symmetric about s, so it
     cancels, or that reaches past an end, and then |T^eps 1| decreases."""
     return abs(0.5 * math.log(((s + 1.0) ** 2 + t * t) / ((s - 1.0) ** 2 + t * t)))
+
+
+def line_hl(s, t):
+    """M1 of the arc measure of the segment [-1, 1] x {0} in the plane
+    (n = 2: the mass of the closed ball B(x, r) over r) at the point
+    (s, t), |s| < 1, t > 0.  With p = 1 - |s| and q = 1 + |s|, the ball of
+    radius r >= t holds the chord of half-length sqrt(r^2 - t^2), cut at
+    the near end from r^2 = p^2 + t^2 and at the far one from q^2 + t^2:
+    2 sqrt(r^2 - t^2) / r grows up to the near end, (p + sqrt(r^2 - t^2))
+    / r has its sup where r^2 = t^2 (p^2 + t^2) / p^2 if that radius is
+    below the far end (t^2 / p <= q), and 2 / r decreases past it:
+    2p / sqrt(p^2 + t^2) if t <= p; else sqrt(p^2 + t^2) / t if
+    t^2 / p <= q; else 2 / sqrt(q^2 + t^2)."""
+    p, q = 1.0 - abs(s), 1.0 + abs(s)
+    if t <= p:
+        return 2.0 * p / math.sqrt(p * p + t * t)
+    if t * t / p <= q:
+        return math.sqrt(p * p + t * t) / t
+    return 2.0 / math.sqrt(q * q + t * t)
 
 
 def interval_pairing(p, q):
@@ -283,7 +303,9 @@ def group_ends(dist):
 
 
 def table_rows(nu, kernel, pts):
-    """(order, dist_desc, kw_desc) of ``TruncationTable(nu, kernel, pts)``."""
+    """(order, dist_desc, kw_desc), (P, N) each: per point, the atoms by
+    distance descending, ties in atom order, their distances and the
+    kernel terms K(x - y) w(y) in that order, as ``row_sups`` sorts a row."""
     diffs, dist = distances(pts, nu.positions)
     order, dist_desc = stable_desc(dist)
     kw = kernel_terms(kernel, diffs, dist) * nu.weights
@@ -302,19 +324,20 @@ def truncated_batch(nu, kernel, g, pts, eps):
     return sum2_prefix(np.where(dist > eps[:, None], kernel_terms(kernel, diffs, dist) * gw, 0.0))[:, -1]
 
 
-def maximal_values(table, gs):
-    """``TruncationTable.maximal_values``, (D, P): per density, the max
-    of |Sum2 prefix| at the group ends of each row, and 0."""
-    ends = group_ends(table.dist_desc)
+def maximal_values(nu, kernel, pts, gs):
+    """``TruncationTable(nu, kernel, pts).maximal_values(gs)``, (D, P):
+    per density, the max of |Sum2 prefix| of g[order] * kw_desc at the
+    group ends of each row of ``table_rows``, and 0."""
+    order, dist_desc, kw_desc = table_rows(nu, kernel, pts)
+    ends, stack = group_ends(dist_desc), density_stack(gs, nu)
     return np.array([
-        np.max(np.abs(sum2_prefix(g[table.order] * table.kw_desc)), axis=1, where=ends, initial=0.0)
-        for g in density_stack(gs, table.measure).T
-    ])
+        np.max(np.abs(sum2_prefix(g[order] * kw_desc)), axis=1, where=ends, initial=0.0) for g in stack.T
+    ]).reshape(stack.shape[1], len(pts))
 
 
 def hl_maximal_batch(nu, g, pts):
-    """``operators.hl_maximal_batch``, (values, diverges): the table's
-    rows read backwards, the max over the group ends at distance r > 0 of
+    """``operators.hl_maximal_batch``, (values, diverges): the rows of
+    ``table_rows`` read backwards, the max over the group ends at distance r > 0 of
     the Sum2 prefix of the masses |g| w times 1 / (r ... r), n - 1
     factors, and 0; +inf (diverges) where mass > 0 sits at distance 0."""
     order, dist = (a[:, ::-1] for a in stable_desc(distances(pts, nu.positions)[1]))

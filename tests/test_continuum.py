@@ -3,11 +3,15 @@
 On a straight line the Riesz kernel K = x_1 / |x|^2 is the Hilbert
 kernel, and its principal value has a closed form (``oracles.line_pv``),
 as has T* of the constant density on the flat line, on it and off it
-(``oracles.line_tstar``), and so has the pairing of two intervals
+(``oracles.line_tstar``), the maximal function M of the constant density
+off it (``oracles.line_hl``), and the pairing of two intervals
 (``oracles.interval_pairing``).  The graph measure of the line is the
 midpoint rule of its arc measure, so at an atom the truncated sums of
 ``pv_estimate`` and the exact sup of ``TruncationTable.maximal_values``
-converge to those closed forms at second order in the grid step h.  The
+converge to those closed forms at second order in the grid step h.  M
+is a sup of ball masses over radii, and a ball's discrete mass is off by
+up to one atom at each end of its chord, so M converges at first order.
+The
 truncated pairing of two overlapping intervals misses the pairs within
 eps of each other near the ends of the overlap, so it converges at first
 order in eps.
@@ -19,10 +23,10 @@ import numpy as np
 import pytest
 
 import siolab as sl
-from siolab.operators import geometric_schedule
+from siolab.operators import geometric_schedule, hl_maximal_batch
 from siolab.pairing import SimpleFunction, convergence_study
 
-from oracles import interval_pairing, line_pv, line_tstar
+from oracles import interval_pairing, line_hl, line_pv, line_tstar
 
 # the largest |error| / h^2 measured on these cases is 0.189 (slope 0,
 # s = 0.55, m = 256); each 4x refinement shrank the error 15.8 to 16.3x
@@ -32,6 +36,12 @@ _MIN_ORDER = 1.8
 # 0.153 (s = 0.55 on the line, m = 256; -9.3e-6 there and -3.6e-8 at
 # m = 4096); each 4x refinement shrank the error 15.9 to 16.0x
 _TSTAR_REL_ERROR_PER_H2 = 0.2
+# M's error / h measured on these cases is positive, 0.325 to 1.139 (s =
+# 0.55, t = 0.3, m = 1024, where the sup sits at the near end of the
+# segment and the end's offset from the grid varies with m); observed
+# orders 0.84 to 1.16
+_HL_ERROR_PER_H = 1.2
+_HL_ORDERS = (0.8, 1.2)
 # the pairing's |error| / eps measured at eps = 32h, 16h, 8h and 4h (m =
 # 4096): 1.98, 1.97, 1.93 and 1.86 (3.6e-3 at 4h); observed orders 1.01
 # to 1.05
@@ -81,6 +91,24 @@ def test_tstar_on_a_line_converges_to_its_closed_form(s, lift):
         steps.append(h)
         assert errors[-1] <= _TSTAR_REL_ERROR_PER_H2 * h * h, (m, errors[-1] / (h * h))
     assert min(_observed_orders(errors, steps)) >= _MIN_ORDER
+
+
+@pytest.mark.parametrize("s, t", [(-0.35, 0.1), (0.15, 0.1), (0.55, 0.3), (0.55, 0.6), (0.15, 1.0)])
+def test_hl_on_a_line_converges_to_its_closed_form(s, t):
+    # M of the constant density off the flat line, through hl_maximal_batch
+    # (the sort of row_sups with no densities): the first three points
+    # take line_hl's near-end branch, (0.55, 0.6) its interior sup and
+    # (0.15, 1.0) its far-end branch
+    graph = sl.LipschitzGraph(2, sl.Affine((0.0,)))
+    errors, steps = [], []
+    for m in (256, 1024, 4096):
+        nu = sl.graph_measure(graph, [(-1.0, 1.0)], m)
+        h = nu.resolution
+        (value,), (diverges,) = hl_maximal_batch(nu, None, [[s, t]])
+        errors.append(abs(value - line_hl(s, t)))
+        steps.append(h)
+        assert not diverges and errors[-1] <= _HL_ERROR_PER_H * h, (m, errors[-1] / h)
+    assert all(_HL_ORDERS[0] <= order <= _HL_ORDERS[1] for order in _observed_orders(errors, steps))
 
 
 def test_pairing_of_two_balls_on_a_line_converges_to_its_closed_form():

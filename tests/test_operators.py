@@ -753,10 +753,12 @@ def test_every_truncated_entry_is_truncated_batch(n_atoms):
 
 
 def test_truncation_table_byte_guard(monkeypatch):
-    # both builders of table rows, the table and hl_maximal_batch's sort
+    # every caller of row_sups, checked on the cells it would sort before
+    # the call: the table's two sups and hl_maximal_batch
     nu, g = random_config(Rng(75), 40)
     pts = Rng(76).points_in_box(10, [(-1, 1)] * 2)
-    builders = (lambda: sl.TruncationTable(nu, sl.RieszComponent(2, 0), pts), lambda: hl_maximal_batch(nu, g, pts))
+    table = sl.TruncationTable(nu, sl.RieszComponent(2, 0), pts)
+    builders = (lambda: table.maximal_values([g]), lambda: table.sups([g], g), lambda: hl_maximal_batch(nu, g, pts))
     for build in builders:
         monkeypatch.setattr(operators, "TABLE_BYTES_GUARD", 10 * 40 * operators._TABLE_BYTES_PER_CELL - 1)
         with pytest.raises(ValueError, match="truncation table byte guard exceeded"):
@@ -765,14 +767,40 @@ def test_truncation_table_byte_guard(monkeypatch):
         build()
 
 
-def test_table_bytes_per_cell_is_the_arrays_a_table_holds():
-    # the (P, N) arrays are the table; besides them it keeps only its (P, n) points
-    nu, _ = random_config(Rng(75), 40)
-    table = sl.TruncationTable(nu, sl.RieszComponent(2, 0), Rng(76).points_in_box(10, [(-1, 1)] * 2))
-    arrays = {name: a for name, a in vars(table).items() if isinstance(a, np.ndarray)}
-    assert arrays.pop("points").shape == (10, 2)
-    assert all(a.shape == (10, 40) for a in arrays.values())
-    assert sum(a.itemsize for a in arrays.values()) == operators._TABLE_BYTES_PER_CELL == 24
+def test_table_holds_no_row_array():
+    # a table is its measure, its kernel and its own (P, n) points, before
+    # and after its sups: each row is sorted and read in the compiled pass
+    nu, g = random_config(Rng(75), 40)
+    pts = Rng(76).points_in_box(10, [(-1, 1)] * 2)
+    table = sl.TruncationTable(nu, sl.RieszComponent(2, 0), pts)
+    for read in (lambda: None, lambda: table.maximal_values([g]), lambda: table.sups([g], g)):
+        read()
+        assert vars(table).keys() == {"measure", "kernel", "points"}
+        assert table.points.shape == (10, 2) and table.points.base is None and np.array_equal(table.points, pts)
+
+
+# the traced peak of the test below: 1,063,940 to 1,064,652 bytes measured
+# (the (D, P) output, 819,200, the atom-major (N, D) copy of the stack,
+# 204,800, and the table's copy of its points, 32,768), under 2 MiB; a
+# (P, N) table of 24 bytes per cell would add 24 MiB
+_MAXIMAL_VALUES_PEAK_BYTES = 2 << 20
+
+
+def test_maximal_values_traced_peak_holds_no_table():
+    # a 2048-point chunk of SeparatedBoundedness against 512 atoms with 50
+    # densities, the table made and read inside the trace: the numpy side
+    # allocates the output and the stack, no (P, N) array
+    rng = np.random.default_rng(2048)
+    nu = sl.DiscreteMeasure(rng.uniform(-1.0, 1.0, (512, 2)), rng.uniform(0.0, 1.0, 512), 1e-3)
+    pts, gs = rng.uniform(-1.0, 1.0, (2048, 2)), rng.uniform(-1.0, 1.0, (50, 512))
+    operators._compiled()  # built and loaded before the trace
+    tracemalloc.start()
+    try:
+        values = sl.TruncationTable(nu, sl.RieszComponent(2, 0), pts).maximal_values(gs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (50, 2048) and peak <= _MAXIMAL_VALUES_PEAK_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -911,35 +939,47 @@ def _sequential_sum2(row):
     return out
 
 
-def _scan_table(terms, valid):
-    """A TruncationTable whose row i gathers ``terms[i]`` itself (the
-    identity order and g = 1), with descending distances whose group ends
-    are the candidates ``valid`` (the last index always is one): at j, the
-    number of candidates at or after j."""
-    assert valid[:, -1].all()
-    table = object.__new__(sl.TruncationTable)
-    table.measure = sl.DiscreteMeasure(np.zeros((terms.shape[1], 2)), np.ones(terms.shape[1]), 1.0)
-    table.order = np.tile(np.arange(terms.shape[1]), (len(terms), 1))
-    table.dist_desc = np.cumsum(valid[:, ::-1], axis=1)[:, ::-1].astype(float)
-    table.kw_desc = np.array(terms, dtype=float)
-    assert oracles.group_ends(table.dist_desc).tolist() == valid.tolist()
-    return table
+def _unit_kernel(dim):
+    """A stand-in kernel of monomial form P = 0, q = 0: K = 1 off the pole
+    (a term at distance 0 is 0, as for every kernel), so that with unit
+    weights a row's terms are its density's values."""
+    return SimpleNamespace(monomial=((0,) * dim, 0), evaluate_many=lambda diffs: np.ones(np.shape(diffs)[1]))
+
+
+def _scan_row(valid, weights=None):
+    """(measure, kernel, point): one point, the origin, whose row lists the
+    atoms in index order, so the stable order is the identity, at
+    non-increasing distances whose group ends are the candidates ``valid``
+    (the last index always is one).  Atom j sits on the first axis at the
+    number of candidates at or after j, so a tie is a run of coincident
+    atoms.  Unit weights by default, which with ``_unit_kernel`` make a
+    term the density's value."""
+    assert valid[-1]
+    positions = np.zeros((len(valid), 2))
+    positions[:, 0] = np.cumsum(valid[::-1])[::-1]
+    nu = sl.DiscreteMeasure(positions, np.ones(len(valid)) if weights is None else weights, 1.0)
+    x = np.zeros((1, 2))
+    order, dist_desc, _ = oracles.table_rows(nu, _unit_kernel(2), x)
+    assert order.tolist() == [list(range(len(valid)))] and oracles.group_ends(dist_desc).tolist() == [list(valid)]
+    return nu, _unit_kernel(2), x
 
 
 def _assert_sups_within_sum2_bound(terms, valid=None):
-    """T* of ``_scan_table``: its oracle's bits, the max of |Sum2 prefix|
-    at the candidates (all by default), and within the largest Sum2
-    prefix bound of the exact sup, since |max|a| - max|b|| <= max|a - b|."""
+    """T* of each row of ``terms`` as the density of a ``_scan_row``: its
+    oracle's bits, the max of |Sum2 prefix| at the candidates (all by
+    default), and within the largest Sum2 prefix bound of the exact sup,
+    since |max|a| - max|b|| <= max|a - b|."""
     valid = np.ones(terms.shape, dtype=bool) if valid is None else valid
-    table = _scan_table(terms, valid)
-    compiled = table.maximal_values([None])[0]
-    assert compiled.tolist() == oracles.maximal_values(table, [None])[0].tolist()
     for i, row in enumerate(terms):
+        nu, k, x = _scan_row(valid[i])
+        compiled = sl.TruncationTable(nu, k, x).maximal_values([row])
+        assert compiled.tobytes() == oracles.maximal_values(nu, k, x, [row]).tobytes()
+        compiled = compiled[0, 0]
         exact = _exact_prefixes(row)
         kept = [(p, e) for p, (e, _), v in zip(_sequential_sum2(row.tolist()), exact, valid[i]) if v]
-        assert compiled[i] == max([abs(p) for p, _ in kept], default=0.0)
+        assert compiled == max([abs(p) for p, _ in kept], default=0.0)
         bound = max(_sum2_bound(e, j + 1, a) for j, (e, a) in enumerate(exact))
-        assert abs(Fraction(compiled[i]) - max([abs(e) for _, e in kept], default=Fraction(0))) <= bound
+        assert abs(Fraction(compiled) - max([abs(e) for _, e in kept], default=Fraction(0))) <= bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -1128,8 +1168,8 @@ def test_empty_measure_gives_zeros():
     assert table.maximal_values([None]).tolist() == [zeros]
     assert table.truncated_values(None, 0.5).tolist() == zeros
     assert table.truncated_values_per_point(None, np.array([0.5, 1.0])).tolist() == zeros
-    values, diverges = table.hl_maximal_values(None)
-    assert values.tolist() == zeros and not diverges.any()
+    tstar, (values, diverges) = table.sups([None], None)
+    assert tstar.tolist() == [zeros] and values.tolist() == zeros and not diverges.any()
     assert truncated_batch(nu, k, None, pts, 0.5).tolist() == zeros
     values, diverges = sl.operators.hl_maximal_batch(nu, None, pts)
     assert values.tolist() == zeros and not diverges.any()
@@ -1173,10 +1213,11 @@ def test_maximal_values_exact_on_cancelling_ties():
     pts = np.array([[0.0, 0.0], [0.0, 0.0]])
     table = sl.TruncationTable(nu, k, pts)
     compiled = table.maximal_values([g])[0]
-    assert compiled.tolist() == oracles.maximal_values(table, [g])[0].tolist()
-    terms = table.kw_desc * g[table.order]
+    assert compiled.tolist() == oracles.maximal_values(nu, k, pts, [g])[0].tolist()
+    order, dist_desc, kw_desc = oracles.table_rows(nu, k, pts)
+    terms = kw_desc * g[order]
     for i, row in enumerate(terms):
-        exact = max(abs(p) for (p, _), v in zip(_exact_prefixes(row), oracles.group_ends(table.dist_desc)[i]) if v)
+        exact = max(abs(p) for (p, _), v in zip(_exact_prefixes(row), oracles.group_ends(dist_desc)[i]) if v)
         assert compiled[i] == float(exact)
 
 
@@ -1186,69 +1227,83 @@ def _lane_counts():
     return sorted({1, operators._compiled().lanes})
 
 
-def _sup_copies(table, gs):
-    """T* of ``table`` for the stack ``gs``, (D, P), by each way this host
-    computes it: the entry, each copy (``_lane_counts``) and the loop of
-    one scalar call per density; and by the oracle."""
-    out = {"entry": table.maximal_values(gs)}
+def _call_row_sups(nu, kernel, pts, stack, mass, lanes):
+    """(T*, M, diverges) of one direct call of ``row_sups`` in the copy of
+    ``lanes``, the stack atom-major (N, D); M and diverges are None
+    without mass."""
+    tstar = np.empty((stack.shape[1], len(pts)))
+    values, diverges = (None, None) if mass is None else (np.empty(len(pts)), np.empty(len(pts), dtype=bool))
+    cells = operators._cells(kernel.monomial, pts, nu.positions)
+    assert operators._compiled().row_sups(*cells, lanes, nu.weights, stack.shape[1], stack, tstar, mass, values,
+                                          diverges) == 0
+    return tstar, values, diverges
+
+
+def _sup_copies(nu, kernel, pts, gs):
+    """T* at ``pts`` for the stack ``gs``, (D, P), by each way this host
+    computes it: the entries, each copy (``_lane_counts``) with and
+    without M, and the loop of one scalar call per density; and by the
+    oracle."""
+    table = sl.TruncationTable(nu, kernel, pts)
+    out = {"entry": table.maximal_values(gs), "sups": table.sups(gs, None)[0]}
     with np.errstate(over="ignore", invalid="ignore"):
-        out["oracle"] = oracles.maximal_values(table, gs)
-    lib = operators._compiled()
-    stack = operators.density_stack(gs, table.measure)
-
-    def run(columns, lanes):
-        values = np.empty((columns.shape[1], len(table.order)))
-        lib.maximal_values(*table.order.shape, columns.shape[1], lanes, columns, table.order, table.dist_desc,
-                           table.kw_desc, values)
-        return values
-
-    out.update({f"lanes={lanes}": run(stack, lanes) for lanes in _lane_counts()})
-    out["per_density"] = np.concatenate([run(np.ascontiguousarray(stack[:, k : k + 1]), 1) for k in range(len(gs))])
+        out["oracle"] = oracles.maximal_values(nu, kernel, pts, gs)
+    stack = operators.density_stack(gs, nu)
+    mass = nu.weights.copy()
+    for lanes in _lane_counts():
+        out[f"lanes={lanes}"] = _call_row_sups(nu, kernel, pts, stack, None, lanes)[0]
+        out[f"lanes={lanes} with M"] = _call_row_sups(nu, kernel, pts, stack, mass, lanes)[0]
+    out["per_density"] = np.concatenate(
+        [_call_row_sups(nu, kernel, pts, np.ascontiguousarray(stack[:, k : k + 1]), None, 1)[0] for k in range(len(gs))]
+    )
     return out
 
 
-def _assert_copies_bit_equal(table, gs):
-    copies = _sup_copies(table, gs)
+def _assert_copies_bit_equal(nu, kernel, pts, gs):
+    copies = _sup_copies(nu, kernel, pts, gs)
     reference = copies["per_density"]
-    assert reference.shape == (len(gs), len(table.order))
+    assert reference.shape == (len(gs), len(pts))
     for name, values in copies.items():
         assert values.shape == reference.shape and values.tobytes() == reference.tobytes(), name
     return reference
 
 
-def _lane_table(kind, rng):
-    """(table, atom count) for the lane tests: ``_scan_table`` rows with
-    distance ties, the cancellation mix of terms or infinite and NaN terms,
-    or a table of points on integer-grid atoms (zero distances and ties)."""
+def _lane_case(kind, rng):
+    """(measure, kernel, points) for the lane tests, 37 atoms on an integer
+    grid (exact distance ties): points on atoms (zero distances) and off
+    them; off them, ``_unit_kernel`` terms of weights that cancel (1e16, 1
+    and 1e-6) or of weights 1e300 whose terms overflow, to +-inf for a
+    density near 1e9 and to NaN prefixes where they meet."""
     n = 37
+    positions = rng.integers(-2, 3, size=(n, 2)).astype(float)
     if kind == "zero_distance":
-        positions = rng.integers(-2, 3, size=(n, 2)).astype(float)
         nu = sl.DiscreteMeasure(positions, rng.uniform(0.0, 1.0, n), 1e-3)
-        return sl.TruncationTable(nu, sl.RieszComponent(2, 1), np.vstack([positions[:4], [[0.5, 0.0]]])), n
-    valid = rng.random((5, n)) < 0.3
-    valid[:, -1] = True
+        return nu, sl.RieszComponent(2, 1), np.vstack([positions[:4], [[0.5, 0.0]]])
+    pts = rng.integers(-2, 3, size=(5, 2)) + rng.choice([0.5, 0.25], (5, 2))
     if kind == "ties":
-        terms = rng.uniform(-1.0, 1.0, (5, n))
-    elif kind == "cancellation":
-        terms = rng.choice([1e16, -1e16, 1.0, -1.0, 1e-6, 0.0], (5, n))
+        return sl.DiscreteMeasure(positions, rng.uniform(0.0, 1.0, n), 1e-3), sl.RieszComponent(2, 0), pts
+    if kind == "cancellation":
+        weights = rng.choice([1e16, 1.0, 1e-6, 0.0], n)
     else:  # nan_terms
-        terms = rng.choice([math.inf, -math.inf, math.nan, 1.0, -2.0], (5, n), p=[0.05, 0.05, 0.02, 0.44, 0.44])
-        terms[0] = 1.0  # one row of finite terms
-    return _scan_table(terms, valid), n
+        weights = rng.choice([1e300, 1.0, 2.0], n, p=[0.1, 0.45, 0.45])
+    return sl.DiscreteMeasure(positions, weights, 1e-3), _unit_kernel(2), pts
 
 
 @pytest.mark.parametrize("d", [1, 9, 13, 50])
 @pytest.mark.parametrize("kind", ["ties", "zero_distance", "cancellation", "nan_terms"])
 def test_sup_copies_bit_equal_to_the_per_density_loop(kind, d):
     # each density is one lane's Sum2, its operations in their order, so
-    # every copy gives the bits of one scalar pass per density; D = 9 and
-    # 13 leave a partial last block of 8 lanes
+    # every copy gives the bits of one scalar pass per density, with M
+    # taken from the same rows or not; D = 9 and 13 leave a partial last
+    # block of 8 lanes
     rng = np.random.default_rng(d)
-    table, n = _lane_table(kind, rng)
-    gs = rng.uniform(-1.0, 1.0, (d, n)) * rng.choice([1.0, 0.0, 1e9], (d, 1))
-    values = _assert_copies_bit_equal(table, gs)
+    nu, k, pts = _lane_case(kind, rng)
+    gs = rng.uniform(-1.0, 1.0, (d, nu.count)) * rng.choice([1.0, 0.0, 1e9], (d, 1))
     if kind == "nan_terms":
-        assert np.isfinite(values[:, 0]).all() and np.isnan(values).any()
+        gs[-1] = rng.uniform(-1.0, 1.0, nu.count) * 1e9  # one density whose terms overflow
+    values = _assert_copies_bit_equal(nu, k, pts, gs)
+    if kind == "nan_terms":
+        assert (values[np.all(gs == 0.0, axis=1)] == 0.0).all() and np.isnan(values).any()
 
 
 @pytest.mark.parametrize("d", [1, 9])
@@ -1256,47 +1311,57 @@ def test_sup_copies_bit_equal_to_the_per_density_loop(kind, d):
 def test_sup_copies_on_empty_tables(shape, d):
     rows, n = shape
     nu = sl.DiscreteMeasure(np.arange(2.0 * n).reshape(n, 2), np.ones(n), 1e-3)
-    table = sl.TruncationTable(nu, sl.RieszComponent(2, 0), np.zeros((rows, 2)))
-    values = _assert_copies_bit_equal(table, np.ones((d, n)))
+    values = _assert_copies_bit_equal(nu, sl.RieszComponent(2, 0), np.zeros((rows, 2)), np.ones((d, n)))
     assert values.tolist() == [[0.0] * rows] * d
 
 
 def test_nan_lane_leaves_the_other_lanes_bits():
-    # density 4 turns the terms +-1e300 into +-inf, whose sum is NaN, in
-    # its lane alone; the other lanes of its block of 8 and of the next
-    # keep the bits of their one-density passes
+    # density 4 turns the terms of the two atoms of weight 1e300 into +inf
+    # and -inf, whose sum is NaN, in its lane alone; the other lanes of
+    # its block of 8 and of the next keep the bits of their one-density
+    # passes
     rng = np.random.default_rng(5)
-    terms = np.hstack([[[1e300, -1e300]] * 3, rng.uniform(-1.0, 1.0, (3, 20))])
-    table = _scan_table(terms, np.ones(terms.shape, dtype=bool))
+    nu, k, pts = _scan_row(np.ones(22, dtype=bool), np.concatenate([[1e300, 1e300], rng.uniform(0.0, 1.0, 20)]))
+    pts = np.repeat(pts, 3, axis=0)
     gs = rng.uniform(-1.0, 1.0, (11, 22))
-    gs[4] = 1e300
-    values = _assert_copies_bit_equal(table, gs)
+    gs[4, :2] = 1e300, -1e300
+    values = _assert_copies_bit_equal(nu, k, pts, gs)
     assert np.isnan(values[4]).all() and np.isfinite(np.delete(values, 4, axis=0)).all()
-    for k, g in enumerate(gs):
-        assert table.maximal_values([g]).tobytes() == values[k].tobytes()
+    table = sl.TruncationTable(nu, k, pts)
+    for i, g in enumerate(gs):
+        assert table.maximal_values([g]).tobytes() == values[i].tobytes()
 
 
-def _row_loops(nu, kernel, g, pts, eps, w_pts, schedule):
-    """The four row loops of ``sups.c`` through their package entries: the
-    table's rows (``table_rows``), T^eps (``truncated_rows``), M from the
-    table and from ``hl_maximal_batch``'s own sort (``hl_maximal_values``),
-    and the pair engine of the points, of weights ``w_pts``, against the
-    atoms (``pair_partials``)."""
+def _order_stack(rng, d, n):
+    """A (D, N) stack of densities whose Sum2 prefixes show the order of a
+    tie: values of 1e16, 1 and 1e-6 with random signs and mantissas, whose
+    TwoSum errors the sum c adds with rounding that depends on their
+    order."""
+    return rng.choice([1e16, 1.0, 1e-6, 0.0], (d, n)) * rng.uniform(-1.0, 1.0, (d, n))
+
+
+def _row_loops(nu, kernel, g, stack, pts, eps, w_pts, schedule):
+    """The three row loops of ``sups.c`` through their package entries:
+    the sups (``row_sups``) of the table, T* and M from one sort, T* alone
+    and M alone (``hl_maximal_batch``, with no densities), T^eps
+    (``truncated_rows``) and the pair engine of the points, of weights
+    ``w_pts``, against the atoms (``pair_partials``)."""
     table = sl.TruncationTable(nu, kernel, pts)
+    tstar, (values, diverges) = table.sups(stack, g)
     return {
-        "table_rows": (table.order, table.dist_desc, table.kw_desc),
+        "row_sups": (tstar, values, diverges, table.maximal_values(stack), *hl_maximal_batch(nu, g, pts)),
         "truncated_rows": (truncated_batch(nu, kernel, g, pts, eps),),
-        "hl_maximal_values": (*table.hl_maximal_values(g), *hl_maximal_batch(nu, g, pts)),
         "pair_partials": operators._pair_partials(pts, w_pts, nu.positions, nu.weights, kernel, schedule),
     }
 
 
-def _row_oracles(nu, kernel, g, pts, eps, w_pts, schedule):
-    """``_row_loops`` by the loops' oracles in ``tests/oracles.py``."""
+def _row_oracles(nu, kernel, g, stack, pts, eps, w_pts, schedule):
+    """``_row_loops`` by the loops' oracles in ``tests/oracles.py``: the
+    sups by ``table_rows`` and the sups over its rows."""
+    tstar, hl = oracles.maximal_values(nu, kernel, pts, stack), oracles.hl_maximal_batch(nu, g, pts)
     return {
-        "table_rows": oracles.table_rows(nu, kernel, pts),
+        "row_sups": (tstar, *hl, tstar, *hl),
         "truncated_rows": (oracles.truncated_batch(nu, kernel, g, pts, eps),),
-        "hl_maximal_values": oracles.hl_maximal_batch(nu, g, pts) * 2,
         "pair_partials": oracles.pair_partials(pts, w_pts, nu.positions, nu.weights, kernel, schedule),
     }
 
@@ -1317,26 +1382,32 @@ def _row_case(case, n_pts, dim, rng):
     return nu, g, pts, eps, rng.uniform(-1.0, 1.0, n_pts)
 
 
+_CASES = ["off_atoms", "on_atoms", "huge", "no_atoms"]
+
+
 @pytest.mark.parametrize("n_pts", [0, 1, 7, 8, 9, 17])
-@pytest.mark.parametrize("case", ["off_atoms", "on_atoms", "huge", "no_atoms"])
+@pytest.mark.parametrize("case", _CASES)
 def test_row_loop_copies_equal_their_oracles(case, n_pts):
     # each copy of each row loop, the entries run with the probe's lane
     # count replaced, bit for bit against its oracle: P = 0, one block of
     # 8 points, partial last blocks (1, 7, 9, 17), both kernel families in
-    # dims 2-4 (q odd in dim 3, even in 2 and 4); with atoms at 1e300 the
-    # odd family's terms are -inf / inf, so the pair engine's max |term|
-    # goes NaN
-    rng = np.random.default_rng(n_pts + 100 * ["off_atoms", "on_atoms", "huge", "no_atoms"].index(case))
+    # dims 2-4 (q odd in dim 3, even in 2 and 4), and D = 0 to 50
+    # densities (partial and whole blocks of 8 lanes), a different D per
+    # dimension and family; with atoms at 1e300 the odd family's terms are
+    # -inf / inf, so the pair engine's max |term| goes NaN
+    rng = np.random.default_rng(n_pts + 100 * _CASES.index(case))
     schedule = np.sqrt([9.0, 4.0, 2.0, 1.0])
+    counts = iter([0, 1, 7, 8, 9, 50])
     for dim in (2, 3, 4):
         nu, g, pts, eps, w_pts = _row_case(case, n_pts, dim, rng)
         for family in ("riesz", "odd"):
             k = _table_kernel(family, dim)
+            stack = _order_stack(rng, next(counts), nu.count)
             with np.errstate(over="ignore", invalid="ignore"):
-                reference = _row_oracles(nu, k, g, pts, eps, w_pts, schedule)
+                reference = _row_oracles(nu, k, g, stack, pts, eps, w_pts, schedule)
             for lanes in _lane_counts():
                 with mock.patch.object(operators._compiled(), "lanes", lanes):
-                    compiled = _row_loops(nu, k, g, pts, eps, w_pts, schedule)
+                    compiled = _row_loops(nu, k, g, stack, pts, eps, w_pts, schedule)
                 for loop, arrays in compiled.items():
                     for a, b in zip(arrays, reference[loop], strict=True):
                         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (loop, lanes)
@@ -1344,39 +1415,70 @@ def test_row_loop_copies_equal_their_oracles(case, n_pts):
                 assert np.isnan(compiled["pair_partials"][1]).any()
 
 
+@pytest.mark.parametrize("d", [0, 1, 7, 8, 9, 50])
+@pytest.mark.parametrize("n_pts", [0, 1, 7, 8, 9, 17])
+def test_row_sups_copies_equal_their_oracles(n_pts, d):
+    # row_sups called directly in each copy, for T* alone, M alone and
+    # both, against the oracles: P = 0 to 17 points (partial last blocks
+    # of 8) and D = 0 to 50 densities, in each case of _row_case (N = 0,
+    # points on atoms and atoms at 1e300), the odd family in dim 3
+    rng = np.random.default_rng(n_pts + 100 * d)
+    k = _table_kernel("odd", 3)
+    for case in _CASES:
+        nu, g, pts, _, _ = _row_case(case, n_pts, 3, rng)
+        gs = _order_stack(rng, d, nu.count)
+        stack, mass = operators.density_stack(gs, nu), np.abs(g) * nu.weights
+        with np.errstate(over="ignore", invalid="ignore"):
+            tstar, hl = oracles.maximal_values(nu, k, pts, gs), oracles.hl_maximal_batch(nu, g, pts)
+        for lanes in _lane_counts():
+            for with_tstar, with_mass in ((True, False), (False, True), (True, True)):
+                columns = stack if with_tstar else np.empty((nu.count, 0))
+                got = _call_row_sups(nu, k, pts, columns, mass if with_mass else None, lanes)
+                assert got[0].tobytes() == (tstar if with_tstar else np.empty((0, n_pts))).tobytes(), (case, lanes)
+                if with_mass:
+                    assert got[1].tobytes() == hl[0].tobytes() and got[2].tobytes() == hl[1].tobytes(), (case, lanes)
+
+
 @pytest.mark.parametrize("n_pts", [1, 7, 9, 17])
 def test_padding_lanes_are_never_written(n_pts):
     # a partial last block repeats the last point in its padding lanes:
     # called with P rows, no copy writes past row P of an output that has
-    # room for 8 more
+    # room for 8 more, nor into another density's rows of T*
     rng = np.random.default_rng(n_pts)
     nu, g, pts, eps, _ = _row_case("on_atoms", n_pts, 3, rng)
     k = _table_kernel("odd", 3)
     lib = operators._compiled()
     cells = operators._cells(k.monomial, pts, nu.positions)
-    n, rows = nu.count, n_pts + 8
+    d, rows = 9, n_pts + 8
+    gs = _order_stack(rng, d, nu.count)
+    stack, mass = operators.density_stack(gs, nu), np.abs(g) * nu.weights
+    tstar, (hl, hl_diverges) = oracles.maximal_values(nu, k, pts, gs), oracles.hl_maximal_batch(nu, g, pts)
     for lanes in _lane_counts():
-        order, dist, kw = np.full((rows, n), -7), np.full((rows, n), 7.0), np.full((rows, n), 7.0)
-        out, values, diverges = np.full(rows, 7.0), np.full(rows, 7.0), np.ones(rows, dtype=bool)
-        assert lib.table_rows(*cells, lanes, nu.weights, order, dist, kw) == 0
+        sups, out = np.full(d * n_pts + 8, 7.0), np.full(rows, 7.0)
+        values, diverges = np.full(rows, 7.0), np.ones(rows, dtype=bool)
+        assert lib.row_sups(*cells, lanes, nu.weights, d, stack, sups, mass, values, diverges) == 0
         lib.truncated_rows(*cells, lanes, eps, nu.weights * g, out)
-        mass = np.abs(g) * nu.weights
-        lib.hl_maximal_values(n_pts, n, 3, lanes, mass, order[:n_pts], dist[:n_pts], values, diverges)
-        for array, fill in ((order, -7), (dist, 7.0), (kw, 7.0), (out, 7.0), (values, 7.0), (diverges, True)):
-            assert (array[n_pts:] == fill).all(), lanes
+        assert sups[: d * n_pts].tobytes() == tstar.tobytes(), lanes
+        assert values[:n_pts].tobytes() == hl.tobytes() and diverges[:n_pts].tobytes() == hl_diverges.tobytes()
+        for array, fill in ((sups[d * n_pts :], 7.0), (out[n_pts:], 7.0), (values[n_pts:], 7.0),
+                            (diverges[n_pts:], True)):
+            assert (array == fill).all(), lanes
 
 
 def test_hl_maximal_values_matches_batch():
+    # M from the table's sups, with T*, equals hl_maximal_batch's, which
+    # sorts with no densities
     rng = Rng(91)
     nu, g = random_config(rng, 150)
     k = sl.RieszComponent(2, 0)
     pts = np.vstack([rng.points_in_box(20, [(-1, 1)] * 2), nu.positions[7]])
     table = sl.TruncationTable(nu, k, pts)
-    values, diverges = table.hl_maximal_values(g)
+    tstar, (values, diverges) = table.sups([g], g)
     ref_values, ref_diverges = sl.operators.hl_maximal_batch(nu, g, pts)
     assert np.array_equal(diverges, ref_diverges) and diverges[-1] and not diverges[:-1].any()
     assert math.isinf(values[-1])
     assert np.array_equal(values, ref_values)
+    assert tstar.tobytes() == table.maximal_values([g]).tobytes()
 
 
 def test_hl_maximal_values_matches_batch_with_ties():
@@ -1384,12 +1486,13 @@ def test_hl_maximal_values_matches_batch_with_ties():
     nu = sl.graph_measure(sl.LipschitzGraph(2, sl.Affine((0.0,))), [(-1.0, 1.0)], 64)
     g = Rng(93).uniforms(nu.count, -1, 1)
     pts = np.vstack([nu.positions[[3, 20]] + np.array([0.0, 0.5]), nu.positions[40]])
-    table = sl.TruncationTable(nu, sl.RieszComponent(2, 1), pts)
-    values, diverges = table.hl_maximal_values(g)
+    k = sl.RieszComponent(2, 1)
+    _, (values, diverges) = sl.TruncationTable(nu, k, pts).sups([g], g)
     ref_values, ref_diverges = sl.operators.hl_maximal_batch(nu, g, pts)
     assert np.array_equal(diverges, ref_diverges) and diverges[-1]
     assert np.array_equal(values, ref_values)
-    assert np.any(table.dist_desc[0, :-1] == table.dist_desc[0, 1:])
+    dist_desc = oracles.table_rows(nu, k, pts)[1]
+    assert np.any(dist_desc[0, :-1] == dist_desc[0, 1:])
 
 
 def _hl_reference(nu, g, x):
@@ -1423,16 +1526,16 @@ def _hl_reference(nu, g, x):
 def test_sups_equal_their_oracles(dim, n, n_pts, on_atoms, seed):
     # integer grid atoms: exact distance ties, points on atoms (zero
     # distances), some zero densities, single-atom rows and N = 0; M from
-    # the table and from hl_maximal_batch's own sort
+    # the table's sups, with T*, and from hl_maximal_batch's sort
     rng = np.random.default_rng(seed)
     positions = rng.integers(-2, 3, size=(n, dim)).astype(float)
     nu = sl.DiscreteMeasure(positions, rng.uniform(0.0, 1.0, n), 1e-3)
     g = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(-1.0, 1.0, n))
     pts = rng.integers(-2, 3, size=(n_pts, dim)) + (0.0 if on_atoms else rng.choice([0.0, 0.5], (n_pts, dim)))
     k = sl.RieszComponent(dim, 0)
-    table = sl.TruncationTable(nu, k, pts)
-    compiled = (table.maximal_values([g])[0], *table.hl_maximal_values(g), *hl_maximal_batch(nu, g, pts))
-    reference = (oracles.maximal_values(table, [g])[0], *oracles.hl_maximal_batch(nu, g, pts) * 2)
+    tstar, (values, diverges) = sl.TruncationTable(nu, k, pts).sups([g], g)
+    compiled = (tstar[0], values, diverges, *hl_maximal_batch(nu, g, pts))
+    reference = (oracles.maximal_values(nu, k, pts, [g])[0], *oracles.hl_maximal_batch(nu, g, pts) * 2)
     for a, b in zip(compiled, reference, strict=True):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert compiled[1].tolist() == [_hl_reference(nu, g, x) for x in pts]
@@ -1477,11 +1580,12 @@ def _table_kernel(family, dim):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_table_builds_equal_their_oracles(layout, family, dim, n, n_pts, on_atoms, seed):
-    # the compiled table rows (distances, kernel terms and sort fused),
-    # hl_maximal_batch's sort by the constant kernel and truncated_batch's
-    # fused masked totals, against numpy's whole-array distances,
-    # evaluate_many and stable argsort: both kernel families with odd and
-    # even q, exact ties, points on atoms, single-atom rows, N = 0, P = 0
+    # the compiled sups (distances, kernel terms, sort and sups fused), of
+    # densities whose sums show the order of a tie, hl_maximal_batch's
+    # sort with no terms and truncated_batch's fused masked totals, against
+    # numpy's whole-array distances, evaluate_many and stable argsort:
+    # both kernel families with odd and even q, exact ties, points on
+    # atoms, single-atom rows, N = 0, P = 0
     rng = np.random.default_rng(seed)
     positions = _table_atoms(layout, n, dim, rng)
     nu = sl.DiscreteMeasure(positions, rng.uniform(0.0, 1.0, n), 1e-3)
@@ -1493,16 +1597,16 @@ def test_table_builds_equal_their_oracles(layout, family, dim, n, n_pts, on_atom
     eps = rng.choice([0.5, 1.0, math.sqrt(2.0), 2.0], n_pts)  # often exactly an atom distance
     k = _table_kernel(family, dim)
 
-    table = sl.TruncationTable(nu, k, pts)
-    compiled = (table.order, table.dist_desc, table.kw_desc, *hl_maximal_batch(nu, g, pts),
-                truncated_batch(nu, k, g, pts, eps))
-    reference = (*oracles.table_rows(nu, k, pts), *oracles.hl_maximal_batch(nu, g, pts),
-                 oracles.truncated_batch(nu, k, g, pts, eps))
+    gs = np.vstack([g, _order_stack(rng, 4, n)])  # M of the last
+    tstar, (values, diverges) = sl.TruncationTable(nu, k, pts).sups(gs, gs[-1])
+    compiled = (tstar, values, diverges, *hl_maximal_batch(nu, g, pts), truncated_batch(nu, k, g, pts, eps))
+    reference = (oracles.maximal_values(nu, k, pts, gs), *oracles.hl_maximal_batch(nu, gs[-1], pts),
+                 *oracles.hl_maximal_batch(nu, g, pts), oracles.truncated_batch(nu, k, g, pts, eps))
     for a, b in zip(compiled, reference, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     if layout == "ascending" and n and n_pts:
         # from the origin, each tie group lists its atoms in index order
-        assert compiled[0][0].tolist() == sorted(range(n), key=lambda j: (-(j // 2), j))
+        assert oracles.table_rows(nu, k, pts)[0][0].tolist() == sorted(range(n), key=lambda j: (-(j // 2), j))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1610,26 +1714,79 @@ _HUGE = 1e300  # its square overflows: the distance from the origin is inf
 def test_compiled_row_sort_is_numpys_stable_argsort(rows, seed):
     # each row is a table of one point, the origin, against atoms on the
     # first axis at +-|x|, so its distances are the row (inf for _HUGE);
-    # distances are never NaN, since points and atoms are finite
-    signs = np.random.default_rng(seed).choice([-1.0, 1.0], len(rows[0]))
+    # distances are never NaN, since points and atoms are finite.  The
+    # sort shows in the sups of densities whose sums depend on the order
+    # of a tie: equal to those over numpy's stable argsort
+    rng = np.random.default_rng(seed)
+    signs = rng.choice([-1.0, 1.0], len(rows[0]))
     for row in rows:
         positions = np.zeros((len(row), 2))
         positions[:, 0] = signs * np.array(row)
         nu = sl.DiscreteMeasure(positions, np.ones(len(row)), 1e-3)
         dist = np.where(np.array(row) == _HUGE, math.inf, np.array(row))
-
-        table = sl.TruncationTable(nu, sl.RieszComponent(2, 0), np.zeros((1, 2)))
-        compiled = (table.order, table.dist_desc, table.kw_desc)
         with np.errstate(over="ignore"):  # numpy's squares of _HUGE
-            reference = oracles.table_rows(nu, sl.RieszComponent(2, 0), np.zeros((1, 2)))
-        for a, b in zip(compiled, reference, strict=True):
-            assert a.tobytes() == b.tobytes()
-        assert compiled[0].tolist() == [np.argsort(-dist, kind="stable").tolist()]
-        assert compiled[1].tolist() == [dist[compiled[0][0]].tolist()]
+            order, dist_desc, _ = oracles.table_rows(nu, sl.RieszComponent(2, 0), np.zeros((1, 2)))
+        assert order.tolist() == [np.argsort(-dist, kind="stable").tolist()]
+        assert dist_desc.tolist() == [dist[order[0]].tolist()]
+        _assert_rows_equal_oracles(nu, sl.RieszComponent(2, 0), np.zeros((1, 2)), rng)
+
+
+def _origin_tstar(dist, g, lanes):
+    """T* of g at the origin in the copy of ``lanes``: atoms on the first
+    axis at the distances ``dist``, in index order, of unit weight, and
+    ``_unit_kernel``, so that a term is g's value."""
+    positions = np.zeros((len(dist), 2))
+    positions[:, 0] = dist
+    nu = sl.DiscreteMeasure(positions, np.ones(len(dist)), 1.0)
+    with mock.patch.object(operators._compiled(), "lanes", lanes):
+        return sl.TruncationTable(nu, _unit_kernel(2), np.zeros((1, 2))).maximal_values([g])[0, 0]
+
+
+def test_a_reversed_tie_changes_the_sum2_bits():
+    # four coincident atoms make one tie group, so T* is |Sum2| of the
+    # whole row: 1e16, 1.5, -1e16 and 1e-6 in atom order, the stable
+    # order, sum to 1.5000010000000001, and with the last two reversed to
+    # 1.500001, since the sum of the TwoSum errors rounds in its order
+    terms = [1e16, 1.5, -1e16, 1e-6]
+    assert _sequential_sum2(terms)[-1] == 1.5000010000000001
+    assert _sequential_sum2(terms[:2] + terms[:1:-1])[-1] == 1.500001
+    for lanes in _lane_counts():
+        assert _origin_tstar([1.0] * 4, terms, lanes) == 1.5000010000000001
+
+
+# 40 distances alternating up and down, 20 runs, with atoms 10 and 38
+# tied at 11: a row that the bucket sort takes
+_ZIGZAG = [11.0 if j == 38 else j + 1.0 if j % 2 == 0 else 41.0 - j for j in range(40)]
+
+
+@pytest.mark.parametrize(
+    "dist, g, path",
+    [
+        # find_runs: 1, 2 ascend and 2, 3 ascend; reversing 1, 2, 2, 3
+        # whole would put atom 2 before atom 1
+        ([1.0, 2.0, 2.0, 3.0], [0.0, 1e308, -1e308, 1e308], "merge"),
+        # merge_runs: the runs 3, 2, 1 and 2 tie at 2; taking the right
+        # item would put atom 3 before atom 1
+        ([3.0, 2.0, 1.0, 2.0], [1e308, 1e308, 0.0, -1e308], "merge"),
+        # the buckets and the insertion sort: atom 10 before atom 38
+        (_ZIGZAG, [1e308 if j in (1, 10) else -1e308 if j == 38 else 0.0 for j in range(40)], "bucket"),
+    ],
+    ids=["find_runs", "merge_runs", "bucket_sort"],
+)
+def test_a_tie_across_runs_keeps_atom_order(dist, g, path):
+    # in atom order the tie group adds 1e308 to the prefix 1e308 first,
+    # which overflows (and TwoSum's error of inf is NaN), so T* is NaN;
+    # in the order with the tie reversed, -1e308 comes first and T* is
+    # 1e308
+    assert _sort_path(np.array(dist)) == path
+    for lanes in _lane_counts():
+        assert math.isnan(_origin_tstar(dist, g, lanes)), lanes
+    order = sorted(range(len(dist)), key=lambda j: (-dist[j], -j))  # the tie reversed
+    assert abs(max(_sequential_sum2([g[j] for j in order]))) == 1e308
 
 
 def _sort_path(dist):
-    """The sort ``sups.c``'s ``table_rows`` gives a row of distances (in
+    """The sort ``sups.c``'s ``row_sups`` gives a row of distances (in
     atom order): "merge" for at most 16 natural runs, else "bucket", or
     "refused" where its bucket sort hands the row back to the merge (an
     infinite distance, no spread, or more than 32 items in a bucket)."""
@@ -1660,14 +1817,16 @@ def _axis_row(dist, dim, rng):
     return positions
 
 
-def _assert_rows_equal_oracles(nu, kernel, pts):
-    """The table's rows and ``hl_maximal_batch`` (which sorts the same way)
-    equal their numpy oracles byte for byte."""
-    g = np.linspace(-1.0, 1.0, nu.count)
-    table = sl.TruncationTable(nu, kernel, pts)
-    compiled = (table.order, table.dist_desc, table.kw_desc, *hl_maximal_batch(nu, g, pts))
+def _assert_rows_equal_oracles(nu, kernel, pts, rng):
+    """The table's sups and ``hl_maximal_batch`` (which sorts the same
+    way) equal the sups over the rows of ``oracles.table_rows`` byte for
+    byte, for a ramp and densities whose sums show the order of a tie."""
+    gs = np.vstack([np.linspace(-1.0, 1.0, nu.count), _order_stack(rng, 8, nu.count)])
+    tstar, (values, diverges) = sl.TruncationTable(nu, kernel, pts).sups(gs, gs[-1])
+    compiled = (tstar, values, diverges, *hl_maximal_batch(nu, gs[0], pts))
     with np.errstate(over="ignore", invalid="ignore"):  # numpy's squares of _HUGE
-        reference = (*oracles.table_rows(nu, kernel, pts), *oracles.hl_maximal_batch(nu, g, pts))
+        reference = (oracles.maximal_values(nu, kernel, pts, gs), *oracles.hl_maximal_batch(nu, gs[-1], pts),
+                     *oracles.hl_maximal_batch(nu, gs[0], pts))
     for a, b in zip(compiled, reference, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -1685,7 +1844,7 @@ _ROW_LAYOUTS = {  # name: (distances from the origin, the sort they take)
 
 @pytest.mark.parametrize("layout", sorted(_ROW_LAYOUTS))
 def test_each_row_sort_equals_numpys_stable_argsort(layout):
-    # one layout per branch of table_rows' choice, each checked to take it:
+    # one layout per branch of row_sups' choice, each checked to take it:
     # few runs merge; spread distances are bucketed; a far outlier crowds
     # the rest into the last buckets, and an infinite distance leaves no
     # scale, so the bucket sort refuses both; all-equal rows are one run;
@@ -1696,7 +1855,7 @@ def test_each_row_sort_equals_numpys_stable_argsort(layout):
     dist = make(rng)
     assert _sort_path(np.where(dist == _HUGE, math.inf, dist)) == path
     nu = sl.DiscreteMeasure(_axis_row(dist, 3, rng), rng.uniform(0.5, 1.0, len(dist)), 1e-3)
-    _assert_rows_equal_oracles(nu, sl.RieszComponent(3, 2), np.zeros((1, 3)))
+    _assert_rows_equal_oracles(nu, sl.RieszComponent(3, 2), np.zeros((1, 3)), rng)
     if layout in ("on_atoms", "ties"):
         _, counts = np.unique(dist, return_counts=True)
         assert counts.max() > 1  # ties inside the bucket path
@@ -1711,7 +1870,7 @@ def test_outlier_and_cluster_row_of_4096_atoms_equals_its_oracle():
     dist = np.append(rng.uniform(1.0, 1.001, 4095), 1e6)
     assert _sort_path(dist) == "refused"
     nu = sl.DiscreteMeasure(_axis_row(dist, 2, rng), rng.uniform(0.5, 1.0, len(dist)), 1e-3)
-    _assert_rows_equal_oracles(nu, sl.RieszComponent(2, 0), np.zeros((3, 2)))
+    _assert_rows_equal_oracles(nu, sl.RieszComponent(2, 0), np.zeros((3, 2)), rng)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1739,7 +1898,7 @@ def test_many_run_table_rows_equal_their_oracles(layout, dim, n, n_pts, on_atoms
         positions = rng.integers(-3, 4, (n, dim)) * 0.25
     pts = positions[rng.integers(0, n, n_pts)] if on_atoms else rng.uniform(-1.5, 1.5, (n_pts, dim))
     nu = sl.DiscreteMeasure(positions, rng.uniform(0.0, 1.0, n), 1e-3)
-    _assert_rows_equal_oracles(nu, _table_kernel("odd" if seed % 2 else "riesz", dim), pts)
+    _assert_rows_equal_oracles(nu, _table_kernel("odd" if seed % 2 else "riesz", dim), pts, rng)
 
 
 @pytest.mark.parametrize("kernel", [sl.RieszComponent(2, 0), sl.RieszComponent(4, 3)])
@@ -1747,21 +1906,27 @@ def test_kernel_of_another_dimension_raises_on_both_paths(kernel):
     # the compiled pass reads the kernel's exponents by the measure's dimension
     nu = sl.DiscreteMeasure(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 0.5]]), np.ones(2), 0.1)
     pts = np.array([[0.5, 0.5, 0.5], [0.0, 1.0, 2.0]])
-    for build in (lambda: sl.TruncationTable(nu, kernel, pts), lambda: truncated_batch(nu, kernel, None, pts, 0.1)):
+    table = sl.TruncationTable(nu, kernel, pts)
+    calls = (lambda: table.maximal_values([None]), lambda: table.sups([None], None),
+             lambda: truncated_batch(nu, kernel, None, pts, 0.1))
+    for call in calls:
         with pytest.raises(ValueError):
-            build()
+            call()
     with pytest.raises(ValueError):
         sl.maximal(nu, kernel, None, pts[0])
 
 
 def test_table_rows_out_of_memory_raises():
-    # the row scratch of the table build and of the pair engine;
-    # truncated_batch allocates none
+    # the row scratch of the sups (each caller of row_sups) and of the
+    # pair engine; truncated_batch allocates none
     nu = sl.DiscreteMeasure(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2), 0.1)
-    no_memory = SimpleNamespace(table_rows=lambda *args: -1, pair_partials=lambda *args: -1, lanes=1)
+    no_memory = SimpleNamespace(row_sups=lambda *args: -1, pair_partials=lambda *args: -1, lanes=1)
+    table = sl.TruncationTable(nu, sl.RieszComponent(2, 0), np.zeros((3, 2)))
     with mock.patch.object(operators, "_compiled", lambda: no_memory):
-        with pytest.raises(MemoryError, match="table_rows"):
-            sl.TruncationTable(nu, sl.RieszComponent(2, 0), np.zeros((3, 2)))
+        for call in (lambda: table.maximal_values([None]), lambda: table.sups([None], None),
+                     lambda: hl_maximal_batch(nu, None, np.zeros((3, 2)))):
+            with pytest.raises(MemoryError, match="row_sups"):
+                call()
         with pytest.raises(MemoryError, match="pair_partials"):
             pair_sum_schedule(nu.positions, nu.weights, nu.positions, nu.weights, sl.RieszComponent(2, 0), [0.5])
 
@@ -1799,8 +1964,8 @@ def test_truncated_batch_strict_at_breakpoint():
 
 @pytest.mark.parametrize("case", ["cantor_on_atoms", "random_3d"])
 def test_hl_maximal_batch_equals_the_table_and_its_oracle(case):
-    # hl_maximal_batch's own sort gives the bits of the table's M and of
-    # the oracle; on the Cantor atoms themselves (mu = nu) rows hold zero
+    # hl_maximal_batch's sort with no densities gives the bits of the
+    # table's M, sorted with T*, and of the oracle; on the Cantor atoms themselves (mu = nu) rows hold zero
     # distances and exact ties
     rng = Rng(97)
     if case == "cantor_on_atoms":
@@ -1812,12 +1977,13 @@ def test_hl_maximal_batch_equals_the_table_and_its_oracle(case):
         pts = np.vstack([rng.points_in_box(9, [(-1, 1)] * 3), nu.positions[4]])
         k = sl.OddHomogeneous(3, (1, 0, 2))
     g = rng.uniforms(nu.count, -1.0, 1.0)
-    table = sl.TruncationTable(nu, k, pts)
     batch = hl_maximal_batch(nu, g, pts)
-    for a, b, c in zip(batch, table.hl_maximal_values(g), oracles.hl_maximal_batch(nu, g, pts), strict=True):
+    _, sups = sl.TruncationTable(nu, k, pts).sups([g], g)
+    for a, b, c in zip(batch, sups, oracles.hl_maximal_batch(nu, g, pts), strict=True):
         assert a.tobytes() == b.tobytes() == c.tobytes()
     if case == "cantor_on_atoms":
-        assert np.any(table.dist_desc == 0.0) and not oracles.group_ends(table.dist_desc).all()
+        dist_desc = oracles.table_rows(nu, k, pts)[1]
+        assert np.any(dist_desc == 0.0) and not oracles.group_ends(dist_desc).all()
 
 
 def test_pair_sum_schedule_within_bound_on_cantor_atoms():

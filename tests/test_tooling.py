@@ -277,7 +277,7 @@ def test_sups_compile_without_warnings_and_export_every_bound_symbol(tmp_path):
         and isinstance(node.ctx, ast.Load)
     }
     dll = ctypes.CDLL(str(lib))
-    exports = {"table_rows", "truncated_rows", "pair_partials", "maximal_values", "hl_maximal_values", "sup_lanes"}
+    exports = {"row_sups", "truncated_rows", "pair_partials", "sup_lanes"}
     assert exports <= bound
     assert [name for name in sorted(bound) if not hasattr(dll, name)] == []
 
@@ -315,8 +315,7 @@ def test_bound_argtypes_match_the_c_parameter_lists():
     }
     assert argtypes == params
     assert {name: len(kinds) for name, kinds in params.items()} == {
-        "table_rows": 12, "truncated_rows": 11, "pair_partials": 15, "maximal_values": 9, "hl_maximal_values": 9,
-        "sup_lanes": 0,
+        "row_sups": 15, "truncated_rows": 11, "pair_partials": 15, "sup_lanes": 0,
     }
 
 
