@@ -34,7 +34,7 @@ def _monomial_values(cols, n: int, exponents, q: int) -> np.ndarray:
     """x^P / |x|^q at each column of coordinate-major (n, M) differences,
     by the rule of the module docstring, each product taken from the
     left: |x|^2 as the squares added one coordinate at a time, as in
-    ``sups.c``'s ``norm2`` (for n < 8 that is np.sum over a row, bit for
+    ``sups.c``'s ``cells`` (for n < 8 that is np.sum over a row, bit for
     bit).  Raises at the origin."""
     cols = np.asarray(cols, dtype=float)
     if cols.ndim != 2 or len(cols) != n:

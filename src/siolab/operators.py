@@ -11,8 +11,9 @@ Summation conventions, fixed package-wide:
   point's row of distances and kernel terms, stably sorted and read
   while it is in scratch), the T^eps rows and the pair sums' partials
   run in the loops of ``sups.c``,
-  which need a C compiler (``_compiled``), in the copy that the host's
-  probe picks (``lanes``), each copy with the same bits.  T^eps has one
+  which need a C compiler (``_compiled``), each one text built at lane
+  widths 1 and 8 and run at the width that the host's probe picks
+  (``lanes``), each width with the same bits.  T^eps has one
   home, ``truncated_batch``; ``truncated`` and ``truncated_values*`` call
   it.
 * The supremum over all truncation radii is exact, not sampled: the
@@ -152,8 +153,8 @@ def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
     """T^eps g at every point, eps a scalar or one radius per point, by a
     masked Sum2 over atoms (strict truncation); no distance sort, so it
     suits one radius per point.  One compiled pass per point computes
-    each distance and kernel term and sums them (``sups.c``); with
-    ``lanes`` 8 it takes 8 points per vector, one lane each.
+    each distance and kernel term and sums them (``sups.c``), W points
+    per vector at lane width W (``lanes``), one lane each.
     """
     pts = _points(points, nu.ambient_dim)
     eps = np.ascontiguousarray(np.broadcast_to(np.asarray(eps, dtype=float), (len(pts),)))
@@ -186,10 +187,11 @@ def _compiled():
     the build directory and the tail of the compiler's message.  A compile
     removes the libraries of earlier sources from ``build/``.  ``lanes``
     holds the host's probe (``sup_lanes``, 8 with AVX-512, else 1), which
-    every caller passes to pick the copy of each loop: with 8, the row
-    loops (the sups' distances and terms, T^eps, the pair engine and M)
-    take 8 points per vector, and T* takes 8 densities; each lane keeps
-    the scalar copy's bits.  An array argument may be None, passed as
+    every caller passes to pick the lane width at which each loop runs:
+    each is one text, built at widths 1 and 8, and with 8 the row loops
+    (the sups' distances and terms, T^eps, the pair engine and M) take 8
+    points per vector and T* takes 8 densities; each lane keeps the bits
+    of width 1.  An array argument may be None, passed as
     NULL, which ``row_sups`` reads as no mass."""
     import ctypes
     import zlib
@@ -202,7 +204,9 @@ def _compiled():
             import subprocess
 
             lib.parent.mkdir(exist_ok=True)
-            build = subprocess.run(["cc", *_CFLAGS, "-o", tmp, _SUPS_SOURCE], capture_output=True, text=True)
+            # absolute: the source includes itself by __FILE__, which cc resolves from the file's directory
+            build = subprocess.run(["cc", *_CFLAGS, "-o", tmp, _SUPS_SOURCE.absolute()], capture_output=True,
+                                   text=True)
             if build.returncode != 0:
                 raise OSError("\n".join(build.stderr.splitlines()[-20:]))
             os.replace(tmp, lib)
@@ -261,8 +265,9 @@ class TruncationTable:
     pass per point computes the row's distances and kernel terms
     K(x - y) w(y) into row-sized scratch, sorts them stably and takes the
     sups from the sorted row while it is there (``row_sups`` in
-    ``sups.c``; on a host with AVX-512, 8 points per vector fill 8 rows'
-    scratch at once, one lane each, and each row is then sorted alone).
+    ``sups.c``, one loop built at lane widths 1 and 8; at width 8, on a
+    host with AVX-512, 8 points per vector fill 8 rows' scratch at once,
+    one lane each, and each row is then sorted alone).
     A row of at most 16 natural runs is merge sorted; any other is
     distributed into one bucket per atom by distance and finished by one
     insertion sort, or merge sorted if a bucket would hold more than 32
@@ -280,8 +285,8 @@ class TruncationTable:
     each, and since each lane is its density's own Sum2 with its
     operations in their order, every density gets the bits of a pass of
     its own.  Read backwards, the same sorted row serves the
-    (n-1)-dimensional maximal function, whose AVX-512 copy takes 8 rows
-    per vector, one lane each; ``sups`` takes T* and M from one sort.
+    (n-1)-dimensional maximal function, which at lane width 8 takes 8
+    rows per vector, one lane each; ``sups`` takes T* and M from one sort.
     One radius needs no sort: ``truncated_values*`` are
     ``truncated_batch`` at the table's ``points`` and ``kernel``.
 
@@ -501,8 +506,8 @@ def _pair_partials(pos_a: np.ndarray, w_a: np.ndarray, pos_b: np.ndarray, w_b: n
     row-major order (the float64 sum and the sequential sum of its
     TwoSum errors), the max |term| (NaN once a term is, as np.max) and
     the term count.  One compiled pass (``sups.c``'s ``pair_partials``);
-    its AVX-512 copy computes the terms of 8 rows per vector into
-    row-sized scratch, then bins them row by row.  MemoryError if that
+    at lane width W it computes the terms of W rows per vector into
+    scratch, then bins them row by row.  MemoryError if that
     scratch cannot be allocated."""
     partials = np.zeros((len(eps), 2))
     max_terms = np.zeros(len(eps))

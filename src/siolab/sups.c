@@ -26,15 +26,17 @@
    exceeds and keeps, per bin, the Sum2 of the bin's terms in row-major
    order unrounded (s and c), which operators.pair_sum_schedule sums in
    turn.
-   Every entry has a scalar copy and, on x86-64 hosts with AVX-512, a copy
-   that takes 8 lanes per vector, chosen at run time by its lanes argument
-   (the probe sup_lanes).  The row loops (the sups' distances and terms,
-   T^eps, the pair engine and M) put 8 points in the lanes, one each, and
-   broadcast one atom at a time; T* puts 8 densities in them.  A lane does
-   its point's or its density's operations in their order, with vsqrtpd
-   and vdivpd, which round as the scalar sqrt and division do, so every
-   lane keeps the bits of the scalar loop.  A partial last block of points
-   repeats the last point in its padding lanes, which are never written. */
+   Each loop is written once over a block of W lanes, in the loop section
+   at the end, which the file includes into itself at W = 1 with doubles,
+   for every host, and at W = 8 with vectors inside target("avx512f"),
+   run where the probe sup_lanes finds AVX-512.  The row loops (the sups'
+   distances and terms, T^eps, the pair engine and M) put W points in the
+   lanes, one each, and broadcast one atom at a time; T* puts W densities
+   in them.  A lane does its point's or its density's operations in their
+   order (vsqrtpd and vdivpd round as sqrt and division do), so every lane
+   has the bits of W = 1.  A partial last block of points repeats the last
+   point in its padding lanes, which are never written. */
+#ifndef W  /* the whole file; the loop section below is included with W defined */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -45,26 +47,6 @@
         (c) += ((t) - z_) + ((s) - (x_ - z_));       \
         (s) = x_;                                    \
     } while (0)
-
-/* |x - y|^2 for points of dim coordinates */
-static inline double norm2(int64_t dim, const double *x, const double *y)
-{
-    double r2 = (x[0] - y[0]) * (x[0] - y[0]);
-    for (int64_t k = 1; k < dim; k++) r2 += (x[k] - y[k]) * (x[k] - y[k]);
-    return r2;
-}
-
-/* K(x - y) = (x - y)^P / |x - y|^q from r2 = |x - y|^2 > 0 */
-static inline double kernel(int64_t dim, const double *x, const double *y, const int64_t *powers, int64_t q,
-                            double r2)
-{
-    double num = 1.0, power = 1.0;
-    for (int64_t k = 0; k < dim; k++)
-        for (int64_t p = 0; p < powers[k]; p++) num *= x[k] - y[k];
-    for (int64_t p = 0; p < q / 2; p++) power *= r2;
-    if (q % 2) power *= sqrt(r2);
-    return num / power;
-}
 
 typedef struct { double key; int64_t idx; } item;
 
@@ -164,47 +146,6 @@ static item *sort_row(item *x, item *y, int64_t n, int64_t *bound, int64_t *coun
     return merge_runs(x, y, runs, bound);
 }
 
-/* T* of one sorted row (n items) for each density k of the stack g (n
-   atoms x d densities, atom-major), kw the row's terms in its order: the
-   max of |prefix| of g[row[j].idx * d + k] * kw[j] at the last j of each
-   group of equal distances, and 0, into out[k * stride] */
-static void tstar_row(int64_t n, int64_t d, const double *g, const item *row, const double *kw, int64_t stride,
-                      double *out)
-{
-    for (int64_t k = 0; k < d; k++) {
-        double s = 0.0, c = 0.0, best = 0.0;
-        for (int64_t j = 0; j < n; j++) {
-            double t = g[row[j].idx * d + k] * kw[j];
-            if (j == 0) s = t; else SUM2_ADD(s, c, t);
-            double a = fabs(s + c);
-            if ((j == n - 1 || row[j].key != row[j + 1].key) && (a > best || a != a)) best = a;  /* NaN sticks, as in np.max */
-        }
-        out[k * stride] = best;
-    }
-}
-
-/* M of one sorted row read backwards (ascending): the max of
-   prefix(mass[row[j].idx]) * (1 / (r * ... * r)), dim - 1 factors, at the
-   last item of each distance group with r > 0, and 0.  Mass > 0 at
-   distance 0 diverges: +inf. */
-static void hl_row(int64_t n, int64_t dim, const double *mass, const item *row, double *out, uint8_t *diverges)
-{
-    double s = 0.0, c = 0.0, best = 0.0;
-    uint8_t div = 0;
-    for (int64_t j = n - 1; j >= 0; j--) {
-        double m = mass[row[j].idx], r = row[j].key, power = 1.0;
-        if (j == n - 1) s = m; else SUM2_ADD(s, c, m);
-        div |= r == 0.0 && m > 0.0;
-        if (r > 0.0 && (j == 0 || r != row[j - 1].key)) {
-            for (int64_t k = 1; k < dim; k++) power *= r;
-            double v = (s + c) * (1.0 / power);
-            if (v > best || v != v) best = v;
-        }
-    }
-    *diverges = div;
-    *out = div ? INFINITY : best;
-}
-
 /* The pair engine's step for an included pair (d > eps[bins - 1]) of term
    t: bin j, the first with d > eps[j], takes t into its max |t|, count
    and Sum2 */
@@ -219,219 +160,44 @@ static inline void pair_add(double d, double t, const double *eps, double *parti
     else partials[2 * j] = t;
 }
 
-/* GCC on x86-64 only: the builtins are GCC's, and the lowering below is
-   checked in GCC's output; other compilers build the scalar copies.  GCC
-   vector extensions and builtins, not immintrin.h, which would more than
-   double the compile's peak memory.  The vectors stay inside the
+/* M reads its rows in chunks of HL_CHUNK atoms */
+enum { HL_CHUNK = 64 };
+
+/* A loop's name at width W: f_1 or f_8 */
+#define L(f) L_(f, W)
+#define L_(f, w) L__(f, w)
+#define L__(f, w) f##_##w
+
+/* Width 8 on GCC on x86-64 only: the builtins are GCC's, and the lowering
+   is checked in GCC's output; other compilers build width 1.  GCC vector
+   extensions and builtins, not immintrin.h, which would more than double
+   the compile's peak memory.  The vectors stay inside the
    target("avx512f") functions (passed only by pointer), and a mask comes
    from a vector compare, which GCC turns into a mask compare and a masked
    blend there. */
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #define SUP_AVX512 1
-#define AVX512 __attribute__((target("avx512f")))
 typedef double v8d __attribute__((vector_size(64)));
 typedef long long v8l __attribute__((vector_size(64)));
-
-/* the lanes of a block of points from row i that hold rows (bit l for row
-   i + l), and the row of lane l, the last row for a padding lane */
-static inline unsigned char live_lanes(int64_t rows, int64_t i)
-{
-    return rows - i < 8 ? (1u << (rows - i)) - 1 : 0xff;
-}
-
-static inline int64_t lane_row(int64_t rows, int64_t i, int64_t l)
-{
-    return i + l < rows ? i + l : rows - 1;
-}
-
-/* the 8 doubles at p */
-#define LOAD8(p) __builtin_ia32_loadupd512_mask((p), (v8d){0}, 0xff)
-
-/* best = the NaN-sticky max of best and a in the lanes of the mask when */
-#define MAX8(best, a, when) do {                                              \
-        v8l up_ = (when) & ((v8l)((a) > (best)) | (v8l)((a) != (a)));        \
-        (best) = (v8d)(((v8l)(a) & up_) | ((v8l)(best) & ~up_));            \
-    } while (0)
-
-/* The coordinates of the points of rows i .. i + 7 into x (dim vectors),
-   one lane per row */
-AVX512 static inline void block_points(int64_t rows, int64_t i, int64_t dim, const double *pts, v8d *x)
-{
-    for (int64_t l = 0; l < 8; l++)
-        for (int64_t k = 0; k < dim; k++) x[k][l] = pts[lane_row(rows, i, l) * dim + k];
-}
-
-/* The per-row values a of rows i .. i + 7 into *v, one lane per row */
-AVX512 static inline void block_values(int64_t rows, int64_t i, const double *a, v8d *v)
-{
-    for (int64_t l = 0; l < 8; l++) (*v)[l] = a[lane_row(rows, i, l)];
-}
-
-/* norm2 and kernel for 8 points at once (x: their coordinates, one lane
-   per point) against the atom y, in the scalar operations' order: the
-   distance sqrt(r2) into *dist, by vsqrtpd, and K(x - y) into *term, NaN
-   or inf where the distance is 0, unless term is NULL */
-AVX512 static inline void cells8(int64_t dim, const v8d *x, const double *y, const int64_t *powers, int64_t q,
-                                 v8d *dist, v8d *term)
-{
-    v8d r2 = (x[0] - y[0]) * (x[0] - y[0]), num = (v8d){0} + 1.0, power = num;
-    for (int64_t k = 1; k < dim; k++) r2 += (x[k] - y[k]) * (x[k] - y[k]);
-    *dist = __builtin_ia32_sqrtpd512_mask(r2, r2, 0xff, 4);  /* 4: the current rounding mode */
-    if (!term) return;
-    for (int64_t k = 0; k < dim; k++)
-        for (int64_t p = 0; p < powers[k]; p++) num *= x[k] - y[k];
-    for (int64_t p = 0; p < q / 2; p++) power *= r2;
-    if (q % 2) power *= *dist;
-    *term = num / power;
-}
-
-/* T^eps 8 points at a time, in vectors throughout */
-AVX512 static void truncated_rows_avx512(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
-                                         const int64_t *powers, int64_t q, const double *eps, const double *gw,
-                                         double *out)
-{
-    v8d x[dim], e;
-    for (int64_t i = 0; i < rows; i += 8) {
-        block_points(rows, i, dim, pts, x);
-        block_values(rows, i, eps, &e);
-        v8d s = {0}, c = {0};
-        for (int64_t j = 0; j < n; j++) {
-            v8d d, t;
-            cells8(dim, x, pos + j * dim, powers, q, &d, &t);
-            t = (v8d)((v8l)(t * gw[j]) & (v8l)(d > e));  /* 0.0 where d <= eps */
-            if (j == 0) s = t; else SUM2_ADD(s, c, t);
-        }
-        __builtin_ia32_storeupd512_mask(out + i, s + c, live_lanes(rows, i));
-    }
-}
-
-/* The pair engine 8 rows at a time: the distances and terms of the 8
-   points into cell, the 8 lanes of an atom side by side (a row of scratch
-   per lane, as row_sups keeps, took DoubleIntegral's 2048 x 2048
-   pass 21 -> 48 ms on a 2-core Xeon: rows 16 KiB apart alias in the
-   cache), then each row's pairs binned in row-major order.  -1 if out of
-   memory. */
-AVX512 static int pair_rows_avx512(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
-                                   const int64_t *powers, int64_t q, const double *w_a, const double *w_b,
-                                   int64_t bins, const double *eps, double *partials, double *max_term,
-                                   int64_t *counts)
-{
-    if (rows == 0 || n == 0) return 0;
-    double *cell = malloc(16 * n * sizeof *cell);
-    if (!cell) return -1;
-    v8d x[dim], wa;
-    for (int64_t i = 0; i < rows; i += 8) {
-        block_points(rows, i, dim, pts, x);
-        block_values(rows, i, w_a, &wa);
-        for (int64_t b = 0; b < n; b++) {
-            v8d d, t;
-            cells8(dim, x, pos + b * dim, powers, q, &d, &t);
-            __builtin_ia32_storeupd512_mask(cell + 16 * b, d, 0xff);
-            __builtin_ia32_storeupd512_mask(cell + 16 * b + 8, t * (wa * w_b[b]), 0xff);
-        }
-        for (int64_t l = 0; l < 8 && i + l < rows; l++)
-            for (int64_t b = 0; b < n; b++)
-                if (cell[16 * b + l] > eps[bins - 1])
-                    pair_add(cell[16 * b + l], cell[16 * b + 8 + l], eps, partials, max_term, counts);
-    }
-    free(cell);
-    return 0;
-}
-
-/* tstar_row with 8 densities per vector, one per lane, the last block's
-   missing densities loaded as zeros by a masked load and not written */
-AVX512 static void tstar_row_avx512(int64_t n, int64_t d, const double *g, const item *row, const double *kw,
-                                    int64_t stride, double *out)
-{
-    for (int64_t k = 0; k < d; k += 8) {
-        v8d s = {0}, c = {0}, best = {0};
-        for (int64_t j = 0; j < n; j++) {
-            v8d t = __builtin_ia32_loadupd512_mask(g + row[j].idx * d + k, (v8d){0}, live_lanes(d, k)) * kw[j];
-            if (j == 0) s = t; else SUM2_ADD(s, c, t);
-            if (j == n - 1 || row[j].key != row[j + 1].key) {
-                v8d a = (v8d)((v8l)(s + c) & INT64_MAX);  /* fabs */
-                MAX8(best, a, (v8l){0} - 1);
-            }
-        }
-        for (int64_t l = 0; l < 8 && k + l < d; l++) out[(k + l) * stride] = best[l];
-    }
-}
-
-/* hl_row of a block of live <= 8 sorted rows, block + l n for row l, one
-   per lane (a padding lane reads the last row), read backwards in chunks
-   of HL_CHUNK atoms: each lane's masses mass[idx] and distances are
-   copied into cell, the 8 lanes of an atom side by side, and the chunk is
-   summed from there; into out[l] and diverges[l] for l < live.  (Vector
-   gathers of the indices, masses and distances in place of the copy took
-   a 500 x 700 call 0.70 -> 1.11 ms on a 2-core Xeon.) */
-enum { HL_CHUNK = 64 };
-AVX512 static void hl_block_avx512(int64_t live, int64_t n, int64_t dim, const double *mass, const item *block,
-                                   double *out, uint8_t *diverges)
-{
-    double cell[16 * (HL_CHUNK + 1)];  /* atom base + a of a chunk: its masses at 16 a, its distances at 16 a + 8 */
-    v8d s = {0}, c = {0}, best = {0}, d = {0};
-    v8l div = {0};
-    for (int64_t top = n; top > 0; top -= HL_CHUNK) {
-        int64_t lo = top > HL_CHUNK ? top - HL_CHUNK : 0, base = lo ? lo - 1 : 0;  /* the chunk is [lo, top) */
-        for (int64_t l = 0; l < 8; l++) {
-            const item *row = block + lane_row(live, 0, l) * n;
-            for (int64_t j = base; j < top; j++)
-                cell[16 * (j - base) + l] = mass[row[j].idx], cell[16 * (j - base) + 8 + l] = row[j].key;
-        }
-        if (top == n) d = LOAD8(cell + 16 * (n - 1 - base) + 8);
-        for (int64_t j = top - 1; j >= lo; j--) {
-            v8d m = LOAD8(cell + 16 * (j - base)), power = (v8d){0} + 1.0;
-            v8d next = j ? LOAD8(cell + 16 * (j - 1 - base) + 8) : d;
-            if (j == n - 1) s = m; else SUM2_ADD(s, c, m);
-            div |= (v8l)(d == 0.0) & (v8l)(m > 0.0);
-            for (int64_t k = 1; k < dim; k++) power *= d;
-            v8d v = (s + c) * (1.0 / power);
-            MAX8(best, v, (v8l)(d > 0.0) & (j ? (v8l)(d != next) : (v8l){0} - 1));
-            d = next;
-        }
-    }
-    for (int64_t l = 0; l < live; l++) {
-        diverges[l] = div[l] != 0;
-        out[l] = div[l] ? INFINITY : best[l];
-    }
-}
-
-/* row_sups 8 points at a time: the distances of the 8 points (and, with
-   densities, their terms) into a row of scratch each, xs + l n and
-   kws + l n for lane l; then each row sorted as the scalar copy sorts it,
-   back into xs + l n, its terms gathered into that order in kw and its T*
-   taken; then M of the block's rows, one per lane */
-AVX512 static void row_sups_avx512(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
-                                   const int64_t *powers, int64_t q, const double *w, int64_t d, const double *g,
-                                   double *tstar, const double *mass, double *hl, uint8_t *diverges, item *xs,
-                                   double *kws, double *kw, int64_t *bound, int64_t *count)
-{
-    v8d x[dim];
-    for (int64_t i = 0; i < rows; i += 8) {
-        int64_t live = rows - i < 8 ? rows - i : 8;
-        block_points(rows, i, dim, pts, x);
-        for (int64_t j = 0; j < n; j++) {
-            v8d r, t;
-            cells8(dim, x, pos + j * dim, powers, q, &r, d ? &t : NULL);
-            for (int64_t l = 0; l < 8; l++) xs[l * n + j] = (item){r[l], j};
-            if (!d) continue;
-            t = (v8d)((v8l)t & (v8l)(r > 0.0)) * w[j];
-            for (int64_t l = 0; l < 8; l++) kws[l * n + j] = t[l];
-        }
-        for (int64_t l = 0; l < live; l++) {
-            item *row = xs + l * n, *sorted = sort_row(row, xs + 8 * n, n, bound, count);
-            for (int64_t j = 0; sorted != row && j < n; j++) row[j] = sorted[j];
-            if (!d) continue;
-            for (int64_t j = 0; j < n; j++) kw[j] = kws[l * n + row[j].idx];
-            tstar_row_avx512(n, d, g, row, kw, rows, tstar + i + l);
-        }
-        if (mass) hl_block_avx512(live, n, dim, mass, xs, hl + i, diverges + i);
-    }
-}
+/* An entry runs its loop f at width 8 if lanes is 8, which sup_lanes
+   returns only where the host runs it, else at width 1 */
+#define BY_LANES(lanes, f, ...) ((lanes) == 8 ? f##_8(__VA_ARGS__) : f##_1(__VA_ARGS__))
+#else
+#define BY_LANES(lanes, f, ...) ((void)(lanes), f##_1(__VA_ARGS__))
 #endif
 
-/* The lane count of the fastest copies this host runs: 8 with AVX-512
-   (where the compiler builds those copies), else 1 */
+/* The loop section below, once per width */
+#define W 1
+#include __FILE__
+#undef W
+#ifdef SUP_AVX512
+#define W 8
+#include __FILE__
+#undef W
+#endif
+
+/* The lane count of the widest loops this host runs: 8 with AVX-512
+   (where the compiler builds them), else 1 */
 int sup_lanes(void)
 {
 #ifdef SUP_AVX512
@@ -441,10 +207,6 @@ int sup_lanes(void)
     return 1;
 }
 
-/* The entries.  Each runs its AVX-512 copy if lanes is 8, which sup_lanes
-   returns only where the host runs it, else its scalar loop, one point
-   (or one density) at a time. */
-
 /* The sups of the rows, one per point of pts (rows x dim) against the n
    atoms pos (n x dim) of weights w: each row's distances, sorted
    descending with ties in atom order (the order of np.argsort(-dist,
@@ -453,7 +215,7 @@ int sup_lanes(void)
    the prefix before it), in that order.  From the sorted row,
    T* of each density of the stack g (n atoms x d, atom-major; tstar_row)
    into tstar[k * rows + i], and, unless mass is NULL, M of the masses
-   mass (hl_row) into hl[i] and diverges[i].  No distance is NaN, since
+   mass (hl_block) into hl[i] and diverges[i].  No distance is NaN, since
    points and atoms are finite.  One allocation of scratch, 9 rows of
    items and 9 of terms; -1 if out of memory. */
 int row_sups(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos, const int64_t *powers,
@@ -467,28 +229,8 @@ int row_sups(int64_t rows, int64_t n, int64_t dim, const double *pts, const doub
     if (!xs) return -1;
     double *kws = (double *)(xs + 9 * n), *kw = kws + 8 * n;
     int64_t *bound = (int64_t *)(kw + n), *count = bound + n + 1;
-#ifdef SUP_AVX512
-    if (lanes == 8) {
-        row_sups_avx512(rows, n, dim, pts, pos, powers, q, w, d, g, tstar, mass, hl, diverges, xs, kws, kw, bound,
-                        count);
-        free(xs);
-        return 0;
-    }
-#endif
-    (void)lanes;
-    for (int64_t i = 0; i < rows; i++, pts += dim) {
-        for (int64_t j = 0; j < n; j++) {
-            double r2 = norm2(dim, pts, pos + j * dim), r = sqrt(r2);
-            xs[j] = (item){r, j};
-            if (d) kws[j] = (r > 0.0 ? kernel(dim, pts, pos + j * dim, powers, q, r2) : 0.0) * w[j];
-        }
-        item *row = sort_row(xs, xs + n, n, bound, count);
-        if (d) {
-            for (int64_t j = 0; j < n; j++) kw[j] = kws[row[j].idx];
-            tstar_row(n, d, g, row, kw, rows, tstar + i);
-        }
-        if (mass) hl_row(n, dim, mass, row, hl + i, diverges + i);
-    }
+    BY_LANES(lanes, sups, rows, n, dim, pts, pos, powers, q, w, d, g, tstar, mass, hl, diverges, xs, kws, kw,
+             bound, count);
     free(xs);
     return 0;
 }
@@ -499,22 +241,7 @@ int row_sups(int64_t rows, int64_t n, int64_t dim, const double *pts, const doub
 void truncated_rows(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
                     const int64_t *powers, int64_t q, int64_t lanes, const double *eps, const double *gw, double *out)
 {
-#ifdef SUP_AVX512
-    if (lanes == 8) {
-        truncated_rows_avx512(rows, n, dim, pts, pos, powers, q, eps, gw, out);
-        return;
-    }
-#endif
-    (void)lanes;
-    for (int64_t i = 0; i < rows; i++, pts += dim) {
-        double s = 0.0, c = 0.0;
-        for (int64_t j = 0; j < n; j++) {
-            double r2 = norm2(dim, pts, pos + j * dim);
-            double t = sqrt(r2) > eps[i] ? kernel(dim, pts, pos + j * dim, powers, q, r2) * gw[j] : 0.0;
-            if (j == 0) s = t; else SUM2_ADD(s, c, t);
-        }
-        out[i] = s + c;  /* 0 for n = 0 */
-    }
+    BY_LANES(lanes, truncated, rows, n, dim, pts, pos, powers, q, eps, gw, out);
 }
 
 /* The pair engine of operators.pair_sum_schedule over the pairs (x, y) of
@@ -529,17 +256,229 @@ int pair_partials(int64_t rows, int64_t n, int64_t dim, const double *pts, const
                   const int64_t *powers, int64_t q, int64_t lanes, const double *w_a, const double *w_b,
                   int64_t bins, const double *eps, double *partials, double *max_term, int64_t *counts)
 {
-#ifdef SUP_AVX512
-    if (lanes == 8)
-        return pair_rows_avx512(rows, n, dim, pts, pos, powers, q, w_a, w_b, bins, eps, partials, max_term, counts);
+    return BY_LANES(lanes, pairs, rows, n, dim, pts, pos, powers, q, w_a, w_b, bins, eps, partials, max_term,
+                    counts);
+}
+
+#else  /* the loop section, once per lane width W */
+
+/* The primitives of width W: a vector VEC of W doubles and a mask MASK of
+   W lanes, as compares give them; a load of the live lanes at p (the
+   others 0) and a store of them; the square root, |v|, t where a mask
+   holds and 0.0 elsewhere, best = the NaN-sticky max of best and a in the
+   lanes where a mask holds (as np.max), and lane l of v. */
+#if W == 1
+#define VEC double
+#define MASK int64_t
+#define TARGET
+#define LOAD(p, live) ((void)(live), *(p))
+#define STORE(p, v, live) ((void)(live), *(p) = (v))
+#define SQRT(v) sqrt(v)
+#define ABS(v) fabs(v)
+#define KEEP(t, when) ((when) ? (t) : 0.0)
+#define MAX(best, a, when) do { if (when) { double a_ = (a); if (a_ > (best) || a_ != a_) (best) = a_; } } while (0)
+#define LANE(v, l) (v)
+#else
+#define VEC v8d
+#define MASK v8l
+#define TARGET __attribute__((target("avx512f")))
+#define LOAD(p, live) __builtin_ia32_loadupd512_mask((p), (v8d){0}, (1u << (live)) - 1)
+#define STORE(p, v, live) __builtin_ia32_storeupd512_mask((p), (v), (1u << (live)) - 1)
+#define SQRT(v) __builtin_ia32_sqrtpd512_mask((v), (v), 0xff, 4)  /* 4: the current rounding mode */
+#define ABS(v) ((v8d)((v8l)(v) & INT64_MAX))
+#define KEEP(t, when) ((v8d)((v8l)(t) & (v8l)(when)))
+#define MAX(best, a, when) do {                                         \
+        v8d a_ = (a);                                                   \
+        v8l up_ = (when) & ((v8l)(a_ > (best)) | (v8l)(a_ != a_));       \
+        (best) = (v8d)(((v8l)a_ & up_) | ((v8l)(best) & ~up_));         \
+    } while (0)
+#define LANE(v, l) ((v)[l])
 #endif
-    (void)lanes;
-    for (int64_t i = 0; i < rows; i++, pts += dim)
-        for (int64_t b = 0; b < n; b++) {
-            double r2 = norm2(dim, pts, pos + b * dim), d = sqrt(r2);
-            if (d > eps[bins - 1])
-                pair_add(d, kernel(dim, pts, pos + b * dim, powers, q, r2) * (w_a[i] * w_b[b]), eps, partials,
-                         max_term, counts);
+
+/* The coordinates of the points of rows i .. i + W - 1 into x (dim
+   vectors), one lane per row, a padding lane taking the last row */
+TARGET static inline void L(block_points)(int64_t rows, int64_t i, int64_t dim, const double *pts, VEC *x)
+{
+    for (int64_t l = 0; l < W; l++)
+        for (int64_t k = 0; k < dim; k++) LANE(x[k], l) = pts[(i + l < rows ? i + l : rows - 1) * dim + k];
+}
+
+/* The distances of W points (x: their coordinates, one lane per point) to
+   the atom y into *dist and, unless term is NULL, K(x - y) into *term, NaN
+   or inf where the distance is 0 */
+TARGET static inline void L(cells)(int64_t dim, const VEC *x, const double *y, const int64_t *powers, int64_t q,
+                                   VEC *dist, VEC *term)
+{
+    VEC r2 = (x[0] - y[0]) * (x[0] - y[0]), num = (VEC){0} + 1.0, power = num;
+    for (int64_t k = 1; k < dim; k++) r2 += (x[k] - y[k]) * (x[k] - y[k]);
+    *dist = SQRT(r2);
+    if (!term) return;
+    for (int64_t k = 0; k < dim; k++)
+        for (int64_t p = 0; p < powers[k]; p++) num *= x[k] - y[k];
+    for (int64_t p = 0; p < q / 2; p++) power *= r2;
+    if (q % 2) power *= *dist;
+    *term = num / power;
+}
+
+/* T^eps, W points at a time */
+TARGET static void L(truncated)(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
+                                     const int64_t *powers, int64_t q, const double *eps, const double *gw,
+                                     double *out)
+{
+    VEC x[dim];
+    for (int64_t i = 0; i < rows; i += W) {
+        int64_t live = rows - i < W ? rows - i : W;
+        VEC e = LOAD(eps + i, live), s = {0}, c = {0};
+        L(block_points)(rows, i, dim, pts, x);
+        for (int64_t j = 0; j < n; j++) {
+            VEC d, t;
+            L(cells)(dim, x, pos + j * dim, powers, q, &d, &t);
+            t = KEEP(t * gw[j], d > e);  /* 0.0 where d <= eps */
+            if (j == 0) s = t; else SUM2_ADD(s, c, t);
         }
+        STORE(out + i, s + c, live);  /* 0 for n = 0 */
+    }
+}
+
+/* The pair engine W rows at a time: the distances and terms of the W
+   points into cell, the W lanes of an atom side by side (a row of scratch
+   per lane, as row_sups keeps, took DoubleIntegral's 2048 x 2048 pass at
+   W = 8 21 -> 48 ms on a 2-core Xeon: rows 16 KiB apart alias in the
+   cache), then each row's pairs binned in row-major order.  -1 if out of
+   memory. */
+TARGET static int L(pairs)(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
+                               const int64_t *powers, int64_t q, const double *w_a, const double *w_b, int64_t bins,
+                               const double *eps, double *partials, double *max_term, int64_t *counts)
+{
+    if (rows == 0 || n == 0) return 0;
+    double *cell = malloc(2 * W * n * sizeof *cell);
+    if (!cell) return -1;
+    VEC x[dim];
+    for (int64_t i = 0; i < rows; i += W) {
+        int64_t live = rows - i < W ? rows - i : W;
+        VEC wa = LOAD(w_a + i, live);
+        L(block_points)(rows, i, dim, pts, x);
+        for (int64_t b = 0; b < n; b++) {
+            VEC d, t;
+            L(cells)(dim, x, pos + b * dim, powers, q, &d, &t);
+            STORE(cell + 2 * W * b, d, W);
+            STORE(cell + 2 * W * b + W, t * (wa * w_b[b]), W);
+        }
+        for (int64_t l = 0; l < live; l++)
+            for (int64_t b = 0; b < n; b++)
+                if (cell[2 * W * b + l] > eps[bins - 1])
+                    pair_add(cell[2 * W * b + l], cell[2 * W * b + W + l], eps, partials, max_term, counts);
+    }
+    free(cell);
     return 0;
 }
+
+/* T* of one sorted row (n items) for each density k of the stack g (n
+   atoms x d densities, atom-major), W densities per vector, one per lane
+   (the last block's missing densities loaded as zeros and not written),
+   kw the row's terms in its order: the max of |prefix| of
+   g[row[j].idx * d + k] * kw[j] at the last j of each group of equal
+   distances, and 0, into out[k * stride].  Not inlined: inside sups at
+   W = 1 its loop kept pointers on the stack, 4% slower at d = 50. */
+TARGET __attribute__((noinline)) static void L(tstar_row)(int64_t n, int64_t d, const double *g, const item *row,
+                                                          const double *kw, int64_t stride, double *out)
+{
+    for (int64_t k = 0; k < d; k += W) {
+        int64_t live = d - k < W ? d - k : W;
+        VEC s = {0}, c = {0}, best = {0};
+        for (int64_t j = 0; j < n; j++) {
+            VEC t = LOAD(g + row[j].idx * d + k, live) * kw[j];
+            if (j == 0) s = t; else SUM2_ADD(s, c, t);
+            if (j == n - 1 || row[j].key != row[j + 1].key) MAX(best, ABS(s + c), -1);  /* -1: every lane */
+        }
+        for (int64_t l = 0; l < live; l++) out[(k + l) * stride] = LANE(best, l);
+    }
+}
+
+/* M of a block of live <= W sorted rows, rows[l] for lane l (a padding
+   lane reads the last row), each read backwards
+   (ascending): the max of prefix(mass[row[j].idx]) * (1 / (r * ... * r)),
+   dim - 1 factors, at the last item of each distance group with r > 0,
+   and 0, into out[l].  Mass > 0 at distance 0 diverges: +inf, and
+   diverges[l] set.  A chunk of HL_CHUNK atoms of each lane's masses and
+   distances is copied into cell, the W lanes of an atom side by side, and
+   summed from there.  (At W = 8, vector gathers of the indices, masses
+   and distances in place of the copy took a 500 x 700 call 0.70 -> 1.11
+   ms on a 2-core Xeon.) */
+TARGET static void L(hl_block)(int64_t live, int64_t n, int64_t dim, const double *mass, item *const *rows,
+                               double *out, uint8_t *diverges)
+{
+    double cell[2 * W * (HL_CHUNK + 1)];  /* atom base + a of a chunk: its masses at 2 W a, its distances next */
+    VEC s = {0}, c = {0}, best = {0}, d = {0};
+    MASK div = {0};
+    for (int64_t top = n; top > 0; top -= HL_CHUNK) {
+        int64_t lo = top > HL_CHUNK ? top - HL_CHUNK : 0, base = lo ? lo - 1 : 0;  /* the chunk is [lo, top) */
+        for (int64_t l = 0; l < W; l++) {
+            const item *row = rows[l < live ? l : live - 1];
+            for (int64_t j = base; j < top; j++)
+                cell[2 * W * (j - base) + l] = mass[row[j].idx], cell[2 * W * (j - base) + W + l] = row[j].key;
+        }
+        if (top == n) d = LOAD(cell + 2 * W * (n - 1 - base) + W, W);
+        for (int64_t j = top - 1; j >= lo; j--) {
+            VEC m = LOAD(cell + 2 * W * (j - base), W), power = (VEC){0} + 1.0;
+            VEC next = j ? LOAD(cell + 2 * W * (j - 1 - base) + W, W) : (VEC){0} + NAN;  /* a row's end: d != NaN */
+            if (j == n - 1) s = m; else SUM2_ADD(s, c, m);
+            div |= (MASK)(d == 0.0) & (MASK)(m > 0.0);
+            for (int64_t k = 1; k < dim; k++) power *= d;
+            MAX(best, (s + c) * (1.0 / power), (MASK)(d > 0.0) & (MASK)(d != next));
+            d = next;
+        }
+    }
+    for (int64_t l = 0; l < live; l++) {
+        diverges[l] = LANE(div, l) != 0;
+        out[l] = LANE(div, l) ? INFINITY : LANE(best, l);
+    }
+}
+
+/* The sups W points at a time: the distances of the W points (and, with
+   densities, their terms) into a row of scratch each, row[l] and
+   kws + l n for lane l; then each row sorted, its terms gathered into
+   that order in kw and its T* taken; then M of the block's rows, one per
+   lane.  xs holds W + 1 rows: a row sorted into the spare one trades
+   places with it. */
+TARGET static void L(sups)(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
+                               const int64_t *powers, int64_t q, const double *w, int64_t d, const double *g,
+                               double *tstar, const double *mass, double *hl, uint8_t *diverges, item *xs,
+                               double *kws, double *kw, int64_t *bound, int64_t *count)
+{
+    VEC x[dim];
+    item *row[W], *spare = xs + W * n;
+    for (int64_t l = 0; l < W; l++) row[l] = xs + l * n;
+    for (int64_t i = 0; i < rows; i += W) {
+        int64_t live = rows - i < W ? rows - i : W;
+        L(block_points)(rows, i, dim, pts, x);
+        for (int64_t j = 0; j < n; j++) {
+            VEC r, t;
+            L(cells)(dim, x, pos + j * dim, powers, q, &r, d ? &t : NULL);
+            for (int64_t l = 0; l < W; l++) row[l][j] = (item){LANE(r, l), j};
+            if (!d) continue;
+            t = KEEP(t, r > 0.0) * w[j];
+            for (int64_t l = 0; l < W; l++) kws[l * n + j] = LANE(t, l);
+        }
+        for (int64_t l = 0; l < live; l++) {
+            item *sorted = sort_row(row[l], spare, n, bound, count);
+            if (sorted == spare) spare = row[l], row[l] = sorted;
+            if (!d) continue;
+            for (int64_t j = 0; j < n; j++) kw[j] = kws[l * n + row[l][j].idx];
+            L(tstar_row)(n, d, g, row[l], kw, rows, tstar + i + l);
+        }
+        if (mass) L(hl_block)(live, n, dim, mass, row, hl + i, diverges + i);
+    }
+}
+
+#undef VEC
+#undef MASK
+#undef TARGET
+#undef LOAD
+#undef STORE
+#undef SQRT
+#undef ABS
+#undef KEEP
+#undef MAX
+#undef LANE
+#endif

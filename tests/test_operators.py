@@ -1465,7 +1465,7 @@ def test_padding_lanes_are_never_written(n_pts):
             assert (array == fill).all(), lanes
 
 
-def test_hl_maximal_values_matches_batch():
+def test_table_sups_m_matches_batch():
     # M from the table's sups, with T*, equals hl_maximal_batch's, which
     # sorts with no densities
     rng = Rng(91)
@@ -1481,7 +1481,7 @@ def test_hl_maximal_values_matches_batch():
     assert tstar.tobytes() == table.maximal_values([g]).tobytes()
 
 
-def test_hl_maximal_values_matches_batch_with_ties():
+def test_table_sups_m_matches_batch_with_ties():
     # both sort descending and stably, so a tie group sums in one order
     nu = sl.graph_measure(sl.LipschitzGraph(2, sl.Affine((0.0,))), [(-1.0, 1.0)], 64)
     g = Rng(93).uniforms(nu.count, -1, 1)
@@ -1916,7 +1916,7 @@ def test_kernel_of_another_dimension_raises_on_both_paths(kernel):
         sl.maximal(nu, kernel, None, pts[0])
 
 
-def test_table_rows_out_of_memory_raises():
+def test_row_sups_and_pair_partials_out_of_memory_raise():
     # the row scratch of the sups (each caller of row_sups) and of the
     # pair engine; truncated_batch allocates none
     nu = sl.DiscreteMeasure(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2), 0.1)

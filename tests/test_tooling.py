@@ -322,9 +322,24 @@ def test_bound_argtypes_match_the_c_parameter_lists():
 def test_sups_include_only_the_c_library_headers_they_need():
     # a cold build's cc1 counts in the benchmark's peak RSS: immintrin.h
     # raised the compile's peak from 36 to 101 MiB (GCC vector extensions
-    # and builtins need no header)
+    # and builtins need no header); the file also includes itself, its
+    # loop section once per lane width
     includes = re.findall(r"^\s*#\s*include\s*(\S+)", (PACKAGE / "sups.c").read_text(), re.MULTILINE)
-    assert includes == ["<math.h>", "<stdint.h>", "<stdlib.h>"]
+    assert [header for header in includes if header != "__FILE__"] == ["<math.h>", "<stdint.h>", "<stdlib.h>"]
+
+
+def test_each_compiled_loop_is_written_once():
+    # the loops are one text built at each lane width (a definition of L(f)
+    # is f's), not a scalar copy and a vector twin kept bit-equal by hand;
+    # only the entries are exported
+    source = re.sub(r"__attribute__\(\(\w+\)\) ", "", (PACKAGE / "sups.c").read_text())
+    names = [re.sub(r"^L\((\w+)\)$", r"\1", name)
+             for name in re.findall(r"^(?!typedef )[A-Za-z][\w ]* \**(L\(\w+\)|\w+)\(", source, re.MULTILINE)]
+    assert len(names) == len(set(names))
+    assert {"cells", "tstar_row", "hl_block", "sups", "truncated", "pairs"} <= set(names)
+    assert [name for name in names if "avx512" in name] == []
+    exported = re.findall(r"^(?!static |TARGET static )\w+ \**(\w+)\(", source, re.MULTILINE)
+    assert sorted(exported) == ["pair_partials", "row_sups", "sup_lanes", "truncated_rows"]
 
 
 def _builds_avx512_copies() -> bool:
