@@ -507,6 +507,7 @@ def scenario_carleson(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> Sc
 
     rows = []
     ratios: dict[str, list[float]] = {name: [] for name, _ in densities}
+    infinite = False  # a row with lhs > 0 and rhs == 0: the ratio is unbounded
     for m in prm["resolutions"]:
         with blame("scenario.resolutions"):  # sets the atom counts
             mu = measure.build(SlabAboveGraphSpec(graph, box, m, thickness, prm["levels"], 0.0))
@@ -522,10 +523,11 @@ def scenario_carleson(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> Sc
             rows.append([m, name, lhs, rhs, ratio])
             if rhs > 0:
                 ratios[name].append(ratio)
+            infinite |= lhs > 0 and rhs == 0
 
     report = ScenarioReport("carleson", {})
     report.add_table("metrics", ["resolution", "density", "lhs", "rhs", "ratio"], rows)
-    bounded = _growth_bounded(ratios.values(), _GROWTH_CAP)
+    bounded = not infinite and _growth_bounded(ratios.values(), _GROWTH_CAP)
     report.add_verdict("embedding_ratio_bounded", bounded, f"growth cap {_GROWTH_CAP:g}")
     return report
 

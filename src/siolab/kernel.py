@@ -1,25 +1,23 @@
 """Odd C^1 convolution kernels with certified size and gradient constants.
 
-The catalog holds homogeneous kernels of degree -(n-1):
-
-* ``RieszComponent(n, axis)``: K(x) = x_i / |x|^n.
-* ``OddHomogeneous(n, exponents)``: K(x) = x^P / |x|^(n-1+d) for a
-  monomial exponent vector P of odd total degree d.
-
-Both are monomial kernels K(x) = x^P / |x|^q, and each exposes its
-(P, q) as ``monomial``: Riesz axis i is (e_i, n), ``OddHomogeneous`` is
-(P, n-1+d).  ``evaluate_many`` and the compiled loops of ``sups.c``
-share one rule, so they give the same bits: |x|^2 adds the squares one
-coordinate at a time, the numerator multiplies its factors in coordinate
-order, and |x|^q is q // 2 factors |x|^2, times sqrt(|x|^2) when q is
+The catalog is one family of homogeneous kernels of degree -(n-1),
+``OddHomogeneous(n, exponents)``: K(x) = x^P / |x|^(n-1+d) for a
+monomial exponent vector P of odd total degree d.  Each exposes its
+(P, q) with K(x) = x^P / |x|^q as ``monomial``.  A Riesz component
+``RieszComponent(n, axis)``, K(x) = x_i / |x|^n, is its degree-1 member
+P = e_i, q = n, which declares the exact gradient constant.
+``evaluate_many`` and the compiled loops of ``sups.c`` share one rule,
+so they give the same bits: |x|^2 adds the squares one coordinate at a
+time, the numerator multiplies its factors in coordinate order from 1.0,
+and |x|^q is q // 2 factors |x|^2 from 1.0, times sqrt(|x|^2) when q is
 odd (numpy's ``**`` may round differently with its SIMD dispatch).
 
 Oddness is exact at the formula level: negating the argument negates
 the numerator bit-for-bit while |x| is unchanged, so K(-x) == -K(x)
 holds bitwise.  The size constant c0 (sup of |K(x)| |x|^(n-1)) is known
-in closed form for both families; the gradient constant c1 (sup of
-|grad K(x)| |x|^n) is exact for Riesz components and a safe upper bound
-for general monomials.  Declared constants can be overridden upward.
+in closed form; the gradient constant c1 (sup of |grad K(x)| |x|^n) is
+exact for Riesz components and a safe upper bound for general
+monomials.  Declared constants can be overridden upward.
 """
 
 from __future__ import annotations
@@ -32,67 +30,28 @@ import numpy as np
 
 def _monomial_values(cols, n: int, exponents, q: int) -> np.ndarray:
     """x^P / |x|^q at each column of coordinate-major (n, M) differences,
-    by the rule of the module docstring, each product taken from the
-    left: |x|^2 as the squares added one coordinate at a time, as in
-    ``sups.c``'s ``cells`` (for n < 8 that is np.sum over a row, bit for
-    bit).  Raises at the origin."""
+    by the rule of the module docstring, as ``sups.c``'s ``cells`` takes
+    it: |x|^2 as the squares added one coordinate at a time (for n < 8
+    that is np.sum over a row, bit for bit), and the numerator and |x|^q
+    as products from 1.0, each factor multiplied in from the left.  Writes
+    into no argument; raises at the origin."""
     cols = np.asarray(cols, dtype=float)
     if cols.ndim != 2 or len(cols) != n:
         raise ValueError(f"expected ({n}, M) coordinate columns, got shape {cols.shape}")
     norm2 = cols[0] * cols[0]
     for k in range(1, n):
-        norm2 += cols[k] * cols[k]
+        norm2 = norm2 + cols[k] * cols[k]
     if np.any(norm2 == 0.0):
         raise ValueError("kernel evaluated at the origin")
-    num = _product([cols[i] for i, p in enumerate(exponents) for _ in range(p)])
-    power = _product([norm2] * (q // 2))
-    if q % 2:  # norm2 is not read again: its root may take its buffer unless power is norm2
-        np.multiply(power, np.sqrt(norm2, out=None if power is norm2 else norm2), out=power)
-    return np.divide(num, power, out=power)
-
-
-def _product(factors):
-    """The product of the arrays taken from the left: the only factor
-    itself, or one new buffer that each further factor multiplies in place."""
-    out = factors[0]
-    for i, f in enumerate(factors[1:]):
-        out = out * f if i == 0 else np.multiply(out, f, out=out)
-    return out
-
-
-@dataclass(eq=False)
-class RieszComponent:
-    """K(x) = x_i / |x|^n, the i-th component of the Riesz kernel."""
-
-    ambient_dim: int
-    axis: int
-    c0_declared: float | None = None
-    c1_declared: float | None = None
-
-    def __post_init__(self):
-        n = self.ambient_dim
-        if n < 2:
-            raise ValueError("ambient_dim must be >= 2")
-        if not 0 <= self.axis < n:
-            raise ValueError("axis must index a coordinate")
-        if self.c0_declared is None:
-            self.c0_declared = 1.0  # |x_i| <= |x| with equality on the axis
-        if self.c1_declared is None:
-            # |grad K|^2 = (|x|^2 + (n^2 - 2n) x_i^2) / |x|^(2n+2),
-            # maximized on the axis: |grad K| |x|^n = n - 1.
-            self.c1_declared = float(n - 1)
-        if not (self.c0_declared > 0 and self.c1_declared > 0):
-            raise ValueError("declared constants must be > 0")
-
-    @property
-    def monomial(self) -> tuple[tuple[int, ...], int]:
-        """(P, q) with K(x) = x^P / |x|^q: (e_axis, n)."""
-        n = self.ambient_dim
-        return tuple(int(i == self.axis) for i in range(n)), n
-
-    def evaluate_many(self, cols: np.ndarray) -> np.ndarray:
-        """K at each column of coordinate-major (n, M) differences."""
-        return _monomial_values(cols, self.ambient_dim, *self.monomial)
+    num = power = 1.0
+    for i, p in enumerate(exponents):
+        for _ in range(p):
+            num = num * cols[i]
+    for _ in range(q // 2):
+        power = power * norm2
+    if q % 2:
+        power = power * np.sqrt(norm2)
+    return num / power
 
 
 @dataclass(eq=False)
@@ -136,6 +95,26 @@ class OddHomogeneous:
     def evaluate_many(self, cols: np.ndarray) -> np.ndarray:
         """K at each column of coordinate-major (n, M) differences."""
         return _monomial_values(cols, self.ambient_dim, *self.monomial)
+
+
+class RieszComponent(OddHomogeneous):
+    """K(x) = x_i / |x|^n, the i-th component of the Riesz kernel: the
+    degree-1 ``OddHomogeneous`` with P = e_i, whose sphere bounds give
+    c0 = 1 exactly and whose c1 defaults to the exact n - 1."""
+
+    def __init__(self, ambient_dim: int, axis: int, c0_declared: float | None = None,
+                 c1_declared: float | None = None):
+        if ambient_dim < 2:
+            raise ValueError("ambient_dim must be >= 2")
+        if not 0 <= axis < ambient_dim:
+            raise ValueError("axis must index a coordinate")
+        self.axis = axis
+        # |grad K|^2 = (|x|^2 + (n^2 - 2n) x_i^2) / |x|^(2n+2),
+        # maximized on the axis: |grad K| |x|^n = n - 1.
+        super().__init__(ambient_dim, tuple(int(i == axis) for i in range(ambient_dim)), c0_declared,
+                         float(ambient_dim - 1) if c1_declared is None else c1_declared)
+
+    evaluate_many = OddHomogeneous.evaluate_many  # bound here too, where perfbench/tracing.py wraps it
 
 
 # ---------------------------------------------------------------------------

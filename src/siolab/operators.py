@@ -41,14 +41,12 @@ from .measure import DiscreteMeasure
 from .summation import sum2_prefix
 
 PAIR_COUNT_GUARD = 10**10
-# bounds the P x N cells one _row_sups call sorts (a TruncationTable's
-# sups, or hl_maximal_batch's), at 24 bytes per cell (a row's item, its
-# distance and atom index, and its kernel term), not memory the call
-# holds: it sorts one row at a time in O(N) scratch.  The guard admits
-# 2048-point chunks against the 4^6 atoms of a generation-6 Cantor set
-# (201 MB) with room to spare.
-TABLE_BYTES_GUARD = 1 << 30
-_TABLE_BYTES_PER_CELL = 24
+# bounds the P x N (point, atom) cells one _row_sups call sorts (a
+# TruncationTable's sups, or hl_maximal_batch's), not memory the call
+# holds: it sorts one row at a time in O(N) scratch.  The limit,
+# 44,739,242 cells, admits 2048-point chunks against the 4^6 atoms of a
+# generation-6 Cantor set (8.4 M cells) with room to spare.
+SORT_CELLS_GUARD = (1 << 30) // 24
 # a cone mesh template holds fewer than K (2K+1)^d points for K = 2^mesh_depth
 # levels; 2^22 admits depth 10 in d = 1, 6 in d = 2 and 4 in d = 3
 MESH_POINTS_GUARD = 1 << 22
@@ -244,11 +242,11 @@ def _row_sups(monomial, pts: np.ndarray, nu: DiscreteMeasure, stack: np.ndarray,
     (N, D) ``stack`` into a (D, P) array and, unless ``mass`` is None, M
     of the per-atom masses ``mass`` from it while it is sorted; the M pair
     is (None, None) without mass.  ValueError before the call past
-    ``TABLE_BYTES_GUARD``, MemoryError if its O(N) scratch cannot be
+    ``SORT_CELLS_GUARD`` cells, MemoryError if its O(N) scratch cannot be
     allocated."""
-    n_bytes = len(pts) * nu.count * _TABLE_BYTES_PER_CELL
-    if n_bytes > TABLE_BYTES_GUARD:
-        raise ValueError(f"truncation table byte guard exceeded: {n_bytes} bytes, limit {TABLE_BYTES_GUARD}")
+    n_cells = len(pts) * nu.count
+    if n_cells > SORT_CELLS_GUARD:
+        raise ValueError(f"sort cell guard exceeded: {n_cells} cells, limit {SORT_CELLS_GUARD}")
     tstar = np.empty((stack.shape[1], len(pts)))
     values, diverges = (None, None) if mass is None else (np.empty(len(pts)), np.empty(len(pts), dtype=bool))
     lib = _compiled()
@@ -291,8 +289,8 @@ class TruncationTable:
     ``truncated_batch`` at the table's ``points`` and ``kernel``.
 
     A call allocates its (D, P) output and O(N) scratch; one that would
-    sort more than ``TABLE_BYTES_GUARD`` bytes of cells, at 24 per (point,
-    atom) cell, raises ValueError.
+    sort more than ``SORT_CELLS_GUARD`` (point, atom) cells raises
+    ValueError.
     """
 
     def __init__(self, nu: DiscreteMeasure, kernel, points):
@@ -346,7 +344,7 @@ def hl_maximal_batch(nu: DiscreteMeasure, g, points):
     Each candidate is a Sum2 prefix of the masses |g| w, read by distance
     ascending, times 1 / (r ... r), n - 1 factors r.  The points' rows are
     sorted as a table's are, with no densities, so no kernel term is
-    computed, under the table's ``TABLE_BYTES_GUARD``, in one compiled
+    computed, under the table's ``SORT_CELLS_GUARD``, in one compiled
     pass (``_row_sups``) that takes 8 rows per vector where the host has
     AVX-512 (``_compiled``).
     """

@@ -10,38 +10,30 @@ prefixes is a max over the Sum2 prefixes of its row; ``operators``
 takes it, the T^eps row totals and the pair engine's partials (each
 kept unrounded: the float64 sum and the sum of its TwoSum errors) in
 the compiled passes of ``sups.c``, with the same operations in the same
-order.
+order.  No function here writes into its argument.
 """
 from __future__ import annotations
 
 import numpy as np
 
 
-def _two_sum_errors(terms: np.ndarray) -> np.ndarray:
-    """The float64 cumsum s of each row of a (P, N) array; ``terms`` is
-    overwritten with the exact error of each of its additions, 0 first."""
-    # s and z share one block: as two blocks they raised the peak RSS of
-    # repeated pair sums by about 8 MiB through heap fragmentation
-    buf = np.empty((2,) + terms.shape)
-    s = np.cumsum(terms, axis=1, out=buf[0])
-    # TwoSum(a, b) with x = fl(a + b): z = x - a, error (a - (x - z)) + (b - z)
+def sum2_parts(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, e) for each row of a (P, N) array: s its float64 cumsum and e
+    the exact error of each of the cumsum's additions, 0 first."""
+    s = np.cumsum(terms, axis=1)
+    # TwoSum(a, b) with x = fl(a + b): z = x - a, error (b - z) + (a - (x - z))
     a, b, x = s[:, :-1], terms[:, 1:], s[:, 1:]
-    z = np.subtract(x, a, out=buf[1][:, 1:])
-    b -= z
-    np.subtract(x, z, out=z)
-    np.subtract(a, z, out=z)
-    b += z
-    terms[:, :1] = 0.0
-    return s
+    z = x - a
+    e = np.zeros_like(s)
+    e[:, 1:] = (b - z) + (a - (x - z))
+    return s, e
 
 
 def sum2_prefix(terms: np.ndarray) -> np.ndarray:
-    """Sum2 prefix sums along each row of a (P, N) array, which is
-    overwritten: the float64 cumsum plus the cumsum of its TwoSum errors,
-    Sum2 of Ogita, Rump and Oishi ("Accurate sum and dot product", SIAM
-    J. Sci. Comput. 26, 2005) bit for bit.  The prefix S of n terms is
-    within u|S| + gamma_{n-1}^2 sum|t| (their Prop. 4.5, which holds with
-    underflow)."""
-    s = _two_sum_errors(terms)
-    s += np.cumsum(terms, axis=1, out=terms)
-    return s
+    """Sum2 prefix sums along each row of a (P, N) array: the float64
+    cumsum plus the cumsum of its TwoSum errors, Sum2 of Ogita, Rump and
+    Oishi ("Accurate sum and dot product", SIAM J. Sci. Comput. 26, 2005)
+    bit for bit.  The prefix S of n terms is within u|S| + gamma_{n-1}^2
+    sum|t| (their Prop. 4.5, which holds with underflow)."""
+    s, e = sum2_parts(terms)
+    return s + np.cumsum(e, axis=1)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from siolab.operators import density_stack, density_values, pair_sum_stats
-from siolab.summation import _two_sum_errors, sum2_prefix
+from siolab.summation import sum2_parts, sum2_prefix
 
 
 def truncated(nu, kernel, g, x, eps):
@@ -268,10 +268,10 @@ def lower_density(mu, centers, radii):
 
 
 def sum2_total(terms):
-    """(float64 sum, sum of its TwoSum errors) of a 1-D array, N >= 1,
-    which is overwritten: textbook Sum2, both sums sequential, unrounded."""
-    s = float(_two_sum_errors(terms[None, :])[0, -1])
-    return s, float(np.cumsum(terms, out=terms)[-1])
+    """(float64 sum, sum of its TwoSum errors) of a 1-D array, N >= 1:
+    textbook Sum2, both sums sequential, unrounded."""
+    s, e = sum2_parts(terms[None, :])
+    return float(s[0, -1]), float(np.cumsum(e[0])[-1])
 
 
 def distances(pts, positions):

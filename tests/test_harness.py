@@ -391,6 +391,19 @@ def test_carleson_dim3_rhs_matches_per_cone_loop(monkeypatch):
     assert rhs == [row[3] for row in looped.table("metrics").rows]
 
 
+def test_carleson_fails_on_an_infinite_ratio(monkeypatch):
+    # with N g == 0 every rhs is 0 while lhs > 0 for all but the zero
+    # density: the embedding ratio is unbounded, and the verdict says so
+    cfg = {"scenario": {"tag": "CarlesonEmbedding", "seed": "3", "resolutions": "8, 16", "mesh_depth": "3"},
+           "graph": {"profile": "sawtooth", "dim": "2", "amplitude": "0.3", "period": "0.5"}}
+    monkeypatch.setattr(scenarios, "nontangential_max_many", lambda hs, graph, apex_u, *rest: np.zeros((len(hs), len(apex_u))))
+    rep = run_scenario(config_from_dict(cfg))
+    rows = rep.table("metrics").rows
+    assert all(rhs == 0.0 and math.isnan(ratio) for _, _, _, rhs, ratio in rows)
+    assert any(lhs > 0.0 for _, _, lhs, _, _ in rows)
+    assert not rep.passed
+
+
 def test_random_density_rejects_zero_draws():
     from siolab.harness.scenarios import random_nonzero_density
 
@@ -737,7 +750,7 @@ _BALL_MU = {"kind": "uniform_on_shape", "shape": "ball", "center": "0, 0", "radi
 _SAWTOOTH = {"profile": "sawtooth", "dim": "2", "amplitude": "0.3", "period": "0.5"}
 
 
-_TABLE_LIMIT = f"limit {operators.TABLE_BYTES_GUARD}"
+_TABLE_LIMIT = f"limit {operators.SORT_CELLS_GUARD}"
 _PAIR_LIMIT = f"limit {operators.PAIR_COUNT_GUARD}"
 
 

@@ -69,9 +69,11 @@ def test_columns_equal_row_formula_bitwise(n):
     # numpy adds rows of fewer than 8 entries in order, which is the
     # kernels' coordinate loop
     x = _samples(n, 3000)
+    cols = x.T.copy()
     for k in _catalog(n):
         assert k.monomial == _monomial(k)
-        assert np.array_equal(k.evaluate_many(x.T), _row_formula(k, x))
+        assert np.array_equal(k.evaluate_many(cols), _row_formula(k, x))
+        assert cols.tobytes() == x.T.tobytes()  # written into by no kernel
         with pytest.raises(ValueError, match="origin"):
             k.evaluate_many(np.column_stack([x[0], np.zeros(n)]))
     with pytest.raises(ValueError, match="coordinate columns"):
@@ -101,6 +103,36 @@ def test_values_within_rounding_bound_of_mpmath(n):
                 num = mpmath.fprod(c**p for c, p in zip(coords, exponents))
                 exact = num / mpmath.sqrt(mpmath.fsum(c * c for c in coords)) ** q
                 assert abs(mpmath.mpf(value) - exact) <= bound * abs(exact), (type(k).__name__, row)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_riesz_component_is_the_degree_one_odd_homogeneous(n):
+    # one kernel body: the subclass sets P = e_i and the exact c1 = n - 1,
+    # and binds the parent's evaluate_many where the tracer wraps it
+    assert issubclass(sl.RieszComponent, sl.OddHomogeneous)
+    assert sl.RieszComponent.evaluate_many is sl.OddHomogeneous.evaluate_many
+    # names Python sets on any class; copyreg adds __slotnames__ once an instance is pickled
+    bookkeeping = {"__doc__", "__module__", "__qualname__", "__firstlineno__", "__static_attributes__", "__slotnames__"}
+    assert set(vars(sl.RieszComponent)) - bookkeeping == {"__init__", "evaluate_many"}
+    for i in range(n):
+        k = sl.RieszComponent(n, i)
+        assert k.monomial == (tuple(int(j == i) for j in range(n)), n)
+        assert k.axis == i and k.degree == 1
+        assert k.c0_declared == 1.0 and k.c1_declared == n - 1
+    k = sl.RieszComponent(n, 0, 2.0, 5.0)
+    assert (k.c0_declared, k.c1_declared) == (2.0, 5.0)
+
+
+def test_riesz_component_rejections_keep_their_messages():
+    # the dimension is checked before the axis
+    for n, axis in ((1, 0), (1, 5), (0, 0)):
+        with pytest.raises(ValueError, match=r"^ambient_dim must be >= 2$"):
+            sl.RieszComponent(n, axis)
+    for n, axis in ((2, 2), (3, -1), (3, 3)):
+        with pytest.raises(ValueError, match=r"^axis must index a coordinate$"):
+            sl.RieszComponent(n, axis)
+    with pytest.raises(ValueError, match=r"^declared constants must be > 0$"):
+        sl.RieszComponent(2, 0, c1_declared=0.0)
 
 
 def test_odd_homogeneous_requires_odd_degree():

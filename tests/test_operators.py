@@ -754,16 +754,18 @@ def test_every_truncated_entry_is_truncated_batch(n_atoms):
 
 def test_truncation_table_byte_guard(monkeypatch):
     # every caller of row_sups, checked on the cells it would sort before
-    # the call: the table's two sups and hl_maximal_batch
+    # the call: the table's two sups and hl_maximal_batch; the limit is
+    # 2^30 // 24 cells
+    assert operators.SORT_CELLS_GUARD == 44_739_242
     nu, g = random_config(Rng(75), 40)
     pts = Rng(76).points_in_box(10, [(-1, 1)] * 2)
     table = sl.TruncationTable(nu, sl.RieszComponent(2, 0), pts)
     builders = (lambda: table.maximal_values([g]), lambda: table.sups([g], g), lambda: hl_maximal_batch(nu, g, pts))
     for build in builders:
-        monkeypatch.setattr(operators, "TABLE_BYTES_GUARD", 10 * 40 * operators._TABLE_BYTES_PER_CELL - 1)
-        with pytest.raises(ValueError, match="truncation table byte guard exceeded"):
+        monkeypatch.setattr(operators, "SORT_CELLS_GUARD", 10 * 40 - 1)
+        with pytest.raises(ValueError, match="sort cell guard exceeded: 400 cells, limit 399"):
             build()
-        monkeypatch.setattr(operators, "TABLE_BYTES_GUARD", 10 * 40 * operators._TABLE_BYTES_PER_CELL)
+        monkeypatch.setattr(operators, "SORT_CELLS_GUARD", 10 * 40)
         build()
 
 
@@ -1003,6 +1005,17 @@ def test_sum2_prefix_is_sequential_sum2_within_bound(rows, n):
         assert prefix[i].tolist() == _sequential_sum2(row.tolist())
         for j, (exact, abs_sum) in enumerate(_exact_prefixes(row)):
             assert abs(Fraction(prefix[i, j]) - exact) <= _sum2_bound(exact, j + 1, abs_sum)
+
+
+def test_sum2_prefix_and_total_write_into_no_argument():
+    terms = Rng(88).uniforms(3 * 257, -1.0, 1.0).reshape(3, 257)
+    terms[0, :3] = -0.0
+    before = terms.tobytes()
+    summation.sum2_prefix(terms)
+    assert terms.tobytes() == before
+    for row in terms:
+        oracles.sum2_total(row)
+    assert terms.tobytes() == before
 
 
 def _textbook_sum2(terms):

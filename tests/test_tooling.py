@@ -204,6 +204,18 @@ def test_fsum_takes_an_array_only_in_the_total_mass():
     assert sites == {"measure.DiscreteMeasure.total_mass"}
 
 
+def test_kernel_and_summation_pass_no_out_buffer():
+    # the numpy kernel rule and Sum2 are plain references: no call writes
+    # into a buffer it was handed or one it aliases
+    calls = [
+        f"{name}:{call.lineno}"
+        for name in ("kernel.py", "summation.py")
+        for call in ast.walk(ast.parse((PACKAGE / name).read_text()))
+        if isinstance(call, ast.Call) and any(kw.arg == "out" for kw in call.keywords)
+    ]
+    assert calls == []
+
+
 def _value_error_handler_sites(tree, scope=""):
     """Qualified names of the functions with an ``except`` clause that names ``ValueError``."""
     for node in ast.iter_child_nodes(tree):
