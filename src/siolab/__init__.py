@@ -18,11 +18,7 @@ from .geometry import (
 )
 from .kernel import OddHomogeneous, RieszComponent
 from .measure import (
-    CantorFourCornersSpec,
     DiscreteMeasure,
-    GraphMeasureSpec,
-    SlabAboveGraphSpec,
-    UniformOnShapeSpec,
     build,
     cantor_four_corners,
     concat,

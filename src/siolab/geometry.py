@@ -253,6 +253,8 @@ class Cone:
         check_aperture(self.graph, self.aperture)
         if len(self.apex_u) != self.graph.param_dim:
             raise ValueError("apex_u must have length ambient_dim - 1")
+        if not all(map(math.isfinite, self.apex_u)):
+            raise ValueError("apex_u must be finite")
 
     def contains_many(self, points) -> np.ndarray:
         g = self.graph.to_graph_frame(points)
@@ -277,6 +279,8 @@ class Ball:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValueError("radius must be > 0")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError("center must be finite")
 
     @property
     def dim(self) -> int:
@@ -304,6 +308,8 @@ class Rectangle:
             raise ValueError("half_widths and center must have equal length")
         if not all(h > 0 for h in self.half_widths):
             raise ValueError("half_widths must be > 0")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError("center must be finite")
         if self.rotation is None:
             self.rotation = np.eye(len(self.center))
         else:

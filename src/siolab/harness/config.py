@@ -253,19 +253,14 @@ def build_measure(cfg: Config, section: str, graph, m: int | None = None) -> mea
             graph = graph if graph is not None else build_graph(cfg)
             box = box_pairs(cfg.get_floats(section, "box", REQUIRED), graph.param_dim, f"{section}.box")
         if kind == "graph_measure":
-            spec = measure.GraphMeasureSpec(graph, box, count(), cfg.get_float(section, "shift", 0.0))
+            args = (graph, box, count(), cfg.get_float(section, "shift", 0.0))
         elif kind == "cantor":
-            spec = measure.CantorFourCornersSpec(cfg.get_int(section, "generation", REQUIRED))
+            args = (cfg.get_int(section, "generation", REQUIRED),)
         elif kind == "uniform_on_shape":
-            spec = measure.UniformOnShapeSpec(_parse_shape(cfg, section), count())
+            args = (_parse_shape(cfg, section), count())
         elif kind == "slab_above_graph":
-            spec = measure.SlabAboveGraphSpec(
-                graph, box,
-                count(),
-                cfg.get_float(section, "thickness", REQUIRED),
-                cfg.get_int(section, "levels", 8),
-                cfg.get_float(section, "shift", 0.0),
-            )
+            args = (graph, box, count(), cfg.get_float(section, "thickness", REQUIRED),
+                    cfg.get_int(section, "levels", 8), cfg.get_float(section, "shift", 0.0))
         else:
             raise ConfigError(f"unknown measure kind {kind!r}")
-        return measure.build(spec)
+        return measure.build(kind, *args)

@@ -25,8 +25,6 @@ from ..geometry import Ball, LipschitzGraph, check_aperture
 from ..measure import (
     CANTOR_MAX_GENERATION,
     DiscreteMeasure,
-    GraphMeasureSpec,
-    SlabAboveGraphSpec,
     cantor_four_corners,
     concat,
     growth_constant,
@@ -345,7 +343,7 @@ def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, workers: _Workers)
     rows = []
     for m in prm["resolutions"]:
         with blame("scenario.resolutions"):  # sets the atom count
-            sigma = measure.build(GraphMeasureSpec(graph, box, m, prm["shift"]))
+            sigma = measure.graph_measure(graph, box, m, prm["shift"])
         graph_u = graph.to_graph_frame(sigma.positions)[:, :-1]
         schedule = _halving_schedule(cfg, prm, sigma)
         for p_idx, u in enumerate(prm["points"]):
@@ -510,8 +508,8 @@ def scenario_carleson(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> Sc
     infinite = False  # a row with lhs > 0 and rhs == 0: the ratio is unbounded
     for m in prm["resolutions"]:
         with blame("scenario.resolutions"):  # sets the atom counts
-            mu = measure.build(SlabAboveGraphSpec(graph, box, m, thickness, prm["levels"], 0.0))
-            sigma = measure.build(GraphMeasureSpec(graph, box, m, 0.0))
+            mu = measure.slab_above_graph(graph, box, m, thickness, prm["levels"])
+            sigma = measure.graph_measure(graph, box, m)
         sigma_u = graph.to_graph_frame(sigma.positions)[:, :-1]
         with blame("scenario.mesh_depth"):
             n_vals = nontangential_max_many([g for _, g in densities], graph, sigma_u, aperture, height,

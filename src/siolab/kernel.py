@@ -203,6 +203,8 @@ GRADIENT_SLACK = 1e-4
 
 def validate(kernel, rng, sample_count: int) -> KernelValidation:
     """Check the declared constants against sampled suprema."""
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
     x = _shell_samples(kernel, rng, sample_count)
     kx = kernel.evaluate_many(x.T)
     residuals = np.abs(kx + kernel.evaluate_many(-x.T))

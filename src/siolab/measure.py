@@ -234,55 +234,15 @@ def slab_above_graph(
     return DiscreteMeasure(positions, weights, resolution=h)
 
 
-# --- catalog specs -------------------------------------------------------
-
-
-@dataclass(eq=False)
-class GraphMeasureSpec:
-    graph: LipschitzGraph
-    box: list
-    cells_per_axis: int
-    vertical_shift: float
-
-
-@dataclass(eq=False)
-class CantorFourCornersSpec:
-    generation: int
-
-
-@dataclass(eq=False)
-class UniformOnShapeSpec:
-    shape: Shape
-    cells_per_axis: int
-
-
-@dataclass(eq=False)
-class SlabAboveGraphSpec:
-    graph: LipschitzGraph
-    box: list
-    cells_per_axis: int
-    thickness: float
-    levels: int
-    vertical_shift: float
-
-
-MeasureSpec = GraphMeasureSpec | CantorFourCornersSpec | UniformOnShapeSpec | SlabAboveGraphSpec
-
-
-def build(spec: MeasureSpec) -> DiscreteMeasure:
-    """Materialize a catalog measure spec."""
-    if isinstance(spec, GraphMeasureSpec):
-        return graph_measure(spec.graph, spec.box, spec.cells_per_axis, spec.vertical_shift)
-    if isinstance(spec, CantorFourCornersSpec):
-        return cantor_four_corners(spec.generation)
-    if isinstance(spec, UniformOnShapeSpec):
-        return uniform_on_shape(spec.shape, spec.cells_per_axis)
-    if isinstance(spec, SlabAboveGraphSpec):
-        return slab_above_graph(
-            spec.graph, spec.box, spec.cells_per_axis, spec.thickness,
-            spec.levels, spec.vertical_shift,
-        )
-    raise TypeError(f"unknown measure spec {type(spec).__name__}")
+def build(kind: str, *args) -> DiscreteMeasure:
+    """The measure of a config ``kind``: its builder called with ``args``
+    (``graph_measure``, ``cantor`` for ``cantor_four_corners``,
+    ``uniform_on_shape`` or ``slab_above_graph``), looked up at call time."""
+    builders = {"graph_measure": graph_measure, "cantor": cantor_four_corners,
+                "uniform_on_shape": uniform_on_shape, "slab_above_graph": slab_above_graph}
+    if kind not in builders:
+        raise ValueError(f"unknown measure kind {kind!r}")
+    return builders[kind](*args)
 
 
 # ---------------------------------------------------------------------------

@@ -388,37 +388,34 @@ def _cone_template(aperture: float, height_cap: float, mesh_depth: int, d: int):
     return np.vstack(offsets), np.concatenate(heights)
 
 
-def cone_mesh(cone: Cone, height_cap: float, mesh_depth: int) -> np.ndarray:
-    """Deterministic dyadic mesh of the truncated cone
-    Gamma(x0) intersected with {t - f(u0) <= height_cap}, in ambient
-    coordinates: the apex-free template of ``_cone_template`` (and its
-    point guard) placed at (u0, f(u0)).
+def cone_mesh(graph, u0: np.ndarray, f0: np.ndarray, offsets: np.ndarray, heights: np.ndarray) -> np.ndarray:
+    """The truncated cones Gamma(x0) intersected with {t - f(u0) <=
+    height_cap} of a block of apexes (u0, f0 = f(u0)), meshed by the
+    apex-free template (``offsets``, ``heights``) of ``_cone_template``:
+    the points (u0 + offsets, f0 + heights) in ambient coordinates, apex
+    by apex, shape (len(u0) * M, n).
     """
-    graph = cone.graph
-    offsets, heights = _cone_template(cone.aperture, height_cap, mesh_depth, graph.param_dim)
-    u0 = np.asarray(cone.apex_u, dtype=float)
-    f0 = float(graph.height(u0)[0])
-    return graph.from_graph_frame(np.column_stack([u0[None, :] + offsets, f0 + heights]))
+    u = u0[:, None, :] + offsets[None, :, :]
+    t = f0[:, None] + heights[None, :]
+    return graph.from_graph_frame(np.concatenate([u, t[:, :, None]], axis=2).reshape(-1, graph.ambient_dim))
 
 
 def nontangential_max(h, cone: Cone, height_cap: float, mesh_depth: int) -> float:
     """Mesh maximum of |h| over the truncated cone; a certified lower
     bound on the true supremum (the mesh refines as mesh_depth grows).
     ``h`` maps an (N, n) array of ambient points to N values.  The
-    single-cone form of ``nontangential_max_many``.
+    one-cone call of ``nontangential_max_many``.
     """
-    pts = cone_mesh(cone, height_cap, mesh_depth)
-    vals = np.asarray(h(pts), dtype=float)
-    return float(np.max(np.abs(vals)))
+    return float(nontangential_max_many([h], cone.graph, [cone.apex_u], cone.aperture, height_cap, mesh_depth)[0, 0])
 
 
 def nontangential_max_many(hs, graph, apex_u, aperture: float, height_cap: float, mesh_depth: int) -> np.ndarray:
-    """(len(hs), len(apex_u)) array of ``nontangential_max`` values, one
-    per density and apex, bit for bit.  The template is built once and
+    """(len(hs), len(apex_u)) array: per density h and apex u0, the max
+    of |h| over the ``cone_mesh`` at u0.  The template is built once and
     f(u0) taken for every apex in one call; apexes then go in chunks of
-    about ``_MESH_CHUNK_POINTS`` mesh points, each chunk mapped to the
-    ambient frame once and evaluated once per density.  Raises the
-    ValueErrors of ``Cone``, ``_points`` and ``_cone_template``.
+    about ``_MESH_CHUNK_POINTS`` mesh points, each chunk meshed once
+    (``cone_mesh``) and evaluated once per density.  Raises the
+    ValueErrors of ``check_aperture``, ``_points`` and ``_cone_template``.
     """
     check_aperture(graph, aperture)
     u0 = _points(apex_u, graph.param_dim)
@@ -428,11 +425,9 @@ def nontangential_max_many(hs, graph, apex_u, aperture: float, height_cap: float
     step = max(1, _MESH_CHUNK_POINTS // len(offsets))
     for start in range(0, len(u0), step):
         sl = slice(start, start + step)
-        u = u0[sl, None, :] + offsets[None, :, :]
-        t = f0[sl, None] + heights[None, :]
-        pts = graph.from_graph_frame(np.concatenate([u, t[:, :, None]], axis=2).reshape(-1, graph.ambient_dim))
+        pts = cone_mesh(graph, u0[sl], f0[sl], offsets, heights)
         for i, h in enumerate(hs):
-            vals = np.asarray(h(pts), dtype=float).reshape(len(t), -1)
+            vals = np.asarray(h(pts), dtype=float).reshape(-1, len(offsets))
             out[i, sl] = np.max(np.abs(vals), axis=1)
     return out
 

@@ -22,6 +22,8 @@ from siolab.harness.report import fmt_value
 from siolab.harness import scenarios
 from siolab.harness.scenarios import read_scenario
 
+from oracles import cone_mesh_loop
+
 
 # ---------------------------------------------------------------------------
 # rng
@@ -374,15 +376,15 @@ def test_carleson_constant_density_ratio():
 
 def test_carleson_dim3_rhs_matches_per_cone_loop(monkeypatch):
     # d = 2 cross-sections: every rhs cell of the batched run equals the
-    # one a per-cone nontangential_max loop gives
+    # one that max |h| over a per-cone oracle mesh gives
     cfg = {"scenario": {"tag": "CarlesonEmbedding", "seed": "3", "resolutions": "8, 16", "mesh_depth": "3"},
            "graph": {"profile": "sawtooth", "dim": "3", "amplitude": "0.3", "period": "0.5"}}
     batched = run_scenario(config_from_dict(cfg))
     assert batched.passed
 
     def per_cone(hs, graph, apex_u, aperture, height_cap, mesh_depth):
-        cones = [sl.Cone(graph, tuple(u), aperture) for u in apex_u.tolist()]
-        return np.array([[sl.nontangential_max(h, c, height_cap, mesh_depth) for c in cones] for h in hs])
+        meshes = [cone_mesh_loop(sl.Cone(graph, tuple(u), aperture), height_cap, mesh_depth) for u in apex_u.tolist()]
+        return np.array([[np.max(np.abs(h(mesh))) for mesh in meshes] for h in hs])
 
     monkeypatch.setattr(scenarios, "nontangential_max_many", per_cone)
     looped = run_scenario(config_from_dict(cfg))

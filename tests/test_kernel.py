@@ -213,6 +213,13 @@ def test_size_validation_fails_for_understated_constant():
     assert result.antisymmetry_ok
 
 
+def test_validate_rejects_zero_samples_as_its_siblings_do():
+    k = sl.RieszComponent(2, 0)
+    for check in (kn.validate, lambda k, rng, n: kn.size_bound_sup(k, n, rng)):
+        with pytest.raises(ValueError, match="sample_count must be >= 1"):
+            check(k, Rng(8), 0)
+
+
 def test_riesz_gradient_plane():
     # |grad K| = |x|^-2 exactly in the plane; FD should match to 1e-5
     k = sl.RieszComponent(2, 0)

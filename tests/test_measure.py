@@ -123,10 +123,21 @@ def test_atom_count_guard():
 
 
 def test_build_dispatch():
-    spec = sl.GraphMeasureSpec(flat_graph(), [(0.0, 1.0)], 4, 0.0)
-    mu = sl.build(spec)
-    assert mu.count == 4
-    assert sl.build(sl.CantorFourCornersSpec(2)).count == 16
+    # each config kind builds its builder's measure, bit for bit
+    g, box = sl.LipschitzGraph(2, sl.Sawtooth(0.3, 0.5)), [(-1.0, 1.0)]
+    shape = sl.Ball((0.1, -0.2), 0.7)
+    cases = [
+        ("graph_measure", sl.graph_measure, (g, box, 16, 0.25)),
+        ("cantor", sl.cantor_four_corners, (3,)),
+        ("uniform_on_shape", sl.uniform_on_shape, (shape, 12)),
+        ("slab_above_graph", sl.slab_above_graph, (g, box, 16, 0.5, 3, -0.5)),
+    ]
+    for kind, builder, args in cases:
+        got, want = sl.build(kind, *args), builder(*args)
+        assert np.array_equal(got.positions, want.positions), kind
+        assert np.array_equal(got.weights, want.weights) and got.resolution == want.resolution, kind
+    with pytest.raises(ValueError, match="unknown measure kind 'disk'"):
+        sl.build("disk", shape, 12)
 
 
 # ---------------------------------------------------------------------------

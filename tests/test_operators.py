@@ -104,14 +104,17 @@ def _nan_calls():
         "truncated_values": lambda: table.truncated_values(g, math.nan),
         "truncated_values_per_point": lambda: table.truncated_values_per_point(g, per_point),
         "lp_norm": lambda: sl.lp_norm(nu, g, math.nan),
-        "cone_mesh": lambda: operators.cone_mesh(cone, math.nan, 3),
+        "cone_mesh": lambda: operators._cone_template(1.5, math.nan, 3, 1),
         "nontangential_max_many": lambda: operators.nontangential_max_many(
             [np.cos], cone.graph, [cone.apex_u], 1.5, math.nan, 3),
         "bound_constants": lambda: sl.bound_constants(k, math.nan),
         "measure_weight": lambda: sl.DiscreteMeasure(pts, [1.0, math.nan, 1.0, 1.0, 1.0], 0.1),
         "measure_resolution": lambda: sl.DiscreteMeasure(pts, np.ones(5), math.nan),
         "Ball": lambda: sl.Ball((0.0, 0.0), math.nan),
+        "Ball_center": lambda: sl.Ball((math.nan, 0.0), 1.0),
         "Rectangle": lambda: sl.Rectangle((0.0, 0.0), (1.0, math.nan)),
+        "Rectangle_center": lambda: sl.Rectangle((math.nan, 0.0), (1.0, 1.0)),
+        "Cone_apex": lambda: sl.Cone(cone.graph, (math.nan,), 1.5),
         "BallCap": lambda: sl.BallCap(math.nan, (0.0,)),
         "SmoothBump": lambda: sl.SmoothBump(1.0, math.nan),
         "Sawtooth_amplitude": lambda: sl.Sawtooth(math.nan, 0.5),
@@ -628,13 +631,15 @@ def test_cone_mesh_point_guard(monkeypatch):
     # depth 3 in d = 2: K = 8 levels, bound K (2K+1)^2 = 2312 grid points
     g = sl.LipschitzGraph(3, sl.Affine((0.0, 0.0)))
     cone = sl.Cone(g, (0.0, 0.0), 1.5)
+    zero = lambda p: np.zeros(len(p))
     monkeypatch.setattr(operators, "MESH_POINTS_GUARD", 8 * 17**2 - 1)
     with pytest.raises(ValueError, match="mesh point guard"):
-        operators.cone_mesh(cone, 1.0, 3)
+        sl.nontangential_max(zero, cone, 1.0, 3)
     with pytest.raises(ValueError, match="mesh point guard"):
         operators.nontangential_max_many([np.cos], g, [(0.0, 0.0)], 1.5, 1.0, 3)
     monkeypatch.setattr(operators, "MESH_POINTS_GUARD", 8 * 17**2)
-    assert len(operators.cone_mesh(cone, 1.0, 3)) < 8 * 17**2
+    assert sl.nontangential_max(zero, cone, 1.0, 3) == 0.0
+    assert len(operators._cone_template(1.5, 1.0, 3, 2)[0]) < 8 * 17**2
 
 
 @pytest.mark.parametrize("mesh_depth", [20, 64, 10**9])
@@ -642,7 +647,7 @@ def test_cone_mesh_point_guard_before_allocation(mesh_depth):
     # 2^20 levels in d = 1 is about 2e12 points: rejected on the bound alone
     start = time.perf_counter()
     with pytest.raises(ValueError, match="mesh point guard"):
-        operators.cone_mesh(sl.Cone(sl.LipschitzGraph(2, sl.Affine((0.0,))), (0.0,), 1.5), 1.0, mesh_depth)
+        sl.nontangential_max(np.cos, sl.Cone(sl.LipschitzGraph(2, sl.Affine((0.0,))), (0.0,), 1.5), 1.0, mesh_depth)
     assert time.perf_counter() - start < 1.0
 
 
@@ -682,11 +687,14 @@ def test_nontangential_max_many_equals_per_cone_loop(
         mp.setattr(operators, "_MESH_CHUNK_POINTS", per_chunk * m + m // 2)
         got = operators.nontangential_max_many(_MESH_DENSITIES, graph, apexes, aperture, height_cap, mesh_depth)
     cones = [sl.Cone(graph, tuple(u), aperture) for u in apexes.tolist()]
-    want = [[sl.nontangential_max(h, c, height_cap, mesh_depth) for c in cones] for h in _MESH_DENSITIES]
+    meshes = [cone_mesh_loop(c, height_cap, mesh_depth) for c in cones]
+    want = [[float(np.max(np.abs(h(mesh)))) for mesh in meshes] for h in _MESH_DENSITIES]
     assert got.tolist() == want
-    # the template-built mesh is the per-level loop's, point for point
-    assert np.array_equal(operators.cone_mesh(cones[0], height_cap, mesh_depth),
-                          cone_mesh_loop(cones[0], height_cap, mesh_depth))
+    # the one-cone call gives the oracle's value too
+    assert [sl.nontangential_max(h, cones[0], height_cap, mesh_depth) for h in _MESH_DENSITIES] == [w[0] for w in want]
+    # the template placed at all apexes in one block is the per-level loop's, cone after cone, point for point
+    template = operators._cone_template(aperture, height_cap, mesh_depth, d)
+    assert np.array_equal(operators.cone_mesh(graph, apexes, graph.height(apexes), *template), np.vstack(meshes))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The traced benchmark wraps package functions by looking each one up
 in its owner's ``__dict__``; a refactor that moves or renames one of
-them would make the traced run raise, so every target is checked here.
+them would make the traced run raise, so every target is checked here,
+and a traced Carleson run must count the points of its cone meshes.
 A module-level name that nothing else in the package uses is dead code
 (a re-export from an ``__init__.py`` is not a use, nor is an attribute
 read on anything but an imported module), and a README example that
@@ -63,6 +64,22 @@ def test_traced_targets_are_bound_on_their_owners():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def test_traced_carleson_run_sees_the_cone_mesh():
+    # every apex's mesh is built by cone_mesh, where the tracer counts its points
+    from siolab import operators
+    from siolab.harness import config_from_dict, run_scenario
+
+    tracing = _load("perfbench_tracing", TRACING)
+    cfg = {"scenario": {"tag": "CarlesonEmbedding", "seed": "3", "resolutions": "8, 16", "mesh_depth": "3",
+                        "aperture": "3", "height_cap": "1"},
+           "graph": {"profile": "sawtooth", "dim": "3", "amplitude": "0.3", "period": "0.5"}}
+    with tracing.installed(tracing.Tracer()) as tracer:
+        assert run_scenario(config_from_dict(cfg)).passed
+    template = len(operators._cone_template(3.0, 1.0, 3, 2)[0])
+    assert tracer.counts["operators.mesh_points"] == template * (8**2 + 16**2)  # one apex per atom of sigma
+    assert any(name == "operators.cone_mesh" for _, _, name, _, _ in tracer.spans)
 
 
 def _defined_names(tree):
