@@ -39,6 +39,10 @@ class Affine:
     slope: tuple[float, ...]
     offset: float = 0.0
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (*self.slope, self.offset))):
+            raise ValueError("slope and offset must be finite")
+
     def value(self, u: np.ndarray) -> np.ndarray:
         return u @ np.asarray(self.slope, dtype=float) + self.offset
 
@@ -61,8 +65,8 @@ class Sawtooth:
     period: float
 
     def __post_init__(self):
-        if not (self.amplitude >= 0 and self.period > 0):
-            raise ValueError("amplitude must be >= 0 and period > 0")
+        if not (0 <= self.amplitude < math.inf and 0 < self.period < math.inf):
+            raise ValueError("amplitude must be >= 0 and period > 0, both finite")
 
     def value(self, u: np.ndarray) -> np.ndarray:
         s = u / self.period
@@ -80,8 +84,8 @@ class ConeProfile:
     slope: float
 
     def __post_init__(self):
-        if not self.slope >= 0:
-            raise ValueError("slope must be >= 0")
+        if not 0 <= self.slope < math.inf:
+            raise ValueError("slope must be >= 0 and finite")
 
     def value(self, u: np.ndarray) -> np.ndarray:
         return self.slope * np.linalg.norm(u, axis=-1)
@@ -101,8 +105,8 @@ class SmoothBump:
     width: float
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("width must be > 0")
+        if not (math.isfinite(self.amplitude) and 0 < self.width < math.inf):
+            raise ValueError("width must be > 0 and finite, and amplitude finite")
 
     def value(self, u: np.ndarray) -> np.ndarray:
         r2 = np.sum(u * u, axis=-1)
@@ -136,8 +140,10 @@ class BallCap:
     level: float = 0.0
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be > 0")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be > 0 and finite")
+        if not all(map(math.isfinite, (*self.center_u, self.level))):
+            raise ValueError("center_u and level must be finite")
 
     def value(self, u: np.ndarray) -> np.ndarray:
         param_dim = len(self.center_u)
@@ -277,8 +283,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("radius must be > 0")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be > 0 and finite")
         if not all(map(math.isfinite, self.center)):
             raise ValueError("center must be finite")
 
@@ -306,8 +312,8 @@ class Rectangle:
     def __post_init__(self):
         if len(self.half_widths) != len(self.center):
             raise ValueError("half_widths and center must have equal length")
-        if not all(h > 0 for h in self.half_widths):
-            raise ValueError("half_widths must be > 0")
+        if not all(0 < h < math.inf for h in self.half_widths):
+            raise ValueError("half_widths must be > 0 and finite")
         if not all(map(math.isfinite, self.center)):
             raise ValueError("center must be finite")
         if self.rotation is None:

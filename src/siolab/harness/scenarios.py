@@ -12,7 +12,6 @@ byte-identical at any ``--threads`` setting.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import operator
 import os
 import time
@@ -85,6 +84,8 @@ def _pmap(fn, items, workers: _Workers):
     if workers.threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     if workers.pool is None:
+        import multiprocessing  # here, so a run on one worker never loads it
+
         workers.pool = multiprocessing.get_context("fork").Pool(processes=workers.threads)
     return workers.pool.map(fn, items)
 
@@ -173,13 +174,13 @@ def random_simple_function(rng: Rng, box) -> SimpleFunction:
 
 
 def random_nonzero_density(rng: Rng, nu: DiscreteMeasure, box):
-    """Random simple function with a nonzero restriction to the support
-    of nu (zero draws are rejected and resampled, up to 100 draws)."""
+    """The per-atom values of a random simple function whose restriction
+    to the support of nu is nonzero (zero draws are rejected and
+    resampled, up to 100 draws)."""
     for _ in range(100):
-        g = random_simple_function(rng, box)
-        values = g.evaluate_many(nu.positions)
+        values = random_simple_function(rng, box).evaluate_many(nu.positions)
         if np.any(values != 0.0):
-            return g, values
+            return values
     raise RuntimeError("could not sample a nonzero simple function")
 
 
@@ -552,13 +553,14 @@ def _tstar_all(nu, kern, points, stack, workers):
 
 
 def _ratio_table(nu, mu, kern, p_list, densities, workers):
-    """max over densities of |T* g|_{L^p(mu)} / |g|_{L^p(nu)} per p."""
-    stack = density_stack([g_vals for _, g_vals in densities], nu).T  # (D, N), each chunk reads it uncopied
+    """max over densities g (per-atom values on nu) of
+    |T* g|_{L^p(mu)} / |g|_{L^p(nu)} per p."""
+    stack = density_stack(densities, nu).T  # (D, N), each chunk reads it uncopied
     tstar = _tstar_all(nu, kern, mu.positions, stack, workers)
     out = {}
     for p in p_list:
         best = 0.0
-        for i, (_, g_vals) in enumerate(densities):
+        for i, g_vals in enumerate(densities):
             denom = lp_norm(nu, g_vals, p)
             if denom == 0.0:
                 continue
@@ -579,12 +581,12 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, workers: _W
             raise ConfigError("scenario.resolutions is not read by the control")
         # negative control: mu = nu = four-corners Cantor, same side;
         # the ratio is expected to grow with the generation (reported,
-        # no pass criterion).  Its full-support indicator chi_square is
+        # no pass criterion).  Its full-support indicator, all ones, is
         # always among the densities, so random_functions may be 0.
         for gen in _or_default(cfg, prm, "generations", [3, 4, 5, 6]):
             nu = cantor_four_corners(gen)
             _same_dim("kernel", kern.ambient_dim, "Cantor set", nu.ambient_dim)
-            densities = [("chi_square", np.ones(nu.count)), *_seeded_densities(rng, nu, n_g)]
+            densities = [np.ones(nu.count), *_seeded_densities(rng, nu, n_g)]
             with blame("scenario.generations"):
                 ratios = _ratio_table(nu, nu, kern, p_list, densities, workers)
             for p in p_list:
@@ -625,14 +627,10 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, workers: _W
 
 
 def _seeded_densities(rng: Rng, nu: DiscreteMeasure, count: int):
-    """Named per-atom tables of random simple functions; streams keyed by
-    the function index so all resolutions see the same shapes."""
+    """Per-atom values of random simple functions; streams keyed by the
+    function index so all resolutions see the same shapes."""
     box = nu.bounding_box()
-    out = []
-    for j in range(count):
-        _, values = random_nonzero_density(rng.spawn(1000 + j), nu, box)
-        out.append((f"g{j}", values))
-    return out
+    return [random_nonzero_density(rng.spawn(1000 + j), nu, box) for j in range(count)]
 
 
 # ---------------------------------------------------------------------------

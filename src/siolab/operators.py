@@ -235,9 +235,9 @@ def _compiled():
 
 def _row_sups(monomial, pts: np.ndarray, nu: DiscreteMeasure, stack: np.ndarray, mass):
     """(T*, (M, diverges)) at the points ``pts`` from ``sups.c``'s
-    ``row_sups``: per point, one compiled pass computes the row's
-    distances and (for a nonempty ``stack``) the terms K(x - y) w(y) of
-    the kernel of ``monomial`` form, sorts the row by distance descending,
+    ``row_sups``: per point, one compiled pass computes each cell's
+    distance and (for a nonempty ``stack``) term K(x - y) w(y) of the
+    kernel of ``monomial`` form, sorts the cells by distance descending,
     ties in atom order, and reads T* of each density of the atom-major
     (N, D) ``stack`` into a (D, P) array and, unless ``mass`` is None, M
     of the per-atom masses ``mass`` from it while it is sorted; the M pair
@@ -260,33 +260,20 @@ class TruncationTable:
     """The truncations of a kernel's transform at a batch of evaluation
     points: the measure, the kernel and the points, and no more.  A sup
     sorts each point's row as it is read and holds no row: one compiled
-    pass per point computes the row's distances and kernel terms
-    K(x - y) w(y) into row-sized scratch, sorts them stably and takes the
-    sups from the sorted row while it is there (``row_sups`` in
-    ``sups.c``, one loop built at lane widths 1 and 8; at width 8, on a
-    host with AVX-512, 8 points per vector fill 8 rows' scratch at once,
-    one lane each, and each row is then sorted alone).
-    A row of at most 16 natural runs is merge sorted; any other is
-    distributed into one bucket per atom by distance and finished by one
-    insertion sort, or merge sorted if a bucket would hold more than 32
-    atoms.  The merge takes the left item of a tie and the buckets and the
-    insertion sort never reorder equal distances, so either path gives the
-    one stable order, bit for bit.  The kernel must expose its
-    ``monomial`` form, as the catalog's do.
+    pass per point (``row_sups`` in ``sups.c``, whose header states how a
+    row is sorted) sorts the row's cells by distance descending, ties in
+    atom order, each cell carrying its kernel term K(x - y) w(y), and
+    takes the sups from the sorted row while it is there.  The kernel
+    must expose its ``monomial`` form, as the catalog's do.
 
-    Distances are sorted descending so prefix sums ARE the truncated
-    sums: the prefix through distance group d equals T^eps for eps in
-    [next smaller distance, d).  A sup (T* or the maximal function) is
-    a max over the prefixes that end a distance group.  T* takes a stack
-    of densities in that one pass: on a host with AVX-512 (probed at run
-    time, not set by build flags) 8 densities share a vector, one lane
-    each, and since each lane is its density's own Sum2 with its
-    operations in their order, every density gets the bits of a pass of
-    its own.  Read backwards, the same sorted row serves the
-    (n-1)-dimensional maximal function, which at lane width 8 takes 8
-    rows per vector, one lane each; ``sups`` takes T* and M from one sort.
-    One radius needs no sort: ``truncated_values*`` are
-    ``truncated_batch`` at the table's ``points`` and ``kernel``.
+    In that order the prefix sums ARE the truncated sums: the prefix
+    through distance group d equals T^eps for eps in [next smaller
+    distance, d).  A sup (T* or the maximal function) is a max over the
+    prefixes that end a distance group, so ``sups`` takes T* of a stack
+    of densities and M from one sort, and every density of the stack gets
+    the bits of a pass of its own, at either lane width.  One radius
+    needs no sort: ``truncated_values*`` are ``truncated_batch`` at the
+    table's ``points`` and ``kernel``.
 
     A call allocates its (D, P) output and O(N) scratch; one that would
     sort more than ``SORT_CELLS_GUARD`` (point, atom) cells raises

@@ -8,20 +8,21 @@
    coordinate by coordinate, the distance sqrt(r2), and K(x - y) =
    (x - y)^P / |x - y|^q, the numerator's factors multiplied in coordinate
    order from 1 and |x - y|^q formed as q / 2 factors r2, times sqrt(r2)
-   when q is odd.  The sups sort each point's row by distance, descending,
-   ties in atom order, one of two ways chosen by its count of natural runs
-   (an adaptive check in the manner of Peters' Timsort): a row of at most
-   16 runs merges them; any other goes to n buckets by distance
+   when q is odd.  The sups sort each point's row of cells, an item each
+   (its distance, atom and kernel term), by distance, descending, ties in
+   atom order, one of two ways chosen by its count of natural runs (an
+   adaptive check in the manner of Peters' Timsort): a row of at most 16
+   runs merges them; any other goes to n buckets by distance
    (distribution sort, Knuth, TAOCP 3, 5.2.5) that one insertion sort
    finishes, or merges if a bucket would hold more than 32 items.
    Neither moves an item past an equal key, so both give the one stable
    order.  While the sorted row is still in scratch, T* of every density
    of a stack and M of one mass vector are read from it (the build and
    its reads fused, as in Kennedy and McKinley, LCPC 1993): no row
-   outlives its point, so a call holds O(n) scratch and writes only the
-   sups.  These loops are siolab's only implementation; the reference of
-   each is its numpy oracle in tests/oracles.py, which it equals bit for
-   bit, compiled without FMA contraction or fast-math.
+   outlives its point, so a call holds W + 1 rows of scratch and writes
+   only the sups.  These loops are siolab's only implementation; the
+   reference of each is its numpy oracle in tests/oracles.py, which it
+   equals bit for bit, compiled without FMA contraction or fast-math.
    The pair engine puts each pair in the bin of the first eps its distance
    exceeds and keeps, per bin, the Sum2 of the bin's terms in row-major
    order unrounded (s and c), which operators.pair_sum_schedule sums in
@@ -48,7 +49,7 @@
         (s) = x_;                                    \
     } while (0)
 
-typedef struct { double key; int64_t idx; } item;
+typedef struct { double key; int64_t idx; double term; } item;  /* a cell: distance, atom, kernel term */
 
 /* A row is merged when it holds at most RUN_LIMIT runs; else it is
    bucketed, unless a bucket would hold more than BUCKET_LIMIT items */
@@ -208,31 +209,21 @@ int sup_lanes(void)
 }
 
 /* The sups of the rows, one per point of pts (rows x dim) against the n
-   atoms pos (n x dim) of weights w: each row's distances, sorted
-   descending with ties in atom order (the order of np.argsort(-dist,
-   kind="stable"), by sort_row), and with d > 0 its kernel terms
-   K(x - y) w(y), 0 at distance 0 (so a zero-distance group's end repeats
-   the prefix before it), in that order.  From the sorted row,
+   atoms pos (n x dim) of weights w: each row's cells, each its distance
+   and, with d > 0, its kernel term K(x - y) w(y), 0 at distance 0 (so a
+   zero-distance group's end repeats the prefix before it), sorted by
+   distance descending with ties in atom order (the order of
+   np.argsort(-dist, kind="stable"), by sort_row).  From the sorted row,
    T* of each density of the stack g (n atoms x d, atom-major; tstar_row)
    into tstar[k * rows + i], and, unless mass is NULL, M of the masses
    mass (hl_block) into hl[i] and diverges[i].  No distance is NaN, since
-   points and atoms are finite.  One allocation of scratch, 9 rows of
-   items and 9 of terms; -1 if out of memory. */
+   points and atoms are finite.  -1 if out of memory. */
 int row_sups(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos, const int64_t *powers,
              int64_t q, int64_t lanes, const double *w, int64_t d, const double *g, double *tstar,
              const double *mass, double *hl, uint8_t *diverges)
 {
     if (rows == 0 || (d == 0 && !mass)) return 0;
-    /* 8 rows of a block and the sort's scratch; 8 rows of terms and the
-       gathered terms of one; the sort's bound and count */
-    item *xs = malloc((n + 1) * (9 * sizeof *xs + 9 * sizeof(double) + 2 * sizeof(int64_t)));
-    if (!xs) return -1;
-    double *kws = (double *)(xs + 9 * n), *kw = kws + 8 * n;
-    int64_t *bound = (int64_t *)(kw + n), *count = bound + n + 1;
-    BY_LANES(lanes, sups, rows, n, dim, pts, pos, powers, q, w, d, g, tstar, mass, hl, diverges, xs, kws, kw,
-             bound, count);
-    free(xs);
-    return 0;
+    return BY_LANES(lanes, sups, rows, n, dim, pts, pos, powers, q, w, d, g, tstar, mass, hl, diverges);
 }
 
 /* T^eps: per point of pts, the Sum2 total of K(x - y) gw(y) over the atoms
@@ -375,19 +366,19 @@ TARGET static int L(pairs)(int64_t rows, int64_t n, int64_t dim, const double *p
 
 /* T* of one sorted row (n items) for each density k of the stack g (n
    atoms x d densities, atom-major), W densities per vector, one per lane
-   (the last block's missing densities loaded as zeros and not written),
-   kw the row's terms in its order: the max of |prefix| of
-   g[row[j].idx * d + k] * kw[j] at the last j of each group of equal
-   distances, and 0, into out[k * stride].  Not inlined: inside sups at
-   W = 1 its loop kept pointers on the stack, 4% slower at d = 50. */
+   (the last block's missing densities loaded as zeros and not written):
+   the max of |prefix| of g[row[j].idx * d + k] * row[j].term at the last
+   j of each group of equal distances, and 0, into out[k * stride].  Not
+   inlined: inside sups at W = 1 its loop kept pointers on the stack, 4%
+   slower at d = 50. */
 TARGET __attribute__((noinline)) static void L(tstar_row)(int64_t n, int64_t d, const double *g, const item *row,
-                                                          const double *kw, int64_t stride, double *out)
+                                                          int64_t stride, double *out)
 {
     for (int64_t k = 0; k < d; k += W) {
         int64_t live = d - k < W ? d - k : W;
         VEC s = {0}, c = {0}, best = {0};
         for (int64_t j = 0; j < n; j++) {
-            VEC t = LOAD(g + row[j].idx * d + k, live) * kw[j];
+            VEC t = LOAD(g + row[j].idx * d + k, live) * row[j].term;
             if (j == 0) s = t; else SUM2_ADD(s, c, t);
             if (j == n - 1 || row[j].key != row[j + 1].key) MAX(best, ABS(s + c), -1);  /* -1: every lane */
         }
@@ -435,40 +426,40 @@ TARGET static void L(hl_block)(int64_t live, int64_t n, int64_t dim, const doubl
     }
 }
 
-/* The sups W points at a time: the distances of the W points (and, with
-   densities, their terms) into a row of scratch each, row[l] and
-   kws + l n for lane l; then each row sorted, its terms gathered into
-   that order in kw and its T* taken; then M of the block's rows, one per
-   lane.  xs holds W + 1 rows: a row sorted into the spare one trades
-   places with it. */
-TARGET static void L(sups)(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
-                               const int64_t *powers, int64_t q, const double *w, int64_t d, const double *g,
-                               double *tstar, const double *mass, double *hl, uint8_t *diverges, item *xs,
-                               double *kws, double *kw, int64_t *bound, int64_t *count)
+/* The sups W points at a time: the cells of the W points, each its
+   distance, its atom and (with densities, else 0) its term, into a row of
+   items each, row[l] for lane l; then each row sorted and its T* taken;
+   then M of the block's rows, one per lane.  One allocation holds the
+   W + 1 rows (a row sorted into the spare one trades places with it) and
+   the sort's bound and count.  -1 if out of memory. */
+TARGET static int L(sups)(int64_t rows, int64_t n, int64_t dim, const double *pts, const double *pos,
+                              const int64_t *powers, int64_t q, const double *w, int64_t d, const double *g,
+                              double *tstar, const double *mass, double *hl, uint8_t *diverges)
 {
-    VEC x[dim];
+    item *xs = malloc((W + 1) * n * sizeof *xs + 2 * (n + 1) * sizeof(int64_t));
+    if (!xs) return -1;
+    int64_t *bound = (int64_t *)(xs + (W + 1) * n), *count = bound + n + 1;
     item *row[W], *spare = xs + W * n;
     for (int64_t l = 0; l < W; l++) row[l] = xs + l * n;
+    VEC x[dim];
     for (int64_t i = 0; i < rows; i += W) {
         int64_t live = rows - i < W ? rows - i : W;
         L(block_points)(rows, i, dim, pts, x);
         for (int64_t j = 0; j < n; j++) {
-            VEC r, t;
+            VEC r, t = {0};
             L(cells)(dim, x, pos + j * dim, powers, q, &r, d ? &t : NULL);
-            for (int64_t l = 0; l < W; l++) row[l][j] = (item){LANE(r, l), j};
-            if (!d) continue;
             t = KEEP(t, r > 0.0) * w[j];
-            for (int64_t l = 0; l < W; l++) kws[l * n + j] = LANE(t, l);
+            for (int64_t l = 0; l < W; l++) row[l][j] = (item){LANE(r, l), j, LANE(t, l)};
         }
         for (int64_t l = 0; l < live; l++) {
             item *sorted = sort_row(row[l], spare, n, bound, count);
             if (sorted == spare) spare = row[l], row[l] = sorted;
-            if (!d) continue;
-            for (int64_t j = 0; j < n; j++) kw[j] = kws[l * n + row[l][j].idx];
-            L(tstar_row)(n, d, g, row[l], kw, rows, tstar + i + l);
+            L(tstar_row)(n, d, g, row[l], rows, tstar + i + l);
         }
         if (mass) L(hl_block)(live, n, dim, mass, row, hl + i, diverges + i);
     }
+    free(xs);
+    return 0;
 }
 
 #undef VEC

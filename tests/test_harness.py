@@ -412,7 +412,7 @@ def test_random_density_rejects_zero_draws():
     nu = sl.cantor_four_corners(2)
     box = nu.bounding_box()
     for stream in range(20):
-        _, values = random_nonzero_density(Rng(1).spawn(stream), nu, box)
+        values = random_nonzero_density(Rng(1).spawn(stream), nu, box)
         assert np.any(values != 0.0)
 
 
@@ -540,6 +540,8 @@ def test_cli_non_finite_eps0_is_a_config_error(tmp_path, capsys, scenario, eps0)
 def _fake_pools(monkeypatch, cpus):
     """Stands a recording in-process pool in for the fork pool: returns the
     list of (processes, maps, terminated) of each pool made."""
+    import multiprocessing
+
     from siolab.harness import scenarios
 
     made = []
@@ -557,9 +559,7 @@ def _fake_pools(monkeypatch, cpus):
             self.record["terminated"] = True
 
     monkeypatch.setattr(scenarios.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(
-        scenarios.multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=FakePool)
-    )
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
     return made
 
 

@@ -122,13 +122,27 @@ def _nan_calls():
         "ConeProfile": lambda: sl.ConeProfile(math.nan),
         "RieszComponent_c0": lambda: sl.RieszComponent(2, 0, math.nan),
         "OddHomogeneous_c1": lambda: sl.OddHomogeneous(2, (1, 0), None, math.nan),
+        "Ball_inf": lambda: sl.Ball((0.0, 0.0), math.inf),
+        "Rectangle_inf": lambda: sl.Rectangle((0.0, 0.0), (math.inf, 1.0)),
+        "BallCap_inf": lambda: sl.BallCap(math.inf, (0.0,)),
+        "BallCap_center_inf": lambda: sl.BallCap(1.0, (math.inf,)),
+        "SmoothBump_amplitude_inf": lambda: sl.SmoothBump(math.inf, 0.5),
+        "SmoothBump_inf": lambda: sl.SmoothBump(1.0, math.inf),
+        "Sawtooth_amplitude_inf": lambda: sl.Sawtooth(math.inf, 0.5),
+        "Sawtooth_period_inf": lambda: sl.Sawtooth(0.3, math.inf),
+        "ConeProfile_inf": lambda: sl.ConeProfile(math.inf),
+        "Affine_slope_inf": lambda: sl.Affine((math.inf,)),
+        "Affine_offset_inf": lambda: sl.Affine((0.0,), math.inf),
+        "Affine_slope_minus_inf": lambda: sl.Affine((-math.inf,)),
+        "Affine_offset_minus_inf": lambda: sl.Affine((0.0,), -math.inf),
     }
 
 
 @pytest.mark.parametrize("entry", sorted(_nan_calls()))
 def test_nan_parameter_rejected(entry):
-    # each guard is written `not x > 0` (or `>= 0`), which a NaN fails;
-    # a point is checked finite, coordinate by coordinate
+    # each guard is written `not x > 0` (or `>= 0`), which a NaN fails, and
+    # a shape or profile guard also bounds x below inf; a point is checked
+    # finite, coordinate by coordinate
     with pytest.raises(ValueError):
         _nan_calls()[entry]()
 

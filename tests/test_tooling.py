@@ -15,6 +15,8 @@ platform, and ``math.fsum`` takes an array only in the one place that
 README names.  In the harness, only ``config.blame`` maps a ValueError
 to a configuration error.  The count of settable values (parameters and
 fields with a default) is pinned, so a new knob is a deliberate change.
+Importing the harness leaves ``multiprocessing`` unloaded: only a run
+that forks its pool imports it.
 The compiled loops are built without FMA contraction or fast-math, which
 would round them differently from their oracles in ``tests/oracles.py``,
 and without flags that tie the library to one host's CPU; with ``-Wall
@@ -33,10 +35,12 @@ a name bound for the tracer.
 import ast
 import ctypes
 import importlib.util
+import os
 import platform
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -273,6 +277,14 @@ def test_settable_values_do_not_grow():
     # a change that needs a new knob raises this number and says why
     count = sum(len(list(_settable_values(ast.parse(path.read_text())))) for path in PACKAGE.rglob("*.py"))
     assert count <= 30
+
+
+def test_harness_import_leaves_multiprocessing_unloaded():
+    # a run on one worker forks no pool, so it need not pay for the import
+    check = "import sys, siolab.harness; assert 'multiprocessing' not in sys.modules, 'multiprocessing loaded'"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", check], cwd=ROOT, env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_compiled_sups_round_as_numpy_does():
