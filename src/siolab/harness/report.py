@@ -24,7 +24,7 @@ def fmt_value(value) -> str:
 class Verdict:
     name: str
     passed: bool
-    detail: str = ""
+    detail: str
 
 
 @dataclass

@@ -55,7 +55,7 @@ class Rng:
         self._state = (self._state + count * _GAMMA) & _MASK
         return z
 
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+    def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * ((self.next_u64() >> 11) * _INV_2_53)
 
     def uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:

@@ -33,7 +33,7 @@ from ..operators import (
     TruncationTable,
     bound_constants,
     cauchy_tail,
-    density_stack,
+    check_sort_cells,
     geometric_schedule,
     hl_maximal_batch,  # noqa: F401  kept bound here for perfbench/tracing.py
     lp_norm,
@@ -52,6 +52,7 @@ from .report import ScenarioReport
 from .rng import Rng
 
 _POINT_CHUNK = 2048  # fixed chunk size; must not depend on worker count
+_STACK_VALUES_GUARD = 1 << 25  # D x N densities or D x P T* values, 256 MiB; criterion 7's are 50 x 8192
 
 # fixed verdict thresholds: a settable one could only loosen a pinned criterion
 _NOISE_FACTOR = 1.1  # PV tail_shrinks: the worst tail may grow this much per refinement
@@ -536,27 +537,25 @@ def scenario_carleson(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> Sc
 # ---------------------------------------------------------------------------
 
 
-def _tstar_chunk(args):
-    """Maximal-transform values for a fixed point chunk and every density
-    of the stack, from one compiled pass that sorts each point's row once."""
-    nu, kern, pts, stack = args
-    return TruncationTable(nu, kern, pts).maximal_values(stack)
-
-
-def _tstar_all(nu, kern, points, stack, workers):
-    tasks = [
-        (nu, kern, points[start : start + _POINT_CHUNK], stack)
-        for start in range(0, len(points), _POINT_CHUNK)
-    ]
-    parts = _pmap(_tstar_chunk, tasks, workers)
-    return np.concatenate(parts, axis=1)  # (n_densities, n_points)
+def _check_stack(n_densities: int, nu, n_points: int, key: str) -> None:
+    """Refuse, before any density is drawn, the first point chunk's sort
+    cells (blamed on ``key``, which sets the atom counts) and the D x N or
+    D x P values of the densities and their T*, past their guards."""
+    with blame(key):
+        check_sort_cells(min(n_points, _POINT_CHUNK) * nu.count)
+    values = n_densities * max(nu.count, n_points)
+    if values > _STACK_VALUES_GUARD:
+        raise ConfigError(f"scenario.random_functions: density stack guard exceeded: {values} values,"
+                          f" limit {_STACK_VALUES_GUARD}")
 
 
 def _ratio_table(nu, mu, kern, p_list, densities, workers):
-    """max over densities g (per-atom values on nu) of
-    |T* g|_{L^p(mu)} / |g|_{L^p(nu)} per p."""
-    stack = density_stack(densities, nu).T  # (D, N), each chunk reads it uncopied
-    tstar = _tstar_all(nu, kern, mu.positions, stack, workers)
+    """max over the per-atom densities g on nu of |T* g|_{L^p(mu)} /
+    |g|_{L^p(nu)} per p: T* of the list at each fixed chunk of mu's atoms
+    is one ``maximal_values`` call, which sorts each point's row once."""
+    tables = [TruncationTable(nu, kern, mu.positions[start : start + _POINT_CHUNK])
+              for start in range(0, mu.count, _POINT_CHUNK)]
+    tstar = np.concatenate(_pmap(operator.methodcaller("maximal_values", densities), tables, workers), axis=1)
     out = {}
     for p in p_list:
         best = 0.0
@@ -586,6 +585,7 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, workers: _W
         for gen in _or_default(cfg, prm, "generations", [3, 4, 5, 6]):
             nu = cantor_four_corners(gen)
             _same_dim("kernel", kern.ambient_dim, "Cantor set", nu.ambient_dim)
+            _check_stack(n_g + 1, nu, nu.count, "scenario.generations")
             densities = [np.ones(nu.count), *_seeded_densities(rng, nu, n_g)]
             with blame("scenario.generations"):
                 ratios = _ratio_table(nu, nu, kern, p_list, densities, workers)
@@ -614,6 +614,7 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, workers: _W
             raise ConfigError("nu must be supported strictly below the graph")
         if np.any(graph.classify_many(mu.positions) == -1):
             raise ConfigError("mu must be supported above or on the graph")
+        _check_stack(n_g, nu, mu.count, "scenario.resolutions")
         densities = _seeded_densities(rng, nu, n_g)
         with blame("scenario.resolutions"):
             ratios = _ratio_table(nu, mu, kern, p_list, densities, workers)
@@ -783,7 +784,7 @@ def read_scenario(cfg: Config):
             raise ConfigError(f"scenario.{key} must not be empty")
         for rule in filter(None, spec.rules.split(", ")):
             op, _, bound = rule.partition(" ")
-            ok = sorted(items) == items if rule == "increasing" else all(
+            ok = all(a < b for a, b in zip(items, items[1:])) if rule == "increasing" else all(
                 _COMPARE[op](v, float(bound)) for v in items
             )
             if not ok:

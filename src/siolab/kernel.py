@@ -123,19 +123,32 @@ class RieszComponent(OddHomogeneous):
 
 
 def _shell_samples(kernel, rng, count: int) -> np.ndarray:
-    """Random sample points with log-uniform radii over [1e-3, 1e3]."""
-    n = kernel.ambient_dim
-    dirs = rng.unit_vectors(count, n)
+    """Random sample points with log-uniform radii over [1e-3, 1e3]; every check draws here."""
+    if count < 1:
+        raise ValueError("sample_count must be >= 1")
+    dirs = rng.unit_vectors(count, kernel.ambient_dim)
     radii = np.exp(rng.uniforms(count, math.log(1e-3), math.log(1e3)))
     return dirs * radii[:, None]
 
 
+def _with_axes(kernel, rng, count: int):
+    """(x, |x|) for x the ``_shell_samples`` and then the 2n axis points."""
+    n = kernel.ambient_dim
+    x = np.vstack([_shell_samples(kernel, rng, count), np.eye(n), -np.eye(n)])
+    return x, np.linalg.norm(x, axis=1)
+
+
+def _antisymmetry(kernel, sample_count: int, rng) -> tuple[float, bool]:
+    """(max of |K(x) + K(-x)|, whether each is <= 1e-12 |K(x)|) over random samples x."""
+    x = _shell_samples(kernel, rng, sample_count)
+    kx = kernel.evaluate_many(x.T)
+    residuals = np.abs(kx + kernel.evaluate_many(-x.T))
+    return float(np.max(residuals)), bool(np.all(residuals <= 1e-12 * np.abs(kx)))
+
+
 def antisymmetry_residual(kernel, sample_count: int, rng) -> float:
     """Max of |K(x) + K(-x)| over random samples; 0 for catalog kernels."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    x = _shell_samples(kernel, rng, sample_count)
-    return float(np.max(np.abs(kernel.evaluate_many(x.T) + kernel.evaluate_many(-x.T))))
+    return _antisymmetry(kernel, sample_count, rng)[0]
 
 
 def size_bound_sup(kernel, sample_count: int, rng) -> float:
@@ -145,13 +158,8 @@ def size_bound_sup(kernel, sample_count: int, rng) -> float:
     cross-checks the scaling.  Axis points are always included so the
     Riesz sup is attained exactly.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    n = kernel.ambient_dim
-    x = _shell_samples(kernel, rng, sample_count)
-    x = np.vstack([x, np.eye(n), -np.eye(n)])
-    r = np.linalg.norm(x, axis=1)
-    return float(np.max(np.abs(kernel.evaluate_many(x.T)) * r ** (n - 1)))
+    x, r = _with_axes(kernel, rng, sample_count)
+    return float(np.max(np.abs(kernel.evaluate_many(x.T)) * r ** (kernel.ambient_dim - 1)))
 
 
 def gradient_fd(kernel, x: np.ndarray) -> np.ndarray:
@@ -171,14 +179,8 @@ def gradient_fd(kernel, x: np.ndarray) -> np.ndarray:
 
 def gradient_bound_sup(kernel, sample_count: int, rng) -> float:
     """Sampled sup of |grad K(x)| |x|^n, gradient by central differences."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    n = kernel.ambient_dim
-    x = _shell_samples(kernel, rng, sample_count)
-    x = np.vstack([x, np.eye(n), -np.eye(n)])
-    grad = gradient_fd(kernel, x)
-    r = np.linalg.norm(x, axis=1)
-    return float(np.max(np.linalg.norm(grad, axis=1) * r**n))
+    x, r = _with_axes(kernel, rng, sample_count)
+    return float(np.max(np.linalg.norm(gradient_fd(kernel, x), axis=1) * r**kernel.ambient_dim))
 
 
 @dataclass
@@ -202,14 +204,9 @@ GRADIENT_SLACK = 1e-4
 
 
 def validate(kernel, rng, sample_count: int) -> KernelValidation:
-    """Check the declared constants against sampled suprema."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    x = _shell_samples(kernel, rng, sample_count)
-    kx = kernel.evaluate_many(x.T)
-    residuals = np.abs(kx + kernel.evaluate_many(-x.T))
-    anti = float(np.max(residuals))
-    anti_ok = bool(np.all(residuals <= 1e-12 * np.abs(kx)))
+    """Check the declared constants against sampled suprema, drawing the
+    antisymmetry, size and gradient samples in that order."""
+    anti, anti_ok = _antisymmetry(kernel, sample_count, rng)
     size = size_bound_sup(kernel, sample_count, rng)
     grad = gradient_bound_sup(kernel, sample_count, rng)
     return KernelValidation(

@@ -203,7 +203,7 @@ def slab_above_graph(
     box,
     cells_per_axis: int,
     thickness: float,
-    levels: int = 8,
+    levels: int,
     vertical_shift: float = 0.0,
 ) -> DiscreteMeasure:
     """Lebesgue slab {(u, t): u in box, 0 < t - f(u) <= thickness},

@@ -86,18 +86,11 @@ def density_values(g, mu: DiscreteMeasure) -> np.ndarray:
 def density_stack(gs, mu: DiscreteMeasure) -> np.ndarray:
     """Per-atom values of a stack of densities, atom-major (N, D): ``gs``
     is a sequence of densities, each as ``density_values`` reads it, or a
-    2-D (D, N) array of per-atom values.  A bare number or a 1-D array is
-    refused: a list of numbers is one per-atom density to
-    ``density_values``, not D constant ones."""
-    if isinstance(gs, np.ndarray):
-        if gs.ndim != 2:
-            raise TypeError(f"a density stack array must be 2-D (D, N), got {gs.ndim}-D; for one density g pass [g]")
-        if gs.shape[1] != mu.count:
-            raise ValueError("per-atom table length mismatch")
-        vals = np.ascontiguousarray(gs.T, dtype=float)  # no copy of an atom-major stack's transpose
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("density values must be finite")
-        return vals
+    2-D (D, N) array, read as its D rows.  A bare number, an array of
+    another rank or a number in the sequence is refused: a list of numbers
+    is one per-atom density to ``density_values``, not D constant ones."""
+    if isinstance(gs, np.ndarray) and gs.ndim == 2:
+        gs = list(gs)
     if not isinstance(gs, (list, tuple)) or any(isinstance(g, numbers.Real) for g in gs):
         raise TypeError("a density stack is a sequence of densities, none a bare number, or a 2-D (D, N) array;"
                         " for one density g pass [g]")
@@ -233,6 +226,12 @@ def _compiled():
     return dll
 
 
+def check_sort_cells(n_cells: int) -> None:
+    """ValueError past ``SORT_CELLS_GUARD`` (point, atom) cells in one sort."""
+    if n_cells > SORT_CELLS_GUARD:
+        raise ValueError(f"sort cell guard exceeded: {n_cells} cells, limit {SORT_CELLS_GUARD}")
+
+
 def _row_sups(monomial, pts: np.ndarray, nu: DiscreteMeasure, stack: np.ndarray, mass):
     """(T*, (M, diverges)) at the points ``pts`` from ``sups.c``'s
     ``row_sups``: per point, one compiled pass computes each cell's
@@ -244,9 +243,7 @@ def _row_sups(monomial, pts: np.ndarray, nu: DiscreteMeasure, stack: np.ndarray,
     is (None, None) without mass.  ValueError before the call past
     ``SORT_CELLS_GUARD`` cells, MemoryError if its O(N) scratch cannot be
     allocated."""
-    n_cells = len(pts) * nu.count
-    if n_cells > SORT_CELLS_GUARD:
-        raise ValueError(f"sort cell guard exceeded: {n_cells} cells, limit {SORT_CELLS_GUARD}")
+    check_sort_cells(len(pts) * nu.count)
     tstar = np.empty((stack.shape[1], len(pts)))
     values, diverges = (None, None) if mass is None else (np.empty(len(pts)), np.empty(len(pts), dtype=bool))
     lib = _compiled()

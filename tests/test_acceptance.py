@@ -70,7 +70,7 @@ def _overlap_kernel(r: Rng, idx: int):
 
 def _overlap_shape(r: Rng, box, max_radius):
     center = tuple(r.uniform(lo, hi) for lo, hi in box)
-    if r.uniform() < 0.75:
+    if r.uniform(0.0, 1.0) < 0.75:
         return sl.Ball(center, r.uniform(0.15, max_radius))
     return sl.Rectangle(center, (r.uniform(0.15, max_radius), r.uniform(0.15, max_radius)))
 

@@ -785,6 +785,42 @@ def test_cli_operator_guard_is_a_config_error(tmp_path, capsys, cfg, key, limit)
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_repeated_resolution_is_a_config_error(tmp_path, capsys):
+    # "increasing" is strict: a repeat used to run, write each row twice and pass
+    cfg = {"graph": _SAWTOOTH, "scenario": {"tag": "CarlesonEmbedding", "resolutions": "16, 16", "mesh_depth": "2"}}
+    assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
+    assert "scenario.resolutions must be increasing" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+_STACK_LIMIT = "limit 33554432"  # 2^25 density values, 256 MiB
+
+
+def _no_draw(*args):
+    raise AssertionError("densities drawn before the stack guards")
+
+
+@pytest.mark.parametrize(
+    "cfg, key, limit",
+    [
+        # the first 2048-point chunk against 4^8 atoms: 134 M sort cells
+        pytest.param(_with(_CONTROL, generations="8", random_functions="10000", p="2"), "scenario.generations",
+                     _TABLE_LIMIT, id="control-sort_cells"),
+        # 1,000,001 densities on 4^3 atoms: 64 M values
+        pytest.param(_with(_CONTROL, generations="3", random_functions="1000000", p="2"),
+                     "scenario.random_functions", _STACK_LIMIT, id="control-stack_values"),
+        pytest.param(_with(_SEPARATED, resolutions="16", random_functions="1000000", p="2"),
+                     "scenario.random_functions", _STACK_LIMIT, id="separated-stack_values"),
+    ],
+)
+def test_density_stack_guards_refuse_before_the_draw(tmp_path, capsys, monkeypatch, cfg, key, limit):
+    # D x N densities could fill memory before the sort guard refused the first chunk
+    monkeypatch.setattr(scenarios, "_seeded_densities", _no_draw)
+    assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{key}: " in err and "guard exceeded" in err and limit in err
+
+
 @pytest.mark.parametrize(
     "section, ball, message",
     [
