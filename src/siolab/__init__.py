@@ -33,6 +33,7 @@ from .operators import (
     TruncationTable,
     bound_constants,
     lp_norm,
+    lp_norms,
     maximal,
     nontangential_max,
     pv_estimate,

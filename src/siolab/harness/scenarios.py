@@ -37,6 +37,7 @@ from ..operators import (
     geometric_schedule,
     hl_maximal_batch,  # noqa: F401  kept bound here for perfbench/tracing.py
     lp_norm,
+    lp_norms,
     nontangential_max,  # noqa: F401  kept bound here for perfbench/tracing.py
     nontangential_max_many,
     pair_sum_schedule,
@@ -552,18 +553,19 @@ def _check_stack(n_densities: int, nu, n_points: int, key: str) -> None:
 def _ratio_table(nu, mu, kern, p_list, densities, workers):
     """max over the per-atom densities g on nu of |T* g|_{L^p(mu)} /
     |g|_{L^p(nu)} per p: T* of the list at each fixed chunk of mu's atoms
-    is one ``maximal_values`` call, which sorts each point's row once."""
+    is one ``maximal_values`` call, which sorts each point's row once, and
+    each side's norms at one p are one ``lp_norms`` call."""
     tables = [TruncationTable(nu, kern, mu.positions[start : start + _POINT_CHUNK])
               for start in range(0, mu.count, _POINT_CHUNK)]
     tstar = np.concatenate(_pmap(operator.methodcaller("maximal_values", densities), tables, workers), axis=1)
     out = {}
     for p in p_list:
+        denoms = lp_norms(nu, densities, p)
+        kept = denoms != 0.0
+        nums = lp_norms(mu, [row for row, keep in zip(tstar, kept) if keep], p)
         best = 0.0
-        for i, g_vals in enumerate(densities):
-            denom = lp_norm(nu, g_vals, p)
-            if denom == 0.0:
-                continue
-            best = max(best, lp_norm(mu, tstar[i], p) / denom)
+        for num, denom in zip(nums, denoms[kept]):
+            best = max(best, num / denom)
         out[p] = best
     return out
 

@@ -9,8 +9,9 @@ Summation conventions, fixed package-wide:
   pair sums) is one Sum2, and a sup over prefixes (T* and the maximal
   function) is a max over the Sum2 prefixes of each row; the sups (each
   point's row of distances and kernel terms, stably sorted and read
-  while it is in scratch), the T^eps rows and the pair sums' partials
-  run in the loops of ``sups.c``,
+  while it is in scratch), the T^eps rows, the pair sums' partials and
+  the L^p norms' totals (``lp_norms``, one pass over a stack of
+  densities) run in the loops of ``sups.c``,
   which need a C compiler (``_compiled``), each one text built at lane
   widths 1 and 8 and run at the width that the host's probe picks
   (``lanes``), each width with the same bits.  T^eps has one
@@ -89,15 +90,22 @@ def density_stack(gs, mu: DiscreteMeasure) -> np.ndarray:
     2-D (D, N) array, read as its D rows.  A bare number, an array of
     another rank or a number in the sequence is refused: a list of numbers
     is one per-atom density to ``density_values``, not D constant ones."""
+    return _density_rows(gs, mu, "F").T
+
+
+def _density_rows(gs, mu: DiscreteMeasure, order: str) -> np.ndarray:
+    """The values of ``density_stack`` as D rows, a (D, N) array laid out
+    in ``order``: "C", one row per density, or "F", whose transpose is
+    the atom-major stack."""
     if isinstance(gs, np.ndarray) and gs.ndim == 2:
         gs = list(gs)
     if not isinstance(gs, (list, tuple)) or any(isinstance(g, numbers.Real) for g in gs):
         raise TypeError("a density stack is a sequence of densities, none a bare number, or a 2-D (D, N) array;"
                         " for one density g pass [g]")
-    vals = np.empty((mu.count, len(gs)))
+    rows = np.empty((len(gs), mu.count), order=order)
     for k, g in enumerate(gs):
-        vals[:, k] = density_values(g, mu)
-    return vals
+        rows[k] = density_values(g, mu)
+    return rows
 
 
 def _points(points, dim: int) -> np.ndarray:
@@ -169,9 +177,9 @@ _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 @functools.cache
 def _compiled():
-    """The loops of ``sups.c`` through ctypes (the sups, T^eps and the
-    pair engine), built with ``cc`` on first use (never
-    at import) into ``build/`` beside it under the CRC of source and flags
+    """The loops of ``sups.c`` through ctypes (the sups, T^eps, the
+    pair engine and the row totals of ``lp_norms``), built with ``cc`` on
+    first use (never at import) into ``build/`` beside it under the CRC of source and flags
     (a per-process name renamed into place, so forked workers may race).
     They are the only implementation: where no compiler, compile, writable
     directory or loadable library is found, RuntimeError names ``cc``,
@@ -181,8 +189,8 @@ def _compiled():
     every caller passes to pick the lane width at which each loop runs:
     each is one text, built at widths 1 and 8, and with 8 the row loops
     (the sups' distances and terms, T^eps, the pair engine and M) take 8
-    points per vector and T* takes 8 densities; each lane keeps the bits
-    of width 1.  An array argument may be None, passed as
+    points per vector and T* takes 8 densities, or 8 rows of one; each
+    lane keeps the bits of width 1.  An array argument may be None, passed as
     NULL, which ``row_sups`` reads as no mass."""
     import ctypes
     import zlib
@@ -220,8 +228,9 @@ def _compiled():
     dll.row_sups.argtypes = [size, size, size, f64, f64, i64, size, size, f64, size, f64, f64, f64, f64, flag]
     dll.truncated_rows.argtypes = [size, size, size, f64, f64, i64, size, size, f64, f64, f64]  # _cells, lanes, ...
     dll.pair_partials.argtypes = [size, size, size, f64, f64, i64, size, size, f64, f64, size, f64, f64, f64, i64]
+    dll.sum2_rows.argtypes = [size, size, f64, f64]
     dll.sup_lanes.argtypes = []
-    dll.truncated_rows.restype = None
+    dll.truncated_rows.restype = dll.sum2_rows.restype = None
     dll.lanes = dll.sup_lanes()
     return dll
 
@@ -422,11 +431,26 @@ def nontangential_max_many(hs, graph, apex_u, aperture: float, height_cap: float
 
 
 def lp_norm(mu: DiscreteMeasure, g, p: float) -> float:
-    """(sum |g|^p w)^(1/p), the sum one Sum2; 0 on an empty measure."""
+    """(sum |g|^p w)^(1/p), g any density of ``density_values``: the
+    one-density call of ``lp_norms``."""
+    return float(lp_norms(mu, [density_values(g, mu)], p)[0])
+
+
+def lp_norms(mu: DiscreteMeasure, gs, p: float) -> np.ndarray:
+    """(sum |g|^p w)^(1/p) for each density g of the stack ``gs`` (see
+    ``density_stack``), shape (D,), each sum one Sum2 and 0 on an empty
+    measure.  The stack is one (D, N) array, powered in place, whose rows
+    one compiled pass sums (``sups.c``'s ``sum2_rows``); the root is a
+    Python float power."""
     if not 1 <= p < math.inf:
         raise ValueError("p must be in [1, inf)")
-    powered = np.abs(density_values(g, mu)) ** p * mu.weights
-    return float(sum2_prefix(powered[None, :])[0, -1] if mu.count else 0.0) ** (1.0 / p)
+    powered = _density_rows(gs, mu, "C")
+    np.abs(powered, out=powered)
+    powered **= p
+    powered *= mu.weights
+    totals = np.empty(len(powered))
+    _compiled().sum2_rows(*powered.shape, powered, totals)
+    return np.array([float(total) ** (1.0 / p) for total in totals])
 
 
 # ---------------------------------------------------------------------------

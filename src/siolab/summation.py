@@ -7,8 +7,9 @@ as a sum in twice the working precision, rounded once.  Every sum here,
 the TwoSum errors' too, adds its terms one at a time in order (a cumsum,
 never numpy's pairwise ``sum``), as textbook Sum2 does.  A sup over
 prefixes is a max over the Sum2 prefixes of its row; ``operators``
-takes it, the T^eps row totals and the pair engine's partials (each
-kept unrounded: the float64 sum and the sum of its TwoSum errors) in
+takes it, the T^eps row totals, the pair engine's partials (each kept
+unrounded: the float64 sum and the sum of its TwoSum errors) and the
+row totals of its L^p norms (``sum2_rows``, the last prefix here) in
 the compiled passes of ``sups.c``, with the same operations in the same
 order.  No function here writes into its argument.
 """

@@ -1,5 +1,6 @@
 /* The compiled loops of siolab.operators, one row per point: the sups of
-   each point's distance-sorted row (T* and M), T^eps and the pair engine.
+   each point's distance-sorted row (T* and M), T^eps and the pair engine;
+   and the Sum2 totals of the rows of an array (the L^p norms).
    A row is summed by Sum2 (Ogita, Rump and Oishi, SIAM J. Sci. Comput.
    26, 2005), with the operations of summation.sum2_prefix in its order:
    s the running sum, c the running sum of the exact TwoSum errors, a
@@ -33,9 +34,10 @@
    run where the probe sup_lanes finds AVX-512.  The row loops (the sups'
    distances and terms, T^eps, the pair engine and M) put W points in the
    lanes, one each, and broadcast one atom at a time; T* puts W densities
-   in them.  A lane does its point's or its density's operations in their
-   order (vsqrtpd and vdivpd round as sqrt and division do), so every lane
-   has the bits of W = 1.  A partial last block of points repeats the last
+   in them, or, with one density, W sorted rows, one each.  A lane does
+   its point's, its density's or its row's operations in their order
+   (vsqrtpd and vdivpd round as sqrt and division do), so every lane has
+   the bits of W = 1.  A partial last block of points repeats the last
    point in its padding lanes, which are never written. */
 #ifndef W  /* the whole file; the loop section below is included with W defined */
 #include <math.h>
@@ -235,6 +237,17 @@ void truncated_rows(int64_t rows, int64_t n, int64_t dim, const double *pts, con
     BY_LANES(lanes, truncated, rows, n, dim, pts, pos, powers, q, eps, gw, out);
 }
 
+/* The Sum2 total of each row of x (rows x n, row-major) into out, the
+   last prefix of summation.sum2_prefix, and 0 for n = 0 */
+void sum2_rows(int64_t rows, int64_t n, const double *x, double *out)
+{
+    for (int64_t i = 0; i < rows; i++, x += n) {
+        double s = n ? x[0] : 0.0, c = 0.0;
+        for (int64_t j = 1; j < n; j++) SUM2_ADD(s, c, x[j]);
+        out[i] = s + c;
+    }
+}
+
 /* The pair engine of operators.pair_sum_schedule over the pairs (x, y) of
    pts x pos, row by row: a pair with |x - y| > eps[bins - 1] (eps strictly
    decreasing; the other pairs are skipped) falls in bin j, the first with
@@ -257,7 +270,8 @@ int pair_partials(int64_t rows, int64_t n, int64_t dim, const double *pts, const
    W lanes, as compares give them; a load of the live lanes at p (the
    others 0) and a store of them; the square root, |v|, t where a mask
    holds and 0.0 elsewhere, best = the NaN-sticky max of best and a in the
-   lanes where a mask holds (as np.max), and lane l of v. */
+   lanes where a mask holds (as np.max), the plain max of a and b (a where
+   a > b, else b, so b where a is NaN: vmaxpd's rule), and lane l of v. */
 #if W == 1
 #define VEC double
 #define MASK int64_t
@@ -268,6 +282,7 @@ int pair_partials(int64_t rows, int64_t n, int64_t dim, const double *pts, const
 #define ABS(v) fabs(v)
 #define KEEP(t, when) ((when) ? (t) : 0.0)
 #define MAX(best, a, when) do { if (when) { double a_ = (a); if (a_ > (best) || a_ != a_) (best) = a_; } } while (0)
+#define VMAX(a, b) ((a) > (b) ? (a) : (b))
 #define LANE(v, l) (v)
 #else
 #define VEC v8d
@@ -283,6 +298,7 @@ int pair_partials(int64_t rows, int64_t n, int64_t dim, const double *pts, const
         v8l up_ = (when) & ((v8l)(a_ > (best)) | (v8l)(a_ != a_));       \
         (best) = (v8d)(((v8l)a_ & up_) | ((v8l)(best) & ~up_));         \
     } while (0)
+#define VMAX(a, b) __builtin_ia32_maxpd512_mask((a), (b), (b), 0xff, 4)  /* vmaxpd */
 #define LANE(v, l) ((v)[l])
 #endif
 
@@ -368,22 +384,67 @@ TARGET static int L(pairs)(int64_t rows, int64_t n, int64_t dim, const double *p
    atoms x d densities, atom-major), W densities per vector, one per lane
    (the last block's missing densities loaded as zeros and not written):
    the max of |prefix| of g[row[j].idx * d + k] * row[j].term at the last
-   j of each group of equal distances, and 0, into out[k * stride].  Not
-   inlined: inside sups at W = 1 its loop kept pointers on the stack, 4%
-   slower at d = 50. */
+   j of each group of equal distances, and 0, into out[k * stride].
+
+   The max is np.max's, NaN-sticky, taken as a plain max at each group
+   end and one NaN-sticky max of the last prefix, which ends the last
+   group.  That has the same bits: a prefix s + c is NaN only where s or
+   c is (opposite infinities need an infinite s, and past the first term
+   an infinite s makes TwoSum's error NaN through inf - inf), and s and c
+   stay NaN once they are, so a NaN at any group end makes the last
+   prefix NaN; without one, both maxes take the same values.  The plain
+   max keeps best in a register (vmaxpd at W = 8), and its lanes leave
+   through a store: read by LANE after the loop, best lives in a stack
+   slot, loaded and stored at every group end.  Not inlined: inside sups
+   at W = 1 its loop kept pointers on the stack, 4% slower at d = 50. */
 TARGET __attribute__((noinline)) static void L(tstar_row)(int64_t n, int64_t d, const double *g, const item *row,
                                                           int64_t stride, double *out)
 {
     for (int64_t k = 0; k < d; k += W) {
         int64_t live = d - k < W ? d - k : W;
         VEC s = {0}, c = {0}, best = {0};
+        double lanes[W];
         for (int64_t j = 0; j < n; j++) {
             VEC t = LOAD(g + row[j].idx * d + k, live) * row[j].term;
             if (j == 0) s = t; else SUM2_ADD(s, c, t);
-            if (j == n - 1 || row[j].key != row[j + 1].key) MAX(best, ABS(s + c), -1);  /* -1: every lane */
+            if (j == n - 1 || row[j].key != row[j + 1].key) best = VMAX(ABS(s + c), best);
         }
-        for (int64_t l = 0; l < live; l++) out[(k + l) * stride] = LANE(best, l);
+        MAX(best, ABS(s + c), -1);  /* -1: every lane */
+        STORE(lanes, best, W);
+        for (int64_t l = 0; l < live; l++) out[(k + l) * stride] = lanes[l];
     }
+}
+
+/* T* of a block of live <= W sorted rows at d = 1, rows[l] for lane l (a
+   padding lane reads the last row), each lane one row: tstar_row's max
+   for the one density g, the lanes' group ends apart, into out[l].  A
+   chunk of HL_CHUNK items of each lane's terms g[row[j].idx] *
+   row[j].term and distances, and the next item's distance, is copied
+   into cell, the W lanes of an item side by side, and summed from there,
+   as hl_block reads its rows.  sups runs it at W = 8 only: with one
+   density, tstar_row's lanes across densities leave 7 of 8 idle. */
+TARGET __attribute__((noinline)) static void L(tstar_block)(int64_t live, int64_t n, const double *g,
+                                                            item *const *rows, double *out)
+{
+    double cell[2 * W * (HL_CHUNK + 1)];  /* item lo + a of a chunk: its terms at 2 W a, its distances next */
+    VEC s = {0}, c = {0}, best = {0};
+    for (int64_t lo = 0; lo < n; lo += HL_CHUNK) {
+        int64_t hi = n - lo > HL_CHUNK ? lo + HL_CHUNK : n, top = hi < n ? hi + 1 : n;  /* the chunk is [lo, hi) */
+        for (int64_t l = 0; l < W; l++) {
+            const item *row = rows[l < live ? l : live - 1];
+            for (int64_t j = lo; j < top; j++)
+                cell[2 * W * (j - lo) + l] = g[row[j].idx] * row[j].term, cell[2 * W * (j - lo) + W + l] = row[j].key;
+        }
+        for (int64_t j = lo; j < hi; j++) {
+            const double *at = cell + 2 * W * (j - lo);
+            VEC t = LOAD(at, W), d = LOAD(at + W, W);
+            VEC next = j + 1 < n ? LOAD(at + 3 * W, W) : (VEC){0} + NAN;  /* a row's end: d != NaN */
+            if (j == 0) s = t; else SUM2_ADD(s, c, t);
+            best = VMAX(KEEP(ABS(s + c), d != next), best);  /* 0.0 off a group end, which leaves best */
+        }
+    }
+    MAX(best, ABS(s + c), -1);  /* -1: every lane */
+    STORE(out, best, live);
 }
 
 /* M of a block of live <= W sorted rows, rows[l] for lane l (a padding
@@ -454,8 +515,9 @@ TARGET static int L(sups)(int64_t rows, int64_t n, int64_t dim, const double *pt
         for (int64_t l = 0; l < live; l++) {
             item *sorted = sort_row(row[l], spare, n, bound, count);
             if (sorted == spare) spare = row[l], row[l] = sorted;
-            L(tstar_row)(n, d, g, row[l], rows, tstar + i + l);
+            if (W == 1 || d != 1) L(tstar_row)(n, d, g, row[l], rows, tstar + i + l);
         }
+        if (W > 1 && d == 1) L(tstar_block)(live, n, g, row, tstar + i);
         if (mass) L(hl_block)(live, n, dim, mass, row, hl + i, diverges + i);
     }
     free(xs);
@@ -471,5 +533,6 @@ TARGET static int L(sups)(int64_t rows, int64_t n, int64_t dim, const double *pt
 #undef ABS
 #undef KEEP
 #undef MAX
+#undef VMAX
 #undef LANE
 #endif

@@ -302,6 +302,29 @@ def test_lp_norm_rejects_infinite_p():
             sl.lp_norm(two_atom_line(), g, math.inf)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n", [0, 1, 2048])
+@pytest.mark.parametrize("d", [1, 7, 50])
+def test_lp_norms_equal_one_numpy_sum2_per_density(d, n, p):
+    # each norm of the stack is the Sum2 of |g|^p w in atom order, bit for
+    # bit the last prefix of a numpy sum2_prefix of that density alone,
+    # its root a Python float power, and lp_norm is its one-density call:
+    # zero densities, and densities of 1e306 whose powers or sums overflow
+    # (inf terms, then NaN sums), beside ordinary ones
+    rng = np.random.default_rng(d + n)
+    nu = sl.DiscreteMeasure(rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(0.0, 1.0, n), 1e-3)
+    gs = rng.uniform(-2.0, 2.0, (d, n)) * np.resize([1e306, 0.0, 1.0], d)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = operators.lp_norms(nu, gs, p)
+        expected = np.array([
+            float(summation.sum2_prefix((np.abs(g) ** p * nu.weights)[None, :])[0, -1] if n else 0.0) ** (1.0 / p)
+            for g in gs
+        ])
+        singles = np.array([sl.lp_norm(nu, g, p) for g in gs])
+    assert norms.shape == (d,) and norms.tobytes() == expected.tobytes() == singles.tobytes()
+    assert (norms[1::3] == 0.0).all() and (np.isnan(norms[0]) or n < 2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     magnitude=st.floats(min_value=1e-3, max_value=1e3),
@@ -1339,6 +1362,33 @@ def test_sup_copies_bit_equal_to_the_per_density_loop(kind, d):
     values = _assert_copies_bit_equal(nu, k, pts, gs)
     if kind == "nan_terms":
         assert (values[np.all(gs == 0.0, axis=1)] == 0.0).all() and np.isnan(values).any()
+
+
+@pytest.mark.parametrize("n", [0, 1, 130])
+@pytest.mark.parametrize("n_pts", [1, 7, 8, 9, 17])
+def test_tstar_of_one_density_equals_its_oracle_in_each_copy(n_pts, n):
+    # at D = 1 the 8-lane copy takes one sorted row per lane, each lane
+    # with its own group ends: P = 1 to 17 (partial last blocks of 8), N =
+    # 0, 1 and 130 (past two 64-item chunks); integer-grid atoms (exact
+    # ties), points on atoms (zero distances) and off them, and an atom
+    # far out, first in every row, whose term g w = 1e9 * 1e300 overflows,
+    # so that a row not on it starts with inf and turns NaN next; a row on
+    # it (every third point) has that term 0 and stays finite
+    rng = np.random.default_rng(n + 1000 * n_pts)
+    positions = rng.integers(-2, 3, size=(n, 2)).astype(float)
+    weights, g = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    pts = rng.integers(-2, 3, size=(n_pts, 2)) + rng.choice([0.0, 0.5], (n_pts, 2))
+    if n:
+        positions[0], weights[0], g[0] = (50.0, 0.0), 1e300, 1e9
+        pts[1::3] = positions[0]
+    nu = sl.DiscreteMeasure(positions, weights, 1e-3)
+    (values,) = _assert_copies_bit_equal(nu, _unit_kernel(2), pts, [g])
+    far = np.arange(n_pts) % 3 == 1
+    assert np.isfinite(values[far]).all()
+    if n:
+        assert (np.isnan(values[~far]) if n > 1 else np.isinf(values[~far])).all()
+    else:
+        assert values.tolist() == [0.0] * n_pts
 
 
 @pytest.mark.parametrize("d", [1, 9])

@@ -25,11 +25,14 @@ symbol that ``operators._compiled`` binds, each with one argtype of the
 matching kind per C parameter; a compile leaves no library of an earlier source in
 the build directory.  The built library holds no FMA instruction, and its
 AVX-512 copies take their square roots with vsqrtpd, never a scalar vsqrtsd
-per lane.  The compiled loops are the only implementation:
+per lane; the AVX-512 T* loops load and store no vector at a stack
+address.  The compiled loops are the only implementation:
 without ``cc`` or a compile, the loader's error names ``cc``, the build
 directory and the compiler's message, and no source or test takes
 another path.  The only ``noqa`` lines are the four re-imports that keep
-a name bound for the tracer.
+a name bound for the tracer.  Under the suite's warning filters, a
+falsified hypothesis test is reported with its example and the run goes
+on.
 """
 
 import ast
@@ -50,6 +53,9 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 PACKAGE = ROOT / "src" / "siolab"
 README = ROOT / "README.md"
+PYPROJECT = ROOT / "pyproject.toml"
+
+pytest_plugins = ["pytester"]
 
 
 def _load(name, path):
@@ -318,7 +324,7 @@ def test_sups_compile_without_warnings_and_export_every_bound_symbol(tmp_path):
         and isinstance(node.ctx, ast.Load)
     }
     dll = ctypes.CDLL(str(lib))
-    exports = {"row_sups", "truncated_rows", "pair_partials", "sup_lanes"}
+    exports = {"row_sups", "truncated_rows", "pair_partials", "sum2_rows", "sup_lanes"}
     assert exports <= bound
     assert [name for name in sorted(bound) if not hasattr(dll, name)] == []
 
@@ -356,7 +362,7 @@ def test_bound_argtypes_match_the_c_parameter_lists():
     }
     assert argtypes == params
     assert {name: len(kinds) for name, kinds in params.items()} == {
-        "row_sups": 15, "truncated_rows": 11, "pair_partials": 15, "sup_lanes": 0,
+        "row_sups": 15, "truncated_rows": 11, "pair_partials": 15, "sum2_rows": 4, "sup_lanes": 0,
     }
 
 
@@ -377,10 +383,10 @@ def test_each_compiled_loop_is_written_once():
     names = [re.sub(r"^L\((\w+)\)$", r"\1", name)
              for name in re.findall(r"^(?!typedef )[A-Za-z][\w ]* \**(L\(\w+\)|\w+)\(", source, re.MULTILINE)]
     assert len(names) == len(set(names))
-    assert {"cells", "tstar_row", "hl_block", "sups", "truncated", "pairs"} <= set(names)
+    assert {"cells", "tstar_row", "tstar_block", "hl_block", "sups", "truncated", "pairs"} <= set(names)
     assert [name for name in names if "avx512" in name] == []
     exported = re.findall(r"^(?!static |TARGET static )\w+ \**(\w+)\(", source, re.MULTILINE)
-    assert sorted(exported) == ["pair_partials", "row_sups", "sup_lanes", "truncated_rows"]
+    assert sorted(exported) == ["pair_partials", "row_sups", "sum2_rows", "sup_lanes", "truncated_rows"]
 
 
 def _builds_avx512_copies() -> bool:
@@ -408,6 +414,27 @@ def test_compiled_loops_hold_no_fma_and_only_vector_square_roots():
     assert sorted(m for m in mnemonics if re.match(r"vfn?m(add|sub)", m)) == []
     assert "vsqrtsd" not in mnemonics
     assert ("vsqrtpd" in mnemonics) == _builds_avx512_copies()
+
+
+@pytest.mark.skipif(shutil.which("objdump") is None, reason="needs objdump")
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="x86-64 mnemonics")
+def test_t_star_loops_keep_their_vectors_off_the_stack():
+    # a vector read by lane after the loop (LANE(best, l)) kept tstar_row's
+    # running max in a stack slot: two zmm loads and a store at every
+    # distance-group end; the lanes now leave through a store, and the
+    # D = 1 block reads its scratch through a pointer, so no zmm register
+    # is loaded from or stored to an address off %rsp or %rbp in either
+    from siolab import operators
+
+    if not _builds_avx512_copies():
+        pytest.skip("cc builds no AVX-512 copies")
+    listing = subprocess.run(["objdump", "-d", operators._compiled()._name], capture_output=True, text=True,
+                             check=True).stdout
+    for name in ("tstar_row_8", "tstar_block_8"):
+        body = re.search(rf"^[0-9a-f]+ <{name}(?:\.\w+)*>:\n(.*?)(?:\n\n|\Z)", listing, re.S | re.M)
+        assert body, name
+        stack = [line for line in body.group(1).splitlines() if "%zmm" in line and re.search(r"\(%r[sb]p", line)]
+        assert stack == [], name
 
 
 def _copied_source(tmp_path, monkeypatch, extra=""):
@@ -488,3 +515,26 @@ def test_each_compiled_loop_has_one_path():
                if any(isinstance(a, ast.Constant) and a.value == "_compiled" for a in node.args)
                and any(isinstance(a, ast.Lambda) and none(a.body) for a in node.args)]
     assert sources == patches == []
+
+
+def test_a_falsified_given_test_is_reported_and_the_run_goes_on(pytester):
+    # under the suite's filterwarnings = ["error"], hypothesis' report hook
+    # raised mypy_extensions' TypedDict DeprecationWarning as an
+    # INTERNALERROR: the falsifying example went unreported and no later
+    # test ran.  In a fresh process, since the warning comes only at the
+    # first import that raises it.
+    pytester.makepyprojecttoml(PYPROJECT.read_text())
+    pytester.makepyfile(test_falsified="""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_falsified(x):
+            assert x < 5
+
+        def test_next():
+            pass
+    """)
+    result = pytester.runpytest_subprocess("test_falsified.py", "-p", "no:cacheprovider")
+    assert "INTERNALERROR" not in result.stdout.str()
+    result.stdout.fnmatch_lines(["*Falsifying example*"])
+    result.assert_outcomes(failed=1, passed=1)
