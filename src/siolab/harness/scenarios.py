@@ -61,35 +61,13 @@ _STABILITY_FACTOR = 1.2  # CantorGrowth: largest ratio of successive growth cons
 _GROWTH_CAP = 1.5  # CarlesonEmbedding, SeparatedBoundedness: largest growth of a ratio per refinement
 
 
-class _Workers:
-    """The worker pool of one ``run_scenario`` call: at most one worker per
-    CPU (ValueError below 1), forked by the first ``_pmap`` that needs more
-    than one and reused by the run's later ones, and ended with the run."""
-
-    def __init__(self, threads: int):
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
-        self.threads = min(threads, os.cpu_count() or 1)
-        self.pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self.pool is not None:
-            self.pool.terminate()
-
-
-def _pmap(fn, items, workers: _Workers):
-    """Ordered map over independent items on the run's workers; chunking
-    is fixed and ``fn`` pure, so results match at any count."""
-    if workers.threads <= 1 or len(items) <= 1:
+def _pmap(fn, items, pool):
+    """Ordered map over independent items on the run's thread pool, or in
+    order on this thread where ``pool`` is None or there is one item;
+    chunking is fixed and ``fn`` pure, so results match at any count."""
+    if pool is None or len(items) <= 1:
         return [fn(item) for item in items]
-    if workers.pool is None:
-        import multiprocessing  # here, so a run on one worker never loads it
-
-        workers.pool = multiprocessing.get_context("fork").Pool(processes=workers.threads)
-    return workers.pool.map(fn, items)
+    return list(pool.map(fn, items))
 
 
 def _chunks(rng: Rng, total: int, size: int) -> list[tuple[int, int]]:
@@ -191,7 +169,7 @@ def random_nonzero_density(rng: Rng, nu: DiscreteMeasure, box):
 # ---------------------------------------------------------------------------
 
 
-def scenario_kernel_validation(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
+def scenario_kernel_validation(cfg: Config, prm: dict, rng: Rng, pool) -> ScenarioReport:
     kern = build_kernel(cfg)
     report = ScenarioReport("kernel_validation", {})
     result = kernel_mod.validate(kern, rng, prm["samples"])
@@ -247,19 +225,17 @@ def sample_cone_separation(graph: LipschitzGraph, aperture: float, box, count: i
     return (lhs - rhs) / np.maximum(np.linalg.norm(y - apex, axis=1), 1e-300)
 
 
-def _cone_chunk(args):
-    graph, aperture, box, count, seed = args
-    slack = sample_cone_separation(graph, aperture, box, count, Rng(seed))
-    return int(np.sum(slack < -1e-12)), float(np.min(slack))
-
-
-def scenario_cone_separation(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
+def scenario_cone_separation(cfg: Config, prm: dict, rng: Rng, pool) -> ScenarioReport:
     graph = build_graph(cfg)
     aperture = _aperture(cfg, prm, graph)
     samples = prm["samples"]
     box = [(-1.0, 1.0)] * graph.param_dim
-    tasks = [(graph, aperture, box, n, seed) for n, seed in _chunks(rng, samples, _POINT_CHUNK * 8)]
-    results = _pmap(_cone_chunk, tasks, workers)
+
+    def chunk(item):  # (violations, minimal relative slack) of one chunk's (count, seed)
+        slack = sample_cone_separation(graph, aperture, box, item[0], Rng(item[1]))
+        return int(np.sum(slack < -1e-12)), float(np.min(slack))
+
+    results = _pmap(chunk, _chunks(rng, samples, _POINT_CHUNK * 8), pool)
     violations = sum(r[0] for r in results)
     min_slack = min(r[1] for r in results)
     report = ScenarioReport("cone_separation", {})
@@ -277,12 +253,11 @@ def scenario_cone_separation(cfg: Config, prm: dict, rng: Rng, workers: _Workers
 # ---------------------------------------------------------------------------
 
 
-def _lemma_l2_batch(args):
+def _lemma_l2_batch(nu, kern, graph, aperture, d1, d2, count, seed):
     """One batch of cone-estimate checks with a fresh density table.
 
     Returns (violations, minimal relative slack, tuple count).
     """
-    nu, kern, graph, aperture, d1, d2, count, seed = args
     rng = Rng(seed)
     box = [(-1.0, 1.0)] * graph.param_dim
     gv = rng.uniforms(nu.count, -1.0, 1.0)
@@ -302,7 +277,7 @@ def _lemma_l2_batch(args):
     return int(np.sum(slack < -1e-9)), float(np.min(slack)), count
 
 
-def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
+def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, pool) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
     _same_dim("kernel", kern.ambient_dim, "graph", graph.ambient_dim)
@@ -313,12 +288,10 @@ def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> Sc
         raise ConfigError("nu must be supported strictly below the graph")
     consts = bound_constants(kern, aperture)
 
-    tasks = [
-        (nu, kern, graph, aperture, consts.d1, consts.d2, n, seed)
-        for n, seed in _chunks(rng, prm["tuples"], prm["tuples_per_batch"])
-    ]
+    batches = _chunks(rng, prm["tuples"], prm["tuples_per_batch"])
     with blame("scenario.tuples_per_batch"):  # the points of each batch's sups, under the table guard
-        results = _pmap(_lemma_l2_batch, tasks, workers)
+        results = _pmap(lambda item: _lemma_l2_batch(nu, kern, graph, aperture, consts.d1, consts.d2, *item),
+                        batches, pool)
     violations = sum(r[0] for r in results)
     worst = min(r[1] for r in results)
     report = ScenarioReport("lemma_l2", {})
@@ -336,7 +309,7 @@ def scenario_lemma_l2(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> Sc
 # ---------------------------------------------------------------------------
 
 
-def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
+def scenario_pv_convergence(cfg: Config, prm: dict, rng: Rng, pool) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
     _same_dim("kernel", kern.ambient_dim, "graph", graph.ambient_dim)
@@ -410,7 +383,7 @@ def _simple_function_from(cfg: Config, section: str, rng: Rng, box, stream: int)
     raise ConfigError(f"unknown simple-function mode {mode!r} in [{section}]")
 
 
-def scenario_weak_pairing(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
+def scenario_weak_pairing(cfg: Config, prm: dict, rng: Rng, pool) -> ScenarioReport:
     kern = build_kernel(cfg)
     mu = build_measure(cfg, "mu", optional_graph(cfg))
     _same_dim("kernel", kern.ambient_dim, "[mu]", mu.ambient_dim)
@@ -450,7 +423,7 @@ def scenario_weak_pairing(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -
 # ---------------------------------------------------------------------------
 
 
-def scenario_cantor_growth(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
+def scenario_cantor_growth(cfg: Config, prm: dict, rng: Rng, pool) -> ScenarioReport:
     rows = []
     estimates = []
     for gen in prm["generations"]:
@@ -480,7 +453,7 @@ def scenario_cantor_growth(cfg: Config, prm: dict, rng: Rng, workers: _Workers) 
 # ---------------------------------------------------------------------------
 
 
-def scenario_carleson(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
+def scenario_carleson(cfg: Config, prm: dict, rng: Rng, pool) -> ScenarioReport:
     graph = build_graph(cfg)
     box = box_pairs(prm["box"], graph.param_dim, "scenario.box")
     thickness = prm["thickness"]
@@ -550,14 +523,14 @@ def _check_stack(n_densities: int, nu, n_points: int, key: str) -> None:
                           f" limit {_STACK_VALUES_GUARD}")
 
 
-def _ratio_table(nu, mu, kern, p_list, densities, workers):
+def _ratio_table(nu, mu, kern, p_list, densities, pool):
     """max over the per-atom densities g on nu of |T* g|_{L^p(mu)} /
     |g|_{L^p(nu)} per p: T* of the list at each fixed chunk of mu's atoms
     is one ``maximal_values`` call, which sorts each point's row once, and
     each side's norms at one p are one ``lp_norms`` call."""
     tables = [TruncationTable(nu, kern, mu.positions[start : start + _POINT_CHUNK])
               for start in range(0, mu.count, _POINT_CHUNK)]
-    tstar = np.concatenate(_pmap(operator.methodcaller("maximal_values", densities), tables, workers), axis=1)
+    tstar = np.concatenate(_pmap(lambda table: table.maximal_values(densities), tables, pool), axis=1)
     out = {}
     for p in p_list:
         denoms = lp_norms(nu, densities, p)
@@ -570,7 +543,7 @@ def _ratio_table(nu, mu, kern, p_list, densities, workers):
     return out
 
 
-def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
+def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, pool) -> ScenarioReport:
     kern = build_kernel(cfg)
     p_list = prm["p"]
     n_g = prm["random_functions"]
@@ -590,7 +563,7 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, workers: _W
             _check_stack(n_g + 1, nu, nu.count, "scenario.generations")
             densities = [np.ones(nu.count), *_seeded_densities(rng, nu, n_g)]
             with blame("scenario.generations"):
-                ratios = _ratio_table(nu, nu, kern, p_list, densities, workers)
+                ratios = _ratio_table(nu, nu, kern, p_list, densities, pool)
             for p in p_list:
                 rows.append([gen, p, ratios[p]])
         report.add_table("ratios", ["generation", "p", "max_ratio"], rows)
@@ -619,7 +592,7 @@ def scenario_separated_boundedness(cfg: Config, prm: dict, rng: Rng, workers: _W
         _check_stack(n_g, nu, mu.count, "scenario.resolutions")
         densities = _seeded_densities(rng, nu, n_g)
         with blame("scenario.resolutions"):
-            ratios = _ratio_table(nu, mu, kern, p_list, densities, workers)
+            ratios = _ratio_table(nu, mu, kern, p_list, densities, pool)
         for p in p_list:
             rows.append([m, p, ratios[p]])
             per_p[p].append(ratios[p])
@@ -641,7 +614,7 @@ def _seeded_densities(rng: Rng, nu: DiscreteMeasure, count: int):
 # ---------------------------------------------------------------------------
 
 
-def scenario_double_integral(cfg: Config, prm: dict, rng: Rng, workers: _Workers) -> ScenarioReport:
+def scenario_double_integral(cfg: Config, prm: dict, rng: Rng, pool) -> ScenarioReport:
     graph = build_graph(cfg)
     kern = build_kernel(cfg)
     _same_dim("kernel", kern.ambient_dim, "graph", graph.ambient_dim)
@@ -805,13 +778,24 @@ def run_scenario(
     threads: int = 1,
     out_dir: str | None = None,
 ) -> ScenarioReport:
-    """Run the configured scenario; deterministic given (config, seed)."""
+    """Run the configured scenario; deterministic given (config, seed).
+    Above one worker (``threads``, at most one per CPU; ValueError below
+    1) the run's maps share one thread pool, shut down with the run; the
+    compiled loops release the GIL."""
     scenario, prm = read_scenario(cfg)
     seed = seed_override if seed_override is not None else cfg.get_int("scenario", "seed", 0)
     cfg.echo["scenario.seed"] = str(seed)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    workers = min(threads, os.cpu_count() or 1)
     start = time.perf_counter()
-    with _Workers(threads) as workers:
-        report = scenario(cfg, prm, Rng(seed), workers)
+    if workers == 1:
+        report = scenario(cfg, prm, Rng(seed), None)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here, so a run on one worker never loads it
+
+        with ThreadPoolExecutor(workers) as pool:
+            report = scenario(cfg, prm, Rng(seed), pool)
     report.runtime_seconds = time.perf_counter() - start
     cfg.check_all_read()
     report.config_echo = dict(cfg.echo)

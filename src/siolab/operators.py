@@ -32,6 +32,7 @@ import functools
 import math
 import numbers
 import os
+import threading
 from pathlib import Path
 from typing import NamedTuple
 
@@ -173,6 +174,7 @@ def truncated_batch(nu: DiscreteMeasure, kernel, g, points, eps) -> np.ndarray:
 _SUPS_SOURCE = Path(__file__).with_name("sups.c")
 # FMA contraction or fast-math would round differently from the oracles
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_BUILD_LOCK = threading.Lock()  # one build at a time: threads share the pid that names the temporary
 
 
 @functools.cache
@@ -180,7 +182,8 @@ def _compiled():
     """The loops of ``sups.c`` through ctypes (the sups, T^eps, the
     pair engine and the row totals of ``lp_norms``), built with ``cc`` on
     first use (never at import) into ``build/`` beside it under the CRC of source and flags
-    (a per-process name renamed into place, so forked workers may race).
+    (a per-process name renamed into place, one thread at a time, so
+    concurrent first calls and other processes may race).
     They are the only implementation: where no compiler, compile, writable
     directory or loadable library is found, RuntimeError names ``cc``,
     the build directory and the tail of the compiler's message.  A compile
@@ -199,19 +202,20 @@ def _compiled():
     lib = _SUPS_SOURCE.with_name("build") / f"sups_{key:08x}.so"
     tmp = lib.with_suffix(f".{os.getpid()}.so")
     try:
-        if not lib.exists():
-            import subprocess
+        with _BUILD_LOCK:
+            if not lib.exists():
+                import subprocess
 
-            lib.parent.mkdir(exist_ok=True)
-            # absolute: the source includes itself by __FILE__, which cc resolves from the file's directory
-            build = subprocess.run(["cc", *_CFLAGS, "-o", tmp, _SUPS_SOURCE.absolute()], capture_output=True,
-                                   text=True)
-            if build.returncode != 0:
-                raise OSError("\n".join(build.stderr.splitlines()[-20:]))
-            os.replace(tmp, lib)
-            for stale in lib.parent.glob("sups_" + "?" * 8 + ".so"):  # not another process's temporary
-                if stale != lib:
-                    stale.unlink(missing_ok=True)
+                lib.parent.mkdir(exist_ok=True)
+                # absolute: the source includes itself by __FILE__, which cc resolves from the file's directory
+                build = subprocess.run(["cc", *_CFLAGS, "-o", tmp, _SUPS_SOURCE.absolute()], capture_output=True,
+                                       text=True)
+                if build.returncode != 0:
+                    raise OSError("\n".join(build.stderr.splitlines()[-20:]))
+                os.replace(tmp, lib)
+                for stale in lib.parent.glob("sups_" + "?" * 8 + ".so"):  # not another process's temporary
+                    if stale != lib:
+                        stale.unlink(missing_ok=True)
         dll = ctypes.CDLL(str(lib))
     except OSError as err:  # no compiler, a failed compile, an unwritable directory or a library that does not load
         tmp.unlink(missing_ok=True)

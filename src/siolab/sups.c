@@ -481,10 +481,13 @@ TARGET static void L(hl_block)(int64_t live, int64_t n, int64_t dim, const doubl
             d = next;
         }
     }
-    for (int64_t l = 0; l < live; l++) {
-        diverges[l] = LANE(div, l) != 0;
-        out[l] = LANE(div, l) ? INFINITY : LANE(best, l);
-    }
+    /* the lanes leave through stores into out, which holds the flags of
+       div first; read by LANE, div and best lived in stack slots, loaded
+       and stored in every chunk.  best is +0.0, above it or NaN, so the
+       plain max of inf or 0 and best or 0 is div ? inf : best. */
+    STORE(out, KEEP((VEC){0} + 1.0, div), live);
+    for (int64_t l = 0; l < live; l++) diverges[l] = out[l] != 0.0;
+    STORE(out, VMAX(KEEP((VEC){0} + INFINITY, div), KEEP(best, div == 0)), live);
 }
 
 /* The sups W points at a time: the cells of the W points, each its

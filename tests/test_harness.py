@@ -1,7 +1,6 @@
 import math
 import os
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -538,58 +537,56 @@ def test_cli_non_finite_eps0_is_a_config_error(tmp_path, capsys, scenario, eps0)
 
 
 def _fake_pools(monkeypatch, cpus):
-    """Stands a recording in-process pool in for the fork pool: returns the
-    list of (processes, maps, terminated) of each pool made."""
-    import multiprocessing
-
-    from siolab.harness import scenarios
+    """Stands a recording executor that maps on the calling thread in for
+    the thread pool: returns the list of (max_workers, maps, shut_down) of
+    each pool made."""
+    import concurrent.futures
 
     made = []
 
     class FakePool:
-        def __init__(self, processes):
-            self.record = {"processes": processes, "maps": 0, "terminated": False}
+        def __init__(self, max_workers):
+            self.record = {"max_workers": max_workers, "maps": 0, "shut_down": False}
             made.append(self.record)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.record["shut_down"] = True
 
         def map(self, fn, items):
             self.record["maps"] += 1
-            return [fn(item) for item in items]
-
-        def terminate(self):
-            self.record["terminated"] = True
+            return map(fn, items)
 
     monkeypatch.setattr(scenarios.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=FakePool))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", FakePool)
     return made
 
 
 def test_pmap_caps_workers_at_cpu_count(monkeypatch):
-    from siolab.harness import scenarios
-
     made = _fake_pools(monkeypatch, 3)
-    items = list(range(10))
+    cfg = {"scenario": {"tag": "ConeSeparation", "samples": "20000"}, "graph": _FLAT}  # two chunks
     for threads in (64, 2):
-        with scenarios._Workers(threads) as workers:
-            assert scenarios._pmap(abs, items, workers) == items
-    assert [m["processes"] for m in made] == [3, 2]
+        run_scenario(config_from_dict(cfg), threads=threads)
+    assert made == [{"max_workers": 3, "maps": 1, "shut_down": True},
+                    {"max_workers": 2, "maps": 1, "shut_down": True}]
 
 
-def test_pmap_forks_one_pool_per_run(monkeypatch):
-    # a run's maps share one pool, forked by the first map with more than
-    # one item and ended with the run; one worker or one item forks none
-    from siolab.harness import scenarios
+def test_pmap_builds_one_pool_per_run(monkeypatch):
+    # a run's maps share one pool, shut down with the run; one item maps
+    # on the calling thread, and one worker builds no pool
+    import concurrent.futures
 
     made = _fake_pools(monkeypatch, 2)
     items = list(range(5))
-    with scenarios._Workers(1) as workers:
-        assert scenarios._pmap(abs, items, workers) == items
-    with scenarios._Workers(2) as workers:
-        assert scenarios._pmap(abs, [-1], workers) == [1]
-        assert made == []
+    assert scenarios._pmap(abs, items, None) == items
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        assert scenarios._pmap(abs, [-1], pool) == [1]
+        assert made == [{"max_workers": 2, "maps": 0, "shut_down": False}]
         for _ in range(3):
-            assert scenarios._pmap(abs, items, workers) == items
-        assert made == [{"processes": 2, "maps": 3, "terminated": False}]
-    assert made[0]["terminated"]
+            assert scenarios._pmap(abs, items, pool) == items
+    assert made == [{"max_workers": 2, "maps": 3, "shut_down": True}]
     cfg = config_from_dict({
         "scenario": {"tag": "SeparatedBoundedness", "seed": "5", "resolutions": "300, 400",
                      "random_functions": "3", "p": "2"},
@@ -599,8 +596,11 @@ def test_pmap_forks_one_pool_per_run(monkeypatch):
         "mu": {"kind": "slab_above_graph", "box": "-1, 1", "thickness": "0.5"},
     })
     made.clear()
-    run_scenario(cfg, threads=2)  # 2400 and 3200 slab points: two chunks per resolution
-    assert made == [{"processes": 2, "maps": 2, "terminated": True}]
+    one = run_scenario(cfg, threads=1)
+    assert made == []
+    two = run_scenario(cfg, threads=2)  # 2400 and 3200 slab points: two chunks per resolution
+    assert made == [{"max_workers": 2, "maps": 2, "shut_down": True}]
+    assert one.tables == two.tables
 
 
 def test_cli_validate_kernel(tmp_path):
@@ -640,13 +640,13 @@ def test_cli_failing_verdict_exit_code(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def _cli_run(tmp_path, cfg) -> int:
-    """Exit code of ``siolab run`` on the config dict ``cfg``."""
+def _cli_run(tmp_path, cfg, *flags) -> int:
+    """Exit code of ``siolab run`` on the config dict ``cfg``, with ``flags``."""
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("".join(
         f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for name, kv in cfg.items()
     ))
-    return cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+    return cli_main(["run", str(cfg_path), "--out-dir", str(tmp_path / "out"), *flags])
 
 
 _CARLESON = {"graph": _FLAT, "scenario": {"tag": "CarlesonEmbedding", "resolutions": "8, 16"}}
@@ -756,30 +756,37 @@ _TABLE_LIMIT = f"limit {operators.SORT_CELLS_GUARD}"
 _PAIR_LIMIT = f"limit {operators.PAIR_COUNT_GUARD}"
 
 
+_LEMMA_L2_NU = {"kind": "graph_measure", "box": "-1, 1", "m": "4096", "shift": "-1"}
+
+
 @pytest.mark.parametrize(
-    "cfg, key, limit",
+    "cfg, key, limit, flags",
     [
         pytest.param(_scenario("LemmaL2Check", {"tuples": "20000", "tuples_per_batch": "20000"},
-                               graph=_SAWTOOTH, kernel=_RIESZ,
-                               nu={"kind": "graph_measure", "box": "-1, 1", "m": "4096", "shift": "-1"}),
-                     "scenario.tuples_per_batch", _TABLE_LIMIT, id="lemma_l2-table_bytes"),
+                               graph=_SAWTOOTH, kernel=_RIESZ, nu=_LEMMA_L2_NU),
+                     "scenario.tuples_per_batch", _TABLE_LIMIT, (), id="lemma_l2-table_bytes"),
+        # two batches, so the guard is raised inside a worker thread
+        pytest.param(_scenario("LemmaL2Check", {"tuples": "40000", "tuples_per_batch": "20000"},
+                               graph=_SAWTOOTH, kernel=_RIESZ, nu=_LEMMA_L2_NU),
+                     "scenario.tuples_per_batch", _TABLE_LIMIT, ("--threads", "2"), id="lemma_l2-table_bytes-threads"),
         pytest.param(_with(_CONTROL, generations="8", random_functions="0", p="2"), "scenario.generations",
-                     _TABLE_LIMIT, id="control-table_bytes"),
+                     _TABLE_LIMIT, (), id="control-table_bytes"),
         pytest.param(_with(_SEPARATED, resolutions="32768", random_functions="1", p="2"), "scenario.resolutions",
-                     _TABLE_LIMIT, id="separated-table_bytes"),
+                     _TABLE_LIMIT, (), id="separated-table_bytes"),
         pytest.param(_scenario("DoubleIntegralConvergence", graph=_FLAT, kernel=_RIESZ,
                                mu={**_BALL_MU, "center": "0, 0.3", "m": "1000"}),
-                     "[mu]", _PAIR_LIMIT, id="double_integral-pair_count"),
+                     "[mu]", _PAIR_LIMIT, (), id="double_integral-pair_count"),
         pytest.param(_scenario("WeakPairing", kernel=_RIESZ, mu={**_BALL_MU, "m": "1000"},
                                f={"mode": "ball", "center": "-0.5, 0", "radius": "0.5"},
                                g={"mode": "ball", "center": "0.5, 0", "radius": "0.5"}),
-                     "[mu]", _PAIR_LIMIT, id="weak_pairing-pair_count"),
+                     "[mu]", _PAIR_LIMIT, (), id="weak_pairing-pair_count"),
     ],
 )
-def test_cli_operator_guard_is_a_config_error(tmp_path, capsys, cfg, key, limit):
+def test_cli_operator_guard_is_a_config_error(tmp_path, capsys, monkeypatch, cfg, key, limit, flags):
     # a table or a pair sum past its guard exits 2 before any output is written,
     # naming the size asked for and the limit
-    assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
+    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 2)  # --threads 2 gets two workers on any host
+    assert _cli_run(tmp_path, cfg, *flags) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{key}: " in err and "guard exceeded" in err and limit in err
     assert not (tmp_path / "out").exists()

@@ -594,7 +594,7 @@ def test_lemma_l2_inequalities_small():
     kern = sl.RieszComponent(2, 0)
     nu = sl.graph_measure(graph, [(-1.0, 1.0)], 300, vertical_shift=-0.8)
     c = sl.bound_constants(kern, 2.0)
-    viol, worst, count = _lemma_l2_batch((nu, kern, graph, 2.0, c.d1, c.d2, 1500, 777))
+    viol, worst, count = _lemma_l2_batch(nu, kern, graph, 2.0, c.d1, c.d2, 1500, 777)
     assert viol == 0 and count == 1500
     assert worst >= -1e-9
 
@@ -848,6 +848,53 @@ def test_maximal_values_traced_peak_holds_no_table():
     finally:
         tracemalloc.stop()
     assert values.shape == (50, 2048) and peak <= _MAXIMAL_VALUES_PEAK_BYTES
+
+
+def _operator_values(nu, kern, g, pts, eps):
+    """T* of the stack [g, -g] (D = 2), T* and M of g from one sort (D = 1),
+    the divergence flags of M, and T^eps g at one radius per point."""
+    table = sl.TruncationTable(nu, kern, pts)
+    (tstar,), (mval, diverges) = table.sups([g], g)
+    return table.maximal_values([g, -g]), tstar, mval, diverges, truncated_batch(nu, kern, g, pts, eps)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    degree=st.sampled_from([1, 3]),
+    k=st.integers(-12, 12).filter(lambda k: k != 0),
+    axis=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_power_of_two_scaling_and_axis_flips_are_exact(dim, degree, k, axis, seed):
+    # K has degree -(n-1): atoms, points and eps times 2^k with weights times
+    # 2^(k(n-1)) scale every distance, term and mass by a power of two, which
+    # rounds nothing; an axis flip keeps every distance and negates each term
+    # by (-1)^(power of that axis), which rounds nothing either
+    rng = np.random.default_rng(seed)
+    n_atoms, n_pts, axis = int(rng.integers(1, 40)), int(rng.integers(1, 20)), axis % dim
+    kern = sl.OddHomogeneous(dim, tuple(int(p) for p in rng.multinomial(degree, [1 / dim] * dim)))
+    pos = rng.integers(-8, 9, (n_atoms, dim)) / 8.0  # a grid: tied distances
+    pts = rng.integers(-8, 9, (n_pts, dim)) / 8.0
+    pts[: n_pts // 3] = pos[rng.integers(0, n_atoms, n_pts // 3)]  # on atoms: M diverges where |g| w > 0
+    w = rng.uniform(0.0, 1.0, n_atoms) * (rng.uniform(size=n_atoms) < 0.8)
+    g = rng.uniform(-1.0, 1.0, n_atoms) * (rng.uniform(size=n_atoms) < 0.8)
+    eps = rng.uniform(0.05, 2.0, n_pts)
+    base = _operator_values(sl.DiscreteMeasure(pos, w, 1 / 8), kern, g, pts, eps)
+
+    scale = 2.0**k
+    scaled = _operator_values(sl.DiscreteMeasure(pos * scale, w * scale ** (dim - 1), scale / 8), kern, g,
+                              pts * scale, eps * scale)
+    for a, b in zip(base, scaled):
+        assert a.tobytes() == b.tobytes()
+
+    flip = np.ones(dim)
+    flip[axis] = -1.0
+    flipped = _operator_values(sl.DiscreteMeasure(pos * flip, w, 1 / 8), kern, g, pts * flip, eps)
+    for a, b in zip(base[:4], flipped[:4]):
+        assert a.tobytes() == b.tobytes()
+    sign = (-1.0) ** kern.monomial[0][axis]
+    np.testing.assert_array_equal(flipped[4], sign * base[4])  # == : T^eps's zeros may change sign
 
 
 # ---------------------------------------------------------------------------

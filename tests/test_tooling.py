@@ -15,18 +15,19 @@ platform, and ``math.fsum`` takes an array only in the one place that
 README names.  In the harness, only ``config.blame`` maps a ValueError
 to a configuration error.  The count of settable values (parameters and
 fields with a default) is pinned, so a new knob is a deliberate change.
-Importing the harness leaves ``multiprocessing`` unloaded: only a run
-that forks its pool imports it.
+Importing the harness loads neither ``concurrent.futures`` nor
+``multiprocessing``: only a run on more than one worker builds its thread
+pool, and no source names ``multiprocessing``.
 The compiled loops are built without FMA contraction or fast-math, which
 would round them differently from their oracles in ``tests/oracles.py``,
 and without flags that tie the library to one host's CPU; with ``-Wall
 -Wextra -Werror`` added, ``sups.c`` still compiles, and it exports every
 symbol that ``operators._compiled`` binds, each with one argtype of the
 matching kind per C parameter; a compile leaves no library of an earlier source in
-the build directory.  The built library holds no FMA instruction, and its
-AVX-512 copies take their square roots with vsqrtpd, never a scalar vsqrtsd
-per lane; the AVX-512 T* loops load and store no vector at a stack
-address.  The compiled loops are the only implementation:
+the build directory, and concurrent first calls build one library.  The
+built library holds no FMA instruction, and its AVX-512 copies take their
+square roots with vsqrtpd, never a scalar vsqrtsd per lane; the AVX-512
+T* and M loops load and store no vector at a stack address.  The compiled loops are the only implementation:
 without ``cc`` or a compile, the loader's error names ``cc``, the build
 directory and the compiler's message, and no source or test takes
 another path.  The only ``noqa`` lines are the four re-imports that keep
@@ -44,6 +45,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -285,12 +287,16 @@ def test_settable_values_do_not_grow():
     assert count <= 26
 
 
-def test_harness_import_leaves_multiprocessing_unloaded():
-    # a run on one worker forks no pool, so it need not pay for the import
-    check = "import sys, siolab.harness; assert 'multiprocessing' not in sys.modules, 'multiprocessing loaded'"
+def test_harness_import_loads_no_pool_module():
+    # a run on one worker builds no pool, so it need not pay for the import;
+    # the workers are threads, so nothing forks
+    check = ("import sys, siolab.harness; loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules);"
+             " assert not loaded, loaded")
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     result = subprocess.run([sys.executable, "-c", check], cwd=ROOT, env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    assert [path.name for path in PACKAGE.rglob("*") if path.suffix in (".py", ".c")
+            and "multiprocessing" in path.read_text()] == []
 
 
 def test_compiled_sups_round_as_numpy_does():
@@ -421,16 +427,18 @@ def test_compiled_loops_hold_no_fma_and_only_vector_square_roots():
 def test_t_star_loops_keep_their_vectors_off_the_stack():
     # a vector read by lane after the loop (LANE(best, l)) kept tstar_row's
     # running max in a stack slot: two zmm loads and a store at every
-    # distance-group end; the lanes now leave through a store, and the
-    # D = 1 block reads its scratch through a pointer, so no zmm register
-    # is loaded from or stored to an address off %rsp or %rbp in either
+    # distance-group end, and hl_block's max and divergence mask in two
+    # stack slots, loaded and stored in every chunk; the lanes now leave
+    # through a store, and the blocks read their scratch through a pointer,
+    # so no zmm register is loaded from or stored to an address off %rsp or
+    # %rbp in any of them
     from siolab import operators
 
     if not _builds_avx512_copies():
         pytest.skip("cc builds no AVX-512 copies")
     listing = subprocess.run(["objdump", "-d", operators._compiled()._name], capture_output=True, text=True,
                              check=True).stdout
-    for name in ("tstar_row_8", "tstar_block_8"):
+    for name in ("tstar_row_8", "tstar_block_8", "hl_block_8"):
         body = re.search(rf"^[0-9a-f]+ <{name}(?:\.\w+)*>:\n(.*?)(?:\n\n|\Z)", listing, re.S | re.M)
         assert body, name
         stack = [line for line in body.group(1).splitlines() if "%zmm" in line and re.search(r"\(%r[sb]p", line)]
@@ -459,6 +467,33 @@ def test_compile_leaves_only_the_current_library(tmp_path, monkeypatch):
     current = [p.name for p in build.glob("sups_????????.so")]
     assert len(current) == 1
     assert sorted(p.name for p in build.iterdir()) == sorted([*current, "sups_deadbeef.4242.so"])
+
+
+def test_concurrent_first_calls_build_one_library(tmp_path, monkeypatch):
+    # threads share the pid that names the build's temporary: without the
+    # build lock, each compiles into it, and one's rename can take another's
+    operators, build = _copied_source(tmp_path, monkeypatch)
+    start = threading.Barrier(4)
+    errors, compiles = [], []
+    run = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kwargs: compiles.append(args) or run(*args, **kwargs))
+
+    def first_call():
+        start.wait()
+        try:
+            operators._compiled.__wrapped__()
+        except RuntimeError as err:
+            errors.append(err)
+
+    threads = [threading.Thread(target=first_call) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(compiles) == 1
+    libraries = list(build.iterdir())
+    assert len(libraries) == 1 and libraries[0].match("sups_????????.so")
 
 
 def test_noqa_lines_are_the_tracer_reimports():
