@@ -52,7 +52,11 @@ SORT_CELLS_GUARD = (1 << 30) // 24
 # a cone mesh template holds fewer than K (2K+1)^d points for K = 2^mesh_depth
 # levels; 2^22 admits depth 10 in d = 1, 6 in d = 2 and 4 in d = 3
 MESH_POINTS_GUARD = 1 << 22
-_MESH_CHUNK_POINTS = 1 << 16  # mesh points per apex chunk of nontangential_max_many
+# mesh points per apex chunk of nontangential_max_many, 28 apexes at depth
+# 4 in d = 1: a chunk's arrays (mesh, differences, squares, values) stay in
+# L2 and come from the heap; at 1 << 16 each is MiB-sized, which glibc maps
+# fresh, and every chunk faults its pages in again
+_MESH_CHUNK_POINTS = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +359,27 @@ def hl_maximal_batch(nu: DiscreteMeasure, g, points):
 # ---------------------------------------------------------------------------
 
 
+def check_height_cap(height_cap: float, aperture: float, d: int) -> None:
+    """Raise ValueError unless the cone height cap is finite and > 0 and
+    the top mesh level's squared offset norms, below d (cap / 4L)^2, are
+    finite: past that they overflow to inf, and the strict filter inside
+    the cone would silently drop those points."""
+    if not 0 < height_cap < math.inf:
+        raise ValueError(f"height_cap must be finite and > 0, got {height_cap}")
+    rho = height_cap / (4.0 * aperture)
+    if not math.isfinite(d * rho * rho):
+        raise ValueError(f"height_cap {height_cap:g} overflows the squared norms of the cone mesh in d = {d}")
+
+
 def _cone_template(aperture: float, height_cap: float, mesh_depth: int, d: int):
     """Apex-free cone mesh: graph-frame offsets (M, d) from u0 and level
     heights (M,) above f(u0).  2^mesh_depth height levels; level k's
     cross-section is a (2k+1)^d grid filtered strictly inside the cone.
     The grid count sum_k (2k+1)^d is at most K (2K+1)^d for K levels;
     above ``MESH_POINTS_GUARD`` that raises ValueError before any array
-    is built.
+    is built, as does a cap that ``check_height_cap`` refuses.
     """
-    if not height_cap > 0:
-        raise ValueError("height_cap must be > 0")
+    check_height_cap(height_cap, aperture, d)
     if mesh_depth < 1:
         raise ValueError("mesh_depth must be >= 1")
     # past the guard's bit length, 2^mesh_depth alone exceeds it: cap the shift
@@ -410,9 +425,12 @@ def nontangential_max_many(hs, graph, apex_u, aperture: float, height_cap: float
     """(len(hs), len(apex_u)) array: per density h and apex u0, the max
     of |h| over the ``cone_mesh`` at u0.  The template is built once and
     f(u0) taken for every apex in one call; apexes then go in chunks of
-    about ``_MESH_CHUNK_POINTS`` mesh points, each chunk meshed once
-    (``cone_mesh``) and evaluated once per density.  Raises the
-    ValueErrors of ``check_aperture``, ``_points`` and ``_cone_template``.
+    about ``_MESH_CHUNK_POINTS`` mesh points (at least one apex), each
+    chunk meshed once (``cone_mesh``) and evaluated once per density.
+    The chunk is sized so that its arrays fit L2 and come from the heap,
+    not from fresh mappings that fault in again on every chunk.  Raises
+    the ValueErrors of ``check_aperture``, ``_points`` and
+    ``_cone_template``.
     """
     check_aperture(graph, aperture)
     u0 = _points(apex_u, graph.param_dim)

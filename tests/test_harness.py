@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import siolab as sl
 from siolab import measure, operators
@@ -392,6 +394,26 @@ def test_carleson_dim3_rhs_matches_per_cone_loop(monkeypatch):
     assert rhs == [row[3] for row in looped.table("metrics").rows]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 7),
+    decade=st.integers(-150, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(dim=3, decade=0, seed=1)
+@example(dim=7, decade=-3, seed=2)
+def test_carleson_gaussian_has_the_bits_of_np_sum(dim, decade, seed):
+    # the columns summed one at a time in column order are numpy's short-axis
+    # sum below 8 columns: magnitudes 1e-150 to 1e150, about a zero center
+    # and about the points' negated mean
+    rng = np.random.default_rng(seed)
+    exponents = np.clip(decade + rng.uniform(-1.0, 1.0, (256, dim)), -150.0, 150.0)
+    pts = rng.choice([-1.0, 1.0], (256, dim)) * 10.0**exponents
+    for center in (np.zeros(dim), -pts.mean(axis=0)):
+        want = np.exp(-np.sum((pts - center) ** 2, axis=1) / 0.5)
+        assert np.array_equal(scenarios._gaussian(pts, center), want)
+
+
 def test_carleson_fails_on_an_infinite_ratio(monkeypatch):
     # with N g == 0 every rhs is 0 while lhs > 0 for all but the zero
     # density: the embedding ratio is unbounded, and the verdict says so
@@ -668,6 +690,9 @@ def _with(base, **keys):
         pytest.param(_with(_CARLESON, p="0.5"), "p", id="carleson-p"),
         pytest.param(_with(_CARLESON, thickness="0"), "thickness", id="carleson-thickness"),
         pytest.param(_with(_CARLESON, height_cap="0"), "height_cap", id="carleson-height_cap"),
+        # the mesh's squared norms overflow: the run thinned the mesh, read the
+        # gaussian's rhs as 0 and failed on an infinite ratio
+        pytest.param(_with(_CARLESON, height_cap="1e300"), "height_cap", id="carleson-height_cap_overflow"),
         pytest.param(_with(_CARLESON, resolutions="0, 8"), "resolutions", id="carleson-resolution_0"),
         pytest.param(_with(_CARLESON, box="1, -1"), "box", id="carleson-box_reversed"),
         # the cone mesh point guard, checked on its bound before any allocation
@@ -695,6 +720,7 @@ def _with(base, **keys):
 def test_cli_scenario_key_out_of_schema_is_a_config_error(tmp_path, capsys, cfg, key):
     assert _cli_run(tmp_path, cfg) == EXIT_CONFIG
     assert f"scenario.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -650,12 +650,19 @@ def test_nontangential_max_validation():
     cases = [
         (1.5, 0.0, 3), (1.5, -1.0, 3), (1.5, math.nan, 3), (1.5, 1.0, 0), (1.5, 1.0, -2),
         (1.0, 1.0, 3), (1.2, 1.0, 3),  # L must exceed max(1, Lip f) = 1.2
+        # past about 1e154 the squared offset norms overflow to inf, and the
+        # strict filter inside the cone dropped those points (8 of 80 kept at
+        # 1e200, 1 at 1e308); at inf the chunk step divided by an empty template
+        (1.5, math.inf, 3), (1.5, 1e200, 3), (1.5, 1e308, 3),
     ]
     for aperture, height_cap, mesh_depth in cases:
         with pytest.raises(ValueError):
             sl.nontangential_max(zero, sl.Cone(g, (0.0,), aperture), height_cap, mesh_depth)
         with pytest.raises(ValueError):
             operators.nontangential_max_many([zero], g, [(0.0,)], aperture, height_cap, mesh_depth)
+    with pytest.raises(ValueError, match="height_cap 1e\\+200 overflows"):
+        operators._cone_template(1.5, 1e200, 3, 1)
+    assert len(operators._cone_template(1.5, 1e150, 3, 1)[0]) == len(operators._cone_template(1.5, 1.0, 3, 1)[0]) == 80
 
 
 def test_nontangential_max_many_rejects_wrong_apex_length():
@@ -706,22 +713,26 @@ _MESH_DENSITIES = [
     slack=st.floats(1.001, 3.0),
     per_chunk=st.integers(2, 6),
     full_chunks=st.integers(0, 3),
+    budget=st.sampled_from(["apexes", "one_point", "one_apex_less_a_point"]),
     data=st.data(),
 )
 def test_nontangential_max_many_equals_per_cone_loop(
-    d, profile, rotated, seed, mesh_depth, height_cap, slack, per_chunk, full_chunks, data
+    d, profile, rotated, seed, mesh_depth, height_cap, slack, per_chunk, full_chunks, budget, data
 ):
     rng = np.random.default_rng(seed)
     rotation = np.linalg.qr(rng.standard_normal((d + 1, d + 1)))[0] if rotated else None
     shape = sl.Sawtooth(0.3, 0.5) if profile == "sawtooth" else sl.SmoothBump(0.4, 0.3)
     graph = sl.LipschitzGraph(d + 1, shape, rotation)
     aperture = slack * max(1.0, graph.lip_declared)
-    # a budget that splits the apexes mid-array: the last chunk is short
     n_apex = per_chunk * full_chunks + data.draw(st.integers(1, per_chunk - 1))
     apexes = rng.uniform(-1.0, 1.0, (n_apex, d))
     m = len(operators._cone_template(aperture, height_cap, mesh_depth, d)[0])
+    # a budget of per_chunk apexes and a half splits the apexes mid-array, so
+    # the last chunk is short; one point, or one apex's mesh less a point,
+    # holds no apex, and the step's floor of one apex per chunk takes over
+    points = {"apexes": per_chunk * m + m // 2, "one_point": 1, "one_apex_less_a_point": m - 1}[budget]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(operators, "_MESH_CHUNK_POINTS", per_chunk * m + m // 2)
+        mp.setattr(operators, "_MESH_CHUNK_POINTS", points)
         got = operators.nontangential_max_many(_MESH_DENSITIES, graph, apexes, aperture, height_cap, mesh_depth)
     cones = [sl.Cone(graph, tuple(u), aperture) for u in apexes.tolist()]
     meshes = [cone_mesh_loop(c, height_cap, mesh_depth) for c in cones]
@@ -848,6 +859,36 @@ def test_maximal_values_traced_peak_holds_no_table():
     finally:
         tracemalloc.stop()
     assert values.shape == (50, 2048) and peak <= _MAXIMAL_VALUES_PEAK_BYTES
+
+
+# the traced peak of the test below: 629,576 to 630,478 bytes measured
+# (a few arrays of one 8,192-point chunk, its mesh, differences and
+# values, 64 or 128 KiB each), under 1 MiB; 65,536-point chunks traced
+# 4,756,040 to 4,757,110
+_MESH_CHUNK_PEAK_BYTES = 1 << 20
+
+
+def test_nontangential_max_many_traced_peak_holds_one_small_chunk():
+    # the benchmark's Carleson call at its finest resolution: 1,024 apexes on
+    # the sawtooth graph, four densities like Carleson's, mesh_depth 4,
+    # height_cap 1; the chunks' arrays are the peak, and they stay small
+    graph = sl.LipschitzGraph(2, sl.Sawtooth(0.3, 0.5))
+    sigma_u = graph.to_graph_frame(measure.graph_measure(graph, [(-1.0, 1.0)], 1024).positions)[:, :-1]
+    center = np.array([0.0, 0.2])
+    hs = [
+        lambda p: np.ones(len(p)),
+        lambda p: np.exp(-np.sum((p - center) ** 2, axis=1) / 0.5),
+        lambda p: p[:, 0] * ((p[:, -1] >= -0.1) & (p[:, -1] <= 0.4)),
+        lambda p: np.zeros(len(p)),
+    ]
+    aperture = 2.0 * max(1.0, graph.lip_declared)
+    tracemalloc.start()
+    try:
+        values = operators.nontangential_max_many(hs, graph, sigma_u, aperture, 1.0, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (4, 1024) and peak <= _MESH_CHUNK_PEAK_BYTES
 
 
 def _operator_values(nu, kern, g, pts, eps):
